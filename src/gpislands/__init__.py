@@ -36,7 +36,15 @@ from .harness import (
     write_rows_csv,
     write_summary_csv,
 )
-from .interpreter import Environment, RunOutcome, RunStatus, SupervisorPolicy, execute
+from .interpreter import (
+    Environment,
+    Program,
+    RunOutcome,
+    RunStatus,
+    SupervisorPolicy,
+    compile_program,
+    execute,
+)
 from .islands import (
     GenerationStats,
     IslandSpec,

@@ -16,6 +16,7 @@ supervisor displays nothing.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
@@ -131,6 +132,13 @@ def feed_primitives(catalog: FeedCatalog,
                         constant_sources={Sort.NUMBER: lambda rng: rng.uniform(lo, hi)})
 
 
+@functools.lru_cache(maxsize=16)
+def _feed_environments(catalog: FeedCatalog) -> tuple[Environment, ...]:
+    """One environment per feed, in catalog order, shared by every run over
+    ``catalog``; the bindings only read the frozen feed attributes."""
+    return tuple(_feed_environment(feed, catalog) for feed in catalog.feeds)
+
+
 def _feed_environment(feed: Feed, catalog: FeedCatalog) -> Environment:
     bindings = {
         "group_is_tech": lambda: 1.0 if feed.is_tech else 0.0,
@@ -169,8 +177,8 @@ def run_feed_program(tree: ProgramTree, catalog: FeedCatalog,
     """
     policy = policy or SupervisorPolicy(max_steps=DEFAULT_MAX_STEPS)
     report = FeedReport(desired_qty=desired_qty)
-    for feed in catalog.feeds:
-        outcome = execute(tree, _feed_environment(feed, catalog), policy)
+    for feed, env in zip(catalog.feeds, _feed_environments(catalog)):
+        outcome = execute(tree, env, policy)
         if outcome.killed:
             return FeedReport(desired_qty=desired_qty)
         report.scores[feed.feed_id] = float(outcome.value)

@@ -115,7 +115,11 @@ def resolve_strategy(config: ExperimentConfig) -> EvolutionStrategy:
         strategy = island_strategy(config.capacity)
     elif os.path.exists(name):
         with open(name, "r", encoding="utf-8") as handle:
-            strategy = strategy_from_dict(json.load(handle))
+            try:
+                data = json.load(handle)
+            except ValueError as exc:  # malformed JSON or not UTF-8
+                raise ConfigurationError(f"bad strategy file {name!r}: {exc}") from exc
+        strategy = strategy_from_dict(data)
     else:
         raise ConfigurationError(f"unknown strategy {name!r} (not a preset or a file)")
     if strategy.total() != config.capacity:

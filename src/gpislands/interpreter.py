@@ -6,13 +6,35 @@ supervisor's budget; blowing the budget (or an optional virtual-time bound)
 kills the run instead of raising, so any sort-valid tree yields exactly one
 of two outcomes: ``COMPLETED`` or ``KILLED``.  Actions emitted before a kill
 are kept in the outcome so callers can tell how far the program got.
+
+Compile once, run many
+----------------------
+:func:`execute` accepts a bare :class:`ProgramTree`, which it walks node by
+node, or a :class:`Program` made by :func:`compile_program`, which turns the
+tree into nested closures in one pass.  A caller that runs the same tree many
+times against one environment (the localisation task runs it once per tick)
+compiles it once and saves the per-node dispatch of the walker.
+
+A compiled program skips the supervisor's per-node checks only when no kill
+is possible: its size is within ``policy.max_steps`` and no deadline applies
+(``max_virtual_seconds`` is unset or the environment has no clock).  A run
+visits each node at most once -- lazy functions call each of their thunks at
+most once -- so such a run can never exhaust the budget.  In every other case
+:func:`execute` walks ``program.tree``, and kills, partial ``actions`` and the
+virtual-clock deadline behave exactly as for the bare tree.
+
+``steps_used`` is exact on both paths without a per-node counter.  A run that
+skipped nothing used ``size`` steps.  Each lazy node adds the total size of
+its children to a ``skipped`` tally, and each thunk takes its own child's
+size back off when called, so ``size - skipped`` counts exactly the nodes the
+run evaluated, untaken branches excluded.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Union
 
 from .trees import Category, ConfigurationError, ProgramTree, Sort
 
@@ -67,37 +89,151 @@ class _Killed(Exception):
     pass
 
 
-def execute(tree: ProgramTree, env: Environment, policy: SupervisorPolicy) -> RunOutcome:
-    """Run ``tree`` under ``policy``; never raises for a sort-valid tree.
+class _Frame:
+    """Per-run state shared by the closures of one compiled program."""
+
+    __slots__ = ("bindings", "actions", "sink", "skipped")
+
+
+class Program:
+    """A tree compiled to nested closures; build one with :func:`compile_program`.
+
+    A program keeps its run state in one frame shared by its closures, so it
+    must not be executed again from inside one of its own runs (from an
+    accessor or an action sink), nor from two threads at once.
+    """
+
+    __slots__ = ("tree", "size", "_root", "_frame")
+
+    def __init__(self, tree: ProgramTree, size: int, root: Callable[[], Any],
+                 frame: _Frame) -> None:
+        self.tree = tree
+        self.size = size
+        self._root = root
+        self._frame = frame
+
+    def _run(self, env: Environment) -> RunOutcome:
+        frame = self._frame
+        frame.bindings = env.bindings
+        frame.actions = actions = []
+        frame.sink = env.action_sink
+        frame.skipped = 0
+        value = self._root()
+        return RunOutcome(RunStatus.COMPLETED, value, self.size - frame.skipped, actions)
+
+
+def compile_program(tree: ProgramTree) -> Program:
+    """Compile ``tree`` into nested closures in one pass, recording its size."""
+    frame = _Frame()
+    root, size = _compile(tree, frame)
+    return Program(tree, size, root, frame)
+
+
+def _compile(node: ProgramTree, frame: _Frame) -> tuple[Callable[[], Any], int]:
+    kind = node.kind
+    if kind.category is Category.CONSTANT:
+        value = node.value
+        return (lambda: value), 1
+    if kind.category is Category.TERMINAL:
+        return _compile_terminal(kind.name, kind.result_sort is Sort.ACTION, frame), 1
+    compiled = [_compile(child, frame) for child in node.children]
+    size = 1 + sum(child_size for _, child_size in compiled)
+    fn = kind.fn
+    if kind.lazy:
+        thunks = tuple(_thunk(call, child_size, frame) for call, child_size in compiled)
+        below = size - 1
+
+        def lazy() -> Any:
+            frame.skipped += below
+            return fn(*thunks)
+
+        return lazy, size
+    calls = [call for call, _ in compiled]
+    if len(calls) == 2:
+        a, b = calls
+        return (lambda: fn(a(), b())), size
+    return (lambda: fn(*[call() for call in calls])), size
+
+
+def _thunk(call: Callable[[], Any], size: int, frame: _Frame) -> Callable[[], Any]:
+    def thunk() -> Any:
+        frame.skipped -= size
+        return call()
+
+    return thunk
+
+
+def _compile_terminal(name: str, is_action: bool, frame: _Frame) -> Callable[[], Any]:
+    if is_action:
+        def action() -> None:
+            accessor = frame.bindings.get(name)
+            if accessor is None:
+                raise ConfigurationError(f"terminal {name!r} is not bound")
+            value = accessor()
+            frame.actions.append(value)
+            if frame.sink is not None:
+                frame.sink(value)
+            return None
+
+        return action
+
+    def read() -> Any:
+        accessor = frame.bindings.get(name)
+        if accessor is None:
+            raise ConfigurationError(f"terminal {name!r} is not bound")
+        return accessor()
+
+    return read
+
+
+def execute(program: Union[Program, ProgramTree], env: Environment,
+            policy: SupervisorPolicy) -> RunOutcome:
+    """Run ``program`` (a tree or a compiled :class:`Program`) under ``policy``;
+    never raises for a sort-valid tree.
 
     An unbound terminal is a configuration error, not a kill: the tree was
     handed an environment that cannot support it.
     """
+    if isinstance(program, Program):
+        if program.size <= policy.max_steps and (
+                policy.max_virtual_seconds is None or env.clock is None):
+            return program._run(env)
+        program = program.tree
+    return _walk(program, env, policy)
+
+
+def _walk(tree: ProgramTree, env: Environment, policy: SupervisorPolicy) -> RunOutcome:
+    """Node-by-node evaluation, checking the budget and deadline at every node."""
     steps = 0
     actions: list = []
+    max_steps = policy.max_steps
+    bindings = env.bindings
+    sink = env.action_sink
+    clock = env.clock
     deadline = None
-    if policy.max_virtual_seconds is not None and env.clock is not None:
-        deadline = env.clock() + policy.max_virtual_seconds
+    if policy.max_virtual_seconds is not None and clock is not None:
+        deadline = clock() + policy.max_virtual_seconds
 
     def ev(node: ProgramTree) -> Any:
         nonlocal steps
-        if steps >= policy.max_steps:
+        if steps >= max_steps:
             raise _Killed()
-        if deadline is not None and env.clock() > deadline:
+        if deadline is not None and clock() > deadline:
             raise _Killed()
         steps += 1
         kind = node.kind
-        if kind.category is Category.CONSTANT:
+        category = kind.category
+        if category is Category.CONSTANT:
             return node.value
-        if kind.category is Category.TERMINAL:
-            accessor = env.bindings.get(kind.name)
+        if category is Category.TERMINAL:
+            accessor = bindings.get(kind.name)
             if accessor is None:
                 raise ConfigurationError(f"terminal {kind.name!r} is not bound")
             value = accessor()
             if kind.result_sort is Sort.ACTION:
                 actions.append(value)
-                if env.action_sink is not None:
-                    env.action_sink(value)
+                if sink is not None:
+                    sink(value)
                 return None
             return value
         if kind.lazy:

@@ -24,13 +24,14 @@ the supervisor at tick k contributes nothing from tick k on.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .interpreter import Environment, SupervisorPolicy, execute
+from .interpreter import Environment, SupervisorPolicy, compile_program, execute
 from .trees import (
     ConfigurationError,
     Individual,
@@ -131,51 +132,102 @@ def single_provider_world(provider: Provider, ticks: int = DEFAULT_TICKS,
                        ticks=ticks)
 
 
+def _truth(waypoints: Sequence[tuple[float, float, float]], t: float) -> Position:
+    if t <= waypoints[0][0]:
+        return (waypoints[0][1], waypoints[0][2])
+    for (t0, x0, y0), (t1, x1, y1) in zip(waypoints, waypoints[1:]):
+        if t0 <= t <= t1:
+            if t1 == t0:
+                return (x1, y1)
+            frac = (t - t0) / (t1 - t0)
+            return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
+    return (waypoints[-1][1], waypoints[-1][2])
+
+
+def _segment(segments: Sequence[Segment], t: float) -> Segment:
+    for segment in segments:
+        if segment.start <= t < segment.end:
+            return segment
+    return segments[-1]
+
+
+def _available(segments: Sequence[Segment], name: str, t: float) -> bool:
+    segment = _segment(segments, t)
+    if name == "gps":
+        return not segment.indoor
+    if name == "wifi":
+        return segment.wifi
+    return True
+
+
+@dataclass(frozen=True)
+class _Tick:
+    """What the walk offers at one integer tick, whatever the program does."""
+
+    truth: Position
+    #: Names of the providers that can see the phone at this tick.
+    available: frozenset[str]
+    #: The provider behind :meth:`World.reference_fix` at this tick.
+    reference: Optional[Provider]
+
+
+@functools.lru_cache(maxsize=16)
+def _tick_table(config: WorldConfig) -> dict[float, _Tick]:
+    """Per-tick walk geometry for ``config``, keyed by the tick as a float.
+
+    Computed with the same functions :class:`World` falls back to between
+    ticks, so a table hit and a fresh computation agree bit for bit.
+    """
+    table = {}
+    for tick in range(config.ticks + 1):
+        t = float(tick)
+        available = frozenset(p.name for p in config.providers
+                              if _available(config.segments, p.name, t))
+        ready = [p for p in config.providers
+                 if t >= p.first_fix_s and p.name in available]
+        reference = min(ready, key=lambda p: p.radius_m) if ready else None
+        table[t] = _Tick(_truth(config.waypoints, t), available, reference)
+    return table
+
+
 class World:
-    """Mutable per-evaluation state: the walk, the radios, the program's fix."""
+    """Mutable per-evaluation state: the walk, the radios, the program's fix.
+
+    The walk itself depends only on the config, so its geometry at every
+    integer tick is computed once per config and shared; only the fix errors
+    are drawn per world.
+    """
 
     def __init__(self, config: WorldConfig, seed: int | str = 0) -> None:
         self.config = config
         self.t = 0.0
         self.enabled: dict[str, Optional[float]] = {p.name: None for p in config.providers}
         self.program_fix: Optional[tuple[Position, float, float]] = None  # pos, t, radius
-        rng = random.Random(f"world:{seed}")
+        # lo + span * random() is random.uniform's arithmetic, draw for draw
+        draw = random.Random(f"world:{seed}").random
+        lo = config.error_low
+        span = config.error_high - lo
+        tau = 2.0 * math.pi
+        cos, sin = math.cos, math.sin
         self._errors: dict[tuple[str, int], Position] = {}
         for provider in config.providers:
+            name, radius = provider.name, provider.radius_m
             for tick in range(config.ticks + 1):
-                magnitude = provider.radius_m * rng.uniform(config.error_low,
-                                                            config.error_high)
-                angle = rng.uniform(0.0, 2.0 * math.pi)
-                self._errors[(provider.name, tick)] = (magnitude * math.cos(angle),
-                                                       magnitude * math.sin(angle))
+                magnitude = radius * (lo + span * draw())
+                angle = tau * draw()
+                self._errors[(name, tick)] = (magnitude * cos(angle), magnitude * sin(angle))
         self._by_name = {p.name: p for p in config.providers}
+        self._ticks = _tick_table(config)
 
     # -- geometry ----------------------------------------------------------
     def truth(self, t: float) -> Position:
-        points = self.config.waypoints
-        if t <= points[0][0]:
-            return (points[0][1], points[0][2])
-        for (t0, x0, y0), (t1, x1, y1) in zip(points, points[1:]):
-            if t0 <= t <= t1:
-                if t1 == t0:
-                    return (x1, y1)
-                frac = (t - t0) / (t1 - t0)
-                return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
-        return (points[-1][1], points[-1][2])
-
-    def _segment(self, t: float) -> Segment:
-        for segment in self.config.segments:
-            if segment.start <= t < segment.end:
-                return segment
-        return self.config.segments[-1]
+        tick = self._ticks.get(t)
+        if tick is not None:
+            return tick.truth
+        return _truth(self.config.waypoints, t)
 
     def available(self, name: str, t: float) -> bool:
-        segment = self._segment(t)
-        if name == "gps":
-            return not segment.indoor
-        if name == "wifi":
-            return segment.wifi
-        return True
+        return _available(self.config.segments, name, t)
 
     def fix_position(self, name: str, t: float) -> Position:
         x, y = self.truth(t)
@@ -213,9 +265,12 @@ class World:
             self.enabled[name] = None
 
     def _ready(self, name: str, since: Optional[float]) -> bool:
-        return (since is not None
-                and self.t >= since + self._by_name[name].first_fix_s
-                and self.available(name, self.t))
+        if since is None or not self.t >= since + self._by_name[name].first_fix_s:
+            return False
+        tick = self._ticks.get(self.t)
+        if tick is not None:
+            return name in tick.available
+        return self.available(name, self.t)
 
     def _request_fix(self) -> None:
         ready = [p for p in self.config.providers if self._ready(p.name, self.enabled[p.name])]
@@ -232,10 +287,14 @@ class World:
     def reference_fix(self) -> Optional[tuple[Position, float]]:
         """Best fix available right now with every provider notionally on
         since tick 0; its power is never charged to the program."""
-        ready = [p for p in self.config.providers if self._ready(p.name, 0.0)]
-        if not ready:
+        tick = self._ticks.get(self.t)
+        if tick is not None:
+            best = tick.reference
+        else:
+            ready = [p for p in self.config.providers if self._ready(p.name, 0.0)]
+            best = min(ready, key=lambda p: p.radius_m) if ready else None
+        if best is None:
             return None
-        best = min(ready, key=lambda p: p.radius_m)
         return (self.fix_position(best.name, self.t), best.radius_m)
 
     def environment(self) -> Environment:
@@ -295,10 +354,11 @@ def evaluate_localisation(tree: ProgramTree, world: World,
     policy = policy or SupervisorPolicy(max_steps=DEFAULT_MAX_STEPS)
     ticks = world.config.ticks
     env = world.environment()
+    program = compile_program(tree)
     total = 0.0
     for tick in range(1, ticks + 1):
         world.t = float(tick)
-        outcome = execute(tree, env, policy)
+        outcome = execute(program, env, policy)
         if outcome.killed:
             break
         reference = world.reference_fix()

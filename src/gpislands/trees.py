@@ -428,10 +428,7 @@ def deserialize(text: str, prims: PrimitiveSet,
         if len(children) != kind.arity:
             raise TreeValidationError(
                 f"{name!r} takes {kind.arity} children, got {len(children)}")
-        try:
-            return ProgramTree(kind, tuple(children))
-        except TreeError:
-            raise
+        return ProgramTree(kind, tuple(children))
     tree = parse_node()
     if pos[0] != len(tokens):
         raise TreeParseError("trailing tokens after the tree")

@@ -107,6 +107,13 @@ def test_unknown_strategy_name_raises():
         resolve_strategy(ExperimentConfig(app="feed", strategy="does-not-exist"))
 
 
+def test_malformed_strategy_json_is_a_configuration_error(tmp_path):
+    path = tmp_path / "strategy.json"
+    path.write_text("{bad")
+    with pytest.raises(ConfigurationError, match="strategy.json"):
+        resolve_strategy(ExperimentConfig(app="feed", strategy=str(path)))
+
+
 # ---------------------------------------------------------------------------
 # running experiments
 
@@ -260,6 +267,14 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys):
     code = main(cli_args(tmp_path, "--transport", "udp", "--loss", "0.5"))
     assert code == 2
     assert "loss" in capsys.readouterr().err
+
+
+def test_cli_malformed_strategy_exits_2(tmp_path, capsys):
+    path = tmp_path / "strategy.json"
+    path.write_text("{bad")
+    assert main(cli_args(tmp_path, "--strategy", str(path))) == 2
+    assert "strategy" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_cli_unwritable_output(tmp_path, capsys):

@@ -3,8 +3,17 @@ import random
 
 import pytest
 
-from gpislands.interpreter import Environment, RunStatus, SupervisorPolicy, execute
+from gpislands import interpreter
+from gpislands.interpreter import (
+    Environment,
+    RunStatus,
+    SupervisorPolicy,
+    compile_program,
+    execute,
+)
+from gpislands.localisation import World, WorldConfig
 from gpislands.trees import (
+    Category,
     ConfigurationError,
     PrimitiveSet,
     ProgramTree,
@@ -153,3 +162,124 @@ def test_policy_validation():
         SupervisorPolicy(max_steps=0)
     with pytest.raises(ConfigurationError):
         SupervisorPolicy(max_steps=4, max_virtual_seconds=0.0)
+
+
+# ---------------------------------------------------------------------------
+# compiled programs against the walker
+
+DIFF_DEPTHS = range(3, 10)
+DIFF_TREES_PER_DEPTH = 20
+
+
+def random_trees(prims, seed, function_bias):
+    rng = random.Random(seed)
+    return [build_random_tree(prims, depth, rng, function_bias=function_bias)
+            for depth in DIFF_DEPTHS for _ in range(DIFF_TREES_PER_DEPTH)]
+
+
+def same_value(a, b):
+    return a == b or (a != a and b != b)  # NaN matches NaN
+
+
+def assert_same_outcome(compiled, walked):
+    assert compiled.status is walked.status
+    assert same_value(compiled.value, walked.value)
+    assert compiled.steps_used == walked.steps_used
+    assert compiled.actions == walked.actions
+
+
+def feed_bindings(prims, rng):
+    return {k.name: (lambda v=rng.uniform(-3.0, 3.0): v)
+            for k in prims.all_kinds if k.category is Category.TERMINAL}
+
+
+@pytest.mark.parametrize("max_steps", [512, 24])
+def test_compiled_matches_walker_on_feed_trees(feed_prims, max_steps):
+    rng = random.Random(max_steps)
+    policy = SupervisorPolicy(max_steps=max_steps)
+    sizes = []
+    for tree in random_trees(feed_prims, 11, function_bias=0.75):
+        env = Environment(bindings=feed_bindings(feed_prims, rng))
+        program = compile_program(tree)
+        assert program.size == tree_size(tree)
+        sizes.append(program.size)
+        assert_same_outcome(execute(program, env, policy), execute(tree, env, policy))
+    # both the unchecked path and the walker fallback were exercised
+    assert min(sizes) <= max_steps < max(sizes)
+
+
+def loc_world_runs(tree, policy, compiled, ticks=8, clock_offset=None):
+    """Outcomes of ``ticks`` runs against a fresh world, as the task runs them."""
+    world = World(WorldConfig(ticks=ticks), seed=3)
+    env = world.environment()
+    if clock_offset is not None:
+        # a clock that moves while the program runs, so deadlines can fire
+        steps = iter(range(10 ** 6))
+        env.clock = lambda: world.t + clock_offset * next(steps)
+    program = compile_program(tree) if compiled else tree
+    outcomes = []
+    for tick in range(1, ticks + 1):
+        world.t = float(tick)
+        outcomes.append(execute(program, env, policy))
+    return outcomes, world.program_fix, dict(world.enabled)
+
+
+@pytest.mark.parametrize("policy, clock_offset", [
+    (SupervisorPolicy(max_steps=256), None),
+    (SupervisorPolicy(max_steps=12), None),
+    (SupervisorPolicy(max_steps=256, max_virtual_seconds=3.0), 0.25),
+])
+def test_compiled_matches_walker_on_localisation_trees(loc_prims, policy, clock_offset):
+    killed = 0
+    for tree in random_trees(loc_prims, 12, function_bias=0.5):
+        compiled, fix_c, enabled_c = loc_world_runs(tree, policy, True, clock_offset=clock_offset)
+        walked, fix_w, enabled_w = loc_world_runs(tree, policy, False, clock_offset=clock_offset)
+        for a, b in zip(compiled, walked):
+            assert_same_outcome(a, b)
+        assert (fix_c, enabled_c) == (fix_w, enabled_w)
+        killed += any(o.killed for o in walked)
+    if policy.max_steps < 256 or clock_offset is not None:
+        assert killed  # the kill path was exercised
+
+
+def test_unbound_terminal_raises_on_both_paths(feed_prims):
+    """Without bindings every reached terminal is a configuration error, on the
+    walker, on the unchecked compiled path and on the compiled fallback."""
+    unchecked = SupervisorPolicy(max_steps=10_000)
+    deadline = SupervisorPolicy(max_steps=10_000, max_virtual_seconds=1.0)
+    env = Environment(clock=lambda: 0.0)
+    raised = 0
+    for tree in random_trees(feed_prims, 13, function_bias=0.75):
+        program = compile_program(tree)
+        errors = []
+        for target, policy in ((tree, unchecked), (program, unchecked), (program, deadline)):
+            try:
+                execute(target, env, policy)
+            except ConfigurationError as exc:
+                errors.append(str(exc))
+        # a tree whose terminals all sit in untaken branches completes everywhere
+        assert errors == [] or (len(errors) == 3 and len(set(errors)) == 1)
+        raised += bool(errors)
+    assert raised > 100
+
+
+def test_compiled_program_takes_the_walker_only_when_a_kill_is_possible(
+        branch_prims, monkeypatch):
+    tree = build_random_tree(branch_prims, 5, random.Random(8), function_bias=1.0)
+    program = compile_program(tree)
+    walked = []
+    real_walk = interpreter._walk
+    monkeypatch.setattr(interpreter, "_walk",
+                        lambda t, env, policy: walked.append(t) or real_walk(t, env, policy))
+    env = Environment(bindings={"a": lambda: 1.0, "b": lambda: 2.0})
+    execute(program, env, SupervisorPolicy(max_steps=program.size))
+    assert walked == []
+    execute(program, env, SupervisorPolicy(max_steps=program.size - 1))
+    assert walked == [tree]
+    clocked = Environment(bindings=env.bindings, clock=lambda: 0.0)
+    execute(program, clocked, SupervisorPolicy(max_steps=program.size,
+                                               max_virtual_seconds=1.0))
+    assert walked == [tree, tree]
+    # a deadline without a clock cannot fire
+    execute(program, env, SupervisorPolicy(max_steps=program.size, max_virtual_seconds=1.0))
+    assert walked == [tree, tree]

@@ -172,6 +172,23 @@ def test_stale_fix_ages():
     assert world.last_fix_age() == 4.0
 
 
+def test_reference_fix_on_and_between_ticks():
+    """The per-tick tables agree with the walk computed from scratch, and
+    times between ticks keep working."""
+    config = WorldConfig()
+    world = World(config, seed=9)
+    for half_ticks in range(2, 2 * config.ticks + 1):  # cell is warm from t = 1
+        world.t = half_ticks / 2.0
+        ready = [p for p in config.providers
+                 if world.t >= p.first_fix_s and world.available(p.name, world.t)]
+        best = min(ready, key=lambda p: p.radius_m)
+        assert world.reference_fix() == (world.fix_position(best.name, world.t),
+                                         best.radius_m)
+    assert world.truth(30.5) == (52.5, 0.0)
+    world.t = 0.5  # nothing has warmed up yet
+    assert world.reference_fix() is None
+
+
 def test_reference_ignores_program_radios():
     world = World(WorldConfig())
     world.t = 30.0  # outdoors: the reference rides gps
