@@ -27,11 +27,11 @@ from .trees import (
     Origin,
     PrimitiveSet,
     ProgramTree,
+    Sort,
     build_random_tree,
     grow_subtree,
     iter_nodes,
     replace_subtree,
-    tree_depth,
 )
 
 log = logging.getLogger(__name__)
@@ -261,14 +261,18 @@ def crossover(a: ProgramTree, b: ProgramTree, max_depth: int,
     """
     a_nodes = list(iter_nodes(a))
     b_nodes = list(iter_nodes(b))
+    donors_by_sort: dict[Sort, list[ProgramTree]] = {}
     for _ in range(CROSSOVER_RETRIES):
         index = rng.randrange(len(a_nodes))
         target, depth = a_nodes[index]
-        donors = [n for n, _ in b_nodes if n.kind.result_sort is target.kind.result_sort]
+        sort = target.kind.result_sort
+        donors = donors_by_sort.get(sort)
+        if donors is None:
+            donors = donors_by_sort[sort] = [n for n, _ in b_nodes if n.kind.result_sort is sort]
         if not donors:
             continue
         donor = donors[rng.randrange(len(donors))]
-        if depth - 1 + tree_depth(donor) <= max_depth:
+        if depth - 1 + donor.depth <= max_depth:
             return replace_subtree(a, index, donor)
     return a
 

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .interpreter import Environment, SupervisorPolicy, execute
+from .interpreter import Environment, SupervisorPolicy, compile_program, execute
 from .trees import (
     ConfigurationError,
     Individual,
@@ -177,8 +177,9 @@ def run_feed_program(tree: ProgramTree, catalog: FeedCatalog,
     """
     policy = policy or SupervisorPolicy(max_steps=DEFAULT_MAX_STEPS)
     report = FeedReport(desired_qty=desired_qty)
+    program = compile_program(tree)
     for feed, env in zip(catalog.feeds, _feed_environments(catalog)):
-        outcome = execute(tree, env, policy)
+        outcome = execute(program, env, policy)
         if outcome.killed:
             return FeedReport(desired_qty=desired_qty)
         report.scores[feed.feed_id] = float(outcome.value)
@@ -246,7 +247,7 @@ def catalog_from_dict(data: dict) -> FeedCatalog:
     try:
         feeds = tuple(Feed(f["id"], f["group"], int(f.get("unread", DEFAULT_UNREAD)))
                       for f in data["feeds"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad catalog config: {exc}") from exc
     return FeedCatalog(feeds)
 
@@ -255,12 +256,18 @@ def user_from_dict(data: dict, catalog: FeedCatalog) -> UserModel:
     probs = data.get("click_prob")
     if probs is None:
         return homogeneous_user(catalog)
-    return UserModel({str(k): float(v) for k, v in probs.items()})
+    try:
+        return UserModel({str(k): float(v) for k, v in probs.items()})
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad click_prob config: {exc}") from exc
 
 
 def load_feed_config(path: str) -> tuple[FeedCatalog, UserModel]:
     """Read ``{"feeds": [...], "click_prob": {...}}`` from a JSON file."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise ConfigurationError(f"bad feed config file {path!r}: {exc}") from exc
     catalog = catalog_from_dict(data)
     return catalog, user_from_dict(data, catalog)

@@ -207,13 +207,20 @@ def _summarize(config: ExperimentConfig, rows: Sequence[GenerationStats]) -> lis
 
 
 def _udp_transports(config: ExperimentConfig) -> list[Transport]:
+    """One bound transport per island; if any bind fails, the sockets already
+    bound are closed before the error propagates."""
     ports = [config.udp_base_port + k for k in range(config.islands)]
-    return [
-        UdpBroadcastTransport(
-            bind_port=port,
-            peers=[("127.0.0.1", other) for other in ports if other != port])
-        for port in ports
-    ]
+    transports: list[Transport] = []
+    try:
+        for port in ports:
+            transports.append(UdpBroadcastTransport(
+                bind_port=port,
+                peers=[("127.0.0.1", other) for other in ports if other != port]))
+    except OSError:
+        for transport in transports:
+            transport.close()
+        raise
+    return transports
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

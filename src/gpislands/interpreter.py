@@ -11,9 +11,16 @@ Compile once, run many
 ----------------------
 :func:`execute` accepts a bare :class:`ProgramTree`, which it walks node by
 node, or a :class:`Program` made by :func:`compile_program`, which turns the
-tree into nested closures in one pass.  A caller that runs the same tree many
-times against one environment (the localisation task runs it once per tick)
-compiles it once and saves the per-node dispatch of the walker.
+tree into nested closures.  A caller that runs the same tree many times
+compiles it once per evaluation and saves the per-node dispatch of the
+walker: the localisation task runs it once per tick, the feed task once per
+feed.
+
+Compilation is lazy at conditionals.  The children of a lazy function (such
+as ``if_greater``) are compiled the first time their thunk is called, and the
+compiled child is kept for later runs of the same program, so a branch that
+no run takes is never compiled.  Everything above and between lazy nodes is
+compiled when its enclosing node is.
 
 A compiled program skips the supervisor's per-node checks only when no kill
 is possible: its size is within ``policy.max_steps`` and no deadline applies
@@ -27,7 +34,8 @@ virtual-clock deadline behave exactly as for the bare tree.
 skipped nothing used ``size`` steps.  Each lazy node adds the total size of
 its children to a ``skipped`` tally, and each thunk takes its own child's
 size back off when called, so ``size - skipped`` counts exactly the nodes the
-run evaluated, untaken branches excluded.
+run evaluated, untaken branches excluded.  The sizes are the ones every node
+records at construction, so a branch need not be compiled to be counted.
 """
 
 from __future__ import annotations
@@ -105,10 +113,9 @@ class Program:
 
     __slots__ = ("tree", "size", "_root", "_frame")
 
-    def __init__(self, tree: ProgramTree, size: int, root: Callable[[], Any],
-                 frame: _Frame) -> None:
+    def __init__(self, tree: ProgramTree, root: Callable[[], Any], frame: _Frame) -> None:
         self.tree = tree
-        self.size = size
+        self.size = tree.size
         self._root = root
         self._frame = frame
 
@@ -123,41 +130,45 @@ class Program:
 
 
 def compile_program(tree: ProgramTree) -> Program:
-    """Compile ``tree`` into nested closures in one pass, recording its size."""
+    """Compile ``tree`` into nested closures; branches below lazy nodes are
+    compiled on first use."""
     frame = _Frame()
-    root, size = _compile(tree, frame)
-    return Program(tree, size, root, frame)
+    return Program(tree, _compile(tree, frame), frame)
 
 
-def _compile(node: ProgramTree, frame: _Frame) -> tuple[Callable[[], Any], int]:
+def _compile(node: ProgramTree, frame: _Frame) -> Callable[[], Any]:
     kind = node.kind
     if kind.category is Category.CONSTANT:
         value = node.value
-        return (lambda: value), 1
+        return lambda: value
     if kind.category is Category.TERMINAL:
-        return _compile_terminal(kind.name, kind.result_sort is Sort.ACTION, frame), 1
-    compiled = [_compile(child, frame) for child in node.children]
-    size = 1 + sum(child_size for _, child_size in compiled)
+        return _compile_terminal(kind.name, kind.result_sort is Sort.ACTION, frame)
     fn = kind.fn
     if kind.lazy:
-        thunks = tuple(_thunk(call, child_size, frame) for call, child_size in compiled)
-        below = size - 1
+        thunks = tuple(_thunk(child, frame) for child in node.children)
+        below = node.size - 1
 
         def lazy() -> Any:
             frame.skipped += below
             return fn(*thunks)
 
-        return lazy, size
-    calls = [call for call, _ in compiled]
+        return lazy
+    calls = [_compile(child, frame) for child in node.children]
     if len(calls) == 2:
         a, b = calls
-        return (lambda: fn(a(), b())), size
-    return (lambda: fn(*[call() for call in calls])), size
+        return lambda: fn(a(), b())
+    return lambda: fn(*[call() for call in calls])
 
 
-def _thunk(call: Callable[[], Any], size: int, frame: _Frame) -> Callable[[], Any]:
+def _thunk(child: ProgramTree, frame: _Frame) -> Callable[[], Any]:
+    size = child.size
+    call = None
+
     def thunk() -> Any:
+        nonlocal call
         frame.skipped -= size
+        if call is None:
+            call = _compile(child, frame)
         return call()
 
     return thunk

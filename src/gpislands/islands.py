@@ -193,9 +193,13 @@ class UdpBroadcastTransport(Transport):
                  broadcast_address: str = "255.255.255.255",
                  drain_wait: float = 0.05) -> None:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
-        self._sock.bind(("", bind_port))
+        try:
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
+            self._sock.bind(("", bind_port))
+        except OSError:
+            self._sock.close()
+            raise
         self._sock.setblocking(False)
         self._targets = list(peers) if peers else [(broadcast_address, bind_port)]
         self._drain_wait = drain_wait

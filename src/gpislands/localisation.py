@@ -439,7 +439,7 @@ def world_config_from_dict(data: dict) -> WorldConfig:
                     bool(s["wifi"]))
             for s in data.get("segments", ())) or WorldConfig.segments
         ticks = int(data.get("ticks", DEFAULT_TICKS))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad world config: {exc}") from exc
     return WorldConfig(providers=providers, waypoints=waypoints,
                        segments=segments, ticks=ticks)
@@ -447,4 +447,8 @@ def world_config_from_dict(data: dict) -> WorldConfig:
 
 def load_world_config(path: str) -> WorldConfig:
     with open(path, "r", encoding="utf-8") as handle:
-        return world_config_from_dict(json.load(handle))
+        try:
+            data = json.load(handle)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise ConfigurationError(f"bad world config file {path!r}: {exc}") from exc
+    return world_config_from_dict(data)

@@ -7,11 +7,20 @@ declares the vocabulary available to a task -- functions, terminals and
 per-sort ephemeral constant sources -- and random construction, mutation and
 deserialization all validate against it.
 
+Each node records its ``size`` (nodes in its subtree) and ``depth`` (nodes
+on its longest root-to-leaf path) once, at construction, from the values its
+children already hold.  Measuring a tree is therefore O(1), and the
+preorder walk, subtree replacement and parsing are linear or better.  Both
+fields are derived from the structure, so ``==``, ``hash`` and ``repr``
+ignore them.
+
 The text form of a tree is a parenthesized prefix expression, one pair of
 parentheses per node, e.g. ``(add (lat) (const:Number 2.5))``.  Serialization
 is canonical: equal trees always produce byte-identical text, and
 ``deserialize(serialize(t))`` reproduces ``t`` exactly, including constant
-payloads at full float precision.
+payloads at full float precision.  Parsing is one iterative pass that
+validates as it goes, so arbitrarily deep untrusted text is rejected at the
+depth bound instead of exhausting the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -143,29 +152,51 @@ def sequence_kind() -> NodeKind:
     return function("seq", (Sort.ACTION, Sort.ACTION), Sort.ACTION, lambda a, b: b)
 
 
-@dataclass(frozen=True)
+_set_field = object.__setattr__
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class ProgramTree:
-    """One immutable node; the whole program is the root node."""
+    """One immutable node; the whole program is the root node.
+
+    ``size`` and ``depth`` describe the subtree rooted here (a lone leaf has
+    both equal to 1).  They are computed at construction and take no part in
+    equality, hashing or ``repr``.
+    """
 
     kind: NodeKind
     children: tuple["ProgramTree", ...] = ()
     value: Optional[float] = None
+    size: int = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        k = self.kind
-        if len(self.children) != k.arity:
+    def __init__(self, kind: NodeKind, children: tuple["ProgramTree", ...] = (),
+                 value: Optional[float] = None) -> None:
+        sorts = kind.argument_sorts
+        if len(children) != len(sorts):
             raise TreeValidationError(
-                f"{k.name!r} takes {k.arity} children, got {len(self.children)}")
-        for child, want in zip(self.children, k.argument_sorts):
+                f"{kind.name!r} takes {len(sorts)} children, got {len(children)}")
+        if kind.category is Category.CONSTANT:
+            if value is None:
+                raise TreeValidationError(f"constant {kind.name!r} is missing its payload")
+        elif value is not None:
+            raise TreeValidationError(f"{kind.name!r} is not a constant but carries a payload")
+        size = 1
+        depth = 0
+        for child, want in zip(children, sorts):
             if child.kind.result_sort is not want:
                 raise TreeValidationError(
-                    f"{k.name!r} expects {want.value}, got "
+                    f"{kind.name!r} expects {want.value}, got "
                     f"{child.kind.result_sort.value} from {child.kind.name!r}")
-        if k.category is Category.CONSTANT:
-            if self.value is None:
-                raise TreeValidationError(f"constant {k.name!r} is missing its payload")
-        elif self.value is not None:
-            raise TreeValidationError(f"{k.name!r} is not a constant but carries a payload")
+            size += child.size
+            if child.depth > depth:
+                depth = child.depth
+        # the node is frozen, so its fields are set past its own __setattr__
+        _set_field(self, "kind", kind)
+        _set_field(self, "children", children)
+        _set_field(self, "value", value)
+        _set_field(self, "size", size)
+        _set_field(self, "depth", depth + 1)
 
     @property
     def sort(self) -> Sort:
@@ -248,43 +279,57 @@ class PrimitiveSet:
 # tree measurements and traversal
 
 def tree_size(tree: ProgramTree) -> int:
-    return 1 + sum(tree_size(c) for c in tree.children)
+    return tree.size
 
 
 def tree_depth(tree: ProgramTree) -> int:
     """Depth in nodes along the longest path; a lone terminal has depth 1."""
-    if not tree.children:
-        return 1
-    return 1 + max(tree_depth(c) for c in tree.children)
+    return tree.depth
 
 
 def iter_nodes(tree: ProgramTree, depth: int = 1) -> Iterator[tuple[ProgramTree, int]]:
     """Preorder walk yielding ``(node, depth_of_node)``; the root is depth 1."""
-    yield tree, depth
-    for child in tree.children:
-        yield from iter_nodes(child, depth + 1)
+    stack = [(tree, depth)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node, depth = pop()
+        yield node, depth
+        children = node.children
+        if children:
+            depth += 1
+            for child in reversed(children):
+                push((child, depth))
 
 
 def replace_subtree(tree: ProgramTree, index: int, replacement: ProgramTree) -> ProgramTree:
-    """Rebuild ``tree`` with the node at preorder position ``index`` swapped out."""
-    counter = [0]
+    """Rebuild ``tree`` with the node at preorder position ``index`` swapped out.
 
-    def rebuild(node: ProgramTree) -> ProgramTree:
-        here = counter[0]
-        if here == index:
-            counter[0] += tree_size(node)
-            return replacement
-        counter[0] += 1
-        if not node.children:
-            return node
-        new_children = tuple(rebuild(c) for c in node.children)
-        if all(a is b for a, b in zip(new_children, node.children)):
-            return node
-        return ProgramTree(node.kind, new_children, node.value)
-
-    if index < 0 or index >= tree_size(tree):
+    Only the ancestors of that node are rebuilt; every other subtree is shared
+    with ``tree``.
+    """
+    if index < 0 or index >= tree.size:
         raise ValueError(f"node index {index} out of range")
-    return rebuild(tree)
+    path = []  # (ancestor, position of the child leading to the target)
+    node = tree
+    while index:
+        index -= 1  # step past ``node`` itself
+        for position, child in enumerate(node.children):
+            if index < child.size:
+                break
+            index -= child.size
+        path.append((node, position))
+        node = child
+    new = replacement
+    for parent, position in reversed(path):
+        children = parent.children
+        if new is children[position]:
+            new = parent
+        else:
+            new = ProgramTree(parent.kind,
+                              children[:position] + (new,) + children[position + 1:],
+                              parent.value)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +390,9 @@ def validate_tree(tree: ProgramTree, prims: PrimitiveSet,
         if not same_shape:
             raise TreeValidationError(f"kind {node.kind.name!r} does not match the primitive set")
         # child arity/sorts and constant payloads are enforced at construction
-    if max_depth is not None and tree_depth(tree) > max_depth:
+    if max_depth is not None and tree.depth > max_depth:
         raise TreeValidationError(
-            f"depth {tree_depth(tree)} exceeds the limit of {max_depth}")
+            f"depth {tree.depth} exceeds the limit of {max_depth}")
 
 
 # ---------------------------------------------------------------------------
@@ -384,56 +429,77 @@ def deserialize(text: str, prims: PrimitiveSet,
     Raises :class:`TreeParseError` for malformed text and
     :class:`TreeValidationError` for unknown kinds, arity or sort mismatches,
     a wrong root sort, or a tree deeper than ``max_depth``.
+
+    One loop reads the tokens, with an explicit stack of the nodes still
+    open.  Kinds resolve through ``prims`` as they are named, so every node
+    is a registered kind; arity and child sorts are checked as each node
+    closes; and a node opening deeper than ``max_depth`` is rejected at once.
     """
     tokens = _tokenize(text)
-    pos = [0]
-
-    def take() -> str:
-        if pos[0] >= len(tokens):
+    end = len(tokens)
+    limit = end if max_depth is None else max_depth
+    kind_of = prims.kind
+    stack: list[tuple[NodeKind, list[ProgramTree]]] = []  # open nodes, root first
+    pos = 0
+    while True:
+        # a node opens at tokens[pos]
+        if pos >= end:
             raise TreeParseError("unexpected end of tree text")
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
-
-    def parse_node() -> ProgramTree:
-        if take() != "(":
+        if tokens[pos] != "(":
             raise TreeParseError("expected '('")
-        name = take()
-        if name in ("(", ")"):
+        if len(stack) >= limit:
+            raise TreeValidationError(f"tree is deeper than the limit of {max_depth}")
+        if pos + 1 >= end:
+            raise TreeParseError("unexpected end of tree text")
+        name = tokens[pos + 1]
+        if name == "(" or name == ")":
             raise TreeParseError("expected a kind name after '('")
-        kind = prims.kind(name)
+        kind = kind_of(name)
         if kind is None:
             raise TreeValidationError(f"unknown kind {name!r}")
+        pos += 2
         if kind.category is Category.CONSTANT:
-            raw = take()
-            if raw in ("(", ")"):
+            if pos >= end:
+                raise TreeParseError("unexpected end of tree text")
+            raw = tokens[pos]
+            if raw == "(" or raw == ")":
                 raise TreeParseError(f"constant {name!r} is missing its payload")
             try:
                 value = float(raw)
             except ValueError as exc:
                 raise TreeParseError(f"bad constant payload {raw!r}") from exc
-            if take() != ")":
-                raise TreeParseError(f"constant {name!r} takes exactly one payload")
-            return ProgramTree(kind, (), value)
-        children = []
-        while True:
-            if pos[0] >= len(tokens):
+            if pos + 1 >= end:
                 raise TreeParseError("unexpected end of tree text")
-            if tokens[pos[0]] == ")":
-                pos[0] += 1
+            if tokens[pos + 1] != ")":
+                raise TreeParseError(f"constant {name!r} takes exactly one payload")
+            pos += 2
+            node: Optional[ProgramTree] = ProgramTree(kind, (), value)
+        else:
+            stack.append((kind, []))
+            node = None
+        # hand finished nodes to their parents and close every node that ends here
+        while True:
+            if node is not None:
+                if not stack:
+                    if pos != end:
+                        raise TreeParseError("trailing tokens after the tree")
+                    if node.kind.result_sort is not prims.root_sort:
+                        raise TreeValidationError(
+                            f"root produces {node.kind.result_sort.value}, "
+                            f"expected {prims.root_sort.value}")
+                    return node
+                stack[-1][1].append(node)
+            if pos >= end:
+                raise TreeParseError("unexpected end of tree text")
+            token = tokens[pos]
+            if token == "(":
                 break
-            if tokens[pos[0]] != "(":
-                raise TreeParseError(f"unexpected token {tokens[pos[0]]!r}")
-            children.append(parse_node())
-        if len(children) != kind.arity:
-            raise TreeValidationError(
-                f"{name!r} takes {kind.arity} children, got {len(children)}")
-        return ProgramTree(kind, tuple(children))
-    tree = parse_node()
-    if pos[0] != len(tokens):
-        raise TreeParseError("trailing tokens after the tree")
-    validate_tree(tree, prims, max_depth)
-    return tree
+            if token != ")":
+                raise TreeParseError(f"unexpected token {token!r}")
+            pos += 1
+            kind, children = stack.pop()
+            # ProgramTree checks the arity and the child sorts
+            node = ProgramTree(kind, tuple(children))
 
 
 # ---------------------------------------------------------------------------
@@ -453,4 +519,4 @@ class Individual:
     def from_tree(cls, tree: ProgramTree, origin: Origin = Origin.LOCAL,
                   fitness: Optional[float] = None) -> "Individual":
         return cls(tree=tree, origin=origin, fitness=fitness,
-                   size=tree_size(tree), depth=tree_depth(tree))
+                   size=tree.size, depth=tree.depth)

@@ -3,9 +3,11 @@ import csv
 import dataclasses
 import json
 import math
+import socket
 
 import pytest
 
+from gpislands import harness
 from gpislands.cli import main
 from gpislands.harness import (
     CSV_COLUMNS,
@@ -155,6 +157,49 @@ def test_udp_transport_delivers_on_loopback():
     assert arrived > 0
 
 
+def held_port_pair():
+    """A free port ``base`` and a plain socket holding ``base + 1``.
+
+    The holder does not set ``SO_REUSEADDR``, so a transport binding
+    ``base + 1`` fails even though transports set it themselves.
+    """
+    for _ in range(20):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+            probe.bind(("", 0))
+            base = probe.getsockname()[1]
+        if base >= 65535:
+            continue
+        holder = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            holder.bind(("", base + 1))
+        except OSError:
+            holder.close()
+            continue
+        return base, holder
+    pytest.skip("no free pair of adjacent UDP ports")
+
+
+def test_failed_udp_bind_closes_the_sockets_already_bound(monkeypatch):
+    created = []
+
+    class Recording(harness.UdpBroadcastTransport):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(harness, "UdpBroadcastTransport", Recording)
+    base, holder = held_port_pair()
+    try:
+        config = ExperimentConfig(app="feed", islands=3, transport="udp",
+                                  udp_base_port=base)
+        with pytest.raises(OSError):
+            harness._udp_transports(config)
+    finally:
+        holder.close()
+    assert len(created) == 1
+    assert created[0]._sock.fileno() == -1  # closed
+
+
 # ---------------------------------------------------------------------------
 # CSV files
 
@@ -274,6 +319,24 @@ def test_cli_malformed_strategy_exits_2(tmp_path, capsys):
     path.write_text("{bad")
     assert main(cli_args(tmp_path, "--strategy", str(path))) == 2
     assert "strategy" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("app, text", [
+    ("feed", "{bad"),
+    ("localisation", "{bad"),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech", "unread": "x"}]})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}], "click_prob": {"a": "x"}})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}], "click_prob": [1]})),
+    ("localisation", "[1]"),
+])
+def test_cli_malformed_app_config_exits_2(tmp_path, capsys, app, text):
+    path = tmp_path / "app.json"
+    path.write_text(text)
+    args = cli_args(tmp_path, "--app-config", str(path))
+    args[args.index("--app") + 1] = app
+    assert main(args) == 2
+    assert "config" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from gpislands import interpreter
+from gpislands.feed import _feed_environments, default_catalog
 from gpislands.interpreter import (
     Environment,
     RunStatus,
@@ -206,6 +207,36 @@ def test_compiled_matches_walker_on_feed_trees(feed_prims, max_steps):
         assert_same_outcome(execute(program, env, policy), execute(tree, env, policy))
     # both the unchecked path and the walker fallback were exercised
     assert min(sizes) <= max_steps < max(sizes)
+
+
+@pytest.mark.parametrize("max_steps", [512, 24])
+def test_one_compiled_program_serves_every_feed(feed_prims, max_steps, monkeypatch):
+    """One program runs against the seven feed environments in turn, as the
+    feed task runs it: branches compiled by an earlier feed are reused by a
+    later one, none is compiled twice, and untaken ones never are."""
+    compiled = []
+    real_compile = interpreter._compile
+    monkeypatch.setattr(interpreter, "_compile",
+                        lambda node, frame: compiled.append(node) or real_compile(node, frame))
+    envs = _feed_environments(default_catalog())
+    assert len(envs) == 7
+    policy = SupervisorPolicy(max_steps=max_steps)
+    fallbacks = kills = partial = 0
+    for tree in random_trees(feed_prims, 14, function_bias=0.75):
+        compiled.clear()
+        program = compile_program(tree)
+        outcomes = []
+        for env in envs:
+            outcome = execute(program, env, policy)
+            assert_same_outcome(outcome, execute(tree, env, policy))
+            outcomes.append(outcome)
+        assert len(compiled) <= tree.size
+        fallbacks += tree.size > max_steps
+        kills += any(o.killed for o in outcomes)
+        partial += tree.size <= max_steps and len(compiled) < tree.size
+    assert fallbacks and partial
+    if max_steps < 512:
+        assert kills
 
 
 def loc_world_runs(tree, policy, compiled, ticks=8, clock_offset=None):

@@ -6,6 +6,7 @@ import pytest
 
 from gpislands.evolution import Population, island_strategy
 from gpislands.islands import (
+    AdmissionReport,
     GenerationStats,
     IslandSpec,
     MigrantEnvelope,
@@ -122,6 +123,15 @@ def test_admit_immigrants_appends_and_counts_drops(geo_prims):
     newcomer = pop.members[-1]
     assert newcomer.origin is Origin.IMMIGRANT
     assert newcomer.fitness is None
+
+
+def test_admit_immigrants_drops_a_deeply_nested_migrant(feed_prims):
+    pop = scored_population(feed_prims, 5)
+    before = list(pop.members)
+    nested = "(add " * 5000 + "(unread_count)" + " (unread_count))" * 5000
+    report = admit_immigrants(pop, [MigrantEnvelope(nested)], feed_prims, max_depth=9)
+    assert report == AdmissionReport(admitted=0, dropped=1)
+    assert pop.members == before
 
 
 def test_inject_random_only_at_migration_generations(geo_prims):

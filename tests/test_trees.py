@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from gpislands.evolution import crossover, mutate
 from gpislands.feed import FEED_FUNCTION_BIAS, default_catalog, feed_primitives
+from gpislands.localisation import localisation_primitives
 from gpislands.trees import (
     Category,
     ConfigurationError,
@@ -21,6 +23,7 @@ from gpislands.trees import (
     constant_kind_name,
     deserialize,
     function,
+    grow_subtree,
     iter_nodes,
     replace_subtree,
     serialize,
@@ -132,6 +135,96 @@ def test_replace_subtree_rebuilds_without_mutating(geo_prims):
 
 
 # ---------------------------------------------------------------------------
+# cached measurements and the preorder walk, against recursive references
+
+def recount(tree):
+    """``(size, depth)`` recomputed by recursion over the children."""
+    if not tree.children:
+        return 1, 1
+    counts = [recount(c) for c in tree.children]
+    return 1 + sum(s for s, _ in counts), 1 + max(d for _, d in counts)
+
+
+def reference_preorder(tree, depth=1):
+    nodes = [(tree, depth)]
+    for child in tree.children:
+        nodes.extend(reference_preorder(child, depth + 1))
+    return nodes
+
+
+def reference_replace(tree, index, replacement):
+    """Subtree replacement by a full preorder rebuild."""
+    counter = [0]
+
+    def rebuild(node):
+        here = counter[0]
+        if here == index:
+            counter[0] += recount(node)[0]
+            return replacement
+        counter[0] += 1
+        return ProgramTree(node.kind, tuple(rebuild(c) for c in node.children), node.value)
+
+    return rebuild(tree)
+
+
+def assert_measures_hold(tree):
+    walked = list(iter_nodes(tree))
+    reference = reference_preorder(tree)
+    assert len(walked) == len(reference)
+    for (node, depth), (ref_node, ref_depth) in zip(walked, reference):
+        assert node is ref_node and depth == ref_depth
+        assert (node.size, node.depth) == recount(node)
+    assert (tree_size(tree), tree_depth(tree)) == recount(tree)
+
+
+def operator_trees(prims, seed, function_bias):
+    """Trees from every constructor that builds nodes, at depths 3 to 9."""
+    rng = random.Random(seed)
+    for depth in range(3, 10):
+        for _ in range(5):
+            a = build_random_tree(prims, depth, rng, function_bias)
+            b = build_random_tree(prims, depth, rng, function_bias)
+            yield a
+            yield mutate(a, prims, depth, rng, function_bias)
+            yield crossover(a, b, depth, rng)
+            index = rng.randrange(a.size)
+            sort = reference_preorder(a)[index][0].sort
+            yield replace_subtree(a, index, grow_subtree(prims, sort, 3, rng))
+            yield deserialize(serialize(b), prims, max_depth=depth)
+
+
+@pytest.mark.parametrize("make_prims, bias", [
+    (lambda: feed_primitives(default_catalog()), FEED_FUNCTION_BIAS),
+    (localisation_primitives, 0.5),
+])
+def test_cached_measures_and_preorder_match_recursive_references(make_prims, bias):
+    prims = make_prims()
+    trees = list(operator_trees(prims, 21, bias))
+    assert max(t.depth for t in trees) >= 8
+    for tree in trees:
+        assert_measures_hold(tree)
+
+
+def test_replace_subtree_matches_a_full_rebuild(feed_prims):
+    rng = random.Random(5)
+    for depth in (3, 6, 9):
+        tree = build_random_tree(feed_prims, depth, rng, FEED_FUNCTION_BIAS)
+        for index, (node, _) in enumerate(reference_preorder(tree)):
+            replacement = grow_subtree(feed_prims, node.sort, 2, rng)
+            swapped = replace_subtree(tree, index, replacement)
+            assert swapped == reference_replace(tree, index, replacement)
+            assert_measures_hold(swapped)
+
+
+def test_cached_measures_stay_out_of_equality_hash_and_repr(geo_prims):
+    t = ProgramTree(geo_prims.kind("add"), (leaf(geo_prims, "lat"),
+                                            const(geo_prims, 2.5)))
+    again = deserialize(serialize(t), geo_prims)
+    assert again == t and hash(again) == hash(t)
+    assert "size" not in repr(t) and "depth" not in repr(t)
+
+
+# ---------------------------------------------------------------------------
 # random generation
 
 def test_build_random_tree_respects_depth_bound(geo_prims):
@@ -229,6 +322,10 @@ def test_deserialize_enforces_max_depth(geo_prims):
     assert deserialize(deep, geo_prims, max_depth=3) is not None
     with pytest.raises(TreeValidationError):
         deserialize(deep, geo_prims, max_depth=2)
+    # far deeper than the interpreter's recursion limit: rejected at the bound
+    nested = "(add " * 5000 + "(lat)" + " (lon))" * 5000
+    with pytest.raises(TreeValidationError):
+        deserialize(nested, geo_prims, max_depth=9)
 
 
 def test_wrong_root_sort_rejected(geo_prims, loc_prims):
