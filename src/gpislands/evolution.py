@@ -364,6 +364,8 @@ class EvalStats:
 def _safe_fitness(evaluator: FitnessFn, member: Individual) -> float:
     try:
         value = float(evaluator(member))
+    except ConfigurationError:
+        raise
     except Exception:
         log.exception("evaluator failed; assigning fitness 0")
         return 0.0
@@ -388,7 +390,8 @@ def evaluate_population(pop: Population, evaluator: FitnessFn) -> EvalStats:
     """Score every member (elite copies are re-scored too) and summarize.
 
     A failing evaluator zeroes that member's fitness and never aborts the
-    generation.
+    generation, except for a :class:`ConfigurationError` (such as a terminal
+    the evaluator's environment does not bind), which propagates.
     """
     for member in pop.members:
         member.fitness = _safe_fitness(evaluator, member)

@@ -12,6 +12,13 @@ is the fill ratio times the click-through ratio:
 
 with fitness 0 when nothing is displayed.  A program killed by the
 supervisor displays nothing.
+
+The screen fill is a pure function of the tree, the catalog, the screen size
+and the supervisor policy, so :func:`run_feed_program` memoises it on the
+tree's root node (``ProgramTree.memo``) together with those three inputs.
+Elite copies, crossover fallbacks and immigrants share their tree object
+with one already scored, and their fill is not run again.  The clicks are
+never memoised: every evaluation draws them afresh from the evaluator's rng.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .trees import (
     Sort,
     arithmetic_kinds,
     if_greater_kind,
+    set_memo,
     terminal,
 )
 
@@ -173,34 +181,54 @@ def run_feed_program(tree: ProgramTree, catalog: FeedCatalog,
     """Score every feed with ``tree`` and fill the screen round-robin.
 
     Feeds scoring <= 0 contribute nothing.  Ties rank by catalog position.
-    If any per-feed run is killed, the whole report is empty.
+    If any per-feed run is killed, the whole report is empty.  The fill is
+    memoised on ``tree`` for the last ``(catalog, desired_qty, policy)`` it
+    was computed under; every call returns a fresh report.
     """
     policy = policy or SupervisorPolicy(max_steps=DEFAULT_MAX_STEPS)
-    report = FeedReport(desired_qty=desired_qty)
+    key = (catalog, desired_qty, policy)
+    memo = tree.memo
+    if memo is None or memo[0] != key:
+        memo = (key, _fill_screen(tree, catalog, desired_qty, policy))
+        set_memo(tree, memo)
+    fill = memo[1]
+    if fill is None:  # killed
+        return FeedReport(desired_qty=desired_qty)
+    scores, displayed = fill
+    return FeedReport(desired_qty=desired_qty, scores=dict(scores),
+                      displayed=list(displayed))
+
+
+def _fill_screen(tree: ProgramTree, catalog: FeedCatalog, desired_qty: int,
+                 policy: SupervisorPolicy
+                 ) -> Optional[tuple[dict[str, float], tuple[tuple[str, int], ...]]]:
+    """The scores and the displayed items, or ``None`` if a run was killed."""
+    scores: dict[str, float] = {}
     program = compile_program(tree)
     for feed, env in zip(catalog.feeds, _feed_environments(catalog)):
         outcome = execute(program, env, policy)
         if outcome.killed:
-            return FeedReport(desired_qty=desired_qty)
-        report.scores[feed.feed_id] = float(outcome.value)
+            return None
+        scores[feed.feed_id] = float(outcome.value)
     order = {f.feed_id: i for i, f in enumerate(catalog.feeds)}
     ranked = [f for f in sorted(
         catalog.feeds,
-        key=lambda f: (-report.scores[f.feed_id], order[f.feed_id]))
-        if report.scores[f.feed_id] > 0.0]
+        key=lambda f: (-scores[f.feed_id], order[f.feed_id]))
+        if scores[f.feed_id] > 0.0]
     cursors = {f.feed_id: 0 for f in ranked}
-    while len(report.displayed) < desired_qty:
+    displayed: list[tuple[str, int]] = []
+    while len(displayed) < desired_qty:
         progressed = False
         for feed in ranked:
-            if len(report.displayed) >= desired_qty:
+            if len(displayed) >= desired_qty:
                 break
             if cursors[feed.feed_id] < feed.unread:
-                report.displayed.append((feed.feed_id, cursors[feed.feed_id]))
+                displayed.append((feed.feed_id, cursors[feed.feed_id]))
                 cursors[feed.feed_id] += 1
                 progressed = True
         if not progressed:
             break
-    return report
+    return scores, tuple(displayed)
 
 
 def simulate_clicks(report: FeedReport, user: UserModel, rng: random.Random) -> FeedReport:
@@ -253,13 +281,23 @@ def catalog_from_dict(data: dict) -> FeedCatalog:
 
 
 def user_from_dict(data: dict, catalog: FeedCatalog) -> UserModel:
+    """``click_prob`` maps catalog feed ids to probabilities in [0, 1]; feeds
+    it leaves out are never clicked."""
     probs = data.get("click_prob")
     if probs is None:
         return homogeneous_user(catalog)
     try:
-        return UserModel({str(k): float(v) for k, v in probs.items()})
+        click_prob = {str(k): float(v) for k, v in probs.items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad click_prob config: {exc}") from exc
+    unknown = click_prob.keys() - {f.feed_id for f in catalog.feeds}
+    if unknown:
+        raise ConfigurationError(f"bad click_prob config: no catalog feed {sorted(unknown)}")
+    for feed_id, prob in click_prob.items():
+        if not 0.0 <= prob <= 1.0:  # also rejects nan and inf
+            raise ConfigurationError(
+                f"bad click_prob config: {feed_id!r} must lie in [0, 1], got {prob!r}")
+    return UserModel(click_prob)
 
 
 def load_feed_config(path: str) -> tuple[FeedCatalog, UserModel]:

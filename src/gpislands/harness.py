@@ -187,10 +187,13 @@ class ExperimentResult:
 
 
 def _summarize(config: ExperimentConfig, rows: Sequence[GenerationStats]) -> list[SummaryRow]:
+    cells: dict[tuple[int, int], list[GenerationStats]] = {}
+    for r in rows:  # one pass, keeping row order within each cell
+        cells.setdefault((r.generation, r.island), []).append(r)
     summary = []
     for generation in range(config.generations):
         for island in range(config.islands):
-            cell = [r for r in rows if r.generation == generation and r.island == island]
+            cell = cells.get((generation, island), [])
             maxes = np.array([r.max_fitness for r in cell])
             means = np.array([r.mean_fitness for r in cell])
             ddof = 1 if len(cell) > 1 else 0
@@ -294,13 +297,15 @@ class ComparisonReport:
 
 def best_fitness_curve(result: ExperimentResult) -> list[float]:
     """Across-iteration mean of the per-generation best fitness anywhere."""
+    best: dict[tuple[int, int], float] = {}
+    for r in result.rows:
+        key = (r.generation, r.iteration)
+        if key not in best or r.max_fitness > best[key]:
+            best[key] = r.max_fitness
     curve = []
     for generation in range(result.config.generations):
-        per_iteration = []
-        for iteration in range(result.config.iterations):
-            cell = [r.max_fitness for r in result.rows
-                    if r.generation == generation and r.iteration == iteration]
-            per_iteration.append(max(cell))
+        per_iteration = [best[generation, iteration]
+                         for iteration in range(result.config.iterations)]
         curve.append(float(np.mean(per_iteration)))
     return curve
 

@@ -12,6 +12,17 @@ canonical tree text.  Envelopes carry no sender identity, so any island can
 adopt any migrant, and transports are best effort -- lost datagrams are
 simply never seen.  The in-process broadcast bus simulates that with a
 per-delivery loss probability; the UDP transport sends real datagrams.
+
+Receivers parse only text the run did not write itself.  At each migration
+generation :func:`run_islands` keeps a map from every emigrant's text to the
+tree it was serialized from, and :func:`admit_immigrants` resolves an
+arrival found there to that very tree (trees are immutable, so islands may
+share one), after an O(1) check of its depth and root sort.  Everything else
+-- datagrams from other processes, late arrivals from an earlier generation,
+malformed text -- is parsed and validated by ``deserialize`` and dropped if
+it fails.  The wire bytes, the loss draws and the admission counts are the
+same either way, and the map is dropped when the generation's admissions
+are done.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ import random
 import select
 import socket
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .evolution import (
     EvolutionStrategy,
@@ -41,6 +52,7 @@ from .trees import (
     Individual,
     Origin,
     PrimitiveSet,
+    ProgramTree,
     TreeError,
     build_random_tree,
     deserialize,
@@ -234,16 +246,25 @@ class UdpBroadcastTransport(Transport):
 # ---------------------------------------------------------------------------
 # migration primitives
 
-def select_emigrants(pop: Population, policy: MigrationPolicy,
-                     rng: random.Random) -> list[MigrantEnvelope]:
+def select_emigrants(pop: Population, policy: MigrationPolicy, rng: random.Random,
+                     sources: Optional[dict[str, ProgramTree]] = None
+                     ) -> list[MigrantEnvelope]:
     """Serialized copies of distinct members chosen uniformly at random.
 
     Emigration never removes members; the caller is responsible for invoking
-    this only at migration generations.
+    this only at migration generations.  If ``sources`` is given, each
+    emigrant's text is mapped there to the tree it was serialized from.
     """
     count = min(policy.batch_size(pop.capacity), len(pop.members))
     chosen = rng.sample(range(len(pop.members)), count)
-    return [MigrantEnvelope(serialize(pop.members[i].tree)) for i in chosen]
+    envelopes = []
+    for i in chosen:
+        tree = pop.members[i].tree
+        text = serialize(tree)
+        if sources is not None:
+            sources[text] = tree
+        envelopes.append(MigrantEnvelope(text))
+    return envelopes
 
 
 @dataclass(frozen=True)
@@ -254,20 +275,29 @@ class AdmissionReport:
 
 def admit_immigrants(pop: Population, envelopes: Sequence[MigrantEnvelope],
                      prims: PrimitiveSet, max_depth: int,
-                     origin: Origin = Origin.IMMIGRANT) -> AdmissionReport:
+                     origin: Origin = Origin.IMMIGRANT,
+                     sources: Optional[Mapping[str, ProgramTree]] = None
+                     ) -> AdmissionReport:
     """Append every well-formed arriving program; count malformed ones.
 
     The population may temporarily exceed capacity; the next breed restores
     it.  Admitted members have no fitness yet.
+
+    ``sources`` maps text to trees built over ``prims`` (as filled by
+    :func:`select_emigrants`).  A payload found there is admitted as that
+    tree, without parsing, if the tree is within ``max_depth`` and has the
+    root sort; any other payload is parsed and validated.
     """
     admitted = dropped = 0
     for envelope in envelopes:
-        try:
-            tree = deserialize(envelope.payload, prims, max_depth)
-        except TreeError as exc:
-            log.debug("dropping malformed migrant: %s", exc)
-            dropped += 1
-            continue
+        tree = sources.get(envelope.payload) if sources else None
+        if tree is None or tree.depth > max_depth or tree.sort is not prims.root_sort:
+            try:
+                tree = deserialize(envelope.payload, prims, max_depth)
+            except TreeError as exc:
+                log.debug("dropping malformed migrant: %s", exc)
+                dropped += 1
+                continue
         pop.members.append(Individual.from_tree(tree, origin))
         admitted += 1
     return AdmissionReport(admitted, dropped)
@@ -335,7 +365,8 @@ def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, capacity: int,
 
     Per generation and island: evaluate every member; at migration
     generations emit emigrants, deliver, admit and score arrivals (or inject
-    random members); record stats over the full pool; breed.  Returns one
+    random members); record stats over the full pool (computed once, after
+    the arrivals if there were any); breed.  Returns one
     stats list per island.  With the default simulated transport the whole
     run is a pure function of the island seeds and ``transport_seed``.
     """
@@ -357,23 +388,25 @@ def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, capacity: int,
     history: list[list[GenerationStats]] = [[] for _ in specs]
 
     for generation in range(generations):
-        for k, spec in enumerate(specs):
-            evaluate_population(pops[k], spec.evaluator)
+        stats = [evaluate_population(pops[k], spec.evaluator)
+                 for k, spec in enumerate(specs)]
 
         arrived = [0] * len(specs)
         sent = [0] * len(specs)
         if is_migration_generation(generation, policy):
             if policy.mode is MigrationMode.MIGRATE:
+                sources: dict[str, ProgramTree] = {}
                 for k in range(len(specs)):
-                    envelopes = select_emigrants(pops[k], policy, mig_rngs[k])
+                    envelopes = select_emigrants(pops[k], policy, mig_rngs[k], sources)
                     for envelope in envelopes:
                         transports[k].send(envelope)
                     sent[k] = len(envelopes)
                 for k, spec in enumerate(specs):
                     report = admit_immigrants(pops[k], transports[k].drain(),
-                                              prims, max_depth)
+                                              prims, max_depth, sources=sources)
                     arrived[k] = report.admitted
                     evaluate_new_members(pops[k], spec.evaluator)
+                del sources  # keep no tree alive past this generation's admissions
             elif policy.mode is MigrationMode.RANDOM_INJECT:
                 for k, spec in enumerate(specs):
                     arrived[k] = inject_random(pops[k], policy, prims, max_depth,
@@ -381,11 +414,12 @@ def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, capacity: int,
                     evaluate_new_members(pops[k], spec.evaluator)
 
         for k in range(len(specs)):
-            stats = population_stats(pops[k])
+            # arrivals joined the pool after it was summarized
+            pool = population_stats(pops[k]) if arrived[k] else stats[k]
             history[k].append(GenerationStats(
                 iteration=0, generation=generation, island=k,
-                max_fitness=stats.max_fitness, mean_fitness=stats.mean_fitness,
-                mean_size=stats.mean_size, mean_depth=stats.mean_depth,
+                max_fitness=pool.max_fitness, mean_fitness=pool.mean_fitness,
+                mean_size=pool.mean_size, mean_depth=pool.mean_depth,
                 immigrants_admitted=arrived[k], emigrants_sent=sent[k],
                 helper_rejections=pops[k].helper_rejections))
 

@@ -12,7 +12,9 @@ on its longest root-to-leaf path) once, at construction, from the values its
 children already hold.  Measuring a tree is therefore O(1), and the
 preorder walk, subtree replacement and parsing are linear or better.  Both
 fields are derived from the structure, so ``==``, ``hash`` and ``repr``
-ignore them.
+ignore them.  So does ``memo``, a slot in which a task may keep one result
+it computed from the tree alone (the feed task keeps its screen fill there);
+the memo lives exactly as long as the node.
 
 The text form of a tree is a parenthesized prefix expression, one pair of
 parentheses per node, e.g. ``(add (lat) (const:Number 2.5))``.  Serialization
@@ -20,7 +22,9 @@ is canonical: equal trees always produce byte-identical text, and
 ``deserialize(serialize(t))`` reproduces ``t`` exactly, including constant
 payloads at full float precision.  Parsing is one iterative pass that
 validates as it goes, so arbitrarily deep untrusted text is rejected at the
-depth bound instead of exhausting the interpreter's stack.
+depth bound instead of exhausting the interpreter's stack.  Without an
+explicit bound, :data:`DEPTH_CEILING` applies: the recursive
+:func:`serialize` and interpreter handle trees that deep.
 """
 
 from __future__ import annotations
@@ -30,6 +34,13 @@ import random
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional, Sequence
+
+
+#: The depth bound :func:`deserialize` applies when the caller gives none.
+#: Serializing and running a tree recurse about three frames per level at
+#: worst (a chain of conditionals), so at this depth they stay well inside
+#: Python's default recursion limit of 1000.
+DEPTH_CEILING = 200
 
 
 class ConfigurationError(Exception):
@@ -161,7 +172,9 @@ class ProgramTree:
 
     ``size`` and ``depth`` describe the subtree rooted here (a lone leaf has
     both equal to 1).  They are computed at construction and take no part in
-    equality, hashing or ``repr``.
+    equality, hashing or ``repr``.  Neither does ``memo``, which starts as
+    ``None``; whoever sets it (with :func:`set_memo`) must store a value that
+    depends on nothing but the tree and the inputs recorded with it.
     """
 
     kind: NodeKind
@@ -169,6 +182,7 @@ class ProgramTree:
     value: Optional[float] = None
     size: int = field(init=False, repr=False, compare=False)
     depth: int = field(init=False, repr=False, compare=False)
+    memo: object = field(init=False, repr=False, compare=False)
 
     def __init__(self, kind: NodeKind, children: tuple["ProgramTree", ...] = (),
                  value: Optional[float] = None) -> None:
@@ -197,10 +211,16 @@ class ProgramTree:
         _set_field(self, "value", value)
         _set_field(self, "size", size)
         _set_field(self, "depth", depth + 1)
+        _set_field(self, "memo", None)
 
     @property
     def sort(self) -> Sort:
         return self.kind.result_sort
+
+
+def set_memo(tree: ProgramTree, memo: object) -> None:
+    """Replace ``tree.memo``; the node is otherwise frozen."""
+    _set_field(tree, "memo", memo)
 
 
 def constant_kind_name(sort: Sort) -> str:
@@ -428,7 +448,8 @@ def deserialize(text: str, prims: PrimitiveSet,
 
     Raises :class:`TreeParseError` for malformed text and
     :class:`TreeValidationError` for unknown kinds, arity or sort mismatches,
-    a wrong root sort, or a tree deeper than ``max_depth``.
+    a wrong root sort, or a tree deeper than ``max_depth`` (or, when that is
+    ``None``, than :data:`DEPTH_CEILING`).
 
     One loop reads the tokens, with an explicit stack of the nodes still
     open.  Kinds resolve through ``prims`` as they are named, so every node
@@ -437,7 +458,7 @@ def deserialize(text: str, prims: PrimitiveSet,
     """
     tokens = _tokenize(text)
     end = len(tokens)
-    limit = end if max_depth is None else max_depth
+    limit = DEPTH_CEILING if max_depth is None else max_depth
     kind_of = prims.kind
     stack: list[tuple[NodeKind, list[ProgramTree]]] = []  # open nodes, root first
     pos = 0
@@ -448,7 +469,7 @@ def deserialize(text: str, prims: PrimitiveSet,
         if tokens[pos] != "(":
             raise TreeParseError("expected '('")
         if len(stack) >= limit:
-            raise TreeValidationError(f"tree is deeper than the limit of {max_depth}")
+            raise TreeValidationError(f"tree is deeper than the limit of {limit}")
         if pos + 1 >= end:
             raise TreeParseError("unexpected end of tree text")
         name = tokens[pos + 1]

@@ -25,6 +25,7 @@ from gpislands.evolution import (
     select_wheel,
     strategy_from_dict,
 )
+from gpislands.interpreter import Environment, SupervisorPolicy, execute
 from gpislands.trees import (
     ConfigurationError,
     Individual,
@@ -278,3 +279,18 @@ def test_misbehaving_evaluators_are_contained(geo_prims):
 
     evaluate_population(pop, wild)
     assert [m.fitness for m in pop.members] == [0.0, 1.0, 0.0]
+
+
+def test_configuration_errors_are_not_scored_as_zero(geo_prims):
+    """An unbound terminal is a setup bug, so it must surface."""
+    tree = ProgramTree(geo_prims.kind("add"), (ProgramTree(geo_prims.kind("lat")),
+                                               ProgramTree(geo_prims.kind("lon"))))
+    pop = Population([Individual.from_tree(tree)], 1)
+    env = Environment(bindings={"lon": lambda: 1.0})  # no "lat"
+    policy = SupervisorPolicy(max_steps=16)
+
+    def unbound(member):
+        return execute(member.tree, env, policy).value
+
+    with pytest.raises(ConfigurationError, match="lat"):
+        evaluate_population(pop, unbound)

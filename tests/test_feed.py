@@ -6,8 +6,10 @@ import statistics
 
 import pytest
 
+from gpislands import feed as feed_module
 from gpislands.feed import (
     DEFAULT_DESIRED_QTY,
+    FEED_FUNCTION_BIAS,
     FeedCatalog,
     FeedEvaluator,
     FeedReport,
@@ -30,6 +32,8 @@ from gpislands.trees import (
     Sort,
     build_random_tree,
     constant_kind_name,
+    deserialize,
+    serialize,
 )
 
 
@@ -134,6 +138,95 @@ def test_killed_run_empties_the_screen(catalog, feed_prims):
 def test_item_indices_are_distinct_per_feed(catalog, feed_prims):
     report = run_feed_program(const_program(feed_prims, 2.0), catalog)
     assert len(set(report.displayed)) == len(report.displayed)
+
+
+# ---------------------------------------------------------------------------
+# the screen fill memo
+
+def fresh_copy(tree, prims):
+    """A structurally equal tree with no memo on it."""
+    return deserialize(serialize(tree), prims)
+
+
+@pytest.fixture
+def execute_calls(monkeypatch):
+    calls = []
+    real = feed_module.execute
+
+    def counted(program, env, policy):
+        outcome = real(program, env, policy)
+        calls.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(feed_module, "execute", counted)
+    return calls
+
+
+def test_a_memoised_fill_gives_equal_but_distinct_reports(catalog, feed_prims,
+                                                           execute_calls):
+    tree = build_random_tree(feed_prims, 5, random.Random(4), FEED_FUNCTION_BIAS)
+    first = run_feed_program(tree, catalog)
+    runs = len(execute_calls)
+    second = run_feed_program(tree, catalog)
+    assert len(execute_calls) == runs == len(catalog.feeds)  # no second fill
+    assert second == first == run_feed_program(fresh_copy(tree, feed_prims), catalog)
+    assert second is not first
+    assert second.scores is not first.scores
+    assert second.displayed is not first.displayed
+    second.displayed.append(("techcrunch", 99))
+    assert run_feed_program(tree, catalog) == first
+
+
+def test_other_inputs_recompute_the_fill(catalog, feed_prims, execute_calls):
+    tree = build_random_tree(feed_prims, 5, random.Random(4), FEED_FUNCTION_BIAS)
+    policy = SupervisorPolicy(max_steps=512)
+    variants = [(default_catalog(unread=5), 10, policy),
+                (catalog, 4, policy),
+                (catalog, 10, SupervisorPolicy(max_steps=3))]
+    for inputs in variants:
+        run_feed_program(tree, catalog, 10, policy)  # memoise the base inputs
+        before = len(execute_calls)
+        got = run_feed_program(tree, *inputs)
+        assert len(execute_calls) > before
+        assert got == run_feed_program(fresh_copy(tree, feed_prims), *inputs)
+    assert got == FeedReport(10)  # the tight budget kills it
+    before = len(execute_calls)
+    # an equal policy is the same input, even as a distinct object
+    run_feed_program(tree, catalog, 10, SupervisorPolicy(max_steps=3))
+    assert len(execute_calls) == before
+
+
+def test_a_killed_fill_is_memoised_as_the_empty_report(catalog, feed_prims,
+                                                       execute_calls):
+    tree = build_random_tree(feed_prims, 3, random.Random(1), function_bias=1.0)
+    policy = SupervisorPolicy(max_steps=1)
+    assert run_feed_program(tree, catalog, policy=policy) == FeedReport(DEFAULT_DESIRED_QTY)
+    assert execute_calls[-1].killed
+    runs = len(execute_calls)
+    assert run_feed_program(tree, catalog, policy=policy) == FeedReport(DEFAULT_DESIRED_QTY)
+    assert len(execute_calls) == runs
+
+
+def test_evaluator_fitness_matches_a_memo_free_reference(catalog, feed_prims,
+                                                         execute_calls):
+    """Repeated trees, as elitism, crossover fallbacks and migrants make them,
+    score the same as fresh copies, draw for draw, deep kills included."""
+    rng = random.Random(11)
+    trees = [build_random_tree(feed_prims, depth, rng, FEED_FUNCTION_BIAS)
+             for depth in (3, 5, 7, 9, 9, 9, 9, 9, 9) for _ in range(6)]
+    order = [rng.randrange(len(trees)) for _ in range(4 * len(trees))]
+    user = homogeneous_user(catalog)
+    memoised = FeedEvaluator(catalog, user, random.Random(5))
+    reference = FeedEvaluator(catalog, user, random.Random(5))
+    members = [Individual.from_tree(trees[i]) for i in order]
+    got = [memoised.evaluate_report(m.tree) for m in members]
+    runs = len(execute_calls)
+    want = [reference.evaluate_report(fresh_copy(m.tree, feed_prims)) for m in members]
+    assert got == want
+    assert len(execute_calls) - runs > runs  # the reference ran every fill
+    assert any(outcome.killed for outcome in execute_calls)
+    assert [memoised(m) for m in members] == [reference(Individual.from_tree(
+        fresh_copy(m.tree, feed_prims))) for m in members]
 
 
 # ---------------------------------------------------------------------------

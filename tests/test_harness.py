@@ -328,6 +328,15 @@ def test_cli_malformed_strategy_exits_2(tmp_path, capsys):
     ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech", "unread": "x"}]})),
     ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}], "click_prob": {"a": "x"}})),
     ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}], "click_prob": [1]})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}, {"id": "b", "group": "x"}],
+                         "click_prob": {"typo": 0.9, "b": 7}})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}], "click_prob": {"typo": 0.5}})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}], "click_prob": {"a": 1.5}})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}], "click_prob": {"a": -0.1}})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}],
+                         "click_prob": {"a": float("nan")}})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}],
+                         "click_prob": {"a": float("inf")}})),
     ("localisation", "[1]"),
 ])
 def test_cli_malformed_app_config_exits_2(tmp_path, capsys, app, text):

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from gpislands import islands as islands_module
 from gpislands.evolution import Population, island_strategy
+from gpislands.feed import FeedEvaluator, default_catalog, landscape_user
 from gpislands.islands import (
     AdmissionReport,
     GenerationStats,
@@ -25,8 +27,12 @@ from gpislands.trees import (
     ConfigurationError,
     Individual,
     Origin,
+    ProgramTree,
+    Sort,
     build_random_tree,
+    deserialize,
     serialize,
+    terminal,
 )
 
 
@@ -132,6 +138,80 @@ def test_admit_immigrants_drops_a_deeply_nested_migrant(feed_prims):
     report = admit_immigrants(pop, [MigrantEnvelope(nested)], feed_prims, max_depth=9)
     assert report == AdmissionReport(admitted=0, dropped=1)
     assert pop.members == before
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Every text ``admit_immigrants`` hands to the parser."""
+    texts = []
+    real = islands_module.deserialize
+
+    def counted(text, *args, **kwargs):
+        texts.append(text)
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(islands_module, "deserialize", counted)
+    return texts
+
+
+def test_emigrants_resolve_to_the_senders_trees(feed_prims, parses):
+    bus = SimulatedBroadcastBus()
+    ends = [bus.register(), bus.register()]
+    pops = [scored_population(feed_prims, 10, seed) for seed in (1, 2)]
+    sources = {}
+    policy = MigrationPolicy(rate=0.5)
+    sent = [select_emigrants(pop, policy, random.Random(k), sources)
+            for k, pop in enumerate(pops)]
+    for end, envelopes in zip(ends, sent):
+        for envelope in envelopes:
+            end.send(envelope)
+    senders = [[m.tree for m in pop.members] for pop in pops]
+    for k in (0, 1):
+        report = admit_immigrants(pops[k], ends[k].drain(), feed_prims, 3,
+                                  sources=sources)
+        assert report == AdmissionReport(admitted=5, dropped=0)
+        for newcomer in pops[k].members[10:]:
+            assert any(newcomer.tree is tree for tree in senders[1 - k])
+            assert newcomer.origin is Origin.IMMIGRANT and newcomer.fitness is None
+    assert parses == []
+
+
+def test_unknown_malformed_and_unfit_payloads_are_parsed(geo_prims, parses):
+    deep = "(add (add (add (lat) (lon)) (lon)) (lat))"
+    sources = {deep: deserialize(deep, geo_prims),  # deeper than the bound
+               "(flag)": ProgramTree(terminal("flag", Sort.BOOLEAN))}  # wrong sort
+    foreign = "(add (lat) (lon))"
+    payloads = [foreign, "(add (lat)", deep, "(flag)"]
+    pop = scored_population(geo_prims, 5)
+    report = admit_immigrants(pop, [MigrantEnvelope(p) for p in payloads],
+                              geo_prims, max_depth=3, sources=sources)
+    assert report == AdmissionReport(admitted=1, dropped=3)
+    assert parses == payloads
+    assert serialize(pop.members[-1].tree) == foreign
+
+
+def test_run_is_the_same_whether_migrants_resolve_or_are_parsed(feed_prims, parses,
+                                                                monkeypatch):
+    def run():
+        catalog = default_catalog()
+        specs = [IslandSpec(island_strategy(8),
+                            FeedEvaluator(catalog, landscape_user(catalog, "hetero", k),
+                                          random.Random(f"e{k}")),
+                            f"s{k}")
+                 for k in range(3)]
+        return run_islands(specs, feed_prims, 8, 7,
+                           MigrationPolicy(interval=1, rate=0.5), 8,
+                           transport_seed="t", loss=0.5, function_bias=0.75)
+
+    resolved = run()
+    assert parses == []
+    assert sum(r.immigrants_admitted for rows in resolved for r in rows) > 0
+    real = islands_module.select_emigrants
+    monkeypatch.setattr(islands_module, "select_emigrants",
+                        lambda pop, policy, rng, sources=None: real(pop, policy, rng))
+    parsed = run()
+    assert len(parses) == sum(r.immigrants_admitted for rows in parsed for r in rows)
+    assert parsed == resolved
 
 
 def test_inject_random_only_at_migration_generations(geo_prims):

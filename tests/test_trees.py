@@ -4,9 +4,17 @@ import random
 import pytest
 
 from gpislands.evolution import crossover, mutate
-from gpislands.feed import FEED_FUNCTION_BIAS, default_catalog, feed_primitives
+from gpislands.feed import (
+    FEED_FUNCTION_BIAS,
+    _feed_environments,
+    default_catalog,
+    feed_primitives,
+    run_feed_program,
+)
+from gpislands.interpreter import SupervisorPolicy, compile_program, execute
 from gpislands.localisation import localisation_primitives
 from gpislands.trees import (
+    DEPTH_CEILING,
     Category,
     ConfigurationError,
     Individual,
@@ -27,6 +35,7 @@ from gpislands.trees import (
     iter_nodes,
     replace_subtree,
     serialize,
+    set_memo,
     terminal,
     tree_depth,
     tree_size,
@@ -222,6 +231,10 @@ def test_cached_measures_stay_out_of_equality_hash_and_repr(geo_prims):
     again = deserialize(serialize(t), geo_prims)
     assert again == t and hash(again) == hash(t)
     assert "size" not in repr(t) and "depth" not in repr(t)
+    assert t.memo is None
+    set_memo(t, ("some key", 0.5))
+    assert again == t and hash(again) == hash(t)
+    assert "memo" not in repr(t) and again.memo is None
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +339,41 @@ def test_deserialize_enforces_max_depth(geo_prims):
     nested = "(add " * 5000 + "(lat)" + " (lon))" * 5000
     with pytest.raises(TreeValidationError):
         deserialize(nested, geo_prims, max_depth=9)
+
+
+def chain_text(kind, depth):
+    """Feed-program text ``depth`` nodes deep, nesting only in one child.
+
+    ``add`` recurses through its first operand; ``if_greater`` (whose
+    condition always holds) through its taken branch, which costs the
+    recursive serializer and interpreter the most stack per level.
+    """
+    text = "(unread_count)"
+    for _ in range(depth - 1):
+        if kind == "add":
+            text = f"(add {text} (unread_count))"
+        else:
+            text = f"(if_greater (unread_count) (const:Number -1.0) {text} (unread_count))"
+    return text
+
+
+@pytest.mark.parametrize("kind", ["add", "if_greater"])
+def test_deserialize_without_bound_stops_at_the_ceiling(feed_prims, kind):
+    catalog = default_catalog()
+    text = chain_text(kind, DEPTH_CEILING)
+    tree = deserialize(text, feed_prims)
+    assert tree.depth == DEPTH_CEILING
+    assert serialize(tree) == text
+    policy = SupervisorPolicy(max_steps=10 * tree.size)
+    report = run_feed_program(tree, catalog, policy=policy)
+    assert len(report.scores) == len(catalog.feeds)
+    env = _feed_environments(catalog)[0]
+    walked = execute(tree, env, policy)
+    compiled = execute(compile_program(tree), env, policy)
+    assert not walked.killed
+    assert (walked.value, walked.steps_used) == (compiled.value, compiled.steps_used)
+    with pytest.raises(TreeValidationError):
+        deserialize(chain_text(kind, DEPTH_CEILING + 1), feed_prims)
 
 
 def test_wrong_root_sort_rejected(geo_prims, loc_prims):
