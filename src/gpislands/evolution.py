@@ -71,12 +71,9 @@ class SelectorBinding:
     """
 
     name: str
-    kind: str = "wheel"
     pool_best: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind != "wheel":
-            raise ConfigurationError(f"unknown selector kind {self.kind!r}")
         if self.pool_best is not None and self.pool_best < 1:
             raise ConfigurationError("pool_best must be at least 1")
 
@@ -127,16 +124,17 @@ def strategy_from_dict(data: dict) -> EvolutionStrategy:
          "steps": [{"operator": "MUTATION", "selector": "HR", "count": 3}, ...]}
     """
     try:
-        selectors = {
-            name: SelectorBinding(name, spec.get("kind", "wheel"), spec.get("pool_best"))
-            for name, spec in data["selectors"].items()
-        }
+        selectors = {}
+        for name, spec in data["selectors"].items():
+            if spec.get("kind", "wheel") != "wheel":  # the one kind there is
+                raise ConfigurationError(f"unknown selector kind {spec['kind']!r}")
+            selectors[name] = SelectorBinding(name, spec.get("pool_best"))
         steps = [
             StrategyStep(Operator(str(step["operator"]).upper()), int(step["count"]),
                          step.get("selector"))
             for step in data["steps"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad strategy config: {exc}") from exc
     return EvolutionStrategy(selectors, steps)
 

@@ -210,11 +210,10 @@ def _fill_screen(tree: ProgramTree, catalog: FeedCatalog, desired_qty: int,
         if outcome.killed:
             return None
         scores[feed.feed_id] = float(outcome.value)
-    order = {f.feed_id: i for i, f in enumerate(catalog.feeds)}
-    ranked = [f for f in sorted(
-        catalog.feeds,
-        key=lambda f: (-scores[f.feed_id], order[f.feed_id]))
-        if scores[f.feed_id] > 0.0]
+    # drop before sorting: a NaN score would break the sort for the others;
+    # the sort is stable, so ties keep their catalog order
+    ranked = sorted((f for f in catalog.feeds if scores[f.feed_id] > 0.0),
+                    key=lambda f: -scores[f.feed_id])
     cursors = {f.feed_id: 0 for f in ranked}
     displayed: list[tuple[str, int]] = []
     while len(displayed) < desired_qty:

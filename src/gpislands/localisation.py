@@ -20,6 +20,26 @@ Per-tick scoring multiplies two sub-fitnesses:
 
 Overall fitness is the mean of the per-tick products; a program killed by
 the supervisor at tick k contributes nothing from tick k on.
+
+Control pass and scoring pass
+-----------------------------
+Each world draws its own fix errors, but the program cannot observe them: its
+terminals report only the age of its latest fix (a time difference) and that
+fix's radius.  What it does at every tick -- which radios it switches, when
+it asks for a fix, which provider answers -- therefore depends only on the
+tree, the config (walk, availability, warm-up) and the supervisor policy.
+:func:`evaluate_localisation` splits accordingly:
+
+* the control pass (:func:`_control_trace`) runs the program tick by tick on
+  a world of its own and records, per tick, where the program's fix came
+  from (provider and tick), the reference provider and the energy factor.
+  It is memoised on the tree (``ProgramTree.memo``) together with the
+  config, policy and budget (the energy factor needs the budget), so elite
+  copies and crossover fallbacks, which share their tree object with one
+  already scored, do not run it again;
+* the scoring pass adds each world's errors to those sources and sums the
+  per-tick products.  It runs on every evaluation, so fitness itself is
+  never memoised: each evaluation scores against a freshly drawn world.
 """
 
 from __future__ import annotations
@@ -28,8 +48,8 @@ import functools
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from .interpreter import Environment, SupervisorPolicy, compile_program, execute
 from .trees import (
@@ -42,6 +62,7 @@ from .trees import (
     if_greater_kind,
     iter_nodes,
     sequence_kind,
+    set_memo,
     terminal,
 )
 
@@ -54,6 +75,7 @@ LOC_FUNCTION_BIAS = 0.3
 NO_FIX_SENTINEL = 9999.0
 
 Position = tuple[float, float]
+_TAU = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -64,6 +86,13 @@ class Provider:
     radius_m: float
     draw_ma: float
     first_fix_s: float
+
+    def __post_init__(self) -> None:
+        for figure in ("radius_m", "draw_ma", "first_fix_s"):
+            value = getattr(self, figure)
+            if not 0.0 <= value < math.inf:  # a zero radius is fine; nan is not
+                raise ConfigurationError(f"provider {self.name!r} {figure} must be "
+                                         f"finite and not negative, got {value!r}")
 
 
 DEFAULT_PROVIDERS = (
@@ -85,6 +114,12 @@ class EnergyBudget:
     day_hours: float = 22.0
     budget_ma: float = 63.0
 
+    def __post_init__(self) -> None:
+        # with draws finite and not negative, this keeps energy in [0, 1]
+        if not 0.0 < self.budget_ma < math.inf:
+            raise ConfigurationError(
+                f"budget_ma must be positive and finite, got {self.budget_ma!r}")
+
     @property
     def derived_ma(self) -> float:
         return self.capacity_mah / self.day_hours
@@ -98,6 +133,12 @@ class Segment:
     end: float
     indoor: bool
     wifi: bool
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.indoor, bool) and isinstance(self.wifi, bool)):
+            raise ConfigurationError(
+                f"segment indoor and wifi must be true or false, got "
+                f"{self.indoor!r} and {self.wifi!r}")
 
 
 @dataclass(frozen=True)
@@ -116,9 +157,23 @@ class WorldConfig:
     )
     ticks: int = DEFAULT_TICKS
     #: Fix errors are radius * uniform(error_low, error_high) in a random
-    #: direction, drawn once per provider and tick when the world is built.
+    #: direction, one per provider and tick and world (see :class:`World`).
     error_low: float = 0.25
     error_high: float = 0.75
+
+    def __post_init__(self) -> None:
+        names = [p.name for p in self.providers]
+        if len(set(names)) != len(names):
+            raise ConfigurationError(f"duplicate provider names in {names}")
+        if not self.waypoints:
+            raise ConfigurationError("the walk needs at least one waypoint")
+        for point in self.waypoints:
+            if len(point) != 3 or not all(map(math.isfinite, point)):
+                raise ConfigurationError(f"a waypoint is a finite (t, x, y), got {point!r}")
+        if any(b[0] < a[0] for a, b in zip(self.waypoints, self.waypoints[1:])):
+            raise ConfigurationError("waypoint times must not decrease")
+        if self.ticks < 1:
+            raise ConfigurationError(f"ticks must be at least 1, got {self.ticks}")
 
 
 def single_provider_world(provider: Provider, ticks: int = DEFAULT_TICKS,
@@ -160,6 +215,22 @@ def _available(segments: Sequence[Segment], name: str, t: float) -> bool:
     return True
 
 
+#: A fix before its error is added: the true position, the provider's radius
+#: and the index of the provider's magnitude draw for the tick.
+_Source = tuple[Position, float, int]
+
+
+def _displace(truth: Position, radius: float, i: int, draws: Sequence[float],
+              lo: float, span: float) -> Position:
+    """``truth`` moved by the error drawn at ``draws[i]`` (magnitude) and
+    ``draws[i + 1]`` (angle)."""
+    # lo + span * random() is random.uniform's arithmetic, draw for draw
+    magnitude = radius * (lo + span * draws[i])
+    angle = _TAU * draws[i + 1]
+    x, y = truth
+    return (x + magnitude * math.cos(angle), y + magnitude * math.sin(angle))
+
+
 @dataclass(frozen=True)
 class _Tick:
     """What the walk offers at one integer tick, whatever the program does."""
@@ -167,57 +238,72 @@ class _Tick:
     truth: Position
     #: Names of the providers that can see the phone at this tick.
     available: frozenset[str]
-    #: The provider behind :meth:`World.reference_fix` at this tick.
+    #: The provider behind :meth:`World.reference_fix` at this tick, and
+    #: where its fix comes from.
     reference: Optional[Provider]
+    reference_source: Optional[_Source]
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """What ``config`` fixes for every world built from it."""
+
+    #: Per-tick walk geometry, keyed by the tick as a float.
+    ticks: dict[float, _Tick]
+    #: Each provider by name, with the index of its first error draw.
+    by_name: dict[str, tuple[Provider, int]]
+    #: The providers sorted by radius; the sort is stable, so equal radii
+    #: keep their config order, as ``min`` would pick them.
+    by_radius: tuple[Provider, ...]
 
 
 @functools.lru_cache(maxsize=16)
-def _tick_table(config: WorldConfig) -> dict[float, _Tick]:
-    """Per-tick walk geometry for ``config``, keyed by the tick as a float.
-
-    Computed with the same functions :class:`World` falls back to between
-    ticks, so a table hit and a fresh computation agree bit for bit.
-    """
-    table = {}
+def _layout(config: WorldConfig) -> _Layout:
+    """The tick table is computed with the same functions :class:`World`
+    falls back to between ticks, so a table hit and a fresh computation
+    agree bit for bit."""
+    per_provider = 2 * (config.ticks + 1)
+    by_name = {p.name: (p, i * per_provider) for i, p in enumerate(config.providers)}
+    ticks = {}
     for tick in range(config.ticks + 1):
         t = float(tick)
+        truth = _truth(config.waypoints, t)
         available = frozenset(p.name for p in config.providers
                               if _available(config.segments, p.name, t))
         ready = [p for p in config.providers
                  if t >= p.first_fix_s and p.name in available]
-        reference = min(ready, key=lambda p: p.radius_m) if ready else None
-        table[t] = _Tick(_truth(config.waypoints, t), available, reference)
-    return table
+        reference = source = None
+        if ready:
+            reference = min(ready, key=lambda p: p.radius_m)
+            source = (truth, reference.radius_m, by_name[reference.name][1] + 2 * tick)
+        ticks[t] = _Tick(truth, available, reference, source)
+    return _Layout(ticks, by_name, tuple(sorted(config.providers, key=lambda p: p.radius_m)))
 
 
 class World:
     """Mutable per-evaluation state: the walk, the radios, the program's fix.
 
     The walk itself depends only on the config, so its geometry at every
-    integer tick is computed once per config and shared; only the fix errors
-    are drawn per world.
+    integer tick is computed once per config and shared.  Only the fix errors
+    belong to one world.  They come from the stream ``world:<seed>``, two
+    draws per provider and tick (magnitude, then angle), provider by
+    provider; the stream is drawn the first time an error is asked for, and
+    each error is worked out from its pair of draws when it is needed.  A
+    world whose errors are never read draws nothing.
     """
 
     def __init__(self, config: WorldConfig, seed: int | str = 0) -> None:
         self.config = config
+        self._seed = seed
         self.t = 0.0
         self.enabled: dict[str, Optional[float]] = {p.name: None for p in config.providers}
-        self.program_fix: Optional[tuple[Position, float, float]] = None  # pos, t, radius
-        # lo + span * random() is random.uniform's arithmetic, draw for draw
-        draw = random.Random(f"world:{seed}").random
-        lo = config.error_low
-        span = config.error_high - lo
-        tau = 2.0 * math.pi
-        cos, sin = math.cos, math.sin
-        self._errors: dict[tuple[str, int], Position] = {}
-        for provider in config.providers:
-            name, radius = provider.name, provider.radius_m
-            for tick in range(config.ticks + 1):
-                magnitude = radius * (lo + span * draw())
-                angle = tau * draw()
-                self._errors[(name, tick)] = (magnitude * cos(angle), magnitude * sin(angle))
-        self._by_name = {p.name: p for p in config.providers}
-        self._ticks = _tick_table(config)
+        #: (provider name, fix time, radius) of the program's latest fix.
+        self.program_fix: Optional[tuple[str, float, float]] = None
+        self._draws: Optional[list[float]] = None
+        layout = _layout(config)
+        self._ticks = layout.ticks
+        self._by_name = layout.by_name
+        self._by_radius = layout.by_radius
 
     # -- geometry ----------------------------------------------------------
     def truth(self, t: float) -> Position:
@@ -230,9 +316,28 @@ class World:
         return _available(self.config.segments, name, t)
 
     def fix_position(self, name: str, t: float) -> Position:
-        x, y = self.truth(t)
-        dx, dy = self._errors[(name, int(t))]
-        return (x + dx, y + dy)
+        """Where provider ``name`` places the phone at time ``t``: the truth
+        plus that provider's error at tick ``int(t)``.  ``KeyError`` for an
+        unknown provider or a tick outside ``0..ticks``."""
+        lo = self.config.error_low
+        return _displace(*self._source(name, t), self._error_draws(), lo,
+                         self.config.error_high - lo)
+
+    def _source(self, name: str, t: float) -> _Source:
+        tick = int(t)
+        entry = self._by_name.get(name)
+        if entry is None or not 0 <= tick <= self.config.ticks:
+            raise KeyError((name, tick))
+        provider, offset = entry
+        return (self.truth(t), provider.radius_m, offset + 2 * tick)
+
+    def _error_draws(self) -> list[float]:
+        draws = self._draws
+        if draws is None:
+            draw = random.Random(f"world:{self._seed}").random
+            count = 2 * len(self.config.providers) * (self.config.ticks + 1)
+            draws = self._draws = [draw() for _ in range(count)]
+        return draws
 
     # -- program-visible state ---------------------------------------------
     def last_fix_age(self) -> float:
@@ -246,26 +351,21 @@ class World:
         return self.program_fix[2]
 
     def program_position(self) -> Optional[Position]:
-        return None if self.program_fix is None else self.program_fix[0]
+        fix = self.program_fix
+        return None if fix is None else self.fix_position(fix[0], fix[1])
 
     # -- actions ------------------------------------------------------------
     def apply_action(self, action) -> None:
-        if not isinstance(action, str) or ":" not in action and action != "request_fix":
-            return
+        """Apply an action descriptor (``"enable:<provider>"``,
+        ``"disable:<provider>"`` or ``"request_fix"``); anything else,
+        unknown providers included, is ignored."""
         if action == "request_fix":
             self._request_fix()
-            return
-        verb, _, name = action.partition(":")
-        if name not in self._by_name:
-            return
-        if verb == "enable":
-            if self.enabled[name] is None:  # re-enabling never resets the warm-up
-                self.enabled[name] = self.t
-        elif verb == "disable":
-            self.enabled[name] = None
+        elif isinstance(action, str) and action.partition(":")[0] in ("enable", "disable"):
+            self._switch(action)()
 
     def _ready(self, name: str, since: Optional[float]) -> bool:
-        if since is None or not self.t >= since + self._by_name[name].first_fix_s:
+        if since is None or not self.t >= since + self._by_name[name][0].first_fix_s:
             return False
         tick = self._ticks.get(self.t)
         if tick is not None:
@@ -273,15 +373,15 @@ class World:
         return self.available(name, self.t)
 
     def _request_fix(self) -> None:
-        ready = [p for p in self.config.providers if self._ready(p.name, self.enabled[p.name])]
-        if not ready:
-            return  # nothing to offer; the previous fix, if any, stands
-        best = min(ready, key=lambda p: p.radius_m)
-        self.program_fix = (self.fix_position(best.name, self.t), self.t, best.radius_m)
+        for provider in self._by_radius:  # the sharpest ready provider wins
+            if self._ready(provider.name, self.enabled[provider.name]):
+                self.program_fix = (provider.name, self.t, provider.radius_m)
+                return
+        # nothing to offer; the previous fix, if any, stands
 
     # -- scoring inputs ------------------------------------------------------
     def power_now(self) -> float:
-        return sum(self._by_name[name].draw_ma
+        return sum(self._by_name[name][0].draw_ma
                    for name, since in self.enabled.items() if since is not None)
 
     def reference_fix(self) -> Optional[tuple[Position, float]]:
@@ -298,21 +398,38 @@ class World:
         return (self.fix_position(best.name, self.t), best.radius_m)
 
     def environment(self) -> Environment:
-        return Environment(
-            bindings={
-                "last_fix_age": self.last_fix_age,
-                "last_accuracy": self.last_fix_accuracy,
-                "enable_gps": lambda: "enable:gps",
-                "enable_wifi": lambda: "enable:wifi",
-                "enable_cell": lambda: "enable:cell",
-                "disable_gps": lambda: "disable:gps",
-                "disable_wifi": lambda: "disable:wifi",
-                "disable_cell": lambda: "disable:cell",
-                "request_update": lambda: "request_fix",
-            },
-            action_sink=self.apply_action,
-            clock=lambda: self.t,
-        )
+        """Bindings for the program's terminals.  Each action accessor acts
+        on this world directly, as :meth:`apply_action` would on the
+        descriptor the accessor returns."""
+        bindings = {
+            "last_fix_age": self.last_fix_age,
+            "last_accuracy": self.last_fix_accuracy,
+            "request_update": self._request_update,
+        }
+        for name in ("gps", "wifi", "cell"):
+            bindings[f"enable_{name}"] = self._switch(f"enable:{name}")
+            bindings[f"disable_{name}"] = self._switch(f"disable:{name}")
+        return Environment(bindings=bindings, clock=lambda: self.t)
+
+    def _request_update(self) -> str:
+        self._request_fix()
+        return "request_fix"
+
+    def _switch(self, action: str) -> Callable[[], str]:
+        verb, _, name = action.partition(":")
+        if name not in self._by_name:
+            return lambda: action
+        if verb == "enable":
+            def enable() -> str:
+                if self.enabled[name] is None:  # re-enabling never resets the warm-up
+                    self.enabled[name] = self.t
+                return action
+            return enable
+
+        def disable() -> str:
+            self.enabled[name] = None
+            return action
+        return disable
 
 
 # ---------------------------------------------------------------------------
@@ -346,28 +463,74 @@ def energy_fitness(power_ma: float, budget: EnergyBudget = EnergyBudget()) -> fl
 def evaluate_localisation(tree: ProgramTree, world: World,
                           policy: Optional[SupervisorPolicy] = None,
                           budget: EnergyBudget = EnergyBudget()) -> float:
-    """Run ``tree`` once per tick and average the per-tick products.
+    """Score ``tree`` over ``world``'s walk: the mean of the per-tick products.
 
     A supervisor kill at tick k stops the program for good: ticks k..n
     contribute 0 while the earlier ticks keep their score.
+
+    The program's radio logic runs in a control pass of its own, memoised on
+    ``tree`` (see :func:`_control_trace`); ``world`` supplies only the walk
+    and the fix errors it is scored against.  Its radio state (``t``,
+    ``enabled``, ``program_fix``) is neither read nor changed, so a fresh
+    world, as every evaluation builds one, is all it takes.
     """
     policy = policy or SupervisorPolicy(max_steps=DEFAULT_MAX_STEPS)
-    ticks = world.config.ticks
+    config = world.config
+    key = (config, policy, budget)
+    memo = tree.memo
+    if memo is None or memo[0] != key:
+        memo = (key, _control_trace(tree, config, policy, budget))
+        set_memo(tree, memo)
+    trace = memo[1]
+    total = 0.0
+    if trace:
+        draws = world._error_draws()
+        lo = config.error_low
+        span = config.error_high - lo
+        fix = position = None
+        for program_fix, reference, energy in trace:
+            if program_fix is not fix:  # a new fix; a stale one keeps its place
+                fix = program_fix
+                position = _displace(*fix, draws, lo, span)
+            total += accuracy_fitness(position, _displace(*reference, draws, lo, span),
+                                      reference[1]) * energy
+    return total / config.ticks
+
+
+def _control_trace(tree: ProgramTree, config: WorldConfig, policy: SupervisorPolicy,
+                   budget: EnergyBudget
+                   ) -> tuple[tuple[_Source, _Source, float], ...]:
+    """Run ``tree`` once per tick on a world of its own, up to a kill.
+
+    Returns ``(program fix, reference fix, energy)`` for every completed tick
+    with a program fix, a reference provider and a positive energy factor.
+    Every other tick adds exactly +0.0 to the fitness in any world (its
+    accuracy or its energy is 0, and both lie in [0, 1]), so leaving it out
+    changes no fitness bit.  A stale program fix is the same object tick
+    after tick.
+    """
+    world = World(config)
     env = world.environment()
     program = compile_program(tree)
-    total = 0.0
-    for tick in range(1, ticks + 1):
-        world.t = float(tick)
-        outcome = execute(program, env, policy)
-        if outcome.killed:
+    ticks = world._ticks
+    trace = []
+    last = source = None
+    for tick in range(1, config.ticks + 1):
+        t = world.t = float(tick)
+        if execute(program, env, policy).killed:
             break
-        reference = world.reference_fix()
-        if reference is None:
-            acc = 0.0
-        else:
-            acc = accuracy_fitness(world.program_position(), reference[0], reference[1])
-        total += acc * energy_fitness(world.power_now(), budget)
-    return total / ticks
+        fix = world.program_fix
+        reference = ticks[t].reference_source
+        if fix is None or reference is None:
+            continue
+        energy = energy_fitness(world.power_now(), budget)
+        if energy == 0.0:
+            continue
+        if fix is not last:
+            last = fix
+            source = world._source(fix[0], fix[1])
+        trace.append((source, reference, energy))
+    return tuple(trace)
 
 
 def localisation_helper(tree: ProgramTree) -> bool:
@@ -407,7 +570,8 @@ def localisation_primitives(constant_range: tuple[float, float] = (0.0, 60.0)) -
 
 
 class LocalisationEvaluator:
-    """Fitness callback: one fresh world walk per evaluation."""
+    """Fitness callback: one fresh world per evaluation, so one set of fix
+    errors; the program's control trace is reused across them."""
 
     def __init__(self, config: WorldConfig, rng: random.Random,
                  budget: EnergyBudget = EnergyBudget(),
@@ -426,23 +590,26 @@ class LocalisationEvaluator:
 # config files
 
 def world_config_from_dict(data: dict) -> WorldConfig:
+    """Build a world from its JSON form; a missing key keeps the default.
+
+    Anything a run could not use raises :class:`ConfigurationError`: besides
+    malformed entries, whatever :class:`Provider`, :class:`Segment` and
+    :class:`WorldConfig` reject, such as a non-boolean ``wifi`` flag.
+    """
     try:
         providers = tuple(
             Provider(p["name"], float(p["radius_m"]), float(p["draw_ma"]),
                      float(p["first_fix_s"]))
             for p in data.get("providers", [])) or DEFAULT_PROVIDERS
         waypoints = tuple(tuple(float(v) for v in point)
-                          for point in data.get("waypoints", ())) or \
-            WorldConfig.waypoints
+                          for point in data.get("waypoints", WorldConfig.waypoints))
         segments = tuple(
-            Segment(float(s["start"]), float(s["end"]), bool(s["indoor"]),
-                    bool(s["wifi"]))
+            Segment(float(s["start"]), float(s["end"]), s["indoor"], s["wifi"])
             for s in data.get("segments", ())) or WorldConfig.segments
-        ticks = int(data.get("ticks", DEFAULT_TICKS))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return WorldConfig(providers=providers, waypoints=waypoints,
+                           segments=segments, ticks=int(data.get("ticks", DEFAULT_TICKS)))
+    except (AttributeError, ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad world config: {exc}") from exc
-    return WorldConfig(providers=providers, waypoints=waypoints,
-                       segments=segments, ticks=ticks)
 
 
 def load_world_config(path: str) -> WorldConfig:

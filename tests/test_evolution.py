@@ -150,6 +150,24 @@ def test_strategy_from_dict_round_trip():
     assert strategy.steps[0].operator is Operator.COPY
 
 
+@pytest.mark.parametrize("selectors", [
+    {"HR": {"kind": "tournament", "pool_best": 3}},  # wheels are the only kind
+    {"HR": [3]},
+    [["HR", 3]],
+])
+def test_strategy_from_dict_rejects_bad_selectors(selectors):
+    data = {"selectors": selectors,
+            "steps": [{"operator": "mutation", "count": 5, "selector": "HR"}]}
+    with pytest.raises(ConfigurationError):
+        strategy_from_dict(data)
+
+
+def test_selector_binding_is_a_wheel_over_its_pool():
+    assert SelectorBinding("HR", 3) == SelectorBinding("HR", pool_best=3)
+    with pytest.raises(ConfigurationError):
+        SelectorBinding("HR", pool_best=0)
+
+
 def test_strategy_rejects_unknown_selector():
     with pytest.raises(ConfigurationError):
         EvolutionStrategy(

@@ -1,6 +1,7 @@
 """The feed-ranking benchmark: screen filling, clicks, fitness, configs."""
 import itertools
 import json
+import math
 import random
 import statistics
 
@@ -10,6 +11,7 @@ from gpislands import feed as feed_module
 from gpislands.feed import (
     DEFAULT_DESIRED_QTY,
     FEED_FUNCTION_BIAS,
+    Feed,
     FeedCatalog,
     FeedEvaluator,
     FeedReport,
@@ -126,6 +128,24 @@ def test_higher_scores_rank_first(catalog, feed_prims):
     report = run_feed_program(program(feed_prims, "is_breakvideos"), catalog)
     assert {fid for fid, _ in report.displayed} == {"breakvideos"}
     assert len(report.displayed) == 3  # supply exhausted below desired qty
+
+
+def test_a_nan_score_does_not_misrank_the_other_feeds():
+    """Feed b scores inf - inf; it is dropped, and c (2.0) still ranks
+    before a (1.0)."""
+    catalog = FeedCatalog((Feed("a", "tech", 3), Feed("b", "tech", 3),
+                           Feed("c", "tech", 3)))
+    prims = feed_primitives(catalog)
+    tree = deserialize(
+        "(if_greater (is_b) (const:Number 0.5)"
+        " (sub (mul (const:Number 1e300) (const:Number 1e300))"
+        " (mul (const:Number 1e300) (const:Number 1e300)))"
+        " (add (const:Number 1.0) (is_c)))", prims)
+    report = run_feed_program(tree, catalog, desired_qty=6)
+    assert report.scores["a"] == 1.0 and report.scores["c"] == 2.0
+    assert math.isnan(report.scores["b"])
+    assert report.displayed == [("c", 0), ("a", 0), ("c", 1), ("a", 1),
+                                ("c", 2), ("a", 2)]
 
 
 def test_killed_run_empties_the_screen(catalog, feed_prims):

@@ -338,6 +338,25 @@ def test_cli_malformed_strategy_exits_2(tmp_path, capsys):
     ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}],
                          "click_prob": {"a": float("inf")}})),
     ("localisation", "[1]"),
+    ("localisation", json.dumps({"ticks": 0})),
+    ("localisation", json.dumps({"ticks": -3})),
+    ("localisation", json.dumps({"waypoints": [[0, 0], [60, 100]]})),
+    ("localisation", json.dumps({"waypoints": [[0, 0, 0, 0]]})),
+    ("localisation", json.dumps({"waypoints": []})),
+    ("localisation", json.dumps({"waypoints": [[30, 0, 0], [10, 50, 0]]})),
+    ("localisation", json.dumps({"providers": [
+        {"name": "gps", "radius_m": 5, "draw_ma": 140, "first_fix_s": 10},
+        {"name": "gps", "radius_m": 40, "draw_ma": 30, "first_fix_s": 2}]})),
+    ("localisation", json.dumps({"segments": [
+        {"start": 0, "end": 60, "indoor": False, "wifi": "no"}]})),
+    ("localisation", json.dumps({"segments": [
+        {"start": 0, "end": 60, "indoor": 0, "wifi": True}]})),
+    ("localisation", json.dumps({"providers": [
+        {"name": "cell", "radius_m": -1, "draw_ma": 5, "first_fix_s": 1}]})),
+    ("localisation", json.dumps({"providers": [
+        {"name": "cell", "radius_m": 400, "draw_ma": float("nan"), "first_fix_s": 1}]})),
+    ("localisation", json.dumps({"providers": [
+        {"name": "cell", "radius_m": 400, "draw_ma": 5, "first_fix_s": float("inf")}]})),
 ])
 def test_cli_malformed_app_config_exits_2(tmp_path, capsys, app, text):
     path = tmp_path / "app.json"

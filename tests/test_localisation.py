@@ -6,16 +6,20 @@ import random
 
 import pytest
 
-from gpislands.interpreter import SupervisorPolicy
+from gpislands import localisation as localisation_module
+from gpislands.interpreter import Environment, SupervisorPolicy, execute
 from gpislands.localisation import (
     DEFAULT_PROVIDERS,
     EnergyBudget,
+    LOC_FUNCTION_BIAS,
     LocalisationEvaluator,
     NO_FIX_SENTINEL,
     Provider,
     Segment,
     World,
     WorldConfig,
+    _available,
+    _truth,
     accuracy_fitness,
     energy_fitness,
     evaluate_localisation,
@@ -333,3 +337,262 @@ def test_bad_world_config_raises(tmp_path):
     path.write_text(json.dumps({"providers": [{"name": "x"}]}))
     with pytest.raises(ConfigurationError):
         load_world_config(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the differential oracle: evaluation with every fix error drawn up front,
+# fixes stored as positions, and each tick scored as the program runs
+
+GPS = DEFAULT_PROVIDERS[0]
+
+
+class EagerWorld:
+    def __init__(self, config, seed):
+        self.config = config
+        self.t = 0.0
+        self.enabled = {p.name: None for p in config.providers}
+        self.fix = None  # (position, time, radius)
+        self.by_name = {p.name: p for p in config.providers}
+        draw = random.Random(f"world:{seed}").random
+        lo, span = config.error_low, config.error_high - config.error_low
+        self.errors = {}
+        for provider in config.providers:
+            for tick in range(config.ticks + 1):
+                magnitude = provider.radius_m * (lo + span * draw())
+                angle = 2.0 * math.pi * draw()
+                self.errors[(provider.name, tick)] = (magnitude * math.cos(angle),
+                                                      magnitude * math.sin(angle))
+
+    def fix_position(self, name, t):
+        x, y = _truth(self.config.waypoints, t)
+        dx, dy = self.errors[(name, int(t))]
+        return (x + dx, y + dy)
+
+    def ready(self, provider, since):
+        return (since is not None and self.t >= since + provider.first_fix_s
+                and _available(self.config.segments, provider.name, self.t))
+
+    def best(self, since_of):
+        ready = [p for p in self.config.providers if self.ready(p, since_of(p))]
+        return min(ready, key=lambda p: p.radius_m) if ready else None
+
+    def act(self, action):
+        if action == "request_fix":
+            best = self.best(lambda p: self.enabled[p.name])
+            if best is not None:
+                self.fix = (self.fix_position(best.name, self.t), self.t, best.radius_m)
+            return
+        verb, _, name = action.partition(":")
+        if name in self.by_name:
+            if verb == "disable":
+                self.enabled[name] = None
+            elif self.enabled[name] is None:
+                self.enabled[name] = self.t
+
+    def environment(self):
+        bindings = {
+            "last_fix_age": lambda: NO_FIX_SENTINEL if self.fix is None else self.t - self.fix[1],
+            "last_accuracy": lambda: NO_FIX_SENTINEL if self.fix is None else self.fix[2],
+            "request_update": lambda: "request_fix",
+        }
+        for name in ("gps", "wifi", "cell"):
+            bindings[f"enable_{name}"] = lambda name=name: f"enable:{name}"
+            bindings[f"disable_{name}"] = lambda name=name: f"disable:{name}"
+        return Environment(bindings=bindings, action_sink=self.act, clock=lambda: self.t)
+
+    def power(self):
+        return sum(self.by_name[name].draw_ma
+                   for name, since in self.enabled.items() if since is not None)
+
+
+def oracle_fitness(tree, config, seed, policy, budget):
+    """Returns the fitness and whether the program was killed; the tree is
+    walked node by node, never compiled."""
+    world = EagerWorld(config, seed)
+    env = world.environment()
+    total = 0.0
+    for tick in range(1, config.ticks + 1):
+        world.t = float(tick)
+        if execute(tree, env, policy).killed:
+            return total / config.ticks, True
+        best = world.best(lambda p: 0.0)
+        if best is None:
+            acc = 0.0
+        else:
+            acc = accuracy_fitness(None if world.fix is None else world.fix[0],
+                                   world.fix_position(best.name, world.t), best.radius_m)
+        total += acc * energy_fitness(world.power(), budget)
+    return total / config.ticks, False
+
+
+ORACLE_CONFIGS = {
+    "default": WorldConfig(),
+    "wifi": single_provider_world(WIFI),
+    "gps-walking": single_provider_world(GPS, stationary=False),
+    "cell-short": single_provider_world(CELL, ticks=20),
+    # equal radii: the first in config order wins a tie
+    "tied": WorldConfig(providers=(Provider("wifi", 40.0, 30.0, 2.0),
+                                   Provider("cell", 40.0, 5.0, 1.0), GPS)),
+}
+ORACLE_POLICIES = (SupervisorPolicy(max_steps=256), SupervisorPolicy(max_steps=8))
+ORACLE_BUDGETS = (EnergyBudget(), EnergyBudget(budget_ma=200.0))
+
+
+HAND_TREES = (
+    # two ready providers of equal radius: the tie-break decides the fix
+    "(seq (seq (enable_cell) (enable_wifi)) (seq (enable_gps) (request_update)))",
+    "(seq (enable_cell) (seq (enable_wifi) (request_update)))",
+    # under 8 steps: fixes at tick 2, is killed at tick 3, and would fix
+    # again at tick 5 if a kill did not end the walk
+    "(if_greater (last_fix_age) (const:Number 2.0) (seq (enable_cell) (request_update))"
+    " (seq (enable_cell) (seq (enable_cell) (seq (enable_cell) (request_update)))))",
+)
+
+
+@pytest.fixture(scope="module")
+def oracle_trees():
+    prims = localisation_primitives()
+    rng = random.Random(2024)
+    trees = [build_random_tree(prims, 3 + i % 4, rng, LOC_FUNCTION_BIAS) for i in range(200)]
+    helped = sum(localisation_helper(tree) for tree in trees)
+    assert 0 < helped < len(trees)  # helper-rejected trees are scored too
+    return trees + [parse(prims, text) for text in HAND_TREES]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+def test_scoring_matches_the_eager_oracle(oracle_trees, name):
+    config = ORACLE_CONFIGS[name]
+    kills = scored = 0
+    for i, tree in enumerate(oracle_trees):
+        budget = ORACLE_BUDGETS[i % 2]
+        for policy in ORACLE_POLICIES:
+            for seed in (i, f"again:{i}"):  # the second world reuses the trace
+                want, killed = oracle_fitness(tree, config, seed, policy, budget)
+                assert evaluate_localisation(tree, World(config, seed), policy, budget) == want
+                kills += killed
+                scored += want > 0.0
+    assert kills and scored
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+def test_evaluator_matches_the_eager_oracle(oracle_trees, name):
+    """Repeated members, as elitism and crossover fallbacks make them, draw
+    a fresh world each and score as the oracle does."""
+    config = ORACLE_CONFIGS[name]
+    pick = random.Random(name)
+    members = [Individual.from_tree(pick.choice(oracle_trees)) for _ in range(120)]
+    for policy, budget in zip(ORACLE_POLICIES, ORACLE_BUDGETS):
+        evaluator = LocalisationEvaluator(config, random.Random(5), budget, policy)
+        seeds = random.Random(5)
+        for member in members:
+            want, _ = oracle_fitness(member.tree, config, seeds.getrandbits(48), policy, budget)
+            assert evaluator(member) == want
+
+
+@pytest.fixture
+def execute_calls(monkeypatch):
+    calls = []
+    real = localisation_module.execute
+
+    def counted(program, env, policy):
+        calls.append(policy)
+        return real(program, env, policy)
+
+    monkeypatch.setattr(localisation_module, "execute", counted)
+    return calls
+
+
+LAZY_REFRESHER = ("(if_greater (last_fix_age) (const:Number 5.0)"
+                  " (seq (enable_wifi) (request_update)) (enable_wifi))")
+
+
+def test_a_second_evaluation_runs_no_program(prims, execute_calls):
+    tree = parse(prims, LAZY_REFRESHER)
+    first = evaluate_localisation(tree, World(WorldConfig(), seed=1))
+    assert len(execute_calls) == WorldConfig().ticks
+    second = evaluate_localisation(tree, World(WorldConfig(), seed=2))
+    assert len(execute_calls) == WorldConfig().ticks
+    assert first != second  # each world still scores with its own errors
+    assert evaluate_localisation(tree, World(WorldConfig(), seed=1)) == first
+
+
+def test_other_inputs_recompute_the_trace(prims, execute_calls):
+    tree = parse(prims, LAZY_REFRESHER)
+    config, policy, budget = WorldConfig(), SupervisorPolicy(max_steps=256), EnergyBudget()
+    variants = [(WorldConfig(ticks=30), policy, budget),
+                (config, SupervisorPolicy(max_steps=4), budget),
+                (config, policy, EnergyBudget(budget_ma=100.0))]
+    for other_config, other_policy, other_budget in variants:
+        evaluate_localisation(tree, World(config, seed=3), policy, budget)
+        before = len(execute_calls)
+        got = evaluate_localisation(tree, World(other_config, seed=3), other_policy,
+                                    other_budget)
+        assert len(execute_calls) > before
+        assert got == oracle_fitness(tree, other_config, 3, other_policy, other_budget)[0]
+    before = len(execute_calls)
+    # equal inputs hit the memo, even as distinct objects
+    evaluate_localisation(tree, World(WorldConfig(ticks=30), seed=4),
+                          SupervisorPolicy(max_steps=256), EnergyBudget(budget_ma=100.0))
+    evaluate_localisation(tree, World(WorldConfig(ticks=30), seed=4),
+                          SupervisorPolicy(max_steps=256), EnergyBudget(budget_ma=100.0))
+    assert len(execute_calls) == before + 30
+
+
+def test_the_callers_world_radios_are_untouched(prims):
+    tree = parse(prims, LAZY_REFRESHER)
+    fresh = evaluate_localisation(tree, World(WorldConfig(), seed=6))
+    world = World(WorldConfig(), seed=6)
+    world.t = 30.0
+    world.enabled["gps"] = 12.0
+    world.program_fix = ("gps", 25.0, GPS.radius_m)
+    assert evaluate_localisation(tree, world) == fresh
+    assert world.t == 30.0
+    assert world.enabled == {"gps": 12.0, "wifi": None, "cell": None}
+    assert world.program_fix == ("gps", 25.0, GPS.radius_m)
+
+
+def test_fix_position_matches_the_eager_table():
+    config = ORACLE_CONFIGS["tied"]
+    world, eager = World(config, seed="fp"), EagerWorld(config, "fp")
+    for provider in config.providers:
+        for tick in range(config.ticks + 1):
+            for t in (float(tick), tick + 0.5):
+                assert world.fix_position(provider.name, t) == eager.fix_position(
+                    provider.name, t)
+    for name, t in (("wifi", -1.0), ("wifi", config.ticks + 1.0), ("beacon", 3.0)):
+        with pytest.raises(KeyError):
+            world.fix_position(name, t)
+
+
+def test_program_fix_records_its_source():
+    world = World(WorldConfig(), seed=2)
+    world.enabled["wifi"] = 0.0
+    world.t = 5.0
+    world.apply_action("request_fix")
+    assert world.program_fix == ("wifi", 5.0, WIFI.radius_m)
+    assert world.program_position() == world.fix_position("wifi", 5.0)
+    world.t = 8.0
+    assert world.program_position() == world.fix_position("wifi", 5.0)  # stale
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Provider("gps", radius_m=-1.0, draw_ma=1.0, first_fix_s=1.0),
+    lambda: Provider("gps", radius_m=5.0, draw_ma=math.nan, first_fix_s=1.0),
+    lambda: Provider("gps", radius_m=5.0, draw_ma=1.0, first_fix_s=math.inf),
+    lambda: Segment(0.0, 10.0, indoor="no", wifi=True),
+    lambda: WorldConfig(providers=(WIFI, WIFI)),
+    lambda: WorldConfig(waypoints=()),
+    lambda: WorldConfig(waypoints=((0.0, 0.0),)),
+    lambda: WorldConfig(waypoints=((0.0, 0.0, math.nan),)),
+    lambda: WorldConfig(waypoints=((10.0, 0.0, 0.0), (5.0, 0.0, 0.0))),
+    lambda: WorldConfig(ticks=0),
+])
+def test_unusable_worlds_are_rejected_when_built(build):
+    with pytest.raises(ConfigurationError):
+        build()
+
+
+@pytest.mark.parametrize("budget_ma", [0.0, -63.0, math.inf, math.nan])
+def test_an_unusable_budget_is_rejected(budget_ma):
+    with pytest.raises(ConfigurationError):
+        EnergyBudget(budget_ma=budget_ma)
