@@ -1,17 +1,28 @@
 """Feed-ranking benchmark: evolve a scoring program for a news-feed screen.
 
 The screen holds ``desired_qty`` items drawn from seven feeds, four tech and
-three not.  A program is executed once per feed (its terminals are bound to
-that feed's attributes) to produce a score; feeds scoring above zero are
-ranked and their unread items fill the screen round-robin, best feed first,
-until the screen is full or every positive feed is exhausted.  A synthetic
-user then clicks each displayed item with a per-feed probability, and fitness
-is the fill ratio times the click-through ratio:
+three not.  A program gives each feed a score (its terminals read that
+feed's attributes); feeds scoring above zero are ranked and their unread
+items fill the screen round-robin, best feed first, until the screen is full
+or every positive feed is exhausted.  A synthetic user then clicks each
+displayed item with a per-feed probability, and fitness is the fill ratio
+times the click-through ratio:
 
     fitness = min(displayed / desired, 1) * (clicked / displayed)
 
 with fitness 0 when nothing is displayed.  A program killed by the
 supervisor displays nothing.
+
+All seven scores come from one pass over the tree (:func:`_score_feeds`):
+each node is evaluated once over the list of feeds that reach it, a terminal
+reading a column of per-feed values, and ``if_greater`` splitting its feeds
+between its branches.  Every feed meets the same operations on the same
+operands as in a run of its own, so each score keeps its bits, NaN and
+``inf`` included.  That pass has no step counter, so it is used only when
+the tree has at most ``policy.max_steps`` nodes, and then no run can be
+killed (the feed environments have no clock, so no deadline applies).  A
+larger tree runs on the supervised walker (:func:`execute`), feed by feed,
+which alone decides kills.
 
 The screen fill is a pure function of the tree, the catalog, the screen size
 and the supervisor policy, so :func:`run_feed_program` memoises it on the
@@ -25,18 +36,21 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .interpreter import Environment, SupervisorPolicy, compile_program, execute
+from .interpreter import Environment, SupervisorPolicy, execute
 from .trees import (
+    Category,
     ConfigurationError,
     Individual,
     PrimitiveSet,
     ProgramTree,
     Sort,
     arithmetic_kinds,
+    if_greater,
     if_greater_kind,
     set_memo,
     terminal,
@@ -158,6 +172,60 @@ def _feed_environment(feed: Feed, catalog: FeedCatalog) -> Environment:
     return Environment(bindings=bindings)
 
 
+@functools.lru_cache(maxsize=16)
+def _feed_columns(catalog: FeedCatalog) -> dict[str, tuple]:
+    """Each terminal's value for every feed, in catalog order, read from the
+    same accessors the per-feed environments bind."""
+    envs = _feed_environments(catalog)
+    names = envs[0].bindings if envs else ()
+    return {name: tuple(env.bindings[name]() for env in envs) for name in names}
+
+
+def _score_feeds(tree: ProgramTree, catalog: FeedCatalog) -> Sequence:
+    """``tree``'s value for every feed of ``catalog``, in catalog order, from
+    one pass over the tree.
+
+    Each node is evaluated once over the feeds that reach it.  An
+    ``if_greater`` splits its feeds by the same ``a > b`` test the per-feed
+    run applies and runs each branch over its own feeds only, so every feed
+    sees exactly the operations, and gets exactly the value, of a per-feed
+    run.  No step budget applies: the caller checks that the tree is small
+    enough that no per-feed run could be killed.
+    """
+    columns = _feed_columns(catalog)
+    every = range(len(catalog.feeds))
+
+    def values(node: ProgramTree, rows: Sequence[int]) -> Sequence:
+        kind = node.kind
+        children = node.children
+        if not children:
+            if kind.category is Category.CONSTANT:
+                return [node.value] * len(rows)
+            column = columns.get(kind.name)
+            if column is None:
+                raise ConfigurationError(f"terminal {kind.name!r} is not bound")
+            return column if rows is every else [column[i] for i in rows]
+        if not kind.lazy:
+            if len(children) == 2:
+                a, b = children
+                return list(map(kind.fn, values(a, rows), values(b, rows)))
+            return list(map(kind.fn, *[values(child, rows) for child in children]))
+        if kind.fn is not if_greater:
+            raise ConfigurationError(
+                f"lazy function {kind.name!r} cannot score every feed in one pass")
+        a, b, then, other = children
+        taken = list(map(operator.gt, values(a, rows), values(b, rows)))
+        if all(taken):
+            return values(then, rows)
+        if not any(taken):
+            return values(other, rows)
+        then_values = iter(values(then, [r for r, t in zip(rows, taken) if t]))
+        other_values = iter(values(other, [r for r, t in zip(rows, taken) if not t]))
+        return [next(then_values) if t else next(other_values) for t in taken]
+
+    return values(tree, every) if catalog.feeds else []
+
+
 @dataclass
 class FeedReport:
     """What one evaluation put on the screen and what got clicked."""
@@ -202,14 +270,22 @@ def run_feed_program(tree: ProgramTree, catalog: FeedCatalog,
 def _fill_screen(tree: ProgramTree, catalog: FeedCatalog, desired_qty: int,
                  policy: SupervisorPolicy
                  ) -> Optional[tuple[dict[str, float], tuple[tuple[str, int], ...]]]:
-    """The scores and the displayed items, or ``None`` if a run was killed."""
-    scores: dict[str, float] = {}
-    program = compile_program(tree)
-    for feed, env in zip(catalog.feeds, _feed_environments(catalog)):
-        outcome = execute(program, env, policy)
-        if outcome.killed:
-            return None
-        scores[feed.feed_id] = float(outcome.value)
+    """The scores and the displayed items, or ``None`` if a run was killed.
+
+    A tree within the step budget cannot be killed (the feed environments
+    have no clock), so it is scored in one pass; a larger one runs on the
+    supervised walker, feed by feed.
+    """
+    if tree.size <= policy.max_steps:
+        values = _score_feeds(tree, catalog)
+    else:
+        values = []
+        for env in _feed_environments(catalog):
+            outcome = execute(tree, env, policy)
+            if outcome.killed:
+                return None
+            values.append(outcome.value)
+    scores = {feed.feed_id: float(value) for feed, value in zip(catalog.feeds, values)}
     # drop before sorting: a NaN score would break the sort for the others;
     # the sort is stable, so ties keep their catalog order
     ranked = sorted((f for f in catalog.feeds if scores[f.feed_id] > 0.0),

@@ -13,8 +13,9 @@ Compile once, run many
 node, or a :class:`Program` made by :func:`compile_program`, which turns the
 tree into nested closures.  A caller that runs the same tree many times
 compiles it once per evaluation and saves the per-node dispatch of the
-walker: the localisation task runs it once per tick, the feed task once per
-feed.
+walker.  Only the localisation task compiles, running the program once per
+tick.  The feed task scores all its feeds in one pass of its own and calls
+:func:`execute` only on trees too large for the step budget, which it walks.
 
 Compilation is lazy at conditionals.  The children of a lazy function (such
 as ``if_greater``) are compiled the first time their thunk is called, and the

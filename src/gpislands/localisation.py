@@ -95,6 +95,9 @@ class Provider:
                                          f"finite and not negative, got {value!r}")
 
 
+#: The providers a program can switch: each has its enable_/disable_ terminals.
+RADIO_NAMES = ("gps", "wifi", "cell")
+
 DEFAULT_PROVIDERS = (
     Provider("gps", radius_m=5.0, draw_ma=140.0, first_fix_s=10.0),
     Provider("wifi", radius_m=40.0, draw_ma=30.0, first_fix_s=2.0),
@@ -135,6 +138,9 @@ class Segment:
     wifi: bool
 
     def __post_init__(self) -> None:
+        if not self.start <= self.end:  # also rejects nan
+            raise ConfigurationError(
+                f"a segment must not end before it starts, got {self.start!r} to {self.end!r}")
         if not (isinstance(self.indoor, bool) and isinstance(self.wifi, bool)):
             raise ConfigurationError(
                 f"segment indoor and wifi must be true or false, got "
@@ -406,7 +412,7 @@ class World:
             "last_accuracy": self.last_fix_accuracy,
             "request_update": self._request_update,
         }
-        for name in ("gps", "wifi", "cell"):
+        for name in RADIO_NAMES:
             bindings[f"enable_{name}"] = self._switch(f"enable:{name}")
             bindings[f"disable_{name}"] = self._switch(f"disable:{name}")
         return Environment(bindings=bindings, clock=lambda: self.t)
@@ -593,23 +599,41 @@ def world_config_from_dict(data: dict) -> WorldConfig:
     """Build a world from its JSON form; a missing key keeps the default.
 
     Anything a run could not use raises :class:`ConfigurationError`: besides
-    malformed entries, whatever :class:`Provider`, :class:`Segment` and
-    :class:`WorldConfig` reject, such as a non-boolean ``wifi`` flag.
+    malformed entries, an empty provider or segment list, a provider no
+    program terminal can switch (any name but those in
+    :data:`RADIO_NAMES`), and whatever :class:`Provider`, :class:`Segment`
+    and :class:`WorldConfig` reject, such as a non-boolean ``wifi`` flag.
     """
     try:
-        providers = tuple(
-            Provider(p["name"], float(p["radius_m"]), float(p["draw_ma"]),
-                     float(p["first_fix_s"]))
-            for p in data.get("providers", [])) or DEFAULT_PROVIDERS
+        providers = DEFAULT_PROVIDERS
+        if "providers" in data:
+            providers = tuple(
+                Provider(p["name"], float(p["radius_m"]), float(p["draw_ma"]),
+                         float(p["first_fix_s"]))
+                for p in _non_empty(data["providers"], "providers"))
+            for provider in providers:
+                if provider.name not in RADIO_NAMES:
+                    raise ConfigurationError(
+                        f"no terminal switches provider {provider.name!r}; "
+                        f"providers are named from {RADIO_NAMES}")
         waypoints = tuple(tuple(float(v) for v in point)
                           for point in data.get("waypoints", WorldConfig.waypoints))
-        segments = tuple(
-            Segment(float(s["start"]), float(s["end"]), s["indoor"], s["wifi"])
-            for s in data.get("segments", ())) or WorldConfig.segments
+        segments = WorldConfig.segments
+        if "segments" in data:
+            segments = tuple(
+                Segment(float(s["start"]), float(s["end"]), s["indoor"], s["wifi"])
+                for s in _non_empty(data["segments"], "segments"))
         return WorldConfig(providers=providers, waypoints=waypoints,
                            segments=segments, ticks=int(data.get("ticks", DEFAULT_TICKS)))
     except (AttributeError, ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad world config: {exc}") from exc
+
+
+def _non_empty(entries: Sequence, key: str) -> Sequence:
+    if not entries:
+        raise ConfigurationError(f"{key!r} must list at least one entry; "
+                                 f"leave the key out for the defaults")
+    return entries
 
 
 def load_world_config(path: str) -> WorldConfig:

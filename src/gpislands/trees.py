@@ -32,6 +32,7 @@ explicit bound, :data:`DEPTH_CEILING` applies: the recursive
 from __future__ import annotations
 
 import enum
+import operator
 import random
 import re
 from dataclasses import dataclass, field
@@ -140,13 +141,18 @@ def arithmetic_kinds(include_div: bool = False) -> list[NodeKind]:
     """add/sub/mul (and optionally protected div) over Number."""
     two = (Sort.NUMBER, Sort.NUMBER)
     kinds = [
-        function("add", two, Sort.NUMBER, lambda a, b: a + b),
-        function("sub", two, Sort.NUMBER, lambda a, b: a - b),
-        function("mul", two, Sort.NUMBER, lambda a, b: a * b),
+        function("add", two, Sort.NUMBER, operator.add),
+        function("sub", two, Sort.NUMBER, operator.sub),
+        function("mul", two, Sort.NUMBER, operator.mul),
     ]
     if include_div:
         kinds.append(function("div", two, Sort.NUMBER, _protected_div))
     return kinds
+
+
+def if_greater(a: Callable, b: Callable, then: Callable, other: Callable):
+    """The lazy implementation of every ``if_greater`` kind."""
+    return then() if a() > b() else other()
 
 
 def if_greater_kind(branch_sort: Sort = Sort.NUMBER) -> NodeKind:
@@ -155,7 +161,7 @@ def if_greater_kind(branch_sort: Sort = Sort.NUMBER) -> NodeKind:
         "if_greater",
         (Sort.NUMBER, Sort.NUMBER, branch_sort, branch_sort),
         branch_sort,
-        lambda a, b, then, other: then() if a() > b() else other(),
+        if_greater,
         lazy=True,
     )
 

@@ -16,6 +16,7 @@ from gpislands.feed import (
     FeedEvaluator,
     FeedReport,
     HETEROGENEOUS_PREFERENCES,
+    _feed_environments,
     default_catalog,
     feed_fitness,
     feed_primitives,
@@ -26,7 +27,7 @@ from gpislands.feed import (
     run_feed_program,
     simulate_clicks,
 )
-from gpislands.interpreter import SupervisorPolicy
+from gpislands.interpreter import SupervisorPolicy, execute
 from gpislands.trees import (
     ConfigurationError,
     Individual,
@@ -35,6 +36,7 @@ from gpislands.trees import (
     build_random_tree,
     constant_kind_name,
     deserialize,
+    function,
     serialize,
 )
 
@@ -182,13 +184,28 @@ def execute_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def fill_calls(monkeypatch):
+    """Every screen fill computed, whichever path scored it."""
+    calls = []
+    real = feed_module._fill_screen
+
+    def counted(tree, catalog, desired_qty, policy):
+        fill = real(tree, catalog, desired_qty, policy)
+        calls.append(fill)
+        return fill
+
+    monkeypatch.setattr(feed_module, "_fill_screen", counted)
+    return calls
+
+
 def test_a_memoised_fill_gives_equal_but_distinct_reports(catalog, feed_prims,
-                                                           execute_calls):
+                                                           fill_calls):
     tree = build_random_tree(feed_prims, 5, random.Random(4), FEED_FUNCTION_BIAS)
     first = run_feed_program(tree, catalog)
-    runs = len(execute_calls)
+    runs = len(fill_calls)
     second = run_feed_program(tree, catalog)
-    assert len(execute_calls) == runs == len(catalog.feeds)  # no second fill
+    assert len(fill_calls) == runs == 1  # no second fill
     assert second == first == run_feed_program(fresh_copy(tree, feed_prims), catalog)
     assert second is not first
     assert second.scores is not first.scores
@@ -197,7 +214,7 @@ def test_a_memoised_fill_gives_equal_but_distinct_reports(catalog, feed_prims,
     assert run_feed_program(tree, catalog) == first
 
 
-def test_other_inputs_recompute_the_fill(catalog, feed_prims, execute_calls):
+def test_other_inputs_recompute_the_fill(catalog, feed_prims, fill_calls):
     tree = build_random_tree(feed_prims, 5, random.Random(4), FEED_FUNCTION_BIAS)
     policy = SupervisorPolicy(max_steps=512)
     variants = [(default_catalog(unread=5), 10, policy),
@@ -205,15 +222,15 @@ def test_other_inputs_recompute_the_fill(catalog, feed_prims, execute_calls):
                 (catalog, 10, SupervisorPolicy(max_steps=3))]
     for inputs in variants:
         run_feed_program(tree, catalog, 10, policy)  # memoise the base inputs
-        before = len(execute_calls)
+        before = len(fill_calls)
         got = run_feed_program(tree, *inputs)
-        assert len(execute_calls) > before
+        assert len(fill_calls) == before + 1
         assert got == run_feed_program(fresh_copy(tree, feed_prims), *inputs)
     assert got == FeedReport(10)  # the tight budget kills it
-    before = len(execute_calls)
+    before = len(fill_calls)
     # an equal policy is the same input, even as a distinct object
     run_feed_program(tree, catalog, 10, SupervisorPolicy(max_steps=3))
-    assert len(execute_calls) == before
+    assert len(fill_calls) == before
 
 
 def test_a_killed_fill_is_memoised_as_the_empty_report(catalog, feed_prims,
@@ -228,7 +245,7 @@ def test_a_killed_fill_is_memoised_as_the_empty_report(catalog, feed_prims,
 
 
 def test_evaluator_fitness_matches_a_memo_free_reference(catalog, feed_prims,
-                                                         execute_calls):
+                                                         execute_calls, fill_calls):
     """Repeated trees, as elitism, crossover fallbacks and migrants make them,
     score the same as fresh copies, draw for draw, deep kills included."""
     rng = random.Random(11)
@@ -241,12 +258,134 @@ def test_evaluator_fitness_matches_a_memo_free_reference(catalog, feed_prims,
     members = [Individual.from_tree(trees[i]) for i in order]
     got = [memoised.evaluate_report(m.tree) for m in members]
     runs = len(execute_calls)
+    fills = len(fill_calls)
     want = [reference.evaluate_report(fresh_copy(m.tree, feed_prims)) for m in members]
     assert got == want
-    assert len(execute_calls) - runs > runs  # the reference ran every fill
+    assert len(fill_calls) - fills == len(members) > fills  # the reference ran every fill
+    assert len(execute_calls) - runs > runs
     assert any(outcome.killed for outcome in execute_calls)
     assert [memoised(m) for m in members] == [reference(Individual.from_tree(
         fresh_copy(m.tree, feed_prims))) for m in members]
+
+
+# ---------------------------------------------------------------------------
+# one-pass scoring against the per-feed walker
+
+def walker_fill(tree, catalog, desired_qty, policy):
+    """The screen fill computed feed by feed on the supervised walker, with
+    the round-robin written out round by round."""
+    scores = {}
+    for feed, env in zip(catalog.feeds, _feed_environments(catalog)):
+        outcome = execute(tree, env, policy)
+        if outcome.killed:
+            return None
+        scores[feed.feed_id] = float(outcome.value)
+    ranked = sorted((f for f in catalog.feeds if scores[f.feed_id] > 0.0),
+                    key=lambda f: -scores[f.feed_id])
+    displayed = []
+    for item in range(max((f.unread for f in ranked), default=0)):
+        displayed += [(f.feed_id, item) for f in ranked if item < f.unread]
+    return scores, displayed[:desired_qty]
+
+
+def assert_same_fill(got, want):
+    """Scores equal bit for bit (NaN and inf included) and in catalog order."""
+    if want is None:
+        assert got is None
+        return
+    scores, displayed = got
+    assert [(k, repr(v)) for k, v in scores.items()] == [
+        (k, repr(v)) for k, v in want[0].items()]
+    assert list(displayed) == want[1]
+
+
+def test_one_pass_scoring_matches_the_per_feed_walker(catalog, feed_prims):
+    rng = random.Random(2024)
+    paths = {"one pass": 0, "walked": 0, "killed": 0}
+    for depth in range(3, 10):
+        for _ in range(40):
+            tree = build_random_tree(feed_prims, depth, rng, FEED_FUNCTION_BIAS)
+            for budget in {512, 24, tree.size, max(tree.size - 1, 1)}:
+                policy = SupervisorPolicy(max_steps=budget)
+                want = walker_fill(tree, catalog, DEFAULT_DESIRED_QTY, policy)
+                assert_same_fill(feed_module._fill_screen(
+                    tree, catalog, DEFAULT_DESIRED_QTY, policy), want)
+                if tree.size <= budget:
+                    paths["one pass"] += 1
+                else:
+                    paths["killed" if want is None else "walked"] += 1
+    assert min(paths.values()) > 20, paths
+
+
+BIG = "(mul (const:Number 1e200) (const:Number 1e200))"  # inf
+NAN = f"(sub {BIG} {BIG})"  # inf - inf
+
+
+@pytest.mark.parametrize("text", [
+    BIG,
+    NAN,
+    f"(sub (const:Number 0.0) {BIG})",
+    f"(mul (is_engadget) {BIG})",  # 0 * inf: NaN for every other feed
+    f"(if_greater (group_is_tech) (const:Number 0.5)"
+    f" (mul (is_techland) {BIG}) (sub (is_businessgreen) {BIG}))",
+])
+def test_non_finite_scores_keep_their_bits(catalog, feed_prims, text):
+    tree = deserialize(text, feed_prims)
+    policy = SupervisorPolicy(max_steps=512)
+    got = feed_module._fill_screen(tree, catalog, DEFAULT_DESIRED_QTY, policy)
+    assert_same_fill(got, walker_fill(tree, catalog, DEFAULT_DESIRED_QTY, policy))
+    assert not all(map(math.isfinite, got[0].values()))
+
+
+def test_a_nan_comparand_takes_the_else_branch(catalog, feed_prims):
+    """engadget's comparand is 0 * inf = NaN, so ``NaN > 0`` sends it, and it
+    alone, to the else branch."""
+    tree = deserialize(
+        f"(if_greater (mul (sub (const:Number 1.0) (is_engadget)) {BIG})"
+        f" (const:Number 0.0) (add (unread_count) (is_techcrunch)) {NAN})", feed_prims)
+    policy = SupervisorPolicy(max_steps=512)
+    got = feed_module._fill_screen(tree, catalog, DEFAULT_DESIRED_QTY, policy)
+    assert_same_fill(got, walker_fill(tree, catalog, DEFAULT_DESIRED_QTY, policy))
+    scores = got[0]
+    assert math.isnan(scores["engadget"])
+    assert scores["techcrunch"] == 4.0
+    assert {scores[f.feed_id] for f in catalog.feeds} - {scores["engadget"]} == {3.0, 4.0}
+
+
+def test_an_unbound_terminal_raises_only_when_a_feed_reaches_it():
+    wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
+    narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
+    prims = feed_primitives(wide)
+    policy = SupervisorPolicy(max_steps=512)
+    reached = ["(is_c)",
+               "(add (is_a) (is_c))",
+               "(if_greater (is_a) (const:Number 0.5) (is_c) (const:Number 1.0))",
+               "(if_greater (is_a) (const:Number 0.5) (const:Number 1.0) (is_c))"]
+    for text in reached:
+        tree = deserialize(text, prims)
+        for fill in (feed_module._fill_screen, walker_fill):
+            with pytest.raises(ConfigurationError, match="is_c"):
+                fill(tree, narrow, DEFAULT_DESIRED_QTY, policy)
+    hidden = ["(if_greater (const:Number 0.0) (const:Number 1.0) (is_c) (is_b))",
+              "(if_greater (is_a) (const:Number 2.0) (is_c) (unread_count))",
+              "(if_greater (unread_count) (const:Number 0.0) (is_a) (is_c))"]
+    for text in hidden:
+        tree = deserialize(text, prims)
+        assert_same_fill(feed_module._fill_screen(tree, narrow, DEFAULT_DESIRED_QTY, policy),
+                         walker_fill(tree, narrow, DEFAULT_DESIRED_QTY, policy))
+    # a catalog without feeds runs the program for no feed at all
+    assert feed_module._fill_screen(deserialize("(is_c)", prims), FeedCatalog(()),
+                                    DEFAULT_DESIRED_QTY, policy) == ({}, ())
+
+
+def test_one_pass_scoring_refuses_an_unknown_lazy_kind(catalog, feed_prims):
+    first = function("first", (Sort.NUMBER, Sort.NUMBER), Sort.NUMBER,
+                     lambda a, b: a(), lazy=True)
+    tree = ProgramTree(first, (const_program(feed_prims, 1.0),
+                               const_program(feed_prims, 2.0)))
+    with pytest.raises(ConfigurationError, match="first"):
+        feed_module._fill_screen(tree, catalog, DEFAULT_DESIRED_QTY,
+                                 SupervisorPolicy(max_steps=512))
 
 
 # ---------------------------------------------------------------------------

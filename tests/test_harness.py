@@ -357,6 +357,12 @@ def test_cli_malformed_strategy_exits_2(tmp_path, capsys):
         {"name": "cell", "radius_m": 400, "draw_ma": float("nan"), "first_fix_s": 1}]})),
     ("localisation", json.dumps({"providers": [
         {"name": "cell", "radius_m": 400, "draw_ma": 5, "first_fix_s": float("inf")}]})),
+    ("localisation", json.dumps({"providers": [
+        {"name": "beacon", "radius_m": 10, "draw_ma": 2, "first_fix_s": 1}]})),
+    ("localisation", json.dumps({"providers": []})),
+    ("localisation", json.dumps({"segments": []})),
+    ("localisation", json.dumps({"segments": [
+        {"start": 50, "end": 10, "indoor": False, "wifi": True}]})),
 ])
 def test_cli_malformed_app_config_exits_2(tmp_path, capsys, app, text):
     path = tmp_path / "app.json"

@@ -310,7 +310,7 @@ def test_depth2_brute_force_matches_closed_form(prims):
 
 def test_world_config_round_trip(tmp_path):
     data = {
-        "providers": [{"name": "beacon", "radius_m": 10, "draw_ma": 2,
+        "providers": [{"name": "gps", "radius_m": 10, "draw_ma": 2,
                        "first_fix_s": 1}],
         "waypoints": [[0, 0, 0], [10, 50, 0]],
         "segments": [{"start": 0, "end": 10, "indoor": False, "wifi": False}],
@@ -319,7 +319,7 @@ def test_world_config_round_trip(tmp_path):
     path = tmp_path / "world.json"
     path.write_text(json.dumps(data))
     config = load_world_config(str(path))
-    assert config.providers[0].name == "beacon"
+    assert config.providers == (Provider("gps", 10.0, 2.0, 1.0),)
     assert config.ticks == 10
     assert config.segments[0].indoor is False
 
@@ -580,6 +580,8 @@ def test_program_fix_records_its_source():
     lambda: Provider("gps", radius_m=5.0, draw_ma=math.nan, first_fix_s=1.0),
     lambda: Provider("gps", radius_m=5.0, draw_ma=1.0, first_fix_s=math.inf),
     lambda: Segment(0.0, 10.0, indoor="no", wifi=True),
+    lambda: Segment(50.0, 10.0, indoor=False, wifi=True),
+    lambda: Segment(0.0, math.nan, indoor=False, wifi=True),
     lambda: WorldConfig(providers=(WIFI, WIFI)),
     lambda: WorldConfig(waypoints=()),
     lambda: WorldConfig(waypoints=((0.0, 0.0),)),
