@@ -37,10 +37,8 @@ from .harness import (
     write_summary_csv,
 )
 from .interpreter import (
-    Environment,
     Program,
     RunOutcome,
-    RunStatus,
     SupervisorPolicy,
     compile_program,
     execute,

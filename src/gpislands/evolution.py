@@ -389,7 +389,7 @@ def evaluate_population(pop: Population, evaluator: FitnessFn) -> EvalStats:
 
     A failing evaluator zeroes that member's fitness and never aborts the
     generation, except for a :class:`ConfigurationError` (such as a terminal
-    the evaluator's environment does not bind), which propagates.
+    the evaluator's bindings leave out), which propagates.
     """
     for member in pop.members:
         member.fitness = _safe_fitness(evaluator, member)

@@ -20,9 +20,8 @@ between its branches.  Every feed meets the same operations on the same
 operands as in a run of its own, so each score keeps its bits, NaN and
 ``inf`` included.  That pass has no step counter, so it is used only when
 the tree has at most ``policy.max_steps`` nodes, and then no run can be
-killed (the feed environments have no clock, so no deadline applies).  A
-larger tree runs on the supervised walker (:func:`execute`), feed by feed,
-which alone decides kills.
+killed.  A larger tree runs on the supervised walker (:func:`execute`), feed
+by feed, against that feed's bindings; the walker alone decides kills.
 
 The screen fill is a pure function of the tree, the catalog, the screen size
 and the supervisor policy, so :func:`run_feed_program` memoises it on the
@@ -41,7 +40,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .interpreter import Environment, SupervisorPolicy, execute
+from .interpreter import Bindings, SupervisorPolicy, execute
 from .trees import (
     Category,
     ConfigurationError,
@@ -75,6 +74,12 @@ class Feed:
     feed_id: str
     group: str
     unread: int
+
+    def __post_init__(self) -> None:
+        if type(self.unread) is not int or self.unread < 0:  # rejects bools too
+            raise ConfigurationError(
+                f"feed {self.feed_id!r}: unread must be a whole number of at least 0, "
+                f"got {self.unread!r}")
 
     @property
     def is_tech(self) -> bool:
@@ -155,13 +160,13 @@ def feed_primitives(catalog: FeedCatalog,
 
 
 @functools.lru_cache(maxsize=16)
-def _feed_environments(catalog: FeedCatalog) -> tuple[Environment, ...]:
-    """One environment per feed, in catalog order, shared by every run over
-    ``catalog``; the bindings only read the frozen feed attributes."""
+def _feed_environments(catalog: FeedCatalog) -> tuple[Bindings, ...]:
+    """One bindings mapping per feed, in catalog order, shared by every run
+    over ``catalog``; the accessors only read the frozen feed attributes."""
     return tuple(_feed_environment(feed, catalog) for feed in catalog.feeds)
 
 
-def _feed_environment(feed: Feed, catalog: FeedCatalog) -> Environment:
+def _feed_environment(feed: Feed, catalog: FeedCatalog) -> Bindings:
     bindings = {
         "group_is_tech": lambda: 1.0 if feed.is_tech else 0.0,
         "unread_count": lambda: float(feed.unread),
@@ -169,16 +174,16 @@ def _feed_environment(feed: Feed, catalog: FeedCatalog) -> Environment:
     for other in catalog.feeds:
         bindings[f"is_{other.feed_id}"] = (
             lambda match=(other.feed_id == feed.feed_id): 1.0 if match else 0.0)
-    return Environment(bindings=bindings)
+    return bindings
 
 
 @functools.lru_cache(maxsize=16)
 def _feed_columns(catalog: FeedCatalog) -> dict[str, tuple]:
     """Each terminal's value for every feed, in catalog order, read from the
-    same accessors the per-feed environments bind."""
-    envs = _feed_environments(catalog)
-    names = envs[0].bindings if envs else ()
-    return {name: tuple(env.bindings[name]() for env in envs) for name in names}
+    same accessors the per-feed bindings hold."""
+    per_feed = _feed_environments(catalog)
+    names = per_feed[0] if per_feed else ()
+    return {name: tuple(bindings[name]() for bindings in per_feed) for name in names}
 
 
 def _score_feeds(tree: ProgramTree, catalog: FeedCatalog) -> Sequence:
@@ -272,16 +277,15 @@ def _fill_screen(tree: ProgramTree, catalog: FeedCatalog, desired_qty: int,
                  ) -> Optional[tuple[dict[str, float], tuple[tuple[str, int], ...]]]:
     """The scores and the displayed items, or ``None`` if a run was killed.
 
-    A tree within the step budget cannot be killed (the feed environments
-    have no clock), so it is scored in one pass; a larger one runs on the
-    supervised walker, feed by feed.
+    A tree within the step budget cannot be killed, so it is scored in one
+    pass; a larger one runs on the supervised walker, feed by feed.
     """
     if tree.size <= policy.max_steps:
         values = _score_feeds(tree, catalog)
     else:
         values = []
-        for env in _feed_environments(catalog):
-            outcome = execute(tree, env, policy)
+        for bindings in _feed_environments(catalog):
+            outcome = execute(tree, bindings, policy)
             if outcome.killed:
                 return None
             values.append(outcome.value)
@@ -347,10 +351,14 @@ class FeedEvaluator:
 # config files
 
 def catalog_from_dict(data: dict) -> FeedCatalog:
+    """``feeds`` lists at least one feed; a feed's ``unread`` defaults to
+    :data:`DEFAULT_UNREAD`."""
     try:
-        feeds = tuple(Feed(f["id"], f["group"], int(f.get("unread", DEFAULT_UNREAD)))
+        feeds = tuple(Feed(f["id"], f["group"], f.get("unread", DEFAULT_UNREAD))
                       for f in data["feeds"])
-    except (KeyError, TypeError, ValueError) as exc:
+        if not feeds:
+            raise ConfigurationError("'feeds' must list at least one feed")
+    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad catalog config: {exc}") from exc
     return FeedCatalog(feeds)
 

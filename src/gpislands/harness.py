@@ -90,6 +90,11 @@ class ExperimentConfig:
             raise ConfigurationError("loss probability must lie in [0, 1]")
         if self.transport == "udp" and self.loss > 0.0:
             raise ConfigurationError("--loss applies to the simulated transport only")
+        if self.transport == "udp" and not (
+                1 <= self.udp_base_port and self.udp_base_port + self.islands - 1 <= 65535):
+            raise ConfigurationError(
+                f"udp ports {self.udp_base_port}..{self.udp_base_port + self.islands - 1} "
+                f"(one per island) must lie in 1..65535")
         if self.max_depth < 1:
             raise ConfigurationError("max_depth must be at least 1")
 
@@ -219,7 +224,7 @@ def _udp_transports(config: ExperimentConfig) -> list[Transport]:
             transports.append(UdpBroadcastTransport(
                 bind_port=port,
                 peers=[("127.0.0.1", other) for other in ports if other != port]))
-    except OSError:
+    except (OSError, OverflowError):  # OverflowError: a port outside 0..65535
         for transport in transports:
             transport.close()
         raise

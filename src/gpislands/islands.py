@@ -209,7 +209,7 @@ class UdpBroadcastTransport(Transport):
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
             self._sock.bind(("", bind_port))
-        except OSError:
+        except (OSError, OverflowError):  # OverflowError: a port outside 0..65535
             self._sock.close()
             raise
         self._sock.setblocking(False)

@@ -3,7 +3,9 @@
 A phone walks a scripted path for ``ticks`` virtual seconds.  Once per second
 the evolved program runs; its actions enable or disable location providers
 and request position updates, and its numeric terminals report how old and
-how precise its latest fix is.  Each provider trades accuracy for current
+how precise its latest fix is.  Every terminal is bound to an accessor on
+the world (:meth:`World.environment`), so an action takes effect the moment
+the program evaluates it.  Each provider trades accuracy for current
 draw and needs a warm-up period after being enabled before it can deliver a
 first fix; GPS additionally only works outdoors and WiFi only near access
 points.
@@ -30,9 +32,10 @@ it asks for a fix, which provider answers -- therefore depends only on the
 tree, the config (walk, availability, warm-up) and the supervisor policy.
 :func:`evaluate_localisation` splits accordingly:
 
-* the control pass (:func:`_control_trace`) runs the program tick by tick on
-  a world of its own and records, per tick, where the program's fix came
-  from (provider and tick), the reference provider and the energy factor.
+* the control pass (:func:`_control_trace`) compiles the program once, runs
+  it tick by tick under the step budget on a world of its own, and records,
+  per tick, where the program's fix came from (provider and tick), the
+  reference provider and the energy factor.
   It is memoised on the tree (``ProgramTree.memo``) together with the
   config, policy and budget (the energy factor needs the budget), so elite
   copies and crossover fallbacks, which share their tree object with one
@@ -51,7 +54,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .interpreter import Environment, SupervisorPolicy, compile_program, execute
+from .interpreter import Bindings, SupervisorPolicy, compile_program, execute
 from .trees import (
     ConfigurationError,
     Individual,
@@ -178,8 +181,9 @@ class WorldConfig:
                 raise ConfigurationError(f"a waypoint is a finite (t, x, y), got {point!r}")
         if any(b[0] < a[0] for a, b in zip(self.waypoints, self.waypoints[1:])):
             raise ConfigurationError("waypoint times must not decrease")
-        if self.ticks < 1:
-            raise ConfigurationError(f"ticks must be at least 1, got {self.ticks}")
+        if type(self.ticks) is not int or self.ticks < 1:  # rejects bools too
+            raise ConfigurationError(
+                f"ticks must be a whole number of at least 1, got {self.ticks!r}")
 
 
 def single_provider_world(provider: Provider, ticks: int = DEFAULT_TICKS,
@@ -403,10 +407,11 @@ class World:
             return None
         return (self.fix_position(best.name, self.t), best.radius_m)
 
-    def environment(self) -> Environment:
-        """Bindings for the program's terminals.  Each action accessor acts
-        on this world directly, as :meth:`apply_action` would on the
-        descriptor the accessor returns."""
+    def environment(self) -> Bindings:
+        """The program's terminals mapped to accessors on this world: the
+        numeric ones read its latest fix, and each action one acts on it
+        directly, as :meth:`apply_action` would on the descriptor the
+        accessor returns."""
         bindings = {
             "last_fix_age": self.last_fix_age,
             "last_accuracy": self.last_fix_accuracy,
@@ -415,7 +420,7 @@ class World:
         for name in RADIO_NAMES:
             bindings[f"enable_{name}"] = self._switch(f"enable:{name}")
             bindings[f"disable_{name}"] = self._switch(f"disable:{name}")
-        return Environment(bindings=bindings, clock=lambda: self.t)
+        return bindings
 
     def _request_update(self) -> str:
         self._request_fix()
@@ -516,14 +521,14 @@ def _control_trace(tree: ProgramTree, config: WorldConfig, policy: SupervisorPol
     after tick.
     """
     world = World(config)
-    env = world.environment()
+    bindings = world.environment()
     program = compile_program(tree)
     ticks = world._ticks
     trace = []
     last = source = None
     for tick in range(1, config.ticks + 1):
         t = world.t = float(tick)
-        if execute(program, env, policy).killed:
+        if execute(program, bindings, policy).killed:
             break
         fix = world.program_fix
         reference = ticks[t].reference_source
@@ -602,7 +607,8 @@ def world_config_from_dict(data: dict) -> WorldConfig:
     malformed entries, an empty provider or segment list, a provider no
     program terminal can switch (any name but those in
     :data:`RADIO_NAMES`), and whatever :class:`Provider`, :class:`Segment`
-    and :class:`WorldConfig` reject, such as a non-boolean ``wifi`` flag.
+    and :class:`WorldConfig` reject, such as a non-boolean ``wifi`` flag or
+    a ``ticks`` that is not a whole number.
     """
     try:
         providers = DEFAULT_PROVIDERS
@@ -624,7 +630,7 @@ def world_config_from_dict(data: dict) -> WorldConfig:
                 Segment(float(s["start"]), float(s["end"]), s["indoor"], s["wifi"])
                 for s in _non_empty(data["segments"], "segments"))
         return WorldConfig(providers=providers, waypoints=waypoints,
-                           segments=segments, ticks=int(data.get("ticks", DEFAULT_TICKS)))
+                           segments=segments, ticks=data.get("ticks", DEFAULT_TICKS))
     except (AttributeError, ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad world config: {exc}") from exc
 

@@ -68,8 +68,6 @@ class Sort(enum.Enum):
     NUMBER = "Number"
     BOOLEAN = "Boolean"
     ACTION = "Action"
-    FEED_SCORE = "FeedScore"
-    POSITION = "Position"
 
 
 class Category(enum.Enum):
@@ -94,9 +92,9 @@ class NodeKind:
     ``fn`` carries the implementation for functions.  Eager functions receive
     the already-evaluated child values; functions marked ``lazy`` receive one
     zero-argument thunk per child and decide themselves which children run
-    (used for conditionals, so untaken branches emit no actions and burn no
+    (used for conditionals, so untaken branches take no actions and burn no
     steps).  Terminals and constants have no ``fn``; their values come from
-    the environment and the node payload respectively.
+    the run's bindings and the node payload respectively.
     """
 
     name: str

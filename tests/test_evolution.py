@@ -25,7 +25,7 @@ from gpislands.evolution import (
     select_wheel,
     strategy_from_dict,
 )
-from gpislands.interpreter import Environment, SupervisorPolicy, execute
+from gpislands.interpreter import SupervisorPolicy, execute
 from gpislands.trees import (
     ConfigurationError,
     Individual,
@@ -304,11 +304,11 @@ def test_configuration_errors_are_not_scored_as_zero(geo_prims):
     tree = ProgramTree(geo_prims.kind("add"), (ProgramTree(geo_prims.kind("lat")),
                                                ProgramTree(geo_prims.kind("lon"))))
     pop = Population([Individual.from_tree(tree)], 1)
-    env = Environment(bindings={"lon": lambda: 1.0})  # no "lat"
+    bindings = {"lon": lambda: 1.0}  # no "lat"
     policy = SupervisorPolicy(max_steps=16)
 
     def unbound(member):
-        return execute(member.tree, env, policy).value
+        return execute(member.tree, bindings, policy).value
 
     with pytest.raises(ConfigurationError, match="lat"):
         evaluate_population(pop, unbound)

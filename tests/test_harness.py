@@ -61,6 +61,8 @@ def synthetic_result(crossing, app="feed", capacity=10, generations=20):
     {"transport": "pigeon"},
     {"loss": 1.5},
     {"transport": "udp", "loss": 0.5},
+    {"transport": "udp", "udp_base_port": 0},
+    {"transport": "udp", "udp_base_port": 65535, "islands": 2},
     {"max_depth": 0},
 ])
 def test_config_validation_rejects(overrides):
@@ -314,6 +316,15 @@ def test_cli_rejects_bad_configuration(tmp_path, capsys):
     assert "loss" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("port, islands", [("-1", "1"), ("65535", "2")])
+def test_cli_udp_port_out_of_range_exits_2(tmp_path, capsys, port, islands):
+    args = cli_args(tmp_path, "--transport", "udp", "--udp-base-port", port)
+    args[args.index("--islands") + 1] = islands
+    assert main(args) == 2
+    assert "65535" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_cli_malformed_strategy_exits_2(tmp_path, capsys):
     path = tmp_path / "strategy.json"
     path.write_text("{bad")
@@ -326,6 +337,10 @@ def test_cli_malformed_strategy_exits_2(tmp_path, capsys):
     ("feed", "{bad"),
     ("localisation", "{bad"),
     ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech", "unread": "x"}]})),
+    ("feed", json.dumps({"feeds": []})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech", "unread": -1}]})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech", "unread": 2.7}]})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech", "unread": True}]})),
     ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}], "click_prob": {"a": "x"}})),
     ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}], "click_prob": [1]})),
     ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}, {"id": "b", "group": "x"}],
@@ -340,6 +355,8 @@ def test_cli_malformed_strategy_exits_2(tmp_path, capsys):
     ("localisation", "[1]"),
     ("localisation", json.dumps({"ticks": 0})),
     ("localisation", json.dumps({"ticks": -3})),
+    ("localisation", json.dumps({"ticks": 2.5})),
+    ("localisation", json.dumps({"ticks": True})),
     ("localisation", json.dumps({"waypoints": [[0, 0], [60, 100]]})),
     ("localisation", json.dumps({"waypoints": [[0, 0, 0, 0]]})),
     ("localisation", json.dumps({"waypoints": []})),

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from gpislands import localisation as localisation_module
-from gpislands.interpreter import Environment, SupervisorPolicy, execute
+from gpislands.interpreter import SupervisorPolicy, execute
 from gpislands.localisation import (
     DEFAULT_PROVIDERS,
     EnergyBudget,
@@ -393,12 +393,12 @@ class EagerWorld:
         bindings = {
             "last_fix_age": lambda: NO_FIX_SENTINEL if self.fix is None else self.t - self.fix[1],
             "last_accuracy": lambda: NO_FIX_SENTINEL if self.fix is None else self.fix[2],
-            "request_update": lambda: "request_fix",
+            "request_update": lambda: self.act("request_fix"),
         }
         for name in ("gps", "wifi", "cell"):
-            bindings[f"enable_{name}"] = lambda name=name: f"enable:{name}"
-            bindings[f"disable_{name}"] = lambda name=name: f"disable:{name}"
-        return Environment(bindings=bindings, action_sink=self.act, clock=lambda: self.t)
+            bindings[f"enable_{name}"] = lambda name=name: self.act(f"enable:{name}")
+            bindings[f"disable_{name}"] = lambda name=name: self.act(f"disable:{name}")
+        return bindings
 
     def power(self):
         return sum(self.by_name[name].draw_ma
@@ -409,11 +409,11 @@ def oracle_fitness(tree, config, seed, policy, budget):
     """Returns the fitness and whether the program was killed; the tree is
     walked node by node, never compiled."""
     world = EagerWorld(config, seed)
-    env = world.environment()
+    bindings = world.environment()
     total = 0.0
     for tick in range(1, config.ticks + 1):
         world.t = float(tick)
-        if execute(tree, env, policy).killed:
+        if execute(tree, bindings, policy).killed:
             return total / config.ticks, True
         best = world.best(lambda p: 0.0)
         if best is None:
