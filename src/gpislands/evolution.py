@@ -30,7 +30,7 @@ from .trees import (
     Sort,
     build_random_tree,
     grow_subtree,
-    iter_nodes,
+    node_at,
     replace_subtree,
 )
 
@@ -241,12 +241,28 @@ def mutate(tree: ProgramTree, prims: PrimitiveSet, max_depth: int, rng: random.R
            function_bias: float = 0.5) -> ProgramTree:
     """Replace one uniformly chosen node with a freshly grown subtree of the
     same sort, sized so the result stays within ``max_depth``."""
-    nodes = list(iter_nodes(tree))
-    index = rng.randrange(len(nodes))
-    node, depth = nodes[index]
+    index = rng.randrange(tree.size)
+    node, depth = node_at(tree, index)
     budget = max(1, max_depth - depth + 1)
     replacement = grow_subtree(prims, node.kind.result_sort, budget, rng, function_bias)
     return replace_subtree(tree, index, replacement)
+
+
+def _nodes_of_sort(tree: ProgramTree, sort: Sort) -> list[ProgramTree]:
+    """Every node of ``tree`` that produces ``sort``, in preorder."""
+    found = []
+    keep = found.append
+    stack = [tree]
+    pop = stack.pop
+    extend = stack.extend
+    while stack:
+        node = pop()
+        if node.kind.result_sort is sort:
+            keep(node)
+        children = node.children
+        if children:
+            extend(children[::-1])
+    return found
 
 
 def crossover(a: ProgramTree, b: ProgramTree, max_depth: int,
@@ -254,19 +270,19 @@ def crossover(a: ProgramTree, b: ProgramTree, max_depth: int,
     """Graft a sort-compatible subtree of ``b`` onto a copy of ``a``.
 
     Retries a bounded number of times when the picked pair is incompatible or
-    would blow the depth limit; falls back to a copy of ``a`` (trees are
-    immutable, so the copy is free).
+    would blow the depth limit; falls back to ``a`` itself (trees are
+    immutable, so sharing it is a free copy).  Crossover points are found
+    through the recorded subtree sizes; ``b`` is walked once per sort that
+    a drawn point asks for.
     """
-    a_nodes = list(iter_nodes(a))
-    b_nodes = list(iter_nodes(b))
     donors_by_sort: dict[Sort, list[ProgramTree]] = {}
     for _ in range(CROSSOVER_RETRIES):
-        index = rng.randrange(len(a_nodes))
-        target, depth = a_nodes[index]
+        index = rng.randrange(a.size)
+        target, depth = node_at(a, index)
         sort = target.kind.result_sort
         donors = donors_by_sort.get(sort)
         if donors is None:
-            donors = donors_by_sort[sort] = [n for n, _ in b_nodes if n.kind.result_sort is sort]
+            donors = donors_by_sort[sort] = _nodes_of_sort(b, sort)
         if not donors:
             continue
         donor = donors[rng.randrange(len(donors))]

@@ -37,6 +37,7 @@ import functools
 import json
 import operator
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -69,6 +70,9 @@ DEFAULT_FEED_IDS_TECH = ("techcrunch", "techland", "engadget", "digitaltrends")
 DEFAULT_FEED_IDS_OTHER = ("visualloop", "breakvideos", "businessgreen")
 
 
+_UNPARSEABLE = re.compile(r"[\s()]")
+
+
 @dataclass(frozen=True)
 class Feed:
     feed_id: str
@@ -76,6 +80,14 @@ class Feed:
     unread: int
 
     def __post_init__(self) -> None:
+        for label, text in (("id", self.feed_id), ("group", self.group)):
+            if not isinstance(text, str) or not text:
+                raise ConfigurationError(
+                    f"feed {label} must be a non-empty string, got {text!r}")
+        if _UNPARSEABLE.search(self.feed_id):
+            # the id names the terminal is_<id>, which tree text must spell
+            raise ConfigurationError(
+                f"feed id {self.feed_id!r} must not contain whitespace or parentheses")
         if type(self.unread) is not int or self.unread < 0:  # rejects bools too
             raise ConfigurationError(
                 f"feed {self.feed_id!r}: unread must be a whole number of at least 0, "
@@ -358,9 +370,9 @@ def catalog_from_dict(data: dict) -> FeedCatalog:
                       for f in data["feeds"])
         if not feeds:
             raise ConfigurationError("'feeds' must list at least one feed")
+        return FeedCatalog(feeds)
     except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad catalog config: {exc}") from exc
-    return FeedCatalog(feeds)
 
 
 def user_from_dict(data: dict, catalog: FeedCatalog) -> UserModel:

@@ -43,7 +43,7 @@ from .islands import (
     UdpBroadcastTransport,
     run_islands,
 )
-from .trees import ConfigurationError, PrimitiveSet
+from .trees import DEPTH_CEILING, ConfigurationError, PrimitiveSet
 
 DEFAULT_MAX_DEPTH = 3
 
@@ -95,8 +95,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"udp ports {self.udp_base_port}..{self.udp_base_port + self.islands - 1} "
                 f"(one per island) must lie in 1..65535")
-        if self.max_depth < 1:
-            raise ConfigurationError("max_depth must be at least 1")
+        if not 1 <= self.max_depth <= DEPTH_CEILING:
+            # growing and running deeper trees would exhaust Python's stack
+            raise ConfigurationError(f"max_depth must lie in 1..{DEPTH_CEILING}")
 
     def policy(self) -> MigrationPolicy:
         return MigrationPolicy(self.interval, self.rate, MigrationMode(self.mode))

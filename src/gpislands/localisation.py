@@ -63,7 +63,6 @@ from .trees import (
     Sort,
     function,
     if_greater_kind,
-    iter_nodes,
     sequence_kind,
     set_memo,
     terminal,
@@ -547,14 +546,22 @@ def _control_trace(tree: ProgramTree, config: WorldConfig, policy: SupervisorPol
 def localisation_helper(tree: ProgramTree) -> bool:
     """Screen out programs that cannot possibly obtain a position: accept
     only trees containing at least one provider-enable and one
-    position-request node."""
+    position-request node.  The walk stops as soon as it has seen both."""
     has_enable = has_request = False
-    for node, _ in iter_nodes(tree):
-        if node.kind.name.startswith("enable_"):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        name = node.kind.name
+        if name.startswith("enable_"):
+            if has_request:
+                return True
             has_enable = True
-        elif node.kind.name == "request_update":
+        elif name == "request_update":
+            if has_enable:
+                return True
             has_request = True
-    return has_enable and has_request
+        stack.extend(node.children)
+    return False
 
 
 def localisation_primitives(constant_range: tuple[float, float] = (0.0, 60.0)) -> PrimitiveSet:

@@ -22,11 +22,16 @@ The text form of a tree is a parenthesized prefix expression, one pair of
 parentheses per node, e.g. ``(add (lat) (const:Number 2.5))``.  Serialization
 is canonical: equal trees always produce byte-identical text, and
 ``deserialize(serialize(t))`` reproduces ``t`` exactly, including constant
-payloads at full float precision.  Parsing is one iterative pass that
-validates as it goes, so arbitrarily deep untrusted text is rejected at the
-depth bound instead of exhausting the interpreter's stack.  Without an
-explicit bound, :data:`DEPTH_CEILING` applies: the recursive
-:func:`serialize` and interpreter handle trees that deep.
+payloads at full float precision.  Serializing and parsing are each one
+iterative loop, so neither recurses.  The parser validates as it goes, so
+arbitrarily deep untrusted text is rejected at the depth bound instead of
+building a tree the recursive parts of the package cannot take: without an
+explicit bound, :data:`DEPTH_CEILING` applies, and :func:`grow_subtree` and
+the interpreter handle trees that deep.
+
+Breeding needs single nodes, not whole walks: :func:`node_at` finds the node
+at a preorder index by walking down through the recorded sizes, in time
+proportional to the tree's depth and the arity of the nodes on the way.
 """
 
 from __future__ import annotations
@@ -39,10 +44,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 
-#: The depth bound :func:`deserialize` applies when the caller gives none.
-#: Serializing and running a tree recurse about three frames per level at
-#: worst (a chain of conditionals), so at this depth they stay well inside
-#: Python's default recursion limit of 1000.
+#: The depth bound :func:`deserialize` and a run's ``max_depth`` must keep
+#: to.  Growing a tree recurses two frames per level, and running one about
+#: three at worst (a chain of conditionals), so at this depth both stay well
+#: inside Python's default recursion limit of 1000.
 DEPTH_CEILING = 200
 
 
@@ -328,15 +333,14 @@ def iter_nodes(tree: ProgramTree, depth: int = 1) -> Iterator[tuple[ProgramTree,
                 push((child, depth))
 
 
-def replace_subtree(tree: ProgramTree, index: int, replacement: ProgramTree) -> ProgramTree:
-    """Rebuild ``tree`` with the node at preorder position ``index`` swapped out.
-
-    Only the ancestors of that node are rebuilt; every other subtree is shared
-    with ``tree``.
-    """
+def _descend(tree: ProgramTree,
+             index: int) -> tuple[ProgramTree, list[tuple[ProgramTree, int]]]:
+    """The node at preorder position ``index``, found through the children's
+    sizes, and the path to it: ``(ancestor, position of the child leading
+    on)`` pairs, root first."""
     if index < 0 or index >= tree.size:
         raise ValueError(f"node index {index} out of range")
-    path = []  # (ancestor, position of the child leading to the target)
+    path = []
     node = tree
     while index:
         index -= 1  # step past ``node`` itself
@@ -346,6 +350,23 @@ def replace_subtree(tree: ProgramTree, index: int, replacement: ProgramTree) -> 
             index -= child.size
         path.append((node, position))
         node = child
+    return node, path
+
+
+def node_at(tree: ProgramTree, index: int) -> tuple[ProgramTree, int]:
+    """The node at preorder position ``index`` and its depth (the root is
+    depth 1)."""
+    node, path = _descend(tree, index)
+    return node, len(path) + 1
+
+
+def replace_subtree(tree: ProgramTree, index: int, replacement: ProgramTree) -> ProgramTree:
+    """Rebuild ``tree`` with the node at preorder position ``index`` swapped out.
+
+    Only the ancestors of that node are rebuilt; every other subtree is shared
+    with ``tree``.
+    """
+    _, path = _descend(tree, index)
     new = replacement
     for parent, position in reversed(path):
         children = parent.children
@@ -429,13 +450,35 @@ def _format_payload(value: float) -> str:
 
 
 def serialize(tree: ProgramTree) -> str:
-    """Canonical parenthesized prefix text with single-space separators."""
-    if tree.kind.category is Category.CONSTANT:
-        return f"({tree.kind.name} {_format_payload(tree.value)})"
-    if not tree.children:
-        return f"({tree.kind.name})"
-    inner = " ".join(serialize(c) for c in tree.children)
-    return f"({tree.kind.name} {inner})"
+    """Canonical parenthesized prefix text with single-space separators.
+
+    One loop over an explicit stack of the nodes still to write, with a
+    ``None`` where a function node's ``")"`` goes after its last child.
+    Every node is written with a leading space, cut from the root's at the
+    end.
+    """
+    parts: list[str] = []
+    emit = parts.append
+    stack: list[Optional[ProgramTree]] = [tree]
+    pop = stack.pop
+    push = stack.append
+    constant = Category.CONSTANT
+    while stack:
+        node = pop()
+        if node is None:
+            emit(")")
+            continue
+        kind = node.kind
+        children = node.children
+        if children:
+            emit(" (" + kind.name)
+            push(None)
+            stack.extend(children[::-1])
+        elif kind.category is constant:
+            emit(f" ({kind.name} {_format_payload(node.value)})")
+        else:
+            emit(" (" + kind.name + ")")
+    return "".join(parts)[1:]
 
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")

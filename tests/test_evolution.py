@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gpislands.evolution import (
+    CROSSOVER_RETRIES,
     EvolutionStrategy,
     HelperGuard,
     Operator,
@@ -25,7 +26,9 @@ from gpislands.evolution import (
     select_wheel,
     strategy_from_dict,
 )
+from gpislands.feed import FEED_FUNCTION_BIAS
 from gpislands.interpreter import SupervisorPolicy, execute
+from gpislands.localisation import LOC_FUNCTION_BIAS
 from gpislands.trees import (
     ConfigurationError,
     Individual,
@@ -34,7 +37,9 @@ from gpislands.trees import (
     Sort,
     build_random_tree,
     constant_kind_name,
+    grow_subtree,
     iter_nodes,
+    replace_subtree,
     serialize,
     tree_depth,
     validate_tree,
@@ -117,6 +122,69 @@ def test_crossover_falls_back_without_compatible_donor(loc_prims):
     a = ProgramTree(loc_prims.kind("request_update"))
     b = ProgramTree(loc_prims.kind(constant_kind_name(Sort.NUMBER)), value=5.0)
     assert crossover(a, b, 3, random.Random(2)) is a
+
+
+# List-based references: the operators as they were before they found their
+# points through the recorded subtree sizes.  ``seen`` counts the cases the
+# differential test below must reach.
+
+def reference_mutate(tree, prims, max_depth, rng, function_bias=0.5):
+    nodes = list(iter_nodes(tree))
+    index = rng.randrange(len(nodes))
+    node, depth = nodes[index]
+    budget = max(1, max_depth - depth + 1)
+    replacement = grow_subtree(prims, node.kind.result_sort, budget, rng, function_bias)
+    return replace_subtree(tree, index, replacement)
+
+
+def reference_crossover(a, b, max_depth, rng, seen):
+    a_nodes = list(iter_nodes(a))
+    b_nodes = list(iter_nodes(b))
+    donors_by_sort = {}
+    for _ in range(CROSSOVER_RETRIES):
+        index = rng.randrange(len(a_nodes))
+        target, depth = a_nodes[index]
+        sort = target.kind.result_sort
+        donors = donors_by_sort.get(sort)
+        if donors is None:
+            donors = donors_by_sort[sort] = [n for n, _ in b_nodes if n.kind.result_sort is sort]
+        if not donors:
+            seen["no donors"] += 1
+            continue
+        donor = donors[rng.randrange(len(donors))]
+        if depth - 1 + donor.depth <= max_depth:
+            seen["grafted"] += 1
+            return replace_subtree(a, index, donor)
+    seen["fallback"] += 1
+    return a
+
+
+@pytest.mark.parametrize("task", ["feed", "localisation"])
+def test_operators_match_list_based_references(task, feed_prims, loc_prims):
+    prims, bias = ((feed_prims, FEED_FUNCTION_BIAS) if task == "feed"
+                   else (loc_prims, LOC_FUNCTION_BIAS))
+    build = random.Random(f"operators-{task}")
+    seen = {"no donors": 0, "grafted": 0, "fallback": 0}
+    for depth in range(3, 10):
+        for case in range(12):
+            a = build_random_tree(prims, depth, build, bias)
+            b = build_random_tree(prims, build.randint(1, depth), build, bias)
+            # tight bounds make grafts fail the depth check and fall back
+            for max_depth in (1, 2, depth - 1, depth):
+                seed = build.random()
+                ours, theirs = random.Random(seed), random.Random(seed)
+                child = mutate(a, prims, max_depth, ours, bias)
+                assert child == reference_mutate(a, prims, max_depth, theirs, bias)
+                assert ours.getstate() == theirs.getstate()
+
+                expected = reference_crossover(a, b, max_depth, theirs, seen)
+                child = crossover(a, b, max_depth, ours)
+                assert child == expected
+                assert (child is a) == (expected is a)
+                assert ours.getstate() == theirs.getstate()
+    assert seen["grafted"] and seen["fallback"]
+    if task == "localisation":  # a feed tree has one sort, so always donors
+        assert seen["no donors"]
 
 
 def test_mutation_changes_trees_sometimes(geo_prims):

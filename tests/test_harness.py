@@ -24,7 +24,7 @@ from gpislands.harness import (
     write_summary_csv,
 )
 from gpislands.islands import GenerationStats
-from gpislands.trees import ConfigurationError
+from gpislands.trees import DEPTH_CEILING, ConfigurationError
 
 SMALL = dict(islands=2, capacity=6, generations=4, iterations=3,
              interval=2, rate=0.2, seed="unit")
@@ -352,6 +352,19 @@ def test_cli_malformed_strategy_exits_2(tmp_path, capsys):
                          "click_prob": {"a": float("nan")}})),
     ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}],
                          "click_prob": {"a": float("inf")}})),
+    # ids must be strings that can name the terminal is_<id> in tree text
+    ("feed", json.dumps({"feeds": [{"id": ["a"], "group": "tech"}]})),
+    ("feed", json.dumps({"feeds": [{"id": 7, "group": "tech"}]})),
+    ("feed", json.dumps({"feeds": [{"id": "", "group": "tech"}]})),
+    ("feed", json.dumps({"feeds": [{"id": "a b", "group": "tech"}]})),
+    ("feed", json.dumps({"feeds": [{"id": "a\tb", "group": "tech"}]})),
+    ("feed", json.dumps({"feeds": [{"id": "a(", "group": "tech"}]})),
+    ("feed", json.dumps({"feeds": [{"id": "a)", "group": "tech"}]})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": ["tech"]}]})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": None}]})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": ""}]})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"},
+                                   {"id": "a", "group": "other"}]})),
     ("localisation", "[1]"),
     ("localisation", json.dumps({"ticks": 0})),
     ("localisation", json.dumps({"ticks": -3})),
@@ -389,6 +402,18 @@ def test_cli_malformed_app_config_exits_2(tmp_path, capsys, app, text):
     assert main(args) == 2
     assert "config" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("depth", ["0", str(DEPTH_CEILING + 1), "2000"])
+def test_cli_max_depth_out_of_range_exits_2(tmp_path, capsys, depth):
+    # trees deeper than the ceiling would exhaust the stack while growing
+    assert main(cli_args(tmp_path, "--max-depth", depth)) == 2
+    assert "max_depth" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_max_depth_at_the_ceiling_is_accepted():
+    ExperimentConfig(app="feed", max_depth=DEPTH_CEILING).validate()
 
 
 def test_cli_unwritable_output(tmp_path, capsys):

@@ -36,6 +36,7 @@ from gpislands.trees import (
     build_random_tree,
     constant_kind_name,
     deserialize,
+    iter_nodes,
 )
 
 WIFI = DEFAULT_PROVIDERS[1]
@@ -282,6 +283,26 @@ def test_evaluator_draws_a_fresh_world_per_call(prims):
 ])
 def test_helper_requires_enable_and_request(prims, text, ok):
     assert localisation_helper(parse(prims, text)) is ok
+
+
+def reference_helper(tree):
+    """The helper as a full preorder walk with no early exit."""
+    names = [node.kind.name for node, _ in iter_nodes(tree)]
+    return (any(name.startswith("enable_") for name in names)
+            and "request_update" in names)
+
+
+def test_helper_agrees_with_a_full_walk(prims):
+    rng = random.Random(31)
+    verdicts = []
+    for depth in range(1, 10):
+        for bias in (0.3, 0.6, 0.9):
+            for _ in range(40):
+                tree = build_random_tree(prims, depth, rng, bias)
+                verdict = localisation_helper(tree)
+                assert verdict is reference_helper(tree)
+                verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
 
 
 # ---------------------------------------------------------------------------

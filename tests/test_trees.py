@@ -33,6 +33,7 @@ from gpislands.trees import (
     function,
     grow_subtree,
     iter_nodes,
+    node_at,
     replace_subtree,
     serialize,
     set_memo,
@@ -214,6 +215,21 @@ def test_cached_measures_and_preorder_match_recursive_references(make_prims, bia
         assert_measures_hold(tree)
 
 
+@pytest.mark.parametrize("make_prims, bias", [
+    (lambda: feed_primitives(default_catalog()), FEED_FUNCTION_BIAS),
+    (localisation_primitives, 0.5),
+])
+def test_node_at_matches_the_preorder_walk(make_prims, bias):
+    prims = make_prims()
+    for tree in operator_trees(prims, 22, bias):
+        for index, (node, depth) in enumerate(iter_nodes(tree)):
+            found, found_depth = node_at(tree, index)
+            assert found is node and found_depth == depth
+        for index in (-1, tree.size):
+            with pytest.raises(ValueError):
+                node_at(tree, index)
+
+
 def test_replace_subtree_matches_a_full_rebuild(feed_prims):
     rng = random.Random(5)
     for depth in (3, 6, 9):
@@ -284,6 +300,53 @@ def test_serialize_canonical_example(geo_prims):
     assert serialize(t) == "(add (lat) (const:Number 2.5))"
 
 
+def reference_serialize(tree):
+    """Serialization by recursion over the children."""
+    if tree.kind.category is Category.CONSTANT:
+        return f"({tree.kind.name} {float(tree.value)!r})"
+    if not tree.children:
+        return f"({tree.kind.name})"
+    inner = " ".join(reference_serialize(c) for c in tree.children)
+    return f"({tree.kind.name} {inner})"
+
+
+@pytest.mark.parametrize("make_prims, bias", [
+    (lambda: feed_primitives(default_catalog()), FEED_FUNCTION_BIAS),
+    (localisation_primitives, 0.5),
+])
+def test_serialize_matches_a_recursive_reference(make_prims, bias):
+    prims = make_prims()
+    for tree in operator_trees(prims, 23, bias):
+        assert serialize(tree) == reference_serialize(tree)
+
+
+def test_serialize_nonfinite_and_signed_zero_payloads(feed_prims):
+    payloads = (float("nan"), 0.0, -0.0, float("inf"), float("-inf"))
+    tree = const(feed_prims, payloads[0])
+    for value in payloads[1:]:
+        tree = ProgramTree(feed_prims.kind("add"), (tree, const(feed_prims, value)))
+    text = serialize(tree)
+    assert text == reference_serialize(tree) == (
+        "(add (add (add (add (const:Number nan) (const:Number 0.0))"
+        " (const:Number -0.0)) (const:Number inf)) (const:Number -inf))")
+    assert serialize(deserialize(text, feed_prims)) == text
+    for value in payloads:
+        assert serialize(const(feed_prims, value)) == f"(const:Number {value!r})"
+
+
+def test_serialize_a_chain_deeper_than_the_recursion_limit(feed_prims):
+    # texts are compared, not trees: == on a tree this deep recurses
+    add = feed_prims.kind("add")
+    unread = ProgramTree(feed_prims.kind("unread_count"))
+    tree = unread
+    for _ in range(4999):
+        tree = ProgramTree(add, (tree, unread))
+    assert tree.depth == 5000
+    text = serialize(tree)
+    assert text == "(add " * 4999 + "(unread_count)" + " (unread_count))" * 4999
+    assert serialize(deserialize(text, feed_prims, 5000)) == text
+
+
 def test_round_trip_many_random_trees(geo_prims, feed_prims, loc_prims):
     rng = random.Random(1234)
     for prims in (geo_prims, feed_prims, loc_prims):
@@ -346,7 +409,7 @@ def chain_text(kind, depth):
 
     ``add`` recurses through its first operand; ``if_greater`` (whose
     condition always holds) through its taken branch, which costs the
-    recursive serializer and interpreter the most stack per level.
+    recursive interpreter the most stack per level.
     """
     text = "(unread_count)"
     for _ in range(depth - 1):
