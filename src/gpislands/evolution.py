@@ -74,8 +74,10 @@ class SelectorBinding:
     pool_best: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.pool_best is not None and self.pool_best < 1:
-            raise ConfigurationError("pool_best must be at least 1")
+        best = self.pool_best
+        if best is not None and (type(best) is not int or best < 1):  # rejects bools too
+            raise ConfigurationError(
+                f"pool_best must be a whole number of at least 1, got {best!r}")
 
     def pool(self, pop: Population) -> list[Individual]:
         if self.pool_best is None:
@@ -93,8 +95,9 @@ class StrategyStep:
     selector: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ConfigurationError("step count cannot be negative")
+        if type(self.count) is not int or self.count < 0:  # rejects bools too
+            raise ConfigurationError(
+                f"step count must be a whole number of at least 0, got {self.count!r}")
 
 
 @dataclass
@@ -106,11 +109,10 @@ class EvolutionStrategy:
 
     def __post_init__(self) -> None:
         for step in self.steps:
-            if step.operator is Operator.RANDOM:
-                continue
             if step.selector is None:
-                raise ConfigurationError(f"{step.operator.value} step needs a selector")
-            if step.selector not in self.selectors:
+                if step.operator is not Operator.RANDOM:  # the one operator without parents
+                    raise ConfigurationError(f"{step.operator.value} step needs a selector")
+            elif step.selector not in self.selectors:
                 raise ConfigurationError(f"unknown selector {step.selector!r}")
 
     def total(self) -> int:
@@ -122,6 +124,11 @@ def strategy_from_dict(data: dict) -> EvolutionStrategy:
 
         {"selectors": {"HR": {"kind": "wheel", "pool_best": 3}},
          "steps": [{"operator": "MUTATION", "selector": "HR", "count": 3}, ...]}
+
+    Anything a run could not use raises :class:`ConfigurationError`: besides
+    malformed entries, a ``count`` or ``pool_best`` that is not a whole
+    number (``true`` included) and a step, ``RANDOM`` ones included, that
+    names a selector the strategy does not declare.
     """
     try:
         selectors = {}
@@ -130,13 +137,13 @@ def strategy_from_dict(data: dict) -> EvolutionStrategy:
                 raise ConfigurationError(f"unknown selector kind {spec['kind']!r}")
             selectors[name] = SelectorBinding(name, spec.get("pool_best"))
         steps = [
-            StrategyStep(Operator(str(step["operator"]).upper()), int(step["count"]),
+            StrategyStep(Operator(str(step["operator"]).upper()), step["count"],
                          step.get("selector"))
             for step in data["steps"]
         ]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return EvolutionStrategy(selectors, steps)
+    except (AttributeError, ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad strategy config: {exc}") from exc
-    return EvolutionStrategy(selectors, steps)
 
 
 def google_reader_strategy() -> EvolutionStrategy:

@@ -12,11 +12,11 @@ Two engines
 :func:`execute` accepts a bare :class:`ProgramTree`, which it walks node by
 node, checking the budget at every node, or a :class:`Program` made by
 :func:`compile_program`, which turns the whole tree into nested closures.  A
-caller that runs the same tree many times compiles it once per evaluation
-and saves the per-node dispatch of the walker.  Only the localisation task
-compiles, running the program once per tick.  The feed task scores all its
-feeds in one pass of its own and calls :func:`execute` only on trees too
-large for the step budget, which it walks.
+caller that runs the same tree many times compiles it once and saves the
+per-node dispatch of the walker.  Only the localisation task compiles, once
+per control pass, running the program once per tick.  The feed task scores
+all its feeds in one pass of its own and calls :func:`execute` only on trees
+too large for the step budget, which it walks.
 
 The closures skip the budget check, so :func:`execute` runs them only when
 the program's size is within ``policy.max_steps``: a run visits each node at

@@ -36,13 +36,14 @@ tree, the config (walk, availability, warm-up) and the supervisor policy.
   it tick by tick under the step budget on a world of its own, and records,
   per tick, where the program's fix came from (provider and tick), the
   reference provider and the energy factor.
-  It is memoised on the tree (``ProgramTree.memo``) together with the
-  config, policy and budget (the energy factor needs the budget), so elite
-  copies and crossover fallbacks, which share their tree object with one
-  already scored, do not run it again;
+  Its result is kept in one bounded cache for the whole process, keyed by
+  the tree's structure together with the config, policy and budget (the
+  energy factor needs the budget).  Structurally equal programs share a
+  trace, so elite copies, crossover fallbacks and the small programs that
+  breeding builds again and again do not run it again while it is cached;
 * the scoring pass adds each world's errors to those sources and sums the
   per-tick products.  It runs on every evaluation, so fitness itself is
-  never memoised: each evaluation scores against a freshly drawn world.
+  never cached: each evaluation scores against a freshly drawn world.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .trees import (
     function,
     if_greater_kind,
     sequence_kind,
-    set_memo,
     terminal,
 )
 
@@ -75,6 +75,8 @@ DEFAULT_MAX_STEPS = 256
 LOC_FUNCTION_BIAS = 0.3
 #: Reported when the program has never obtained a fix.
 NO_FIX_SENTINEL = 9999.0
+#: Control traces kept by :func:`_control_trace`, least recently used first out.
+_TRACE_CACHE_SIZE = 64
 
 Position = tuple[float, float]
 _TAU = 2.0 * math.pi
@@ -478,20 +480,16 @@ def evaluate_localisation(tree: ProgramTree, world: World,
     A supervisor kill at tick k stops the program for good: ticks k..n
     contribute 0 while the earlier ticks keep their score.
 
-    The program's radio logic runs in a control pass of its own, memoised on
-    ``tree`` (see :func:`_control_trace`); ``world`` supplies only the walk
-    and the fix errors it is scored against.  Its radio state (``t``,
-    ``enabled``, ``program_fix``) is neither read nor changed, so a fresh
-    world, as every evaluation builds one, is all it takes.
+    The program's radio logic runs in a control pass of its own, whose trace
+    is cached and shared by every program equal to ``tree`` (see
+    :func:`_control_trace`); ``world`` supplies only the walk and the fix
+    errors it is scored against.  Its radio state (``t``, ``enabled``,
+    ``program_fix``) is neither read nor changed, so a fresh world, as every
+    evaluation builds one, is all it takes.
     """
     policy = policy or SupervisorPolicy(max_steps=DEFAULT_MAX_STEPS)
     config = world.config
-    key = (config, policy, budget)
-    memo = tree.memo
-    if memo is None or memo[0] != key:
-        memo = (key, _control_trace(tree, config, policy, budget))
-        set_memo(tree, memo)
-    trace = memo[1]
+    trace = _control_trace(tree, config, policy, budget)
     total = 0.0
     if trace:
         draws = world._error_draws()
@@ -507,6 +505,7 @@ def evaluate_localisation(tree: ProgramTree, world: World,
     return total / config.ticks
 
 
+@functools.lru_cache(maxsize=_TRACE_CACHE_SIZE)
 def _control_trace(tree: ProgramTree, config: WorldConfig, policy: SupervisorPolicy,
                    budget: EnergyBudget
                    ) -> tuple[tuple[_Source, _Source, float], ...]:
@@ -518,6 +517,19 @@ def _control_trace(tree: ProgramTree, config: WorldConfig, policy: SupervisorPol
     accuracy or its energy is 0, and both lie in [0, 1]), so leaving it out
     changes no fitness bit.  A stale program fix is the same object tick
     after tick.
+
+    The trace is a pure function of the arguments, so it is cached on them,
+    and the tree takes part by its structural ``==`` and ``hash``: a program
+    equal to one already run shares that one's trace.  This is exact for the
+    localisation vocabulary.  Control flow there depends only on
+    ``if_greater`` comparisons of values built with ``add`` and ``mul``, and
+    given operands that are ``==`` (or both NaN) those give results that are
+    ``==`` (or both NaN).  So equal trees take the same branches and make the
+    same accessor calls, even where one holds the constant ``0.0`` and the
+    other ``-0.0``, which compare equal.  Trees compare NaN constants by
+    identity, and NaN hashes by identity, so a NaN can cause a miss, never
+    a wrong hit.  A vocabulary with a function that tells ``-0.0`` from ``0.0``, such
+    as ``copysign`` or ``atan2``, would break this.
     """
     world = World(config)
     bindings = world.environment()
@@ -589,7 +601,8 @@ def localisation_primitives(constant_range: tuple[float, float] = (0.0, 60.0)) -
 
 class LocalisationEvaluator:
     """Fitness callback: one fresh world per evaluation, so one set of fix
-    errors; the program's control trace is reused across them."""
+    errors; the control trace is shared by every evaluation of an equal
+    program while it stays in the cache."""
 
     def __init__(self, config: WorldConfig, rng: random.Random,
                  budget: EnergyBudget = EnergyBudget(),

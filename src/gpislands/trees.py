@@ -14,9 +14,8 @@ preorder walk, subtree replacement and parsing are linear or better.  Both
 fields are derived from the structure, so ``==``, ``hash`` and ``repr``
 ignore them.  So does ``memo``, a slot in which a task may keep one result
 it computed from the tree alone, with the inputs it used: the feed task
-keeps its screen fill there, the localisation task its control trace.  The
-memo lives exactly as long as the node, and is keyed by the node's identity
-only, never by its structure.
+keeps its screen fill there.  The memo lives exactly as long as the node,
+and is keyed by the node's identity only, never by its structure.
 
 The text form of a tree is a parenthesized prefix expression, one pair of
 parentheses per node, e.g. ``(add (lat) (const:Number 2.5))``.  Serialization

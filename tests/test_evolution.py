@@ -230,10 +230,39 @@ def test_strategy_from_dict_rejects_bad_selectors(selectors):
         strategy_from_dict(data)
 
 
+@pytest.mark.parametrize("selectors, steps", [
+    # counts and pools are whole numbers; a bool is not one, nor is a float
+    ({"HR": {"pool_best": 2.5}}, [{"operator": "mutation", "count": 5, "selector": "HR"}]),
+    ({"HR": {"pool_best": True}}, [{"operator": "mutation", "count": 5, "selector": "HR"}]),
+    ({"HR": {"pool_best": "3"}}, [{"operator": "mutation", "count": 5, "selector": "HR"}]),
+    ({"HR": {"pool_best": 3}}, [{"operator": "mutation", "count": 1.9, "selector": "HR"}]),
+    ({"HR": {"pool_best": 3}}, [{"operator": "mutation", "count": 9.5, "selector": "HR"}]),
+    ({"HR": {"pool_best": 3}}, [{"operator": "mutation", "count": True, "selector": "HR"}]),
+    ({"HR": {"pool_best": 3}}, [{"operator": "mutation", "count": "5", "selector": "HR"}]),
+    ({"HR": {"pool_best": 3}}, [{"operator": "mutation", "count": -1, "selector": "HR"}]),
+    # a random step needs no selector, but one it names must exist
+    ({"HR": {"pool_best": 3}}, [{"operator": "mutation", "count": 4, "selector": "HR"},
+                                {"operator": "random", "count": 1, "selector": "typo"}]),
+])
+def test_strategy_from_dict_rejects_unusable_counts_and_names(selectors, steps):
+    with pytest.raises(ConfigurationError, match="bad strategy config"):
+        strategy_from_dict({"selectors": selectors, "steps": steps})
+
+
+def test_random_steps_may_name_a_declared_selector_or_none():
+    strategy = strategy_from_dict({
+        "selectors": {"HR": {"pool_best": 3}},
+        "steps": [{"operator": "mutation", "count": 3, "selector": "HR"},
+                  {"operator": "random", "count": 1, "selector": "HR"},
+                  {"operator": "random", "count": 1}]})
+    assert strategy.total() == 5
+
+
 def test_selector_binding_is_a_wheel_over_its_pool():
     assert SelectorBinding("HR", 3) == SelectorBinding("HR", pool_best=3)
-    with pytest.raises(ConfigurationError):
-        SelectorBinding("HR", pool_best=0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ConfigurationError):
+            SelectorBinding("HR", pool_best=bad)
 
 
 def test_strategy_rejects_unknown_selector():

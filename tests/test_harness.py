@@ -333,6 +333,33 @@ def test_cli_malformed_strategy_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("selectors, steps", [
+    # each used to run (counts truncated, true read as 1) or die in breeding
+    ({"L": {"pool_best": 1}, "HR": {"pool_best": 2.5}},
+     [{"operator": "copy", "count": 1, "selector": "L"},
+      {"operator": "mutation", "count": 5, "selector": "HR"}]),
+    ({"L": {"pool_best": True}, "HR": {"pool_best": 3}},
+     [{"operator": "copy", "count": 1, "selector": "L"},
+      {"operator": "mutation", "count": 5, "selector": "HR"}]),
+    ({"L": {"pool_best": 1}, "HR": {"pool_best": 3}},
+     [{"operator": "copy", "count": 1.9, "selector": "L"},
+      {"operator": "mutation", "count": 5, "selector": "HR"}]),
+    ({"HR": {"pool_best": 3}}, [{"operator": "mutation", "count": 6.5, "selector": "HR"}]),
+    ({"L": {"pool_best": 1}, "HR": {"pool_best": 3}},
+     [{"operator": "copy", "count": True, "selector": "L"},
+      {"operator": "mutation", "count": 5, "selector": "HR"}]),
+    ({"HR": {"pool_best": 3}},
+     [{"operator": "random", "count": 1, "selector": "typo"},
+      {"operator": "mutation", "count": 5, "selector": "HR"}]),
+])
+def test_cli_unusable_strategy_exits_2(tmp_path, capsys, selectors, steps):
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps({"selectors": selectors, "steps": steps}))
+    assert main(cli_args(tmp_path, "--strategy", str(path))) == 2
+    assert "strategy" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("app, text", [
     ("feed", "{bad"),
     ("localisation", "{bad"),

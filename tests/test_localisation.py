@@ -512,6 +512,8 @@ def test_evaluator_matches_the_eager_oracle(oracle_trees, name):
 
 @pytest.fixture
 def execute_calls(monkeypatch):
+    # the trace cache is shared by the whole process; start each count cold
+    localisation_module._control_trace.cache_clear()
     calls = []
     real = localisation_module.execute
 
@@ -551,12 +553,99 @@ def test_other_inputs_recompute_the_trace(prims, execute_calls):
         assert len(execute_calls) > before
         assert got == oracle_fitness(tree, other_config, 3, other_policy, other_budget)[0]
     before = len(execute_calls)
-    # equal inputs hit the memo, even as distinct objects
+    # equal inputs hit the cache, even as distinct objects
     evaluate_localisation(tree, World(WorldConfig(ticks=30), seed=4),
                           SupervisorPolicy(max_steps=256), EnergyBudget(budget_ma=100.0))
     evaluate_localisation(tree, World(WorldConfig(ticks=30), seed=4),
                           SupervisorPolicy(max_steps=256), EnergyBudget(budget_ma=100.0))
     assert len(execute_calls) == before + 30
+
+
+# Twins: distinct tree objects that compare equal.  A signed zero does not
+# change what the program does, so 0.0 and -0.0 constants make twins too.
+TWIN_TEXTS = (
+    (LAZY_REFRESHER, LAZY_REFRESHER),
+    ("(if_greater (mul (last_fix_age) (const:Number 0.0)) (const:Number -0.0)"
+     " (seq (enable_gps) (request_update)) (seq (enable_cell) (request_update)))",
+     "(if_greater (mul (last_fix_age) (const:Number -0.0)) (const:Number 0.0)"
+     " (seq (enable_gps) (request_update)) (seq (enable_cell) (request_update)))"),
+    ("(if_greater (add (const:Number -0.0) (last_accuracy)) (const:Number 50.0)"
+     " (seq (enable_wifi) (request_update)) (disable_wifi))",
+     "(if_greater (add (const:Number 0.0) (last_accuracy)) (const:Number 50.0)"
+     " (seq (enable_wifi) (request_update)) (disable_wifi))"),
+)
+
+
+def nan_twin(prims, nan):
+    """``(if_greater nan (last_fix_age) (disable_cell) (seq ...))`` with the
+    given NaN object as its constant."""
+    leaf = lambda name: ProgramTree(prims.kind(name))
+    return ProgramTree(prims.kind("if_greater"), (
+        ProgramTree(prims.kind(constant_kind_name(Sort.NUMBER)), value=nan),
+        leaf("last_fix_age"),
+        leaf("disable_cell"),
+        ProgramTree(prims.kind("seq"), (leaf("enable_cell"), leaf("request_update")))))
+
+
+def twin_pairs(prims):
+    pairs = [(parse(prims, a), parse(prims, b)) for a, b in TWIN_TEXTS]
+    nan = float("nan")
+    pairs.append((nan_twin(prims, nan), nan_twin(prims, nan)))
+    return pairs
+
+
+def test_twins_are_distinct_equal_trees(prims):
+    for a, b in twin_pairs(prims):
+        assert a is not b and a == b and hash(a) == hash(b)
+    signed = [parse(prims, text) for text in TWIN_TEXTS[1]]
+    assert math.copysign(1.0, signed[0].children[0].children[1].value) == 1.0
+    assert math.copysign(1.0, signed[1].children[0].children[1].value) == -1.0
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_a_twin_shares_its_partners_trace(prims, execute_calls, swap):
+    config, policy, budget = WorldConfig(), SupervisorPolicy(max_steps=256), EnergyBudget()
+    for pair in twin_pairs(prims):
+        first, second = reversed(pair) if swap else pair
+        localisation_module._control_trace.cache_clear()
+        # the partner runs the program; the twin runs none of it
+        for seed, tree, runs in ((1, first, config.ticks), (2, second, 0)):
+            before = len(execute_calls)
+            got = evaluate_localisation(tree, World(config, seed), policy, budget)
+            assert got == oracle_fitness(tree, config, seed, policy, budget)[0]
+            assert len(execute_calls) - before == runs
+        info = localisation_module._control_trace.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_nans_that_are_not_the_same_object_miss(prims, execute_calls):
+    a, b = nan_twin(prims, float("nan")), nan_twin(prims, float("nan"))
+    assert a != b
+    config = WorldConfig()
+    for seed, tree in enumerate((a, b)):
+        got = evaluate_localisation(tree, World(config, seed))
+        assert got == oracle_fitness(tree, config, seed, SupervisorPolicy(max_steps=256),
+                                     EnergyBudget())[0]
+    assert len(execute_calls) == 2 * config.ticks
+    assert localisation_module._control_trace.cache_info().hits == 0
+
+
+def test_a_twin_under_other_inputs_recomputes(prims, execute_calls):
+    config, policy, budget = WorldConfig(), SupervisorPolicy(max_steps=256), EnergyBudget()
+    variants = [(WorldConfig(ticks=30), policy, budget),
+                (config, SupervisorPolicy(max_steps=4), budget),
+                (config, policy, EnergyBudget(budget_ma=100.0))]
+    for first, second in twin_pairs(prims):
+        evaluate_localisation(first, World(config, seed=3), policy, budget)
+        for other_config, other_policy, other_budget in variants:
+            before = len(execute_calls)
+            got = evaluate_localisation(second, World(other_config, seed=3), other_policy,
+                                        other_budget)
+            assert len(execute_calls) > before
+            assert got == oracle_fitness(second, other_config, 3, other_policy,
+                                         other_budget)[0]
+    info = localisation_module._control_trace.cache_info()
+    assert info.hits == 0 and info.misses == 4 * len(twin_pairs(prims))
 
 
 def test_the_callers_world_radios_are_untouched(prims):
