@@ -1,14 +1,14 @@
 """Location-provider benchmark: evolve a program that picks its fixes wisely.
 
-A phone walks a scripted path for ``ticks`` virtual seconds.  Once per second
-the evolved program runs; its actions enable or disable location providers
-and request position updates, and its numeric terminals report how old and
-how precise its latest fix is.  Every terminal is bound to an accessor on
-the world (:meth:`World.environment`), so an action takes effect the moment
-the program evaluates it.  Each provider trades accuracy for current
-draw and needs a warm-up period after being enabled before it can deliver a
-first fix; GPS additionally only works outdoors and WiFi only near access
-points.
+A phone walks a scripted path for ``ticks`` virtual seconds.  Once per second,
+at each integer tick, the evolved program runs; its actions enable or disable
+location providers and request position updates, and its numeric terminals
+report how old and how precise its latest fix is.  Every terminal is bound to
+an accessor on a :class:`World` (:meth:`World.environment`), so an action
+takes effect the moment the program evaluates it.  Each provider trades
+accuracy for current draw and needs a warm-up period after being enabled
+before it can deliver a first fix; GPS additionally only works outdoors and
+WiFi only near access points.
 
 Per-tick scoring multiplies two sub-fitnesses:
 
@@ -30,12 +30,16 @@ terminals report only the age of its latest fix (a time difference) and that
 fix's radius.  What it does at every tick -- which radios it switches, when
 it asks for a fix, which provider answers -- therefore depends only on the
 tree, the config (walk, availability, warm-up) and the supervisor policy.
-:func:`evaluate_localisation` splits accordingly:
+:func:`evaluate_localisation` splits accordingly, and a :class:`World` holds
+what each pass needs and nothing more -- the radios and the program's latest
+fix for the control pass, one set of error draws for the scoring pass:
 
 * the control pass (:func:`_control_trace`) compiles the program once, runs
   it tick by tick under the step budget on a world of its own, and records,
   per tick, where the program's fix came from (provider and tick), the
-  reference provider and the energy factor.
+  reference provider and the energy factor.  The walk's geometry at every
+  integer tick, and the reference there, come from a table built once per
+  config (:func:`_layout`).
   Its result is kept in one bounded cache for the whole process, keyed by
   the tree's structure together with the config, policy and budget (the
   energy factor needs the budget).  Structurally equal programs share a
@@ -249,9 +253,9 @@ class _Tick:
     truth: Position
     #: Names of the providers that can see the phone at this tick.
     available: frozenset[str]
-    #: The provider behind :meth:`World.reference_fix` at this tick, and
-    #: where its fix comes from.
-    reference: Optional[Provider]
+    #: Where the reference fix comes from at this tick: the sharpest
+    #: provider that would be ready with every radio on since tick 0 (its
+    #: power is never charged to the program), or ``None`` if none would be.
     reference_source: Optional[_Source]
 
 
@@ -259,7 +263,8 @@ class _Tick:
 class _Layout:
     """What ``config`` fixes for every world built from it."""
 
-    #: Per-tick walk geometry, keyed by the tick as a float.
+    #: Per-tick walk geometry for ticks ``0..ticks``, keyed by the tick as a
+    #: float (the type of :attr:`World.t`).
     ticks: dict[float, _Tick]
     #: Each provider by name, with the index of its first error draw.
     by_name: dict[str, tuple[Provider, int]]
@@ -270,9 +275,6 @@ class _Layout:
 
 @functools.lru_cache(maxsize=16)
 def _layout(config: WorldConfig) -> _Layout:
-    """The tick table is computed with the same functions :class:`World`
-    falls back to between ticks, so a table hit and a fresh computation
-    agree bit for bit."""
     per_provider = 2 * (config.ticks + 1)
     by_name = {p.name: (p, i * per_provider) for i, p in enumerate(config.providers)}
     ticks = {}
@@ -283,24 +285,26 @@ def _layout(config: WorldConfig) -> _Layout:
                               if _available(config.segments, p.name, t))
         ready = [p for p in config.providers
                  if t >= p.first_fix_s and p.name in available]
-        reference = source = None
+        source = None
         if ready:
             reference = min(ready, key=lambda p: p.radius_m)
             source = (truth, reference.radius_m, by_name[reference.name][1] + 2 * tick)
-        ticks[t] = _Tick(truth, available, reference, source)
+        ticks[t] = _Tick(truth, available, source)
     return _Layout(ticks, by_name, tuple(sorted(config.providers, key=lambda p: p.radius_m)))
 
 
 class World:
-    """Mutable per-evaluation state: the walk, the radios, the program's fix.
+    """Control-pass state plus one set of fix errors, on integer ticks.
 
-    The walk itself depends only on the config, so its geometry at every
-    integer tick is computed once per config and shared.  Only the fix errors
-    belong to one world.  They come from the stream ``world:<seed>``, two
-    draws per provider and tick (magnitude, then angle), provider by
-    provider; the stream is drawn the first time an error is asked for, and
-    each error is worked out from its pair of draws when it is needed.  A
-    world whose errors are never read draws nothing.
+    ``t`` is the current tick as a float; the control pass sets it before
+    each run and every lookup indexes the per-config tick table with it.
+    The radios (``enabled``) and the program's latest fix (``program_fix``)
+    change only through the accessors of :meth:`environment`.  The fix
+    errors come from the stream ``world:<seed>``, two draws per provider and
+    tick (magnitude, then angle), provider by provider; the stream is drawn
+    the first time an error is asked for, and each error is worked out from
+    its pair of draws when it is needed.  A world whose errors are never
+    read draws nothing.
     """
 
     def __init__(self, config: WorldConfig, seed: int | str = 0) -> None:
@@ -308,7 +312,7 @@ class World:
         self._seed = seed
         self.t = 0.0
         self.enabled: dict[str, Optional[float]] = {p.name: None for p in config.providers}
-        #: (provider name, fix time, radius) of the program's latest fix.
+        #: (provider name, fix tick, radius) of the program's latest fix.
         self.program_fix: Optional[tuple[str, float, float]] = None
         self._draws: Optional[list[float]] = None
         layout = _layout(config)
@@ -316,31 +320,11 @@ class World:
         self._by_name = layout.by_name
         self._by_radius = layout.by_radius
 
-    # -- geometry ----------------------------------------------------------
-    def truth(self, t: float) -> Position:
-        tick = self._ticks.get(t)
-        if tick is not None:
-            return tick.truth
-        return _truth(self.config.waypoints, t)
-
-    def available(self, name: str, t: float) -> bool:
-        return _available(self.config.segments, name, t)
-
-    def fix_position(self, name: str, t: float) -> Position:
-        """Where provider ``name`` places the phone at time ``t``: the truth
-        plus that provider's error at tick ``int(t)``.  ``KeyError`` for an
-        unknown provider or a tick outside ``0..ticks``."""
-        lo = self.config.error_low
-        return _displace(*self._source(name, t), self._error_draws(), lo,
-                         self.config.error_high - lo)
-
+    # -- fix errors -----------------------------------------------------------
     def _source(self, name: str, t: float) -> _Source:
-        tick = int(t)
-        entry = self._by_name.get(name)
-        if entry is None or not 0 <= tick <= self.config.ticks:
-            raise KeyError((name, tick))
-        provider, offset = entry
-        return (self.truth(t), provider.radius_m, offset + 2 * tick)
+        """Provider ``name``'s fix at tick ``t`` before its error is added."""
+        provider, offset = self._by_name[name]
+        return (self._ticks[t].truth, provider.radius_m, offset + 2 * int(t))
 
     def _error_draws(self) -> list[float]:
         draws = self._draws
@@ -350,7 +334,7 @@ class World:
             draws = self._draws = [draw() for _ in range(count)]
         return draws
 
-    # -- program-visible state ---------------------------------------------
+    # -- radio state, read and changed by the program ------------------------
     def last_fix_age(self) -> float:
         if self.program_fix is None:
             return NO_FIX_SENTINEL
@@ -361,74 +345,40 @@ class World:
             return NO_FIX_SENTINEL
         return self.program_fix[2]
 
-    def program_position(self) -> Optional[Position]:
-        fix = self.program_fix
-        return None if fix is None else self.fix_position(fix[0], fix[1])
-
-    # -- actions ------------------------------------------------------------
-    def apply_action(self, action) -> None:
-        """Apply an action descriptor (``"enable:<provider>"``,
-        ``"disable:<provider>"`` or ``"request_fix"``); anything else,
-        unknown providers included, is ignored."""
-        if action == "request_fix":
-            self._request_fix()
-        elif isinstance(action, str) and action.partition(":")[0] in ("enable", "disable"):
-            self._switch(action)()
-
-    def _ready(self, name: str, since: Optional[float]) -> bool:
-        if since is None or not self.t >= since + self._by_name[name][0].first_fix_s:
-            return False
-        tick = self._ticks.get(self.t)
-        if tick is not None:
-            return name in tick.available
-        return self.available(name, self.t)
-
-    def _request_fix(self) -> None:
-        for provider in self._by_radius:  # the sharpest ready provider wins
-            if self._ready(provider.name, self.enabled[provider.name]):
-                self.program_fix = (provider.name, self.t, provider.radius_m)
-                return
-        # nothing to offer; the previous fix, if any, stands
-
-    # -- scoring inputs ------------------------------------------------------
     def power_now(self) -> float:
         return sum(self._by_name[name][0].draw_ma
                    for name, since in self.enabled.items() if since is not None)
 
-    def reference_fix(self) -> Optional[tuple[Position, float]]:
-        """Best fix available right now with every provider notionally on
-        since tick 0; its power is never charged to the program."""
-        tick = self._ticks.get(self.t)
-        if tick is not None:
-            best = tick.reference
-        else:
-            ready = [p for p in self.config.providers if self._ready(p.name, 0.0)]
-            best = min(ready, key=lambda p: p.radius_m) if ready else None
-        if best is None:
-            return None
-        return (self.fix_position(best.name, self.t), best.radius_m)
-
     def environment(self) -> Bindings:
         """The program's terminals mapped to accessors on this world: the
         numeric ones read its latest fix, and each action one acts on it
-        directly, as :meth:`apply_action` would on the descriptor the
-        accessor returns."""
+        directly and returns a descriptor of what it did (``"request_fix"``,
+        ``"enable:<provider>"`` or ``"disable:<provider>"``).  Switching a
+        radio the config lacks does nothing."""
         bindings = {
             "last_fix_age": self.last_fix_age,
             "last_accuracy": self.last_fix_accuracy,
             "request_update": self._request_update,
         }
         for name in RADIO_NAMES:
-            bindings[f"enable_{name}"] = self._switch(f"enable:{name}")
-            bindings[f"disable_{name}"] = self._switch(f"disable:{name}")
+            bindings[f"enable_{name}"] = self._switch("enable", name)
+            bindings[f"disable_{name}"] = self._switch("disable", name)
         return bindings
 
     def _request_update(self) -> str:
-        self._request_fix()
+        t = self.t
+        available = self._ticks[t].available
+        for provider in self._by_radius:  # the sharpest ready provider wins
+            since = self.enabled[provider.name]
+            if (since is not None and t >= since + provider.first_fix_s
+                    and provider.name in available):
+                self.program_fix = (provider.name, t, provider.radius_m)
+                break
+        # with nothing to offer, the previous fix, if any, stands
         return "request_fix"
 
-    def _switch(self, action: str) -> Callable[[], str]:
-        verb, _, name = action.partition(":")
+    def _switch(self, verb: str, name: str) -> Callable[[], str]:
+        action = f"{verb}:{name}"
         if name not in self._by_name:
             return lambda: action
         if verb == "enable":
@@ -480,12 +430,14 @@ def evaluate_localisation(tree: ProgramTree, world: World,
     A supervisor kill at tick k stops the program for good: ticks k..n
     contribute 0 while the earlier ticks keep their score.
 
-    The program's radio logic runs in a control pass of its own, whose trace
-    is cached and shared by every program equal to ``tree`` (see
-    :func:`_control_trace`); ``world`` supplies only the walk and the fix
-    errors it is scored against.  Its radio state (``t``, ``enabled``,
-    ``program_fix``) is neither read nor changed, so a fresh world, as every
-    evaluation builds one, is all it takes.
+    A :class:`World` is the control pass's radio state plus one set of error
+    draws, on integer ticks.  The program's radio logic runs in a control
+    pass on a world of its own, whose trace is cached and shared by every
+    program equal to ``tree`` (see :func:`_control_trace`).  ``world``
+    supplies only its config and the fix errors the trace is scored
+    against.  Its radio state (``t``, ``enabled``, ``program_fix``) is
+    neither read nor changed, so a fresh world, as every evaluation builds
+    one, is all it takes.
     """
     policy = policy or SupervisorPolicy(max_steps=DEFAULT_MAX_STEPS)
     config = world.config

@@ -18,10 +18,11 @@ keeps its screen fill there.  The memo lives exactly as long as the node,
 and is keyed by the node's identity only, never by its structure.
 
 The text form of a tree is a parenthesized prefix expression, one pair of
-parentheses per node, e.g. ``(add (lat) (const:Number 2.5))``.  Serialization
-is canonical: equal trees always produce byte-identical text, and
-``deserialize(serialize(t))`` reproduces ``t`` exactly, including constant
-payloads at full float precision.  Serializing and parsing are each one
+parentheses per node, e.g. ``(add (lat) (const:Number 2.5))``.  The text is a
+function of the structure and of each constant payload's bits, and parsing
+it back gives the same structure and payloads at full float precision (a NaN
+as a NaN), whose text is the same again.  Trees that compare equal need not
+share their text: constants ``0.0`` and ``-0.0`` are ``==`` but written apart.  Serializing and parsing are each one
 iterative loop, so neither recurses.  The parser validates as it goes, so
 arbitrarily deep untrusted text is rejected at the depth bound instead of
 building a tree the recursive parts of the package cannot take: without an
@@ -266,6 +267,19 @@ class PrimitiveSet:
         for kind in self._all:
             bucket = self._functions if kind.category is Category.FUNCTION else self._leaves
             bucket.setdefault(kind.result_sort, []).append(kind)
+        reachable = {self.root_sort}
+        frontier = [self.root_sort]
+        while frontier:
+            sort = frontier.pop()
+            for kind in self._all:
+                if kind.result_sort is sort:
+                    for arg in kind.argument_sorts:
+                        if arg not in reachable:
+                            reachable.add(arg)
+                            frontier.append(arg)
+        self._reachable = frozenset(reachable)
+        #: Reachable sorts no leaf produces; a tree reaching one cannot be grown.
+        self._leafless = [sort for sort in reachable if sort not in self._leaves]
 
     @property
     def all_kinds(self) -> tuple[NodeKind, ...]:
@@ -282,24 +296,16 @@ class PrimitiveSet:
         return self._functions.get(sort, [])
 
     def reachable_sorts(self) -> set[Sort]:
-        seen = {self.root_sort}
-        frontier = [self.root_sort]
-        while frontier:
-            sort = frontier.pop()
-            for kind in self._all:
-                if kind.result_sort is sort:
-                    for arg in kind.argument_sorts:
-                        if arg not in seen:
-                            seen.add(arg)
-                            frontier.append(arg)
-        return seen
+        return set(self._reachable)
 
     def ensure_generable(self) -> None:
-        """Every sort reachable from the root must offer at least one leaf."""
-        for sort in self.reachable_sorts():
-            if not self.leaves_for(sort):
-                raise ConfigurationError(
-                    f"no terminal or constant produces sort {sort.value!r}")
+        """Every sort reachable from the root must offer at least one leaf.
+
+        The set is checked once, when it is built, so this only reports the
+        answer."""
+        if self._leafless:
+            raise ConfigurationError(
+                f"no terminal or constant produces sort {self._leafless[0].value!r}")
 
     def draw_constant(self, sort: Sort, rng: random.Random) -> float:
         return float(self.constant_sources[sort](rng))
@@ -581,11 +587,16 @@ class Individual:
     tree: ProgramTree
     origin: Origin = Origin.LOCAL
     fitness: Optional[float] = None
-    size: int = 0
-    depth: int = 0
+
+    @property
+    def size(self) -> int:
+        return self.tree.size
+
+    @property
+    def depth(self) -> int:
+        return self.tree.depth
 
     @classmethod
     def from_tree(cls, tree: ProgramTree, origin: Origin = Origin.LOCAL,
                   fitness: Optional[float] = None) -> "Individual":
-        return cls(tree=tree, origin=origin, fitness=fitness,
-                   size=tree.size, depth=tree.depth)
+        return cls(tree, origin, fitness)

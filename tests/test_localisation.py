@@ -19,6 +19,8 @@ from gpislands.localisation import (
     World,
     WorldConfig,
     _available,
+    _displace,
+    _layout,
     _truth,
     accuracy_fitness,
     energy_fitness,
@@ -87,119 +89,161 @@ def test_budget_current_matches_battery_over_day():
 # ---------------------------------------------------------------------------
 # the world
 
+def fix_position(world, name, t):
+    """Where provider ``name`` places the phone at tick ``t`` in ``world``,
+    worked out as the scoring pass does it."""
+    lo = world.config.error_low
+    return _displace(*world._source(name, t), world._error_draws(), lo,
+                     world.config.error_high - lo)
+
+
 def test_walk_interpolates_waypoints():
-    world = World(WorldConfig())
-    assert world.truth(0.0) == (0.0, 0.0)
-    assert world.truth(30.0) == (50.0, 0.0)
-    assert world.truth(45.0) == (100.0, 0.0)
-    assert world.truth(99.0) == (100.0, 0.0)  # clamps at the final waypoint
+    config = WorldConfig()
+    assert _truth(config.waypoints, 0.0) == (0.0, 0.0)
+    assert _truth(config.waypoints, 30.0) == (50.0, 0.0)
+    assert _truth(config.waypoints, 45.0) == (100.0, 0.0)
+    assert _truth(config.waypoints, 99.0) == (100.0, 0.0)  # clamps at the final waypoint
+    ticks = _layout(config).ticks
+    assert list(ticks) == [float(tick) for tick in range(config.ticks + 1)]
+    assert all(ticks[t].truth == _truth(config.waypoints, t) for t in ticks)
 
 
 def test_provider_availability_follows_segments():
-    world = World(WorldConfig())
-    assert not world.available("gps", 5.0)    # indoors at home
-    assert world.available("gps", 25.0)       # out on the walk
-    assert not world.available("wifi", 25.0)  # no coverage outside
-    assert world.available("wifi", 45.0)      # office network
-    assert all(world.available("cell", t) for t in (0.0, 25.0, 55.0))
+    segments = WorldConfig().segments
+    assert not _available(segments, "gps", 5.0)    # indoors at home
+    assert _available(segments, "gps", 25.0)       # out on the walk
+    assert not _available(segments, "wifi", 25.0)  # no coverage outside
+    assert _available(segments, "wifi", 45.0)      # office network
+    assert all(_available(segments, "cell", t) for t in (0.0, 25.0, 55.0))
+    ticks = _layout(WorldConfig()).ticks
+    assert ticks[5.0].available == {"wifi", "cell"}
+    assert ticks[25.0].available == {"gps", "cell"}
+    assert ticks[45.0].available == {"wifi", "cell"}
 
 
 def test_fix_errors_are_frozen_per_provider_and_tick():
     world = World(WorldConfig(), seed="w")
-    assert world.fix_position("wifi", 7.0) == world.fix_position("wifi", 7.0)
+    assert fix_position(world, "wifi", 7.0) == fix_position(world, "wifi", 7.0)
     again = World(WorldConfig(), seed="w")
-    assert again.fix_position("wifi", 7.0) == world.fix_position("wifi", 7.0)
+    assert fix_position(again, "wifi", 7.0) == fix_position(world, "wifi", 7.0)
     other = World(WorldConfig(), seed="different")
-    assert other.fix_position("wifi", 7.0) != world.fix_position("wifi", 7.0)
+    assert fix_position(other, "wifi", 7.0) != fix_position(world, "wifi", 7.0)
+    assert fix_position(world, "cell", 7.0) != fix_position(world, "wifi", 7.0)
+    assert fix_position(world, "wifi", 8.0) != fix_position(world, "wifi", 7.0)
 
 
 def test_fix_error_magnitude_within_band():
     world = World(WorldConfig(), seed=3)
+    ticks = _layout(WorldConfig()).ticks
     for tick in range(61):
-        x, y = world.fix_position("wifi", float(tick))
-        tx, ty = world.truth(float(tick))
-        d = math.dist((x, y), (tx, ty))
+        d = math.dist(fix_position(world, "wifi", float(tick)), ticks[float(tick)].truth)
         assert 0.25 * WIFI.radius_m <= d <= 0.75 * WIFI.radius_m
 
 
 def test_enable_is_sticky_and_disable_clears():
     world = World(WorldConfig())
+    env = world.environment()
     world.t = 5.0
-    world.apply_action("enable:gps")
+    assert env["enable_gps"]() == "enable:gps"
     world.t = 8.0
-    world.apply_action("enable:gps")  # re-enabling never restarts the warm-up
+    env["enable_gps"]()  # re-enabling never restarts the warm-up
     assert world.enabled["gps"] == 5.0
-    world.apply_action("enable:cell")
+    env["enable_cell"]()
     assert world.power_now() == 145.0
-    world.apply_action("disable:gps")
+    assert env["disable_gps"]() == "disable:gps"
     assert world.enabled["gps"] is None
     assert world.power_now() == 5.0
 
 
-def test_unknown_actions_are_ignored():
-    world = World(WorldConfig())
-    for action in ("enable:plutonium", "warp:gps", "enable", 42, None):
-        world.apply_action(action)
+def test_switching_a_radio_the_config_lacks_does_nothing():
+    world = World(single_provider_world(WIFI))
+    env = world.environment()
+    world.t = 3.0
+    for name in ("gps", "cell"):
+        assert env[f"enable_{name}"]() == f"enable:{name}"
+        assert env[f"disable_{name}"]() == f"disable:{name}"
+    assert world.enabled == {"wifi": None}
     assert world.power_now() == 0.0
+    assert env["request_update"]() == "request_fix"
+    assert world.program_fix is None
 
 
-def test_request_fix_prefers_the_sharpest_ready_provider():
-    world = World(WorldConfig())
+@pytest.mark.parametrize("providers", [DEFAULT_PROVIDERS, DEFAULT_PROVIDERS[::-1]])
+def test_request_fix_prefers_the_sharpest_ready_provider(providers):
+    world = World(WorldConfig(providers=providers))
+    env = world.environment()
     world.t = 50.0  # indoors at the office: wifi and cell, no gps
     world.enabled["wifi"] = 0.0
     world.enabled["cell"] = 0.0
-    world.apply_action("request_fix")
-    assert world.last_fix_accuracy() == WIFI.radius_m
-    assert world.last_fix_age() == 0.0
+    assert env["request_update"]() == "request_fix"
+    assert env["last_accuracy"]() == WIFI.radius_m
+    assert env["last_fix_age"]() == 0.0
 
 
 def test_fix_requires_warm_up_and_availability():
     world = World(WorldConfig())
+    env = world.environment()
     world.t = 1.0
-    world.apply_action("enable:wifi")
-    world.apply_action("request_fix")  # too soon: first fix needs 2 s
-    assert world.program_position() is None
-    assert world.last_fix_age() == NO_FIX_SENTINEL
+    env["enable_wifi"]()
+    env["request_update"]()  # too soon: first fix needs 2 s
+    assert world.program_fix is None
+    assert env["last_fix_age"]() == env["last_accuracy"]() == NO_FIX_SENTINEL
     world.t = 25.0  # outdoors now, wifi out of range
-    world.apply_action("request_fix")
-    assert world.program_position() is None
+    env["request_update"]()
+    assert world.program_fix is None
     world.t = 45.0
-    world.apply_action("request_fix")
-    assert world.program_position() is not None
+    env["request_update"]()
+    assert world.program_fix == ("wifi", 45.0, WIFI.radius_m)
 
 
 def test_stale_fix_ages():
     world = World(WorldConfig())
+    env = world.environment()
     world.enabled["cell"] = 0.0
     world.t = 5.0
-    world.apply_action("request_fix")
+    env["request_update"]()
     world.t = 9.0
-    assert world.last_fix_age() == 4.0
+    assert env["last_fix_age"]() == 4.0
+    assert env["last_accuracy"]() == CELL.radius_m
 
 
-def test_reference_fix_on_and_between_ticks():
-    """The per-tick tables agree with the walk computed from scratch, and
-    times between ticks keep working."""
+def test_reference_on_ticks_is_the_sharpest_provider_on_since_0():
+    """The tick table's reference agrees with the walk computed from
+    scratch, tie-break and draw index included, and its position with the
+    eager table's."""
+    for config in ORACLE_CONFIGS.values():
+        ticks = _layout(config).ticks
+        world, eager = World(config, seed=9), EagerWorld(config, 9)
+        lo, span = config.error_low, config.error_high - config.error_low
+        for tick in range(config.ticks + 1):
+            t = float(tick)
+            ready = [p for p in config.providers
+                     if t >= p.first_fix_s and _available(config.segments, p.name, t)]
+            source = ticks[t].reference_source
+            if not ready:
+                assert source is None
+                continue
+            best = min(ready, key=lambda p: p.radius_m)
+            first_draw = 2 * (config.ticks + 1) * config.providers.index(best)
+            assert source == (_truth(config.waypoints, t), best.radius_m,
+                              first_draw + 2 * tick)
+            assert _displace(*source, world._error_draws(), lo, span) == (
+                eager.fix_position(best.name, t))
+    ticks = _layout(WorldConfig()).ticks
+    assert ticks[0.0].reference_source is None  # nothing has warmed up yet
+    assert ticks[30.0].reference_source[1] == GPS.radius_m  # outdoors: gps
+
+
+def test_reference_power_is_never_charged(prims):
+    """The reference rides gps on the walk, yet a cell-only program pays
+    for cell alone."""
     config = WorldConfig()
-    world = World(config, seed=9)
-    for half_ticks in range(2, 2 * config.ticks + 1):  # cell is warm from t = 1
-        world.t = half_ticks / 2.0
-        ready = [p for p in config.providers
-                 if world.t >= p.first_fix_s and world.available(p.name, world.t)]
-        best = min(ready, key=lambda p: p.radius_m)
-        assert world.reference_fix() == (world.fix_position(best.name, world.t),
-                                         best.radius_m)
-    assert world.truth(30.5) == (52.5, 0.0)
-    world.t = 0.5  # nothing has warmed up yet
-    assert world.reference_fix() is None
-
-
-def test_reference_ignores_program_radios():
-    world = World(WorldConfig())
-    world.t = 30.0  # outdoors: the reference rides gps
-    pos, radius = world.reference_fix()
-    assert radius == 5.0
-    assert world.power_now() == 0.0  # and its power is never charged
+    tree = parse(prims, "(seq (enable_cell) (request_update))")
+    trace = localisation_module._control_trace(
+        tree, config, SupervisorPolicy(max_steps=256), EnergyBudget())
+    assert len(trace) == config.ticks - 1  # cell is ready from tick 2
+    assert {energy for _, _, energy in trace} == {energy_fitness(CELL.draw_ma)}
+    assert any(reference[1] == GPS.radius_m for _, reference, _ in trace)
 
 
 # ---------------------------------------------------------------------------
@@ -661,28 +705,29 @@ def test_the_callers_world_radios_are_untouched(prims):
     assert world.program_fix == ("gps", 25.0, GPS.radius_m)
 
 
-def test_fix_position_matches_the_eager_table():
+def test_error_draws_match_the_eager_table():
     config = ORACLE_CONFIGS["tied"]
     world, eager = World(config, seed="fp"), EagerWorld(config, "fp")
     for provider in config.providers:
         for tick in range(config.ticks + 1):
-            for t in (float(tick), tick + 0.5):
-                assert world.fix_position(provider.name, t) == eager.fix_position(
-                    provider.name, t)
-    for name, t in (("wifi", -1.0), ("wifi", config.ticks + 1.0), ("beacon", 3.0)):
-        with pytest.raises(KeyError):
-            world.fix_position(name, t)
+            assert fix_position(world, provider.name, float(tick)) == eager.fix_position(
+                provider.name, float(tick))
 
 
 def test_program_fix_records_its_source():
     world = World(WorldConfig(), seed=2)
+    env = world.environment()
     world.enabled["wifi"] = 0.0
     world.t = 5.0
-    world.apply_action("request_fix")
+    env["request_update"]()
     assert world.program_fix == ("wifi", 5.0, WIFI.radius_m)
-    assert world.program_position() == world.fix_position("wifi", 5.0)
+    first_draw = 2 * (WorldConfig().ticks + 1) * 1  # wifi is the second provider
+    assert world._source(*world.program_fix[:2]) == (
+        _truth(WorldConfig().waypoints, 5.0), WIFI.radius_m, first_draw + 10)
+    eager = EagerWorld(WorldConfig(), 2)
     world.t = 8.0
-    assert world.program_position() == world.fix_position("wifi", 5.0)  # stale
+    assert world.program_fix == ("wifi", 5.0, WIFI.radius_m)  # stale
+    assert fix_position(world, *world.program_fix[:2]) == eager.fix_position("wifi", 5.0)
 
 
 @pytest.mark.parametrize("build", [

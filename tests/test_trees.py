@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gpislands.evolution import crossover, mutate
+from gpislands.evolution import Population, crossover, mutate, population_stats
 from gpislands.feed import (
     FEED_FUNCTION_BIAS,
     _feed_environments,
@@ -104,6 +104,24 @@ def test_ensure_generable_needs_a_leaf_per_reachable_sort():
     prims = PrimitiveSet(arithmetic_kinds(), Sort.NUMBER)
     with pytest.raises(ConfigurationError):
         prims.ensure_generable()
+
+
+def test_an_ungenerable_set_fails_its_first_build_without_drawing():
+    prims = PrimitiveSet(arithmetic_kinds(), Sort.NUMBER)
+    assert prims.reachable_sorts() == {Sort.NUMBER}
+    rng = random.Random(5)
+    state = rng.getstate()
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="'Number'"):
+            build_random_tree(prims, 3, rng)
+    assert rng.getstate() == state
+
+
+def test_reachable_sorts_follow_argument_sorts(loc_prims):
+    assert loc_prims.reachable_sorts() == {Sort.ACTION, Sort.NUMBER}
+    loc_prims.reachable_sorts().clear()  # a copy: the set keeps its own
+    assert loc_prims.reachable_sorts() == {Sort.ACTION, Sort.NUMBER}
+    loc_prims.ensure_generable()
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +352,19 @@ def test_serialize_nonfinite_and_signed_zero_payloads(feed_prims):
         assert serialize(const(feed_prims, value)) == f"(const:Number {value!r})"
 
 
+def test_equal_trees_with_signed_zeros_serialize_apart(feed_prims):
+    """The text follows the payload bits, not ``==``."""
+    def tree(zero):
+        return ProgramTree(feed_prims.kind("add"), (leaf(feed_prims, "unread_count"),
+                                                    const(feed_prims, zero)))
+    plus, minus = tree(0.0), tree(-0.0)
+    assert plus == minus and hash(plus) == hash(minus)
+    assert serialize(plus) == "(add (unread_count) (const:Number 0.0))"
+    assert serialize(minus) == "(add (unread_count) (const:Number -0.0))"
+    for twin in (plus, minus):
+        assert serialize(deserialize(serialize(twin), feed_prims)) == serialize(twin)
+
+
 def test_serialize_a_chain_deeper_than_the_recursion_limit(feed_prims):
     # texts are compared, not trees: == on a tree this deep recurses
     add = feed_prims.kind("add")
@@ -470,3 +501,18 @@ def test_individual_from_tree_measures(geo_prims):
     assert ind.origin is Origin.LOCAL
     assert ind.fitness is None
     assert ind.size == 3 and ind.depth == 2
+
+
+def test_an_individual_built_directly_measures_its_tree(geo_prims):
+    """Size and depth are read from the tree, however the member is built."""
+    add = geo_prims.kind("add")
+    pair = ProgramTree(add, (leaf(geo_prims, "lat"), leaf(geo_prims, "lon")))
+    t = ProgramTree(add, (ProgramTree(add, (pair, leaf(geo_prims, "lat"))), pair))
+    assert (t.size, t.depth) == (9, 4)
+    direct, built = Individual(t, fitness=0.5), Individual.from_tree(t, fitness=0.5)
+    assert (direct.size, direct.depth) == (built.size, built.depth) == (9, 4)
+    assert direct == built
+    stats = population_stats(Population([direct], 1))
+    assert (stats.mean_size, stats.mean_depth) == (9.0, 4.0)
+    with pytest.raises(AttributeError):
+        direct.size = 1
