@@ -23,6 +23,17 @@ the tree has at most ``policy.max_steps`` nodes, and then no run can be
 killed.  A larger tree runs on the supervised walker (:func:`execute`), feed
 by feed, against that feed's bindings; the walker alone decides kills.
 
+The pass scores only what it has not scored before.  A function node that
+every feed of a catalog reaches keeps its per-feed values on the node
+(``ProgramTree.record``), keyed by the identity of that catalog's columns,
+and a later pass over any tree holding the node reads them instead of
+descending.  A bred child shares every subtree with its parents except the
+ancestors breeding rebuilt, and a crossover donor has mostly been scored in
+its own tree, so scoring a child evaluates those ancestors, and below them
+only the branches that some feeds alone reach.  The values depend on nothing
+but the subtree and the columns, and a record is never mutated, only
+replaced.
+
 The screen fill is a pure function of the tree, the catalog, the screen size
 and the supervisor policy, so :func:`run_feed_program` memoises it on the
 tree's root node (``ProgramTree.memo``) together with those three inputs.
@@ -53,6 +64,7 @@ from .trees import (
     if_greater,
     if_greater_kind,
     set_memo,
+    set_record,
     terminal,
 )
 
@@ -192,7 +204,8 @@ def _feed_environment(feed: Feed, catalog: FeedCatalog) -> Bindings:
 @functools.lru_cache(maxsize=16)
 def _feed_columns(catalog: FeedCatalog) -> dict[str, tuple]:
     """Each terminal's value for every feed, in catalog order, read from the
-    same accessors the per-feed bindings hold."""
+    same accessors the per-feed bindings hold.  Equal catalogs get the same
+    dict, so they share the per-node records keyed by it."""
     per_feed = _feed_environments(catalog)
     names = per_feed[0] if per_feed else ()
     return {name: tuple(bindings[name]() for bindings in per_feed) for name in names}
@@ -208,6 +221,17 @@ def _score_feeds(tree: ProgramTree, catalog: FeedCatalog) -> Sequence:
     sees exactly the operations, and gets exactly the value, of a per-feed
     run.  No step budget applies: the caller checks that the tree is small
     enough that no per-feed run could be killed.
+
+    A function node evaluated over every feed keeps its values, as a tuple in
+    catalog order, in its ``record`` together with the catalog's columns;
+    any later pass over any tree that holds that node reads them instead of
+    descending into it.  The values are a function of the subtree and the
+    columns alone, the record is never mutated, and it holds the columns
+    dict itself, so a record matches only while its columns are the ones
+    being read (an identity no other dict can take while the record lives).
+    A branch only some feeds reach is evaluated over those feeds and keeps
+    no record, so an unbound terminal still raises only when a feed reaches
+    it.  Leaves keep none either: their values cost nothing to read.
     """
     columns = _feed_columns(catalog)
     every = range(len(catalog.feeds))
@@ -217,28 +241,40 @@ def _score_feeds(tree: ProgramTree, catalog: FeedCatalog) -> Sequence:
         children = node.children
         if not children:
             if kind.category is Category.CONSTANT:
-                return [node.value] * len(rows)
+                return (node.value,) * len(rows)
             column = columns.get(kind.name)
             if column is None:
                 raise ConfigurationError(f"terminal {kind.name!r} is not bound")
             return column if rows is every else [column[i] for i in rows]
+        full = rows is every
+        if full:
+            record = node.record
+            if record is not None and record[0] is columns:
+                return record[1]
         if not kind.lazy:
             if len(children) == 2:
                 a, b = children
-                return list(map(kind.fn, values(a, rows), values(b, rows)))
-            return list(map(kind.fn, *[values(child, rows) for child in children]))
-        if kind.fn is not if_greater:
+                result = tuple(map(kind.fn, values(a, rows), values(b, rows)))
+            else:
+                result = tuple(map(kind.fn, *[values(child, rows) for child in children]))
+        elif kind.fn is not if_greater:
             raise ConfigurationError(
                 f"lazy function {kind.name!r} cannot score every feed in one pass")
-        a, b, then, other = children
-        taken = list(map(operator.gt, values(a, rows), values(b, rows)))
-        if all(taken):
-            return values(then, rows)
-        if not any(taken):
-            return values(other, rows)
-        then_values = iter(values(then, [r for r, t in zip(rows, taken) if t]))
-        other_values = iter(values(other, [r for r, t in zip(rows, taken) if not t]))
-        return [next(then_values) if t else next(other_values) for t in taken]
+        else:
+            a, b, then, other = children
+            taken = list(map(operator.gt, values(a, rows), values(b, rows)))
+            if all(taken):
+                result = values(then, rows)
+            elif not any(taken):
+                result = values(other, rows)
+            else:
+                then_values = iter(values(then, [r for r, t in zip(rows, taken) if t]))
+                other_values = iter(values(other, [r for r, t in zip(rows, taken) if not t]))
+                result = tuple([next(then_values) if t else next(other_values)
+                                for t in taken])
+        if full:
+            set_record(node, (columns, result))
+        return result
 
     return values(tree, every) if catalog.feeds else []
 

@@ -12,10 +12,15 @@ on its longest root-to-leaf path) once, at construction, from the values its
 children already hold.  Measuring a tree is therefore O(1), and the
 preorder walk, subtree replacement and parsing are linear or better.  Both
 fields are derived from the structure, so ``==``, ``hash`` and ``repr``
-ignore them.  So does ``memo``, a slot in which a task may keep one result
-it computed from the tree alone, with the inputs it used: the feed task
-keeps its screen fill there.  The memo lives exactly as long as the node,
-and is keyed by the node's identity only, never by its structure.
+ignore them.  So do two slots in which a task may keep what it computed
+from the subtree alone, with the inputs it used.  ``memo`` holds one result
+for the node as a whole program: the feed task keeps its screen fill there.
+``record`` holds the node's value for each of a set of inputs: the feed task
+keeps, on each function node it has evaluated over every feed of a catalog,
+that node's per-feed values, keyed by the catalog's columns, so a tree that
+shares the subtree with one already scored never descends into it again.
+Both live exactly as long as the node, are keyed by the node's identity
+only, never by its structure, and are replaced, never mutated.
 
 The text form of a tree is a parenthesized prefix expression, one pair of
 parentheses per node, e.g. ``(add (lat) (const:Number 2.5))``.  The text is a
@@ -183,9 +188,12 @@ class ProgramTree:
 
     ``size`` and ``depth`` describe the subtree rooted here (a lone leaf has
     both equal to 1).  They are computed at construction and take no part in
-    equality, hashing or ``repr``.  Neither does ``memo``, which starts as
-    ``None``; whoever sets it (with :func:`set_memo`) must store a value that
-    depends on nothing but the tree and the inputs recorded with it.
+    equality, hashing or ``repr``.  Neither do ``memo`` and ``record``,
+    which start as ``None``; whoever sets one (with :func:`set_memo` or
+    :func:`set_record`) must store a value that depends on nothing but the
+    subtree and the inputs recorded with it, and never mutate it after.
+    ``memo`` is for a result of the whole program rooted here, ``record``
+    for this subtree's value per input; a node may carry both.
     """
 
     kind: NodeKind
@@ -194,6 +202,7 @@ class ProgramTree:
     size: int = field(init=False, repr=False, compare=False)
     depth: int = field(init=False, repr=False, compare=False)
     memo: object = field(init=False, repr=False, compare=False)
+    record: object = field(init=False, repr=False, compare=False)
 
     def __init__(self, kind: NodeKind, children: tuple["ProgramTree", ...] = (),
                  value: Optional[float] = None) -> None:
@@ -223,6 +232,7 @@ class ProgramTree:
         _set_field(self, "size", size)
         _set_field(self, "depth", depth + 1)
         _set_field(self, "memo", None)
+        _set_field(self, "record", None)
 
     @property
     def sort(self) -> Sort:
@@ -232,6 +242,11 @@ class ProgramTree:
 def set_memo(tree: ProgramTree, memo: object) -> None:
     """Replace ``tree.memo``; the node is otherwise frozen."""
     _set_field(tree, "memo", memo)
+
+
+def set_record(tree: ProgramTree, record: object) -> None:
+    """Replace ``tree.record``; the node is otherwise frozen."""
+    _set_field(tree, "record", record)
 
 
 def constant_kind_name(sort: Sort) -> str:

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import statistics
+from collections import Counter
 
 import pytest
 
@@ -27,16 +28,22 @@ from gpislands.feed import (
     run_feed_program,
     simulate_clicks,
 )
+from gpislands.evolution import crossover, mutate
 from gpislands.interpreter import SupervisorPolicy, execute
 from gpislands.trees import (
+    Category,
     ConfigurationError,
     Individual,
+    PrimitiveSet,
     ProgramTree,
     Sort,
+    arithmetic_kinds,
     build_random_tree,
     constant_kind_name,
     deserialize,
     function,
+    iter_nodes,
+    replace_subtree,
     serialize,
 )
 
@@ -386,6 +393,153 @@ def test_one_pass_scoring_refuses_an_unknown_lazy_kind(catalog, feed_prims):
     with pytest.raises(ConfigurationError, match="first"):
         feed_module._fill_screen(tree, catalog, DEFAULT_DESIRED_QTY,
                                  SupervisorPolicy(max_steps=512))
+
+
+# ---------------------------------------------------------------------------
+# per-node records: a bred child is scored only where breeding changed it
+
+def is_warm(node, catalog):
+    record = node.record
+    return record is not None and record[0] is feed_module._feed_columns(catalog)
+
+
+THREE_FEEDS = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 2),
+                           Feed("c", "tech", 4)))
+
+
+@pytest.mark.parametrize("catalog", [default_catalog(), default_catalog(unread=5),
+                                     THREE_FEEDS], ids=["default", "unread5", "three"])
+def test_bred_lineages_score_as_fresh_copies_and_the_walker(catalog):
+    """Children of mutation and crossover share subtree objects, records
+    included, with their parents; each scores bit for bit as a record-free
+    copy and as the per-feed walker, through grafted inf, NaN and signed
+    zeros."""
+    prims = feed_primitives(catalog)
+    policy = SupervisorPolicy(max_steps=10**6)  # every fill takes the one pass
+    rng = random.Random(909)
+    grafts = [deserialize(text, prims) for text in (
+        BIG, NAN, "(const:Number 0.0)", "(const:Number -0.0)",
+        f"(add (const:Number -0.0) {NAN})", "(mul (const:Number -0.0) (unread_count))")]
+
+    def score(tree):
+        got = feed_module._fill_screen(tree, catalog, DEFAULT_DESIRED_QTY, policy)
+        scores, displayed = feed_module._fill_screen(
+            fresh_copy(tree, prims), catalog, DEFAULT_DESIRED_QTY, policy)
+        assert_same_fill(got, (scores, list(displayed)))
+        assert_same_fill(got, walker_fill(tree, catalog, DEFAULT_DESIRED_QTY, policy))
+        return got
+
+    parents = [build_random_tree(prims, 9, rng, FEED_FUNCTION_BIAS) for _ in range(6)]
+    for tree in parents:
+        score(tree)
+    warm = functions = 0
+    seen = set()  # reprs of recorded values
+    for _ in range(8):
+        children = []
+        for parent in parents:
+            pick = rng.random()
+            if pick < 0.3:
+                child = mutate(parent, prims, 9, rng, FEED_FUNCTION_BIAS)
+            elif pick < 0.5:
+                child = crossover(parent, rng.choice(parents), 9, rng)
+            else:
+                child = replace_subtree(parent, rng.randrange(parent.size),
+                                        rng.choice(grafts))
+            for node, _ in iter_nodes(child):
+                if node.children:
+                    functions += 1
+                    warm += is_warm(node, catalog)
+            children.append(child)
+        for child in children:
+            score(child)
+            for node, _ in iter_nodes(child):
+                if is_warm(node, catalog):
+                    seen.update(map(repr, node.record[1]))
+        parents = children
+    assert warm > functions // 4  # children reuse what their parents recorded
+    assert {"inf", "-inf", "nan", "0.0", "-0.0"} <= seen  # through the records
+
+
+def labelled(tree, calls):
+    """``tree`` with each eager function node given a kind of its own, named
+    after its preorder position, whose ``fn`` logs that name per call."""
+    position = itertools.count()
+
+    def relabel(node):
+        if not node.children:
+            return node
+        kind = node.kind
+        name = f"{kind.name}#{next(position)}"
+
+        def fn(*args, base=kind.fn, name=name):
+            calls.append(name)
+            return base(*args)
+        children = tuple(relabel(child) for child in node.children)
+        return ProgramTree(function(name, kind.argument_sorts, kind.result_sort, fn),
+                           children)
+    return relabel(tree)
+
+
+def with_ancestors(tree):
+    """``(node, its ancestors)`` for every node, in preorder."""
+    stack = [(tree, ())]
+    while stack:
+        node, above = stack.pop()
+        yield node, above
+        stack.extend((child, above + (node,)) for child in reversed(node.children))
+
+
+def test_a_child_evaluates_only_the_ancestors_breeding_rebuilt(catalog, feed_prims):
+    """Without ``if_greater`` every node is reached by every feed, so every
+    function node keeps a record."""
+    terminals = [kind for kind in feed_prims.leaves_for(Sort.NUMBER)
+                 if kind.category is Category.TERMINAL]
+    prims = PrimitiveSet(arithmetic_kinds() + terminals, Sort.NUMBER,
+                         {Sort.NUMBER: lambda rng: rng.uniform(-10.0, 10.0)})
+    calls = []
+    parent = labelled(build_random_tree(prims, 6, random.Random(3), 0.9), calls)
+    feeds = len(catalog.feeds)
+    everything = {node.kind.name: feeds for node, _ in iter_nodes(parent) if node.children}
+    assert len(everything) > 10
+
+    def evaluated(tree, catalog):
+        calls.clear()
+        values = feed_module._score_feeds(tree, catalog)
+        counts = Counter(calls)
+        for got, env in zip(values, _feed_environments(catalog)):
+            assert repr(got) == repr(execute(tree, env, SupervisorPolicy(10**6)).value)
+        return counts
+
+    assert evaluated(parent, catalog) == everything
+    assert evaluated(parent, catalog) == {}  # the root's own record
+    leaf = const_program(prims, 1.5)
+    for index, (_, above) in enumerate(with_ancestors(parent)):
+        child = replace_subtree(parent, index, leaf)
+        assert evaluated(child, catalog) == {a.kind.name: feeds for a in above}
+    # an equal catalog reads the same columns, and so the same records
+    assert evaluated(parent, default_catalog()) == {}
+    # other columns evaluate everything again and replace the records
+    other = default_catalog(unread=5)
+    assert evaluated(parent, other) == everything
+    assert evaluated(parent, other) == {}
+    assert evaluated(parent, catalog) == everything
+
+
+def test_only_branches_every_feed_reaches_keep_a_record(catalog, feed_prims):
+    tree = deserialize(
+        "(add (if_greater (group_is_tech) (const:Number 0.5)"
+        " (mul (unread_count) (is_techland)) (sub (unread_count) (is_engadget)))"
+        " (if_greater (unread_count) (const:Number 0.0)"
+        " (add (group_is_tech) (unread_count)) (mul (unread_count) (unread_count))))",
+        feed_prims)
+    feed_module._score_feeds(tree, catalog)
+    split, whole = tree.children
+    assert is_warm(tree, catalog) and is_warm(split, catalog) and is_warm(whole, catalog)
+    assert [branch.record for branch in split.children[2:]] == [None, None]
+    assert is_warm(whole.children[2], catalog) and whole.children[3].record is None
+    assert all(node.record is None for node, _ in iter_nodes(tree) if not node.children)
+    values = feed_module._score_feeds(tree, catalog)
+    assert tree.record[1] is values and isinstance(values, tuple)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from gpislands.trees import (
     replace_subtree,
     serialize,
     set_memo,
+    set_record,
     terminal,
     tree_depth,
     tree_size,
@@ -265,10 +266,13 @@ def test_cached_measures_stay_out_of_equality_hash_and_repr(geo_prims):
     again = deserialize(serialize(t), geo_prims)
     assert again == t and hash(again) == hash(t)
     assert "size" not in repr(t) and "depth" not in repr(t)
-    assert t.memo is None
+    assert t.memo is None and t.record is None
     set_memo(t, ("some key", 0.5))
+    set_record(t, ("some columns", (1.0, 2.0)))
     assert again == t and hash(again) == hash(t)
     assert "memo" not in repr(t) and again.memo is None
+    assert "record" not in repr(t) and again.record is None
+    assert t.memo == ("some key", 0.5)  # the slots are apart
 
 
 # ---------------------------------------------------------------------------
