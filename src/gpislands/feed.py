@@ -20,8 +20,9 @@ between its branches.  Every feed meets the same operations on the same
 operands as in a run of its own, so each score keeps its bits, NaN and
 ``inf`` included.  That pass has no step counter, so it is used only when
 the tree has at most ``policy.max_steps`` nodes, and then no run can be
-killed.  A larger tree runs on the supervised walker (:func:`execute`), feed
-by feed, against that feed's bindings; the walker alone decides kills.
+killed.  A larger tree is compiled once (:func:`compile_program`) and run
+with :func:`execute` feed by feed, against that feed's bindings; the
+supervisor alone decides kills.
 
 The pass scores only what it has not scored before.  A function node that
 every feed of a catalog reaches keeps its per-feed values on the node
@@ -52,7 +53,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .interpreter import Bindings, SupervisorPolicy, execute
+from .interpreter import Bindings, SupervisorPolicy, compile_program, execute
 from .trees import (
     Category,
     ConfigurationError,
@@ -326,14 +327,15 @@ def _fill_screen(tree: ProgramTree, catalog: FeedCatalog, desired_qty: int,
     """The scores and the displayed items, or ``None`` if a run was killed.
 
     A tree within the step budget cannot be killed, so it is scored in one
-    pass; a larger one runs on the supervised walker, feed by feed.
+    pass; a larger one is compiled and run under the supervisor, feed by feed.
     """
     if tree.size <= policy.max_steps:
         values = _score_feeds(tree, catalog)
     else:
+        program = compile_program(tree)
         values = []
         for bindings in _feed_environments(catalog):
-            outcome = execute(tree, bindings, policy)
+            outcome = execute(program, bindings, policy)
             if outcome.killed:
                 return None
             values.append(outcome.value)

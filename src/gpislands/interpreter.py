@@ -3,39 +3,38 @@
 A program runs depth-first against ``bindings``, a mapping from terminal
 names to zero-argument accessors.  A terminal evaluates to whatever its
 accessor returns; an action terminal's accessor acts on the world itself.
-Every node evaluation costs one step from the supervisor's budget, and a run
-that would exceed it is killed instead of raising, so any sort-valid tree
-either completes with a value or is killed (``RunOutcome.killed``).
+Every node evaluated costs one step from the supervisor's budget; a run
+that exceeds it is killed (``RunOutcome.killed``) instead of raising.
 
-Two engines
------------
-:func:`execute` accepts a bare :class:`ProgramTree`, which it walks node by
-node, checking the budget at every node, or a :class:`Program` made by
-:func:`compile_program`, which turns the whole tree into nested closures.  A
-caller that runs the same tree many times compiles it once and saves the
-per-node dispatch of the walker.  Only the localisation task compiles, once
-per control pass, running the program once per tick.  The feed task scores
-all its feeds in one pass of its own and calls :func:`execute` only on trees
-too large for the step budget, which it walks.
+One engine
+----------
+:func:`compile_program` turns the whole tree into nested closures once and
+:func:`execute` runs them, so a caller running a tree many times compiles it
+once: the localisation task once per control pass, for every tick; the feed
+task, which scores its feeds in one pass of its own, only for a tree too
+large for the step budget, run feed by feed.
 
-The closures skip the budget check, so :func:`execute` runs them only when
-the program's size is within ``policy.max_steps``: a run visits each node at
-most once -- lazy functions such as ``if_greater`` call each of their thunks
-at most once -- so such a run can never exhaust the budget.  Otherwise it
-walks ``program.tree``, which kills exactly as for the bare tree.  The
-walker is the reference the compiled closures are tested against.
+The closures carry no budget check; the kill is decided after the run.  A run
+visits each node at most once -- lazy functions such as ``if_greater`` call
+each of their thunks at most once -- so its cost is bounded by the tree's
+size whatever the budget.  A run that evaluated more than
+``policy.max_steps`` nodes is reported killed with ``steps_used ==
+max_steps``: a supervisor checking every node would have stopped it at
+exactly that step, after the same accessor calls.  Terminals past the budget
+are still read, so their accessors must not act on anything a caller reads
+after a kill.
 
-``steps_used`` is exact on both paths without a per-node counter.  A run that
-skipped nothing used ``size`` steps.  Each lazy node adds the total size of
-its children to a ``skipped`` tally, and each thunk takes its own child's
-size back off when called, so ``size - skipped`` counts exactly the nodes the
-run evaluated, untaken branches excluded.
+``steps_used`` is exact without a per-node counter.  A run that skipped
+nothing used ``size`` steps.  Each lazy node adds the total size of its
+children to a ``skipped`` tally, and each thunk takes its own child's size
+back off when called, so ``size - skipped`` counts exactly the nodes the run
+evaluated, untaken branches excluded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, NamedTuple, Union
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .trees import Category, ConfigurationError, ProgramTree
 
@@ -60,10 +59,6 @@ class RunOutcome(NamedTuple):
     steps_used: int
 
 
-class _Killed(Exception):
-    pass
-
-
 class _Frame:
     """Per-run state shared by the closures of one compiled program."""
 
@@ -78,26 +73,18 @@ class Program:
     accessor), nor from two threads at once.
     """
 
-    __slots__ = ("tree", "size", "_root", "_frame")
+    __slots__ = ("size", "_root", "_frame")
 
-    def __init__(self, tree: ProgramTree, root: Callable[[], Any], frame: _Frame) -> None:
-        self.tree = tree
-        self.size = tree.size
+    def __init__(self, size: int, root: Callable[[], Any], frame: _Frame) -> None:
+        self.size = size
         self._root = root
         self._frame = frame
-
-    def _run(self, bindings: Bindings) -> RunOutcome:
-        frame = self._frame
-        frame.bindings = bindings
-        frame.skipped = 0
-        value = self._root()
-        return RunOutcome(False, value, self.size - frame.skipped)
 
 
 def compile_program(tree: ProgramTree) -> Program:
     """Compile ``tree``, every branch included, into nested closures."""
     frame = _Frame()
-    return Program(tree, _compile(tree, frame), frame)
+    return Program(tree.size, _compile(tree, frame), frame)
 
 
 def _compile(node: ProgramTree, frame: _Frame) -> Callable[[], Any]:
@@ -143,47 +130,20 @@ def _thunk(child: ProgramTree, frame: _Frame) -> Callable[[], Any]:
     return thunk
 
 
-def execute(program: Union[Program, ProgramTree], bindings: Bindings,
-            policy: SupervisorPolicy) -> RunOutcome:
-    """Run ``program`` (a tree or a compiled :class:`Program`) against
-    ``bindings`` under ``policy``; never raises for a sort-valid tree.
+def execute(program: Program, bindings: Bindings, policy: SupervisorPolicy) -> RunOutcome:
+    """Run ``program`` against ``bindings`` under ``policy``; never raises for a
+    sort-valid tree.  A run that evaluated more than ``policy.max_steps``
+    nodes is killed: ``RunOutcome(True, None, policy.max_steps)``.
 
     An unbound terminal is a configuration error, not a kill: the tree was
-    handed bindings that cannot support it.
+    handed bindings that cannot support it.  It raises even past the budget,
+    since the run reads every terminal it reaches.
     """
-    if isinstance(program, Program):
-        if program.size <= policy.max_steps:
-            return program._run(bindings)
-        program = program.tree
-    return _walk(program, bindings, policy)
-
-
-def _walk(tree: ProgramTree, bindings: Bindings, policy: SupervisorPolicy) -> RunOutcome:
-    """Node-by-node evaluation, checking the budget at every node."""
-    steps = 0
-    max_steps = policy.max_steps
-
-    def ev(node: ProgramTree) -> Any:
-        nonlocal steps
-        if steps >= max_steps:
-            raise _Killed()
-        steps += 1
-        kind = node.kind
-        category = kind.category
-        if category is Category.CONSTANT:
-            return node.value
-        if category is Category.TERMINAL:
-            accessor = bindings.get(kind.name)
-            if accessor is None:
-                raise ConfigurationError(f"terminal {kind.name!r} is not bound")
-            return accessor()
-        if kind.lazy:
-            thunks = [(lambda c=c: ev(c)) for c in node.children]
-            return kind.fn(*thunks)
-        return kind.fn(*[ev(c) for c in node.children])
-
-    try:
-        value = ev(tree)
-    except _Killed:
-        return RunOutcome(True, None, steps)
+    frame = program._frame
+    frame.bindings = bindings
+    frame.skipped = 0
+    value = program._root()
+    steps = program.size - frame.skipped
+    if steps > policy.max_steps:
+        return RunOutcome(True, None, policy.max_steps)
     return RunOutcome(False, value, steps)

@@ -27,7 +27,7 @@ from gpislands.evolution import (
     strategy_from_dict,
 )
 from gpislands.feed import FEED_FUNCTION_BIAS
-from gpislands.interpreter import SupervisorPolicy, execute
+from gpislands.interpreter import SupervisorPolicy, compile_program, execute
 from gpislands.localisation import LOC_FUNCTION_BIAS
 from gpislands.trees import (
     ConfigurationError,
@@ -405,7 +405,7 @@ def test_configuration_errors_are_not_scored_as_zero(geo_prims):
     policy = SupervisorPolicy(max_steps=16)
 
     def unbound(member):
-        return execute(member.tree, bindings, policy).value
+        return execute(compile_program(member.tree), bindings, policy).value
 
     with pytest.raises(ConfigurationError, match="lat"):
         evaluate_population(pop, unbound)

@@ -7,6 +7,7 @@ import statistics
 from collections import Counter
 
 import pytest
+from walker import walk
 
 from gpislands import feed as feed_module
 from gpislands.feed import (
@@ -29,7 +30,7 @@ from gpislands.feed import (
     simulate_clicks,
 )
 from gpislands.evolution import crossover, mutate
-from gpislands.interpreter import SupervisorPolicy, execute
+from gpislands.interpreter import SupervisorPolicy, compile_program, execute
 from gpislands.trees import (
     Category,
     ConfigurationError,
@@ -279,11 +280,11 @@ def test_evaluator_fitness_matches_a_memo_free_reference(catalog, feed_prims,
 # one-pass scoring against the per-feed walker
 
 def walker_fill(tree, catalog, desired_qty, policy):
-    """The screen fill computed feed by feed on the supervised walker, with
+    """The screen fill computed feed by feed on the reference walker, with
     the round-robin written out round by round."""
     scores = {}
     for feed, env in zip(catalog.feeds, _feed_environments(catalog)):
-        outcome = execute(tree, env, policy)
+        outcome = walk(tree, env, policy)
         if outcome.killed:
             return None
         scores[feed.feed_id] = float(outcome.value)
@@ -507,7 +508,8 @@ def test_a_child_evaluates_only_the_ancestors_breeding_rebuilt(catalog, feed_pri
         values = feed_module._score_feeds(tree, catalog)
         counts = Counter(calls)
         for got, env in zip(values, _feed_environments(catalog)):
-            assert repr(got) == repr(execute(tree, env, SupervisorPolicy(10**6)).value)
+            assert repr(got) == repr(
+                execute(compile_program(tree), env, SupervisorPolicy(10**6)).value)
         return counts
 
     assert evaluated(parent, catalog) == everything

@@ -1,14 +1,17 @@
 """Supervised execution: step budgets, laziness, action terminals, and the
-compiled engine against the walker."""
+compiled engine against the reference walker."""
 import random
 
 import pytest
+from walker import walk
 
-from gpislands import interpreter
-from gpislands.feed import _feed_environments, default_catalog
+from gpislands import feed as feed_module
+from gpislands import localisation as localisation_module
+from gpislands.feed import DEFAULT_DESIRED_QTY, _feed_environments, default_catalog
 from gpislands.interpreter import SupervisorPolicy, compile_program, execute
 from gpislands.localisation import World, WorldConfig
 from gpislands.trees import (
+    DEPTH_CEILING,
     Category,
     ConfigurationError,
     PrimitiveSet,
@@ -17,6 +20,7 @@ from gpislands.trees import (
     arithmetic_kinds,
     build_random_tree,
     constant_kind_name,
+    deserialize,
     if_greater_kind,
     sequence_kind,
     terminal,
@@ -41,7 +45,7 @@ def branch_prims():
 
 
 def test_constant_tree_completes_in_one_step(geo_prims):
-    out = execute(num_const(geo_prims, 2.5), {}, SupervisorPolicy(8))
+    out = execute(compile_program(num_const(geo_prims, 2.5)), {}, SupervisorPolicy(8))
     assert out.value == 2.5
     assert out.steps_used == 1
     assert not out.killed
@@ -50,7 +54,7 @@ def test_constant_tree_completes_in_one_step(geo_prims):
 def test_terminal_bindings_are_read_at_execution(geo_prims):
     t = ProgramTree(geo_prims.kind("add"), (ProgramTree(geo_prims.kind("lat")),
                                             num_const(geo_prims, 2.5)))
-    out = execute(t, {"lat": lambda: 1.5}, SupervisorPolicy(16))
+    out = execute(compile_program(t), {"lat": lambda: 1.5}, SupervisorPolicy(16))
     assert out.value == 4.0
     assert out.steps_used == 3
 
@@ -58,13 +62,13 @@ def test_terminal_bindings_are_read_at_execution(geo_prims):
 def test_unbound_terminal_is_a_configuration_error(geo_prims):
     t = ProgramTree(geo_prims.kind("lat"))
     with pytest.raises(ConfigurationError):
-        execute(t, {}, SupervisorPolicy(4))
+        execute(compile_program(t), {}, SupervisorPolicy(4))
 
 
 def test_division_by_zero_yields_sentinel(branch_prims):
     t = ProgramTree(branch_prims.kind("div"),
                     (num_const(branch_prims, 1.0), num_const(branch_prims, 0.0)))
-    out = execute(t, {}, SupervisorPolicy(8))
+    out = execute(compile_program(t), {}, SupervisorPolicy(8))
     assert out.value == 1.0
 
 
@@ -72,7 +76,8 @@ def test_step_budget_kills_large_tree(branch_prims):
     rng = random.Random(5)
     t = build_random_tree(branch_prims, 6, rng, function_bias=1.0)
     assert tree_size(t) > 10
-    out = execute(t, {"a": lambda: 1.0, "b": lambda: 2.0}, SupervisorPolicy(max_steps=10))
+    out = execute(compile_program(t), {"a": lambda: 1.0, "b": lambda: 2.0},
+                  SupervisorPolicy(max_steps=10))
     assert out.killed
     assert out.value is None
     assert out.steps_used == 10
@@ -83,7 +88,7 @@ def test_steps_never_exceed_budget(branch_prims):
     bindings = {"a": lambda: 0.5, "b": lambda: -0.5}
     for _ in range(300):
         t = build_random_tree(branch_prims, 5, rng)
-        out = execute(t, bindings, SupervisorPolicy(max_steps=12))
+        out = execute(compile_program(t), bindings, SupervisorPolicy(max_steps=12))
         assert out.steps_used <= 12
         if not out.killed:
             assert out.steps_used <= tree_size(t)
@@ -104,7 +109,8 @@ def test_if_greater_evaluates_only_taken_branch(branch_prims):
         ProgramTree(branch_prims.kind("a")),
         ProgramTree(branch_prims.kind("b")),
     ))
-    out = execute(t, {"a": reader("a", 10.0), "b": reader("b", 20.0)}, SupervisorPolicy(16))
+    out = execute(compile_program(t), {"a": reader("a", 10.0), "b": reader("b", 20.0)},
+                  SupervisorPolicy(16))
     assert out.value == 10.0
     assert calls == {"a": 1, "b": 0}  # untaken branch never touched
     assert out.steps_used == 4  # if node, both guards, one branch
@@ -124,6 +130,10 @@ def logged(bindings):
     return {name: wrap(name, accessor) for name, accessor in bindings.items()}, log
 
 
+def compiled_run(tree, bindings, policy):
+    return execute(compile_program(tree), bindings, policy)
+
+
 def test_action_terminals_act_through_their_accessors():
     enable = terminal("enable_gps", Sort.ACTION)
     request = terminal("request_update", Sort.ACTION)
@@ -131,26 +141,24 @@ def test_action_terminals_act_through_their_accessors():
     t = ProgramTree(prims.kind("seq"), (ProgramTree(enable), ProgramTree(request)))
     bindings, log = logged({"enable_gps": lambda: "enable:gps",
                             "request_update": lambda: "request_fix"})
-    for target in (t, compile_program(t)):
+    for run in (compiled_run, walk):
         log.clear()
-        out = execute(target, bindings, SupervisorPolicy(8))
+        out = run(t, bindings, SupervisorPolicy(8))
         assert not out.killed
         assert log == ["enable_gps", "request_update"]
         assert out.value == "request_fix"  # seq yields its second action's value
 
 
-@pytest.mark.parametrize("compiled", [False, True])
-def test_a_killed_run_calls_no_accessor_after_the_budget(compiled):
-    ping = terminal("ping", Sort.ACTION)
-    prims = PrimitiveSet([sequence_kind(), ping], Sort.ACTION)
-    t = ProgramTree(prims.kind("seq"), (ProgramTree(ping), ProgramTree(ping)))
-    bindings, log = logged({"ping": lambda: "ping"})
-    out = execute(compile_program(t) if compiled else t, bindings,
-                  SupervisorPolicy(max_steps=2))
-    assert out.killed
-    assert out.value is None
-    assert out.steps_used == 2
-    assert log == ["ping"]  # the second ping would have been the third step
+def test_an_unbound_terminal_past_the_budget_raises(geo_prims):
+    """The run reads every terminal it reaches, so an unbound one raises even
+    where the walker would already have killed the run."""
+    t = ProgramTree(geo_prims.kind("add"), (num_const(geo_prims, 1.0),
+                                            ProgramTree(geo_prims.kind("lat"))))
+    policy = SupervisorPolicy(max_steps=2)
+    assert walk(t, {}, policy) == (True, None, 2)
+    with pytest.raises(ConfigurationError, match="lat"):
+        compiled_run(t, {}, policy)
+    assert compiled_run(t, {"lat": lambda: 1.0}, policy) == (True, None, 2)
 
 
 def test_policy_validation():
@@ -181,14 +189,23 @@ def assert_same_outcome(compiled, walked):
     assert compiled.steps_used == walked.steps_used
 
 
+def assert_same_calls(compiled_log, walked_log, killed):
+    """The compiled run calls the walker's accessors in the walker's order;
+    a killed one goes on past the budget, where the walker stopped."""
+    if killed:
+        assert compiled_log[:len(walked_log)] == walked_log
+    else:
+        assert compiled_log == walked_log
+
+
 def assert_same_runs(program, tree, bindings, policy):
     """The compiled program and the walker give the same outcome and call the
-    same accessors in the same order; returns the outcome."""
+    same accessors in the same order up to the budget; returns the outcome."""
     compiled_bindings, compiled_log = logged(bindings)
     walked_bindings, walked_log = logged(bindings)
     outcome = execute(program, compiled_bindings, policy)
-    assert_same_outcome(outcome, execute(tree, walked_bindings, policy))
-    assert compiled_log == walked_log
+    assert_same_outcome(outcome, walk(tree, walked_bindings, policy))
+    assert_same_calls(compiled_log, walked_log, outcome.killed)
     return outcome
 
 
@@ -207,7 +224,7 @@ def test_compiled_matches_walker_on_feed_trees(feed_prims, max_steps):
         assert program.size == tree_size(tree)
         sizes.append(program.size)
         assert_same_runs(program, tree, feed_bindings(feed_prims, rng), policy)
-    # both the unchecked path and the walker fallback were exercised
+    # trees within the budget and larger ones were both run
     assert min(sizes) <= max_steps < max(sizes)
 
 
@@ -218,28 +235,34 @@ def test_one_compiled_program_serves_every_feed(feed_prims, max_steps):
     per_feed = _feed_environments(default_catalog())
     assert len(per_feed) == 7
     policy = SupervisorPolicy(max_steps=max_steps)
-    fallbacks = kills = 0
+    oversize = kills = 0
     for tree in random_trees(feed_prims, 14, function_bias=0.75):
         program = compile_program(tree)
         outcomes = [assert_same_runs(program, tree, bindings, policy) for bindings in per_feed]
-        fallbacks += tree.size > max_steps
+        oversize += tree.size > max_steps
         kills += any(o.killed for o in outcomes)
-    assert fallbacks
+    assert oversize
     if max_steps < 512:
         assert kills
 
 
-def loc_world_runs(tree, policy, compiled, ticks=8):
-    """Outcomes of ``ticks`` runs against a fresh world, as the task runs them,
-    and the log of the accessors they called."""
+def loc_world_runs(run, ticks=8):
+    """``run(bindings)`` against a fresh world, once per tick up to a kill, as
+    the task runs a program: the outcomes, and per tick the accessors called
+    and, after a completed tick, the program fix and the radios."""
     world = World(WorldConfig(ticks=ticks), seed=3)
     bindings, log = logged(world.environment())
-    program = compile_program(tree) if compiled else tree
-    outcomes = []
+    outcomes, states = [], []
     for tick in range(1, ticks + 1):
         world.t = float(tick)
-        outcomes.append(execute(program, bindings, policy))
-    return outcomes, log, world.program_fix, dict(world.enabled)
+        log.clear()
+        outcome = run(bindings)
+        outcomes.append(outcome)
+        if outcome.killed:
+            states.append((list(log),))
+            break
+        states.append((list(log), world.program_fix, dict(world.enabled)))
+    return outcomes, states
 
 
 @pytest.mark.parametrize("max_steps", [256, 12])
@@ -247,26 +270,32 @@ def test_compiled_matches_walker_on_localisation_trees(loc_prims, max_steps):
     policy = SupervisorPolicy(max_steps=max_steps)
     killed = 0
     for tree in random_trees(loc_prims, 12, function_bias=0.5):
-        compiled, *state_c = loc_world_runs(tree, policy, True)
-        walked, *state_w = loc_world_runs(tree, policy, False)
+        program = compile_program(tree)
+        compiled, state_c = loc_world_runs(lambda b: execute(program, b, policy))
+        walked, state_w = loc_world_runs(lambda b: walk(tree, b, policy))
+        assert len(compiled) == len(walked)
         for a, b in zip(compiled, walked):
             assert_same_outcome(a, b)
-        assert state_c == state_w  # accessor log, program fix and radios
-        killed += any(o.killed for o in walked)
+        # accessor log, program fix and radios after every completed tick
+        completed = len(walked) - walked[-1].killed
+        assert state_c[:completed] == state_w[:completed]
+        if walked[-1].killed:
+            assert_same_calls(state_c[-1][0], state_w[-1][0], True)
+            killed += 1
     if max_steps < 256:
         assert killed  # the kill path was exercised
 
 
 def test_unbound_terminal_raises_on_both_paths(feed_prims):
-    """Without bindings every reached terminal is a configuration error, on the
-    walker and on the unchecked compiled path alike."""
+    """Without bindings every reached terminal is a configuration error, on
+    the walker and on the compiled program alike."""
     policy = SupervisorPolicy(max_steps=10_000)
     raised = 0
     for tree in random_trees(feed_prims, 13, function_bias=0.75):
         errors = []
-        for target in (tree, compile_program(tree)):
+        for run in (walk, compiled_run):
             try:
-                execute(target, {}, policy)
+                run(tree, {}, policy)
             except ConfigurationError as exc:
                 errors.append(str(exc))
         # a tree whose terminals all sit in untaken branches completes everywhere
@@ -275,16 +304,67 @@ def test_unbound_terminal_raises_on_both_paths(feed_prims):
     assert raised > 100
 
 
-def test_compiled_program_takes_the_walker_only_when_a_kill_is_possible(
-        branch_prims, monkeypatch):
-    tree = build_random_tree(branch_prims, 5, random.Random(8), function_bias=1.0)
-    program = compile_program(tree)
-    walked = []
-    real_walk = interpreter._walk
-    monkeypatch.setattr(interpreter, "_walk",
-                        lambda t, *args: walked.append(t) or real_walk(t, *args))
+def test_a_kill_at_the_edge_of_the_budget_matches_the_walker(branch_prims):
+    """At budgets of the tree's size, of the steps a full run takes, and one
+    below each, the kill, the value and ``steps_used`` are the walker's."""
+    rng = random.Random(8)
     bindings = {"a": lambda: 1.0, "b": lambda: 2.0}
-    execute(program, bindings, SupervisorPolicy(max_steps=program.size))
-    assert walked == []
-    execute(program, bindings, SupervisorPolicy(max_steps=program.size - 1))
-    assert walked == [tree]
+    edges = {"killed": 0, "completed": 0}
+    for _ in range(100):
+        tree = build_random_tree(branch_prims, 5, rng, function_bias=1.0)
+        program = compile_program(tree)
+        needed = execute(program, bindings, SupervisorPolicy(max_steps=tree.size)).steps_used
+        for budget in {tree.size, tree.size - 1, needed, needed - 1} - {0}:
+            policy = SupervisorPolicy(max_steps=budget)
+            outcome = execute(program, bindings, policy)
+            assert_same_outcome(outcome, walk(tree, bindings, policy))
+            assert outcome.killed is (budget < needed)
+            edges["killed" if outcome.killed else "completed"] += 1
+    assert min(edges.values()) > 50, edges
+
+
+# ---------------------------------------------------------------------------
+# trees at the depth ceiling
+
+def feed_chain(depth):
+    """A feed program ``depth`` deep whose ``if_greater`` always takes the
+    branch that nests, the deepest stack a run can need per level."""
+    text = "(unread_count)"
+    for _ in range(depth - 1):
+        text = f"(if_greater (unread_count) (const:Number -1.0) {text} (unread_count))"
+    return text
+
+
+def loc_chain(depth):
+    """The same for localisation: the innermost ``seq`` enables cell and asks
+    for a fix, so a completed run earns a trace."""
+    text = "(seq (enable_cell) (request_update))"
+    for _ in range(depth - 2):
+        text = f"(if_greater (last_fix_age) (const:Number -1.0) {text} (enable_gps))"
+    return text
+
+
+def test_a_chain_at_the_depth_ceiling_runs_in_both_tasks(feed_prims, loc_prims):
+    catalog = default_catalog()
+    feed_tree = deserialize(feed_chain(DEPTH_CEILING), feed_prims)
+    loc_tree = deserialize(loc_chain(DEPTH_CEILING), loc_prims)
+    assert feed_tree.depth == loc_tree.depth == DEPTH_CEILING
+    assert feed_tree.size == 797 > feed_module.DEFAULT_MAX_STEPS
+    assert loc_tree.size > localisation_module.DEFAULT_MAX_STEPS
+    tight = SupervisorPolicy(max_steps=feed_module.DEFAULT_MAX_STEPS)
+    loose = SupervisorPolicy(max_steps=10**6)
+    runs = [(feed_tree, _feed_environments(catalog)[0]),
+            (loc_tree, World(WorldConfig(), seed=1).environment())]
+    for tree, bindings in runs:
+        program = compile_program(tree)
+        killed = execute(program, bindings, tight)
+        assert killed == (True, None, tight.max_steps)
+        completed = execute(program, bindings, loose)
+        assert not completed.killed
+        assert_same_outcome(completed, walk(tree, bindings, loose))
+    assert feed_module._fill_screen(feed_tree, catalog, DEFAULT_DESIRED_QTY, tight) is None
+    assert len(feed_module._fill_screen(feed_tree, catalog, DEFAULT_DESIRED_QTY,
+                                        loose)[0]) == len(catalog.feeds)
+    trace = localisation_module._control_trace
+    assert trace(loc_tree, WorldConfig(), tight, localisation_module.EnergyBudget()) == ()
+    assert trace(loc_tree, WorldConfig(), loose, localisation_module.EnergyBudget())

@@ -5,9 +5,10 @@ import math
 import random
 
 import pytest
+from walker import walk
 
 from gpislands import localisation as localisation_module
-from gpislands.interpreter import SupervisorPolicy, execute
+from gpislands.interpreter import SupervisorPolicy
 from gpislands.localisation import (
     DEFAULT_PROVIDERS,
     EnergyBudget,
@@ -478,7 +479,7 @@ def oracle_fitness(tree, config, seed, policy, budget):
     total = 0.0
     for tick in range(1, config.ticks + 1):
         world.t = float(tick)
-        if execute(tree, bindings, policy).killed:
+        if walk(tree, bindings, policy).killed:
             return total / config.ticks, True
         best = world.best(lambda p: 0.0)
         if best is None:
@@ -603,6 +604,25 @@ def test_other_inputs_recompute_the_trace(prims, execute_calls):
     evaluate_localisation(tree, World(WorldConfig(ticks=30), seed=4),
                           SupervisorPolicy(max_steps=256), EnergyBudget(budget_ma=100.0))
     assert len(execute_calls) == before + 30
+
+
+def test_a_killed_tick_adds_no_trace_entry_and_no_later_tick_runs(prims, execute_calls):
+    """The killed tick's run goes on past the budget, where it asks for a
+    fix, on the control pass's own world; that fix reaches no trace."""
+    tree = parse(prims, "(if_greater (last_fix_age) (const:Number 100.0)"
+                        " (seq (enable_cell) (request_update))"
+                        " (seq (enable_cell) (seq (enable_cell) (request_update))))")
+    config, budget = single_provider_world(CELL, ticks=5), EnergyBudget()
+    full = localisation_module._control_trace(tree, config, SupervisorPolicy(max_steps=8),
+                                              budget)
+    assert len(execute_calls) == 5
+    # tick 1: no fix yet; from tick 2 every tick fixes anew (error index 2 * tick)
+    assert [source[2] for source, _, _ in full] == [4, 6, 8, 10]
+    # at tick 3 the else branch needs 8 steps, its request_update the 8th
+    killed = localisation_module._control_trace(tree, config, SupervisorPolicy(max_steps=7),
+                                                budget)
+    assert len(execute_calls) == 5 + 3
+    assert killed == full[:1]
 
 
 # Twins: distinct tree objects that compare equal.  A signed zero does not

@@ -2,6 +2,7 @@
 import random
 
 import pytest
+from walker import walk
 
 from gpislands.evolution import Population, crossover, mutate, population_stats
 from gpislands.feed import (
@@ -466,7 +467,7 @@ def test_deserialize_without_bound_stops_at_the_ceiling(feed_prims, kind):
     report = run_feed_program(tree, catalog, policy=policy)
     assert len(report.scores) == len(catalog.feeds)
     env = _feed_environments(catalog)[0]
-    walked = execute(tree, env, policy)
+    walked = walk(tree, env, policy)
     compiled = execute(compile_program(tree), env, policy)
     assert not walked.killed
     assert (walked.value, walked.steps_used) == (compiled.value, compiled.steps_used)
