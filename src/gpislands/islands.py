@@ -2,8 +2,8 @@
 
 Each island evolves its own population in lock step with the others.  At
 every migration generation (positive multiples of the policy interval) an
-island broadcasts serialized copies of randomly chosen members -- emigrants
-are not removed -- and appends whatever arrives as immigrants.  The appended
+island broadcasts copies of randomly chosen members -- emigrants are not
+removed -- and appends whatever arrives as immigrants.  The appended
 members are scored with the current generation and take part in the next
 breed, which restores the population to capacity.
 
@@ -13,16 +13,9 @@ adopt any migrant, and transports are best effort -- lost datagrams are
 simply never seen.  The in-process broadcast bus simulates that with a
 per-delivery loss probability; the UDP transport sends real datagrams.
 
-Receivers parse only text the run did not write itself.  At each migration
-generation :func:`run_islands` keeps a map from every emigrant's text to the
-tree it was serialized from, and :func:`admit_immigrants` resolves an
-arrival found there to that very tree (trees are immutable, so islands may
-share one), after an O(1) check of its depth and root sort.  Everything else
--- datagrams from other processes, late arrivals from an earlier generation,
-malformed text -- is parsed and validated by ``deserialize`` and dropped if
-it fails.  The wire bytes, the loss draws and the admission counts are the
-same either way, and the map is dropped when the generation's admissions
-are done.
+In process a migrant travels as its tree (trees are immutable, so islands
+may share one).  Text that came off a wire is parsed and validated by
+``deserialize``, and dropped if it fails.
 """
 
 from __future__ import annotations
@@ -33,8 +26,8 @@ import math
 import random
 import select
 import socket
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .evolution import (
     EvolutionStrategy,
@@ -102,17 +95,21 @@ def is_migration_generation(generation: int, policy: MigrationPolicy) -> bool:
 
 @dataclass(frozen=True)
 class MigrantEnvelope:
-    """A migrating program: a format version tag and the serialized tree.
+    """A migrating program: the member's tree in process, or its canonical
+    text once it has come off a wire.
 
-    Anonymous by construction -- the encoded bytes are a function of the tree
-    alone, so receivers cannot tell (and never learn) who sent it.
+    Anonymous by construction -- the envelope holds the program and nothing
+    else, and its bytes (the ``WIRE_VERSION`` tag line, then the tree text)
+    are a function of the program alone, so receivers cannot tell (and never
+    learn) who sent it.
     """
 
-    payload: str
-    version: str = WIRE_VERSION
+    payload: ProgramTree | str
 
     def encode(self) -> bytes:
-        return f"{self.version}\n{self.payload}\n".encode("utf-8")
+        """Wire bytes; a tree payload is serialized only here."""
+        text = self.payload if isinstance(self.payload, str) else serialize(self.payload)
+        return f"{WIRE_VERSION}\n{text}\n".encode("utf-8")
 
     @classmethod
     def decode(cls, data: bytes) -> Optional["MigrantEnvelope"]:
@@ -124,7 +121,7 @@ class MigrantEnvelope:
         head, sep, rest = text.partition("\n")
         if not sep or head != WIRE_VERSION:
             return None
-        return cls(payload=rest.rstrip("\n"), version=head)
+        return cls(rest.rstrip("\n"))
 
 
 class Transport:
@@ -160,7 +157,7 @@ class SimulatedBroadcastBus:
         self._endpoints.append(endpoint)
         return endpoint
 
-    def _broadcast(self, sender: "_BusEndpoint", data: bytes) -> None:
+    def _broadcast(self, sender: "_BusEndpoint", envelope: MigrantEnvelope) -> None:
         self.sent += 1
         for endpoint in self._endpoints:
             if endpoint is sender:
@@ -168,24 +165,19 @@ class SimulatedBroadcastBus:
             if self._rng.random() < self.loss:
                 self.dropped += 1
                 continue
-            endpoint._mailbox.append(data)
+            endpoint._mailbox.append(envelope)
 
 
 class _BusEndpoint(Transport):
     def __init__(self, bus: SimulatedBroadcastBus) -> None:
         self._bus = bus
-        self._mailbox: list[bytes] = []
+        self._mailbox: list[MigrantEnvelope] = []
 
     def send(self, envelope: MigrantEnvelope) -> None:
-        self._bus._broadcast(self, envelope.encode())
+        self._bus._broadcast(self, envelope)
 
     def drain(self) -> list[MigrantEnvelope]:
-        received = []
-        for data in self._mailbox:
-            envelope = MigrantEnvelope.decode(data)
-            if envelope is not None:
-                received.append(envelope)
-        self._mailbox.clear()
+        received, self._mailbox = self._mailbox, []
         return received
 
 
@@ -246,25 +238,18 @@ class UdpBroadcastTransport(Transport):
 # ---------------------------------------------------------------------------
 # migration primitives
 
-def select_emigrants(pop: Population, policy: MigrationPolicy, rng: random.Random,
-                     sources: Optional[dict[str, ProgramTree]] = None
-                     ) -> list[MigrantEnvelope]:
-    """Serialized copies of distinct members chosen uniformly at random.
+def select_emigrants(pop: Population, policy: MigrationPolicy,
+                     rng: random.Random) -> list[MigrantEnvelope]:
+    """Envelopes carrying the trees of distinct members chosen uniformly at
+    random.
 
     Emigration never removes members; the caller is responsible for invoking
-    this only at migration generations.  If ``sources`` is given, each
-    emigrant's text is mapped there to the tree it was serialized from.
+    this only at migration generations.  Nothing is serialized here: a
+    transport that needs bytes calls :meth:`MigrantEnvelope.encode`.
     """
     count = min(policy.batch_size(pop.capacity), len(pop.members))
     chosen = rng.sample(range(len(pop.members)), count)
-    envelopes = []
-    for i in chosen:
-        tree = pop.members[i].tree
-        text = serialize(tree)
-        if sources is not None:
-            sources[text] = tree
-        envelopes.append(MigrantEnvelope(text))
-    return envelopes
+    return [MigrantEnvelope(pop.members[i].tree) for i in chosen]
 
 
 @dataclass(frozen=True)
@@ -275,29 +260,30 @@ class AdmissionReport:
 
 def admit_immigrants(pop: Population, envelopes: Sequence[MigrantEnvelope],
                      prims: PrimitiveSet, max_depth: int,
-                     origin: Origin = Origin.IMMIGRANT,
-                     sources: Optional[Mapping[str, ProgramTree]] = None
-                     ) -> AdmissionReport:
+                     origin: Origin = Origin.IMMIGRANT) -> AdmissionReport:
     """Append every well-formed arriving program; count malformed ones.
 
     The population may temporarily exceed capacity; the next breed restores
     it.  Admitted members have no fitness yet.
 
-    ``sources`` maps text to trees built over ``prims`` (as filled by
-    :func:`select_emigrants`).  A payload found there is admitted as that
-    tree, without parsing, if the tree is within ``max_depth`` and has the
-    root sort; any other payload is parsed and validated.
+    A text payload -- the only kind that comes off a wire -- is parsed and
+    validated against ``prims`` and ``max_depth``.  A tree payload comes
+    from an island of this process and is trusted to have been built over
+    ``prims``: it is admitted as that very tree, without a parse, if it is
+    within ``max_depth`` and has the root sort, and dropped otherwise.
     """
     admitted = dropped = 0
     for envelope in envelopes:
-        tree = sources.get(envelope.payload) if sources else None
-        if tree is None or tree.depth > max_depth or tree.sort is not prims.root_sort:
-            try:
-                tree = deserialize(envelope.payload, prims, max_depth)
-            except TreeError as exc:
-                log.debug("dropping malformed migrant: %s", exc)
-                dropped += 1
-                continue
+        tree = envelope.payload
+        try:
+            if isinstance(tree, str):
+                tree = deserialize(tree, prims, max_depth)
+            elif tree.depth > max_depth or tree.sort is not prims.root_sort:
+                raise TreeError(f"tree of depth {tree.depth} and sort {tree.sort.value}")
+        except TreeError as exc:
+            log.debug("dropping malformed migrant: %s", exc)
+            dropped += 1
+            continue
         pop.members.append(Individual.from_tree(tree, origin))
         admitted += 1
     return AdmissionReport(admitted, dropped)
@@ -395,18 +381,16 @@ def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, capacity: int,
         sent = [0] * len(specs)
         if is_migration_generation(generation, policy):
             if policy.mode is MigrationMode.MIGRATE:
-                sources: dict[str, ProgramTree] = {}
                 for k in range(len(specs)):
-                    envelopes = select_emigrants(pops[k], policy, mig_rngs[k], sources)
+                    envelopes = select_emigrants(pops[k], policy, mig_rngs[k])
                     for envelope in envelopes:
                         transports[k].send(envelope)
                     sent[k] = len(envelopes)
                 for k, spec in enumerate(specs):
                     report = admit_immigrants(pops[k], transports[k].drain(),
-                                              prims, max_depth, sources=sources)
+                                              prims, max_depth)
                     arrived[k] = report.admitted
                     evaluate_new_members(pops[k], spec.evaluator)
-                del sources  # keep no tree alive past this generation's admissions
             elif policy.mode is MigrationMode.RANDOM_INJECT:
                 for k, spec in enumerate(specs):
                     arrived[k] = inject_random(pops[k], policy, prims, max_depth,

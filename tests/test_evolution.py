@@ -1,5 +1,4 @@
 """Selection, variation operators, strategies and generational breeding."""
-import math
 import random
 
 import pytest
@@ -41,7 +40,6 @@ from gpislands.trees import (
     iter_nodes,
     replace_subtree,
     serialize,
-    tree_depth,
     validate_tree,
 )
 

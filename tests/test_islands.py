@@ -15,6 +15,7 @@ from gpislands.islands import (
     MigrationMode,
     MigrationPolicy,
     SimulatedBroadcastBus,
+    Transport,
     UdpBroadcastTransport,
     WIRE_VERSION,
     admit_immigrants,
@@ -95,11 +96,9 @@ def test_unrecognized_wire_bytes_are_dropped(data):
 
 def test_envelopes_are_anonymous(geo_prims):
     """The bytes are a function of the tree alone: no sender identity."""
-    assert {f.name for f in dataclasses.fields(MigrantEnvelope)} == {"payload", "version"}
+    assert {f.name for f in dataclasses.fields(MigrantEnvelope)} == {"payload"}
     tree = build_random_tree(geo_prims, 3, random.Random(12))
-    a = MigrantEnvelope(serialize(tree)).encode()
-    b = MigrantEnvelope(serialize(tree)).encode()
-    assert a == b
+    assert MigrantEnvelope(tree).encode() == MigrantEnvelope(serialize(tree)).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +110,8 @@ def test_select_emigrants_copies_distinct_members(geo_prims):
     envelopes = select_emigrants(pop, policy, random.Random(3))
     assert len(envelopes) == 3
     assert len(pop.members) == 10  # emigrants are copies, not removals
-    texts = {serialize(m.tree) for m in pop.members}
-    assert all(e.payload in texts for e in envelopes)
-    assert len({id(e) for e in envelopes}) == 3
+    assert all(any(e.payload is m.tree for m in pop.members) for e in envelopes)
+    assert len({id(e.payload) for e in envelopes}) == 3
 
 
 def test_admit_immigrants_appends_and_counts_drops(geo_prims):
@@ -158,17 +156,15 @@ def test_emigrants_resolve_to_the_senders_trees(feed_prims, parses):
     bus = SimulatedBroadcastBus()
     ends = [bus.register(), bus.register()]
     pops = [scored_population(feed_prims, 10, seed) for seed in (1, 2)]
-    sources = {}
     policy = MigrationPolicy(rate=0.5)
-    sent = [select_emigrants(pop, policy, random.Random(k), sources)
+    sent = [select_emigrants(pop, policy, random.Random(k))
             for k, pop in enumerate(pops)]
     for end, envelopes in zip(ends, sent):
         for envelope in envelopes:
             end.send(envelope)
     senders = [[m.tree for m in pop.members] for pop in pops]
     for k in (0, 1):
-        report = admit_immigrants(pops[k], ends[k].drain(), feed_prims, 3,
-                                  sources=sources)
+        report = admit_immigrants(pops[k], ends[k].drain(), feed_prims, 3)
         assert report == AdmissionReport(admitted=5, dropped=0)
         for newcomer in pops[k].members[10:]:
             assert any(newcomer.tree is tree for tree in senders[1 - k])
@@ -176,23 +172,34 @@ def test_emigrants_resolve_to_the_senders_trees(feed_prims, parses):
     assert parses == []
 
 
-def test_unknown_malformed_and_unfit_payloads_are_parsed(geo_prims, parses):
+def test_text_payloads_are_parsed_and_unfit_trees_are_dropped(geo_prims, parses):
     deep = "(add (add (add (lat) (lon)) (lon)) (lat))"
-    sources = {deep: deserialize(deep, geo_prims),  # deeper than the bound
-               "(flag)": ProgramTree(terminal("flag", Sort.BOOLEAN))}  # wrong sort
-    foreign = "(add (lat) (lon))"
-    payloads = [foreign, "(add (lat)", deep, "(flag)"]
+    texts = ["(add (lat) (lon))", "(add (lat)", deep, "(flag)"]
+    trees = [deserialize(deep, geo_prims),  # deeper than the bound
+             ProgramTree(terminal("flag", Sort.BOOLEAN))]  # wrong sort
     pop = scored_population(geo_prims, 5)
-    report = admit_immigrants(pop, [MigrantEnvelope(p) for p in payloads],
-                              geo_prims, max_depth=3, sources=sources)
-    assert report == AdmissionReport(admitted=1, dropped=3)
-    assert parses == payloads
-    assert serialize(pop.members[-1].tree) == foreign
+    report = admit_immigrants(pop, [MigrantEnvelope(p) for p in texts + trees],
+                              geo_prims, max_depth=3)
+    assert report == AdmissionReport(admitted=1, dropped=5)
+    assert parses == texts
+    assert serialize(pop.members[-1].tree) == texts[0]
 
 
-def test_run_is_the_same_whether_migrants_resolve_or_are_parsed(feed_prims, parses,
-                                                                monkeypatch):
-    def run():
+class ThroughTheCodec(Transport):
+    """A bus endpoint whose envelopes cross the wire format on every send."""
+
+    def __init__(self, endpoint):
+        self._endpoint = endpoint
+
+    def send(self, envelope):
+        self._endpoint.send(MigrantEnvelope.decode(envelope.encode()))
+
+    def drain(self):
+        return self._endpoint.drain()
+
+
+def test_run_is_the_same_whether_migrants_resolve_or_are_parsed(feed_prims, parses):
+    def run(transports=None):
         catalog = default_catalog()
         specs = [IslandSpec(island_strategy(8),
                             FeedEvaluator(catalog, landscape_user(catalog, "hetero", k),
@@ -201,15 +208,14 @@ def test_run_is_the_same_whether_migrants_resolve_or_are_parsed(feed_prims, pars
                  for k in range(3)]
         return run_islands(specs, feed_prims, 8, 7,
                            MigrationPolicy(interval=1, rate=0.5), 8,
+                           transports=transports,
                            transport_seed="t", loss=0.5, function_bias=0.75)
 
     resolved = run()
     assert parses == []
     assert sum(r.immigrants_admitted for rows in resolved for r in rows) > 0
-    real = islands_module.select_emigrants
-    monkeypatch.setattr(islands_module, "select_emigrants",
-                        lambda pop, policy, rng, sources=None: real(pop, policy, rng))
-    parsed = run()
+    bus = SimulatedBroadcastBus(loss=0.5, seed="t")
+    parsed = run([ThroughTheCodec(bus.register()) for _ in range(3)])
     assert len(parses) == sum(r.immigrants_admitted for rows in parsed for r in rows)
     assert parsed == resolved
 
@@ -229,12 +235,14 @@ def test_inject_random_only_at_migration_generations(geo_prims):
 # ---------------------------------------------------------------------------
 # simulated transport
 
-def test_bus_delivers_to_every_other_endpoint():
+def test_bus_delivers_to_every_other_endpoint(geo_prims):
     bus = SimulatedBroadcastBus(loss=0.0, seed=1)
     a, b, c = (bus.register() for _ in range(3))
-    a.send(MigrantEnvelope("(lat)"))
-    assert [e.payload for e in b.drain()] == ["(lat)"]
-    assert [e.payload for e in c.drain()] == ["(lat)"]
+    envelope = MigrantEnvelope(build_random_tree(geo_prims, 3, random.Random(4)))
+    a.send(envelope)
+    assert b.drain()[0] is envelope  # delivered as sent, never encoded
+    assert c.drain() == [envelope]
+    assert b.drain() == []
     assert a.drain() == []  # no self-delivery
 
 
@@ -328,13 +336,14 @@ def test_stats_rows_cover_every_generation(geo_prims):
 # ---------------------------------------------------------------------------
 # real datagrams
 
-def test_udp_loopback_exchange():
+def test_udp_loopback_exchange(geo_prims):
+    tree = build_random_tree(geo_prims, 3, random.Random(7))
     lhs = UdpBroadcastTransport(48731, peers=[("127.0.0.1", 48732)])
     rhs = UdpBroadcastTransport(48732, peers=[("127.0.0.1", 48731)])
     try:
-        lhs.send(MigrantEnvelope("(lat)"))
+        lhs.send(MigrantEnvelope(tree))
         rhs.send(MigrantEnvelope("(lon)"))
-        assert [e.payload for e in rhs.drain()] == ["(lat)"]
+        assert [e.payload for e in rhs.drain()] == [serialize(tree)]
         assert [e.payload for e in lhs.drain()] == ["(lon)"]
     finally:
         lhs.close()
