@@ -20,9 +20,9 @@ between its branches.  Every feed meets the same operations on the same
 operands as in a run of its own, so each score keeps its bits, NaN and
 ``inf`` included.  That pass has no step counter, so it is used only when
 the tree has at most ``policy.max_steps`` nodes, and then no run can be
-killed.  A larger tree is compiled once (:func:`compile_program`) and run
-with :func:`execute` feed by feed, against that feed's bindings; the
-supervisor alone decides kills.
+killed.  A larger tree is compiled once (:func:`compile_program`), against
+accessors that read each terminal's column at the feed being run, and run
+with :func:`execute` feed by feed; the supervisor alone decides kills.
 
 The pass scores only what it has not scored before.  A function node that
 every feed of a catalog reaches keeps its per-feed values on the node
@@ -327,15 +327,19 @@ def _fill_screen(tree: ProgramTree, catalog: FeedCatalog, desired_qty: int,
     """The scores and the displayed items, or ``None`` if a run was killed.
 
     A tree within the step budget cannot be killed, so it is scored in one
-    pass; a larger one is compiled and run under the supervisor, feed by feed.
+    pass; a larger one is compiled once and run under the supervisor, feed by
+    feed.  Its accessors read the terminal columns at ``row``, the feed being
+    run: the values the feed's own bindings give, from which the columns are
+    built.
     """
     if tree.size <= policy.max_steps:
         values = _score_feeds(tree, catalog)
     else:
-        program = compile_program(tree)
+        program = compile_program(tree, {name: (lambda column=column: column[row])
+                                         for name, column in _feed_columns(catalog).items()})
         values = []
-        for bindings in _feed_environments(catalog):
-            outcome = execute(program, bindings, policy)
+        for row in range(len(catalog.feeds)):
+            outcome = execute(program, policy)
             if outcome.killed:
                 return None
             values.append(outcome.value)

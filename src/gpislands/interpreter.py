@@ -1,10 +1,11 @@
 """Tree execution under a supervising step budget.
 
-A program runs depth-first against ``bindings``, a mapping from terminal
-names to zero-argument accessors.  A terminal evaluates to whatever its
-accessor returns; an action terminal's accessor acts on the world itself.
-Every node evaluated costs one step from the supervisor's budget; a run
-that exceeds it is killed (``RunOutcome.killed``) instead of raising.
+A program is compiled against ``bindings``, a mapping from terminal names to
+zero-argument accessors, and then run depth-first.  A terminal evaluates to
+whatever its accessor returns; an action terminal's accessor acts on the
+world itself.  Every node evaluated costs one step from the supervisor's
+budget; a run that exceeds it is killed (``RunOutcome.killed``) instead of
+raising.
 
 One engine
 ----------
@@ -12,7 +13,12 @@ One engine
 :func:`execute` runs them, so a caller running a tree many times compiles it
 once: the localisation task once per control pass, for every tick; the feed
 task, which scores its feeds in one pass of its own, only for a tree too
-large for the step budget, run feed by feed.
+large for the step budget, against accessors that read the feed being run.
+
+Terminals are bound when compiling: a bound terminal compiles to its
+accessor itself, so a run looks up no binding.  A terminal ``bindings``
+lacks compiles to a closure that raises :class:`ConfigurationError` when a
+run reaches it, so an unbound terminal is an error only where a run reads it.
 
 The closures carry no budget check; the kill is decided after the run.  A run
 visits each node at most once -- lazy functions such as ``if_greater`` call
@@ -62,11 +68,12 @@ class RunOutcome(NamedTuple):
 class _Frame:
     """Per-run state shared by the closures of one compiled program."""
 
-    __slots__ = ("bindings", "skipped")
+    __slots__ = ("skipped",)
 
 
 class Program:
-    """A tree compiled to nested closures; build one with :func:`compile_program`.
+    """A tree compiled to nested closures against its bindings; build one
+    with :func:`compile_program`.
 
     A program keeps its run state in one frame shared by its closures, so it
     must not be executed again from inside one of its own runs (from an
@@ -81,30 +88,31 @@ class Program:
         self._frame = frame
 
 
-def compile_program(tree: ProgramTree) -> Program:
-    """Compile ``tree``, every branch included, into nested closures."""
+def compile_program(tree: ProgramTree, bindings: Bindings) -> Program:
+    """Compile ``tree``, every branch included, into nested closures, each
+    terminal bound to its accessor in ``bindings``."""
     frame = _Frame()
-    return Program(tree.size, _compile(tree, frame), frame)
+    return Program(tree.size, _compile(tree, bindings, frame), frame)
 
 
-def _compile(node: ProgramTree, frame: _Frame) -> Callable[[], Any]:
+def _compile(node: ProgramTree, bindings: Bindings, frame: _Frame) -> Callable[[], Any]:
     kind = node.kind
     if kind.category is Category.CONSTANT:
         value = node.value
         return lambda: value
     if kind.category is Category.TERMINAL:
+        accessor = bindings.get(kind.name)
+        if accessor is not None:
+            return accessor
         name = kind.name
 
-        def read() -> Any:
-            accessor = frame.bindings.get(name)
-            if accessor is None:
-                raise ConfigurationError(f"terminal {name!r} is not bound")
-            return accessor()
+        def unbound() -> Any:
+            raise ConfigurationError(f"terminal {name!r} is not bound")
 
-        return read
+        return unbound
     fn = kind.fn
     if kind.lazy:
-        thunks = tuple(_thunk(child, frame) for child in node.children)
+        thunks = tuple(_thunk(child, bindings, frame) for child in node.children)
         below = node.size - 1
 
         def lazy() -> Any:
@@ -112,16 +120,16 @@ def _compile(node: ProgramTree, frame: _Frame) -> Callable[[], Any]:
             return fn(*thunks)
 
         return lazy
-    calls = [_compile(child, frame) for child in node.children]
+    calls = [_compile(child, bindings, frame) for child in node.children]
     if len(calls) == 2:
         a, b = calls
         return lambda: fn(a(), b())
     return lambda: fn(*[call() for call in calls])
 
 
-def _thunk(child: ProgramTree, frame: _Frame) -> Callable[[], Any]:
+def _thunk(child: ProgramTree, bindings: Bindings, frame: _Frame) -> Callable[[], Any]:
     size = child.size
-    call = _compile(child, frame)
+    call = _compile(child, bindings, frame)
 
     def thunk() -> Any:
         frame.skipped -= size
@@ -130,17 +138,19 @@ def _thunk(child: ProgramTree, frame: _Frame) -> Callable[[], Any]:
     return thunk
 
 
-def execute(program: Program, bindings: Bindings, policy: SupervisorPolicy) -> RunOutcome:
-    """Run ``program`` against ``bindings`` under ``policy``; never raises for a
-    sort-valid tree.  A run that evaluated more than ``policy.max_steps``
-    nodes is killed: ``RunOutcome(True, None, policy.max_steps)``.
+def execute(program: Program, policy: SupervisorPolicy) -> RunOutcome:
+    """Run ``program`` under ``policy``; never raises for a sort-valid tree
+    compiled against bindings for all of its terminals.  A run that evaluated
+    more than ``policy.max_steps`` nodes is killed: ``RunOutcome(True, None,
+    policy.max_steps)``.
 
-    An unbound terminal is a configuration error, not a kill: the tree was
-    handed bindings that cannot support it.  It raises even past the budget,
-    since the run reads every terminal it reaches.
+    The accessors are the ones the program was compiled against, and each is
+    called when the run reaches its terminal.  An unbound terminal is a
+    configuration error, not a kill: the tree was compiled against bindings
+    that cannot support it.  It raises when a run reaches it, even past the
+    budget, since the run reads every terminal it reaches.
     """
     frame = program._frame
-    frame.bindings = bindings
     frame.skipped = 0
     value = program._root()
     steps = program.size - frame.skipped

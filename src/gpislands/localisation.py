@@ -34,12 +34,14 @@ tree, the config (walk, availability, warm-up) and the supervisor policy.
 what each pass needs and nothing more -- the radios and the program's latest
 fix for the control pass, one set of error draws for the scoring pass:
 
-* the control pass (:func:`_control_trace`) compiles the program once, runs
-  it tick by tick under the step budget on a world of its own, and records,
-  per tick, where the program's fix came from (provider and tick), the
-  reference provider and the energy factor.  The walk's geometry at every
-  integer tick, and the reference there, come from a table built once per
-  config (:func:`_layout`).
+* the control pass (:func:`_control_trace`) compiles the program once, against
+  the accessors of a world of its own, runs it tick by tick under the step
+  budget, and records, per tick, where the program's fix came from (provider
+  and tick), the reference provider and the energy factor.  The walk's
+  geometry at every integer tick, and the reference there, come from a table
+  built once per config (:func:`_layout`).  The energy factor depends only
+  on which radios are on, so the pass looks it up by the world's radio set
+  (:attr:`World.radios`) and works it out once per set it meets.
   Its result is kept in one bounded cache for the whole process, keyed by
   the tree's structure together with the config, policy and budget (the
   energy factor needs the budget).  Structurally equal programs share a
@@ -47,7 +49,10 @@ fix for the control pass, one set of error draws for the scoring pass:
   breeding builds again and again do not run it again while it is cached;
 * the scoring pass adds each world's errors to those sources and sums the
   per-tick products.  It runs on every evaluation, so fitness itself is
-  never cached: each evaluation scores against a freshly drawn world.
+  never cached: each evaluation scores against a freshly drawn world.  A
+  tick whose program fix is the reference fix itself (the same provider at
+  the same tick, so the same error draws) scores accuracy exactly 1 in every
+  world, and adds its energy factor without displacing either fix.
 """
 
 from __future__ import annotations
@@ -189,6 +194,17 @@ class WorldConfig:
         if type(self.ticks) is not int or self.ticks < 1:  # rejects bools too
             raise ConfigurationError(
                 f"ticks must be a whole number of at least 1, got {self.ticks!r}")
+        # a fix lies within the walk's reach plus a radius times an error
+        # bound; were it not finite, two equal fixes would lie at no finite
+        # distance from each other and a perfect fix would score 0
+        reach = max(abs(v) for point in self.waypoints for v in point[1:])
+        radius = max((p.radius_m for p in self.providers), default=0.0)
+        if not (math.isfinite(self.error_high - self.error_low) and math.isfinite(
+                2.0 * (reach + radius * max(abs(self.error_low), abs(self.error_high))))):
+            raise ConfigurationError(
+                f"every fix position must be finite, but waypoint coordinates up to "
+                f"{reach!r}, radii up to {radius!r} and errors from {self.error_low!r} "
+                f"to {self.error_high!r} can overflow")
 
 
 def single_provider_world(provider: Provider, ticks: int = DEFAULT_TICKS,
@@ -266,8 +282,9 @@ class _Layout:
     #: Per-tick walk geometry for ticks ``0..ticks``, keyed by the tick as a
     #: float (the type of :attr:`World.t`).
     ticks: dict[float, _Tick]
-    #: Each provider by name, with the index of its first error draw.
-    by_name: dict[str, tuple[Provider, int]]
+    #: Each provider by name, with the index of its first error draw and its
+    #: bit in :attr:`World.radios`.
+    by_name: dict[str, tuple[Provider, int, int]]
     #: The providers sorted by radius; the sort is stable, so equal radii
     #: keep their config order, as ``min`` would pick them.
     by_radius: tuple[Provider, ...]
@@ -276,7 +293,7 @@ class _Layout:
 @functools.lru_cache(maxsize=16)
 def _layout(config: WorldConfig) -> _Layout:
     per_provider = 2 * (config.ticks + 1)
-    by_name = {p.name: (p, i * per_provider) for i, p in enumerate(config.providers)}
+    by_name = {p.name: (p, i * per_provider, 1 << i) for i, p in enumerate(config.providers)}
     ticks = {}
     for tick in range(config.ticks + 1):
         t = float(tick)
@@ -298,8 +315,10 @@ class World:
 
     ``t`` is the current tick as a float; the control pass sets it before
     each run and every lookup indexes the per-config tick table with it.
-    The radios (``enabled``) and the program's latest fix (``program_fix``)
-    change only through the accessors of :meth:`environment`.  The fix
+    The radios (``enabled``, the tick each was switched on, and ``radios``,
+    the set that is on as a bitmask, bit ``i`` for the config's ``i``-th
+    provider) and the program's latest fix (``program_fix``) change only
+    through the accessors of :meth:`environment`.  The fix
     errors come from the stream ``world:<seed>``, two draws per provider and
     tick (magnitude, then angle), provider by provider; the stream is drawn
     the first time an error is asked for, and each error is worked out from
@@ -312,6 +331,7 @@ class World:
         self._seed = seed
         self.t = 0.0
         self.enabled: dict[str, Optional[float]] = {p.name: None for p in config.providers}
+        self.radios = 0
         #: (provider name, fix tick, radius) of the program's latest fix.
         self.program_fix: Optional[tuple[str, float, float]] = None
         self._draws: Optional[list[float]] = None
@@ -323,7 +343,7 @@ class World:
     # -- fix errors -----------------------------------------------------------
     def _source(self, name: str, t: float) -> _Source:
         """Provider ``name``'s fix at tick ``t`` before its error is added."""
-        provider, offset = self._by_name[name]
+        provider, offset, _ = self._by_name[name]
         return (self._ticks[t].truth, provider.radius_m, offset + 2 * int(t))
 
     def _error_draws(self) -> list[float]:
@@ -381,15 +401,18 @@ class World:
         action = f"{verb}:{name}"
         if name not in self._by_name:
             return lambda: action
+        bit = self._by_name[name][2]
         if verb == "enable":
             def enable() -> str:
                 if self.enabled[name] is None:  # re-enabling never resets the warm-up
                     self.enabled[name] = self.t
+                    self.radios |= bit
                 return action
             return enable
 
         def disable() -> str:
             self.enabled[name] = None
+            self.radios &= ~bit
             return action
         return disable
 
@@ -449,6 +472,9 @@ def evaluate_localisation(tree: ProgramTree, world: World,
         span = config.error_high - lo
         fix = position = None
         for program_fix, reference, energy in trace:
+            if program_fix[2] == reference[2]:  # the reference fix: accuracy 1
+                total += energy
+                continue
             if program_fix is not fix:  # a new fix; a stale one keeps its place
                 fix = program_fix
                 position = _displace(*fix, draws, lo, span)
@@ -470,6 +496,19 @@ def _control_trace(tree: ProgramTree, config: WorldConfig, policy: SupervisorPol
     changes no fitness bit.  A stale program fix is the same object tick
     after tick.
 
+    A fix's third item indexes its provider's error draws for its tick, and
+    each provider's draws start a whole ``2 * (ticks + 1)`` apart, so the
+    program fix and the reference fix have the same index exactly when they
+    are the same provider at the same tick: the same true position, radius
+    and draws.  Their positions are then equal in any world, their distance
+    is 0.0 and the accuracy exactly 1.0 (a zero radius included), so the
+    scoring pass adds such an entry's energy factor as it stands.
+
+    The energy factor is ``energy_fitness(world.power_now(), budget)``, and
+    the draw sums over the radios that are on in config order, so it is a
+    function of ``world.radios`` alone; it is worked out the first time each
+    radio set occurs in the pass and looked up after that.
+
     The trace is a pure function of the arguments, so it is cached on them,
     and the tree takes part by its structural ``==`` and ``hash``: a program
     equal to one already run shares that one's trace.  This is exact for the
@@ -484,20 +523,22 @@ def _control_trace(tree: ProgramTree, config: WorldConfig, policy: SupervisorPol
     as ``copysign`` or ``atan2``, would break this.
     """
     world = World(config)
-    bindings = world.environment()
-    program = compile_program(tree)
+    program = compile_program(tree, world.environment())
     ticks = world._ticks
+    energies: dict[int, float] = {}
     trace = []
     last = source = None
     for tick in range(1, config.ticks + 1):
         t = world.t = float(tick)
-        if execute(program, bindings, policy).killed:
+        if execute(program, policy).killed:
             break
         fix = world.program_fix
         reference = ticks[t].reference_source
         if fix is None or reference is None:
             continue
-        energy = energy_fitness(world.power_now(), budget)
+        energy = energies.get(world.radios)
+        if energy is None:
+            energy = energies[world.radios] = energy_fitness(world.power_now(), budget)
         if energy == 0.0:
             continue
         if fix is not last:

@@ -12,8 +12,12 @@ on its longest root-to-leaf path) once, at construction, from the values its
 children already hold.  Measuring a tree is therefore O(1), and the
 preorder walk, subtree replacement and parsing are linear or better.  Both
 fields are derived from the structure, so ``==``, ``hash`` and ``repr``
-ignore them.  So do two slots in which a task may keep what it computed
-from the subtree alone, with the inputs it used.  ``memo`` holds one result
+ignore them.  So does the node's kept hash: worked out the first time the
+node is hashed, from its children's kept hashes, so hashing a tree again, or
+a new tree built around hashed subtrees, costs only the nodes not hashed
+before, and a tree nobody hashes never works it out (a :class:`NodeKind`
+keeps its hash the same way).  So do two slots in which a task may keep
+what it computed from the subtree alone, with the inputs it used.  ``memo`` holds one result
 for the node as a whole program: the feed task keeps its screen fill there.
 ``record`` holds the node's value for each of a set of inputs: the feed task
 keeps, on each function node it has evaluated over every feed of a catalog,
@@ -95,6 +99,10 @@ class Origin(enum.Enum):
     ELITE_COPY = "elite-copy"
 
 
+#: Sets a field of a frozen node or kind past its own ``__setattr__``.
+_set_field = object.__setattr__
+
+
 @dataclass(frozen=True)
 class NodeKind:
     """A named primitive: its argument sorts, result sort and semantics.
@@ -105,6 +113,9 @@ class NodeKind:
     (used for conditionals, so untaken branches take no actions and burn no
     steps).  Terminals and constants have no ``fn``; their values come from
     the run's bindings and the node payload respectively.
+
+    The hash is the one the dataclass would generate, worked out on first
+    use and kept, since hashing each enum sort runs Python code.
     """
 
     name: str
@@ -113,10 +124,19 @@ class NodeKind:
     category: Category
     fn: Optional[Callable] = None
     lazy: bool = False
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def arity(self) -> int:
         return len(self.argument_sorts)
+
+    def __hash__(self) -> int:
+        kept = self._hash
+        if kept is None:
+            kept = hash((self.name, self.argument_sorts, self.result_sort, self.category,
+                         self.fn, self.lazy))
+            _set_field(self, "_hash", kept)
+        return kept
 
     def __post_init__(self) -> None:
         if self.category is Category.FUNCTION:
@@ -179,9 +199,6 @@ def sequence_kind() -> NodeKind:
     return function("seq", (Sort.ACTION, Sort.ACTION), Sort.ACTION, lambda a, b: b)
 
 
-_set_field = object.__setattr__
-
-
 @dataclass(frozen=True, init=False, slots=True)
 class ProgramTree:
     """One immutable node; the whole program is the root node.
@@ -194,6 +211,12 @@ class ProgramTree:
     subtree and the inputs recorded with it, and never mutate it after.
     ``memo`` is for a result of the whole program rooted here, ``record``
     for this subtree's value per input; a node may carry both.
+
+    The hash is the one the dataclass would generate, ``hash((kind,
+    children, value))``.  It is worked out the first time the node is
+    hashed, from the children's kept hashes, and kept in ``_hash``, which
+    takes no part in equality or ``repr`` either.  A NaN payload hashes by
+    its identity, as it compares.
     """
 
     kind: NodeKind
@@ -203,6 +226,7 @@ class ProgramTree:
     depth: int = field(init=False, repr=False, compare=False)
     memo: object = field(init=False, repr=False, compare=False)
     record: object = field(init=False, repr=False, compare=False)
+    _hash: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, kind: NodeKind, children: tuple["ProgramTree", ...] = (),
                  value: Optional[float] = None) -> None:
@@ -233,6 +257,14 @@ class ProgramTree:
         _set_field(self, "depth", depth + 1)
         _set_field(self, "memo", None)
         _set_field(self, "record", None)
+        _set_field(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        kept = self._hash
+        if kept is None:
+            kept = hash((self.kind, self.children, self.value))
+            _set_field(self, "_hash", kept)
+        return kept
 
     @property
     def sort(self) -> Sort:

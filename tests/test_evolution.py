@@ -403,7 +403,7 @@ def test_configuration_errors_are_not_scored_as_zero(geo_prims):
     policy = SupervisorPolicy(max_steps=16)
 
     def unbound(member):
-        return execute(compile_program(member.tree), bindings, policy).value
+        return execute(compile_program(member.tree, bindings), policy).value
 
     with pytest.raises(ConfigurationError, match="lat"):
         evaluate_population(pop, unbound)

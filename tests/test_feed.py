@@ -183,8 +183,8 @@ def execute_calls(monkeypatch):
     calls = []
     real = feed_module.execute
 
-    def counted(program, env, policy):
-        outcome = real(program, env, policy)
+    def counted(program, policy):
+        outcome = real(program, policy)
         calls.append(outcome)
         return outcome
 
@@ -509,7 +509,7 @@ def test_a_child_evaluates_only_the_ancestors_breeding_rebuilt(catalog, feed_pri
         counts = Counter(calls)
         for got, env in zip(values, _feed_environments(catalog)):
             assert repr(got) == repr(
-                execute(compile_program(tree), env, SupervisorPolicy(10**6)).value)
+                execute(compile_program(tree, env), SupervisorPolicy(10**6)).value)
         return counts
 
     assert evaluated(parent, catalog) == everything

@@ -1,5 +1,6 @@
 """Supervised execution: step budgets, laziness, action terminals, and the
 compiled engine against the reference walker."""
+import functools
 import random
 
 import pytest
@@ -45,7 +46,7 @@ def branch_prims():
 
 
 def test_constant_tree_completes_in_one_step(geo_prims):
-    out = execute(compile_program(num_const(geo_prims, 2.5)), {}, SupervisorPolicy(8))
+    out = execute(compile_program(num_const(geo_prims, 2.5), {}), SupervisorPolicy(8))
     assert out.value == 2.5
     assert out.steps_used == 1
     assert not out.killed
@@ -54,21 +55,22 @@ def test_constant_tree_completes_in_one_step(geo_prims):
 def test_terminal_bindings_are_read_at_execution(geo_prims):
     t = ProgramTree(geo_prims.kind("add"), (ProgramTree(geo_prims.kind("lat")),
                                             num_const(geo_prims, 2.5)))
-    out = execute(compile_program(t), {"lat": lambda: 1.5}, SupervisorPolicy(16))
+    out = execute(compile_program(t, {"lat": lambda: 1.5}), SupervisorPolicy(16))
     assert out.value == 4.0
     assert out.steps_used == 3
 
 
 def test_unbound_terminal_is_a_configuration_error(geo_prims):
     t = ProgramTree(geo_prims.kind("lat"))
+    program = compile_program(t, {})  # compiling a tree it cannot run is no error
     with pytest.raises(ConfigurationError):
-        execute(compile_program(t), {}, SupervisorPolicy(4))
+        execute(program, SupervisorPolicy(4))
 
 
 def test_division_by_zero_yields_sentinel(branch_prims):
     t = ProgramTree(branch_prims.kind("div"),
                     (num_const(branch_prims, 1.0), num_const(branch_prims, 0.0)))
-    out = execute(compile_program(t), {}, SupervisorPolicy(8))
+    out = execute(compile_program(t, {}), SupervisorPolicy(8))
     assert out.value == 1.0
 
 
@@ -76,7 +78,7 @@ def test_step_budget_kills_large_tree(branch_prims):
     rng = random.Random(5)
     t = build_random_tree(branch_prims, 6, rng, function_bias=1.0)
     assert tree_size(t) > 10
-    out = execute(compile_program(t), {"a": lambda: 1.0, "b": lambda: 2.0},
+    out = execute(compile_program(t, {"a": lambda: 1.0, "b": lambda: 2.0}),
                   SupervisorPolicy(max_steps=10))
     assert out.killed
     assert out.value is None
@@ -88,7 +90,7 @@ def test_steps_never_exceed_budget(branch_prims):
     bindings = {"a": lambda: 0.5, "b": lambda: -0.5}
     for _ in range(300):
         t = build_random_tree(branch_prims, 5, rng)
-        out = execute(compile_program(t), bindings, SupervisorPolicy(max_steps=12))
+        out = execute(compile_program(t, bindings), SupervisorPolicy(max_steps=12))
         assert out.steps_used <= 12
         if not out.killed:
             assert out.steps_used <= tree_size(t)
@@ -109,7 +111,7 @@ def test_if_greater_evaluates_only_taken_branch(branch_prims):
         ProgramTree(branch_prims.kind("a")),
         ProgramTree(branch_prims.kind("b")),
     ))
-    out = execute(compile_program(t), {"a": reader("a", 10.0), "b": reader("b", 20.0)},
+    out = execute(compile_program(t, {"a": reader("a", 10.0), "b": reader("b", 20.0)}),
                   SupervisorPolicy(16))
     assert out.value == 10.0
     assert calls == {"a": 1, "b": 0}  # untaken branch never touched
@@ -131,7 +133,7 @@ def logged(bindings):
 
 
 def compiled_run(tree, bindings, policy):
-    return execute(compile_program(tree), bindings, policy)
+    return execute(compile_program(tree, bindings), policy)
 
 
 def test_action_terminals_act_through_their_accessors():
@@ -198,12 +200,15 @@ def assert_same_calls(compiled_log, walked_log, killed):
         assert compiled_log == walked_log
 
 
-def assert_same_runs(program, tree, bindings, policy):
-    """The compiled program and the walker give the same outcome and call the
-    same accessors in the same order up to the budget; returns the outcome."""
+def assert_same_runs(tree, bindings, policy):
+    """``tree`` compiled against ``bindings`` and the walker give the same
+    outcome and call the same accessors in the same order up to the budget;
+    returns the outcome."""
     compiled_bindings, compiled_log = logged(bindings)
     walked_bindings, walked_log = logged(bindings)
-    outcome = execute(program, compiled_bindings, policy)
+    program = compile_program(tree, compiled_bindings)
+    assert program.size == tree_size(tree)
+    outcome = execute(program, policy)
     assert_same_outcome(outcome, walk(tree, walked_bindings, policy))
     assert_same_calls(compiled_log, walked_log, outcome.killed)
     return outcome
@@ -220,43 +225,67 @@ def test_compiled_matches_walker_on_feed_trees(feed_prims, max_steps):
     policy = SupervisorPolicy(max_steps=max_steps)
     sizes = []
     for tree in random_trees(feed_prims, 11, function_bias=0.75):
-        program = compile_program(tree)
-        assert program.size == tree_size(tree)
-        sizes.append(program.size)
-        assert_same_runs(program, tree, feed_bindings(feed_prims, rng), policy)
+        sizes.append(tree.size)
+        assert_same_runs(tree, feed_bindings(feed_prims, rng), policy)
     # trees within the budget and larger ones were both run
     assert min(sizes) <= max_steps < max(sizes)
 
 
 @pytest.mark.parametrize("max_steps", [512, 24])
-def test_one_compiled_program_serves_every_feed(feed_prims, max_steps):
-    """One program runs against the seven feeds' bindings in turn, and each
-    run matches a walk of the tree against the same feed."""
-    per_feed = _feed_environments(default_catalog())
+def test_the_oversize_fill_runs_each_feed_as_the_walker_does(feed_prims, monkeypatch,
+                                                             max_steps):
+    """A tree larger than the budget is compiled once, against accessors that
+    read the feed being run; each feed's run gives the value or the kill of a
+    walk of the tree against that feed's own bindings, and the fill stops at
+    the first kill."""
+    catalog = default_catalog()
+    per_feed = _feed_environments(catalog)
     assert len(per_feed) == 7
     policy = SupervisorPolicy(max_steps=max_steps)
+    compiles, runs = [], []
+    monkeypatch.setattr(feed_module, "compile_program",
+                        lambda *args: compiles.append(args) or compile_program(*args))
+    monkeypatch.setattr(feed_module, "execute",
+                        lambda *args: runs.append(execute(*args)) or runs[-1])
     oversize = kills = 0
     for tree in random_trees(feed_prims, 14, function_bias=0.75):
-        program = compile_program(tree)
-        outcomes = [assert_same_runs(program, tree, bindings, policy) for bindings in per_feed]
-        oversize += tree.size > max_steps
-        kills += any(o.killed for o in outcomes)
+        if tree.size <= max_steps:
+            continue
+        oversize += 1
+        compiles.clear()
+        runs.clear()
+        fill = feed_module._fill_screen(tree, catalog, DEFAULT_DESIRED_QTY, policy)
+        assert len(compiles) == 1
+        walked = [walk(tree, bindings, policy) for bindings in per_feed]
+        first_kill = next((i for i, o in enumerate(walked) if o.killed), None)
+        assert len(runs) == (7 if first_kill is None else first_kill + 1)
+        for ran, want in zip(runs, walked):
+            assert_same_outcome(ran, want)
+        if first_kill is None:
+            scores = fill[0]
+            for feed, want in zip(catalog.feeds, walked):
+                assert same_value(scores[feed.feed_id], float(want.value))
+        else:
+            assert fill is None
+            kills += 1
     assert oversize
     if max_steps < 512:
         assert kills
 
 
-def loc_world_runs(run, ticks=8):
-    """``run(bindings)`` against a fresh world, once per tick up to a kill, as
-    the task runs a program: the outcomes, and per tick the accessors called
-    and, after a completed tick, the program fix and the radios."""
+def loc_world_runs(runner, ticks=8):
+    """``runner(bindings)`` against a fresh world, called once per tick up to a
+    kill, as the task runs a program: the outcomes, and per tick the
+    accessors called and, after a completed tick, the program fix and the
+    radios."""
     world = World(WorldConfig(ticks=ticks), seed=3)
     bindings, log = logged(world.environment())
+    run = runner(bindings)
     outcomes, states = [], []
     for tick in range(1, ticks + 1):
         world.t = float(tick)
         log.clear()
-        outcome = run(bindings)
+        outcome = run()
         outcomes.append(outcome)
         if outcome.killed:
             states.append((list(log),))
@@ -270,9 +299,9 @@ def test_compiled_matches_walker_on_localisation_trees(loc_prims, max_steps):
     policy = SupervisorPolicy(max_steps=max_steps)
     killed = 0
     for tree in random_trees(loc_prims, 12, function_bias=0.5):
-        program = compile_program(tree)
-        compiled, state_c = loc_world_runs(lambda b: execute(program, b, policy))
-        walked, state_w = loc_world_runs(lambda b: walk(tree, b, policy))
+        compiled, state_c = loc_world_runs(
+            lambda b: functools.partial(execute, compile_program(tree, b), policy))
+        walked, state_w = loc_world_runs(lambda b: functools.partial(walk, tree, b, policy))
         assert len(compiled) == len(walked)
         for a, b in zip(compiled, walked):
             assert_same_outcome(a, b)
@@ -312,11 +341,11 @@ def test_a_kill_at_the_edge_of_the_budget_matches_the_walker(branch_prims):
     edges = {"killed": 0, "completed": 0}
     for _ in range(100):
         tree = build_random_tree(branch_prims, 5, rng, function_bias=1.0)
-        program = compile_program(tree)
-        needed = execute(program, bindings, SupervisorPolicy(max_steps=tree.size)).steps_used
+        program = compile_program(tree, bindings)
+        needed = execute(program, SupervisorPolicy(max_steps=tree.size)).steps_used
         for budget in {tree.size, tree.size - 1, needed, needed - 1} - {0}:
             policy = SupervisorPolicy(max_steps=budget)
-            outcome = execute(program, bindings, policy)
+            outcome = execute(program, policy)
             assert_same_outcome(outcome, walk(tree, bindings, policy))
             assert outcome.killed is (budget < needed)
             edges["killed" if outcome.killed else "completed"] += 1
@@ -356,10 +385,10 @@ def test_a_chain_at_the_depth_ceiling_runs_in_both_tasks(feed_prims, loc_prims):
     runs = [(feed_tree, _feed_environments(catalog)[0]),
             (loc_tree, World(WorldConfig(), seed=1).environment())]
     for tree, bindings in runs:
-        program = compile_program(tree)
-        killed = execute(program, bindings, tight)
+        program = compile_program(tree, bindings)
+        killed = execute(program, tight)
         assert killed == (True, None, tight.max_steps)
-        completed = execute(program, bindings, loose)
+        completed = execute(program, loose)
         assert not completed.killed
         assert_same_outcome(completed, walk(tree, bindings, loose))
     assert feed_module._fill_screen(feed_tree, catalog, DEFAULT_DESIRED_QTY, tight) is None

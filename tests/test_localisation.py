@@ -562,9 +562,9 @@ def execute_calls(monkeypatch):
     calls = []
     real = localisation_module.execute
 
-    def counted(program, env, policy):
+    def counted(program, policy):
         calls.append(policy)
-        return real(program, env, policy)
+        return real(program, policy)
 
     monkeypatch.setattr(localisation_module, "execute", counted)
     return calls
@@ -623,6 +623,142 @@ def test_a_killed_tick_adds_no_trace_entry_and_no_later_tick_runs(prims, execute
                                                 budget)
     assert len(execute_calls) == 5 + 3
     assert killed == full[:1]
+
+
+# ---------------------------------------------------------------------------
+# what the passes skip: reference fixes and energy by radio set
+
+FRESH_EVERY_TICK = "(seq (enable_cell) (request_update))"
+# fixes afresh at ticks 2, 5, 8, ...; keeps the same fix for the two between
+REFRESH_WHEN_OLD = ("(if_greater (last_fix_age) (const:Number 2.0)"
+                    " (seq (enable_cell) (request_update)) (enable_cell))")
+
+
+@pytest.fixture
+def displace_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _displace(*args)
+
+    monkeypatch.setattr(localisation_module, "_displace", counted)
+    return calls
+
+
+def test_a_trace_of_reference_fixes_displaces_nothing(prims, displace_calls):
+    config = single_provider_world(CELL)
+    tree = parse(prims, FRESH_EVERY_TICK)
+    policy, budget = SupervisorPolicy(max_steps=256), EnergyBudget()
+    trace = localisation_module._control_trace(tree, config, policy, budget)
+    assert len(trace) == config.ticks - 1  # the cell warms up over tick 1
+    assert all(fix[2] == reference[2] for fix, reference, _ in trace)
+    for seed in range(5):
+        want, _ = oracle_fitness(tree, config, seed, policy, budget)
+        assert evaluate_localisation(tree, World(config, seed), policy, budget) == want
+    assert displace_calls == []
+
+
+@pytest.mark.parametrize("stationary", [True, False])
+def test_a_stale_fix_is_displaced_where_a_later_entry_needs_it(prims, displace_calls,
+                                                               stationary):
+    """An entry whose fix is the reference fix displaces nothing; the next
+    entry that holds the same fix, now stale, displaces it and its own
+    reference, and the entries after it that keep the fix only their
+    reference.  Scoring a stale fix as the reference fix, as a test of the
+    provider alone would, misses the oracle."""
+    config = single_provider_world(CELL, stationary=stationary)
+    tree = parse(prims, REFRESH_WHEN_OLD)
+    policy, budget = SupervisorPolicy(max_steps=256), EnergyBudget()
+    trace = localisation_module._control_trace(tree, config, policy, budget)
+    stale = [fix for fix, reference, _ in trace if fix[2] != reference[2]]
+    assert 0 < len(stale) < len(trace)
+    # one provider: a stale entry differs from its reference in the tick alone
+    assert all(fix[1] == reference[1] for fix, reference, _ in trace)
+    per_evaluation = len(stale) + len({id(fix) for fix in stale})
+    for seed in range(5):
+        want, _ = oracle_fitness(tree, config, seed, policy, budget)
+        displace_calls.clear()
+        got = evaluate_localisation(tree, World(config, seed), policy, budget)
+        assert got == want
+        assert len(displace_calls) == per_evaluation
+        perfect = sum(energy for _, _, energy in trace) / config.ticks
+        assert got < perfect
+
+
+def test_the_radio_set_holds_exactly_the_enabled_radios():
+    config = WorldConfig(providers=(WIFI, CELL))  # no gps
+    world = World(config)
+    env = world.environment()
+    bits = {"wifi": 1, "cell": 2}  # config order
+    switches = [f"{verb}_{radio}" for verb in ("enable", "disable")
+                for radio in ("gps", "wifi", "cell")]
+    rng = random.Random(17)
+    seen = set()
+    calls = ["enable_wifi", "enable_wifi"] + [rng.choice(switches) for _ in range(300)]
+    for step, name in enumerate(calls):
+        world.t = float(step)
+        env[name]()
+        assert world.radios == sum(bits[radio] for radio, since in world.enabled.items()
+                                   if since is not None)
+        seen.add(world.radios)
+    assert world.enabled.keys() == bits.keys()
+    assert seen == {0, 1, 2, 3}
+
+
+def direct_trace(tree, config, policy, budget):
+    """The control pass worked out with the walker, and each tick's energy
+    from the world's power draw; also returns the radio sets it drew for."""
+    world = World(config)
+    bindings = world.environment()
+    ticks = _layout(config).ticks
+    trace, radio_sets = [], set()
+    for tick in range(1, config.ticks + 1):
+        world.t = float(tick)
+        if walk(tree, bindings, policy).killed:
+            break
+        fix, reference = world.program_fix, ticks[world.t].reference_source
+        if fix is None or reference is None:
+            continue
+        radio_sets.add(world.radios)
+        energy = energy_fitness(world.power_now(), budget)
+        if energy > 0.0:
+            trace.append((world._source(*fix[:2]), reference, energy))
+    return tuple(trace), radio_sets
+
+
+def switching_trees(prims, count=150):
+    """Random programs the helper accepts, grown deep and bushy enough that
+    many switch radios from tick to tick."""
+    rng = random.Random(7)
+    trees = []
+    while len(trees) < count:
+        tree = build_random_tree(prims, 6, rng, 0.7)
+        if localisation_helper(tree):
+            trees.append(tree)
+    return trees
+
+
+def test_the_energy_table_gives_each_radio_set_its_energy(prims, monkeypatch):
+    calls = []
+    real = localisation_module.energy_fitness
+    monkeypatch.setattr(localisation_module, "energy_fitness",
+                        lambda *args: calls.append(args) or real(*args))
+    trees = switching_trees(prims)
+    lookups = draws = switching = 0
+    for name in ("default", "tied", "wifi"):
+        config = ORACLE_CONFIGS[name]
+        for i, tree in enumerate(trees):
+            budget, policy = ORACLE_BUDGETS[i % 2], ORACLE_POLICIES[i % 3 == 0]
+            want, radio_sets = direct_trace(tree, config, policy, budget)
+            calls.clear()
+            localisation_module._control_trace.cache_clear()
+            assert localisation_module._control_trace(tree, config, policy, budget) == want
+            assert len(calls) == len(radio_sets)  # one draw per radio set met
+            lookups += len(want)
+            draws += len(calls)
+            switching += len(radio_sets) > 1
+    assert switching > 10 and lookups > 10 * draws
 
 
 # Twins: distinct tree objects that compare equal.  A signed zero does not
@@ -763,6 +899,14 @@ def test_program_fix_records_its_source():
     lambda: WorldConfig(waypoints=((0.0, 0.0, math.nan),)),
     lambda: WorldConfig(waypoints=((10.0, 0.0, 0.0), (5.0, 0.0, 0.0))),
     lambda: WorldConfig(ticks=0),
+    # fix positions that overflow: two equal fixes would be no finite
+    # distance apart, and the reference fix itself would score 0
+    lambda: WorldConfig(waypoints=((0.0, 1e308, 0.0),)),
+    lambda: WorldConfig(waypoints=((0.0, -1e308, 0.0), (60.0, 1e308, 0.0))),
+    lambda: WorldConfig(providers=(Provider("cell", 1e308, 5.0, 1.0),), error_high=2.0),
+    lambda: WorldConfig(error_high=math.inf),
+    lambda: WorldConfig(error_low=math.nan),
+    lambda: WorldConfig(error_low=-1e308, error_high=1e308),
 ])
 def test_unusable_worlds_are_rejected_when_built(build):
     with pytest.raises(ConfigurationError):

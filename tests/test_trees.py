@@ -1,4 +1,5 @@
 """Typed tree construction, measurement, serialization and validation."""
+import dataclasses
 import random
 
 import pytest
@@ -468,11 +469,35 @@ def test_deserialize_without_bound_stops_at_the_ceiling(feed_prims, kind):
     assert len(report.scores) == len(catalog.feeds)
     env = _feed_environments(catalog)[0]
     walked = walk(tree, env, policy)
-    compiled = execute(compile_program(tree), env, policy)
+    compiled = execute(compile_program(tree, env), policy)
     assert not walked.killed
     assert (walked.value, walked.steps_used) == (compiled.value, compiled.steps_used)
     with pytest.raises(TreeValidationError):
         deserialize(chain_text(kind, DEPTH_CEILING + 1), feed_prims)
+
+
+def test_a_node_keeps_the_hash_the_dataclass_would_generate(feed_prims, loc_prims):
+    rng = random.Random(4)
+    compared = [f.name for f in dataclasses.fields(NodeKind) if f.compare]
+    for prims in (feed_prims, loc_prims):
+        for _ in range(100):
+            tree = build_random_tree(prims, 6, rng)
+            assert tree._hash is None  # worked out on first use, never before
+            assert hash(tree) == hash((tree.kind, tree.children, tree.value))
+            assert all(node._hash is not None for node, _ in iter_nodes(tree))
+            kind = tree.kind
+            assert hash(kind) == hash(tuple(getattr(kind, name) for name in compared))
+            twin = deserialize(serialize(tree), prims)
+            assert twin is not tree
+            assert (twin, hash(twin), repr(twin)) == (tree, hash(tree), repr(tree))
+
+
+@pytest.mark.parametrize("kind", ["add", "if_greater"])
+def test_a_chain_at_the_ceiling_hashes(feed_prims, kind):
+    tree = deserialize(chain_text(kind, DEPTH_CEILING), feed_prims)
+    assert tree.depth == DEPTH_CEILING
+    assert hash(tree) == hash((tree.kind, tree.children, tree.value))
+    assert hash(deserialize(chain_text(kind, DEPTH_CEILING), feed_prims)) == hash(tree)
 
 
 def test_wrong_root_sort_rejected(geo_prims, loc_prims):
