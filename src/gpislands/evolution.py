@@ -9,6 +9,15 @@ An optional :class:`HelperGuard` screens every newly generated tree; rejected
 candidates are rebuilt (with freshly drawn parents) up to a bounded number of
 attempts, after which the last candidate is admitted anyway so breeding can
 never stall.  Rejections are counted into the generation statistics.
+
+Breeding does each piece of work once.  The population does not change while
+it breeds, so each selector's pool and the running fitness sums of its
+:class:`Wheel` are built once per breed, and every pick is one spin: one
+draw and one bisection.  Mutation and crossover find their points through
+the subtree sizes each node records (:func:`~gpislands.trees.node_at`), and
+crossover draws its donor from ``b`` by preorder index when every node of
+``b`` has ``b``'s sort.  Every operator draws the same numbers in the same
+order as the textbook operators, which list every node.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import logging
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .trees import (
@@ -84,8 +93,13 @@ class SelectorBinding:
             return list(pop.members)
         return n_best(pop, min(self.pool_best, len(pop.members)))
 
+    def wheel(self, pop: Population) -> "Wheel":
+        """The wheel over this selector's pool of ``pop``, to spin as often
+        as the members of ``pop`` keep their fitness."""
+        return Wheel(self.pool(pop))
+
     def pick(self, pop: Population, rng: random.Random) -> Individual:
-        return select_wheel(self.pool(pop), rng)
+        return self.wheel(pop).spin(rng)
 
 
 @dataclass(frozen=True)
@@ -217,19 +231,38 @@ def _need_fitness(members: Sequence[Individual]) -> None:
             raise ValueError("selection over unevaluated members")
 
 
+class Wheel:
+    """A roulette wheel: a fixed pool and its running fitness sums.
+
+    The sums are added up once, so each spin costs one draw and one
+    bisection; a zero-total pool spins uniformly instead."""
+
+    __slots__ = ("pool", "cumulative", "total")
+
+    def __init__(self, pool: Sequence[Individual]) -> None:
+        if not pool:
+            raise ValueError("cannot select from an empty pool")
+        _need_fitness(pool)
+        total = 0.0
+        cumulative = []
+        for m in pool:
+            total += m.fitness
+            cumulative.append(total)
+        self.pool = pool
+        self.cumulative = cumulative
+        self.total = total
+
+    def spin(self, rng: random.Random) -> Individual:
+        """Fitness-proportionate draw; a zero-total pool degrades to uniform."""
+        pool = self.pool
+        if self.total <= 0.0:
+            return pool[rng.randrange(len(pool))]
+        return pool[bisect_right(self.cumulative, rng.random() * self.total)]
+
+
 def select_wheel(pool: Sequence[Individual], rng: random.Random) -> Individual:
-    """Fitness-proportionate draw; a zero-total pool degrades to uniform."""
-    if not pool:
-        raise ValueError("cannot select from an empty pool")
-    _need_fitness(pool)
-    total = 0.0
-    cumulative = []
-    for m in pool:
-        total += m.fitness
-        cumulative.append(total)
-    if total <= 0.0:
-        return pool[rng.randrange(len(pool))]
-    return pool[bisect_right(cumulative, rng.random() * total)]
+    """One spin of a wheel over ``pool``."""
+    return Wheel(pool).spin(rng)
 
 
 def n_best(pop: Population, n: int) -> list[Individual]:
@@ -279,20 +312,30 @@ def crossover(a: ProgramTree, b: ProgramTree, max_depth: int,
     Retries a bounded number of times when the picked pair is incompatible or
     would blow the depth limit; falls back to ``a`` itself (trees are
     immutable, so sharing it is a free copy).  Crossover points are found
-    through the recorded subtree sizes; ``b`` is walked once per sort that
-    a drawn point asks for.
+    through the recorded subtree sizes.  When every node of ``b`` has its
+    root's sort (``b.uniform``), the donor is the node at a drawn preorder
+    index of ``b``, and a point of any other sort has no donor; otherwise
+    ``b`` is walked once per sort that a drawn point asks for, and the donor
+    drawn from its nodes of that sort.  Either way the draws and the donor
+    are the same.
     """
+    uniform = b.uniform
     donors_by_sort: dict[Sort, list[ProgramTree]] = {}
     for _ in range(CROSSOVER_RETRIES):
         index = rng.randrange(a.size)
         target, depth = node_at(a, index)
         sort = target.kind.result_sort
-        donors = donors_by_sort.get(sort)
-        if donors is None:
-            donors = donors_by_sort[sort] = _nodes_of_sort(b, sort)
-        if not donors:
-            continue
-        donor = donors[rng.randrange(len(donors))]
+        if uniform:
+            if sort is not b.kind.result_sort:
+                continue
+            donor = node_at(b, rng.randrange(b.size))[0]
+        else:
+            donors = donors_by_sort.get(sort)
+            if donors is None:
+                donors = donors_by_sort[sort] = _nodes_of_sort(b, sort)
+            if not donors:
+                continue
+            donor = donors[rng.randrange(len(donors))]
         if depth - 1 + donor.depth <= max_depth:
             return replace_subtree(a, index, donor)
     return a
@@ -339,6 +382,8 @@ def breed_next_generation(pop: Population, strategy: EvolutionStrategy,
 
     The source population may be over capacity (appended immigrants take part
     in selection); the new population has exactly ``capacity`` members.
+    Each selector's wheel is built when a step first picks from it, and
+    spun for every later pick of the breed.
     """
     if strategy.total() != pop.capacity:
         raise ConfigurationError(
@@ -346,26 +391,34 @@ def breed_next_generation(pop: Population, strategy: EvolutionStrategy,
     _need_fitness(pop.members)
     counters = {"rejections": 0, "fallbacks": 0}
     members: list[Individual] = []
+    wheels: dict[str, Wheel] = {}
     for step in strategy.steps:
-        selector = strategy.selectors.get(step.selector) if step.selector else None
-        for _ in range(step.count):
-            if step.operator is Operator.COPY:
-                src = selector.pick(pop, rng)
-                members.append(Individual.from_tree(src.tree, Origin.ELITE_COPY, src.fitness))
-            elif step.operator is Operator.RANDOM:
+        if step.operator is Operator.RANDOM:
+            for _ in range(step.count):
                 tree = _build_guarded(
                     lambda: build_random_tree(prims, max_depth, rng, function_bias),
                     guard, counters)
                 members.append(Individual.from_tree(tree, Origin.RANDOM_INJECTED))
+            continue
+        if not step.count:
+            continue
+        # the pool cannot change while the population breeds
+        wheel = wheels.get(step.selector)
+        if wheel is None:
+            wheel = wheels[step.selector] = strategy.selectors[step.selector].wheel(pop)
+        spin = wheel.spin
+        for _ in range(step.count):
+            if step.operator is Operator.COPY:
+                src = spin(rng)
+                members.append(Individual.from_tree(src.tree, Origin.ELITE_COPY, src.fitness))
             elif step.operator is Operator.MUTATION:
                 def make_mutant() -> ProgramTree:
-                    parent = selector.pick(pop, rng)
-                    return mutate(parent.tree, prims, max_depth, rng, function_bias)
+                    return mutate(spin(rng).tree, prims, max_depth, rng, function_bias)
                 members.append(Individual.from_tree(_build_guarded(make_mutant, guard, counters)))
             else:  # CROSSOVER
                 def make_child() -> ProgramTree:
-                    first = selector.pick(pop, rng)
-                    second = selector.pick(pop, rng)
+                    first = spin(rng)
+                    second = spin(rng)
                     return crossover(first.tree, second.tree, max_depth, rng)
                 members.append(Individual.from_tree(_build_guarded(make_child, guard, counters)))
     return Population(members, pop.capacity, generation=pop.generation + 1,

@@ -113,7 +113,22 @@ class Feed:
 
 @dataclass(frozen=True)
 class FeedCatalog:
+    """The feeds a screen is filled from, in order.
+
+    The hash is the one the dataclass would generate, worked out on first
+    use and kept, since every screen fill looks the catalog's columns up by
+    it and hashing each feed runs Python code.
+    """
+
     feeds: tuple[Feed, ...]
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        kept = self._hash
+        if kept is None:
+            kept = hash((self.feeds,))
+            object.__setattr__(self, "_hash", kept)
+        return kept
 
     def __post_init__(self) -> None:
         if len({f.feed_id for f in self.feeds}) != len(self.feeds):

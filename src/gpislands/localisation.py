@@ -52,7 +52,9 @@ fix for the control pass, one set of error draws for the scoring pass:
   never cached: each evaluation scores against a freshly drawn world.  A
   tick whose program fix is the reference fix itself (the same provider at
   the same tick, so the same error draws) scores accuracy exactly 1 in every
-  world, and adds its energy factor without displacing either fix.
+  world, and adds its energy factor without displacing either fix.  The
+  trace records how far into a world's error stream the other ticks read,
+  and the world draws that prefix of the stream and no more.
 """
 
 from __future__ import annotations
@@ -321,9 +323,9 @@ class World:
     through the accessors of :meth:`environment`.  The fix
     errors come from the stream ``world:<seed>``, two draws per provider and
     tick (magnitude, then angle), provider by provider; the stream is drawn
-    the first time an error is asked for, and each error is worked out from
-    its pair of draws when it is needed.  A world whose errors are never
-    read draws nothing.
+    as far as the errors asked for need it, and on from there if more are
+    asked for later, and each error is worked out from its pair of draws
+    when it is needed.  A world whose errors are never read draws nothing.
     """
 
     def __init__(self, config: WorldConfig, seed: int | str = 0) -> None:
@@ -334,7 +336,8 @@ class World:
         self.radios = 0
         #: (provider name, fix tick, radius) of the program's latest fix.
         self.program_fix: Optional[tuple[str, float, float]] = None
-        self._draws: Optional[list[float]] = None
+        self._draws: list[float] = []
+        self._stream: Optional[random.Random] = None
         layout = _layout(config)
         self._ticks = layout.ticks
         self._by_name = layout.by_name
@@ -346,12 +349,17 @@ class World:
         provider, offset, _ = self._by_name[name]
         return (self._ticks[t].truth, provider.radius_m, offset + 2 * int(t))
 
-    def _error_draws(self) -> list[float]:
+    def _error_draws(self, count: int) -> list[float]:
+        """At least the first ``count`` draws of the error stream, drawing
+        only those not drawn before."""
         draws = self._draws
-        if draws is None:
-            draw = random.Random(f"world:{self._seed}").random
-            count = 2 * len(self.config.providers) * (self.config.ticks + 1)
-            draws = self._draws = [draw() for _ in range(count)]
+        missing = count - len(draws)
+        if missing > 0:
+            stream = self._stream
+            if stream is None:
+                stream = self._stream = random.Random(f"world:{self._seed}")
+            draw = stream.random
+            draws += [draw() for _ in range(missing)]
         return draws
 
     # -- radio state, read and changed by the program ------------------------
@@ -467,7 +475,7 @@ def evaluate_localisation(tree: ProgramTree, world: World,
     trace = _control_trace(tree, config, policy, budget)
     total = 0.0
     if trace:
-        draws = world._error_draws()
+        draws = world._error_draws(trace.prefix)
         lo = config.error_low
         span = config.error_high - lo
         fix = position = None
@@ -483,10 +491,17 @@ def evaluate_localisation(tree: ProgramTree, world: World,
     return total / config.ticks
 
 
+class _Trace(tuple):
+    """A control trace: its ``(program fix, reference fix, energy)`` entries,
+    and in ``prefix`` how many draws of a world's error stream scoring it
+    reads."""
+
+    prefix: int
+
+
 @functools.lru_cache(maxsize=_TRACE_CACHE_SIZE)
 def _control_trace(tree: ProgramTree, config: WorldConfig, policy: SupervisorPolicy,
-                   budget: EnergyBudget
-                   ) -> tuple[tuple[_Source, _Source, float], ...]:
+                   budget: EnergyBudget) -> _Trace:
     """Run ``tree`` once per tick on a world of its own, up to a kill.
 
     Returns ``(program fix, reference fix, energy)`` for every completed tick
@@ -494,7 +509,10 @@ def _control_trace(tree: ProgramTree, config: WorldConfig, policy: SupervisorPol
     Every other tick adds exactly +0.0 to the fitness in any world (its
     accuracy or its energy is 0, and both lie in [0, 1]), so leaving it out
     changes no fitness bit.  A stale program fix is the same object tick
-    after tick.
+    after tick.  The trace's ``prefix`` is one past the highest error draw
+    an entry that is not a reference fix reads (two draws from each fix's
+    index), or 0 if no entry reads any: the scoring pass needs no more of
+    the stream than that.
 
     A fix's third item indexes its provider's error draws for its tick, and
     each provider's draws start a whole ``2 * (ticks + 1)`` apart, so the
@@ -527,6 +545,7 @@ def _control_trace(tree: ProgramTree, config: WorldConfig, policy: SupervisorPol
     ticks = world._ticks
     energies: dict[int, float] = {}
     trace = []
+    prefix = 0
     last = source = None
     for tick in range(1, config.ticks + 1):
         t = world.t = float(tick)
@@ -545,7 +564,11 @@ def _control_trace(tree: ProgramTree, config: WorldConfig, policy: SupervisorPol
             last = fix
             source = world._source(fix[0], fix[1])
         trace.append((source, reference, energy))
-    return tuple(trace)
+        if source[2] != reference[2]:
+            prefix = max(prefix, source[2] + 2, reference[2] + 2)
+    result = _Trace(trace)
+    result.prefix = prefix
+    return result
 
 
 def localisation_helper(tree: ProgramTree) -> bool:

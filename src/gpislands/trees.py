@@ -7,10 +7,11 @@ declares the vocabulary available to a task -- functions, terminals and
 per-sort ephemeral constant sources -- and random construction, mutation and
 deserialization all validate against it.
 
-Each node records its ``size`` (nodes in its subtree) and ``depth`` (nodes
-on its longest root-to-leaf path) once, at construction, from the values its
-children already hold.  Measuring a tree is therefore O(1), and the
-preorder walk, subtree replacement and parsing are linear or better.  Both
+Each node records its ``size`` (nodes in its subtree), its ``depth`` (nodes
+on its longest root-to-leaf path) and whether it is ``uniform`` (every node
+of its subtree has its result sort) once, at construction, from the values
+its children already hold.  Measuring a tree is therefore O(1), and the
+preorder walk, subtree replacement and parsing are linear or better.  These
 fields are derived from the structure, so ``==``, ``hash`` and ``repr``
 ignore them.  So does the node's kept hash: worked out the first time the
 node is hashed, from its children's kept hashes, so hashing a tree again, or
@@ -41,6 +42,10 @@ the interpreter handle trees that deep.
 Breeding needs single nodes, not whole walks: :func:`node_at` finds the node
 at a preorder index by walking down through the recorded sizes, in time
 proportional to the tree's depth and the arity of the nodes on the way.
+Random growth reads a table per sort that the primitive set builds once:
+the sort's leaves, its functions each with the tables of its argument
+sorts, and its constant source.  :func:`grow_subtree` looks one table up
+and then follows tables from node to node, so growing a node hashes no sort.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 
 #: The depth bound :func:`deserialize` and a run's ``max_depth`` must keep
-#: to.  Growing a tree recurses two frames per level, and running one about
+#: to.  Growing a tree recurses one frame per level, and running one about
 #: three at worst (a chain of conditionals), so at this depth both stay well
 #: inside Python's default recursion limit of 1000.
 DEPTH_CEILING = 200
@@ -204,11 +209,13 @@ class ProgramTree:
     """One immutable node; the whole program is the root node.
 
     ``size`` and ``depth`` describe the subtree rooted here (a lone leaf has
-    both equal to 1).  They are computed at construction and take no part in
-    equality, hashing or ``repr``.  Neither do ``memo`` and ``record``,
-    which start as ``None``; whoever sets one (with :func:`set_memo` or
-    :func:`set_record`) must store a value that depends on nothing but the
-    subtree and the inputs recorded with it, and never mutate it after.
+    both equal to 1), and ``uniform`` says whether every node of it has this
+    node's result sort (a lone leaf is uniform).  They are computed at
+    construction and take no part in equality, hashing or ``repr``.  Neither
+    do ``memo`` and ``record``, which start as ``None``; whoever sets one
+    (with :func:`set_memo` or :func:`set_record`) must store a value that
+    depends on nothing but the subtree and the inputs recorded with it, and
+    never mutate it after.
     ``memo`` is for a result of the whole program rooted here, ``record``
     for this subtree's value per input; a node may carry both.
 
@@ -224,6 +231,7 @@ class ProgramTree:
     value: Optional[float] = None
     size: int = field(init=False, repr=False, compare=False)
     depth: int = field(init=False, repr=False, compare=False)
+    uniform: bool = field(init=False, repr=False, compare=False)
     memo: object = field(init=False, repr=False, compare=False)
     record: object = field(init=False, repr=False, compare=False)
     _hash: Optional[int] = field(init=False, repr=False, compare=False)
@@ -241,6 +249,8 @@ class ProgramTree:
             raise TreeValidationError(f"{kind.name!r} is not a constant but carries a payload")
         size = 1
         depth = 0
+        sort = kind.result_sort
+        uniform = True
         for child, want in zip(children, sorts):
             if child.kind.result_sort is not want:
                 raise TreeValidationError(
@@ -249,12 +259,15 @@ class ProgramTree:
             size += child.size
             if child.depth > depth:
                 depth = child.depth
+            if want is not sort or not child.uniform:
+                uniform = False
         # the node is frozen, so its fields are set past its own __setattr__
         _set_field(self, "kind", kind)
         _set_field(self, "children", children)
         _set_field(self, "value", value)
         _set_field(self, "size", size)
         _set_field(self, "depth", depth + 1)
+        _set_field(self, "uniform", uniform)
         _set_field(self, "memo", None)
         _set_field(self, "record", None)
         _set_field(self, "_hash", None)
@@ -285,6 +298,26 @@ def constant_kind_name(sort: Sort) -> str:
     return f"const:{sort.value}"
 
 
+class _Growth:
+    """What growing a node of one sort can choose from.
+
+    ``leaves`` are the sort's terminals and constant kind, ``functions``
+    pairs each function kind with the tables of its argument sorts, and
+    ``constant`` is the sort's constant source (or ``None``), all in the
+    order the primitive set declares them.  A :class:`PrimitiveSet` builds
+    one per sort, so growth follows tables from node to node and looks up
+    no sort on the way.
+    """
+
+    __slots__ = ("sort", "leaves", "functions", "constant")
+
+    def __init__(self, sort: Sort) -> None:
+        self.sort = sort
+        self.leaves: tuple[NodeKind, ...] = ()
+        self.functions: tuple[tuple[NodeKind, tuple[_Growth, ...]], ...] = ()
+        self.constant: Optional[Callable[[random.Random], float]] = None
+
+
 @dataclass
 class PrimitiveSet:
     """The vocabulary a task exposes to evolution.
@@ -292,7 +325,8 @@ class PrimitiveSet:
     ``constant_sources`` maps a sort to a callable drawing a fresh ephemeral
     constant from an rng; each entry synthesizes a ``const:<Sort>`` kind that
     participates in generation like any other terminal but freezes the drawn
-    value into the node.
+    value into the node.  The growth table of every sort (:class:`_Growth`)
+    is built with the set.
     """
 
     kinds: Sequence[NodeKind]
@@ -309,11 +343,16 @@ class PrimitiveSet:
             if kind.name in self._by_name:
                 raise ConfigurationError(f"duplicate kind name {kind.name!r}")
             self._by_name[kind.name] = kind
-        self._leaves: dict[Sort, list[NodeKind]] = {}
-        self._functions: dict[Sort, list[NodeKind]] = {}
+        growth = {sort: _Growth(sort) for sort in Sort}
         for kind in self._all:
-            bucket = self._functions if kind.category is Category.FUNCTION else self._leaves
-            bucket.setdefault(kind.result_sort, []).append(kind)
+            table = growth[kind.result_sort]
+            if kind.category is Category.FUNCTION:
+                table.functions += ((kind, tuple(growth[arg] for arg in kind.argument_sorts)),)
+            else:
+                table.leaves += (kind,)
+        for sort, source in self.constant_sources.items():
+            growth[sort].constant = source
+        self._growth = growth
         reachable = {self.root_sort}
         frontier = [self.root_sort]
         while frontier:
@@ -326,7 +365,7 @@ class PrimitiveSet:
                             frontier.append(arg)
         self._reachable = frozenset(reachable)
         #: Reachable sorts no leaf produces; a tree reaching one cannot be grown.
-        self._leafless = [sort for sort in reachable if sort not in self._leaves]
+        self._leafless = [sort for sort in reachable if not growth[sort].leaves]
 
     @property
     def all_kinds(self) -> tuple[NodeKind, ...]:
@@ -337,10 +376,10 @@ class PrimitiveSet:
 
     def leaves_for(self, sort: Sort) -> list[NodeKind]:
         """Arity-0 kinds (terminals and constants) producing ``sort``."""
-        return self._leaves.get(sort, [])
+        return list(self._growth[sort].leaves)
 
     def functions_for(self, sort: Sort) -> list[NodeKind]:
-        return self._functions.get(sort, [])
+        return [kind for kind, _ in self._growth[sort].functions]
 
     def reachable_sorts(self) -> set[Sort]:
         return set(self._reachable)
@@ -438,26 +477,39 @@ def grow_subtree(prims: PrimitiveSet, sort: Sort, budget: int, rng: random.Rando
                  function_bias: float = 0.5) -> ProgramTree:
     """Grow-style construction: leaves may appear anywhere, and at a depth
     budget of 1 only leaves are eligible.  ``function_bias`` is the chance of
-    picking a function while the budget still allows one."""
+    picking a function while the budget still allows one.
+
+    Each node draws, in order: the leaf (a ``randrange`` over the sort's
+    leaves) when only leaves are eligible; otherwise ``random() >=
+    function_bias`` to choose a leaf, when the sort has any, and then the
+    leaf or the function (a ``randrange`` over the sort's functions); and
+    last a constant's payload.  Children grow left to right."""
     if budget < 1:
         raise ValueError("depth budget must be at least 1")
-    leaves = prims.leaves_for(sort)
-    functions = prims.functions_for(sort)
+    return _grow(prims._growth[sort], budget, rng, function_bias)
+
+
+def _grow(table: _Growth, budget: int, rng: random.Random,
+          function_bias: float) -> ProgramTree:
+    leaves = table.leaves
+    functions = table.functions
     if budget == 1 or not functions:
         if not leaves:
-            raise ConfigurationError(f"no terminal or constant produces sort {sort.value!r}")
+            raise ConfigurationError(
+                f"no terminal or constant produces sort {table.sort.value!r}")
         kind = leaves[rng.randrange(len(leaves))]
     elif leaves and rng.random() >= function_bias:
         kind = leaves[rng.randrange(len(leaves))]
     else:
-        kind = functions[rng.randrange(len(functions))]
+        kind, argument_tables = functions[rng.randrange(len(functions))]
+        budget -= 1
+        children = []
+        for argument in argument_tables:
+            children.append(_grow(argument, budget, rng, function_bias))
+        return ProgramTree(kind, tuple(children))
     if kind.category is Category.CONSTANT:
-        return ProgramTree(kind, (), prims.draw_constant(sort, rng))
-    if kind.category is Category.TERMINAL:
-        return ProgramTree(kind)
-    children = tuple(grow_subtree(prims, arg, budget - 1, rng, function_bias)
-                     for arg in kind.argument_sorts)
-    return ProgramTree(kind, children)
+        return ProgramTree(kind, (), float(table.constant(rng)))
+    return ProgramTree(kind)
 
 
 def build_random_tree(prims: PrimitiveSet, max_depth: int, rng: random.Random,

@@ -1,0 +1,34 @@
+"""The reference growth the tests hold :func:`gpislands.trees.grow_subtree` to.
+
+:func:`grow` is grow-style construction as it reads in the textbook: one
+recursive call per node, which collects the kinds of the wanted sort from
+the primitive set's declared kinds, in their order, and draws from the rng
+in the same order the package must: the leaf when only leaves are eligible,
+else the leaf-or-function choice (only when the sort has leaves) and the
+kind, then a constant's payload, children left to right.
+"""
+from gpislands.trees import Category, ConfigurationError, ProgramTree
+
+
+def grow(prims, sort, budget, rng, function_bias=0.5):
+    """A random tree of ``sort`` no deeper than ``budget``."""
+    if budget < 1:
+        raise ValueError("depth budget must be at least 1")
+    kinds = [kind for kind in prims.all_kinds if kind.result_sort is sort]
+    leaves = [kind for kind in kinds if kind.category is not Category.FUNCTION]
+    functions = [kind for kind in kinds if kind.category is Category.FUNCTION]
+    if budget == 1 or not functions:
+        if not leaves:
+            raise ConfigurationError(f"no terminal or constant produces sort {sort.value!r}")
+        kind = leaves[rng.randrange(len(leaves))]
+    elif leaves and rng.random() >= function_bias:
+        kind = leaves[rng.randrange(len(leaves))]
+    else:
+        kind = functions[rng.randrange(len(functions))]
+    if kind.category is Category.CONSTANT:
+        return ProgramTree(kind, (), prims.draw_constant(sort, rng))
+    if kind.category is Category.TERMINAL:
+        return ProgramTree(kind)
+    children = tuple(grow(prims, arg, budget - 1, rng, function_bias)
+                     for arg in kind.argument_sorts)
+    return ProgramTree(kind, children)

@@ -1,6 +1,7 @@
 """Selection, variation operators, strategies and generational breeding."""
 import random
 
+import grower
 import pytest
 
 from gpislands.evolution import (
@@ -123,21 +124,25 @@ def test_crossover_falls_back_without_compatible_donor(loc_prims):
 
 
 # List-based references: the operators as they were before they found their
-# points through the recorded subtree sizes.  ``seen`` counts the cases the
-# differential test below must reach.
+# points through the recorded subtree sizes, and drew donors from a listing
+# of the donor's nodes of the wanted sort even when all its nodes have it.
+# ``seen`` counts the cases the differential test below must reach; a
+# localisation tree of both sorts always has donors, so "no donors" is a
+# donor of one sort, skipped without a draw.
 
 def reference_mutate(tree, prims, max_depth, rng, function_bias=0.5):
     nodes = list(iter_nodes(tree))
     index = rng.randrange(len(nodes))
     node, depth = nodes[index]
     budget = max(1, max_depth - depth + 1)
-    replacement = grow_subtree(prims, node.kind.result_sort, budget, rng, function_bias)
+    replacement = grower.grow(prims, node.kind.result_sort, budget, rng, function_bias)
     return replace_subtree(tree, index, replacement)
 
 
 def reference_crossover(a, b, max_depth, rng, seen):
     a_nodes = list(iter_nodes(a))
     b_nodes = list(iter_nodes(b))
+    one_sort = all(n.kind.result_sort is b.kind.result_sort for n, _ in b_nodes)
     donors_by_sort = {}
     for _ in range(CROSSOVER_RETRIES):
         index = rng.randrange(len(a_nodes))
@@ -149,6 +154,7 @@ def reference_crossover(a, b, max_depth, rng, seen):
         if not donors:
             seen["no donors"] += 1
             continue
+        seen["one-sort donor" if one_sort else "mixed donor"] += 1
         donor = donors[rng.randrange(len(donors))]
         if depth - 1 + donor.depth <= max_depth:
             seen["grafted"] += 1
@@ -162,11 +168,15 @@ def test_operators_match_list_based_references(task, feed_prims, loc_prims):
     prims, bias = ((feed_prims, FEED_FUNCTION_BIAS) if task == "feed"
                    else (loc_prims, LOC_FUNCTION_BIAS))
     build = random.Random(f"operators-{task}")
-    seen = {"no donors": 0, "grafted": 0, "fallback": 0}
+    seen = dict.fromkeys(["no donors", "mixed donor", "one-sort donor", "grafted",
+                          "fallback"], 0)
     for depth in range(3, 10):
         for case in range(12):
             a = build_random_tree(prims, depth, build, bias)
             b = build_random_tree(prims, build.randint(1, depth), build, bias)
+            # a donor of Numbers alone: an Action point has no donor in it
+            number_donor = grow_subtree(prims, Sort.NUMBER, build.randint(1, depth),
+                                        build, bias)
             # tight bounds make grafts fail the depth check and fall back
             for max_depth in (1, 2, depth - 1, depth):
                 seed = build.random()
@@ -175,14 +185,15 @@ def test_operators_match_list_based_references(task, feed_prims, loc_prims):
                 assert child == reference_mutate(a, prims, max_depth, theirs, bias)
                 assert ours.getstate() == theirs.getstate()
 
-                expected = reference_crossover(a, b, max_depth, theirs, seen)
-                child = crossover(a, b, max_depth, ours)
-                assert child == expected
-                assert (child is a) == (expected is a)
-                assert ours.getstate() == theirs.getstate()
-    assert seen["grafted"] and seen["fallback"]
+                for donor in (b, number_donor):
+                    expected = reference_crossover(a, donor, max_depth, theirs, seen)
+                    child = crossover(a, donor, max_depth, ours)
+                    assert child == expected
+                    assert (child is a) == (expected is a)
+                    assert ours.getstate() == theirs.getstate()
+    assert seen["grafted"] and seen["fallback"] and seen["one-sort donor"]
     if task == "localisation":  # a feed tree has one sort, so always donors
-        assert seen["no donors"]
+        assert seen["no donors"] and seen["mixed donor"]
 
 
 def test_mutation_changes_trees_sometimes(geo_prims):
@@ -314,6 +325,105 @@ def test_breed_handles_over_capacity_source(geo_prims):
     nxt = breed_next_generation(pop, island_strategy(10), geo_prims, 3,
                                 random.Random(10))
     assert len(nxt.members) == 10
+
+
+def reference_breed(pop, strategy, prims, max_depth, rng, guard, function_bias):
+    """Breeding as it was before each selector kept one wheel per breed:
+    every pick builds its selector's pool, and the wheel over it, again."""
+    counters = {"rejections": 0, "fallbacks": 0}
+
+    def guarded(make):
+        candidate = make()
+        if guard is None:
+            return candidate
+        for _ in range(guard.max_rebuild_attempts):
+            if guard.accepts(candidate):
+                return candidate
+            counters["rejections"] += 1
+            candidate = make()
+        counters["fallbacks"] += 1
+        return candidate
+
+    members = []
+    for step in strategy.steps:
+        binding = strategy.selectors.get(step.selector)
+
+        def pick():
+            return select_wheel(binding.pool(pop), rng)
+
+        for _ in range(step.count):
+            if step.operator is Operator.COPY:
+                src = pick()
+                members.append(Individual.from_tree(src.tree, Origin.ELITE_COPY, src.fitness))
+            elif step.operator is Operator.RANDOM:
+                tree = guarded(lambda: build_random_tree(prims, max_depth, rng, function_bias))
+                members.append(Individual.from_tree(tree, Origin.RANDOM_INJECTED))
+            elif step.operator is Operator.MUTATION:
+                tree = guarded(lambda: mutate(pick().tree, prims, max_depth, rng,
+                                              function_bias))
+                members.append(Individual.from_tree(tree))
+            else:
+                tree = guarded(lambda: crossover(pick().tree, pick().tree, max_depth, rng))
+                members.append(Individual.from_tree(tree))
+    return members, counters
+
+
+def mixed_strategy():
+    """A zero-count step, a random step naming a selector, and one pool
+    shared by two steps."""
+    return EvolutionStrategy(
+        selectors={"All": SelectorBinding("All"), "Two": SelectorBinding("Two", 2)},
+        steps=[StrategyStep(Operator.COPY, 0, "Two"),
+               StrategyStep(Operator.CROSSOVER, 3, "All"),
+               StrategyStep(Operator.RANDOM, 1, "Two"),
+               StrategyStep(Operator.MUTATION, 2, "Two"),
+               StrategyStep(Operator.COPY, 1, "All")])
+
+
+@pytest.mark.parametrize("task", ["geo", "feed", "localisation"])
+def test_a_breed_matches_a_wheel_built_for_every_pick(task, geo_prims, feed_prims,
+                                                      loc_prims):
+    prims, bias = {"geo": (geo_prims, 0.5), "feed": (feed_prims, FEED_FUNCTION_BIAS),
+                   "localisation": (loc_prims, LOC_FUNCTION_BIAS)}[task]
+    build = random.Random(f"breed-{task}")
+    guards = (None, HelperGuard(lambda tree: tree.size % 3 != 0, max_rebuild_attempts=2))
+    zero_totals = 0
+    for strategy in (google_reader_strategy(), localisation_strategy(), island_strategy(10),
+                     island_strategy(6), mixed_strategy()):
+        capacity = strategy.total()
+        for case in range(8):
+            trees = [build_random_tree(prims, 4, build, bias)
+                     for _ in range(capacity + case % 3)]  # immigrants past capacity
+            pop = Population([Individual.from_tree(tree) for tree in trees], capacity)
+            for i, member in enumerate(pop.members):
+                # all zero, all zero but the last, or spread
+                member.fitness = (0.0 if case % 4 == 0 else
+                                  0.0 if case % 4 == 1 and i < len(trees) - 1 else
+                                  round(build.random(), 2))
+            zero_totals += all(m.fitness == 0.0 for m in pop.members)
+            for guard in guards:
+                seed = build.random()
+                ours, theirs = random.Random(seed), random.Random(seed)
+                bred = breed_next_generation(pop, strategy, prims, 4, ours, guard, bias)
+                want, counters = reference_breed(pop, strategy, prims, 4, theirs, guard, bias)
+                assert ([(m.tree, m.origin, m.fitness) for m in bred.members]
+                        == [(m.tree, m.origin, m.fitness) for m in want])
+                assert (bred.helper_rejections, bred.guard_fallbacks) == (
+                    counters["rejections"], counters["fallbacks"])
+                assert ours.getstate() == theirs.getstate()
+    assert zero_totals
+
+
+def test_selector_picks_spin_the_same_wheel_as_select_wheel(geo_prims):
+    pop = make_pop([0.2, 0.9, 0.0, 0.5, 0.9], geo_prims)
+    for binding in (SelectorBinding("HR", 3), SelectorBinding("Pool")):
+        ours, theirs = random.Random(6), random.Random(6)
+        wheel = binding.wheel(pop)
+        for _ in range(50):
+            want = select_wheel(binding.pool(pop), theirs)
+            assert binding.pick(pop, ours) is want
+            assert wheel.spin(theirs) is select_wheel(binding.pool(pop), ours)
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_elite_fitness_never_decreases_with_deterministic_evaluator(geo_prims):

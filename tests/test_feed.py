@@ -404,6 +404,18 @@ def is_warm(node, catalog):
     return record is not None and record[0] is feed_module._feed_columns(catalog)
 
 
+def test_a_catalog_keeps_the_hash_the_dataclass_would_generate():
+    catalog, twin = default_catalog(), default_catalog()
+    assert catalog._hash is None  # worked out on first use, never before
+    assert hash(catalog) == hash((catalog.feeds,))
+    assert catalog._hash == hash(catalog)
+    assert twin == catalog and twin is not catalog and hash(twin) == hash(catalog)
+    assert "_hash" not in repr(catalog)
+    # equal catalogs share one columns dict, and so the records keyed by it
+    assert feed_module._feed_columns(twin) is feed_module._feed_columns(catalog)
+    assert default_catalog(unread=5) != catalog
+
+
 THREE_FEEDS = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 2),
                            Feed("c", "tech", 4)))
 

@@ -94,7 +94,8 @@ def fix_position(world, name, t):
     """Where provider ``name`` places the phone at tick ``t`` in ``world``,
     worked out as the scoring pass does it."""
     lo = world.config.error_low
-    return _displace(*world._source(name, t), world._error_draws(), lo,
+    source = world._source(name, t)
+    return _displace(*source, world._error_draws(source[2] + 2), lo,
                      world.config.error_high - lo)
 
 
@@ -228,7 +229,7 @@ def test_reference_on_ticks_is_the_sharpest_provider_on_since_0():
             first_draw = 2 * (config.ticks + 1) * config.providers.index(best)
             assert source == (_truth(config.waypoints, t), best.radius_m,
                               first_draw + 2 * tick)
-            assert _displace(*source, world._error_draws(), lo, span) == (
+            assert _displace(*source, world._error_draws(source[2] + 2), lo, span) == (
                 eager.fix_position(best.name, t))
     ticks = _layout(WorldConfig()).ticks
     assert ticks[0.0].reference_source is None  # nothing has warmed up yet
@@ -868,6 +869,37 @@ def test_error_draws_match_the_eager_table():
         for tick in range(config.ticks + 1):
             assert fix_position(world, provider.name, float(tick)) == eager.fix_position(
                 provider.name, float(tick))
+
+
+def test_a_world_draws_the_prefix_of_its_stream_it_is_asked_for():
+    config = ORACLE_CONFIGS["tied"]
+    count = 2 * len(config.providers) * (config.ticks + 1)
+    draw = random.Random("world:fp").random
+    whole = [draw() for _ in range(count)]
+    world = World(config, seed="fp")
+    assert world._error_draws(0) == []
+    assert world._error_draws(7) == whole[:7]
+    assert world._error_draws(3) == whole[:7]  # asking for fewer draws nothing
+    assert world._error_draws(40) == whole[:40]  # extended from the same stream
+    assert world._error_draws(count) == whole
+
+
+def test_scoring_draws_exactly_the_prefix_it_reads(oracle_trees, displace_calls):
+    """A fresh world draws as far into its stream as the highest draw the
+    scoring pass reads (each fix reads two from its index), and no further."""
+    partial = none = 0
+    for config in ORACLE_CONFIGS.values():
+        whole = 2 * len(config.providers) * (config.ticks + 1)
+        for i, tree in enumerate(oracle_trees):
+            policy, budget = ORACLE_POLICIES[i % 2], ORACLE_BUDGETS[i % 2]
+            world = World(config, seed=i)
+            displace_calls.clear()
+            evaluate_localisation(tree, world, policy, budget)
+            read = max((args[2] + 2 for args in displace_calls), default=0)
+            assert len(world._draws) == read
+            partial += 0 < read < whole
+            none += read == 0
+    assert partial and none
 
 
 def test_program_fix_records_its_source():

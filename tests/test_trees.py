@@ -1,7 +1,9 @@
 """Typed tree construction, measurement, serialization and validation."""
 import dataclasses
 import random
+import re
 
+import grower
 import pytest
 from walker import walk
 
@@ -205,6 +207,7 @@ def assert_measures_hold(tree):
     for (node, depth), (ref_node, ref_depth) in zip(walked, reference):
         assert node is ref_node and depth == ref_depth
         assert (node.size, node.depth) == recount(node)
+        assert node.uniform == all(n.sort is node.sort for n, _ in reference_preorder(node))
     assert (tree_size(tree), tree_depth(tree)) == recount(tree)
 
 
@@ -267,7 +270,9 @@ def test_cached_measures_stay_out_of_equality_hash_and_repr(geo_prims):
                                             const(geo_prims, 2.5)))
     again = deserialize(serialize(t), geo_prims)
     assert again == t and hash(again) == hash(t)
-    assert "size" not in repr(t) and "depth" not in repr(t)
+    assert "size" not in repr(t) and "depth" not in repr(t) and "uniform" not in repr(t)
+    compared = {f.name for f in dataclasses.fields(ProgramTree) if f.compare}
+    assert compared == {"kind", "children", "value"}
     assert t.memo is None and t.record is None
     set_memo(t, ("some key", 0.5))
     set_record(t, ("some columns", (1.0, 2.0)))
@@ -305,6 +310,90 @@ def test_constants_are_frozen_at_generation(geo_prims):
                 assert node.value is not None
                 values.add(node.value)
     assert len(values) > 1  # ephemeral, not a shared singleton
+
+
+GROWTH_SETS = {
+    "geo": lambda: PrimitiveSet(arithmetic_kinds() + [terminal("lat", Sort.NUMBER)],
+                                Sort.NUMBER, {Sort.NUMBER: lambda rng: rng.uniform(-10, 10)}),
+    "feed": lambda: feed_primitives(default_catalog()),
+    "localisation": localisation_primitives,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH_SETS))
+@pytest.mark.parametrize("bias", [0.0, 0.5, 0.75, 1.0])
+def test_growth_matches_the_recursive_reference(name, bias):
+    """The same trees from the same draws, and the rng left in the same
+    state, as the textbook recursion; at bias 1 every tree is full, so the
+    budgets stop at 5 there."""
+    prims = GROWTH_SETS[name]()
+    budgets = range(1, 6) if bias == 1.0 else range(1, 10)
+    seeds = random.Random(f"{name}:{bias}")
+    for sort in sorted(prims.reachable_sorts(), key=lambda s: s.value):
+        for budget in budgets:
+            for _ in range(6):
+                seed = seeds.random()
+                ours, theirs = random.Random(seed), random.Random(seed)
+                tree = grow_subtree(prims, sort, budget, ours, bias)
+                assert tree == grower.grow(prims, sort, budget, theirs, bias)
+                assert ours.getstate() == theirs.getstate()
+                assert tree.sort is sort and tree.depth <= budget
+
+
+def leafless_prims():
+    """Booleans come only from ``gt``, and ``pick`` needs one."""
+    kinds = [terminal("lat", Sort.NUMBER),
+             function("gt", (Sort.NUMBER, Sort.NUMBER), Sort.BOOLEAN,
+                      lambda a, b: a > b),
+             function("pick", (Sort.BOOLEAN, Sort.NUMBER, Sort.NUMBER), Sort.NUMBER,
+                      lambda c, a, b: a if c else b)]
+    return PrimitiveSet(kinds, Sort.NUMBER)
+
+
+@pytest.mark.parametrize("sort", [Sort.BOOLEAN, Sort.ACTION])
+def test_a_leafless_sort_raises_without_drawing(sort):
+    prims = leafless_prims()
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(ConfigurationError) as ours:
+        grow_subtree(prims, sort, 1, rng)
+    with pytest.raises(ConfigurationError) as theirs:
+        grower.grow(prims, sort, 1, random.Random(3))
+    assert str(ours.value) == str(theirs.value)
+    assert rng.getstate() == state
+
+
+def test_growth_through_a_leafless_sort_draws_as_the_reference():
+    """A leafless sort with functions grows a function without the
+    leaf-or-function draw, and one reached at budget 1 raises after the
+    same draws as the reference."""
+    prims = leafless_prims()
+    seeds = random.Random(8)
+    grown = raised = 0
+    for budget in range(1, 6):
+        for _ in range(40):
+            seed = seeds.random()
+            ours, theirs = random.Random(seed), random.Random(seed)
+            try:
+                want = grower.grow(prims, Sort.NUMBER, budget, theirs, 0.5)
+            except ConfigurationError as exc:
+                with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
+                    grow_subtree(prims, Sort.NUMBER, budget, ours, 0.5)
+                raised += 1
+            else:
+                assert grow_subtree(prims, Sort.NUMBER, budget, ours, 0.5) == want
+                grown += 1
+            assert ours.getstate() == theirs.getstate()
+    assert grown and raised
+
+
+def test_the_growth_tables_list_each_sorts_kinds_in_order(loc_prims):
+    for sort in Sort:
+        kinds = [k for k in loc_prims.all_kinds if k.result_sort is sort]
+        assert loc_prims.leaves_for(sort) == [k for k in kinds
+                                              if k.category is not Category.FUNCTION]
+        assert loc_prims.functions_for(sort) == [k for k in kinds
+                                                 if k.category is Category.FUNCTION]
 
 
 def test_generation_is_reproducible_golden_file():
