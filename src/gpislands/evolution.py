@@ -25,9 +25,11 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import operator
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from .trees import (
@@ -449,11 +451,14 @@ def _safe_fitness(evaluator: FitnessFn, member: Individual) -> float:
 
 
 def population_stats(pop: Population) -> EvalStats:
+    """The generation's fitness, size and depth figures.  Fitnesses are
+    added left to right: ``sum`` over floats rounds differently from 3.12
+    on, and the mean reaches the rows."""
     _need_fitness(pop.members)
     count = len(pop.members)
     return EvalStats(
         max_fitness=max(m.fitness for m in pop.members),
-        mean_fitness=sum(m.fitness for m in pop.members) / count,
+        mean_fitness=reduce(operator.add, [m.fitness for m in pop.members], 0) / count,
         mean_size=sum(m.size for m in pop.members) / count,
         mean_depth=sum(m.depth for m in pop.members) / count,
         helper_rejections=pop.helper_rejections,

@@ -64,8 +64,6 @@ from .trees import (
     arithmetic_kinds,
     if_greater,
     if_greater_kind,
-    set_memo,
-    set_record,
     terminal,
 )
 
@@ -289,7 +287,7 @@ def _score_feeds(tree: ProgramTree, catalog: FeedCatalog) -> Sequence:
                 result = tuple([next(then_values) if t else next(other_values)
                                 for t in taken])
         if full:
-            set_record(node, (columns, result))
+            node.record = (columns, result)
         return result
 
     return values(tree, every) if catalog.feeds else []
@@ -327,7 +325,7 @@ def run_feed_program(tree: ProgramTree, catalog: FeedCatalog,
     memo = tree.memo
     if memo is None or memo[0] != key:
         memo = (key, _fill_screen(tree, catalog, desired_qty, policy))
-        set_memo(tree, memo)
+        tree.memo = memo
     fill = memo[1]
     if fill is None:  # killed
         return FeedReport(desired_qty=desired_qty)

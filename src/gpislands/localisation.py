@@ -62,6 +62,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -374,8 +375,10 @@ class World:
         return self.program_fix[2]
 
     def power_now(self) -> float:
-        return sum(self._by_name[name][0].draw_ma
-                   for name, since in self.enabled.items() if since is not None)
+        # left to right: ``sum`` over floats rounds differently from 3.12 on
+        return functools.reduce(operator.add, [self._by_name[name][0].draw_ma
+                                               for name, since in self.enabled.items()
+                                               if since is not None], 0)
 
     def environment(self) -> Bindings:
         """The program's terminals mapped to accessors on this world: the

@@ -1,11 +1,14 @@
 """Typed program trees: the genome representation for the evolution engine.
 
 Every node pairs a :class:`NodeKind` (a named, sorted primitive) with a tuple
-of already-built child trees, so trees are immutable and can share structure
-freely between populations and migrating programs.  A :class:`PrimitiveSet`
-declares the vocabulary available to a task -- functions, terminals and
-per-sort ephemeral constant sources -- and random construction, mutation and
-deserialization all validate against it.
+of already-built child trees, so trees can share structure freely between
+populations and migrating programs.  That needs trees to be immutable, which
+is a contract :class:`ProgramTree` states but does not enforce: a node is a
+plain slotted object, so building one costs no more than a plain object, and
+no code may rebind a node's structure once it is built.  A
+:class:`PrimitiveSet` declares the vocabulary available to a task --
+functions, terminals and per-sort ephemeral constant sources -- and random
+construction, mutation and deserialization all validate against it.
 
 Each node records its ``size`` (nodes in its subtree), its ``depth`` (nodes
 on its longest root-to-leaf path) and whether it is ``uniform`` (every node
@@ -25,7 +28,16 @@ keeps, on each function node it has evaluated over every feed of a catalog,
 that node's per-feed values, keyed by the catalog's columns, so a tree that
 shares the subtree with one already scored never descends into it again.
 Both live exactly as long as the node, are keyed by the node's identity
-only, never by its structure, and are replaced, never mutated.
+only, never by its structure, and are set by plain assignment and
+replaced, never mutated.
+
+The public constructor checks each node it builds: the arity, the constant
+payload and every child's sort.  Random growth and :func:`replace_subtree`
+build nodes that are valid by construction, from the growth tables and
+from the ancestors of a same-sort swap, so they build through the private
+:func:`_node`, which skips those checks, and spend on a node only what
+setting its slots costs.  :func:`deserialize` takes untrusted text and keeps
+the checked constructor, which rejects a wrong arity or child sort there.
 
 The text form of a tree is a parenthesized prefix expression, one pair of
 parentheses per node, e.g. ``(add (lat) (const:Number 2.5))``.  The text is a
@@ -104,7 +116,7 @@ class Origin(enum.Enum):
     ELITE_COPY = "elite-copy"
 
 
-#: Sets a field of a frozen node or kind past its own ``__setattr__``.
+#: Sets a field of a frozen kind past its own ``__setattr__``.
 _set_field = object.__setattr__
 
 
@@ -204,37 +216,41 @@ def sequence_kind() -> NodeKind:
     return function("seq", (Sort.ACTION, Sort.ACTION), Sort.ACTION, lambda a, b: b)
 
 
-@dataclass(frozen=True, init=False, slots=True)
 class ProgramTree:
-    """One immutable node; the whole program is the root node.
+    """One node; the whole program is the root node.
+
+    A node is immutable by contract, not by enforcement: its slots are
+    plain attributes, so building one costs what a plain object costs, and
+    nothing stops a store.  Nobody may rebind ``kind``, ``children``,
+    ``value`` or the measures after construction, since trees share
+    subtrees and every measure, kept hash and task slot relies on them.
 
     ``size`` and ``depth`` describe the subtree rooted here (a lone leaf has
     both equal to 1), and ``uniform`` says whether every node of it has this
     node's result sort (a lone leaf is uniform).  They are computed at
     construction and take no part in equality, hashing or ``repr``.  Neither
-    do ``memo`` and ``record``, which start as ``None``; whoever sets one
-    (with :func:`set_memo` or :func:`set_record`) must store a value that
-    depends on nothing but the subtree and the inputs recorded with it, and
-    never mutate it after.
+    do ``memo`` and ``record``, which start as ``None`` and are set by plain
+    assignment (``node.memo = ...``); whoever sets one must store a value
+    that depends on nothing but the subtree and the inputs recorded with
+    it, and never mutate it after.
     ``memo`` is for a result of the whole program rooted here, ``record``
     for this subtree's value per input; a node may carry both.
 
-    The hash is the one the dataclass would generate, ``hash((kind,
-    children, value))``.  It is worked out the first time the node is
-    hashed, from the children's kept hashes, and kept in ``_hash``, which
-    takes no part in equality or ``repr`` either.  A NaN payload hashes by
-    its identity, as it compares.
+    ``==`` compares ``(kind, children, value)`` tuples, and only with
+    another :class:`ProgramTree`, so a shared NaN payload is equal to
+    itself.  The hash is ``hash((kind, children, value))``.  It is worked
+    out the first time the node is hashed, from the children's kept hashes,
+    and kept in ``_hash``, which takes no part in equality or ``repr``
+    either.  A NaN payload hashes by its identity, as it compares.
+
+    The constructor checks the arity, the constant payload and each child's
+    sort.  Random growth and subtree replacement build nodes that are valid
+    by construction, so they go through :func:`_node`, which skips those
+    checks.
     """
 
-    kind: NodeKind
-    children: tuple["ProgramTree", ...] = ()
-    value: Optional[float] = None
-    size: int = field(init=False, repr=False, compare=False)
-    depth: int = field(init=False, repr=False, compare=False)
-    uniform: bool = field(init=False, repr=False, compare=False)
-    memo: object = field(init=False, repr=False, compare=False)
-    record: object = field(init=False, repr=False, compare=False)
-    _hash: Optional[int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "children", "value", "size", "depth", "uniform", "memo",
+                 "record", "_hash")
 
     def __init__(self, kind: NodeKind, children: tuple["ProgramTree", ...] = (),
                  value: Optional[float] = None) -> None:
@@ -247,51 +263,75 @@ class ProgramTree:
                 raise TreeValidationError(f"constant {kind.name!r} is missing its payload")
         elif value is not None:
             raise TreeValidationError(f"{kind.name!r} is not a constant but carries a payload")
-        size = 1
-        depth = 0
-        sort = kind.result_sort
-        uniform = True
         for child, want in zip(children, sorts):
             if child.kind.result_sort is not want:
                 raise TreeValidationError(
                     f"{kind.name!r} expects {want.value}, got "
                     f"{child.kind.result_sort.value} from {child.kind.name!r}")
-            size += child.size
-            if child.depth > depth:
-                depth = child.depth
-            if want is not sort or not child.uniform:
-                uniform = False
-        # the node is frozen, so its fields are set past its own __setattr__
-        _set_field(self, "kind", kind)
-        _set_field(self, "children", children)
-        _set_field(self, "value", value)
-        _set_field(self, "size", size)
-        _set_field(self, "depth", depth + 1)
-        _set_field(self, "uniform", uniform)
-        _set_field(self, "memo", None)
-        _set_field(self, "record", None)
-        _set_field(self, "_hash", None)
+        _fill(self, kind, children, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.children, self.value) == (other.kind, other.children,
+                                                          other.value)
 
     def __hash__(self) -> int:
         kept = self._hash
         if kept is None:
-            kept = hash((self.kind, self.children, self.value))
-            _set_field(self, "_hash", kept)
+            kept = self._hash = hash((self.kind, self.children, self.value))
         return kept
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(kind={self.kind!r}, "
+                f"children={self.children!r}, value={self.value!r})")
 
     @property
     def sort(self) -> Sort:
         return self.kind.result_sort
 
 
-def set_memo(tree: ProgramTree, memo: object) -> None:
-    """Replace ``tree.memo``; the node is otherwise frozen."""
-    _set_field(tree, "memo", memo)
+def _fill(node: ProgramTree, kind: NodeKind, children: tuple[ProgramTree, ...],
+          value: Optional[float]) -> None:
+    """Set every slot of ``node``, measuring it from its children."""
+    size = 1
+    depth = 0
+    uniform = True
+    sort = kind.result_sort
+    for child in children:
+        size += child.size
+        if child.depth > depth:
+            depth = child.depth
+        if child.kind.result_sort is not sort or not child.uniform:
+            uniform = False
+    node.kind = kind
+    node.children = children
+    node.value = value
+    node.size = size
+    node.depth = depth + 1
+    node.uniform = uniform
+    node.memo = None
+    node.record = None
+    node._hash = None
 
 
-def set_record(tree: ProgramTree, record: object) -> None:
-    """Replace ``tree.record``; the node is otherwise frozen."""
-    _set_field(tree, "record", record)
+_new = object.__new__
+
+
+def _node(kind: NodeKind, children: tuple[ProgramTree, ...] = (),
+          value: Optional[float] = None) -> ProgramTree:
+    """A node built without the constructor's checks.
+
+    Only for nodes valid by construction: the arity is the kind's, a
+    payload is present exactly on a constant, and each child has its
+    argument sort.  Growth draws every child from its argument sort's
+    table, and subtree replacement keeps each rebuilt ancestor's kind and
+    payload and swaps one child for a node of the same sort.  Parsing
+    untrusted text must use the checked constructor.
+    """
+    node = _new(ProgramTree)
+    _fill(node, kind, children, value)
+    return node
 
 
 def constant_kind_name(sort: Sort) -> str:
@@ -455,18 +495,24 @@ def replace_subtree(tree: ProgramTree, index: int, replacement: ProgramTree) -> 
     """Rebuild ``tree`` with the node at preorder position ``index`` swapped out.
 
     Only the ancestors of that node are rebuilt; every other subtree is shared
-    with ``tree``.
+    with ``tree``.  Below the root the replacement must have the replaced
+    node's sort, which is the one check the rebuild needs: each ancestor keeps
+    its kind and payload and gains one child of the sort it had, so the
+    ancestors are built unchecked.
     """
-    _, path = _descend(tree, index)
+    node, path = _descend(tree, index)
+    if path and replacement.kind.result_sort is not node.kind.result_sort:
+        raise TreeValidationError(
+            f"{path[-1][0].kind.name!r} expects {node.kind.result_sort.value}, got "
+            f"{replacement.kind.result_sort.value} from {replacement.kind.name!r}")
     new = replacement
     for parent, position in reversed(path):
         children = parent.children
         if new is children[position]:
             new = parent
         else:
-            new = ProgramTree(parent.kind,
-                              children[:position] + (new,) + children[position + 1:],
-                              parent.value)
+            new = _node(parent.kind, children[:position] + (new,) + children[position + 1:],
+                        parent.value)
     return new
 
 
@@ -506,10 +552,10 @@ def _grow(table: _Growth, budget: int, rng: random.Random,
         children = []
         for argument in argument_tables:
             children.append(_grow(argument, budget, rng, function_bias))
-        return ProgramTree(kind, tuple(children))
+        return _node(kind, tuple(children))
     if kind.category is Category.CONSTANT:
-        return ProgramTree(kind, (), float(table.constant(rng)))
-    return ProgramTree(kind)
+        return _node(kind, (), float(table.constant(rng)))
+    return _node(kind)
 
 
 def build_random_tree(prims: PrimitiveSet, max_depth: int, rng: random.Random,
@@ -672,7 +718,8 @@ def deserialize(text: str, prims: PrimitiveSet,
                 raise TreeParseError(f"unexpected token {token!r}")
             pos += 1
             kind, children = stack.pop()
-            # ProgramTree checks the arity and the child sorts
+            # ProgramTree checks the arity and the child sorts; the text is
+            # untrusted, so this must never be the unchecked _node
             node = ProgramTree(kind, tuple(children))
 
 

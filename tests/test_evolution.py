@@ -475,6 +475,14 @@ def test_population_stats_shape(geo_prims):
     assert stats.mean_fitness == pytest.approx(0.2)
 
 
+def test_mean_fitness_adds_left_to_right(geo_prims):
+    """Ten members at 0.1 add to 0.9999999999999999 left to right; the
+    compensated ``sum`` of Python 3.12+ gives 1.0, which would change the
+    rows' ``mean_fitness`` between interpreters."""
+    stats = population_stats(make_pop([0.1] * 10, geo_prims))
+    assert stats.mean_fitness == 0.9999999999999999 / 10 == 0.09999999999999999
+
+
 def test_evaluate_population_scores_everyone(geo_prims):
     pop = make_pop([0.5, 0.5, 0.5], geo_prims)
     evaluate_population(pop, lambda member: 0.25)

@@ -7,9 +7,14 @@ as a digest mismatch even when it is consistent between reruns.  Update a
 digest only on purpose, and record why in CHANGES.md.
 """
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gpislands
 from gpislands import feed
 from gpislands.cli import main
 
@@ -82,3 +87,18 @@ def test_deep_cell_exercises_supervisor_kills(tmp_path, monkeypatch):
     monkeypatch.setattr(feed, "execute", counting)
     _run("feed-deep-kills", tmp_path)
     assert any(kills)
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_a_golden_cell_holds_under_two_hash_seeds(hash_seed, tmp_path):
+    """String hashes and dict layouts must not reach the output: one cell,
+    run as ``python -m gpislands`` under two ``PYTHONHASHSEED`` values,
+    writes the pinned digests under both."""
+    argv, rows_sha, summary_sha = GOLDEN["feed-homo"]
+    src = str(Path(gpislands.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+    out = tmp_path / "rows.csv"
+    subprocess.run([sys.executable, "-m", "gpislands", *argv.split(), "--out", str(out)],
+                   env=env, check=True, capture_output=True, timeout=120)
+    assert (_sha256(out), _sha256(tmp_path / "rows_summary.csv")) == (rows_sha, summary_sha)

@@ -157,6 +157,19 @@ def test_enable_is_sticky_and_disable_clears():
     assert world.power_now() == 5.0
 
 
+def test_power_adds_the_radios_left_to_right():
+    """0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right; the compensated
+    ``sum`` of Python 3.12+ gives 0.6, which would move the energy fitness
+    between interpreters."""
+    providers = tuple(Provider(name, radius_m=5.0, draw_ma=draw, first_fix_s=1.0)
+                      for name, draw in (("gps", 0.1), ("wifi", 0.2), ("cell", 0.3)))
+    world = World(WorldConfig(providers=providers))
+    env = world.environment()
+    for name in ("gps", "wifi", "cell"):
+        env[f"enable_{name}"]()
+    assert world.power_now() == 0.6000000000000001
+
+
 def test_switching_a_radio_the_config_lacks_does_nothing():
     world = World(single_provider_world(WIFI))
     env = world.environment()

@@ -5,6 +5,7 @@ import re
 
 import grower
 import pytest
+from reference_tree import mirror
 from walker import walk
 
 from gpislands.evolution import Population, crossover, mutate, population_stats
@@ -40,13 +41,12 @@ from gpislands.trees import (
     node_at,
     replace_subtree,
     serialize,
-    set_memo,
-    set_record,
     terminal,
     tree_depth,
     tree_size,
     validate_tree,
 )
+from gpislands.trees import _grow, _node
 
 GOLDEN = "tests/data/feed_tree_seed42.txt"
 
@@ -265,21 +265,125 @@ def test_replace_subtree_matches_a_full_rebuild(feed_prims):
             assert_measures_hold(swapped)
 
 
+UNCOMPARED = ("size", "depth", "uniform", "memo", "record", "_hash")
+
+
 def test_cached_measures_stay_out_of_equality_hash_and_repr(geo_prims):
     t = ProgramTree(geo_prims.kind("add"), (leaf(geo_prims, "lat"),
                                             const(geo_prims, 2.5)))
     again = deserialize(serialize(t), geo_prims)
     assert again == t and hash(again) == hash(t)
     assert "size" not in repr(t) and "depth" not in repr(t) and "uniform" not in repr(t)
-    compared = {f.name for f in dataclasses.fields(ProgramTree) if f.compare}
-    assert compared == {"kind", "children", "value"}
+    # only kind, children and value are compared: whatever the other slots
+    # hold, equal trees compare and hash equal and write the same repr
+    odd = deserialize(serialize(t), geo_prims)
+    for name, junk in zip(UNCOMPARED, (99, -3, "no", object(), [1], 12345)):
+        setattr(odd, name, junk)
+    assert odd == t and hash(odd) == 12345 and repr(odd) == repr(t)
+    assert not any(name in repr(odd) for name in UNCOMPARED)
+    assert repr(t) == f"ProgramTree(kind={t.kind!r}, children={t.children!r}, value=None)"
+    for other in (ProgramTree(geo_prims.kind("sub"), t.children),
+                  ProgramTree(t.kind, t.children[::-1]),
+                  ProgramTree(t.kind, (t.children[0], const(geo_prims, 2.25)))):
+        assert other != t and not other == t
     assert t.memo is None and t.record is None
-    set_memo(t, ("some key", 0.5))
-    set_record(t, ("some columns", (1.0, 2.0)))
+    t.memo = ("some key", 0.5)
+    t.record = ("some columns", (1.0, 2.0))
     assert again == t and hash(again) == hash(t)
     assert "memo" not in repr(t) and again.memo is None
     assert "record" not in repr(t) and again.record is None
     assert t.memo == ("some key", 0.5)  # the slots are apart
+
+
+def with_payloads(tree, payload):
+    """``tree`` rebuilt with each constant's payload replaced by
+    ``payload()``."""
+    children = tuple(with_payloads(child, payload) for child in tree.children)
+    value = payload() if tree.kind.category is Category.CONSTANT else None
+    return ProgramTree(tree.kind, children, value)
+
+
+def comparison_pairs(prims, bias, seed):
+    """Pairs of trees to compare: unrelated, bred from one another (sharing
+    subtrees), structural twins, and twins whose constants are one shared
+    NaN or distinct NaNs."""
+    rng = random.Random(seed)
+    shared_nan = float("nan")
+    for depth in (2, 4, 6, 8):
+        for _ in range(6):
+            a = build_random_tree(prims, depth, rng, bias)
+            b = build_random_tree(prims, depth, rng, bias)
+            yield a, b
+            yield a, mutate(a, prims, depth, rng, bias)
+            yield a, crossover(a, b, depth, rng)
+            yield a, deserialize(serialize(a), prims)
+            yield a, a
+            nan_a = with_payloads(a, lambda: shared_nan)
+            yield nan_a, with_payloads(a, lambda: shared_nan)
+            yield nan_a, with_payloads(a, lambda: float("nan"))
+            yield nan_a, nan_a
+            yield nan_a, a
+
+
+@pytest.mark.parametrize("make_prims, bias", [
+    (lambda: feed_primitives(default_catalog()), FEED_FUNCTION_BIAS),
+    (localisation_primitives, 0.5),
+])
+def test_equality_hash_and_repr_agree_with_a_frozen_dataclass(make_prims, bias):
+    prims = make_prims()
+    outcomes = set()
+    for a, b in comparison_pairs(prims, bias, 23):
+        mirrored = {}
+        ref_a, ref_b = mirror(a, mirrored), mirror(b, mirrored)
+        assert (a == b, a != b) == (ref_a == ref_b, ref_a != ref_b)
+        assert (hash(a), hash(b)) == (hash(ref_a), hash(ref_b))
+        assert (repr(a), repr(b)) == (repr(ref_a), repr(ref_b))
+        assert a.__eq__(ref_a) is NotImplemented and ref_a.__eq__(a) is NotImplemented
+        assert a.__eq__(None) is NotImplemented and a != 1
+        outcomes.add(a == b)
+    assert outcomes == {True, False}
+
+
+def checked_copy(tree):
+    """``tree`` rebuilt node by node through the checked constructor, which
+    raises if any node is not valid."""
+    return ProgramTree(tree.kind, tuple(checked_copy(child) for child in tree.children),
+                       tree.value)
+
+
+@pytest.mark.parametrize("make_prims, bias", [
+    (lambda: feed_primitives(default_catalog()), FEED_FUNCTION_BIAS),
+    (localisation_primitives, 0.5),
+])
+def test_unchecked_nodes_from_growth_and_replacement_are_valid(make_prims, bias):
+    prims = make_prims()
+    rng = random.Random(24)
+    for sort in sorted(prims.reachable_sorts(), key=lambda s: s.value):
+        for depth in range(1, 8):
+            grown = _grow(prims._growth[sort], depth, rng, bias)
+            assert grown.sort is sort and grown.depth <= depth
+            assert_measures_hold(grown)
+            copy = checked_copy(grown)
+            assert copy == grown
+            assert [(n.size, n.depth, n.uniform) for n, _ in iter_nodes(copy)] == \
+                [(n.size, n.depth, n.uniform) for n, _ in iter_nodes(grown)]
+            index = rng.randrange(grown.size)
+            node, _ = node_at(grown, index)
+            swapped = replace_subtree(grown, index, _grow(prims._growth[node.sort], 3, rng, bias))
+            assert_measures_hold(swapped)
+            assert checked_copy(swapped) == swapped
+            assert all(n.memo is None and n.record is None for n, _ in iter_nodes(swapped))
+
+
+def test_replace_subtree_rejects_a_replacement_of_another_sort(loc_prims):
+    tree = deserialize("(seq (request_update) (enable_gps))", loc_prims)
+    number = const(loc_prims, 1.0)
+    with pytest.raises(TreeValidationError):
+        replace_subtree(tree, 1, number)
+    assert replace_subtree(tree, 0, number) is number  # the root has no parent
+    leaf_node = _node(loc_prims.kind("enable_wifi"))
+    assert serialize(replace_subtree(tree, 2, leaf_node)) == \
+        "(seq (request_update) (enable_wifi))"
 
 
 # ---------------------------------------------------------------------------
