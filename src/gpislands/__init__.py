@@ -24,7 +24,6 @@ from .evolution import (
     localisation_strategy,
     mutate,
     n_best,
-    select_wheel,
     strategy_from_dict,
 )
 from .harness import (
@@ -72,8 +71,6 @@ from .trees import (
     build_random_tree,
     deserialize,
     serialize,
-    tree_depth,
-    tree_size,
     validate_tree,
 )
 

@@ -100,9 +100,6 @@ class SelectorBinding:
         as the members of ``pop`` keep their fitness."""
         return Wheel(self.pool(pop))
 
-    def pick(self, pop: Population, rng: random.Random) -> Individual:
-        return self.wheel(pop).spin(rng)
-
 
 @dataclass(frozen=True)
 class StrategyStep:
@@ -260,11 +257,6 @@ class Wheel:
         if self.total <= 0.0:
             return pool[rng.randrange(len(pool))]
         return pool[bisect_right(self.cumulative, rng.random() * self.total)]
-
-
-def select_wheel(pool: Sequence[Individual], rng: random.Random) -> Individual:
-    """One spin of a wheel over ``pool``."""
-    return Wheel(pool).spin(rng)
 
 
 def n_best(pop: Population, n: int) -> list[Individual]:

@@ -53,7 +53,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .interpreter import Bindings, SupervisorPolicy, compile_program, execute
+from .interpreter import SupervisorPolicy, compile_program, execute
 from .trees import (
     Category,
     ConfigurationError,
@@ -149,21 +149,19 @@ class UserModel:
         return self.click_prob.get(feed_id, 0.0)
 
 
-def homogeneous_user(catalog: FeedCatalog, tech_prob: float = 0.9,
-                     other_prob: float = 0.1) -> UserModel:
+def homogeneous_user(catalog: FeedCatalog) -> UserModel:
     """The group-level reader: loves tech feeds, skims the rest."""
-    return UserModel({f.feed_id: tech_prob if f.is_tech else other_prob
+    return UserModel({f.feed_id: 0.9 if f.is_tech else 0.1
                       for f in catalog.feeds})
 
 
-def preference_user(catalog: FeedCatalog, preferred: Sequence[str],
-                    liked_prob: float = 0.9, other_prob: float = 0.1) -> UserModel:
+def preference_user(catalog: FeedCatalog, preferred: Sequence[str]) -> UserModel:
     """A reader who clicks a specific set of feeds, whatever their group."""
     wanted = set(preferred)
     unknown = wanted - {f.feed_id for f in catalog.feeds}
     if unknown:
         raise ConfigurationError(f"unknown feeds in preferences: {sorted(unknown)}")
-    return UserModel({f.feed_id: liked_prob if f.feed_id in wanted else other_prob
+    return UserModel({f.feed_id: 0.9 if f.feed_id in wanted else 0.1
                       for f in catalog.feeds})
 
 
@@ -183,8 +181,7 @@ def landscape_user(catalog: FeedCatalog, landscape: str, island: int) -> UserMod
     raise ConfigurationError(f"unknown landscape {landscape!r}")
 
 
-def feed_primitives(catalog: FeedCatalog,
-                    constant_range: tuple[float, float] = (-10.0, 10.0)) -> PrimitiveSet:
+def feed_primitives(catalog: FeedCatalog) -> PrimitiveSet:
     """Scoring vocabulary: feed attributes, identity tests and arithmetic."""
     kinds = arithmetic_kinds()
     kinds.append(if_greater_kind(Sort.NUMBER))
@@ -192,37 +189,22 @@ def feed_primitives(catalog: FeedCatalog,
     kinds.append(terminal("unread_count", Sort.NUMBER))
     for feed in catalog.feeds:
         kinds.append(terminal(f"is_{feed.feed_id}", Sort.NUMBER))
-    lo, hi = constant_range
     return PrimitiveSet(kinds, Sort.NUMBER,
-                        constant_sources={Sort.NUMBER: lambda rng: rng.uniform(lo, hi)})
-
-
-@functools.lru_cache(maxsize=16)
-def _feed_environments(catalog: FeedCatalog) -> tuple[Bindings, ...]:
-    """One bindings mapping per feed, in catalog order, shared by every run
-    over ``catalog``; the accessors only read the frozen feed attributes."""
-    return tuple(_feed_environment(feed, catalog) for feed in catalog.feeds)
-
-
-def _feed_environment(feed: Feed, catalog: FeedCatalog) -> Bindings:
-    bindings = {
-        "group_is_tech": lambda: 1.0 if feed.is_tech else 0.0,
-        "unread_count": lambda: float(feed.unread),
-    }
-    for other in catalog.feeds:
-        bindings[f"is_{other.feed_id}"] = (
-            lambda match=(other.feed_id == feed.feed_id): 1.0 if match else 0.0)
-    return bindings
+                        constant_sources={Sort.NUMBER: lambda rng: rng.uniform(-10.0, 10.0)})
 
 
 @functools.lru_cache(maxsize=16)
 def _feed_columns(catalog: FeedCatalog) -> dict[str, tuple]:
-    """Each terminal's value for every feed, in catalog order, read from the
-    same accessors the per-feed bindings hold.  Equal catalogs get the same
+    """Each terminal's value for every feed, as a tuple in catalog order:
+    the feed's attributes as floats, ``is_<id>`` being 1.0 on that feed
+    alone.  An empty catalog binds no terminal.  Equal catalogs get the same
     dict, so they share the per-node records keyed by it."""
-    per_feed = _feed_environments(catalog)
-    names = per_feed[0] if per_feed else ()
-    return {name: tuple(bindings[name]() for bindings in per_feed) for name in names}
+    feeds = catalog.feeds
+    columns = {"group_is_tech": tuple(1.0 if feed.is_tech else 0.0 for feed in feeds),
+               "unread_count": tuple(float(feed.unread) for feed in feeds)}
+    for other in feeds:
+        columns[f"is_{other.feed_id}"] = tuple(1.0 if feed is other else 0.0 for feed in feeds)
+    return columns if feeds else {}
 
 
 def _score_feeds(tree: ProgramTree, catalog: FeedCatalog) -> Sequence:
@@ -342,8 +324,7 @@ def _fill_screen(tree: ProgramTree, catalog: FeedCatalog, desired_qty: int,
     A tree within the step budget cannot be killed, so it is scored in one
     pass; a larger one is compiled once and run under the supervisor, feed by
     feed.  Its accessors read the terminal columns at ``row``, the feed being
-    run: the values the feed's own bindings give, from which the columns are
-    built.
+    run.
     """
     if tree.size <= policy.max_steps:
         values = _score_feeds(tree, catalog)

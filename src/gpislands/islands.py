@@ -259,8 +259,7 @@ class AdmissionReport:
 
 
 def admit_immigrants(pop: Population, envelopes: Sequence[MigrantEnvelope],
-                     prims: PrimitiveSet, max_depth: int,
-                     origin: Origin = Origin.IMMIGRANT) -> AdmissionReport:
+                     prims: PrimitiveSet, max_depth: int) -> AdmissionReport:
     """Append every well-formed arriving program; count malformed ones.
 
     The population may temporarily exceed capacity; the next breed restores
@@ -284,7 +283,7 @@ def admit_immigrants(pop: Population, envelopes: Sequence[MigrantEnvelope],
             log.debug("dropping malformed migrant: %s", exc)
             dropped += 1
             continue
-        pop.members.append(Individual.from_tree(tree, origin))
+        pop.members.append(Individual.from_tree(tree, Origin.IMMIGRANT))
         admitted += 1
     return AdmissionReport(admitted, dropped)
 

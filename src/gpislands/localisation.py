@@ -81,6 +81,9 @@ from .trees import (
 )
 
 DEFAULT_TICKS = 60
+#: The most ticks a world may last: a day of one-second ticks, the span the
+#: energy budget covers.  Every tick takes about 540 bytes of the walk's table.
+MAX_TICKS = 86_400
 DEFAULT_MAX_STEPS = 256
 #: Grow bias for localisation programs; low enough that raw random programs
 #: rarely stumble into a working enable-plus-request combination.
@@ -194,9 +197,9 @@ class WorldConfig:
                 raise ConfigurationError(f"a waypoint is a finite (t, x, y), got {point!r}")
         if any(b[0] < a[0] for a, b in zip(self.waypoints, self.waypoints[1:])):
             raise ConfigurationError("waypoint times must not decrease")
-        if type(self.ticks) is not int or self.ticks < 1:  # rejects bools too
+        if type(self.ticks) is not int or not 1 <= self.ticks <= MAX_TICKS:  # rejects bools too
             raise ConfigurationError(
-                f"ticks must be a whole number of at least 1, got {self.ticks!r}")
+                f"ticks must be a whole number from 1 to {MAX_TICKS}, got {self.ticks!r}")
         # a fix lies within the walk's reach plus a radius times an error
         # bound; were it not finite, two equal fixes would lie at no finite
         # distance from each other and a perfect fix would score 0
@@ -208,17 +211,6 @@ class WorldConfig:
                 f"every fix position must be finite, but waypoint coordinates up to "
                 f"{reach!r}, radii up to {radius!r} and errors from {self.error_low!r} "
                 f"to {self.error_high!r} can overflow")
-
-
-def single_provider_world(provider: Provider, ticks: int = DEFAULT_TICKS,
-                          stationary: bool = True) -> WorldConfig:
-    """A minimal world for closed-form checks: one always-available provider."""
-    end = float(ticks)
-    waypoints = ((0.0, 0.0, 0.0), (end, 0.0, 0.0)) if stationary else (
-        (0.0, 0.0, 0.0), (end, 5.0 * end, 0.0))
-    return WorldConfig(providers=(provider,), waypoints=waypoints,
-                       segments=(Segment(0.0, end, indoor=False, wifi=True),),
-                       ticks=ticks)
 
 
 def _truth(waypoints: Sequence[tuple[float, float, float]], t: float) -> Position:
@@ -595,7 +587,7 @@ def localisation_helper(tree: ProgramTree) -> bool:
     return False
 
 
-def localisation_primitives(constant_range: tuple[float, float] = (0.0, 60.0)) -> PrimitiveSet:
+def localisation_primitives() -> PrimitiveSet:
     """Action vocabulary plus the numeric plumbing for duty-cycling logic."""
     two = (Sort.NUMBER, Sort.NUMBER)
     kinds = [
@@ -613,9 +605,8 @@ def localisation_primitives(constant_range: tuple[float, float] = (0.0, 60.0)) -
         terminal("disable_cell", Sort.ACTION),
         terminal("request_update", Sort.ACTION),
     ]
-    lo, hi = constant_range
     return PrimitiveSet(kinds, Sort.ACTION,
-                        constant_sources={Sort.NUMBER: lambda rng: rng.uniform(lo, hi)})
+                        constant_sources={Sort.NUMBER: lambda rng: rng.uniform(0.0, 60.0)})
 
 
 class LocalisationEvaluator:
@@ -647,7 +638,7 @@ def world_config_from_dict(data: dict) -> WorldConfig:
     program terminal can switch (any name but those in
     :data:`RADIO_NAMES`), and whatever :class:`Provider`, :class:`Segment`
     and :class:`WorldConfig` reject, such as a non-boolean ``wifi`` flag or
-    a ``ticks`` that is not a whole number.
+    a ``ticks`` that is not a whole number from 1 to :data:`MAX_TICKS`.
     """
     try:
         providers = DEFAULT_PROVIDERS

@@ -403,7 +403,6 @@ class PrimitiveSet:
                         if arg not in reachable:
                             reachable.add(arg)
                             frontier.append(arg)
-        self._reachable = frozenset(reachable)
         #: Reachable sorts no leaf produces; a tree reaching one cannot be grown.
         self._leafless = [sort for sort in reachable if not growth[sort].leaves]
 
@@ -414,16 +413,6 @@ class PrimitiveSet:
     def kind(self, name: str) -> Optional[NodeKind]:
         return self._by_name.get(name)
 
-    def leaves_for(self, sort: Sort) -> list[NodeKind]:
-        """Arity-0 kinds (terminals and constants) producing ``sort``."""
-        return list(self._growth[sort].leaves)
-
-    def functions_for(self, sort: Sort) -> list[NodeKind]:
-        return [kind for kind, _ in self._growth[sort].functions]
-
-    def reachable_sorts(self) -> set[Sort]:
-        return set(self._reachable)
-
     def ensure_generable(self) -> None:
         """Every sort reachable from the root must offer at least one leaf.
 
@@ -433,25 +422,13 @@ class PrimitiveSet:
             raise ConfigurationError(
                 f"no terminal or constant produces sort {self._leafless[0].value!r}")
 
-    def draw_constant(self, sort: Sort, rng: random.Random) -> float:
-        return float(self.constant_sources[sort](rng))
-
 
 # ---------------------------------------------------------------------------
-# tree measurements and traversal
+# traversal
 
-def tree_size(tree: ProgramTree) -> int:
-    return tree.size
-
-
-def tree_depth(tree: ProgramTree) -> int:
-    """Depth in nodes along the longest path; a lone terminal has depth 1."""
-    return tree.depth
-
-
-def iter_nodes(tree: ProgramTree, depth: int = 1) -> Iterator[tuple[ProgramTree, int]]:
+def iter_nodes(tree: ProgramTree) -> Iterator[tuple[ProgramTree, int]]:
     """Preorder walk yielding ``(node, depth_of_node)``; the root is depth 1."""
-    stack = [(tree, depth)]
+    stack = [(tree, 1)]
     pop = stack.pop
     push = stack.append
     while stack:

@@ -5,18 +5,33 @@ recursive call per node, which collects the kinds of the wanted sort from
 the primitive set's declared kinds, in their order, and draws from the rng
 in the same order the package must: the leaf when only leaves are eligible,
 else the leaf-or-function choice (only when the sort has leaves) and the
-kind, then a constant's payload, children left to right.
+kind, then a constant's payload, children left to right.  :func:`split`
+is the collection it grows from, for tests that need a sort's leaves or
+functions.
 """
-from gpislands.trees import Category, ConfigurationError, ProgramTree
+from gpislands.trees import Category, ConfigurationError, ProgramTree, Sort
+
+
+def split(prims, sort):
+    """The kinds producing ``sort`` in declared order: its leaves (terminals
+    and constant kind) and its functions."""
+    kinds = [kind for kind in prims.all_kinds if kind.result_sort is sort]
+    leaves = [kind for kind in kinds if kind.category is not Category.FUNCTION]
+    functions = [kind for kind in kinds if kind.category is Category.FUNCTION]
+    return leaves, functions
+
+
+def sorts_with_leaves(prims):
+    """The sorts some leaf of ``prims`` produces, by name: the sorts a tree
+    of the set can be grown at."""
+    return sorted((sort for sort in Sort if split(prims, sort)[0]), key=lambda s: s.value)
 
 
 def grow(prims, sort, budget, rng, function_bias=0.5):
     """A random tree of ``sort`` no deeper than ``budget``."""
     if budget < 1:
         raise ValueError("depth budget must be at least 1")
-    kinds = [kind for kind in prims.all_kinds if kind.result_sort is sort]
-    leaves = [kind for kind in kinds if kind.category is not Category.FUNCTION]
-    functions = [kind for kind in kinds if kind.category is Category.FUNCTION]
+    leaves, functions = split(prims, sort)
     if budget == 1 or not functions:
         if not leaves:
             raise ConfigurationError(f"no terminal or constant produces sort {sort.value!r}")
@@ -26,7 +41,7 @@ def grow(prims, sort, budget, rng, function_bias=0.5):
     else:
         kind = functions[rng.randrange(len(functions))]
     if kind.category is Category.CONSTANT:
-        return ProgramTree(kind, (), prims.draw_constant(sort, rng))
+        return ProgramTree(kind, (), float(prims.constant_sources[sort](rng)))
     if kind.category is Category.TERMINAL:
         return ProgramTree(kind)
     children = tuple(grow(prims, arg, budget - 1, rng, function_bias)

@@ -23,7 +23,7 @@ from gpislands.feed import (FEED_FUNCTION_BIAS, FeedEvaluator, FeedReport,
 from gpislands.harness import ExperimentConfig, run_experiment, write_rows_csv
 from gpislands.localisation import (EnergyBudget, accuracy_fitness,
                                     energy_fitness)
-from gpislands.trees import deserialize, serialize, tree_depth
+from gpislands.trees import deserialize, serialize
 
 TOL = 1e-12
 THRESHOLD = 0.9
@@ -110,11 +110,11 @@ def test_criterion_2_operator_closure():
     failures = 0
     for _ in range(10_000):
         child = mutate(rng.choice(pool), prims, 3, rng)
-        if tree_depth(child) > 3 or deserialize(serialize(child), prims) != child:
+        if child.depth > 3 or deserialize(serialize(child), prims) != child:
             failures += 1
     for _ in range(10_000):
         child = crossover(rng.choice(pool), rng.choice(pool), 3, rng)
-        if tree_depth(child) > 3 or deserialize(serialize(child), prims) != child:
+        if child.depth > 3 or deserialize(serialize(child), prims) != child:
             failures += 1
     elapsed = time.perf_counter() - started
     ok = failures == 0 and elapsed < 30.0

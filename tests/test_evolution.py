@@ -12,6 +12,7 @@ from gpislands.evolution import (
     Population,
     SelectorBinding,
     StrategyStep,
+    Wheel,
     breed_next_generation,
     evaluate_new_members,
     evaluate_population,
@@ -23,7 +24,6 @@ from gpislands.evolution import (
     crossover,
     n_best,
     population_stats,
-    select_wheel,
     strategy_from_dict,
 )
 from gpislands.feed import FEED_FUNCTION_BIAS
@@ -61,7 +61,7 @@ def make_pop(fitnesses, geo_prims, capacity=None):
 def test_wheel_is_fitness_proportionate(geo_prims):
     pop = make_pop([0.75, 0.25], geo_prims)
     rng = random.Random(314)
-    draws = sum(select_wheel(pop.members, rng) is pop.members[0]
+    draws = sum(Wheel(pop.members).spin(rng) is pop.members[0]
                 for _ in range(30000))
     assert abs(draws / 30000 - 0.75) < 0.02
 
@@ -71,18 +71,18 @@ def test_wheel_zero_total_degrades_to_uniform(geo_prims):
     rng = random.Random(271)
     counts = {id(m): 0 for m in pop.members}
     for _ in range(30000):
-        counts[id(select_wheel(pop.members, rng))] += 1
+        counts[id(Wheel(pop.members).spin(rng))] += 1
     for c in counts.values():
         assert abs(c / 30000 - 0.25) < 0.02
 
 
 def test_wheel_rejects_bad_pools(geo_prims):
     with pytest.raises(ValueError):
-        select_wheel([], random.Random(1))
+        Wheel([])
     pop = make_pop([0.5], geo_prims)
     pop.members[0].fitness = None
     with pytest.raises(ValueError):
-        select_wheel(pop.members, random.Random(1))
+        Wheel(pop.members)
 
 
 def test_n_best_breaks_ties_by_position(geo_prims):
@@ -349,7 +349,7 @@ def reference_breed(pop, strategy, prims, max_depth, rng, guard, function_bias):
         binding = strategy.selectors.get(step.selector)
 
         def pick():
-            return select_wheel(binding.pool(pop), rng)
+            return Wheel(binding.pool(pop)).spin(rng)
 
         for _ in range(step.count):
             if step.operator is Operator.COPY:
@@ -414,15 +414,14 @@ def test_a_breed_matches_a_wheel_built_for_every_pick(task, geo_prims, feed_prim
     assert zero_totals
 
 
-def test_selector_picks_spin_the_same_wheel_as_select_wheel(geo_prims):
+def test_a_selectors_wheel_spins_as_a_fresh_wheel_per_pick(geo_prims):
     pop = make_pop([0.2, 0.9, 0.0, 0.5, 0.9], geo_prims)
     for binding in (SelectorBinding("HR", 3), SelectorBinding("Pool")):
         ours, theirs = random.Random(6), random.Random(6)
         wheel = binding.wheel(pop)
         for _ in range(50):
-            want = select_wheel(binding.pool(pop), theirs)
-            assert binding.pick(pop, ours) is want
-            assert wheel.spin(theirs) is select_wheel(binding.pool(pop), ours)
+            assert wheel.spin(ours) is Wheel(binding.pool(pop)).spin(theirs)
+            assert wheel.spin(theirs) is Wheel(binding.pool(pop)).spin(ours)
         assert ours.getstate() == theirs.getstate()
 
 

@@ -6,8 +6,9 @@ import random
 import statistics
 from collections import Counter
 
+import grower
 import pytest
-from walker import walk
+from walker import feed_environments, walk
 
 from gpislands import feed as feed_module
 from gpislands.feed import (
@@ -18,7 +19,7 @@ from gpislands.feed import (
     FeedEvaluator,
     FeedReport,
     HETEROGENEOUS_PREFERENCES,
-    _feed_environments,
+    UserModel,
     default_catalog,
     feed_fitness,
     feed_primitives,
@@ -283,7 +284,7 @@ def walker_fill(tree, catalog, desired_qty, policy):
     """The screen fill computed feed by feed on the reference walker, with
     the round-robin written out round by round."""
     scores = {}
-    for feed, env in zip(catalog.feeds, _feed_environments(catalog)):
+    for feed, env in zip(catalog.feeds, feed_environments(catalog)):
         outcome = walk(tree, env, policy)
         if outcome.killed:
             return None
@@ -420,6 +421,26 @@ THREE_FEEDS = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 2),
                            Feed("c", "tech", 4)))
 
 
+@pytest.mark.parametrize("catalog", [
+    default_catalog(), default_catalog(unread=5), THREE_FEEDS,
+    FeedCatalog((Feed("solo", "other", 0),)), FeedCatalog(()),
+], ids=["default", "unread5", "three", "one-feed-unread0", "no-feeds"])
+def test_the_columns_hold_what_each_feeds_bindings_give(catalog):
+    """Terminal by terminal, in the bindings' order, each column holds the
+    value every feed's own bindings give, bit for bit and in catalog order."""
+    per_feed = feed_environments(catalog)
+    names = list(per_feed[0]) if per_feed else []
+    columns = feed_module._feed_columns(catalog)
+    assert list(columns) == names
+    for name in names:
+        assert isinstance(columns[name], tuple)
+        assert [repr(v) for v in columns[name]] == [repr(b[name]()) for b in per_feed]
+    if not catalog.feeds:
+        tree = deserialize("(unread_count)", feed_primitives(catalog))
+        report = run_feed_program(tree, catalog)
+        assert (report.scores, report.displayed, report.clicked) == ({}, [], [])
+
+
 @pytest.mark.parametrize("catalog", [default_catalog(), default_catalog(unread=5),
                                      THREE_FEEDS], ids=["default", "unread5", "three"])
 def test_bred_lineages_score_as_fresh_copies_and_the_walker(catalog):
@@ -505,7 +526,7 @@ def with_ancestors(tree):
 def test_a_child_evaluates_only_the_ancestors_breeding_rebuilt(catalog, feed_prims):
     """Without ``if_greater`` every node is reached by every feed, so every
     function node keeps a record."""
-    terminals = [kind for kind in feed_prims.leaves_for(Sort.NUMBER)
+    terminals = [kind for kind in grower.split(feed_prims, Sort.NUMBER)[0]
                  if kind.category is Category.TERMINAL]
     prims = PrimitiveSet(arithmetic_kinds() + terminals, Sort.NUMBER,
                          {Sort.NUMBER: lambda rng: rng.uniform(-10.0, 10.0)})
@@ -519,7 +540,7 @@ def test_a_child_evaluates_only_the_ancestors_breeding_rebuilt(catalog, feed_pri
         calls.clear()
         values = feed_module._score_feeds(tree, catalog)
         counts = Counter(calls)
-        for got, env in zip(values, _feed_environments(catalog)):
+        for got, env in zip(values, feed_environments(catalog)):
             assert repr(got) == repr(
                 execute(compile_program(tree, env), SupervisorPolicy(10**6)).value)
         return counts
@@ -561,15 +582,17 @@ def test_only_branches_every_feed_reaches_keep_a_record(catalog, feed_prims):
 
 def test_click_extremes(catalog, feed_prims):
     report = run_feed_program(const_program(feed_prims, 1.0), catalog)
-    eager = simulate_clicks(report, preference_user(catalog, [f.feed_id for f in catalog.feeds], 1.0, 1.0), random.Random(0))
+    always = UserModel({f.feed_id: 1.0 for f in catalog.feeds})
+    eager = simulate_clicks(report, always, random.Random(0))
     assert eager.clicked == eager.displayed
     report = run_feed_program(const_program(feed_prims, 1.0), catalog)
-    bored = simulate_clicks(report, preference_user(catalog, [], 0.9, 0.0), random.Random(0))
+    never = UserModel({f.feed_id: 0.0 for f in catalog.feeds})
+    bored = simulate_clicks(report, never, random.Random(0))
     assert bored.clicked == []
 
 
 def test_click_rate_monte_carlo(catalog, feed_prims):
-    user = preference_user(catalog, [f.feed_id for f in catalog.feeds], 0.5, 0.5)
+    user = UserModel({f.feed_id: 0.5 for f in catalog.feeds})
     rng = random.Random(2718)
     tree = const_program(feed_prims, 1.0)
     clicks = []
@@ -626,11 +649,11 @@ def test_evaluator_is_seed_deterministic(catalog, feed_prims):
 # the depth-2 exhaustive oracle
 
 def enumerate_depth2(prims, const_values=(-1.0, 0.5, 2.0)):
-    leaves = [ProgramTree(k) for k in prims.leaves_for(Sort.NUMBER)
-              if k.name != constant_kind_name(Sort.NUMBER)]
+    leaf_kinds, functions = grower.split(prims, Sort.NUMBER)
+    leaves = [ProgramTree(k) for k in leaf_kinds if k.name != constant_kind_name(Sort.NUMBER)]
     leaves += [const_program(prims, v) for v in const_values]
     yield from leaves
-    for kind in prims.functions_for(Sort.NUMBER):
+    for kind in functions:
         for combo in itertools.product(leaves, repeat=kind.arity):
             yield ProgramTree(kind, combo)
 

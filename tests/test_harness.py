@@ -397,6 +397,7 @@ def test_cli_unusable_strategy_exits_2(tmp_path, capsys, selectors, steps):
     ("localisation", json.dumps({"ticks": -3})),
     ("localisation", json.dumps({"ticks": 2.5})),
     ("localisation", json.dumps({"ticks": True})),
+    ("localisation", json.dumps({"ticks": 86_401})),
     ("localisation", json.dumps({"waypoints": [[0, 0], [60, 100]]})),
     ("localisation", json.dumps({"waypoints": [[0, 0, 0, 0]]})),
     ("localisation", json.dumps({"waypoints": []})),

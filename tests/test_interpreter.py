@@ -4,11 +4,11 @@ import functools
 import random
 
 import pytest
-from walker import walk
+from walker import feed_environments, walk
 
 from gpislands import feed as feed_module
 from gpislands import localisation as localisation_module
-from gpislands.feed import DEFAULT_DESIRED_QTY, _feed_environments, default_catalog
+from gpislands.feed import DEFAULT_DESIRED_QTY, default_catalog
 from gpislands.interpreter import SupervisorPolicy, compile_program, execute
 from gpislands.localisation import World, WorldConfig
 from gpislands.trees import (
@@ -25,7 +25,6 @@ from gpislands.trees import (
     if_greater_kind,
     sequence_kind,
     terminal,
-    tree_size,
 )
 
 
@@ -77,7 +76,7 @@ def test_division_by_zero_yields_sentinel(branch_prims):
 def test_step_budget_kills_large_tree(branch_prims):
     rng = random.Random(5)
     t = build_random_tree(branch_prims, 6, rng, function_bias=1.0)
-    assert tree_size(t) > 10
+    assert t.size > 10
     out = execute(compile_program(t, {"a": lambda: 1.0, "b": lambda: 2.0}),
                   SupervisorPolicy(max_steps=10))
     assert out.killed
@@ -93,7 +92,7 @@ def test_steps_never_exceed_budget(branch_prims):
         out = execute(compile_program(t, bindings), SupervisorPolicy(max_steps=12))
         assert out.steps_used <= 12
         if not out.killed:
-            assert out.steps_used <= tree_size(t)
+            assert out.steps_used <= t.size
 
 
 def test_if_greater_evaluates_only_taken_branch(branch_prims):
@@ -207,7 +206,7 @@ def assert_same_runs(tree, bindings, policy):
     compiled_bindings, compiled_log = logged(bindings)
     walked_bindings, walked_log = logged(bindings)
     program = compile_program(tree, compiled_bindings)
-    assert program.size == tree_size(tree)
+    assert program.size == tree.size
     outcome = execute(program, policy)
     assert_same_outcome(outcome, walk(tree, walked_bindings, policy))
     assert_same_calls(compiled_log, walked_log, outcome.killed)
@@ -239,7 +238,7 @@ def test_the_oversize_fill_runs_each_feed_as_the_walker_does(feed_prims, monkeyp
     walk of the tree against that feed's own bindings, and the fill stops at
     the first kill."""
     catalog = default_catalog()
-    per_feed = _feed_environments(catalog)
+    per_feed = feed_environments(catalog)
     assert len(per_feed) == 7
     policy = SupervisorPolicy(max_steps=max_steps)
     compiles, runs = [], []
@@ -382,7 +381,7 @@ def test_a_chain_at_the_depth_ceiling_runs_in_both_tasks(feed_prims, loc_prims):
     assert loc_tree.size > localisation_module.DEFAULT_MAX_STEPS
     tight = SupervisorPolicy(max_steps=feed_module.DEFAULT_MAX_STEPS)
     loose = SupervisorPolicy(max_steps=10**6)
-    runs = [(feed_tree, _feed_environments(catalog)[0]),
+    runs = [(feed_tree, feed_environments(catalog)[0]),
             (loc_tree, World(WorldConfig(), seed=1).environment())]
     for tree, bindings in runs:
         program = compile_program(tree, bindings)

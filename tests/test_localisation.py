@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import grower
 import pytest
 from walker import walk
 
@@ -11,9 +12,11 @@ from gpislands import localisation as localisation_module
 from gpislands.interpreter import SupervisorPolicy
 from gpislands.localisation import (
     DEFAULT_PROVIDERS,
+    DEFAULT_TICKS,
     EnergyBudget,
     LOC_FUNCTION_BIAS,
     LocalisationEvaluator,
+    MAX_TICKS,
     NO_FIX_SENTINEL,
     Provider,
     Segment,
@@ -29,7 +32,6 @@ from gpislands.localisation import (
     load_world_config,
     localisation_helper,
     localisation_primitives,
-    single_provider_world,
 )
 from gpislands.trees import (
     ConfigurationError,
@@ -44,6 +46,16 @@ from gpislands.trees import (
 
 WIFI = DEFAULT_PROVIDERS[1]
 CELL = DEFAULT_PROVIDERS[2]
+
+
+def single_provider_world(provider, ticks=DEFAULT_TICKS, stationary=True):
+    """A minimal world for closed-form checks: one always-available provider."""
+    end = float(ticks)
+    waypoints = ((0.0, 0.0, 0.0), (end, 0.0, 0.0)) if stationary else (
+        (0.0, 0.0, 0.0), (end, 5.0 * end, 0.0))
+    return WorldConfig(providers=(provider,), waypoints=waypoints,
+                       segments=(Segment(0.0, end, indoor=False, wifi=True),),
+                       ticks=ticks)
 
 
 @pytest.fixture
@@ -370,8 +382,8 @@ def test_helper_agrees_with_a_full_walk(prims):
 def test_depth2_brute_force_matches_closed_form(prims):
     """Nothing a two-level program can do beats enable-then-ask on wifi."""
     config = single_provider_world(WIFI)
-    leaves_a = [ProgramTree(k) for k in prims.leaves_for(Sort.ACTION)]
-    leaves_n = [ProgramTree(k) for k in prims.leaves_for(Sort.NUMBER)
+    leaves_a = [ProgramTree(k) for k in grower.split(prims, Sort.ACTION)[0]]
+    leaves_n = [ProgramTree(k) for k in grower.split(prims, Sort.NUMBER)[0]
                 if k.name != constant_kind_name(Sort.NUMBER)]
     leaves_n += [ProgramTree(prims.kind(constant_kind_name(Sort.NUMBER)), value=v)
                  for v in (0.5, 10.0, 50.0)]
@@ -417,6 +429,14 @@ def test_bad_world_config_raises(tmp_path):
     path.write_text(json.dumps({"providers": [{"name": "x"}]}))
     with pytest.raises(ConfigurationError):
         load_world_config(str(path))
+
+
+def test_a_world_lasts_at_most_a_day_of_one_second_ticks():
+    assert MAX_TICKS == 24 * 60 * 60
+    assert WorldConfig(ticks=MAX_TICKS).ticks == MAX_TICKS
+    for ticks in (MAX_TICKS + 1, 10**8):  # rejected before any tick is laid out
+        with pytest.raises(ConfigurationError, match="ticks"):
+            WorldConfig(ticks=ticks)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 closed over the primitive set and the depth bound."""
 import random
 
+import grower
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -44,9 +45,8 @@ def trees(draw, prims, max_depth=MAX_DEPTH, payloads=st.floats(allow_nan=False))
     def grow(sort, budget):
         nonlocal made
         made += 1
-        choices = prims.leaves_for(sort)
-        if budget > 1 and made < MAX_NODES:
-            choices = choices + prims.functions_for(sort)
+        leaves, functions = grower.split(prims, sort)
+        choices = leaves + functions if budget > 1 and made < MAX_NODES else leaves
         kind = draw(st.sampled_from(choices))
         if kind.category is Category.CONSTANT:
             return ProgramTree(kind, (), draw(payloads))

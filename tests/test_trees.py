@@ -6,12 +6,11 @@ import re
 import grower
 import pytest
 from reference_tree import mirror
-from walker import walk
+from walker import feed_environments, walk
 
 from gpislands.evolution import Population, crossover, mutate, population_stats
 from gpislands.feed import (
     FEED_FUNCTION_BIAS,
-    _feed_environments,
     default_catalog,
     feed_primitives,
     run_feed_program,
@@ -42,8 +41,6 @@ from gpislands.trees import (
     replace_subtree,
     serialize,
     terminal,
-    tree_depth,
-    tree_size,
     validate_tree,
 )
 from gpislands.trees import _grow, _node
@@ -113,7 +110,6 @@ def test_ensure_generable_needs_a_leaf_per_reachable_sort():
 
 def test_an_ungenerable_set_fails_its_first_build_without_drawing():
     prims = PrimitiveSet(arithmetic_kinds(), Sort.NUMBER)
-    assert prims.reachable_sorts() == {Sort.NUMBER}
     rng = random.Random(5)
     state = rng.getstate()
     for _ in range(2):
@@ -123,10 +119,20 @@ def test_an_ungenerable_set_fails_its_first_build_without_drawing():
 
 
 def test_reachable_sorts_follow_argument_sorts(loc_prims):
-    assert loc_prims.reachable_sorts() == {Sort.ACTION, Sort.NUMBER}
-    loc_prims.reachable_sorts().clear()  # a copy: the set keeps its own
-    assert loc_prims.reachable_sorts() == {Sort.ACTION, Sort.NUMBER}
+    """A sort counts when a kind of a reachable sort takes it as an
+    argument, however far from the root; a leafless sort that no such kind
+    takes does not stop a build."""
     loc_prims.ensure_generable()
+    chain = [function("act_on", (Sort.NUMBER,), Sort.ACTION, lambda a: a),
+             function("number_of", (Sort.BOOLEAN,), Sort.NUMBER, lambda a: a),
+             terminal("go", Sort.ACTION), terminal("x", Sort.NUMBER)]
+    with pytest.raises(ConfigurationError, match="'Boolean'"):
+        PrimitiveSet(chain, Sort.ACTION).ensure_generable()
+    PrimitiveSet(chain + [terminal("flag", Sort.BOOLEAN)], Sort.ACTION).ensure_generable()
+    unreached = [terminal("x", Sort.NUMBER),
+                 function("negate", (Sort.BOOLEAN,), Sort.BOOLEAN, lambda a: a),
+                 function("act_if", (Sort.BOOLEAN,), Sort.ACTION, lambda a: a)]
+    PrimitiveSet(unreached, Sort.NUMBER).ensure_generable()
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +140,8 @@ def test_reachable_sorts_follow_argument_sorts(loc_prims):
 
 def test_size_and_depth_of_single_leaf(geo_prims):
     t = leaf(geo_prims, "lat")
-    assert tree_size(t) == 1
-    assert tree_depth(t) == 1
+    assert t.size == 1
+    assert t.depth == 1
 
 
 def test_size_and_depth_nested(geo_prims):
@@ -144,8 +150,8 @@ def test_size_and_depth_nested(geo_prims):
                                             leaf(geo_prims, "lon"))),
         const(geo_prims, 2.5),
     ))
-    assert tree_size(t) == 5
-    assert tree_depth(t) == 3
+    assert t.size == 5
+    assert t.depth == 3
 
 
 def test_iter_nodes_is_preorder_with_depths(geo_prims):
@@ -208,7 +214,7 @@ def assert_measures_hold(tree):
         assert node is ref_node and depth == ref_depth
         assert (node.size, node.depth) == recount(node)
         assert node.uniform == all(n.sort is node.sort for n, _ in reference_preorder(node))
-    assert (tree_size(tree), tree_depth(tree)) == recount(tree)
+    assert (tree.size, tree.depth) == recount(tree)
 
 
 def operator_trees(prims, seed, function_bias):
@@ -358,7 +364,7 @@ def checked_copy(tree):
 def test_unchecked_nodes_from_growth_and_replacement_are_valid(make_prims, bias):
     prims = make_prims()
     rng = random.Random(24)
-    for sort in sorted(prims.reachable_sorts(), key=lambda s: s.value):
+    for sort in grower.sorts_with_leaves(prims):
         for depth in range(1, 8):
             grown = _grow(prims._growth[sort], depth, rng, bias)
             assert grown.sort is sort and grown.depth <= depth
@@ -393,15 +399,15 @@ def test_build_random_tree_respects_depth_bound(geo_prims):
     rng = random.Random(7)
     for _ in range(500):
         t = build_random_tree(geo_prims, 3, rng)
-        assert 1 <= tree_depth(t) <= 3
+        assert 1 <= t.depth <= 3
         validate_tree(t, geo_prims, max_depth=3)
 
 
 def test_function_bias_extremes(geo_prims):
     rng = random.Random(11)
     for _ in range(50):
-        assert tree_depth(build_random_tree(geo_prims, 3, rng, function_bias=0.0)) == 1
-        assert tree_depth(build_random_tree(geo_prims, 3, rng, function_bias=1.0)) == 3
+        assert build_random_tree(geo_prims, 3, rng, function_bias=0.0).depth == 1
+        assert build_random_tree(geo_prims, 3, rng, function_bias=1.0).depth == 3
 
 
 def test_constants_are_frozen_at_generation(geo_prims):
@@ -433,7 +439,7 @@ def test_growth_matches_the_recursive_reference(name, bias):
     prims = GROWTH_SETS[name]()
     budgets = range(1, 6) if bias == 1.0 else range(1, 10)
     seeds = random.Random(f"{name}:{bias}")
-    for sort in sorted(prims.reachable_sorts(), key=lambda s: s.value):
+    for sort in grower.sorts_with_leaves(prims):
         for budget in budgets:
             for _ in range(6):
                 seed = seeds.random()
@@ -493,11 +499,10 @@ def test_growth_through_a_leafless_sort_draws_as_the_reference():
 
 def test_the_growth_tables_list_each_sorts_kinds_in_order(loc_prims):
     for sort in Sort:
-        kinds = [k for k in loc_prims.all_kinds if k.result_sort is sort]
-        assert loc_prims.leaves_for(sort) == [k for k in kinds
-                                              if k.category is not Category.FUNCTION]
-        assert loc_prims.functions_for(sort) == [k for k in kinds
-                                                 if k.category is Category.FUNCTION]
+        leaves, functions = grower.split(loc_prims, sort)
+        table = loc_prims._growth[sort]
+        assert list(table.leaves) == leaves
+        assert [kind for kind, _ in table.functions] == functions
 
 
 def test_generation_is_reproducible_golden_file():
@@ -660,7 +665,7 @@ def test_deserialize_without_bound_stops_at_the_ceiling(feed_prims, kind):
     policy = SupervisorPolicy(max_steps=10 * tree.size)
     report = run_feed_program(tree, catalog, policy=policy)
     assert len(report.scores) == len(catalog.feeds)
-    env = _feed_environments(catalog)[0]
+    env = feed_environments(catalog)[0]
     walked = walk(tree, env, policy)
     compiled = execute(compile_program(tree, env), policy)
     assert not walked.killed

@@ -5,6 +5,10 @@ every node, so it stops at the first node past the budget and calls no
 accessor after it.  The package compiles every program and decides the kill
 after the run; a compiled run must give the same kill, value and
 ``steps_used`` as this walk, and the same accessor calls up to the budget.
+
+:func:`feed_environments` is the feed task's bindings written out feed by
+feed: the walker runs a feed tree against one of them, and the package's
+terminal columns must hold, feed by feed, the values they give.
 """
 from gpislands.interpreter import RunOutcome
 from gpislands.trees import Category, ConfigurationError
@@ -41,3 +45,20 @@ def walk(tree, bindings, policy):
     except _Killed:
         return RunOutcome(True, None, steps)
     return RunOutcome(False, value, steps)
+
+
+def feed_environments(catalog):
+    """One bindings mapping per feed of ``catalog``, in catalog order; each
+    accessor reads the feed's own attributes."""
+    return tuple(_feed_environment(feed, catalog) for feed in catalog.feeds)
+
+
+def _feed_environment(feed, catalog):
+    bindings = {
+        "group_is_tech": lambda: 1.0 if feed.is_tech else 0.0,
+        "unread_count": lambda: float(feed.unread),
+    }
+    for other in catalog.feeds:
+        bindings[f"is_{other.feed_id}"] = (
+            lambda match=(other.feed_id == feed.feed_id): 1.0 if match else 0.0)
+    return bindings
