@@ -12,9 +12,8 @@ import random
 from gpislands.evolution import (breed_next_generation, evaluate_population,
                                  google_reader_strategy, initial_population,
                                  n_best)
-from gpislands.feed import (FEED_FUNCTION_BIAS, FeedEvaluator, default_catalog,
-                            feed_primitives, homogeneous_user,
-                            run_feed_program)
+from gpislands.feed import (FeedEvaluator, default_catalog, feed_primitives,
+                            homogeneous_user, run_feed_program)
 from gpislands.trees import serialize
 
 
@@ -36,8 +35,7 @@ def main() -> None:
               f"click probability {user.probability(feed.feed_id):.1f})")
     print()
 
-    pop = initial_population(prims, 5, 3, rng,
-                             function_bias=FEED_FUNCTION_BIAS)
+    pop = initial_population(prims, 5, 3, rng)
     strategy = google_reader_strategy()
     for gen in range(args.generations):
         stats = evaluate_population(pop, evaluator)
@@ -46,8 +44,7 @@ def main() -> None:
             print(f"gen {gen:>2}  best {stats.max_fitness:.2f}  "
                   f"mean {stats.mean_fitness:.2f}  {serialize(elite.tree)}")
         if gen < args.generations - 1:
-            pop = breed_next_generation(pop, strategy, prims, 3, rng,
-                                        function_bias=FEED_FUNCTION_BIAS)
+            pop = breed_next_generation(pop, strategy, prims, 3, rng)
 
     elite = n_best(pop, 1)[0]
     report = run_feed_program(elite.tree, catalog)

@@ -14,9 +14,8 @@ import statistics
 from gpislands.evolution import (breed_next_generation, evaluate_population,
                                  initial_population, localisation_strategy,
                                  n_best, HelperGuard)
-from gpislands.localisation import (LOC_FUNCTION_BIAS, LocalisationEvaluator,
-                                    WorldConfig, World, evaluate_localisation,
-                                    localisation_helper,
+from gpislands.localisation import (LocalisationEvaluator, WorldConfig, World,
+                                    evaluate_localisation, localisation_helper,
                                     localisation_primitives)
 from gpislands.trees import deserialize, serialize
 
@@ -56,8 +55,7 @@ def main() -> None:
     rng = random.Random(f"{args.seed}:evo")
     evaluator = LocalisationEvaluator(config, random.Random(f"{args.seed}:eval"))
     guard = HelperGuard(localisation_helper)
-    pop = initial_population(prims, 12, 3, rng,
-                             function_bias=LOC_FUNCTION_BIAS, guard=guard)
+    pop = initial_population(prims, 12, 3, rng, guard=guard)
     strategy = localisation_strategy()
     rejected = pop.helper_rejections
     print("Evolving a policy under the same budget:")
@@ -67,9 +65,7 @@ def main() -> None:
             print(f"gen {gen:>2}  best {stats.max_fitness:.3f}  "
                   f"mean {stats.mean_fitness:.3f}")
         if gen < args.generations - 1:
-            pop = breed_next_generation(pop, strategy, prims, 3, rng,
-                                        function_bias=LOC_FUNCTION_BIAS,
-                                        guard=guard)
+            pop = breed_next_generation(pop, strategy, prims, 3, rng, guard=guard)
             rejected += pop.helper_rejections
 
     elite = n_best(pop, 1)[0]

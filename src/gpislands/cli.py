@@ -8,6 +8,7 @@ success and 2 for unusable arguments or configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
@@ -27,48 +28,49 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evolve programs on one or more islands and record fitness statistics.")
     parser.add_argument("--app", required=True, choices=["feed", "localisation"],
                         help="benchmark task to evolve against")
-    parser.add_argument("--islands", type=int, default=2)
-    parser.add_argument("--capacity", type=int, default=10,
-                        help="programs per island")
-    parser.add_argument("--generations", type=int, default=20)
-    parser.add_argument("--iterations", type=int, default=15,
+    parser.add_argument("--islands", type=int)
+    parser.add_argument("--capacity", type=int, help="programs per island")
+    parser.add_argument("--generations", type=int)
+    parser.add_argument("--iterations", type=int,
                         help="independent repetitions of the whole run")
-    parser.add_argument("--interval", type=int, default=5,
+    parser.add_argument("--interval", type=int,
                         help="generations between migration events")
-    parser.add_argument("--rate", type=float, default=0.1,
+    parser.add_argument("--rate", type=float,
                         help="fraction of capacity exchanged per event")
     parser.add_argument("--mode", choices=["migrate", "random", "none"],
-                        default="migrate",
                         help="exchange programs, inject random ones, or do neither")
-    parser.add_argument("--landscape", choices=["homo", "hetero"], default="homo",
+    parser.add_argument("--landscape", choices=["homo", "hetero"],
                         help="same reader everywhere, or per-island tastes (feed only)")
-    parser.add_argument("--seed", default="0", help="base seed for the whole experiment")
+    parser.add_argument("--seed", help="base seed for the whole experiment")
     parser.add_argument("--out", default="results.csv", help="per-generation CSV path")
-    parser.add_argument("--transport", choices=["sim", "udp"], default="sim")
-    parser.add_argument("--loss", type=float, default=0.0,
+    parser.add_argument("--transport", choices=["sim", "udp"])
+    parser.add_argument("--loss", type=float,
                         help="per-delivery loss probability of the simulated transport")
-    parser.add_argument("--strategy", default="auto",
+    parser.add_argument("--strategy",
                         help="breeding strategy: auto, gr, island, localisation, "
                              "or a JSON file")
-    parser.add_argument("--app-config", dest="app_config", default=None,
+    parser.add_argument("--app-config", dest="app_config",
                         help="JSON file overriding the task's catalog or world")
-    parser.add_argument("--helper", action=argparse.BooleanOptionalAction, default=True,
+    parser.add_argument("--helper", action=argparse.BooleanOptionalAction,
                         help="screen generated programs with the task helper")
-    parser.add_argument("--max-depth", dest="max_depth", type=int, default=3)
-    parser.add_argument("--udp-base-port", dest="udp_base_port", type=int, default=47500)
+    parser.add_argument("--max-depth", dest="max_depth", type=int)
+    parser.add_argument("--udp-base-port", dest="udp_base_port", type=int)
+    # every option but --out is a field of the config, and defaults to it
+    parser.set_defaults(**{f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+                           if f.default is not dataclasses.MISSING})
     return parser
+
+
+def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The experiment the parsed options describe."""
+    options = vars(args).copy()
+    del options["out"]
+    return ExperimentConfig(**options)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    config = ExperimentConfig(
-        app=args.app, islands=args.islands, capacity=args.capacity,
-        generations=args.generations, iterations=args.iterations,
-        interval=args.interval, rate=args.rate, mode=args.mode,
-        landscape=args.landscape, seed=args.seed, transport=args.transport,
-        loss=args.loss, strategy=args.strategy, helper=args.helper,
-        max_depth=args.max_depth, app_config=args.app_config,
-        udp_base_port=args.udp_base_port)
+    config = config_from_args(args)
     try:
         result = run_experiment(config)
         write_rows_csv(result, args.out)

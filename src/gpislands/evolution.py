@@ -271,14 +271,14 @@ def n_best(pop: Population, n: int) -> list[Individual]:
 # ---------------------------------------------------------------------------
 # variation operators
 
-def mutate(tree: ProgramTree, prims: PrimitiveSet, max_depth: int, rng: random.Random,
-           function_bias: float = 0.5) -> ProgramTree:
+def mutate(tree: ProgramTree, prims: PrimitiveSet, max_depth: int,
+           rng: random.Random) -> ProgramTree:
     """Replace one uniformly chosen node with a freshly grown subtree of the
     same sort, sized so the result stays within ``max_depth``."""
     index = rng.randrange(tree.size)
     node, depth = node_at(tree, index)
     budget = max(1, max_depth - depth + 1)
-    replacement = grow_subtree(prims, node.kind.result_sort, budget, rng, function_bias)
+    replacement = grow_subtree(prims, node.kind.result_sort, budget, rng)
     return replace_subtree(tree, index, replacement)
 
 
@@ -353,14 +353,13 @@ def _build_guarded(make: Callable[[], ProgramTree], guard: Optional[HelperGuard]
 
 
 def initial_population(prims: PrimitiveSet, capacity: int, max_depth: int,
-                       rng: random.Random, guard: Optional[HelperGuard] = None,
-                       function_bias: float = 0.5) -> Population:
+                       rng: random.Random,
+                       guard: Optional[HelperGuard] = None) -> Population:
     """Generation 0: ``capacity`` fresh random programs, guard-screened."""
     counters = {"rejections": 0, "fallbacks": 0}
     members = [
         Individual.from_tree(
-            _build_guarded(lambda: build_random_tree(prims, max_depth, rng, function_bias),
-                           guard, counters))
+            _build_guarded(lambda: build_random_tree(prims, max_depth, rng), guard, counters))
         for _ in range(capacity)
     ]
     return Population(members, capacity, generation=0,
@@ -370,8 +369,7 @@ def initial_population(prims: PrimitiveSet, capacity: int, max_depth: int,
 
 def breed_next_generation(pop: Population, strategy: EvolutionStrategy,
                           prims: PrimitiveSet, max_depth: int, rng: random.Random,
-                          guard: Optional[HelperGuard] = None,
-                          function_bias: float = 0.5) -> Population:
+                          guard: Optional[HelperGuard] = None) -> Population:
     """Produce the next generation by running the strategy steps in order.
 
     The source population may be over capacity (appended immigrants take part
@@ -389,9 +387,8 @@ def breed_next_generation(pop: Population, strategy: EvolutionStrategy,
     for step in strategy.steps:
         if step.operator is Operator.RANDOM:
             for _ in range(step.count):
-                tree = _build_guarded(
-                    lambda: build_random_tree(prims, max_depth, rng, function_bias),
-                    guard, counters)
+                tree = _build_guarded(lambda: build_random_tree(prims, max_depth, rng),
+                                      guard, counters)
                 members.append(Individual.from_tree(tree, Origin.RANDOM_INJECTED))
             continue
         if not step.count:
@@ -407,7 +404,7 @@ def breed_next_generation(pop: Population, strategy: EvolutionStrategy,
                 members.append(Individual.from_tree(src.tree, Origin.ELITE_COPY, src.fitness))
             elif step.operator is Operator.MUTATION:
                 def make_mutant() -> ProgramTree:
-                    return mutate(spin(rng).tree, prims, max_depth, rng, function_bias)
+                    return mutate(spin(rng).tree, prims, max_depth, rng)
                 members.append(Individual.from_tree(_build_guarded(make_mutant, guard, counters)))
             else:  # CROSSOVER
                 def make_child() -> ProgramTree:
@@ -426,7 +423,6 @@ class EvalStats:
     mean_fitness: float
     mean_size: float
     mean_depth: float
-    helper_rejections: int
 
 
 def _safe_fitness(evaluator: FitnessFn, member: Individual) -> float:
@@ -453,7 +449,6 @@ def population_stats(pop: Population) -> EvalStats:
         mean_fitness=reduce(operator.add, [m.fitness for m in pop.members], 0) / count,
         mean_size=sum(m.size for m in pop.members) / count,
         mean_depth=sum(m.depth for m in pop.members) / count,
-        helper_rejections=pop.helper_rejections,
     )
 
 

@@ -74,7 +74,8 @@ TECH_GROUP = "tech"
 DEFAULT_UNREAD = 3
 DEFAULT_DESIRED_QTY = 10
 DEFAULT_MAX_STEPS = 512
-#: How readily the grow builder nests functions when building feed programs.
+#: How readily growth nests functions in feed programs: the
+#: ``function_bias`` of every set :func:`feed_primitives` builds.
 FEED_FUNCTION_BIAS = 0.75
 
 DEFAULT_FEED_IDS_TECH = ("techcrunch", "techland", "engadget", "digitaltrends")
@@ -190,7 +191,8 @@ def feed_primitives(catalog: FeedCatalog) -> PrimitiveSet:
     for feed in catalog.feeds:
         kinds.append(terminal(f"is_{feed.feed_id}", Sort.NUMBER))
     return PrimitiveSet(kinds, Sort.NUMBER,
-                        constant_sources={Sort.NUMBER: lambda rng: rng.uniform(-10.0, 10.0)})
+                        constant_sources={Sort.NUMBER: lambda rng: rng.uniform(-10.0, 10.0)},
+                        function_bias=FEED_FUNCTION_BIAS)
 
 
 @functools.lru_cache(maxsize=16)

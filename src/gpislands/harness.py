@@ -138,7 +138,6 @@ def resolve_strategy(config: ExperimentConfig) -> EvolutionStrategy:
 @dataclass
 class _TaskSetup:
     prims: PrimitiveSet
-    function_bias: float
     guard: Optional[HelperGuard]
     make_evaluator: "object"
 
@@ -157,8 +156,7 @@ def _task_setup(config: ExperimentConfig) -> _TaskSetup:
                 user = feed_app.landscape_user(catalog, config.landscape, island)
             return feed_app.FeedEvaluator(catalog, user, random.Random(f"{seed}:eval"))
 
-        return _TaskSetup(feed_app.feed_primitives(catalog),
-                          feed_app.FEED_FUNCTION_BIAS, None, make_feed_evaluator)
+        return _TaskSetup(feed_app.feed_primitives(catalog), None, make_feed_evaluator)
 
     world_config = (loc_app.load_world_config(config.app_config)
                     if config.app_config else loc_app.WorldConfig())
@@ -167,8 +165,7 @@ def _task_setup(config: ExperimentConfig) -> _TaskSetup:
     def make_loc_evaluator(island: int, seed: str):
         return loc_app.LocalisationEvaluator(world_config, random.Random(f"{seed}:eval"))
 
-    return _TaskSetup(loc_app.localisation_primitives(),
-                      loc_app.LOC_FUNCTION_BIAS, guard, make_loc_evaluator)
+    return _TaskSetup(loc_app.localisation_primitives(), guard, make_loc_evaluator)
 
 
 @dataclass(frozen=True)
@@ -255,7 +252,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 specs, setup.prims, config.capacity, config.max_depth, policy,
                 config.generations, transports=transports,
                 transport_seed=f"{config.seed}:it{iteration}",
-                loss=config.loss, function_bias=setup.function_bias)
+                loss=config.loss)
         finally:
             for transport in transports or []:
                 transport.close()

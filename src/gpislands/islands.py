@@ -55,6 +55,8 @@ from .trees import (
 log = logging.getLogger(__name__)
 
 WIRE_VERSION = "AGPX1"
+#: Seconds a UDP drain waits for each further datagram before it returns.
+UDP_DRAIN_WAIT = 0.05
 
 
 class MigrationMode(enum.Enum):
@@ -194,8 +196,7 @@ class UdpBroadcastTransport(Transport):
 
     def __init__(self, bind_port: int,
                  peers: Optional[Sequence[tuple[str, int]]] = None,
-                 broadcast_address: str = "255.255.255.255",
-                 drain_wait: float = 0.05) -> None:
+                 broadcast_address: str = "255.255.255.255") -> None:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -206,7 +207,6 @@ class UdpBroadcastTransport(Transport):
             raise
         self._sock.setblocking(False)
         self._targets = list(peers) if peers else [(broadcast_address, bind_port)]
-        self._drain_wait = drain_wait
 
     def send(self, envelope: MigrantEnvelope) -> None:
         data = envelope.encode()
@@ -219,7 +219,7 @@ class UdpBroadcastTransport(Transport):
     def drain(self) -> list[MigrantEnvelope]:
         received = []
         while True:
-            ready, _, _ = select.select([self._sock], [], [], self._drain_wait)
+            ready, _, _ = select.select([self._sock], [], [], UDP_DRAIN_WAIT)
             if not ready:
                 break
             try:
@@ -289,8 +289,7 @@ def admit_immigrants(pop: Population, envelopes: Sequence[MigrantEnvelope],
 
 
 def inject_random(pop: Population, policy: MigrationPolicy, prims: PrimitiveSet,
-                  max_depth: int, rng: random.Random,
-                  function_bias: float = 0.5) -> int:
+                  max_depth: int, rng: random.Random) -> int:
     """At a migration generation, append freshly grown random members.
 
     The injected trees follow the same lifecycle as immigrants (scored with
@@ -301,7 +300,7 @@ def inject_random(pop: Population, policy: MigrationPolicy, prims: PrimitiveSet,
         return 0
     count = policy.batch_size(pop.capacity)
     for _ in range(count):
-        tree = build_random_tree(prims, max_depth, rng, function_bias)
+        tree = build_random_tree(prims, max_depth, rng)
         pop.members.append(Individual.from_tree(tree, Origin.RANDOM_INJECTED))
     return count
 
@@ -344,8 +343,8 @@ class IslandSpec:
 def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, capacity: int,
                 max_depth: int, policy: MigrationPolicy, generations: int,
                 transports: Optional[Sequence[Transport]] = None,
-                transport_seed: int | str = 0, loss: float = 0.0,
-                function_bias: float = 0.5) -> list[list[GenerationStats]]:
+                transport_seed: int | str = 0,
+                loss: float = 0.0) -> list[list[GenerationStats]]:
     """Evolve all islands for ``generations`` lock-step generations.
 
     Per generation and island: evaluate every member; at migration
@@ -366,8 +365,7 @@ def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, capacity: int,
     evo_rngs = [random.Random(f"{spec.seed}:evo") for spec in specs]
     mig_rngs = [random.Random(f"{spec.seed}:mig") for spec in specs]
     pops = [
-        initial_population(prims, capacity, max_depth, evo_rngs[k],
-                           guard=spec.guard, function_bias=function_bias)
+        initial_population(prims, capacity, max_depth, evo_rngs[k], guard=spec.guard)
         for k, spec in enumerate(specs)
     ]
     history: list[list[GenerationStats]] = [[] for _ in specs]
@@ -393,7 +391,7 @@ def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, capacity: int,
             elif policy.mode is MigrationMode.RANDOM_INJECT:
                 for k, spec in enumerate(specs):
                     arrived[k] = inject_random(pops[k], policy, prims, max_depth,
-                                               mig_rngs[k], function_bias)
+                                               mig_rngs[k])
                     evaluate_new_members(pops[k], spec.evaluator)
 
         for k in range(len(specs)):
@@ -410,6 +408,5 @@ def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, capacity: int,
             for k, spec in enumerate(specs):
                 pops[k] = breed_next_generation(pops[k], spec.strategy, prims,
                                                 max_depth, evo_rngs[k],
-                                                guard=spec.guard,
-                                                function_bias=function_bias)
+                                                guard=spec.guard)
     return history

@@ -85,8 +85,8 @@ DEFAULT_TICKS = 60
 #: energy budget covers.  Every tick takes about 540 bytes of the walk's table.
 MAX_TICKS = 86_400
 DEFAULT_MAX_STEPS = 256
-#: Grow bias for localisation programs; low enough that raw random programs
-#: rarely stumble into a working enable-plus-request combination.
+#: The ``function_bias`` of :func:`localisation_primitives`; low enough that raw
+#: random programs rarely stumble into a working enable-plus-request combination.
 LOC_FUNCTION_BIAS = 0.3
 #: Reported when the program has never obtained a fix.
 NO_FIX_SENTINEL = 9999.0
@@ -606,7 +606,8 @@ def localisation_primitives() -> PrimitiveSet:
         terminal("request_update", Sort.ACTION),
     ]
     return PrimitiveSet(kinds, Sort.ACTION,
-                        constant_sources={Sort.NUMBER: lambda rng: rng.uniform(0.0, 60.0)})
+                        constant_sources={Sort.NUMBER: lambda rng: rng.uniform(0.0, 60.0)},
+                        function_bias=LOC_FUNCTION_BIAS)
 
 
 class LocalisationEvaluator:

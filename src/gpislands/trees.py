@@ -58,6 +58,8 @@ Random growth reads a table per sort that the primitive set builds once:
 the sort's leaves, its functions each with the tables of its argument
 sorts, and its constant source.  :func:`grow_subtree` looks one table up
 and then follows tables from node to node, so growing a node hashes no sort.
+It picks a function over a leaf at the set's ``function_bias``, which a task
+states once, with its vocabulary.
 """
 
 from __future__ import annotations
@@ -365,13 +367,16 @@ class PrimitiveSet:
     ``constant_sources`` maps a sort to a callable drawing a fresh ephemeral
     constant from an rng; each entry synthesizes a ``const:<Sort>`` kind that
     participates in generation like any other terminal but freezes the drawn
-    value into the node.  The growth table of every sort (:class:`_Growth`)
-    is built with the set.
+    value into the node.  ``function_bias`` is the chance that growth picks
+    a function where the depth budget allows one.  The growth table of every
+    sort (:class:`_Growth`) is built with the set, and rebuilt by
+    ``dataclasses.replace(prims, function_bias=b)``.
     """
 
     kinds: Sequence[NodeKind]
     root_sort: Sort
     constant_sources: Mapping[Sort, Callable[[random.Random], float]] = field(default_factory=dict)
+    function_bias: float = 0.5
 
     def __post_init__(self) -> None:
         all_kinds = list(self.kinds)
@@ -496,20 +501,20 @@ def replace_subtree(tree: ProgramTree, index: int, replacement: ProgramTree) -> 
 # ---------------------------------------------------------------------------
 # random construction
 
-def grow_subtree(prims: PrimitiveSet, sort: Sort, budget: int, rng: random.Random,
-                 function_bias: float = 0.5) -> ProgramTree:
+def grow_subtree(prims: PrimitiveSet, sort: Sort, budget: int,
+                 rng: random.Random) -> ProgramTree:
     """Grow-style construction: leaves may appear anywhere, and at a depth
-    budget of 1 only leaves are eligible.  ``function_bias`` is the chance of
-    picking a function while the budget still allows one.
+    budget of 1 only leaves are eligible.  The set's ``function_bias`` is
+    the chance of picking a function while the budget still allows one.
 
     Each node draws, in order: the leaf (a ``randrange`` over the sort's
     leaves) when only leaves are eligible; otherwise ``random() >=
-    function_bias`` to choose a leaf, when the sort has any, and then the
-    leaf or the function (a ``randrange`` over the sort's functions); and
-    last a constant's payload.  Children grow left to right."""
+    prims.function_bias`` to choose a leaf, when the sort has any, and then
+    the leaf or the function (a ``randrange`` over the sort's functions);
+    and last a constant's payload.  Children grow left to right."""
     if budget < 1:
         raise ValueError("depth budget must be at least 1")
-    return _grow(prims._growth[sort], budget, rng, function_bias)
+    return _grow(prims._growth[sort], budget, rng, prims.function_bias)
 
 
 def _grow(table: _Growth, budget: int, rng: random.Random,
@@ -535,13 +540,14 @@ def _grow(table: _Growth, budget: int, rng: random.Random,
     return _node(kind)
 
 
-def build_random_tree(prims: PrimitiveSet, max_depth: int, rng: random.Random,
-                      function_bias: float = 0.5) -> ProgramTree:
-    """A fresh random program of depth <= ``max_depth`` rooted at the set's root sort."""
+def build_random_tree(prims: PrimitiveSet, max_depth: int,
+                      rng: random.Random) -> ProgramTree:
+    """A fresh random program of depth <= ``max_depth`` rooted at the set's
+    root sort, grown at the set's ``function_bias``."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     prims.ensure_generable()
-    return grow_subtree(prims, prims.root_sort, max_depth, rng, function_bias)
+    return grow_subtree(prims, prims.root_sort, max_depth, rng)
 
 
 # ---------------------------------------------------------------------------

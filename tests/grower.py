@@ -4,11 +4,14 @@
 recursive call per node, which collects the kinds of the wanted sort from
 the primitive set's declared kinds, in their order, and draws from the rng
 in the same order the package must: the leaf when only leaves are eligible,
-else the leaf-or-function choice (only when the sort has leaves) and the
-kind, then a constant's payload, children left to right.  :func:`split`
-is the collection it grows from, for tests that need a sort's leaves or
-functions.
+else the leaf-or-function choice at the set's ``function_bias`` (only when
+the sort has leaves) and the kind, then a constant's payload, children left
+to right.  :func:`split` is the collection it grows from, for tests that
+need a sort's leaves or functions, and :func:`at_bias` gives a set that
+grows at another bias.
 """
+import dataclasses
+
 from gpislands.trees import Category, ConfigurationError, ProgramTree, Sort
 
 
@@ -27,7 +30,13 @@ def sorts_with_leaves(prims):
     return sorted((sort for sort in Sort if split(prims, sort)[0]), key=lambda s: s.value)
 
 
-def grow(prims, sort, budget, rng, function_bias=0.5):
+def at_bias(prims, bias):
+    """``prims`` growing at ``bias``: the same vocabulary, its growth tables
+    built again."""
+    return dataclasses.replace(prims, function_bias=bias)
+
+
+def grow(prims, sort, budget, rng):
     """A random tree of ``sort`` no deeper than ``budget``."""
     if budget < 1:
         raise ValueError("depth budget must be at least 1")
@@ -36,7 +45,7 @@ def grow(prims, sort, budget, rng, function_bias=0.5):
         if not leaves:
             raise ConfigurationError(f"no terminal or constant produces sort {sort.value!r}")
         kind = leaves[rng.randrange(len(leaves))]
-    elif leaves and rng.random() >= function_bias:
+    elif leaves and rng.random() >= prims.function_bias:
         kind = leaves[rng.randrange(len(leaves))]
     else:
         kind = functions[rng.randrange(len(functions))]
@@ -44,6 +53,6 @@ def grow(prims, sort, budget, rng, function_bias=0.5):
         return ProgramTree(kind, (), float(prims.constant_sources[sort](rng)))
     if kind.category is Category.TERMINAL:
         return ProgramTree(kind)
-    children = tuple(grow(prims, arg, budget - 1, rng, function_bias)
+    children = tuple(grow(prims, arg, budget - 1, rng)
                      for arg in kind.argument_sorts)
     return ProgramTree(kind, children)

@@ -17,9 +17,9 @@ from gpislands.evolution import (breed_next_generation, crossover,
                                  evaluate_population, google_reader_strategy,
                                  initial_population, mutate,
                                  population_stats)
-from gpislands.feed import (FEED_FUNCTION_BIAS, FeedEvaluator, FeedReport,
-                            default_catalog, feed_fitness, feed_primitives,
-                            homogeneous_user, run_feed_program)
+from gpislands.feed import (FeedEvaluator, FeedReport, default_catalog,
+                            feed_fitness, feed_primitives, homogeneous_user,
+                            run_feed_program)
 from gpislands.harness import ExperimentConfig, run_experiment, write_rows_csv
 from gpislands.localisation import (EnergyBudget, accuracy_fitness,
                                     energy_fitness)
@@ -103,7 +103,7 @@ def test_criterion_1_formula_exactness():
 
 def test_criterion_2_operator_closure():
     started = time.perf_counter()
-    prims = feed_primitives(default_catalog())
+    prims = dataclasses.replace(feed_primitives(default_catalog()), function_bias=0.5)
     rng = random.Random("closure")
     pool = [initial_population(prims, 50, 3, rng).members[i].tree
             for i in range(50)]
@@ -134,8 +134,7 @@ def test_criterion_3_feed_convergence():
     for m in range(15):
         rng = random.Random(f"c3:{m}:evo")
         evaluator = FeedEvaluator(catalog, user, random.Random(f"c3:{m}:eval"))
-        pop = initial_population(prims, 5, 3, rng,
-                                 function_bias=FEED_FUNCTION_BIAS)
+        pop = initial_population(prims, 5, 3, rng)
         hit = False
         for gen in range(30):
             evaluate_population(pop, evaluator)
@@ -149,8 +148,7 @@ def test_criterion_3_feed_convergence():
                     tech_shares.append(groups["tech"] / shown)
                     other_shares.append(groups["other"] / shown)
             if gen < 29:
-                pop = breed_next_generation(pop, strategy, prims, 3, rng,
-                                            function_bias=FEED_FUNCTION_BIAS)
+                pop = breed_next_generation(pop, strategy, prims, 3, rng)
         reached += hit
     tech, other = statistics.mean(tech_shares), statistics.mean(other_shares)
     elapsed = time.perf_counter() - started

@@ -26,9 +26,7 @@ from gpislands.evolution import (
     population_stats,
     strategy_from_dict,
 )
-from gpislands.feed import FEED_FUNCTION_BIAS
 from gpislands.interpreter import SupervisorPolicy, compile_program, execute
-from gpislands.localisation import LOC_FUNCTION_BIAS
 from gpislands.trees import (
     ConfigurationError,
     Individual,
@@ -99,7 +97,7 @@ def test_n_best_breaks_ties_by_position(geo_prims):
 
 def test_mutation_closure(geo_prims, feed_prims, loc_prims):
     rng = random.Random(17)
-    for prims in (geo_prims, feed_prims, loc_prims):
+    for prims in (geo_prims, grower.at_bias(feed_prims, 0.5), grower.at_bias(loc_prims, 0.5)):
         for _ in range(600):
             parent = build_random_tree(prims, 3, rng)
             child = mutate(parent, prims, 3, rng)
@@ -109,7 +107,7 @@ def test_mutation_closure(geo_prims, feed_prims, loc_prims):
 
 def test_crossover_closure(geo_prims, feed_prims, loc_prims):
     rng = random.Random(23)
-    for prims in (geo_prims, feed_prims, loc_prims):
+    for prims in (geo_prims, grower.at_bias(feed_prims, 0.5), grower.at_bias(loc_prims, 0.5)):
         for _ in range(600):
             a = build_random_tree(prims, 3, rng)
             b = build_random_tree(prims, 3, rng)
@@ -130,12 +128,12 @@ def test_crossover_falls_back_without_compatible_donor(loc_prims):
 # localisation tree of both sorts always has donors, so "no donors" is a
 # donor of one sort, skipped without a draw.
 
-def reference_mutate(tree, prims, max_depth, rng, function_bias=0.5):
+def reference_mutate(tree, prims, max_depth, rng):
     nodes = list(iter_nodes(tree))
     index = rng.randrange(len(nodes))
     node, depth = nodes[index]
     budget = max(1, max_depth - depth + 1)
-    replacement = grower.grow(prims, node.kind.result_sort, budget, rng, function_bias)
+    replacement = grower.grow(prims, node.kind.result_sort, budget, rng)
     return replace_subtree(tree, index, replacement)
 
 
@@ -165,24 +163,22 @@ def reference_crossover(a, b, max_depth, rng, seen):
 
 @pytest.mark.parametrize("task", ["feed", "localisation"])
 def test_operators_match_list_based_references(task, feed_prims, loc_prims):
-    prims, bias = ((feed_prims, FEED_FUNCTION_BIAS) if task == "feed"
-                   else (loc_prims, LOC_FUNCTION_BIAS))
+    prims = feed_prims if task == "feed" else loc_prims
     build = random.Random(f"operators-{task}")
     seen = dict.fromkeys(["no donors", "mixed donor", "one-sort donor", "grafted",
                           "fallback"], 0)
     for depth in range(3, 10):
         for case in range(12):
-            a = build_random_tree(prims, depth, build, bias)
-            b = build_random_tree(prims, build.randint(1, depth), build, bias)
+            a = build_random_tree(prims, depth, build)
+            b = build_random_tree(prims, build.randint(1, depth), build)
             # a donor of Numbers alone: an Action point has no donor in it
-            number_donor = grow_subtree(prims, Sort.NUMBER, build.randint(1, depth),
-                                        build, bias)
+            number_donor = grow_subtree(prims, Sort.NUMBER, build.randint(1, depth), build)
             # tight bounds make grafts fail the depth check and fall back
             for max_depth in (1, 2, depth - 1, depth):
                 seed = build.random()
                 ours, theirs = random.Random(seed), random.Random(seed)
-                child = mutate(a, prims, max_depth, ours, bias)
-                assert child == reference_mutate(a, prims, max_depth, theirs, bias)
+                child = mutate(a, prims, max_depth, ours)
+                assert child == reference_mutate(a, prims, max_depth, theirs)
                 assert ours.getstate() == theirs.getstate()
 
                 for donor in (b, number_donor):
@@ -198,7 +194,7 @@ def test_operators_match_list_based_references(task, feed_prims, loc_prims):
 
 def test_mutation_changes_trees_sometimes(geo_prims):
     rng = random.Random(4)
-    parent = build_random_tree(geo_prims, 3, rng, function_bias=1.0)
+    parent = build_random_tree(grower.at_bias(geo_prims, 1.0), 3, rng)
     changed = sum(serialize(mutate(parent, geo_prims, 3, rng)) != serialize(parent)
                   for _ in range(50))
     assert changed > 25
@@ -327,7 +323,7 @@ def test_breed_handles_over_capacity_source(geo_prims):
     assert len(nxt.members) == 10
 
 
-def reference_breed(pop, strategy, prims, max_depth, rng, guard, function_bias):
+def reference_breed(pop, strategy, prims, max_depth, rng, guard):
     """Breeding as it was before each selector kept one wheel per breed:
     every pick builds its selector's pool, and the wheel over it, again."""
     counters = {"rejections": 0, "fallbacks": 0}
@@ -356,11 +352,10 @@ def reference_breed(pop, strategy, prims, max_depth, rng, guard, function_bias):
                 src = pick()
                 members.append(Individual.from_tree(src.tree, Origin.ELITE_COPY, src.fitness))
             elif step.operator is Operator.RANDOM:
-                tree = guarded(lambda: build_random_tree(prims, max_depth, rng, function_bias))
+                tree = guarded(lambda: build_random_tree(prims, max_depth, rng))
                 members.append(Individual.from_tree(tree, Origin.RANDOM_INJECTED))
             elif step.operator is Operator.MUTATION:
-                tree = guarded(lambda: mutate(pick().tree, prims, max_depth, rng,
-                                              function_bias))
+                tree = guarded(lambda: mutate(pick().tree, prims, max_depth, rng))
                 members.append(Individual.from_tree(tree))
             else:
                 tree = guarded(lambda: crossover(pick().tree, pick().tree, max_depth, rng))
@@ -383,8 +378,7 @@ def mixed_strategy():
 @pytest.mark.parametrize("task", ["geo", "feed", "localisation"])
 def test_a_breed_matches_a_wheel_built_for_every_pick(task, geo_prims, feed_prims,
                                                       loc_prims):
-    prims, bias = {"geo": (geo_prims, 0.5), "feed": (feed_prims, FEED_FUNCTION_BIAS),
-                   "localisation": (loc_prims, LOC_FUNCTION_BIAS)}[task]
+    prims = {"geo": geo_prims, "feed": feed_prims, "localisation": loc_prims}[task]
     build = random.Random(f"breed-{task}")
     guards = (None, HelperGuard(lambda tree: tree.size % 3 != 0, max_rebuild_attempts=2))
     zero_totals = 0
@@ -392,7 +386,7 @@ def test_a_breed_matches_a_wheel_built_for_every_pick(task, geo_prims, feed_prim
                      island_strategy(6), mixed_strategy()):
         capacity = strategy.total()
         for case in range(8):
-            trees = [build_random_tree(prims, 4, build, bias)
+            trees = [build_random_tree(prims, 4, build)
                      for _ in range(capacity + case % 3)]  # immigrants past capacity
             pop = Population([Individual.from_tree(tree) for tree in trees], capacity)
             for i, member in enumerate(pop.members):
@@ -404,8 +398,8 @@ def test_a_breed_matches_a_wheel_built_for_every_pick(task, geo_prims, feed_prim
             for guard in guards:
                 seed = build.random()
                 ours, theirs = random.Random(seed), random.Random(seed)
-                bred = breed_next_generation(pop, strategy, prims, 4, ours, guard, bias)
-                want, counters = reference_breed(pop, strategy, prims, 4, theirs, guard, bias)
+                bred = breed_next_generation(pop, strategy, prims, 4, ours, guard)
+                want, counters = reference_breed(pop, strategy, prims, 4, theirs, guard)
                 assert ([(m.tree, m.origin, m.fitness) for m in bred.members]
                         == [(m.tree, m.origin, m.fitness) for m in want])
                 assert (bred.helper_rejections, bred.guard_fallbacks) == (

@@ -13,7 +13,6 @@ from walker import feed_environments, walk
 from gpislands import feed as feed_module
 from gpislands.feed import (
     DEFAULT_DESIRED_QTY,
-    FEED_FUNCTION_BIAS,
     Feed,
     FeedCatalog,
     FeedEvaluator,
@@ -160,7 +159,7 @@ def test_a_nan_score_does_not_misrank_the_other_feeds():
 
 
 def test_killed_run_empties_the_screen(catalog, feed_prims):
-    tree = build_random_tree(feed_prims, 3, random.Random(1), function_bias=1.0)
+    tree = build_random_tree(grower.at_bias(feed_prims, 1.0), 3, random.Random(1))
     report = run_feed_program(tree, catalog, policy=SupervisorPolicy(max_steps=1))
     assert report.displayed == []
     assert report.scores == {}
@@ -210,7 +209,7 @@ def fill_calls(monkeypatch):
 
 def test_a_memoised_fill_gives_equal_but_distinct_reports(catalog, feed_prims,
                                                            fill_calls):
-    tree = build_random_tree(feed_prims, 5, random.Random(4), FEED_FUNCTION_BIAS)
+    tree = build_random_tree(feed_prims, 5, random.Random(4))
     first = run_feed_program(tree, catalog)
     runs = len(fill_calls)
     second = run_feed_program(tree, catalog)
@@ -224,7 +223,7 @@ def test_a_memoised_fill_gives_equal_but_distinct_reports(catalog, feed_prims,
 
 
 def test_other_inputs_recompute_the_fill(catalog, feed_prims, fill_calls):
-    tree = build_random_tree(feed_prims, 5, random.Random(4), FEED_FUNCTION_BIAS)
+    tree = build_random_tree(feed_prims, 5, random.Random(4))
     policy = SupervisorPolicy(max_steps=512)
     variants = [(default_catalog(unread=5), 10, policy),
                 (catalog, 4, policy),
@@ -244,7 +243,7 @@ def test_other_inputs_recompute_the_fill(catalog, feed_prims, fill_calls):
 
 def test_a_killed_fill_is_memoised_as_the_empty_report(catalog, feed_prims,
                                                        execute_calls):
-    tree = build_random_tree(feed_prims, 3, random.Random(1), function_bias=1.0)
+    tree = build_random_tree(grower.at_bias(feed_prims, 1.0), 3, random.Random(1))
     policy = SupervisorPolicy(max_steps=1)
     assert run_feed_program(tree, catalog, policy=policy) == FeedReport(DEFAULT_DESIRED_QTY)
     assert execute_calls[-1].killed
@@ -258,7 +257,7 @@ def test_evaluator_fitness_matches_a_memo_free_reference(catalog, feed_prims,
     """Repeated trees, as elitism, crossover fallbacks and migrants make them,
     score the same as fresh copies, draw for draw, deep kills included."""
     rng = random.Random(11)
-    trees = [build_random_tree(feed_prims, depth, rng, FEED_FUNCTION_BIAS)
+    trees = [build_random_tree(feed_prims, depth, rng)
              for depth in (3, 5, 7, 9, 9, 9, 9, 9, 9) for _ in range(6)]
     order = [rng.randrange(len(trees)) for _ in range(4 * len(trees))]
     user = homogeneous_user(catalog)
@@ -313,7 +312,7 @@ def test_one_pass_scoring_matches_the_per_feed_walker(catalog, feed_prims):
     paths = {"one pass": 0, "walked": 0, "killed": 0}
     for depth in range(3, 10):
         for _ in range(40):
-            tree = build_random_tree(feed_prims, depth, rng, FEED_FUNCTION_BIAS)
+            tree = build_random_tree(feed_prims, depth, rng)
             for budget in {512, 24, tree.size, max(tree.size - 1, 1)}:
                 policy = SupervisorPolicy(max_steps=budget)
                 want = walker_fill(tree, catalog, DEFAULT_DESIRED_QTY, policy)
@@ -463,7 +462,7 @@ def test_bred_lineages_score_as_fresh_copies_and_the_walker(catalog):
         assert_same_fill(got, walker_fill(tree, catalog, DEFAULT_DESIRED_QTY, policy))
         return got
 
-    parents = [build_random_tree(prims, 9, rng, FEED_FUNCTION_BIAS) for _ in range(6)]
+    parents = [build_random_tree(prims, 9, rng) for _ in range(6)]
     for tree in parents:
         score(tree)
     warm = functions = 0
@@ -473,7 +472,7 @@ def test_bred_lineages_score_as_fresh_copies_and_the_walker(catalog):
         for parent in parents:
             pick = rng.random()
             if pick < 0.3:
-                child = mutate(parent, prims, 9, rng, FEED_FUNCTION_BIAS)
+                child = mutate(parent, prims, 9, rng)
             elif pick < 0.5:
                 child = crossover(parent, rng.choice(parents), 9, rng)
             else:
@@ -529,9 +528,10 @@ def test_a_child_evaluates_only_the_ancestors_breeding_rebuilt(catalog, feed_pri
     terminals = [kind for kind in grower.split(feed_prims, Sort.NUMBER)[0]
                  if kind.category is Category.TERMINAL]
     prims = PrimitiveSet(arithmetic_kinds() + terminals, Sort.NUMBER,
-                         {Sort.NUMBER: lambda rng: rng.uniform(-10.0, 10.0)})
+                         {Sort.NUMBER: lambda rng: rng.uniform(-10.0, 10.0)},
+                         function_bias=0.9)
     calls = []
-    parent = labelled(build_random_tree(prims, 6, random.Random(3), 0.9), calls)
+    parent = labelled(build_random_tree(prims, 6, random.Random(3)), calls)
     feeds = len(catalog.feeds)
     everything = {node.kind.name: feeds for node, _ in iter_nodes(parent) if node.children}
     assert len(everything) > 10
@@ -635,7 +635,7 @@ def test_fitness_bounded_and_count_monotone():
 
 
 def test_evaluator_is_seed_deterministic(catalog, feed_prims):
-    tree = build_random_tree(feed_prims, 3, random.Random(5))
+    tree = build_random_tree(grower.at_bias(feed_prims, 0.5), 3, random.Random(5))
     member = Individual.from_tree(tree)
     a = FeedEvaluator(catalog, homogeneous_user(catalog), random.Random("e"))(member)
     b = FeedEvaluator(catalog, homogeneous_user(catalog), random.Random("e"))(member)

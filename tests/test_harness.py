@@ -8,7 +8,7 @@ import socket
 import pytest
 
 from gpislands import harness
-from gpislands.cli import main
+from gpislands.cli import build_parser, config_from_args, main
 from gpislands.harness import (
     CSV_COLUMNS,
     ComparisonReport,
@@ -298,6 +298,15 @@ def cli_args(tmp_path, *extra):
     return ["--app", "feed", "--islands", "1", "--capacity", "6",
             "--generations", "2", "--iterations", "2", "--mode", "none",
             "--seed", "cli", "--out", str(tmp_path / "out.csv"), *extra]
+
+
+@pytest.mark.parametrize("app", ["feed", "localisation"])
+def test_cli_defaults_are_the_configs(app):
+    got = config_from_args(build_parser().parse_args(["--app", app]))
+    want = ExperimentConfig(app=app)
+    for field in dataclasses.fields(ExperimentConfig):  # repr tells "0" from 0
+        assert (field.name, repr(getattr(got, field.name))) == \
+            (field.name, repr(getattr(want, field.name)))
 
 
 def test_cli_writes_rows_and_summary(tmp_path, capsys):

@@ -3,6 +3,7 @@ compiled engine against the reference walker."""
 import functools
 import random
 
+import grower
 import pytest
 from walker import feed_environments, walk
 
@@ -75,7 +76,7 @@ def test_division_by_zero_yields_sentinel(branch_prims):
 
 def test_step_budget_kills_large_tree(branch_prims):
     rng = random.Random(5)
-    t = build_random_tree(branch_prims, 6, rng, function_bias=1.0)
+    t = build_random_tree(grower.at_bias(branch_prims, 1.0), 6, rng)
     assert t.size > 10
     out = execute(compile_program(t, {"a": lambda: 1.0, "b": lambda: 2.0}),
                   SupervisorPolicy(max_steps=10))
@@ -174,9 +175,9 @@ DIFF_DEPTHS = range(3, 10)
 DIFF_TREES_PER_DEPTH = 20
 
 
-def random_trees(prims, seed, function_bias):
+def random_trees(prims, seed):
     rng = random.Random(seed)
-    return [build_random_tree(prims, depth, rng, function_bias=function_bias)
+    return [build_random_tree(prims, depth, rng)
             for depth in DIFF_DEPTHS for _ in range(DIFF_TREES_PER_DEPTH)]
 
 
@@ -223,7 +224,7 @@ def test_compiled_matches_walker_on_feed_trees(feed_prims, max_steps):
     rng = random.Random(max_steps)
     policy = SupervisorPolicy(max_steps=max_steps)
     sizes = []
-    for tree in random_trees(feed_prims, 11, function_bias=0.75):
+    for tree in random_trees(feed_prims, 11):
         sizes.append(tree.size)
         assert_same_runs(tree, feed_bindings(feed_prims, rng), policy)
     # trees within the budget and larger ones were both run
@@ -247,7 +248,7 @@ def test_the_oversize_fill_runs_each_feed_as_the_walker_does(feed_prims, monkeyp
     monkeypatch.setattr(feed_module, "execute",
                         lambda *args: runs.append(execute(*args)) or runs[-1])
     oversize = kills = 0
-    for tree in random_trees(feed_prims, 14, function_bias=0.75):
+    for tree in random_trees(feed_prims, 14):
         if tree.size <= max_steps:
             continue
         oversize += 1
@@ -297,7 +298,7 @@ def loc_world_runs(runner, ticks=8):
 def test_compiled_matches_walker_on_localisation_trees(loc_prims, max_steps):
     policy = SupervisorPolicy(max_steps=max_steps)
     killed = 0
-    for tree in random_trees(loc_prims, 12, function_bias=0.5):
+    for tree in random_trees(grower.at_bias(loc_prims, 0.5), 12):
         compiled, state_c = loc_world_runs(
             lambda b: functools.partial(execute, compile_program(tree, b), policy))
         walked, state_w = loc_world_runs(lambda b: functools.partial(walk, tree, b, policy))
@@ -319,7 +320,7 @@ def test_unbound_terminal_raises_on_both_paths(feed_prims):
     the walker and on the compiled program alike."""
     policy = SupervisorPolicy(max_steps=10_000)
     raised = 0
-    for tree in random_trees(feed_prims, 13, function_bias=0.75):
+    for tree in random_trees(feed_prims, 13):
         errors = []
         for run in (walk, compiled_run):
             try:
@@ -336,10 +337,11 @@ def test_a_kill_at_the_edge_of_the_budget_matches_the_walker(branch_prims):
     """At budgets of the tree's size, of the steps a full run takes, and one
     below each, the kill, the value and ``steps_used`` are the walker's."""
     rng = random.Random(8)
+    bushy = grower.at_bias(branch_prims, 1.0)
     bindings = {"a": lambda: 1.0, "b": lambda: 2.0}
     edges = {"killed": 0, "completed": 0}
     for _ in range(100):
-        tree = build_random_tree(branch_prims, 5, rng, function_bias=1.0)
+        tree = build_random_tree(bushy, 5, rng)
         program = compile_program(tree, bindings)
         needed = execute(program, SupervisorPolicy(max_steps=tree.size)).steps_used
         for budget in {tree.size, tree.size - 1, needed, needed - 1} - {0}:

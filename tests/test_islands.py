@@ -2,6 +2,7 @@
 import dataclasses
 import random
 
+import grower
 import pytest
 
 from gpislands import islands as islands_module
@@ -43,7 +44,9 @@ def sized_fitness(member):
 
 
 def scored_population(prims, capacity, seed=0):
+    """``capacity`` trees grown over ``prims`` at bias 0.5, each scored."""
     rng = random.Random(seed)
+    prims = grower.at_bias(prims, 0.5)
     members = [Individual.from_tree(build_random_tree(prims, 3, rng))
                for _ in range(capacity)]
     for m in members:
@@ -209,7 +212,7 @@ def test_run_is_the_same_whether_migrants_resolve_or_are_parsed(feed_prims, pars
         return run_islands(specs, feed_prims, 8, 7,
                            MigrationPolicy(interval=1, rate=0.5), 8,
                            transports=transports,
-                           transport_seed="t", loss=0.5, function_bias=0.75)
+                           transport_seed="t", loss=0.5)
 
     resolved = run()
     assert parses == []

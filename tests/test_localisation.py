@@ -14,7 +14,6 @@ from gpislands.localisation import (
     DEFAULT_PROVIDERS,
     DEFAULT_TICKS,
     EnergyBudget,
-    LOC_FUNCTION_BIAS,
     LocalisationEvaluator,
     MAX_TICKS,
     NO_FIX_SENTINEL,
@@ -366,10 +365,11 @@ def reference_helper(tree):
 def test_helper_agrees_with_a_full_walk(prims):
     rng = random.Random(31)
     verdicts = []
+    biased = [grower.at_bias(prims, bias) for bias in (0.3, 0.6, 0.9)]
     for depth in range(1, 10):
-        for bias in (0.3, 0.6, 0.9):
+        for grown in biased:
             for _ in range(40):
-                tree = build_random_tree(prims, depth, rng, bias)
+                tree = build_random_tree(grown, depth, rng)
                 verdict = localisation_helper(tree)
                 assert verdict is reference_helper(tree)
                 verdicts.append(verdict)
@@ -553,7 +553,7 @@ HAND_TREES = (
 def oracle_trees():
     prims = localisation_primitives()
     rng = random.Random(2024)
-    trees = [build_random_tree(prims, 3 + i % 4, rng, LOC_FUNCTION_BIAS) for i in range(200)]
+    trees = [build_random_tree(prims, 3 + i % 4, rng) for i in range(200)]
     helped = sum(localisation_helper(tree) for tree in trees)
     assert 0 < helped < len(trees)  # helper-rejected trees are scored too
     return trees + [parse(prims, text) for text in HAND_TREES]
@@ -765,9 +765,10 @@ def switching_trees(prims, count=150):
     """Random programs the helper accepts, grown deep and bushy enough that
     many switch radios from tick to tick."""
     rng = random.Random(7)
+    prims = grower.at_bias(prims, 0.7)
     trees = []
     while len(trees) < count:
-        tree = build_random_tree(prims, 6, rng, 0.7)
+        tree = build_random_tree(prims, 6, rng)
         if localisation_helper(tree):
             trees.append(tree)
     return trees

@@ -91,12 +91,12 @@ def test_text_is_canonical_for_any_payload(task, data):
 @bounded
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1), bias=st.floats(0.0, 1.0))
 def test_mutate_stays_closed(task, data, seed, bias):
-    prims = PRIMS[task]
+    prims = grower.at_bias(PRIMS[task], bias)
     max_depth = data.draw(st.integers(1, MAX_DEPTH))
     tree = data.draw(trees(prims, max_depth))
     rng = random.Random(seed)
     for _ in range(OPERATOR_DRAWS):
-        assert_closed(mutate(tree, prims, max_depth, rng, bias), prims, max_depth)
+        assert_closed(mutate(tree, prims, max_depth, rng), prims, max_depth)
 
 
 @pytest.mark.parametrize("task", sorted(PRIMS))

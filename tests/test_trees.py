@@ -16,7 +16,7 @@ from gpislands.feed import (
     run_feed_program,
 )
 from gpislands.interpreter import SupervisorPolicy, compile_program, execute
-from gpislands.localisation import localisation_primitives
+from gpislands.localisation import LOC_FUNCTION_BIAS, localisation_primitives
 from gpislands.trees import (
     DEPTH_CEILING,
     Category,
@@ -217,41 +217,45 @@ def assert_measures_hold(tree):
     assert (tree.size, tree.depth) == recount(tree)
 
 
-def operator_trees(prims, seed, function_bias):
-    """Trees from every constructor that builds nodes, at depths 3 to 9."""
+#: The two task vocabularies.  Localisation grows at 0.5 here, not at its
+#: own 0.3, so that its trees reach the depths these tests walk.
+TASK_SETS = pytest.mark.parametrize("make_prims", [
+    lambda: feed_primitives(default_catalog()),
+    lambda: grower.at_bias(localisation_primitives(), 0.5),
+], ids=["feed", "localisation"])
+
+
+def operator_trees(prims, seed):
+    """Trees from every constructor that builds nodes, at depths 3 to 9; the
+    swapped-in subtrees grow at bias 0.5."""
     rng = random.Random(seed)
+    halfway = grower.at_bias(prims, 0.5)
     for depth in range(3, 10):
         for _ in range(5):
-            a = build_random_tree(prims, depth, rng, function_bias)
-            b = build_random_tree(prims, depth, rng, function_bias)
+            a = build_random_tree(prims, depth, rng)
+            b = build_random_tree(prims, depth, rng)
             yield a
-            yield mutate(a, prims, depth, rng, function_bias)
+            yield mutate(a, prims, depth, rng)
             yield crossover(a, b, depth, rng)
             index = rng.randrange(a.size)
             sort = reference_preorder(a)[index][0].sort
-            yield replace_subtree(a, index, grow_subtree(prims, sort, 3, rng))
+            yield replace_subtree(a, index, grow_subtree(halfway, sort, 3, rng))
             yield deserialize(serialize(b), prims, max_depth=depth)
 
 
-@pytest.mark.parametrize("make_prims, bias", [
-    (lambda: feed_primitives(default_catalog()), FEED_FUNCTION_BIAS),
-    (localisation_primitives, 0.5),
-])
-def test_cached_measures_and_preorder_match_recursive_references(make_prims, bias):
+@TASK_SETS
+def test_cached_measures_and_preorder_match_recursive_references(make_prims):
     prims = make_prims()
-    trees = list(operator_trees(prims, 21, bias))
+    trees = list(operator_trees(prims, 21))
     assert max(t.depth for t in trees) >= 8
     for tree in trees:
         assert_measures_hold(tree)
 
 
-@pytest.mark.parametrize("make_prims, bias", [
-    (lambda: feed_primitives(default_catalog()), FEED_FUNCTION_BIAS),
-    (localisation_primitives, 0.5),
-])
-def test_node_at_matches_the_preorder_walk(make_prims, bias):
+@TASK_SETS
+def test_node_at_matches_the_preorder_walk(make_prims):
     prims = make_prims()
-    for tree in operator_trees(prims, 22, bias):
+    for tree in operator_trees(prims, 22):
         for index, (node, depth) in enumerate(iter_nodes(tree)):
             found, found_depth = node_at(tree, index)
             assert found is node and found_depth == depth
@@ -262,10 +266,11 @@ def test_node_at_matches_the_preorder_walk(make_prims, bias):
 
 def test_replace_subtree_matches_a_full_rebuild(feed_prims):
     rng = random.Random(5)
+    halfway = grower.at_bias(feed_prims, 0.5)
     for depth in (3, 6, 9):
-        tree = build_random_tree(feed_prims, depth, rng, FEED_FUNCTION_BIAS)
+        tree = build_random_tree(feed_prims, depth, rng)
         for index, (node, _) in enumerate(reference_preorder(tree)):
-            replacement = grow_subtree(feed_prims, node.sort, 2, rng)
+            replacement = grow_subtree(halfway, node.sort, 2, rng)
             swapped = replace_subtree(tree, index, replacement)
             assert swapped == reference_replace(tree, index, replacement)
             assert_measures_hold(swapped)
@@ -309,7 +314,7 @@ def with_payloads(tree, payload):
     return ProgramTree(tree.kind, children, value)
 
 
-def comparison_pairs(prims, bias, seed):
+def comparison_pairs(prims, seed):
     """Pairs of trees to compare: unrelated, bred from one another (sharing
     subtrees), structural twins, and twins whose constants are one shared
     NaN or distinct NaNs."""
@@ -317,10 +322,10 @@ def comparison_pairs(prims, bias, seed):
     shared_nan = float("nan")
     for depth in (2, 4, 6, 8):
         for _ in range(6):
-            a = build_random_tree(prims, depth, rng, bias)
-            b = build_random_tree(prims, depth, rng, bias)
+            a = build_random_tree(prims, depth, rng)
+            b = build_random_tree(prims, depth, rng)
             yield a, b
-            yield a, mutate(a, prims, depth, rng, bias)
+            yield a, mutate(a, prims, depth, rng)
             yield a, crossover(a, b, depth, rng)
             yield a, deserialize(serialize(a), prims)
             yield a, a
@@ -331,14 +336,11 @@ def comparison_pairs(prims, bias, seed):
             yield nan_a, a
 
 
-@pytest.mark.parametrize("make_prims, bias", [
-    (lambda: feed_primitives(default_catalog()), FEED_FUNCTION_BIAS),
-    (localisation_primitives, 0.5),
-])
-def test_equality_hash_and_repr_agree_with_a_frozen_dataclass(make_prims, bias):
+@TASK_SETS
+def test_equality_hash_and_repr_agree_with_a_frozen_dataclass(make_prims):
     prims = make_prims()
     outcomes = set()
-    for a, b in comparison_pairs(prims, bias, 23):
+    for a, b in comparison_pairs(prims, 23):
         mirrored = {}
         ref_a, ref_b = mirror(a, mirrored), mirror(b, mirrored)
         assert (a == b, a != b) == (ref_a == ref_b, ref_a != ref_b)
@@ -357,12 +359,10 @@ def checked_copy(tree):
                        tree.value)
 
 
-@pytest.mark.parametrize("make_prims, bias", [
-    (lambda: feed_primitives(default_catalog()), FEED_FUNCTION_BIAS),
-    (localisation_primitives, 0.5),
-])
-def test_unchecked_nodes_from_growth_and_replacement_are_valid(make_prims, bias):
+@TASK_SETS
+def test_unchecked_nodes_from_growth_and_replacement_are_valid(make_prims):
     prims = make_prims()
+    bias = prims.function_bias
     rng = random.Random(24)
     for sort in grower.sorts_with_leaves(prims):
         for depth in range(1, 8):
@@ -403,18 +403,25 @@ def test_build_random_tree_respects_depth_bound(geo_prims):
         validate_tree(t, geo_prims, max_depth=3)
 
 
+def test_each_set_carries_its_grow_bias(geo_prims):
+    assert feed_primitives(default_catalog()).function_bias == FEED_FUNCTION_BIAS == 0.75
+    assert localisation_primitives().function_bias == LOC_FUNCTION_BIAS == 0.3
+    assert geo_prims.function_bias == 0.5
+
+
 def test_function_bias_extremes(geo_prims):
     rng = random.Random(11)
+    leafy, bushy = grower.at_bias(geo_prims, 0.0), grower.at_bias(geo_prims, 1.0)
     for _ in range(50):
-        assert build_random_tree(geo_prims, 3, rng, function_bias=0.0).depth == 1
-        assert build_random_tree(geo_prims, 3, rng, function_bias=1.0).depth == 3
+        assert build_random_tree(leafy, 3, rng).depth == 1
+        assert build_random_tree(bushy, 3, rng).depth == 3
 
 
 def test_constants_are_frozen_at_generation(geo_prims):
     rng = random.Random(3)
     values = set()
     for _ in range(20):
-        t = build_random_tree(geo_prims, 2, rng, function_bias=1.0)
+        t = build_random_tree(grower.at_bias(geo_prims, 1.0), 2, rng)
         for node, _ in iter_nodes(t):
             if node.kind.category is Category.CONSTANT:
                 assert node.value is not None
@@ -436,7 +443,7 @@ def test_growth_matches_the_recursive_reference(name, bias):
     """The same trees from the same draws, and the rng left in the same
     state, as the textbook recursion; at bias 1 every tree is full, so the
     budgets stop at 5 there."""
-    prims = GROWTH_SETS[name]()
+    prims = grower.at_bias(GROWTH_SETS[name](), bias)
     budgets = range(1, 6) if bias == 1.0 else range(1, 10)
     seeds = random.Random(f"{name}:{bias}")
     for sort in grower.sorts_with_leaves(prims):
@@ -444,8 +451,8 @@ def test_growth_matches_the_recursive_reference(name, bias):
             for _ in range(6):
                 seed = seeds.random()
                 ours, theirs = random.Random(seed), random.Random(seed)
-                tree = grow_subtree(prims, sort, budget, ours, bias)
-                assert tree == grower.grow(prims, sort, budget, theirs, bias)
+                tree = grow_subtree(prims, sort, budget, ours)
+                assert tree == grower.grow(prims, sort, budget, theirs)
                 assert ours.getstate() == theirs.getstate()
                 assert tree.sort is sort and tree.depth <= budget
 
@@ -485,13 +492,13 @@ def test_growth_through_a_leafless_sort_draws_as_the_reference():
             seed = seeds.random()
             ours, theirs = random.Random(seed), random.Random(seed)
             try:
-                want = grower.grow(prims, Sort.NUMBER, budget, theirs, 0.5)
+                want = grower.grow(prims, Sort.NUMBER, budget, theirs)
             except ConfigurationError as exc:
                 with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
-                    grow_subtree(prims, Sort.NUMBER, budget, ours, 0.5)
+                    grow_subtree(prims, Sort.NUMBER, budget, ours)
                 raised += 1
             else:
-                assert grow_subtree(prims, Sort.NUMBER, budget, ours, 0.5) == want
+                assert grow_subtree(prims, Sort.NUMBER, budget, ours) == want
                 grown += 1
             assert ours.getstate() == theirs.getstate()
     assert grown and raised
@@ -507,8 +514,7 @@ def test_the_growth_tables_list_each_sorts_kinds_in_order(loc_prims):
 
 def test_generation_is_reproducible_golden_file():
     prims = feed_primitives(default_catalog())
-    tree = build_random_tree(prims, 3, random.Random(42),
-                             function_bias=FEED_FUNCTION_BIAS)
+    tree = build_random_tree(prims, 3, random.Random(42))
     with open(GOLDEN) as fh:
         assert serialize(tree) == fh.read().strip()
 
@@ -532,13 +538,10 @@ def reference_serialize(tree):
     return f"({tree.kind.name} {inner})"
 
 
-@pytest.mark.parametrize("make_prims, bias", [
-    (lambda: feed_primitives(default_catalog()), FEED_FUNCTION_BIAS),
-    (localisation_primitives, 0.5),
-])
-def test_serialize_matches_a_recursive_reference(make_prims, bias):
+@TASK_SETS
+def test_serialize_matches_a_recursive_reference(make_prims):
     prims = make_prims()
-    for tree in operator_trees(prims, 23, bias):
+    for tree in operator_trees(prims, 23):
         assert serialize(tree) == reference_serialize(tree)
 
 
@@ -584,7 +587,7 @@ def test_serialize_a_chain_deeper_than_the_recursion_limit(feed_prims):
 
 def test_round_trip_many_random_trees(geo_prims, feed_prims, loc_prims):
     rng = random.Random(1234)
-    for prims in (geo_prims, feed_prims, loc_prims):
+    for prims in (geo_prims, grower.at_bias(feed_prims, 0.5), grower.at_bias(loc_prims, 0.5)):
         for _ in range(400):
             t = build_random_tree(prims, 4, rng)
             again = deserialize(serialize(t), prims)
@@ -677,7 +680,7 @@ def test_deserialize_without_bound_stops_at_the_ceiling(feed_prims, kind):
 def test_a_node_keeps_the_hash_the_dataclass_would_generate(feed_prims, loc_prims):
     rng = random.Random(4)
     compared = [f.name for f in dataclasses.fields(NodeKind) if f.compare]
-    for prims in (feed_prims, loc_prims):
+    for prims in (grower.at_bias(feed_prims, 0.5), grower.at_bias(loc_prims, 0.5)):
         for _ in range(100):
             tree = build_random_tree(prims, 6, rng)
             assert tree._hash is None  # worked out on first use, never before
