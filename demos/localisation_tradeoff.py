@@ -13,7 +13,7 @@ import statistics
 
 from gpislands.evolution import (breed_next_generation, evaluate_population,
                                  initial_population, localisation_strategy,
-                                 n_best, HelperGuard)
+                                 n_best)
 from gpislands.localisation import (LocalisationEvaluator, WorldConfig, World,
                                     evaluate_localisation, localisation_helper,
                                     localisation_primitives)
@@ -54,8 +54,7 @@ def main() -> None:
 
     rng = random.Random(f"{args.seed}:evo")
     evaluator = LocalisationEvaluator(config, random.Random(f"{args.seed}:eval"))
-    guard = HelperGuard(localisation_helper)
-    pop = initial_population(prims, 12, 3, rng, guard=guard)
+    pop = initial_population(prims, 12, 3, rng, guard=localisation_helper)
     strategy = localisation_strategy()
     rejected = pop.helper_rejections
     print("Evolving a policy under the same budget:")
@@ -65,7 +64,8 @@ def main() -> None:
             print(f"gen {gen:>2}  best {stats.max_fitness:.3f}  "
                   f"mean {stats.mean_fitness:.3f}")
         if gen < args.generations - 1:
-            pop = breed_next_generation(pop, strategy, prims, 3, rng, guard=guard)
+            pop = breed_next_generation(pop, strategy, prims, 3, rng,
+                                        guard=localisation_helper)
             rejected += pop.helper_rejections
 
     elite = n_best(pop, 1)[0]

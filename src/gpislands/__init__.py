@@ -10,7 +10,6 @@ harness that repeats runs and writes per-generation statistics as CSV.
 from .evolution import (
     EvalStats,
     EvolutionStrategy,
-    HelperGuard,
     Operator,
     Population,
     SelectorBinding,
@@ -38,7 +37,6 @@ from .harness import (
 from .interpreter import (
     Program,
     RunOutcome,
-    SupervisorPolicy,
     compile_program,
     execute,
 )

@@ -5,10 +5,10 @@ ordered list of steps, each binding a named roulette-wheel selector to one of
 the four operators (COPY, MUTATION, CROSSOVER, RANDOM) with a count.  Step
 counts must sum to the population capacity, so every breed conserves size.
 
-An optional :class:`HelperGuard` screens every newly generated tree; rejected
-candidates are rebuilt (with freshly drawn parents) up to a bounded number of
-attempts, after which the last candidate is admitted anyway so breeding can
-never stall.  Rejections are counted into the generation statistics.
+An optional guard, a predicate over trees, screens every newly generated
+tree; rejected candidates are rebuilt (with freshly drawn parents) up to
+:data:`REBUILD_ATTEMPTS` times, after which the last is admitted anyway so
+breeding can never stall.  Rejections count into the generation statistics.
 
 Breeding does each piece of work once.  The population does not change while
 it breeds, so each selector's pool and the running fitness sums of its
@@ -48,7 +48,8 @@ from .trees import (
 log = logging.getLogger(__name__)
 
 CROSSOVER_RETRIES = 16
-DEFAULT_REBUILD_ATTEMPTS = 64
+#: Rebuilds a guard may ask for before its last candidate is admitted anyway.
+REBUILD_ATTEMPTS = 64
 
 FitnessFn = Callable[[Individual], float]
 
@@ -210,17 +211,6 @@ def island_strategy(capacity: int = 10) -> EvolutionStrategy:
     )
 
 
-@dataclass
-class HelperGuard:
-    """Task-supplied acceptance predicate applied to every generated tree."""
-
-    predicate: Callable[[ProgramTree], bool]
-    max_rebuild_attempts: int = DEFAULT_REBUILD_ATTEMPTS
-
-    def accepts(self, tree: ProgramTree) -> bool:
-        return bool(self.predicate(tree))
-
-
 # ---------------------------------------------------------------------------
 # selection
 
@@ -338,13 +328,14 @@ def crossover(a: ProgramTree, b: ProgramTree, max_depth: int,
 # ---------------------------------------------------------------------------
 # breeding and evaluation
 
-def _build_guarded(make: Callable[[], ProgramTree], guard: Optional[HelperGuard],
+def _build_guarded(make: Callable[[], ProgramTree],
+                   guard: Optional[Callable[[ProgramTree], bool]],
                    counters: dict) -> ProgramTree:
     if guard is None:
         return make()
     candidate = make()
-    for _ in range(guard.max_rebuild_attempts):
-        if guard.accepts(candidate):
+    for _ in range(REBUILD_ATTEMPTS):
+        if guard(candidate):
             return candidate
         counters["rejections"] += 1
         candidate = make()
@@ -354,7 +345,7 @@ def _build_guarded(make: Callable[[], ProgramTree], guard: Optional[HelperGuard]
 
 def initial_population(prims: PrimitiveSet, capacity: int, max_depth: int,
                        rng: random.Random,
-                       guard: Optional[HelperGuard] = None) -> Population:
+                       guard: Optional[Callable[[ProgramTree], bool]] = None) -> Population:
     """Generation 0: ``capacity`` fresh random programs, guard-screened."""
     counters = {"rejections": 0, "fallbacks": 0}
     members = [
@@ -367,9 +358,9 @@ def initial_population(prims: PrimitiveSet, capacity: int, max_depth: int,
                       guard_fallbacks=counters["fallbacks"])
 
 
-def breed_next_generation(pop: Population, strategy: EvolutionStrategy,
-                          prims: PrimitiveSet, max_depth: int, rng: random.Random,
-                          guard: Optional[HelperGuard] = None) -> Population:
+def breed_next_generation(pop: Population, strategy: EvolutionStrategy, prims: PrimitiveSet,
+                          max_depth: int, rng: random.Random,
+                          guard: Optional[Callable[[ProgramTree], bool]] = None) -> Population:
     """Produce the next generation by running the strategy steps in order.
 
     The source population may be over capacity (appended immigrants take part

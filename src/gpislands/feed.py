@@ -1,14 +1,14 @@
 """Feed-ranking benchmark: evolve a scoring program for a news-feed screen.
 
-The screen holds ``desired_qty`` items drawn from seven feeds, four tech and
-three not.  A program gives each feed a score (its terminals read that
-feed's attributes); feeds scoring above zero are ranked and their unread
-items fill the screen round-robin, best feed first, until the screen is full
-or every positive feed is exhausted.  A synthetic user then clicks each
-displayed item with a per-feed probability, and fitness is the fill ratio
-times the click-through ratio:
+The screen holds :data:`SCREEN_SIZE` items drawn from seven feeds, four
+tech and three not.  A program gives each feed a score (its terminals read
+that feed's attributes); feeds scoring above zero are ranked and their
+unread items fill the screen round-robin, best feed first, until the screen
+is full or every positive feed is exhausted.  A synthetic user then clicks
+each displayed item with a per-feed probability, and fitness is the fill
+ratio times the click-through ratio:
 
-    fitness = min(displayed / desired, 1) * (clicked / displayed)
+    fitness = min(displayed / SCREEN_SIZE, 1) * (clicked / displayed)
 
 with fitness 0 when nothing is displayed.  A program killed by the
 supervisor displays nothing.
@@ -19,7 +19,7 @@ reading a column of per-feed values, and ``if_greater`` splitting its feeds
 between its branches.  Every feed meets the same operations on the same
 operands as in a run of its own, so each score keeps its bits, NaN and
 ``inf`` included.  That pass has no step counter, so it is used only when
-the tree has at most ``policy.max_steps`` nodes, and then no run can be
+the tree has at most :data:`MAX_STEPS` nodes, and then no run can be
 killed.  A larger tree is compiled once (:func:`compile_program`), against
 accessors that read each terminal's column at the feed being run, and run
 with :func:`execute` feed by feed; the supervisor alone decides kills.
@@ -35,9 +35,9 @@ only the branches that some feeds alone reach.  The values depend on nothing
 but the subtree and the columns, and a record is never mutated, only
 replaced.
 
-The screen fill is a pure function of the tree, the catalog, the screen size
-and the supervisor policy, so :func:`run_feed_program` memoises it on the
-tree's root node (``ProgramTree.memo``) together with those three inputs.
+The screen fill is a pure function of the tree and the catalog, so
+:func:`run_feed_program` memoises it on the tree's root node
+(``ProgramTree.memo``) together with the catalog.
 Elite copies, crossover fallbacks and immigrants share their tree object
 with one already scored, and their fill is not run again.  The clicks are
 never memoised: every evaluation draws them afresh from the evaluator's rng.
@@ -53,7 +53,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .interpreter import SupervisorPolicy, compile_program, execute
+from .interpreter import compile_program, execute
 from .trees import (
     Category,
     ConfigurationError,
@@ -62,6 +62,7 @@ from .trees import (
     ProgramTree,
     Sort,
     arithmetic_kinds,
+    config_number,
     if_greater,
     if_greater_kind,
     terminal,
@@ -72,8 +73,9 @@ TECH_GROUP = "tech"
 #: Per-feed unread items.  Small enough that no single feed can fill the
 #: screen on its own, so good programs have to pull in the whole tech group.
 DEFAULT_UNREAD = 3
-DEFAULT_DESIRED_QTY = 10
-DEFAULT_MAX_STEPS = 512
+SCREEN_SIZE = 10
+#: The supervisor's step budget: a run that evaluates more nodes is killed.
+MAX_STEPS = 512
 #: How readily growth nests functions in feed programs: the
 #: ``function_bias`` of every set :func:`feed_primitives` builds.
 FEED_FUNCTION_BIAS = 0.75
@@ -281,7 +283,6 @@ def _score_feeds(tree: ProgramTree, catalog: FeedCatalog) -> Sequence:
 class FeedReport:
     """What one evaluation put on the screen and what got clicked."""
 
-    desired_qty: int
     scores: dict[str, float] = field(default_factory=dict)
     displayed: list[tuple[str, int]] = field(default_factory=list)
     clicked: list[tuple[str, int]] = field(default_factory=list)
@@ -294,32 +295,26 @@ class FeedReport:
         return counts
 
 
-def run_feed_program(tree: ProgramTree, catalog: FeedCatalog,
-                     desired_qty: int = DEFAULT_DESIRED_QTY,
-                     policy: Optional[SupervisorPolicy] = None) -> FeedReport:
+def run_feed_program(tree: ProgramTree, catalog: FeedCatalog) -> FeedReport:
     """Score every feed with ``tree`` and fill the screen round-robin.
 
     Feeds scoring <= 0 contribute nothing.  Ties rank by catalog position.
     If any per-feed run is killed, the whole report is empty.  The fill is
-    memoised on ``tree`` for the last ``(catalog, desired_qty, policy)`` it
-    was computed under; every call returns a fresh report.
+    memoised on ``tree`` for the last catalog it was computed for; every
+    call returns a fresh report.
     """
-    policy = policy or SupervisorPolicy(max_steps=DEFAULT_MAX_STEPS)
-    key = (catalog, desired_qty, policy)
     memo = tree.memo
-    if memo is None or memo[0] != key:
-        memo = (key, _fill_screen(tree, catalog, desired_qty, policy))
+    if memo is None or memo[0] != catalog:
+        memo = (catalog, _fill_screen(tree, catalog))
         tree.memo = memo
     fill = memo[1]
     if fill is None:  # killed
-        return FeedReport(desired_qty=desired_qty)
+        return FeedReport()
     scores, displayed = fill
-    return FeedReport(desired_qty=desired_qty, scores=dict(scores),
-                      displayed=list(displayed))
+    return FeedReport(scores=dict(scores), displayed=list(displayed))
 
 
-def _fill_screen(tree: ProgramTree, catalog: FeedCatalog, desired_qty: int,
-                 policy: SupervisorPolicy
+def _fill_screen(tree: ProgramTree, catalog: FeedCatalog
                  ) -> Optional[tuple[dict[str, float], tuple[tuple[str, int], ...]]]:
     """The scores and the displayed items, or ``None`` if a run was killed.
 
@@ -328,14 +323,14 @@ def _fill_screen(tree: ProgramTree, catalog: FeedCatalog, desired_qty: int,
     feed.  Its accessors read the terminal columns at ``row``, the feed being
     run.
     """
-    if tree.size <= policy.max_steps:
+    if tree.size <= MAX_STEPS:
         values = _score_feeds(tree, catalog)
     else:
         program = compile_program(tree, {name: (lambda column=column: column[row])
                                          for name, column in _feed_columns(catalog).items()})
         values = []
         for row in range(len(catalog.feeds)):
-            outcome = execute(program, policy)
+            outcome = execute(program, MAX_STEPS)
             if outcome.killed:
                 return None
             values.append(outcome.value)
@@ -346,10 +341,10 @@ def _fill_screen(tree: ProgramTree, catalog: FeedCatalog, desired_qty: int,
                     key=lambda f: -scores[f.feed_id])
     cursors = {f.feed_id: 0 for f in ranked}
     displayed: list[tuple[str, int]] = []
-    while len(displayed) < desired_qty:
+    while len(displayed) < SCREEN_SIZE:
         progressed = False
         for feed in ranked:
-            if len(displayed) >= desired_qty:
+            if len(displayed) >= SCREEN_SIZE:
                 break
             if cursors[feed.feed_id] < feed.unread:
                 displayed.append((feed.feed_id, cursors[feed.feed_id]))
@@ -370,7 +365,7 @@ def simulate_clicks(report: FeedReport, user: UserModel, rng: random.Random) -> 
 def feed_fitness(report: FeedReport) -> float:
     if not report.displayed:
         return 0.0
-    count_ratio = min(len(report.displayed) / report.desired_qty, 1.0)
+    count_ratio = min(len(report.displayed) / SCREEN_SIZE, 1.0)
     click_ratio = len(report.clicked) / len(report.displayed)
     return count_ratio * click_ratio
 
@@ -378,17 +373,13 @@ def feed_fitness(report: FeedReport) -> float:
 class FeedEvaluator:
     """Fitness callback: one screen fill plus one simulated reading session."""
 
-    def __init__(self, catalog: FeedCatalog, user: UserModel, rng: random.Random,
-                 desired_qty: int = DEFAULT_DESIRED_QTY,
-                 policy: Optional[SupervisorPolicy] = None) -> None:
+    def __init__(self, catalog: FeedCatalog, user: UserModel, rng: random.Random) -> None:
         self.catalog = catalog
         self.user = user
         self.rng = rng
-        self.desired_qty = desired_qty
-        self.policy = policy or SupervisorPolicy(max_steps=DEFAULT_MAX_STEPS)
 
     def evaluate_report(self, tree: ProgramTree) -> tuple[float, FeedReport]:
-        report = run_feed_program(tree, self.catalog, self.desired_qty, self.policy)
+        report = run_feed_program(tree, self.catalog)
         simulate_clicks(report, self.user, self.rng)
         return feed_fitness(report), report
 
@@ -414,14 +405,14 @@ def catalog_from_dict(data: dict) -> FeedCatalog:
 
 
 def user_from_dict(data: dict, catalog: FeedCatalog) -> UserModel:
-    """``click_prob`` maps catalog feed ids to probabilities in [0, 1]; feeds
-    it leaves out are never clicked."""
+    """``click_prob`` maps catalog feed ids to probabilities in [0, 1], each a
+    JSON number; feeds it leaves out are never clicked."""
     probs = data.get("click_prob")
     if probs is None:
         return homogeneous_user(catalog)
     try:
-        click_prob = {str(k): float(v) for k, v in probs.items()}
-    except (AttributeError, TypeError, ValueError) as exc:
+        click_prob = {str(k): config_number(v) for k, v in probs.items()}
+    except (AttributeError, ConfigurationError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad click_prob config: {exc}") from exc
     unknown = click_prob.keys() - {f.feed_id for f in catalog.feeds}
     if unknown:

@@ -20,7 +20,7 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from . import feed as feed_app
 from . import localisation as loc_app
 from .evolution import (
     EvolutionStrategy,
-    HelperGuard,
     google_reader_strategy,
     island_strategy,
     localisation_strategy,
@@ -43,7 +42,7 @@ from .islands import (
     UdpBroadcastTransport,
     run_islands,
 )
-from .trees import DEPTH_CEILING, ConfigurationError, PrimitiveSet
+from .trees import DEPTH_CEILING, ConfigurationError, PrimitiveSet, ProgramTree
 
 DEFAULT_MAX_DEPTH = 3
 
@@ -138,7 +137,7 @@ def resolve_strategy(config: ExperimentConfig) -> EvolutionStrategy:
 @dataclass
 class _TaskSetup:
     prims: PrimitiveSet
-    guard: Optional[HelperGuard]
+    guard: Optional[Callable[[ProgramTree], bool]]
     make_evaluator: "object"
 
 
@@ -160,7 +159,7 @@ def _task_setup(config: ExperimentConfig) -> _TaskSetup:
 
     world_config = (loc_app.load_world_config(config.app_config)
                     if config.app_config else loc_app.WorldConfig())
-    guard = HelperGuard(loc_app.localisation_helper) if config.helper else None
+    guard = loc_app.localisation_helper if config.helper else None
 
     def make_loc_evaluator(island: int, seed: str):
         return loc_app.LocalisationEvaluator(world_config, random.Random(f"{seed}:eval"))

@@ -4,8 +4,8 @@ A program is compiled against ``bindings``, a mapping from terminal names to
 zero-argument accessors, and then run depth-first.  A terminal evaluates to
 whatever its accessor returns; an action terminal's accessor acts on the
 world itself.  Every node evaluated costs one step from the supervisor's
-budget; a run that exceeds it is killed (``RunOutcome.killed``) instead of
-raising.
+budget, a plain step count that each task fixes as its own ``MAX_STEPS``; a
+run that exceeds it is killed (``RunOutcome.killed``) instead of raising.
 
 One engine
 ----------
@@ -23,12 +23,11 @@ run reaches it, so an unbound terminal is an error only where a run reads it.
 The closures carry no budget check; the kill is decided after the run.  A run
 visits each node at most once -- lazy functions such as ``if_greater`` call
 each of their thunks at most once -- so its cost is bounded by the tree's
-size whatever the budget.  A run that evaluated more than
-``policy.max_steps`` nodes is reported killed with ``steps_used ==
-max_steps``: a supervisor checking every node would have stopped it at
-exactly that step, after the same accessor calls.  Terminals past the budget
-are still read, so their accessors must not act on anything a caller reads
-after a kill.
+size whatever the budget.  A run that evaluated more than ``max_steps``
+nodes is reported killed with ``steps_used == max_steps``: a supervisor
+checking every node would have stopped it at exactly that step, after the
+same accessor calls.  Terminals past the budget are still read, so their
+accessors must not act on anything a caller reads after a kill.
 
 ``steps_used`` is exact without a per-node counter.  A run that skipped
 nothing used ``size`` steps.  Each lazy node adds the total size of its
@@ -39,24 +38,12 @@ evaluated, untaken branches excluded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .trees import Category, ConfigurationError, ProgramTree
 
 #: Terminal names mapped to the zero-argument accessors that give their values.
 Bindings = Mapping[str, Callable[[], Any]]
-
-
-@dataclass(frozen=True)
-class SupervisorPolicy:
-    """The supervisor's one bound: how many nodes a run may evaluate."""
-
-    max_steps: int
-
-    def __post_init__(self) -> None:
-        if self.max_steps < 1:
-            raise ConfigurationError("max_steps must be at least 1")
 
 
 class RunOutcome(NamedTuple):
@@ -138,11 +125,11 @@ def _thunk(child: ProgramTree, bindings: Bindings, frame: _Frame) -> Callable[[]
     return thunk
 
 
-def execute(program: Program, policy: SupervisorPolicy) -> RunOutcome:
-    """Run ``program`` under ``policy``; never raises for a sort-valid tree
-    compiled against bindings for all of its terminals.  A run that evaluated
-    more than ``policy.max_steps`` nodes is killed: ``RunOutcome(True, None,
-    policy.max_steps)``.
+def execute(program: Program, max_steps: int) -> RunOutcome:
+    """Run ``program`` with a budget of ``max_steps`` nodes; never raises for
+    a sort-valid tree compiled against bindings for all of its terminals.  A
+    run that evaluated more than ``max_steps`` nodes is killed:
+    ``RunOutcome(True, None, max_steps)``.
 
     The accessors are the ones the program was compiled against, and each is
     called when the run reaches its terminal.  An unbound terminal is a
@@ -154,6 +141,6 @@ def execute(program: Program, policy: SupervisorPolicy) -> RunOutcome:
     frame.skipped = 0
     value = program._root()
     steps = program.size - frame.skipped
-    if steps > policy.max_steps:
-        return RunOutcome(True, None, policy.max_steps)
+    if steps > max_steps:
+        return RunOutcome(True, None, max_steps)
     return RunOutcome(False, value, steps)

@@ -27,12 +27,11 @@ import random
 import select
 import socket
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .evolution import (
     EvolutionStrategy,
     FitnessFn,
-    HelperGuard,
     Population,
     breed_next_generation,
     evaluate_new_members,
@@ -337,7 +336,7 @@ class IslandSpec:
     strategy: EvolutionStrategy
     evaluator: FitnessFn
     seed: int | str
-    guard: Optional[HelperGuard] = None
+    guard: Optional[Callable[[ProgramTree], bool]] = None
 
 
 def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, capacity: int,

@@ -17,8 +17,8 @@ Per-tick scoring multiplies two sub-fitnesses:
   charge).  Within the best provider's accuracy radius ``a`` the score falls
   linearly from 1 to 0.5, from ``a`` to ``2a`` linearly from 0.5 to 0, and
   beyond ``2a`` (or with no fix at all) it is 0.
-* energy -- ``max(0, 1 - power / budget)`` where the budget current is what
-  would drain the battery over a full day.
+* energy -- ``max(0, 1 - power / BUDGET_MA)`` where the budget current
+  :data:`BUDGET_MA` is what would drain the battery over a full day.
 
 Overall fitness is the mean of the per-tick products; a program killed by
 the supervisor at tick k contributes nothing from tick k on.
@@ -29,7 +29,7 @@ Each world draws its own fix errors, but the program cannot observe them: its
 terminals report only the age of its latest fix (a time difference) and that
 fix's radius.  What it does at every tick -- which radios it switches, when
 it asks for a fix, which provider answers -- therefore depends only on the
-tree, the config (walk, availability, warm-up) and the supervisor policy.
+tree and the config (walk, availability, warm-up).
 :func:`evaluate_localisation` splits accordingly, and a :class:`World` holds
 what each pass needs and nothing more -- the radios and the program's latest
 fix for the control pass, one set of error draws for the scoring pass:
@@ -43,10 +43,10 @@ fix for the control pass, one set of error draws for the scoring pass:
   on which radios are on, so the pass looks it up by the world's radio set
   (:attr:`World.radios`) and works it out once per set it meets.
   Its result is kept in one bounded cache for the whole process, keyed by
-  the tree's structure together with the config, policy and budget (the
-  energy factor needs the budget).  Structurally equal programs share a
-  trace, so elite copies, crossover fallbacks and the small programs that
-  breeding builds again and again do not run it again while it is cached;
+  the tree's structure together with the config.  Structurally equal
+  programs share a trace, so elite copies, crossover fallbacks and the small
+  programs that breeding builds again and again do not run it again while
+  it is cached;
 * the scoring pass adds each world's errors to those sources and sums the
   per-tick products.  It runs on every evaluation, so fitness itself is
   never cached: each evaluation scores against a freshly drawn world.  A
@@ -67,13 +67,14 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .interpreter import Bindings, SupervisorPolicy, compile_program, execute
+from .interpreter import Bindings, compile_program, execute
 from .trees import (
     ConfigurationError,
     Individual,
     PrimitiveSet,
     ProgramTree,
     Sort,
+    config_number,
     function,
     if_greater_kind,
     sequence_kind,
@@ -84,7 +85,11 @@ DEFAULT_TICKS = 60
 #: The most ticks a world may last: a day of one-second ticks, the span the
 #: energy budget covers.  Every tick takes about 540 bytes of the walk's table.
 MAX_TICKS = 86_400
-DEFAULT_MAX_STEPS = 256
+#: The supervisor's step budget: a tick's run that evaluates more nodes is killed.
+MAX_STEPS = 256
+#: The current that drains the battery over a day: 1400 mAh over a 22-hour
+#: waking day is 63.6 mA, and the scoring rule uses the round figure.
+BUDGET_MA = 63.0
 #: The ``function_bias`` of :func:`localisation_primitives`; low enough that raw
 #: random programs rarely stumble into a working enable-plus-request combination.
 LOC_FUNCTION_BIAS = 0.3
@@ -122,29 +127,6 @@ DEFAULT_PROVIDERS = (
     Provider("wifi", radius_m=40.0, draw_ma=30.0, first_fix_s=2.0),
     Provider("cell", radius_m=400.0, draw_ma=5.0, first_fix_s=1.0),
 )
-
-
-@dataclass(frozen=True)
-class EnergyBudget:
-    """Battery capacity spread over the waking day.
-
-    ``budget_ma`` is the round-number current the scoring rule uses; it is
-    the capacity / day quotient rounded to the nearest integer.
-    """
-
-    capacity_mah: float = 1400.0
-    day_hours: float = 22.0
-    budget_ma: float = 63.0
-
-    def __post_init__(self) -> None:
-        # with draws finite and not negative, this keeps energy in [0, 1]
-        if not 0.0 < self.budget_ma < math.inf:
-            raise ConfigurationError(
-                f"budget_ma must be positive and finite, got {self.budget_ma!r}")
-
-    @property
-    def derived_ma(self) -> float:
-        return self.capacity_mah / self.day_hours
 
 
 @dataclass(frozen=True)
@@ -443,14 +425,12 @@ def accuracy_fitness(program_pos: Optional[Position], best_pos: Position,
     return 0.0
 
 
-def energy_fitness(power_ma: float, budget: EnergyBudget = EnergyBudget()) -> float:
+def energy_fitness(power_ma: float) -> float:
     """1 at zero draw, 0 at the full day-budget current, clamped below."""
-    return max(0.0, 1.0 - power_ma / budget.budget_ma)
+    return max(0.0, 1.0 - power_ma / BUDGET_MA)
 
 
-def evaluate_localisation(tree: ProgramTree, world: World,
-                          policy: Optional[SupervisorPolicy] = None,
-                          budget: EnergyBudget = EnergyBudget()) -> float:
+def evaluate_localisation(tree: ProgramTree, world: World) -> float:
     """Score ``tree`` over ``world``'s walk: the mean of the per-tick products.
 
     A supervisor kill at tick k stops the program for good: ticks k..n
@@ -465,9 +445,8 @@ def evaluate_localisation(tree: ProgramTree, world: World,
     neither read nor changed, so a fresh world, as every evaluation builds
     one, is all it takes.
     """
-    policy = policy or SupervisorPolicy(max_steps=DEFAULT_MAX_STEPS)
     config = world.config
-    trace = _control_trace(tree, config, policy, budget)
+    trace = _control_trace(tree, config)
     total = 0.0
     if trace:
         draws = world._error_draws(trace.prefix)
@@ -495,8 +474,7 @@ class _Trace(tuple):
 
 
 @functools.lru_cache(maxsize=_TRACE_CACHE_SIZE)
-def _control_trace(tree: ProgramTree, config: WorldConfig, policy: SupervisorPolicy,
-                   budget: EnergyBudget) -> _Trace:
+def _control_trace(tree: ProgramTree, config: WorldConfig) -> _Trace:
     """Run ``tree`` once per tick on a world of its own, up to a kill.
 
     Returns ``(program fix, reference fix, energy)`` for every completed tick
@@ -517,7 +495,7 @@ def _control_trace(tree: ProgramTree, config: WorldConfig, policy: SupervisorPol
     is 0.0 and the accuracy exactly 1.0 (a zero radius included), so the
     scoring pass adds such an entry's energy factor as it stands.
 
-    The energy factor is ``energy_fitness(world.power_now(), budget)``, and
+    The energy factor is ``energy_fitness(world.power_now())``, and
     the draw sums over the radios that are on in config order, so it is a
     function of ``world.radios`` alone; it is worked out the first time each
     radio set occurs in the pass and looked up after that.
@@ -544,7 +522,7 @@ def _control_trace(tree: ProgramTree, config: WorldConfig, policy: SupervisorPol
     last = source = None
     for tick in range(1, config.ticks + 1):
         t = world.t = float(tick)
-        if execute(program, policy).killed:
+        if execute(program, MAX_STEPS).killed:
             break
         fix = world.program_fix
         reference = ticks[t].reference_source
@@ -552,7 +530,7 @@ def _control_trace(tree: ProgramTree, config: WorldConfig, policy: SupervisorPol
             continue
         energy = energies.get(world.radios)
         if energy is None:
-            energy = energies[world.radios] = energy_fitness(world.power_now(), budget)
+            energy = energies[world.radios] = energy_fitness(world.power_now())
         if energy == 0.0:
             continue
         if fix is not last:
@@ -615,17 +593,13 @@ class LocalisationEvaluator:
     errors; the control trace is shared by every evaluation of an equal
     program while it stays in the cache."""
 
-    def __init__(self, config: WorldConfig, rng: random.Random,
-                 budget: EnergyBudget = EnergyBudget(),
-                 policy: Optional[SupervisorPolicy] = None) -> None:
+    def __init__(self, config: WorldConfig, rng: random.Random) -> None:
         self.config = config
         self.rng = rng
-        self.budget = budget
-        self.policy = policy or SupervisorPolicy(max_steps=DEFAULT_MAX_STEPS)
 
     def __call__(self, member: Individual) -> float:
         world = World(self.config, seed=self.rng.getrandbits(48))
-        return evaluate_localisation(member.tree, world, self.policy, self.budget)
+        return evaluate_localisation(member.tree, world)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +609,8 @@ def world_config_from_dict(data: dict) -> WorldConfig:
     """Build a world from its JSON form; a missing key keeps the default.
 
     Anything a run could not use raises :class:`ConfigurationError`: besides
-    malformed entries, an empty provider or segment list, a provider no
+    malformed entries, a figure, coordinate or bound that is not a JSON
+    number a float can hold, an empty provider or segment list, a provider no
     program terminal can switch (any name but those in
     :data:`RADIO_NAMES`), and whatever :class:`Provider`, :class:`Segment`
     and :class:`WorldConfig` reject, such as a non-boolean ``wifi`` flag or
@@ -645,24 +620,26 @@ def world_config_from_dict(data: dict) -> WorldConfig:
         providers = DEFAULT_PROVIDERS
         if "providers" in data:
             providers = tuple(
-                Provider(p["name"], float(p["radius_m"]), float(p["draw_ma"]),
-                         float(p["first_fix_s"]))
+                Provider(p["name"], config_number(p["radius_m"]),
+                         config_number(p["draw_ma"]), config_number(p["first_fix_s"]))
                 for p in _non_empty(data["providers"], "providers"))
             for provider in providers:
                 if provider.name not in RADIO_NAMES:
                     raise ConfigurationError(
                         f"no terminal switches provider {provider.name!r}; "
                         f"providers are named from {RADIO_NAMES}")
-        waypoints = tuple(tuple(float(v) for v in point)
+        waypoints = tuple(tuple(config_number(v) for v in point)
                           for point in data.get("waypoints", WorldConfig.waypoints))
         segments = WorldConfig.segments
         if "segments" in data:
             segments = tuple(
-                Segment(float(s["start"]), float(s["end"]), s["indoor"], s["wifi"])
+                Segment(config_number(s["start"]), config_number(s["end"]),
+                        s["indoor"], s["wifi"])
                 for s in _non_empty(data["segments"], "segments"))
         return WorldConfig(providers=providers, waypoints=waypoints,
                            segments=segments, ticks=data.get("ticks", DEFAULT_TICKS))
-    except (AttributeError, ConfigurationError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, ConfigurationError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise ConfigurationError(f"bad world config: {exc}") from exc
 
 

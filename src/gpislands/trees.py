@@ -83,6 +83,15 @@ class ConfigurationError(Exception):
     """A primitive set, strategy or run was configured inconsistently."""
 
 
+def config_number(value: object) -> float:
+    """A JSON config's number as a float: a string or a bool (an int to
+    Python) raises :class:`ConfigurationError`, an int too large for a float
+    :class:`OverflowError`."""
+    if type(value) is not float and type(value) is not int:
+        raise ConfigurationError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 class TreeError(ValueError):
     """Base class for rejected tree text (parse or validation failures)."""
 

@@ -21,8 +21,7 @@ from gpislands.feed import (FeedEvaluator, FeedReport, default_catalog,
                             feed_fitness, feed_primitives, homogeneous_user,
                             run_feed_program)
 from gpislands.harness import ExperimentConfig, run_experiment, write_rows_csv
-from gpislands.localisation import (EnergyBudget, accuracy_fitness,
-                                    energy_fitness)
+from gpislands.localisation import BUDGET_MA, accuracy_fitness, energy_fitness
 from gpislands.trees import deserialize, serialize
 
 TOL = 1e-12
@@ -87,18 +86,16 @@ def test_criterion_1_formula_exactness():
 
     feed_cases = [(10, 10, 1.0), (5, 5, 0.5), (12, 6, 0.5), (0, 0, 0.0)]
     for displayed, clicked, want in feed_cases:
-        report = FeedReport(desired_qty=10,
-                            displayed=[("f", i) for i in range(displayed)],
+        report = FeedReport(displayed=[("f", i) for i in range(displayed)],
                             clicked=[("f", i) for i in range(clicked)])
         ok = ok and abs(feed_fitness(report) - want) <= TOL
 
-    budget = EnergyBudget()
-    ok = ok and abs(budget.derived_ma - budget.budget_ma) <= 1.0
+    ok = ok and abs(1400 / 22 - BUDGET_MA) <= 1.0
 
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 1.0
     check(1, ok, f"fitness formulas exact at {TOL}; "
-                 f"budget 1400/22 ≈ {budget.budget_ma:g} mA; {elapsed:.2f}s")
+                 f"budget 1400/22 ≈ {BUDGET_MA:g} mA; {elapsed:.2f}s")
 
 
 def test_criterion_2_operator_closure():

@@ -6,8 +6,8 @@ import pytest
 
 from gpislands.evolution import (
     CROSSOVER_RETRIES,
+    REBUILD_ATTEMPTS,
     EvolutionStrategy,
-    HelperGuard,
     Operator,
     Population,
     SelectorBinding,
@@ -26,7 +26,7 @@ from gpislands.evolution import (
     population_stats,
     strategy_from_dict,
 )
-from gpislands.interpreter import SupervisorPolicy, compile_program, execute
+from gpislands.interpreter import compile_program, execute
 from gpislands.trees import (
     ConfigurationError,
     Individual,
@@ -332,8 +332,8 @@ def reference_breed(pop, strategy, prims, max_depth, rng, guard):
         candidate = make()
         if guard is None:
             return candidate
-        for _ in range(guard.max_rebuild_attempts):
-            if guard.accepts(candidate):
+        for _ in range(REBUILD_ATTEMPTS):
+            if guard(candidate):
                 return candidate
             counters["rejections"] += 1
             candidate = make()
@@ -380,7 +380,8 @@ def test_a_breed_matches_a_wheel_built_for_every_pick(task, geo_prims, feed_prim
                                                       loc_prims):
     prims = {"geo": geo_prims, "feed": feed_prims, "localisation": loc_prims}[task]
     build = random.Random(f"breed-{task}")
-    guards = (None, HelperGuard(lambda tree: tree.size % 3 != 0, max_rebuild_attempts=2))
+    # a guard that rejects every draft falls back on every guarded build
+    guards = (None, lambda tree: tree.size % 3 != 0, lambda tree: False)
     zero_totals = 0
     for strategy in (google_reader_strategy(), localisation_strategy(), island_strategy(10),
                      island_strategy(6), mixed_strategy()):
@@ -441,21 +442,21 @@ def test_elite_fitness_never_decreases_with_deterministic_evaluator(geo_prims):
 # the helper guard
 
 def test_guard_rejections_are_counted(geo_prims):
-    guard = HelperGuard(lambda tree: any(n.kind.name == "lat"
-                                         for n, _ in iter_nodes(tree)))
+    def guard(tree):
+        return any(n.kind.name == "lat" for n, _ in iter_nodes(tree))
+
     pop = initial_population(geo_prims, 20, 3, random.Random(5), guard=guard)
     for m in pop.members:
-        assert guard.accepts(m.tree)
+        assert guard(m.tree)
     assert pop.helper_rejections > 0
     assert pop.guard_fallbacks == 0
 
 
 def test_guard_exhaustion_admits_last_candidate(geo_prims):
-    guard = HelperGuard(lambda tree: False, max_rebuild_attempts=5)
-    pop = initial_population(geo_prims, 3, 3, random.Random(6), guard=guard)
+    pop = initial_population(geo_prims, 3, 3, random.Random(6), guard=lambda tree: False)
     assert len(pop.members) == 3
     assert pop.guard_fallbacks == 3
-    assert pop.helper_rejections == 15
+    assert pop.helper_rejections == 3 * REBUILD_ATTEMPTS
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +512,9 @@ def test_configuration_errors_are_not_scored_as_zero(geo_prims):
                                                ProgramTree(geo_prims.kind("lon"))))
     pop = Population([Individual.from_tree(tree)], 1)
     bindings = {"lon": lambda: 1.0}  # no "lat"
-    policy = SupervisorPolicy(max_steps=16)
 
     def unbound(member):
-        return execute(compile_program(member.tree, bindings), policy).value
+        return execute(compile_program(member.tree, bindings), 16).value
 
     with pytest.raises(ConfigurationError, match="lat"):
         evaluate_population(pop, unbound)

@@ -8,11 +8,13 @@ from collections import Counter
 
 import grower
 import pytest
+from sized import feed_edges, feed_sum
 from walker import feed_environments, walk
 
 from gpislands import feed as feed_module
 from gpislands.feed import (
-    DEFAULT_DESIRED_QTY,
+    MAX_STEPS,
+    SCREEN_SIZE,
     Feed,
     FeedCatalog,
     FeedEvaluator,
@@ -30,7 +32,7 @@ from gpislands.feed import (
     simulate_clicks,
 )
 from gpislands.evolution import crossover, mutate
-from gpislands.interpreter import SupervisorPolicy, compile_program, execute
+from gpislands.interpreter import compile_program, execute
 from gpislands.trees import (
     Category,
     ConfigurationError,
@@ -66,7 +68,7 @@ def expected_fitness(report, user):
     """Deterministic expectation: count ratio times mean click probability."""
     if not report.displayed:
         return 0.0
-    count_ratio = min(len(report.displayed) / report.desired_qty, 1.0)
+    count_ratio = min(len(report.displayed) / SCREEN_SIZE, 1.0)
     return count_ratio * statistics.mean(user.probability(fid)
                                          for fid, _ in report.displayed)
 
@@ -137,7 +139,7 @@ def test_higher_scores_rank_first(catalog, feed_prims):
     # unread_count is constant here, so use a per-feed identity: one feed wins
     report = run_feed_program(program(feed_prims, "is_breakvideos"), catalog)
     assert {fid for fid, _ in report.displayed} == {"breakvideos"}
-    assert len(report.displayed) == 3  # supply exhausted below desired qty
+    assert len(report.displayed) == 3  # supply exhausted below the screen size
 
 
 def test_a_nan_score_does_not_misrank_the_other_feeds():
@@ -151,7 +153,7 @@ def test_a_nan_score_does_not_misrank_the_other_feeds():
         " (sub (mul (const:Number 1e300) (const:Number 1e300))"
         " (mul (const:Number 1e300) (const:Number 1e300)))"
         " (add (const:Number 1.0) (is_c)))", prims)
-    report = run_feed_program(tree, catalog, desired_qty=6)
+    report = run_feed_program(tree, catalog)
     assert report.scores["a"] == 1.0 and report.scores["c"] == 2.0
     assert math.isnan(report.scores["b"])
     assert report.displayed == [("c", 0), ("a", 0), ("c", 1), ("a", 1),
@@ -159,8 +161,7 @@ def test_a_nan_score_does_not_misrank_the_other_feeds():
 
 
 def test_killed_run_empties_the_screen(catalog, feed_prims):
-    tree = build_random_tree(grower.at_bias(feed_prims, 1.0), 3, random.Random(1))
-    report = run_feed_program(tree, catalog, policy=SupervisorPolicy(max_steps=1))
+    report = run_feed_program(feed_sum(feed_prims, MAX_STEPS + 1), catalog)
     assert report.displayed == []
     assert report.scores == {}
 
@@ -183,8 +184,8 @@ def execute_calls(monkeypatch):
     calls = []
     real = feed_module.execute
 
-    def counted(program, policy):
-        outcome = real(program, policy)
+    def counted(program, max_steps):
+        outcome = real(program, max_steps)
         calls.append(outcome)
         return outcome
 
@@ -198,8 +199,8 @@ def fill_calls(monkeypatch):
     calls = []
     real = feed_module._fill_screen
 
-    def counted(tree, catalog, desired_qty, policy):
-        fill = real(tree, catalog, desired_qty, policy)
+    def counted(tree, catalog):
+        fill = real(tree, catalog)
         calls.append(fill)
         return fill
 
@@ -224,32 +225,38 @@ def test_a_memoised_fill_gives_equal_but_distinct_reports(catalog, feed_prims,
 
 def test_other_inputs_recompute_the_fill(catalog, feed_prims, fill_calls):
     tree = build_random_tree(feed_prims, 5, random.Random(4))
-    policy = SupervisorPolicy(max_steps=512)
-    variants = [(default_catalog(unread=5), 10, policy),
-                (catalog, 4, policy),
-                (catalog, 10, SupervisorPolicy(max_steps=3))]
-    for inputs in variants:
-        run_feed_program(tree, catalog, 10, policy)  # memoise the base inputs
-        before = len(fill_calls)
-        got = run_feed_program(tree, *inputs)
-        assert len(fill_calls) == before + 1
-        assert got == run_feed_program(fresh_copy(tree, feed_prims), *inputs)
-    assert got == FeedReport(10)  # the tight budget kills it
+    run_feed_program(tree, catalog)  # memoise the base catalog
     before = len(fill_calls)
-    # an equal policy is the same input, even as a distinct object
-    run_feed_program(tree, catalog, 10, SupervisorPolicy(max_steps=3))
+    got = run_feed_program(tree, default_catalog(unread=5))
+    assert len(fill_calls) == before + 1
+    assert got == run_feed_program(fresh_copy(tree, feed_prims), default_catalog(unread=5))
+    before = len(fill_calls)
+    # an equal catalog is the same input, even as a distinct object
+    run_feed_program(tree, default_catalog(unread=5))
     assert len(fill_calls) == before
 
 
 def test_a_killed_fill_is_memoised_as_the_empty_report(catalog, feed_prims,
                                                        execute_calls):
-    tree = build_random_tree(grower.at_bias(feed_prims, 1.0), 3, random.Random(1))
-    policy = SupervisorPolicy(max_steps=1)
-    assert run_feed_program(tree, catalog, policy=policy) == FeedReport(DEFAULT_DESIRED_QTY)
-    assert execute_calls[-1].killed
-    runs = len(execute_calls)
-    assert run_feed_program(tree, catalog, policy=policy) == FeedReport(DEFAULT_DESIRED_QTY)
-    assert len(execute_calls) == runs
+    tree = feed_sum(feed_prims, MAX_STEPS + 1)
+    assert run_feed_program(tree, catalog) == FeedReport()
+    assert [outcome.killed for outcome in execute_calls] == [True]  # the first feed
+    assert run_feed_program(tree, catalog) == FeedReport()
+    assert len(execute_calls) == 1
+
+
+def test_the_step_budget_decides_at_its_edge(catalog, feed_prims, execute_calls):
+    trees = feed_edges(feed_prims)
+    assert [tree.size for tree in trees.values()] == [511, 513, 513]
+    want_scores = {feed.feed_id: 256.0 * 3.0 for feed in catalog.feeds}
+    assert run_feed_program(trees["one pass"], catalog).scores == want_scores
+    assert execute_calls == []
+    assert run_feed_program(trees["walked"], catalog).scores == {
+        feed_id: 255.0 * 3.0 for feed_id in want_scores}
+    assert execute_calls == [(False, 255.0 * 3.0, MAX_STEPS)] * len(catalog.feeds)
+    execute_calls.clear()
+    assert run_feed_program(trees["killed"], catalog) == FeedReport()
+    assert execute_calls == [(True, None, MAX_STEPS)]
 
 
 def test_evaluator_fitness_matches_a_memo_free_reference(catalog, feed_prims,
@@ -279,12 +286,12 @@ def test_evaluator_fitness_matches_a_memo_free_reference(catalog, feed_prims,
 # ---------------------------------------------------------------------------
 # one-pass scoring against the per-feed walker
 
-def walker_fill(tree, catalog, desired_qty, policy):
+def walker_fill(tree, catalog):
     """The screen fill computed feed by feed on the reference walker, with
     the round-robin written out round by round."""
     scores = {}
     for feed, env in zip(catalog.feeds, feed_environments(catalog)):
-        outcome = walk(tree, env, policy)
+        outcome = walk(tree, env, MAX_STEPS)
         if outcome.killed:
             return None
         scores[feed.feed_id] = float(outcome.value)
@@ -293,7 +300,7 @@ def walker_fill(tree, catalog, desired_qty, policy):
     displayed = []
     for item in range(max((f.unread for f in ranked), default=0)):
         displayed += [(f.feed_id, item) for f in ranked if item < f.unread]
-    return scores, displayed[:desired_qty]
+    return scores, displayed[:SCREEN_SIZE]
 
 
 def assert_same_fill(got, want):
@@ -309,20 +316,17 @@ def assert_same_fill(got, want):
 
 def test_one_pass_scoring_matches_the_per_feed_walker(catalog, feed_prims):
     rng = random.Random(2024)
+    trees = [build_random_tree(feed_prims, depth, rng)
+             for depth in range(3, 10) for _ in range(40)]
     paths = {"one pass": 0, "walked": 0, "killed": 0}
-    for depth in range(3, 10):
-        for _ in range(40):
-            tree = build_random_tree(feed_prims, depth, rng)
-            for budget in {512, 24, tree.size, max(tree.size - 1, 1)}:
-                policy = SupervisorPolicy(max_steps=budget)
-                want = walker_fill(tree, catalog, DEFAULT_DESIRED_QTY, policy)
-                assert_same_fill(feed_module._fill_screen(
-                    tree, catalog, DEFAULT_DESIRED_QTY, policy), want)
-                if tree.size <= budget:
-                    paths["one pass"] += 1
-                else:
-                    paths["killed" if want is None else "walked"] += 1
-    assert min(paths.values()) > 20, paths
+    for tree in trees + list(feed_edges(feed_prims).values()):
+        want = walker_fill(tree, catalog)
+        assert_same_fill(feed_module._fill_screen(tree, catalog), want)
+        if tree.size <= MAX_STEPS:
+            paths["one pass"] += 1
+        else:
+            paths["killed" if want is None else "walked"] += 1
+    assert min(paths.values()) >= 3, paths  # 265 one pass, 15 walked, 3 killed
 
 
 BIG = "(mul (const:Number 1e200) (const:Number 1e200))"  # inf
@@ -339,9 +343,8 @@ NAN = f"(sub {BIG} {BIG})"  # inf - inf
 ])
 def test_non_finite_scores_keep_their_bits(catalog, feed_prims, text):
     tree = deserialize(text, feed_prims)
-    policy = SupervisorPolicy(max_steps=512)
-    got = feed_module._fill_screen(tree, catalog, DEFAULT_DESIRED_QTY, policy)
-    assert_same_fill(got, walker_fill(tree, catalog, DEFAULT_DESIRED_QTY, policy))
+    got = feed_module._fill_screen(tree, catalog)
+    assert_same_fill(got, walker_fill(tree, catalog))
     assert not all(map(math.isfinite, got[0].values()))
 
 
@@ -351,9 +354,8 @@ def test_a_nan_comparand_takes_the_else_branch(catalog, feed_prims):
     tree = deserialize(
         f"(if_greater (mul (sub (const:Number 1.0) (is_engadget)) {BIG})"
         f" (const:Number 0.0) (add (unread_count) (is_techcrunch)) {NAN})", feed_prims)
-    policy = SupervisorPolicy(max_steps=512)
-    got = feed_module._fill_screen(tree, catalog, DEFAULT_DESIRED_QTY, policy)
-    assert_same_fill(got, walker_fill(tree, catalog, DEFAULT_DESIRED_QTY, policy))
+    got = feed_module._fill_screen(tree, catalog)
+    assert_same_fill(got, walker_fill(tree, catalog))
     scores = got[0]
     assert math.isnan(scores["engadget"])
     assert scores["techcrunch"] == 4.0
@@ -364,7 +366,6 @@ def test_an_unbound_terminal_raises_only_when_a_feed_reaches_it():
     wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
     narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
     prims = feed_primitives(wide)
-    policy = SupervisorPolicy(max_steps=512)
     reached = ["(is_c)",
                "(add (is_a) (is_c))",
                "(if_greater (is_a) (const:Number 0.5) (is_c) (const:Number 1.0))",
@@ -373,17 +374,15 @@ def test_an_unbound_terminal_raises_only_when_a_feed_reaches_it():
         tree = deserialize(text, prims)
         for fill in (feed_module._fill_screen, walker_fill):
             with pytest.raises(ConfigurationError, match="is_c"):
-                fill(tree, narrow, DEFAULT_DESIRED_QTY, policy)
+                fill(tree, narrow)
     hidden = ["(if_greater (const:Number 0.0) (const:Number 1.0) (is_c) (is_b))",
               "(if_greater (is_a) (const:Number 2.0) (is_c) (unread_count))",
               "(if_greater (unread_count) (const:Number 0.0) (is_a) (is_c))"]
     for text in hidden:
         tree = deserialize(text, prims)
-        assert_same_fill(feed_module._fill_screen(tree, narrow, DEFAULT_DESIRED_QTY, policy),
-                         walker_fill(tree, narrow, DEFAULT_DESIRED_QTY, policy))
+        assert_same_fill(feed_module._fill_screen(tree, narrow), walker_fill(tree, narrow))
     # a catalog without feeds runs the program for no feed at all
-    assert feed_module._fill_screen(deserialize("(is_c)", prims), FeedCatalog(()),
-                                    DEFAULT_DESIRED_QTY, policy) == ({}, ())
+    assert feed_module._fill_screen(deserialize("(is_c)", prims), FeedCatalog(())) == ({}, ())
 
 
 def test_one_pass_scoring_refuses_an_unknown_lazy_kind(catalog, feed_prims):
@@ -392,8 +391,7 @@ def test_one_pass_scoring_refuses_an_unknown_lazy_kind(catalog, feed_prims):
     tree = ProgramTree(first, (const_program(feed_prims, 1.0),
                                const_program(feed_prims, 2.0)))
     with pytest.raises(ConfigurationError, match="first"):
-        feed_module._fill_screen(tree, catalog, DEFAULT_DESIRED_QTY,
-                                 SupervisorPolicy(max_steps=512))
+        feed_module._fill_screen(tree, catalog)
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +446,19 @@ def test_bred_lineages_score_as_fresh_copies_and_the_walker(catalog):
     copy and as the per-feed walker, through grafted inf, NaN and signed
     zeros."""
     prims = feed_primitives(catalog)
-    policy = SupervisorPolicy(max_steps=10**6)  # every fill takes the one pass
     rng = random.Random(909)
     grafts = [deserialize(text, prims) for text in (
         BIG, NAN, "(const:Number 0.0)", "(const:Number -0.0)",
         f"(add (const:Number -0.0) {NAN})", "(mul (const:Number -0.0) (unread_count))")]
 
     def score(tree):
-        got = feed_module._fill_screen(tree, catalog, DEFAULT_DESIRED_QTY, policy)
-        scores, displayed = feed_module._fill_screen(
-            fresh_copy(tree, prims), catalog, DEFAULT_DESIRED_QTY, policy)
-        assert_same_fill(got, (scores, list(displayed)))
-        assert_same_fill(got, walker_fill(tree, catalog, DEFAULT_DESIRED_QTY, policy))
-        return got
+        """The one pass, whatever the tree's size, against a record-free
+        copy and a walk that no budget stops."""
+        got = [repr(value) for value in feed_module._score_feeds(tree, catalog)]
+        fresh = feed_module._score_feeds(fresh_copy(tree, prims), catalog)
+        assert got == [repr(value) for value in fresh]
+        assert got == [repr(walk(tree, env, tree.size).value)
+                       for env in feed_environments(catalog)]
 
     parents = [build_random_tree(prims, 9, rng) for _ in range(6)]
     for tree in parents:
@@ -542,7 +540,7 @@ def test_a_child_evaluates_only_the_ancestors_breeding_rebuilt(catalog, feed_pri
         counts = Counter(calls)
         for got, env in zip(values, feed_environments(catalog)):
             assert repr(got) == repr(
-                execute(compile_program(tree, env), SupervisorPolicy(10**6)).value)
+                execute(compile_program(tree, env), tree.size).value)
         return counts
 
     assert evaluated(parent, catalog) == everything
@@ -602,19 +600,20 @@ def test_click_rate_monte_carlo(catalog, feed_prims):
     assert abs(statistics.mean(clicks) - 5.0) < 0.15
 
 
-def make_report(displayed, desired, clicked):
+def make_report(displayed, clicked):
     items = [("feed", i) for i in range(displayed)]
-    return FeedReport(desired_qty=desired, displayed=items, clicked=items[:clicked])
+    return FeedReport(displayed=items, clicked=items[:clicked])
 
 
-@pytest.mark.parametrize("displayed,desired,clicked,expected", [
+@pytest.mark.parametrize("displayed,screen,clicked,expected", [
     (10, 10, 10, 1.0),
     (5, 10, 5, 0.5),
     (12, 10, 6, 0.5),
     (0, 10, 0, 0.0),
 ])
-def test_fitness_tabulated_cases(displayed, desired, clicked, expected):
-    assert feed_fitness(make_report(displayed, desired, clicked)) == pytest.approx(
+def test_fitness_tabulated_cases(displayed, screen, clicked, expected):
+    assert screen == SCREEN_SIZE
+    assert feed_fitness(make_report(displayed, clicked)) == pytest.approx(
         expected, abs=1e-12)
 
 
@@ -623,12 +622,12 @@ def test_fitness_bounded_and_count_monotone():
     for _ in range(500):
         displayed = rng.randrange(0, 25)
         clicked = rng.randrange(0, displayed + 1) if displayed else 0
-        fit = feed_fitness(make_report(displayed, 10, clicked))
+        fit = feed_fitness(make_report(displayed, clicked))
         assert 0.0 <= fit <= 1.0
     # same click fraction, more coverage: count factor never decreases
     for displayed in range(1, 10):
-        lo = feed_fitness(make_report(displayed, 10, displayed // 2))
-        hi = feed_fitness(make_report(displayed + 1, 10, (displayed + 1) // 2))
+        lo = feed_fitness(make_report(displayed, displayed // 2))
+        hi = feed_fitness(make_report(displayed + 1, (displayed + 1) // 2))
         if displayed % 2 == 1:  # matching fractions only
             continue
         assert hi >= lo - 1e-12
@@ -669,7 +668,7 @@ def test_depth2_brute_force_optimum_is_all_tech(catalog, feed_prims):
         if value > best:
             best, best_report = value, report
     assert best == pytest.approx(0.9, abs=1e-12)
-    assert len(best_report.displayed) >= DEFAULT_DESIRED_QTY
+    assert len(best_report.displayed) >= SCREEN_SIZE
     groups = best_report.displayed_by_group(catalog)
     assert groups["other"] == 0 and groups["tech"] >= 10
 
@@ -681,7 +680,7 @@ def test_config_round_trip(tmp_path):
     config = {
         "feeds": [{"id": "alpha", "group": "tech", "unread": 2},
                   {"id": "beta", "group": "news"}],
-        "click_prob": {"alpha": 0.8, "beta": 0.2},
+        "click_prob": {"alpha": 0.8, "beta": 0},
     }
     path = tmp_path / "feeds.json"
     path.write_text(json.dumps(config))
@@ -690,6 +689,7 @@ def test_config_round_trip(tmp_path):
     assert catalog.feeds[0].unread == 2
     assert catalog.feeds[1].unread == 3  # default fills in
     assert user.probability("alpha") == 0.8
+    assert repr(user.probability("beta")) == "0.0"  # a JSON int becomes a float
     prims = feed_primitives(catalog)
     assert prims.kind("is_alpha") is not None
 

@@ -388,6 +388,12 @@ def test_cli_unusable_strategy_exits_2(tmp_path, capsys, selectors, steps):
                          "click_prob": {"a": float("nan")}})),
     ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}],
                          "click_prob": {"a": float("inf")}})),
+    # a number must be a JSON number a float can hold: not a 401-digit
+    # integer, a string or a bool
+    pytest.param("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}],
+                                      "click_prob": {"a": 10**400}}), id="feed-click_prob-huge"),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}], "click_prob": {"a": "0.5"}})),
+    ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}], "click_prob": {"a": True}})),
     # ids must be strings that can name the terminal is_<id> in tree text
     ("feed", json.dumps({"feeds": [{"id": ["a"], "group": "tech"}]})),
     ("feed", json.dumps({"feeds": [{"id": 7, "group": "tech"}]})),
@@ -430,6 +436,24 @@ def test_cli_unusable_strategy_exits_2(tmp_path, capsys, selectors, steps):
     ("localisation", json.dumps({"segments": []})),
     ("localisation", json.dumps({"segments": [
         {"start": 50, "end": 10, "indoor": False, "wifi": True}]})),
+    pytest.param("localisation", json.dumps({"providers": [
+        {"name": "cell", "radius_m": 10**400, "draw_ma": 5, "first_fix_s": 1}]}),
+        id="localisation-radius_m-huge"),
+    ("localisation", json.dumps({"providers": [
+        {"name": "cell", "radius_m": 400, "draw_ma": "30", "first_fix_s": 1}]})),
+    ("localisation", json.dumps({"providers": [
+        {"name": "cell", "radius_m": 400, "draw_ma": 5, "first_fix_s": True}]})),
+    pytest.param("localisation", json.dumps({"waypoints": [[0, 0, 0], [60, 10**400, 0]]}),
+                 id="localisation-waypoint-huge"),
+    ("localisation", json.dumps({"waypoints": [[0, "0", 0]]})),
+    ("localisation", json.dumps({"waypoints": [[0, 0, False]]})),
+    pytest.param("localisation", json.dumps({"segments": [
+        {"start": 0, "end": 10**400, "indoor": False, "wifi": True}]}),
+        id="localisation-segment-end-huge"),
+    ("localisation", json.dumps({"segments": [
+        {"start": "0", "end": 60, "indoor": False, "wifi": True}]})),
+    ("localisation", json.dumps({"segments": [
+        {"start": 0, "end": True, "indoor": False, "wifi": True}]})),
 ])
 def test_cli_malformed_app_config_exits_2(tmp_path, capsys, app, text):
     path = tmp_path / "app.json"

@@ -6,15 +6,16 @@ import random
 
 import grower
 import pytest
+from sized import always, constant, loc_requests
 from walker import walk
 
 from gpislands import localisation as localisation_module
-from gpislands.interpreter import SupervisorPolicy
 from gpislands.localisation import (
+    BUDGET_MA,
     DEFAULT_PROVIDERS,
     DEFAULT_TICKS,
-    EnergyBudget,
     LocalisationEvaluator,
+    MAX_STEPS,
     MAX_TICKS,
     NO_FIX_SENTINEL,
     Provider,
@@ -92,10 +93,8 @@ def test_energy_fitness_line():
 
 
 def test_budget_current_matches_battery_over_day():
-    budget = EnergyBudget()
-    assert budget.budget_ma == 63.0
-    assert budget.derived_ma == pytest.approx(1400.0 / 22.0)
-    assert abs(budget.budget_ma - budget.derived_ma) < 1.0  # round number
+    assert BUDGET_MA == 63.0
+    assert abs(1400.0 / 22.0 - BUDGET_MA) < 1.0  # round number
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +264,7 @@ def test_reference_power_is_never_charged(prims):
     for cell alone."""
     config = WorldConfig()
     tree = parse(prims, "(seq (enable_cell) (request_update))")
-    trace = localisation_module._control_trace(
-        tree, config, SupervisorPolicy(max_steps=256), EnergyBudget())
+    trace = localisation_module._control_trace(tree, config)
     assert len(trace) == config.ticks - 1  # cell is ready from tick 2
     assert {energy for _, _, energy in trace} == {energy_fitness(CELL.draw_ma)}
     assert any(reference[1] == GPS.radius_m for _, reference, _ in trace)
@@ -299,22 +297,37 @@ def test_greedy_gps_exhausts_the_budget(prims):
     assert evaluate_localisation(tree, world) == 0.0  # 140 mA >> 63 mA budget
 
 
+def at_the_edge(prims, fresh_size, stale_size):
+    """``(if_greater (last_fix_age) 2.0 fresh stale)``: while the program's
+    fix is older than 2 s (ticks 1, 2, 5, 8, ...) it runs
+    :func:`loc_requests` of ``fresh_size`` nodes, 3 steps more in all, and
+    otherwise, behind an ``if_greater`` that always holds, one of
+    ``stale_size`` nodes, 6 steps more."""
+    stale = always(prims, loc_requests(prims, stale_size),
+                   ProgramTree(prims.kind("disable_cell")))
+    return ProgramTree(prims.kind("if_greater"), (
+        ProgramTree(prims.kind("last_fix_age")),
+        constant(prims, 2.0), loc_requests(prims, fresh_size), stale))
+
+
+def killed_at_tick_3(prims):
+    """Takes exactly the step budget at ticks 1 and 2, and one step more at
+    tick 3, where a fix from tick 2 makes it take the stale branch."""
+    return at_the_edge(prims, MAX_STEPS - 3, MAX_STEPS - 5)
+
+
 def test_kill_stops_scoring_but_keeps_earlier_ticks(prims):
     """A program that outgrows its step budget midway keeps what it earned."""
-    tree = parse(prims, "(if_greater (last_fix_age) (const:Number 100.0)"
-                        " (seq (enable_cell) (request_update))"
-                        " (seq (enable_cell) (seq (enable_cell) (request_update))))")
     world = World(single_provider_world(CELL, ticks=5), seed=1)
-    fitness = evaluate_localisation(tree, world, SupervisorPolicy(max_steps=7))
+    fitness = evaluate_localisation(killed_at_tick_3(prims), world)
     # tick 1: no fix yet; tick 2: fix lands, scores (1 - 5/63); tick 3: the
-    # fat else-branch needs 8 steps and is killed; ticks 4-5 score nothing
+    # stale branch needs 257 steps and is killed; ticks 4-5 score nothing
     assert fitness == pytest.approx((1 - 5 / 63) / 5, rel=1e-12)
 
 
 def test_immediate_kill_scores_zero(prims):
     world = World(single_provider_world(CELL, ticks=5), seed=1)
-    fitness = evaluate_localisation(parse(prims, ENABLE_AND_ASK), world,
-                                    SupervisorPolicy(max_steps=1))
+    fitness = evaluate_localisation(loc_requests(prims, MAX_STEPS + 1), world)
     assert fitness == 0.0
 
 
@@ -404,14 +417,17 @@ def test_world_config_round_trip(tmp_path):
     data = {
         "providers": [{"name": "gps", "radius_m": 10, "draw_ma": 2,
                        "first_fix_s": 1}],
-        "waypoints": [[0, 0, 0], [10, 50, 0]],
-        "segments": [{"start": 0, "end": 10, "indoor": False, "wifi": False}],
+        "waypoints": [[0, 0, 0], [10, 50.5, 0]],
+        "segments": [{"start": 0, "end": 10.0, "indoor": False, "wifi": False}],
         "ticks": 10,
     }
     path = tmp_path / "world.json"
     path.write_text(json.dumps(data))
     config = load_world_config(str(path))
+    # JSON ints and floats alike become floats
     assert config.providers == (Provider("gps", 10.0, 2.0, 1.0),)
+    assert repr(config.waypoints) == repr(((0.0, 0.0, 0.0), (10.0, 50.5, 0.0)))
+    assert repr((config.segments[0].start, config.segments[0].end)) == repr((0.0, 10.0))
     assert config.ticks == 10
     assert config.segments[0].indoor is False
 
@@ -444,6 +460,8 @@ def test_a_world_lasts_at_most_a_day_of_one_second_ticks():
 # fixes stored as positions, and each tick scored as the program runs
 
 GPS = DEFAULT_PROVIDERS[0]
+#: A gps that draws less than the budget current, so its fixes score energy.
+FRUGAL_GPS = Provider("gps", radius_m=5.0, draw_ma=40.0, first_fix_s=10.0)
 
 
 class EagerWorld:
@@ -505,7 +523,7 @@ class EagerWorld:
                    for name, since in self.enabled.items() if since is not None)
 
 
-def oracle_fitness(tree, config, seed, policy, budget):
+def oracle_fitness(tree, config, seed):
     """Returns the fitness and whether the program was killed; the tree is
     walked node by node, never compiled."""
     world = EagerWorld(config, seed)
@@ -513,7 +531,7 @@ def oracle_fitness(tree, config, seed, policy, budget):
     total = 0.0
     for tick in range(1, config.ticks + 1):
         world.t = float(tick)
-        if walk(tree, bindings, policy).killed:
+        if walk(tree, bindings, MAX_STEPS).killed:
             return total / config.ticks, True
         best = world.best(lambda p: 0.0)
         if best is None:
@@ -521,31 +539,25 @@ def oracle_fitness(tree, config, seed, policy, budget):
         else:
             acc = accuracy_fitness(None if world.fix is None else world.fix[0],
                                    world.fix_position(best.name, world.t), best.radius_m)
-        total += acc * energy_fitness(world.power(), budget)
+        total += acc * energy_fitness(world.power())
     return total / config.ticks, False
 
 
 ORACLE_CONFIGS = {
     "default": WorldConfig(),
     "wifi": single_provider_world(WIFI),
-    "gps-walking": single_provider_world(GPS, stationary=False),
+    "gps-walking": single_provider_world(FRUGAL_GPS, stationary=False),
     "cell-short": single_provider_world(CELL, ticks=20),
     # equal radii: the first in config order wins a tie
     "tied": WorldConfig(providers=(Provider("wifi", 40.0, 30.0, 2.0),
                                    Provider("cell", 40.0, 5.0, 1.0), GPS)),
 }
-ORACLE_POLICIES = (SupervisorPolicy(max_steps=256), SupervisorPolicy(max_steps=8))
-ORACLE_BUDGETS = (EnergyBudget(), EnergyBudget(budget_ma=200.0))
 
 
 HAND_TREES = (
     # two ready providers of equal radius: the tie-break decides the fix
     "(seq (seq (enable_cell) (enable_wifi)) (seq (enable_gps) (request_update)))",
     "(seq (enable_cell) (seq (enable_wifi) (request_update)))",
-    # under 8 steps: fixes at tick 2, is killed at tick 3, and would fix
-    # again at tick 5 if a kill did not end the walk
-    "(if_greater (last_fix_age) (const:Number 2.0) (seq (enable_cell) (request_update))"
-    " (seq (enable_cell) (seq (enable_cell) (seq (enable_cell) (request_update)))))",
 )
 
 
@@ -556,7 +568,9 @@ def oracle_trees():
     trees = [build_random_tree(prims, 3 + i % 4, rng) for i in range(200)]
     helped = sum(localisation_helper(tree) for tree in trees)
     assert 0 < helped < len(trees)  # helper-rejected trees are scored too
-    return trees + [parse(prims, text) for text in HAND_TREES]
+    # killed_at_tick_3 is killed at the tick after its first fix, and would
+    # fix again later if a kill did not end the walk
+    return trees + [parse(prims, text) for text in HAND_TREES] + [killed_at_tick_3(prims)]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
@@ -564,13 +578,11 @@ def test_scoring_matches_the_eager_oracle(oracle_trees, name):
     config = ORACLE_CONFIGS[name]
     kills = scored = 0
     for i, tree in enumerate(oracle_trees):
-        budget = ORACLE_BUDGETS[i % 2]
-        for policy in ORACLE_POLICIES:
-            for seed in (i, f"again:{i}"):  # the second world reuses the trace
-                want, killed = oracle_fitness(tree, config, seed, policy, budget)
-                assert evaluate_localisation(tree, World(config, seed), policy, budget) == want
-                kills += killed
-                scored += want > 0.0
+        for seed in (i, f"again:{i}"):  # the second world reuses the trace
+            want, killed = oracle_fitness(tree, config, seed)
+            assert evaluate_localisation(tree, World(config, seed)) == want
+            kills += killed
+            scored += want > 0.0
     assert kills and scored
 
 
@@ -581,12 +593,11 @@ def test_evaluator_matches_the_eager_oracle(oracle_trees, name):
     config = ORACLE_CONFIGS[name]
     pick = random.Random(name)
     members = [Individual.from_tree(pick.choice(oracle_trees)) for _ in range(120)]
-    for policy, budget in zip(ORACLE_POLICIES, ORACLE_BUDGETS):
-        evaluator = LocalisationEvaluator(config, random.Random(5), budget, policy)
-        seeds = random.Random(5)
-        for member in members:
-            want, _ = oracle_fitness(member.tree, config, seeds.getrandbits(48), policy, budget)
-            assert evaluator(member) == want
+    evaluator = LocalisationEvaluator(config, random.Random(5))
+    seeds = random.Random(5)
+    for member in members:
+        want, _ = oracle_fitness(member.tree, config, seeds.getrandbits(48))
+        assert evaluator(member) == want
 
 
 @pytest.fixture
@@ -596,9 +607,10 @@ def execute_calls(monkeypatch):
     calls = []
     real = localisation_module.execute
 
-    def counted(program, policy):
-        calls.append(policy)
-        return real(program, policy)
+    def counted(program, max_steps):
+        outcome = real(program, max_steps)
+        calls.append(outcome)
+        return outcome
 
     monkeypatch.setattr(localisation_module, "execute", counted)
     return calls
@@ -618,44 +630,42 @@ def test_a_second_evaluation_runs_no_program(prims, execute_calls):
     assert evaluate_localisation(tree, World(WorldConfig(), seed=1)) == first
 
 
+# worlds that differ from the default in the walk's length, and in a figure
+# the energy factor reads
+OTHER_CONFIGS = (WorldConfig(ticks=30), WorldConfig(providers=(FRUGAL_GPS, WIFI, CELL)))
+
+
 def test_other_inputs_recompute_the_trace(prims, execute_calls):
     tree = parse(prims, LAZY_REFRESHER)
-    config, policy, budget = WorldConfig(), SupervisorPolicy(max_steps=256), EnergyBudget()
-    variants = [(WorldConfig(ticks=30), policy, budget),
-                (config, SupervisorPolicy(max_steps=4), budget),
-                (config, policy, EnergyBudget(budget_ma=100.0))]
-    for other_config, other_policy, other_budget in variants:
-        evaluate_localisation(tree, World(config, seed=3), policy, budget)
+    config = WorldConfig()
+    for other_config in OTHER_CONFIGS:
+        evaluate_localisation(tree, World(config, seed=3))
         before = len(execute_calls)
-        got = evaluate_localisation(tree, World(other_config, seed=3), other_policy,
-                                    other_budget)
+        got = evaluate_localisation(tree, World(other_config, seed=3))
         assert len(execute_calls) > before
-        assert got == oracle_fitness(tree, other_config, 3, other_policy, other_budget)[0]
+        assert got == oracle_fitness(tree, other_config, 3)[0]
     before = len(execute_calls)
     # equal inputs hit the cache, even as distinct objects
-    evaluate_localisation(tree, World(WorldConfig(ticks=30), seed=4),
-                          SupervisorPolicy(max_steps=256), EnergyBudget(budget_ma=100.0))
-    evaluate_localisation(tree, World(WorldConfig(ticks=30), seed=4),
-                          SupervisorPolicy(max_steps=256), EnergyBudget(budget_ma=100.0))
-    assert len(execute_calls) == before + 30
+    evaluate_localisation(tree, World(WorldConfig(ticks=20), seed=4))
+    evaluate_localisation(tree, World(WorldConfig(ticks=20), seed=4))
+    assert len(execute_calls) == before + 20
 
 
 def test_a_killed_tick_adds_no_trace_entry_and_no_later_tick_runs(prims, execute_calls):
     """The killed tick's run goes on past the budget, where it asks for a
     fix, on the control pass's own world; that fix reaches no trace."""
-    tree = parse(prims, "(if_greater (last_fix_age) (const:Number 100.0)"
-                        " (seq (enable_cell) (request_update))"
-                        " (seq (enable_cell) (seq (enable_cell) (request_update))))")
-    config, budget = single_provider_world(CELL, ticks=5), EnergyBudget()
-    full = localisation_module._control_trace(tree, config, SupervisorPolicy(max_steps=8),
-                                              budget)
+    config = single_provider_world(CELL, ticks=5)
+    # the same program with small branches: it is never killed
+    full = localisation_module._control_trace(at_the_edge(prims, 7, 7), config)
     assert len(execute_calls) == 5
     # tick 1: no fix yet; from tick 2 every tick fixes anew (error index 2 * tick)
     assert [source[2] for source, _, _ in full] == [4, 6, 8, 10]
-    # at tick 3 the else branch needs 8 steps, its request_update the 8th
-    killed = localisation_module._control_trace(tree, config, SupervisorPolicy(max_steps=7),
-                                                budget)
-    assert len(execute_calls) == 5 + 3
+    execute_calls.clear()
+    killed = localisation_module._control_trace(killed_at_tick_3(prims), config)
+    # exactly the budget at ticks 1 and 2; at tick 3 the stale branch needs
+    # one step more, its request_update the 257th
+    assert execute_calls == [(False, "request_fix", MAX_STEPS)] * 2 + [
+        (True, None, MAX_STEPS)]
     assert killed == full[:1]
 
 
@@ -683,13 +693,12 @@ def displace_calls(monkeypatch):
 def test_a_trace_of_reference_fixes_displaces_nothing(prims, displace_calls):
     config = single_provider_world(CELL)
     tree = parse(prims, FRESH_EVERY_TICK)
-    policy, budget = SupervisorPolicy(max_steps=256), EnergyBudget()
-    trace = localisation_module._control_trace(tree, config, policy, budget)
+    trace = localisation_module._control_trace(tree, config)
     assert len(trace) == config.ticks - 1  # the cell warms up over tick 1
     assert all(fix[2] == reference[2] for fix, reference, _ in trace)
     for seed in range(5):
-        want, _ = oracle_fitness(tree, config, seed, policy, budget)
-        assert evaluate_localisation(tree, World(config, seed), policy, budget) == want
+        want, _ = oracle_fitness(tree, config, seed)
+        assert evaluate_localisation(tree, World(config, seed)) == want
     assert displace_calls == []
 
 
@@ -703,17 +712,16 @@ def test_a_stale_fix_is_displaced_where_a_later_entry_needs_it(prims, displace_c
     provider alone would, misses the oracle."""
     config = single_provider_world(CELL, stationary=stationary)
     tree = parse(prims, REFRESH_WHEN_OLD)
-    policy, budget = SupervisorPolicy(max_steps=256), EnergyBudget()
-    trace = localisation_module._control_trace(tree, config, policy, budget)
+    trace = localisation_module._control_trace(tree, config)
     stale = [fix for fix, reference, _ in trace if fix[2] != reference[2]]
     assert 0 < len(stale) < len(trace)
     # one provider: a stale entry differs from its reference in the tick alone
     assert all(fix[1] == reference[1] for fix, reference, _ in trace)
     per_evaluation = len(stale) + len({id(fix) for fix in stale})
     for seed in range(5):
-        want, _ = oracle_fitness(tree, config, seed, policy, budget)
+        want, _ = oracle_fitness(tree, config, seed)
         displace_calls.clear()
-        got = evaluate_localisation(tree, World(config, seed), policy, budget)
+        got = evaluate_localisation(tree, World(config, seed))
         assert got == want
         assert len(displace_calls) == per_evaluation
         perfect = sum(energy for _, _, energy in trace) / config.ticks
@@ -740,7 +748,7 @@ def test_the_radio_set_holds_exactly_the_enabled_radios():
     assert seen == {0, 1, 2, 3}
 
 
-def direct_trace(tree, config, policy, budget):
+def direct_trace(tree, config):
     """The control pass worked out with the walker, and each tick's energy
     from the world's power draw; also returns the radio sets it drew for."""
     world = World(config)
@@ -749,13 +757,13 @@ def direct_trace(tree, config, policy, budget):
     trace, radio_sets = [], set()
     for tick in range(1, config.ticks + 1):
         world.t = float(tick)
-        if walk(tree, bindings, policy).killed:
+        if walk(tree, bindings, MAX_STEPS).killed:
             break
         fix, reference = world.program_fix, ticks[world.t].reference_source
         if fix is None or reference is None:
             continue
         radio_sets.add(world.radios)
-        energy = energy_fitness(world.power_now(), budget)
+        energy = energy_fitness(world.power_now())
         if energy > 0.0:
             trace.append((world._source(*fix[:2]), reference, energy))
     return tuple(trace), radio_sets
@@ -781,14 +789,13 @@ def test_the_energy_table_gives_each_radio_set_its_energy(prims, monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     trees = switching_trees(prims)
     lookups = draws = switching = 0
-    for name in ("default", "tied", "wifi"):
+    for name in ("default", "tied", "wifi", "gps-walking"):
         config = ORACLE_CONFIGS[name]
-        for i, tree in enumerate(trees):
-            budget, policy = ORACLE_BUDGETS[i % 2], ORACLE_POLICIES[i % 3 == 0]
-            want, radio_sets = direct_trace(tree, config, policy, budget)
+        for tree in trees:
+            want, radio_sets = direct_trace(tree, config)
             calls.clear()
             localisation_module._control_trace.cache_clear()
-            assert localisation_module._control_trace(tree, config, policy, budget) == want
+            assert localisation_module._control_trace(tree, config) == want
             assert len(calls) == len(radio_sets)  # one draw per radio set met
             lookups += len(want)
             draws += len(calls)
@@ -839,15 +846,15 @@ def test_twins_are_distinct_equal_trees(prims):
 
 @pytest.mark.parametrize("swap", [False, True])
 def test_a_twin_shares_its_partners_trace(prims, execute_calls, swap):
-    config, policy, budget = WorldConfig(), SupervisorPolicy(max_steps=256), EnergyBudget()
+    config = WorldConfig()
     for pair in twin_pairs(prims):
         first, second = reversed(pair) if swap else pair
         localisation_module._control_trace.cache_clear()
         # the partner runs the program; the twin runs none of it
         for seed, tree, runs in ((1, first, config.ticks), (2, second, 0)):
             before = len(execute_calls)
-            got = evaluate_localisation(tree, World(config, seed), policy, budget)
-            assert got == oracle_fitness(tree, config, seed, policy, budget)[0]
+            got = evaluate_localisation(tree, World(config, seed))
+            assert got == oracle_fitness(tree, config, seed)[0]
             assert len(execute_calls) - before == runs
         info = localisation_module._control_trace.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
@@ -859,28 +866,22 @@ def test_nans_that_are_not_the_same_object_miss(prims, execute_calls):
     config = WorldConfig()
     for seed, tree in enumerate((a, b)):
         got = evaluate_localisation(tree, World(config, seed))
-        assert got == oracle_fitness(tree, config, seed, SupervisorPolicy(max_steps=256),
-                                     EnergyBudget())[0]
+        assert got == oracle_fitness(tree, config, seed)[0]
     assert len(execute_calls) == 2 * config.ticks
     assert localisation_module._control_trace.cache_info().hits == 0
 
 
 def test_a_twin_under_other_inputs_recomputes(prims, execute_calls):
-    config, policy, budget = WorldConfig(), SupervisorPolicy(max_steps=256), EnergyBudget()
-    variants = [(WorldConfig(ticks=30), policy, budget),
-                (config, SupervisorPolicy(max_steps=4), budget),
-                (config, policy, EnergyBudget(budget_ma=100.0))]
     for first, second in twin_pairs(prims):
-        evaluate_localisation(first, World(config, seed=3), policy, budget)
-        for other_config, other_policy, other_budget in variants:
+        evaluate_localisation(first, World(WorldConfig(), seed=3))
+        for other_config in OTHER_CONFIGS:
             before = len(execute_calls)
-            got = evaluate_localisation(second, World(other_config, seed=3), other_policy,
-                                        other_budget)
+            got = evaluate_localisation(second, World(other_config, seed=3))
             assert len(execute_calls) > before
-            assert got == oracle_fitness(second, other_config, 3, other_policy,
-                                         other_budget)[0]
+            assert got == oracle_fitness(second, other_config, 3)[0]
     info = localisation_module._control_trace.cache_info()
-    assert info.hits == 0 and info.misses == 4 * len(twin_pairs(prims))
+    assert info.hits == 0
+    assert info.misses == (1 + len(OTHER_CONFIGS)) * len(twin_pairs(prims))
 
 
 def test_the_callers_world_radios_are_untouched(prims):
@@ -925,10 +926,9 @@ def test_scoring_draws_exactly_the_prefix_it_reads(oracle_trees, displace_calls)
     for config in ORACLE_CONFIGS.values():
         whole = 2 * len(config.providers) * (config.ticks + 1)
         for i, tree in enumerate(oracle_trees):
-            policy, budget = ORACLE_POLICIES[i % 2], ORACLE_BUDGETS[i % 2]
             world = World(config, seed=i)
             displace_calls.clear()
-            evaluate_localisation(tree, world, policy, budget)
+            evaluate_localisation(tree, world)
             read = max((args[2] + 2 for args in displace_calls), default=0)
             assert len(world._draws) == read
             partial += 0 < read < whole
@@ -978,8 +978,3 @@ def test_unusable_worlds_are_rejected_when_built(build):
     with pytest.raises(ConfigurationError):
         build()
 
-
-@pytest.mark.parametrize("budget_ma", [0.0, -63.0, math.inf, math.nan])
-def test_an_unusable_budget_is_rejected(budget_ma):
-    with pytest.raises(ConfigurationError):
-        EnergyBudget(budget_ma=budget_ma)

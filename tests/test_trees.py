@@ -8,14 +8,10 @@ import pytest
 from reference_tree import mirror
 from walker import feed_environments, walk
 
+from gpislands import feed as feed_module
 from gpislands.evolution import Population, crossover, mutate, population_stats
-from gpislands.feed import (
-    FEED_FUNCTION_BIAS,
-    default_catalog,
-    feed_primitives,
-    run_feed_program,
-)
-from gpislands.interpreter import SupervisorPolicy, compile_program, execute
+from gpislands.feed import FEED_FUNCTION_BIAS, default_catalog, feed_primitives
+from gpislands.interpreter import compile_program, execute
 from gpislands.localisation import LOC_FUNCTION_BIAS, localisation_primitives
 from gpislands.trees import (
     DEPTH_CEILING,
@@ -665,12 +661,10 @@ def test_deserialize_without_bound_stops_at_the_ceiling(feed_prims, kind):
     tree = deserialize(text, feed_prims)
     assert tree.depth == DEPTH_CEILING
     assert serialize(tree) == text
-    policy = SupervisorPolicy(max_steps=10 * tree.size)
-    report = run_feed_program(tree, catalog, policy=policy)
-    assert len(report.scores) == len(catalog.feeds)
+    assert len(feed_module._score_feeds(tree, catalog)) == len(catalog.feeds)
     env = feed_environments(catalog)[0]
-    walked = walk(tree, env, policy)
-    compiled = execute(compile_program(tree, env), policy)
+    walked = walk(tree, env, 10 * tree.size)
+    compiled = execute(compile_program(tree, env), 10 * tree.size)
     assert not walked.killed
     assert (walked.value, walked.steps_used) == (compiled.value, compiled.steps_used)
     with pytest.raises(TreeValidationError):

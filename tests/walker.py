@@ -18,10 +18,10 @@ class _Killed(Exception):
     pass
 
 
-def walk(tree, bindings, policy):
-    """Run ``tree`` against ``bindings`` under ``policy``, never compiled."""
+def walk(tree, bindings, max_steps):
+    """Run ``tree`` against ``bindings`` with a budget of ``max_steps`` nodes,
+    never compiled."""
     steps = 0
-    max_steps = policy.max_steps
 
     def ev(node):
         nonlocal steps
