@@ -18,22 +18,21 @@ each node is evaluated once over the list of feeds that reach it, a terminal
 reading a column of per-feed values, and ``if_greater`` splitting its feeds
 between its branches.  Every feed meets the same operations on the same
 operands as in a run of its own, so each score keeps its bits, NaN and
-``inf`` included.  That pass has no step counter, so it is used only when
-the tree has at most :data:`MAX_STEPS` nodes, and then no run can be
-killed.  A larger tree is compiled once (:func:`compile_program`), against
-accessors that read each terminal's column at the feed being run, and run
-with :func:`execute` feed by feed; the supervisor alone decides kills.
+``inf`` included.  The same pass tallies each feed's step count, the nodes
+a run of that feed alone would evaluate, and the fill is killed exactly
+when some feed's count exceeds :data:`MAX_STEPS`, as a supervisor running
+the feeds one by one would decide.  The feed task runs no interpreter.
 
 The pass scores only what it has not scored before.  A function node that
 every feed of a catalog reaches keeps its per-feed values on the node
 (``ProgramTree.record``), keyed by the identity of that catalog's columns,
-and a later pass over any tree holding the node reads them instead of
-descending.  A bred child shares every subtree with its parents except the
-ancestors breeding rebuilt, and a crossover donor has mostly been scored in
-its own tree, so scoring a child evaluates those ancestors, and below them
-only the branches that some feeds alone reach.  The values depend on nothing
-but the subtree and the columns, and a record is never mutated, only
-replaced.
+together with its per-feed step counts, and a later pass over any tree
+holding the node reads them instead of descending.  A bred child shares
+every subtree with its parents except the ancestors breeding rebuilt, and a
+crossover donor has mostly been scored in its own tree, so scoring a child
+evaluates those ancestors, and below them only the branches that some feeds
+alone reach.  The values and counts depend on nothing but the subtree and
+the columns, and a record is never mutated, only replaced.
 
 The screen fill is a pure function of the tree and the catalog, so
 :func:`run_feed_program` memoises it on the tree's root node
@@ -46,14 +45,15 @@ never memoised: every evaluation draws them afresh from the evaluator's rng.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
-from .interpreter import compile_program, execute
+from .interpreter import execute  # unused: kept for perfbench, which wraps feed.execute
 from .trees import (
     Category,
     ConfigurationError,
@@ -106,6 +106,11 @@ class Feed:
             raise ConfigurationError(
                 f"feed {self.feed_id!r}: unread must be a whole number of at least 0, "
                 f"got {self.unread!r}")
+        try:
+            float(self.unread)  # the unread_count terminal reads it as a float
+        except OverflowError:
+            raise ConfigurationError(
+                f"feed {self.feed_id!r}: unread is too large for a float") from None
 
     @property
     def is_tech(self) -> bool:
@@ -211,72 +216,118 @@ def _feed_columns(catalog: FeedCatalog) -> dict[str, tuple]:
     return columns if feeds else {}
 
 
-def _score_feeds(tree: ProgramTree, catalog: FeedCatalog) -> Sequence:
-    """``tree``'s value for every feed of ``catalog``, in catalog order, from
-    one pass over the tree.
+#: Step counts, one per feed: one int when every feed took the same count,
+#: else a tuple in the order of the feeds counted.
+Steps = Union[int, tuple[int, ...]]
+
+
+def _score_feeds(tree: ProgramTree, catalog: FeedCatalog
+                 ) -> tuple[Sequence, tuple[int, ...]]:
+    """``tree``'s value for every feed of ``catalog`` and each feed's step
+    count, both in catalog order, from one pass over the tree.
 
     Each node is evaluated once over the feeds that reach it.  An
-    ``if_greater`` splits its feeds by the same ``a > b`` test the per-feed
+    ``if_greater`` splits its feeds by the same ``a > b`` test a per-feed
     run applies and runs each branch over its own feeds only, so every feed
     sees exactly the operations, and gets exactly the value, of a per-feed
-    run.  No step budget applies: the caller checks that the tree is small
-    enough that no per-feed run could be killed.
+    run.  A feed's step count is the number of nodes a run of that feed
+    alone would evaluate with no budget to stop it: a leaf costs 1, an eager
+    node 1 plus its children's counts, and an ``if_greater`` 1 plus the
+    counts of ``a`` and ``b`` and of the branch the feed takes.
 
     A function node evaluated over every feed keeps its values, as a tuple in
-    catalog order, in its ``record`` together with the catalog's columns;
-    any later pass over any tree that holds that node reads them instead of
-    descending into it.  The values are a function of the subtree and the
-    columns alone, the record is never mutated, and it holds the columns
-    dict itself, so a record matches only while its columns are the ones
-    being read (an identity no other dict can take while the record lives).
-    A branch only some feeds reach is evaluated over those feeds and keeps
-    no record, so an unbound terminal still raises only when a feed reaches
-    it.  Leaves keep none either: their values cost nothing to read.
+    catalog order, and its counts (:data:`Steps`) in its ``record`` together
+    with the catalog's columns, and any later pass over any tree that holds
+    that node reads them instead of descending into it.  They are a function
+    of the subtree and the columns alone, the record is never mutated, and
+    it holds the columns dict itself, so a record matches only while its
+    columns are the ones being read (an identity no other dict can take
+    while the record lives).  A branch only some feeds reach is evaluated
+    over those feeds and keeps no record, so an unbound terminal still
+    raises only when a feed reaches it.  Leaves keep none either: their
+    values cost nothing to read.
     """
+    if not catalog.feeds:
+        return (), ()
     columns = _feed_columns(catalog)
     every = range(len(catalog.feeds))
 
-    def values(node: ProgramTree, rows: Sequence[int]) -> Sequence:
+    def scored(node: ProgramTree, rows: Sequence[int]) -> tuple[Sequence, Steps]:
+        """``node``'s value and step count for each feed of ``rows``."""
         kind = node.kind
         children = node.children
         if not children:
             if kind.category is Category.CONSTANT:
-                return (node.value,) * len(rows)
+                return (node.value,) * len(rows), 1
             column = columns.get(kind.name)
             if column is None:
                 raise ConfigurationError(f"terminal {kind.name!r} is not bound")
-            return column if rows is every else [column[i] for i in rows]
+            return (column if rows is every else [column[i] for i in rows]), 1
         full = rows is every
         if full:
             record = node.record
             if record is not None and record[0] is columns:
-                return record[1]
+                return record[1], record[2]
         if not kind.lazy:
             if len(children) == 2:
                 a, b = children
-                result = tuple(map(kind.fn, values(a, rows), values(b, rows)))
+                a_values, a_steps = scored(a, rows)
+                b_values, b_steps = scored(b, rows)
+                values = tuple(map(kind.fn, a_values, b_values))
+                steps = _plus(a_steps, b_steps, 1)
             else:
-                result = tuple(map(kind.fn, *[values(child, rows) for child in children]))
+                tallies = [scored(child, rows) for child in children]
+                values = tuple(map(kind.fn, *[child_values for child_values, _ in tallies]))
+                steps = 1
+                for _, child_steps in tallies:
+                    steps = _plus(steps, child_steps, 0)
         elif kind.fn is not if_greater:
             raise ConfigurationError(
                 f"lazy function {kind.name!r} cannot score every feed in one pass")
         else:
             a, b, then, other = children
-            taken = list(map(operator.gt, values(a, rows), values(b, rows)))
+            a_values, a_steps = scored(a, rows)
+            b_values, b_steps = scored(b, rows)
+            taken = list(map(operator.gt, a_values, b_values))
             if all(taken):
-                result = values(then, rows)
+                values, branch_steps = scored(then, rows)
             elif not any(taken):
-                result = values(other, rows)
+                values, branch_steps = scored(other, rows)
             else:
-                then_values = iter(values(then, [r for r, t in zip(rows, taken) if t]))
-                other_values = iter(values(other, [r for r, t in zip(rows, taken) if not t]))
-                result = tuple([next(then_values) if t else next(other_values)
-                                for t in taken])
+                then_values, then_steps = scored(then, [r for r, t in zip(rows, taken) if t])
+                other_values, other_steps = scored(
+                    other, [r for r, t in zip(rows, taken) if not t])
+                values = _interleave(taken, then_values, other_values)
+                if then_steps.__class__ is int and then_steps == other_steps:
+                    branch_steps = then_steps
+                else:
+                    branch_steps = _interleave(taken, _each(then_steps), _each(other_steps))
+            steps = _plus(_plus(a_steps, b_steps, 1), branch_steps, 0)
         if full:
-            node.record = (columns, result)
-        return result
+            node.record = (columns, values, steps)
+        return values, steps
 
-    return values(tree, every) if catalog.feeds else []
+    values, steps = scored(tree, every)
+    return values, (steps,) * len(every) if steps.__class__ is int else steps
+
+
+def _each(steps: Steps) -> Iterable[int]:
+    """The counts of :data:`Steps` feed by feed (endless when one int)."""
+    return itertools.repeat(steps) if steps.__class__ is int else steps
+
+
+def _plus(a: Steps, b: Steps, extra: int) -> Steps:
+    """Feed by feed, ``a + b + extra``."""
+    if a.__class__ is int and b.__class__ is int:
+        return a + b + extra
+    return tuple([s + t + extra for s, t in zip(_each(a), _each(b))])
+
+
+def _interleave(taken: Sequence[bool], thens: Iterable, others: Iterable) -> tuple:
+    """``thens`` where ``taken`` holds and ``others`` elsewhere, each read in
+    order: a branch's results over its own feeds put back in feed order."""
+    thens, others = iter(thens), iter(others)
+    return tuple([next(thens) if t else next(others) for t in taken])
 
 
 @dataclass
@@ -299,7 +350,7 @@ def run_feed_program(tree: ProgramTree, catalog: FeedCatalog) -> FeedReport:
     """Score every feed with ``tree`` and fill the screen round-robin.
 
     Feeds scoring <= 0 contribute nothing.  Ties rank by catalog position.
-    If any per-feed run is killed, the whole report is empty.  The fill is
+    If some feed's run would be killed, the whole report is empty.  The fill is
     memoised on ``tree`` for the last catalog it was computed for; every
     call returns a fresh report.
     """
@@ -318,22 +369,16 @@ def _fill_screen(tree: ProgramTree, catalog: FeedCatalog
                  ) -> Optional[tuple[dict[str, float], tuple[tuple[str, int], ...]]]:
     """The scores and the displayed items, or ``None`` if a run was killed.
 
-    A tree within the step budget cannot be killed, so it is scored in one
-    pass; a larger one is compiled once and run under the supervisor, feed by
-    feed.  Its accessors read the terminal columns at ``row``, the feed being
-    run.
+    Every tree is scored and counted in one pass (:func:`_score_feeds`):
+    the fill is killed exactly when some feed's run would evaluate more
+    than :data:`MAX_STEPS` nodes.  The pass scores every feed before the
+    kill is decided, so a terminal the catalog does not bind raises
+    :class:`ConfigurationError` whenever some feed reaches it, even in a
+    tree the budget kills.
     """
-    if tree.size <= MAX_STEPS:
-        values = _score_feeds(tree, catalog)
-    else:
-        program = compile_program(tree, {name: (lambda column=column: column[row])
-                                         for name, column in _feed_columns(catalog).items()})
-        values = []
-        for row in range(len(catalog.feeds)):
-            outcome = execute(program, MAX_STEPS)
-            if outcome.killed:
-                return None
-            values.append(outcome.value)
+    values, steps = _score_feeds(tree, catalog)
+    if max(steps, default=0) > MAX_STEPS:
+        return None
     scores = {feed.feed_id: float(value) for feed, value in zip(catalog.feeds, values)}
     # drop before sorting: a NaN score would break the sort for the others;
     # the sort is stable, so ties keep their catalog order

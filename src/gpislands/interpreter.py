@@ -11,9 +11,9 @@ One engine
 ----------
 :func:`compile_program` turns the whole tree into nested closures once and
 :func:`execute` runs them, so a caller running a tree many times compiles it
-once: the localisation task once per control pass, for every tick; the feed
-task, which scores its feeds in one pass of its own, only for a tree too
-large for the step budget, against accessors that read the feed being run.
+once: the localisation task once per control pass, for every tick.  The feed
+task runs no program here: it scores its feeds, and counts their steps
+against the budget, in one pass of its own.
 
 Terminals are bound when compiling: a bound terminal compiles to its
 accessor itself, so a run looks up no binding.  A terminal ``bindings``

@@ -34,13 +34,29 @@ def feed_sum(prims, size):
 
 
 def feed_edges(prims):
-    """The feed trees nearest the step budget, by the path a fill takes:
-    511 nodes, scored in one pass; 513 nodes whose ``if_greater`` skips a
-    leaf, so that every feed's run takes exactly 512 steps; and 513 nodes
-    without a branch, whose every run is killed."""
-    return {"one pass": feed_sum(prims, feed.MAX_STEPS - 1),
-            "walked": always(prims, feed_sum(prims, feed.MAX_STEPS - 3), feed_sum(prims, 1)),
+    """The feed trees nearest the step budget: 511 nodes, within it; 513
+    nodes whose ``if_greater`` skips a leaf, so that every feed's run takes
+    exactly 512 steps; and 513 nodes without a branch, whose every run is
+    killed."""
+    return {"within": feed_sum(prims, feed.MAX_STEPS - 1),
+            "skipping": always(prims, feed_sum(prims, feed.MAX_STEPS - 3), feed_sum(prims, 1)),
             "killed": feed_sum(prims, feed.MAX_STEPS + 1)}
+
+
+def feed_chain(kind, depth):
+    """Feed-program text ``depth`` nodes deep, nesting only in one child.
+
+    ``add`` nests through its first operand; ``if_greater`` (whose
+    condition always holds) through its taken branch, the deepest stack a
+    run can need per level.
+    """
+    text = "(unread_count)"
+    for _ in range(depth - 1):
+        if kind == "add":
+            text = f"(add {text} (unread_count))"
+        else:
+            text = f"(if_greater (unread_count) (const:Number -1.0) {text} (unread_count))"
+    return text
 
 
 def loc_requests(prims, size):

@@ -8,7 +8,7 @@ from collections import Counter
 
 import grower
 import pytest
-from sized import feed_edges, feed_sum
+from sized import always, feed_chain, feed_edges, feed_sum
 from walker import feed_environments, walk
 
 from gpislands import feed as feed_module
@@ -32,8 +32,8 @@ from gpislands.feed import (
     simulate_clicks,
 )
 from gpislands.evolution import crossover, mutate
-from gpislands.interpreter import compile_program, execute
 from gpislands.trees import (
+    DEPTH_CEILING,
     Category,
     ConfigurationError,
     Individual,
@@ -180,20 +180,6 @@ def fresh_copy(tree, prims):
 
 
 @pytest.fixture
-def execute_calls(monkeypatch):
-    calls = []
-    real = feed_module.execute
-
-    def counted(program, max_steps):
-        outcome = real(program, max_steps)
-        calls.append(outcome)
-        return outcome
-
-    monkeypatch.setattr(feed_module, "execute", counted)
-    return calls
-
-
-@pytest.fixture
 def fill_calls(monkeypatch):
     """Every screen fill computed, whichever path scored it."""
     calls = []
@@ -236,33 +222,38 @@ def test_other_inputs_recompute_the_fill(catalog, feed_prims, fill_calls):
     assert len(fill_calls) == before
 
 
-def test_a_killed_fill_is_memoised_as_the_empty_report(catalog, feed_prims,
-                                                       execute_calls):
+def test_a_killed_fill_is_memoised_as_the_empty_report(catalog, feed_prims, fill_calls):
     tree = feed_sum(feed_prims, MAX_STEPS + 1)
+    assert walker_fill(tree, catalog) is None
     assert run_feed_program(tree, catalog) == FeedReport()
-    assert [outcome.killed for outcome in execute_calls] == [True]  # the first feed
+    assert fill_calls == [None]
     assert run_feed_program(tree, catalog) == FeedReport()
-    assert len(execute_calls) == 1
+    assert fill_calls == [None]  # no second fill
 
 
-def test_the_step_budget_decides_at_its_edge(catalog, feed_prims, execute_calls):
+def test_the_step_budget_decides_at_its_edge(catalog, feed_prims):
+    """Each edge tree's fill, and each feed's step count, are the walker's."""
     trees = feed_edges(feed_prims)
     assert [tree.size for tree in trees.values()] == [511, 513, 513]
     want_scores = {feed.feed_id: 256.0 * 3.0 for feed in catalog.feeds}
-    assert run_feed_program(trees["one pass"], catalog).scores == want_scores
-    assert execute_calls == []
-    assert run_feed_program(trees["walked"], catalog).scores == {
+    assert run_feed_program(trees["within"], catalog).scores == want_scores
+    assert run_feed_program(trees["skipping"], catalog).scores == {
         feed_id: 255.0 * 3.0 for feed_id in want_scores}
-    assert execute_calls == [(False, 255.0 * 3.0, MAX_STEPS)] * len(catalog.feeds)
-    execute_calls.clear()
     assert run_feed_program(trees["killed"], catalog) == FeedReport()
-    assert execute_calls == [(True, None, MAX_STEPS)]
+    walked = {name: [walk(tree, env, MAX_STEPS) for env in feed_environments(catalog)]
+              for name, tree in trees.items()}
+    assert walked["within"] == [(False, 256.0 * 3.0, MAX_STEPS - 1)] * len(catalog.feeds)
+    assert walked["skipping"] == [(False, 255.0 * 3.0, MAX_STEPS)] * len(catalog.feeds)
+    assert walked["killed"] == [(True, None, MAX_STEPS)] * len(catalog.feeds)
+    for tree, want in zip(trees.values(), (MAX_STEPS - 1, MAX_STEPS, MAX_STEPS + 1)):
+        steps = feed_module._score_feeds(tree, catalog)[1]
+        assert steps == walked_steps(tree, catalog) == (want,) * len(catalog.feeds)
 
 
-def test_evaluator_fitness_matches_a_memo_free_reference(catalog, feed_prims,
-                                                         execute_calls, fill_calls):
+def test_evaluator_fitness_matches_a_memo_free_reference(catalog, feed_prims, fill_calls):
     """Repeated trees, as elitism, crossover fallbacks and migrants make them,
-    score the same as fresh copies, draw for draw, deep kills included."""
+    score the same as fresh copies, draw for draw, deep kills included, and
+    every fill is the walker's."""
     rng = random.Random(11)
     trees = [build_random_tree(feed_prims, depth, rng)
              for depth in (3, 5, 7, 9, 9, 9, 9, 9, 9) for _ in range(6)]
@@ -272,13 +263,13 @@ def test_evaluator_fitness_matches_a_memo_free_reference(catalog, feed_prims,
     reference = FeedEvaluator(catalog, user, random.Random(5))
     members = [Individual.from_tree(trees[i]) for i in order]
     got = [memoised.evaluate_report(m.tree) for m in members]
-    runs = len(execute_calls)
     fills = len(fill_calls)
+    assert None in fill_calls and fills < len(members)
     want = [reference.evaluate_report(fresh_copy(m.tree, feed_prims)) for m in members]
     assert got == want
-    assert len(fill_calls) - fills == len(members) > fills  # the reference ran every fill
-    assert len(execute_calls) - runs > runs
-    assert any(outcome.killed for outcome in execute_calls)
+    assert len(fill_calls) - fills == len(members)  # the reference ran every fill
+    for tree in {id(m.tree): m.tree for m in members}.values():
+        assert_same_fill(tree.memo[1], walker_fill(tree, catalog))
     assert [memoised(m) for m in members] == [reference(Individual.from_tree(
         fresh_copy(m.tree, feed_prims))) for m in members]
 
@@ -318,15 +309,15 @@ def test_one_pass_scoring_matches_the_per_feed_walker(catalog, feed_prims):
     rng = random.Random(2024)
     trees = [build_random_tree(feed_prims, depth, rng)
              for depth in range(3, 10) for _ in range(40)]
-    paths = {"one pass": 0, "walked": 0, "killed": 0}
+    paths = {"within": 0, "oversize": 0, "killed": 0}
     for tree in trees + list(feed_edges(feed_prims).values()):
         want = walker_fill(tree, catalog)
         assert_same_fill(feed_module._fill_screen(tree, catalog), want)
         if tree.size <= MAX_STEPS:
-            paths["one pass"] += 1
+            paths["within"] += 1
         else:
-            paths["killed" if want is None else "walked"] += 1
-    assert min(paths.values()) >= 3, paths  # 265 one pass, 15 walked, 3 killed
+            paths["killed" if want is None else "oversize"] += 1
+    assert min(paths.values()) >= 3, paths  # 265 within, 15 oversize, 3 killed
 
 
 BIG = "(mul (const:Number 1e200) (const:Number 1e200))"  # inf
@@ -395,6 +386,153 @@ def test_one_pass_scoring_refuses_an_unknown_lazy_kind(catalog, feed_prims):
 
 
 # ---------------------------------------------------------------------------
+# step counts: trees larger than the step budget against the walker
+
+def walked_steps(tree, catalog):
+    """The nodes each feed's walk of ``tree`` evaluates when no budget stops
+    it (a walk never evaluates more than the whole tree)."""
+    return tuple(walk(tree, env, tree.size).steps_used for env in feed_environments(catalog))
+
+
+def assert_counted_as_walked(tree, catalog):
+    """``tree``'s fill is the walker's, kill and every bit of every score,
+    and its counts are each feed's unbudgeted walk; returns the fill."""
+    assert tree.size > MAX_STEPS
+    fill = feed_module._fill_screen(tree, catalog)
+    assert_same_fill(fill, walker_fill(tree, catalog))
+    steps = walked_steps(tree, catalog)
+    assert feed_module._score_feeds(tree, catalog)[1] == steps
+    assert (fill is None) is (max(steps) > MAX_STEPS)
+    return fill
+
+
+def test_the_counts_match_the_walker_on_every_oversize_tree(catalog, feed_prims):
+    """Depth-9 growth, the same trees with an infinite or NaN subtree grafted
+    in, the edge trees and chains at the depth ceiling: each oversize fill
+    and each feed's count are the walker's."""
+    rng = random.Random(99)
+    grown = [tree for tree in (build_random_tree(feed_prims, 9, rng) for _ in range(160))
+             if tree.size > MAX_STEPS]
+    grafts = [deserialize(text, feed_prims) for text in (
+        BIG, NAN, f"(mul (is_engadget) {BIG})", "(mul (const:Number -0.0) (unread_count))")]
+    grafted = [replace_subtree(tree, rng.randrange(1, tree.size), rng.choice(grafts))
+               for tree in grown]
+    edges = feed_edges(feed_prims)
+    chains = [deserialize(feed_chain("if_greater", DEPTH_CEILING), feed_prims),
+              always(feed_prims, deserialize(feed_chain("add", DEPTH_CEILING - 1), feed_prims),
+                     feed_sum(feed_prims, MAX_STEPS + 1))]
+    assert [chain.depth for chain in chains] == [DEPTH_CEILING] * 2
+    outcomes = Counter()
+    uneven = 0
+    for tree in grown + grafted + [edges["skipping"], edges["killed"]] + chains:
+        if tree.size <= MAX_STEPS:
+            continue
+        fill = assert_counted_as_walked(tree, catalog)
+        outcomes["killed" if fill is None else "scored"] += 1
+        if fill is not None and not all(map(math.isfinite, fill[0].values())):
+            outcomes["non-finite"] += 1
+        uneven += len(set(walked_steps(tree, catalog))) > 1
+    assert min(outcomes.values()) >= 2 and outcomes["killed"] < outcomes["scored"], outcomes
+    assert uneven >= 2  # feeds split by if_greater took different counts
+
+
+@pytest.mark.parametrize("kind", ["add", "if_greater"])
+def test_a_chain_at_the_depth_ceiling_counts_as_walked(catalog, feed_prims, kind):
+    """A chain 200 nodes deep is scored without a ``RecursionError`` and
+    counts each feed's walk: the ``add`` chain's 399 steps are within the
+    budget, the ``if_greater`` chain's 598 (of 797 nodes) over it."""
+    tree = deserialize(feed_chain(kind, DEPTH_CEILING), feed_prims)
+    values, steps = feed_module._score_feeds(tree, catalog)
+    assert steps == walked_steps(tree, catalog)
+    assert steps[0] == {"add": 2 * DEPTH_CEILING - 1,
+                        "if_greater": 3 * (DEPTH_CEILING - 1) + 1}[kind]
+    assert [repr(v) for v in values] == [repr(walk(tree, env, tree.size).value)
+                                         for env in feed_environments(catalog)]
+    assert_same_fill(feed_module._fill_screen(fresh_copy(tree, feed_prims), catalog),
+                     walker_fill(tree, catalog))
+
+
+def test_an_oversize_tree_reading_an_unbound_terminal_raises():
+    """In a tree larger than the budget an unbound terminal raises when some
+    feed reaches it, as in a smaller tree, and a branch no feed takes stays
+    unread.  The pass scores every feed before the fill decides the kill, so
+    a killed tree raises too, where the walker stops at the budget first."""
+    wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
+    narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
+    prims = feed_primitives(wide)
+
+    def oversize(text, before):
+        """``text`` added to a sum of ``before`` nodes, behind an untaken
+        branch that makes the tree larger than the budget."""
+        then = ProgramTree(prims.kind("add"), (feed_sum(prims, before), deserialize(text, prims)))
+        return always(prims, then, feed_sum(prims, MAX_STEPS + 1))
+
+    reached = ["(is_c)",
+               "(if_greater (is_a) (const:Number 0.5) (is_c) (const:Number 1.0))",
+               "(if_greater (is_a) (const:Number 0.5) (const:Number 1.0) (is_c))"]
+    hidden = ["(if_greater (const:Number 0.0) (const:Number 1.0) (is_c) (is_b))",
+              "(if_greater (is_a) (const:Number 2.0) (is_c) (unread_count))"]
+    for text in reached:
+        tree = oversize(text, 101)
+        for fill in (feed_module._fill_screen, walker_fill):
+            with pytest.raises(ConfigurationError, match="is_c"):
+                fill(tree, narrow)
+        killed = oversize(text, MAX_STEPS + 1)
+        assert walker_fill(killed, narrow) is None
+        with pytest.raises(ConfigurationError, match="is_c"):
+            feed_module._fill_screen(killed, narrow)
+    for text in hidden:
+        for before in (101, MAX_STEPS + 1):
+            tree = oversize(text, before)
+            assert_same_fill(feed_module._fill_screen(tree, narrow), walker_fill(tree, narrow))
+
+
+@pytest.mark.parametrize("first", ["oversize", "small"])
+def test_records_cross_between_oversize_and_small_trees(catalog, feed_prims, first):
+    """A subtree whose feeds take different counts, scored first inside a
+    tree larger than the budget and then inside one within it, gives the
+    walker's values and counts in both, and so does the reverse order."""
+    rng = random.Random(5)
+    shared = next(tree for tree in iter(lambda: build_random_tree(feed_prims, 8, rng), None)
+                  if 100 < tree.size < MAX_STEPS // 2
+                  and len(set(walked_steps(tree, catalog))) > 1)
+    add = feed_prims.kind("add")
+    oversize = ProgramTree(add, (shared, feed_sum(feed_prims, MAX_STEPS - 1)))
+    small = ProgramTree(feed_prims.kind("sub"), (shared, const_program(feed_prims, 1.0)))
+    trees = {"oversize": oversize, "small": small}
+    order = [first, "small" if first == "oversize" else "oversize"]
+    for name in order:
+        tree = trees[name]
+        assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
+        assert is_warm(shared, catalog)
+        values, steps = feed_module._score_feeds(shared, catalog)
+        assert values is shared.record[1]
+        assert [repr(v) for v in values] == [
+            repr(walk(shared, env, shared.size).value) for env in feed_environments(catalog)]
+        assert steps == walked_steps(shared, catalog)
+        assert feed_module._score_feeds(tree, catalog)[1] == walked_steps(tree, catalog)
+
+
+def test_an_oversize_child_reads_the_counts_its_parent_recorded(catalog, feed_prims):
+    """Once a tree's counts are recorded, a child breeding made from the
+    tree evaluates only the ancestors breeding rebuilt."""
+    calls = []
+    parent = labelled(feed_sum(feed_prims, MAX_STEPS + 1), calls)
+    killed = (MAX_STEPS + 1,) * len(catalog.feeds)
+    assert feed_module._score_feeds(parent, catalog)[1] == killed
+    assert len(calls) == len(catalog.feeds) * (parent.size // 2)
+    for index, (node, above) in enumerate(with_ancestors(parent)):
+        if node.children:
+            continue
+        child = replace_subtree(parent, index, const_program(feed_prims, 0.5))
+        calls.clear()
+        assert feed_module._score_feeds(child, catalog)[1] == killed
+        assert Counter(calls) == {a.kind.name: len(catalog.feeds) for a in above}
+        if index > 40:
+            break
+
+
+# ---------------------------------------------------------------------------
 # per-node records: a bred child is scored only where breeding changed it
 
 def is_warm(node, catalog):
@@ -453,12 +591,15 @@ def test_bred_lineages_score_as_fresh_copies_and_the_walker(catalog):
 
     def score(tree):
         """The one pass, whatever the tree's size, against a record-free
-        copy and a walk that no budget stops."""
-        got = [repr(value) for value in feed_module._score_feeds(tree, catalog)]
-        fresh = feed_module._score_feeds(fresh_copy(tree, prims), catalog)
-        assert got == [repr(value) for value in fresh]
-        assert got == [repr(walk(tree, env, tree.size).value)
-                       for env in feed_environments(catalog)]
+        copy and a walk that no budget stops: each value bit for bit, and
+        each feed's count."""
+        values, steps = feed_module._score_feeds(tree, catalog)
+        fresh_values, fresh_steps = feed_module._score_feeds(fresh_copy(tree, prims), catalog)
+        got = [repr(value) for value in values]
+        assert got == [repr(value) for value in fresh_values] and steps == fresh_steps
+        walks = [walk(tree, env, tree.size) for env in feed_environments(catalog)]
+        assert got == [repr(walked.value) for walked in walks]
+        assert steps == tuple(walked.steps_used for walked in walks)
 
     parents = [build_random_tree(prims, 9, rng) for _ in range(6)]
     for tree in parents:
@@ -536,11 +677,10 @@ def test_a_child_evaluates_only_the_ancestors_breeding_rebuilt(catalog, feed_pri
 
     def evaluated(tree, catalog):
         calls.clear()
-        values = feed_module._score_feeds(tree, catalog)
+        values, _ = feed_module._score_feeds(tree, catalog)
         counts = Counter(calls)
         for got, env in zip(values, feed_environments(catalog)):
-            assert repr(got) == repr(
-                execute(compile_program(tree, env), tree.size).value)
+            assert repr(got) == repr(walk(tree, env, tree.size).value)
         return counts
 
     assert evaluated(parent, catalog) == everything
@@ -571,7 +711,7 @@ def test_only_branches_every_feed_reaches_keep_a_record(catalog, feed_prims):
     assert [branch.record for branch in split.children[2:]] == [None, None]
     assert is_warm(whole.children[2], catalog) and whole.children[3].record is None
     assert all(node.record is None for node, _ in iter_nodes(tree) if not node.children)
-    values = feed_module._score_feeds(tree, catalog)
+    values, _ = feed_module._score_feeds(tree, catalog)
     assert tree.record[1] is values and isinstance(values, tuple)
 
 

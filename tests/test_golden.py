@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from walker import feed_environments, walk
 
 import gpislands
 from gpislands import feed
@@ -75,18 +76,23 @@ def test_golden_digests(name, tmp_path):
 
 
 def test_deep_cell_exercises_supervisor_kills(tmp_path, monkeypatch):
-    """The deep golden only guards the kill path if kills actually happen."""
-    kills = []
-    real_execute = feed.execute
+    """The deep golden only guards the kill path if kills actually happen:
+    some screen fills are killed, and the walker kills each of them too."""
+    killed = []
+    real_fill = feed._fill_screen
 
-    def counting(*args, **kwargs):
-        outcome = real_execute(*args, **kwargs)
-        kills.append(outcome.killed)
-        return outcome
+    def watched(tree, catalog):
+        fill = real_fill(tree, catalog)
+        if fill is None:
+            killed.append((tree, catalog))
+        return fill
 
-    monkeypatch.setattr(feed, "execute", counting)
+    monkeypatch.setattr(feed, "_fill_screen", watched)
     _run("feed-deep-kills", tmp_path)
-    assert any(kills)
+    assert killed
+    for tree, catalog in killed:
+        assert any(walk(tree, env, feed.MAX_STEPS).killed
+                   for env in feed_environments(catalog))
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1"])

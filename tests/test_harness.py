@@ -393,6 +393,9 @@ def test_cli_unusable_strategy_exits_2(tmp_path, capsys, selectors, steps):
     pytest.param("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}],
                                       "click_prob": {"a": 10**400}}), id="feed-click_prob-huge"),
     ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}], "click_prob": {"a": "0.5"}})),
+    # an unread count the unread_count terminal cannot read as a float
+    pytest.param("feed", json.dumps({"feeds": [{"id": "a", "group": "tech", "unread": 10**400}]}),
+                 id="feed-unread-huge"),
     ("feed", json.dumps({"feeds": [{"id": "a", "group": "tech"}], "click_prob": {"a": True}})),
     # ids must be strings that can name the terminal is_<id> in tree text
     ("feed", json.dumps({"feeds": [{"id": ["a"], "group": "tech"}]})),

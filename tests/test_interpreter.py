@@ -5,7 +5,7 @@ import random
 
 import grower
 import pytest
-from sized import feed_edges
+from sized import feed_chain, feed_edges
 from walker import feed_environments, walk
 
 from gpislands import feed as feed_module
@@ -225,36 +225,31 @@ def test_compiled_matches_walker_on_feed_trees(feed_prims, max_steps):
     assert min(sizes) <= max_steps < max(sizes)
 
 
-def test_the_oversize_fill_runs_each_feed_as_the_walker_does(feed_prims, monkeypatch):
-    """A tree larger than the budget is compiled once, against accessors that
-    read the feed being run; each feed's run gives the value or the kill of a
-    walk of the tree against that feed's own bindings, and the fill stops at
-    the first kill."""
+def test_the_oversize_fill_runs_each_feed_as_the_walker_does(feed_prims):
+    """A tree larger than the budget is scored in the one pass, with no
+    program compiled or run; each feed gets the value of a walk of the tree
+    against that feed's own bindings, and its count is the steps of that
+    walk, so the fill is killed exactly when some feed's walk is."""
+    assert not hasattr(feed_module, "compile_program")
     catalog = default_catalog()
     per_feed = feed_environments(catalog)
     assert len(per_feed) == 7
     max_steps = feed_module.MAX_STEPS
     edges = feed_edges(feed_prims)
-    compiles, runs = [], []
-    monkeypatch.setattr(feed_module, "compile_program",
-                        lambda *args: compiles.append(args) or compile_program(*args))
-    monkeypatch.setattr(feed_module, "execute",
-                        lambda *args: runs.append(execute(*args)) or runs[-1])
     oversize = kills = 0
-    for tree in random_trees(feed_prims, 14) + [edges["walked"], edges["killed"]]:
+    for tree in random_trees(feed_prims, 14) + [edges["skipping"], edges["killed"]]:
         if tree.size <= max_steps:
             continue
         oversize += 1
-        compiles.clear()
-        runs.clear()
         fill = feed_module._fill_screen(tree, catalog)
-        assert len(compiles) == 1
         walked = [walk(tree, bindings, max_steps) for bindings in per_feed]
-        first_kill = next((i for i, o in enumerate(walked) if o.killed), None)
-        assert len(runs) == (7 if first_kill is None else first_kill + 1)
-        for ran, want in zip(runs, walked):
-            assert_same_outcome(ran, want)
-        if first_kill is None:
+        steps = feed_module._score_feeds(tree, catalog)[1]
+        assert list(steps) == [walk(tree, bindings, tree.size).steps_used
+                               for bindings in per_feed]
+        for count, want in zip(steps, walked):
+            assert want.killed is (count > max_steps)
+            assert want.steps_used == min(count, max_steps)
+        if not any(want.killed for want in walked):
             scores = fill[0]
             for feed, want in zip(catalog.feeds, walked):
                 assert same_value(scores[feed.feed_id], float(want.value))
@@ -344,15 +339,6 @@ def test_a_kill_at_the_edge_of_the_budget_matches_the_walker(branch_prims):
 # ---------------------------------------------------------------------------
 # trees at the depth ceiling
 
-def feed_chain(depth):
-    """A feed program ``depth`` deep whose ``if_greater`` always takes the
-    branch that nests, the deepest stack a run can need per level."""
-    text = "(unread_count)"
-    for _ in range(depth - 1):
-        text = f"(if_greater (unread_count) (const:Number -1.0) {text} (unread_count))"
-    return text
-
-
 def loc_chain(depth):
     """The same for localisation: the innermost ``seq`` enables cell and asks
     for a fix, so a completed run earns a trace."""
@@ -364,7 +350,7 @@ def loc_chain(depth):
 
 def test_a_chain_at_the_depth_ceiling_runs_in_both_tasks(feed_prims, loc_prims):
     catalog = default_catalog()
-    feed_tree = deserialize(feed_chain(DEPTH_CEILING), feed_prims)
+    feed_tree = deserialize(feed_chain("if_greater", DEPTH_CEILING), feed_prims)
     loc_tree = deserialize(loc_chain(DEPTH_CEILING), loc_prims)
     assert feed_tree.depth == loc_tree.depth == DEPTH_CEILING
     assert feed_tree.size == 797 > feed_module.MAX_STEPS
@@ -377,8 +363,12 @@ def test_a_chain_at_the_depth_ceiling_runs_in_both_tasks(feed_prims, loc_prims):
         completed = execute(program, 10**6)
         assert not completed.killed
         assert_same_outcome(completed, walk(tree, bindings, 10**6))
-    # at the tasks' own budgets, a run down the chain is killed at once
+    # at the tasks' own budgets, a run down the chain is killed at once: the
+    # feed task's one pass descends the whole chain to count each feed's
+    # steps, and the fill's kill is the walker's
+    assert [walk(feed_tree, env, feed_module.MAX_STEPS).killed
+            for env in feed_environments(catalog)] == [True] * len(catalog.feeds)
     assert feed_module._fill_screen(feed_tree, catalog) is None
+    assert feed_module._score_feeds(feed_tree, catalog)[1] == tuple(
+        walk(feed_tree, env, 10**6).steps_used for env in feed_environments(catalog))
     assert localisation_module._control_trace(loc_tree, WorldConfig()) == ()
-    # the one pass has no budget and scores the chain for every feed
-    assert len(feed_module._score_feeds(feed_tree, catalog)) == len(catalog.feeds)

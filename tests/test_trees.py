@@ -6,6 +6,7 @@ import re
 import grower
 import pytest
 from reference_tree import mirror
+from sized import feed_chain
 from walker import feed_environments, walk
 
 from gpislands import feed as feed_module
@@ -638,37 +639,24 @@ def test_deserialize_enforces_max_depth(geo_prims):
         deserialize(nested, geo_prims, max_depth=9)
 
 
-def chain_text(kind, depth):
-    """Feed-program text ``depth`` nodes deep, nesting only in one child.
-
-    ``add`` recurses through its first operand; ``if_greater`` (whose
-    condition always holds) through its taken branch, which costs the
-    recursive interpreter the most stack per level.
-    """
-    text = "(unread_count)"
-    for _ in range(depth - 1):
-        if kind == "add":
-            text = f"(add {text} (unread_count))"
-        else:
-            text = f"(if_greater (unread_count) (const:Number -1.0) {text} (unread_count))"
-    return text
-
-
 @pytest.mark.parametrize("kind", ["add", "if_greater"])
 def test_deserialize_without_bound_stops_at_the_ceiling(feed_prims, kind):
     catalog = default_catalog()
-    text = chain_text(kind, DEPTH_CEILING)
+    text = feed_chain(kind, DEPTH_CEILING)
     tree = deserialize(text, feed_prims)
     assert tree.depth == DEPTH_CEILING
     assert serialize(tree) == text
-    assert len(feed_module._score_feeds(tree, catalog)) == len(catalog.feeds)
+    values, steps = feed_module._score_feeds(tree, catalog)
+    assert len(values) == len(catalog.feeds)
     env = feed_environments(catalog)[0]
     walked = walk(tree, env, 10 * tree.size)
     compiled = execute(compile_program(tree, env), 10 * tree.size)
     assert not walked.killed
     assert (walked.value, walked.steps_used) == (compiled.value, compiled.steps_used)
+    # the one pass counts the walk's steps: every feed's walk takes the same
+    assert steps == (walked.steps_used,) * len(catalog.feeds)
     with pytest.raises(TreeValidationError):
-        deserialize(chain_text(kind, DEPTH_CEILING + 1), feed_prims)
+        deserialize(feed_chain(kind, DEPTH_CEILING + 1), feed_prims)
 
 
 def test_a_node_keeps_the_hash_the_dataclass_would_generate(feed_prims, loc_prims):
@@ -689,10 +677,10 @@ def test_a_node_keeps_the_hash_the_dataclass_would_generate(feed_prims, loc_prim
 
 @pytest.mark.parametrize("kind", ["add", "if_greater"])
 def test_a_chain_at_the_ceiling_hashes(feed_prims, kind):
-    tree = deserialize(chain_text(kind, DEPTH_CEILING), feed_prims)
+    tree = deserialize(feed_chain(kind, DEPTH_CEILING), feed_prims)
     assert tree.depth == DEPTH_CEILING
     assert hash(tree) == hash((tree.kind, tree.children, tree.value))
-    assert hash(deserialize(chain_text(kind, DEPTH_CEILING), feed_prims)) == hash(tree)
+    assert hash(deserialize(feed_chain(kind, DEPTH_CEILING), feed_prims)) == hash(tree)
 
 
 def test_wrong_root_sort_rejected(geo_prims, loc_prims):
