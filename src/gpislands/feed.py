@@ -34,12 +34,16 @@ evaluates those ancestors, and below them only the branches that some feeds
 alone reach.  The values and counts depend on nothing but the subtree and
 the columns, and a record is never mutated, only replaced.
 
-The screen fill is a pure function of the tree and the catalog, so
-:func:`run_feed_program` memoises it on the tree's root node
-(``ProgramTree.memo``) together with the catalog.
-Elite copies, crossover fallbacks and immigrants share their tree object
-with one already scored, and their fill is not run again.  The clicks are
-never memoised: every evaluation draws them afresh from the evaluator's rng.
+The screen fill is a pure function of the tree and the catalog, so it is
+memoised on the tree's root node (``ProgramTree.memo``) together with the
+catalog (:func:`_memoised_fill`).  Elite copies, crossover fallbacks and
+immigrants share their tree object with one already scored, and their fill
+is not run again.  :class:`FeedEvaluator` reads the memoised fill directly
+and builds no report.  The clicks are never memoised: every evaluation draws
+them afresh from the evaluator's rng.  :class:`FeedReport`, built by
+:func:`run_feed_program` and :func:`simulate_clicks` and scored by
+:func:`feed_fitness`, holds the same screen, clicks and fitness for the demo
+and the tests to read.
 """
 
 from __future__ import annotations
@@ -350,19 +354,28 @@ def run_feed_program(tree: ProgramTree, catalog: FeedCatalog) -> FeedReport:
     """Score every feed with ``tree`` and fill the screen round-robin.
 
     Feeds scoring <= 0 contribute nothing.  Ties rank by catalog position.
-    If some feed's run would be killed, the whole report is empty.  The fill is
-    memoised on ``tree`` for the last catalog it was computed for; every
-    call returns a fresh report.
+    If some feed's run would be killed, the whole report is empty.  The fill
+    comes from :func:`_memoised_fill`; every call returns a fresh report.
+    The demo and the tests read reports; evolution scores through
+    :class:`FeedEvaluator`, which builds none.
     """
-    memo = tree.memo
-    if memo is None or memo[0] != catalog:
-        memo = (catalog, _fill_screen(tree, catalog))
-        tree.memo = memo
-    fill = memo[1]
+    fill = _memoised_fill(tree, catalog)
     if fill is None:  # killed
         return FeedReport()
     scores, displayed = fill
     return FeedReport(scores=dict(scores), displayed=list(displayed))
+
+
+def _memoised_fill(tree: ProgramTree, catalog: FeedCatalog
+                   ) -> Optional[tuple[dict[str, float], tuple[tuple[str, int], ...]]]:
+    """:func:`_fill_screen` of ``tree`` and ``catalog``, memoised on ``tree``
+    for the last catalog it was computed for.  The fill is shared: callers
+    must not mutate it."""
+    memo = tree.memo
+    if memo is None or memo[0] != catalog:
+        memo = (catalog, _fill_screen(tree, catalog))
+        tree.memo = memo
+    return memo[1]
 
 
 def _fill_screen(tree: ProgramTree, catalog: FeedCatalog
@@ -416,21 +429,34 @@ def feed_fitness(report: FeedReport) -> float:
 
 
 class FeedEvaluator:
-    """Fitness callback: one screen fill plus one simulated reading session."""
+    """Fitness callback: one screen fill plus one simulated reading session.
+
+    It scores straight from the memoised fill, with no :class:`FeedReport`:
+    one ``rng.random()`` per displayed item, in display order, a feed the
+    user never clicks included, against the user's probability for that
+    feed, looked up in a table built once from ``user.probability`` over the
+    catalog's feeds.  The fitness is :func:`feed_fitness`'s expression, and
+    a killed fill or an empty screen scores 0.0 and draws nothing, so every
+    evaluation's fitness and rng state are those of :func:`run_feed_program`,
+    :func:`simulate_clicks` and :func:`feed_fitness` in turn.
+    """
 
     def __init__(self, catalog: FeedCatalog, user: UserModel, rng: random.Random) -> None:
         self.catalog = catalog
-        self.user = user
         self.rng = rng
-
-    def evaluate_report(self, tree: ProgramTree) -> tuple[float, FeedReport]:
-        report = run_feed_program(tree, self.catalog)
-        simulate_clicks(report, self.user, self.rng)
-        return feed_fitness(report), report
+        self.click_prob = {feed.feed_id: user.probability(feed.feed_id)
+                           for feed in catalog.feeds}
 
     def __call__(self, member: Individual) -> float:
-        fitness, _ = self.evaluate_report(member.tree)
-        return fitness
+        fill = _memoised_fill(member.tree, self.catalog)
+        if fill is None:  # killed
+            return 0.0
+        displayed = fill[1]
+        if not displayed:
+            return 0.0
+        draw, click_prob = self.rng.random, self.click_prob
+        clicked = [draw() < click_prob[feed_id] for feed_id, _ in displayed].count(True)
+        return min(len(displayed) / SCREEN_SIZE, 1.0) * (clicked / len(displayed))
 
 
 # ---------------------------------------------------------------------------

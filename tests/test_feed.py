@@ -179,6 +179,13 @@ def fresh_copy(tree, prims):
     return deserialize(serialize(tree), prims)
 
 
+def report_fitness(tree, catalog, user, rng):
+    """The report path an evaluation is held to: fill the screen, draw the
+    clicks and score the report, drawing from ``rng``."""
+    report = simulate_clicks(run_feed_program(tree, catalog), user, rng)
+    return feed_fitness(report), report
+
+
 @pytest.fixture
 def fill_calls(monkeypatch):
     """Every screen fill computed, whichever path scored it."""
@@ -252,26 +259,77 @@ def test_the_step_budget_decides_at_its_edge(catalog, feed_prims):
 
 def test_evaluator_fitness_matches_a_memo_free_reference(catalog, feed_prims, fill_calls):
     """Repeated trees, as elitism, crossover fallbacks and migrants make them,
-    score the same as fresh copies, draw for draw, deep kills included, and
-    every fill is the walker's."""
+    score as the report path scores fresh copies, draw for draw, deep kills
+    included, and every fill is the walker's."""
     rng = random.Random(11)
     trees = [build_random_tree(feed_prims, depth, rng)
              for depth in (3, 5, 7, 9, 9, 9, 9, 9, 9) for _ in range(6)]
     order = [rng.randrange(len(trees)) for _ in range(4 * len(trees))]
     user = homogeneous_user(catalog)
     memoised = FeedEvaluator(catalog, user, random.Random(5))
-    reference = FeedEvaluator(catalog, user, random.Random(5))
+    reference = random.Random(5)
     members = [Individual.from_tree(trees[i]) for i in order]
-    got = [memoised.evaluate_report(m.tree) for m in members]
+    got = [memoised(m) for m in members]
     fills = len(fill_calls)
     assert None in fill_calls and fills < len(members)
-    want = [reference.evaluate_report(fresh_copy(m.tree, feed_prims)) for m in members]
+    want = [report_fitness(fresh_copy(m.tree, feed_prims), catalog, user, reference)[0]
+            for m in members]
     assert got == want
+    assert memoised.rng.getstate() == reference.getstate()
     assert len(fill_calls) - fills == len(members)  # the reference ran every fill
     for tree in {id(m.tree): m.tree for m in members}.values():
         assert_same_fill(tree.memo[1], walker_fill(tree, catalog))
-    assert [memoised(m) for m in members] == [reference(Individual.from_tree(
-        fresh_copy(m.tree, feed_prims))) for m in members]
+
+
+#: Readers of the differential test below; ``sparse`` leaves four feeds out
+#: of its ``click_prob``, so it never clicks them, and every item of theirs
+#: on the screen still takes its draw.
+USERS = {
+    "homo": homogeneous_user(default_catalog()),
+    "hetero-0": landscape_user(default_catalog(), "hetero", 0),
+    "hetero-1": landscape_user(default_catalog(), "hetero", 1),
+    "sparse": UserModel({"techcrunch": 0.8, "engadget": 0.6, "breakvideos": 0.3}),
+}
+
+
+@pytest.mark.parametrize("name", USERS)
+def test_the_evaluator_scores_and_draws_as_the_report_path(catalog, feed_prims, name):
+    """After every evaluation the fitness is the report path's bit for bit,
+    and the evaluator's rng is where the report path leaves its own, over
+    random trees of depth 2 to 9, kills, NaN and inf scores, empty screens
+    and trees memoised for one catalog and then evaluated on another."""
+    user = USERS[name]
+    rng = random.Random("differential")
+    trees = [build_random_tree(feed_prims, depth, rng)
+             for depth in range(2, 10) for _ in range(8)]
+    grown = len(trees)
+    trees += [feed_sum(feed_prims, MAX_STEPS + 1)]  # killed
+    trees += [deserialize(text, feed_prims)
+              for text in (BIG, NAN, f"(mul (is_engadget) {BIG})")]
+    order = list(range(len(trees))) + [rng.randrange(len(trees))
+                                       for _ in range(3 * len(trees))]
+    catalogs = (catalog, default_catalog(unread=5))
+    evaluators = [FeedEvaluator(each, user, random.Random(7)) for each in catalogs]
+    references = [random.Random(7) for _ in catalogs]
+    seen = Counter()
+    for i in order:
+        tree = trees[i]
+        side = rng.randrange(len(catalogs))
+        seen["switched"] += tree.memo is not None and tree.memo[0] != catalogs[side]
+        got = evaluators[side](Individual.from_tree(tree))
+        want, report = report_fitness(fresh_copy(tree, feed_prims), catalogs[side],
+                                      user, references[side])
+        assert got.hex() == want.hex()
+        assert evaluators[side].rng.getstate() == references[side].getstate()
+        seen["killed"] += tree.memo[1] is None
+        seen["grown and killed"] += i < grown and tree.memo[1] is None
+        seen["empty"] += tree.memo[1] is not None and not report.displayed
+        seen["non-finite"] += not all(map(math.isfinite, report.scores.values()))
+        seen["never clicked"] += sum(user.probability(feed_id) == 0.0
+                                     for feed_id, _ in report.displayed)
+    assert all(seen[key] > 0 for key in ("switched", "killed", "grown and killed", "empty",
+                                         "non-finite")), seen
+    assert (seen["never clicked"] > 0) == (name == "sparse"), seen
 
 
 # ---------------------------------------------------------------------------
@@ -778,10 +836,8 @@ def test_evaluator_is_seed_deterministic(catalog, feed_prims):
     member = Individual.from_tree(tree)
     a = FeedEvaluator(catalog, homogeneous_user(catalog), random.Random("e"))(member)
     b = FeedEvaluator(catalog, homogeneous_user(catalog), random.Random("e"))(member)
-    assert a == b
-    fitness, report = FeedEvaluator(catalog, homogeneous_user(catalog),
-                                    random.Random("e")).evaluate_report(tree)
-    assert fitness == feed_fitness(report)
+    assert a == b == report_fitness(tree, catalog, homogeneous_user(catalog),
+                                    random.Random("e"))[0]
 
 
 # ---------------------------------------------------------------------------
