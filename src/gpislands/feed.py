@@ -36,11 +36,22 @@ the columns, and a record is never mutated, only replaced.
 
 The screen fill is a pure function of the tree and the catalog, so it is
 memoised on the tree's root node (``ProgramTree.memo``) together with the
-catalog (:func:`_memoised_fill`).  Elite copies, crossover fallbacks and
-immigrants share their tree object with one already scored, and their fill
-is not run again.  :class:`FeedEvaluator` reads the memoised fill directly
-and builds no report.  The clicks are never memoised: every evaluation draws
-them afresh from the evaluator's rng.  :class:`FeedReport`, built by
+catalog (:func:`_memoised_fill`), as the scores (the root's own tuple of
+values, in catalog order) and the displayed items.  Elite copies, crossover
+fallbacks and immigrants share their tree object with one already scored,
+and their fill is not run again.
+
+The displayed items depend on the scores only through the ranking: the
+catalog indices of the feeds scoring above zero, best first, ties in
+catalog order.  Many trees rank the feeds alike, so the round-robin runs
+once per distinct catalog and ranking (:func:`_screen`), in a bounded
+cache shared by every tree, and each fill only ranks its scores.  A cached
+screen is a tuple of ``(feed_id, k)`` pairs that every screen of the
+catalog shares (:func:`_feed_items`).
+
+:class:`FeedEvaluator` reads the memoised fill directly and builds no
+report.  The clicks are never memoised: every evaluation draws them afresh
+from the evaluator's rng.  :class:`FeedReport`, built by
 :func:`run_feed_program` and :func:`simulate_clicks` and scored by
 :func:`feed_fitness`, holds the same screen, clicks and fitness for the demo
 and the tests to read.
@@ -362,15 +373,22 @@ def run_feed_program(tree: ProgramTree, catalog: FeedCatalog) -> FeedReport:
     fill = _memoised_fill(tree, catalog)
     if fill is None:  # killed
         return FeedReport()
-    scores, displayed = fill
-    return FeedReport(scores=dict(scores), displayed=list(displayed))
+    values, displayed = fill
+    return FeedReport(
+        scores={feed.feed_id: float(value) for feed, value in zip(catalog.feeds, values)},
+        displayed=list(displayed))
 
 
-def _memoised_fill(tree: ProgramTree, catalog: FeedCatalog
-                   ) -> Optional[tuple[dict[str, float], tuple[tuple[str, int], ...]]]:
+#: A screen fill: each feed's score in catalog order, and the items shown.
+Fill = tuple[Sequence, tuple[tuple[str, int], ...]]
+
+
+def _memoised_fill(tree: ProgramTree, catalog: FeedCatalog) -> Optional[Fill]:
     """:func:`_fill_screen` of ``tree`` and ``catalog``, memoised on ``tree``
-    for the last catalog it was computed for.  The fill is shared: callers
-    must not mutate it."""
+    for the last catalog it was computed for, as ``(values, displayed)`` or
+    ``None`` when killed.  The fill is shared, its values with the root's
+    record and its screen with every tree of the same ranking: callers must
+    not mutate it."""
     memo = tree.memo
     if memo is None or memo[0] != catalog:
         memo = (catalog, _fill_screen(tree, catalog))
@@ -378,8 +396,7 @@ def _memoised_fill(tree: ProgramTree, catalog: FeedCatalog
     return memo[1]
 
 
-def _fill_screen(tree: ProgramTree, catalog: FeedCatalog
-                 ) -> Optional[tuple[dict[str, float], tuple[tuple[str, int], ...]]]:
+def _fill_screen(tree: ProgramTree, catalog: FeedCatalog) -> Optional[Fill]:
     """The scores and the displayed items, or ``None`` if a run was killed.
 
     Every tree is scored and counted in one pass (:func:`_score_feeds`):
@@ -388,29 +405,57 @@ def _fill_screen(tree: ProgramTree, catalog: FeedCatalog
     kill is decided, so a terminal the catalog does not bind raises
     :class:`ConfigurationError` whenever some feed reaches it, even in a
     tree the budget kills.
+
+    The scores are the pass's own tuple of values, not copied.  The screen
+    is :func:`_screen` of the ranking: the indices of the feeds scoring
+    above zero, best first.  A NaN score drops out (``NaN > 0.0`` is
+    false) before the sort, where it would misrank the others, and the sort
+    is stable, ``reverse`` included, so ties keep their catalog order.
     """
     values, steps = _score_feeds(tree, catalog)
     if max(steps, default=0) > MAX_STEPS:
         return None
-    scores = {feed.feed_id: float(value) for feed, value in zip(catalog.feeds, values)}
-    # drop before sorting: a NaN score would break the sort for the others;
-    # the sort is stable, so ties keep their catalog order
-    ranked = sorted((f for f in catalog.feeds if scores[f.feed_id] > 0.0),
-                    key=lambda f: -scores[f.feed_id])
-    cursors = {f.feed_id: 0 for f in ranked}
+    ranking = tuple(sorted([i for i, value in enumerate(values) if value > 0.0],
+                           key=values.__getitem__, reverse=True))
+    return values, _screen(catalog, ranking)
+
+
+#: How many screens :func:`_screen` keeps, over every catalog and ranking;
+#: seven feeds can be ranked 13700 ways, and a run meets a few hundred.
+SCREEN_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=SCREEN_CACHE_SIZE)
+def _screen(catalog: FeedCatalog, ranking: tuple[int, ...]) -> tuple[tuple[str, int], ...]:
+    """The items the screen shows when the feeds at ``ranking`` (catalog
+    indices, best first) are the positive ones: their unread items
+    round-robin, best feed first, until the screen is full or every ranked
+    feed is exhausted.  Kept for the last :data:`SCREEN_CACHE_SIZE`
+    catalogs and rankings asked for; equal catalogs share their screens."""
+    items = _feed_items(catalog)
+    cursors = {i: 0 for i in ranking}
     displayed: list[tuple[str, int]] = []
     while len(displayed) < SCREEN_SIZE:
         progressed = False
-        for feed in ranked:
+        for i in ranking:
             if len(displayed) >= SCREEN_SIZE:
                 break
-            if cursors[feed.feed_id] < feed.unread:
-                displayed.append((feed.feed_id, cursors[feed.feed_id]))
-                cursors[feed.feed_id] += 1
+            if cursors[i] < len(items[i]):
+                displayed.append(items[i][cursors[i]])
+                cursors[i] += 1
                 progressed = True
         if not progressed:
             break
-    return scores, tuple(displayed)
+    return tuple(displayed)
+
+
+@functools.lru_cache(maxsize=16)
+def _feed_items(catalog: FeedCatalog) -> tuple[tuple[tuple[str, int], ...], ...]:
+    """Each feed's ``(feed_id, k)`` items a screen can show, in catalog
+    order: its first ``unread`` items, at most :data:`SCREEN_SIZE`, since a
+    screen shows no more.  Every screen of the catalog shares these pairs."""
+    return tuple(tuple((feed.feed_id, k) for k in range(min(feed.unread, SCREEN_SIZE)))
+                 for feed in catalog.feeds)
 
 
 def simulate_clicks(report: FeedReport, user: UserModel, rng: random.Random) -> FeedReport:

@@ -189,26 +189,33 @@ class ExperimentResult:
 
 
 def _summarize(config: ExperimentConfig, rows: Sequence[GenerationStats]) -> list[SummaryRow]:
-    cells: dict[tuple[int, int], list[GenerationStats]] = {}
-    for r in rows:  # one pass, keeping row order within each cell
-        cells.setdefault((r.generation, r.island), []).append(r)
-    summary = []
-    for generation in range(config.generations):
-        for island in range(config.islands):
-            cell = cells.get((generation, island), [])
-            maxes = np.array([r.max_fitness for r in cell])
-            means = np.array([r.mean_fitness for r in cell])
-            ddof = 1 if len(cell) > 1 else 0
-            summary.append(SummaryRow(
-                generation=generation, island=island,
-                max_fitness_mean=float(maxes.mean()),
-                max_fitness_sd=float(maxes.std(ddof=ddof)),
-                max_fitness_se=float(maxes.std(ddof=ddof) / np.sqrt(len(cell))),
-                mean_fitness_mean=float(means.mean()),
-                mean_fitness_sd=float(means.std(ddof=ddof)),
-                mean_fitness_se=float(means.std(ddof=ddof) / np.sqrt(len(cell))),
-            ))
-    return summary
+    """Mean, standard deviation and standard error of the max and mean
+    fitness over the iterations, for each (generation, island) cell in
+    order.  ``rows`` must hold ``config.iterations`` rows for every cell.
+
+    The rows are laid out as one C-contiguous ``(cells, iterations)`` array
+    per statistic, each cell's row holding its values in row order, and
+    reduced along the iterations in one numpy call per figure.  numpy sums
+    each contiguous row pairwise exactly as it sums a lone array of it, so
+    every figure keeps the bits of summarizing the cell on its own.
+    """
+    cells = [(generation, island) for generation in range(config.generations)
+             for island in range(config.islands)]
+    n = config.iterations
+    ordered = sorted(rows, key=lambda r: (r.generation, r.island))  # stable: row order kept
+    if [(r.generation, r.island) for r in ordered] != [cell for cell in cells for _ in range(n)]:
+        raise ValueError(f"the rows do not hold {n} iterations of each of the "
+                         f"{config.generations} generations x {config.islands} islands")
+    ddof = 1 if n > 1 else 0
+    figures = []
+    for column in ("max_fitness", "mean_fitness"):
+        grid = np.array([getattr(r, column) for r in ordered]).reshape(len(cells), n)
+        sd = grid.std(axis=1, ddof=ddof)
+        figures.append((grid.mean(axis=1).tolist(), sd.tolist(), (sd / np.sqrt(n)).tolist()))
+    (max_mean, max_sd, max_se), (mean_mean, mean_sd, mean_se) = figures
+    return [SummaryRow(generation, island, max_mean[k], max_sd[k], max_se[k],
+                       mean_mean[k], mean_sd[k], mean_se[k])
+            for k, (generation, island) in enumerate(cells)]
 
 
 def _udp_transports(config: ExperimentConfig) -> list[Transport]:

@@ -337,29 +337,30 @@ def test_the_evaluator_scores_and_draws_as_the_report_path(catalog, feed_prims, 
 
 def walker_fill(tree, catalog):
     """The screen fill computed feed by feed on the reference walker, with
-    the round-robin written out round by round."""
-    scores = {}
-    for feed, env in zip(catalog.feeds, feed_environments(catalog)):
+    the round-robin written out round by round: each feed's score in catalog
+    order, and the displayed items."""
+    values = []
+    for env in feed_environments(catalog):
         outcome = walk(tree, env, MAX_STEPS)
         if outcome.killed:
             return None
-        scores[feed.feed_id] = float(outcome.value)
-    ranked = sorted((f for f in catalog.feeds if scores[f.feed_id] > 0.0),
-                    key=lambda f: -scores[f.feed_id])
+        values.append(float(outcome.value))
+    ranked = [catalog.feeds[i] for i in sorted(
+        (i for i, value in enumerate(values) if value > 0.0), key=lambda i: -values[i])]
     displayed = []
     for item in range(max((f.unread for f in ranked), default=0)):
         displayed += [(f.feed_id, item) for f in ranked if item < f.unread]
-    return scores, displayed[:SCREEN_SIZE]
+    return tuple(values), displayed[:SCREEN_SIZE]
 
 
 def assert_same_fill(got, want):
-    """Scores equal bit for bit (NaN and inf included) and in catalog order."""
+    """Scores equal bit for bit (NaN and inf included), as floats, one per
+    feed in catalog order, and the same items displayed."""
     if want is None:
         assert got is None
         return
-    scores, displayed = got
-    assert [(k, repr(v)) for k, v in scores.items()] == [
-        (k, repr(v)) for k, v in want[0].items()]
+    values, displayed = got
+    assert [repr(v) for v in values] == [repr(v) for v in want[0]]
     assert list(displayed) == want[1]
 
 
@@ -394,7 +395,7 @@ def test_non_finite_scores_keep_their_bits(catalog, feed_prims, text):
     tree = deserialize(text, feed_prims)
     got = feed_module._fill_screen(tree, catalog)
     assert_same_fill(got, walker_fill(tree, catalog))
-    assert not all(map(math.isfinite, got[0].values()))
+    assert not all(map(math.isfinite, got[0]))
 
 
 def test_a_nan_comparand_takes_the_else_branch(catalog, feed_prims):
@@ -405,7 +406,7 @@ def test_a_nan_comparand_takes_the_else_branch(catalog, feed_prims):
         f" (const:Number 0.0) (add (unread_count) (is_techcrunch)) {NAN})", feed_prims)
     got = feed_module._fill_screen(tree, catalog)
     assert_same_fill(got, walker_fill(tree, catalog))
-    scores = got[0]
+    scores = dict(zip((f.feed_id for f in catalog.feeds), got[0]))
     assert math.isnan(scores["engadget"])
     assert scores["techcrunch"] == 4.0
     assert {scores[f.feed_id] for f in catalog.feeds} - {scores["engadget"]} == {3.0, 4.0}
@@ -431,7 +432,7 @@ def test_an_unbound_terminal_raises_only_when_a_feed_reaches_it():
         tree = deserialize(text, prims)
         assert_same_fill(feed_module._fill_screen(tree, narrow), walker_fill(tree, narrow))
     # a catalog without feeds runs the program for no feed at all
-    assert feed_module._fill_screen(deserialize("(is_c)", prims), FeedCatalog(())) == ({}, ())
+    assert feed_module._fill_screen(deserialize("(is_c)", prims), FeedCatalog(())) == ((), ())
 
 
 def test_one_pass_scoring_refuses_an_unknown_lazy_kind(catalog, feed_prims):
@@ -441,6 +442,129 @@ def test_one_pass_scoring_refuses_an_unknown_lazy_kind(catalog, feed_prims):
                                const_program(feed_prims, 2.0)))
     with pytest.raises(ConfigurationError, match="first"):
         feed_module._fill_screen(tree, catalog)
+
+
+# ---------------------------------------------------------------------------
+# the screen cache: one round-robin per catalog and ranking
+
+def scoring(prims, catalog, values):
+    """A tree giving each feed of ``catalog`` its value in ``values``: a
+    chain of ``if_greater (is_<id>) 0.5`` tests, one per feed but the last,
+    each yielding its feed's constant."""
+    feeds = catalog.feeds
+    tree = const_program(prims, values[-1])
+    for feed, value in zip(feeds[-2::-1], values[-2::-1]):
+        tree = ProgramTree(prims.kind("if_greater"), (
+            program(prims, f"is_{feed.feed_id}"), const_program(prims, 0.5),
+            const_program(prims, value), tree))
+    return tree
+
+
+def ranking_of(values):
+    """The positive feeds' indices, best first, ties in catalog order."""
+    return tuple(sorted((i for i, value in enumerate(values) if value > 0.0),
+                        key=lambda i: -values[i]))
+
+
+TWELVE_FEEDS = FeedCatalog(tuple(Feed(f"f{i}", "tech" if i % 2 else "other", i % 4)
+                                 for i in range(12)))
+UNREAD_ZERO = FeedCatalog((Feed("a", "tech", 0), Feed("b", "other", 2),
+                           Feed("c", "tech", 0), Feed("d", "other", 1)))
+
+SCREEN_CASES = {
+    "equal": (default_catalog(), [2.0, 1.0, 2.0, 2.0, 1.0, 2.0, 0.5]),
+    "all equal": (default_catalog(), [3.0] * 7),
+    "nan": (default_catalog(), [math.nan, 1.0, math.nan, 2.0, 1.0, math.nan, 3.0]),
+    "signed zeros": (default_catalog(), [-0.0, 0.0, 1.0, -0.0, 5e-324, 0.0, -5e-324]),
+    "infinities": (default_catalog(), [1.0, math.inf, -math.inf, math.inf, 2.0, math.nan, 1e308]),
+    "none positive": (default_catalog(), [-1.0, 0.0, -0.0, -math.inf, math.nan, -2.0, 0.0]),
+    "unread zero": (UNREAD_ZERO, [4.0, 1.0, 3.0, 2.0]),
+    "twelve feeds": (TWELVE_FEEDS, [1.0, 5.0, 5.0, 2.0, 0.0, 3.0, 4.0, 4.0, 1.0, 9.0, 6.0, 2.0]),
+    "five unread": (default_catalog(unread=5), [1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    "one feed fills it": (FeedCatalog((Feed("deep", "tech", SCREEN_SIZE + 2),
+                                       Feed("shallow", "other", 2))), [1.0, -1.0]),
+}
+
+
+@pytest.mark.parametrize("name", SCREEN_CASES)
+def test_a_cached_screen_is_the_walkers(name):
+    """Each fill, scores bit for bit and every displayed item, is the
+    walker's, whether the screen is computed or read back from the cache."""
+    catalog, values = SCREEN_CASES[name]
+    prims = feed_primitives(catalog)
+    tree = scoring(prims, catalog, values)
+    want = walker_fill(tree, catalog)
+    assert [repr(v) for v in want[0]] == [repr(float(v)) for v in values]
+    feed_module._screen.cache_clear()
+    computed = feed_module._fill_screen(tree, catalog)
+    cached = feed_module._fill_screen(fresh_copy(tree, prims), catalog)
+    assert feed_module._screen.cache_info()[:2] == (1, 1)  # one hit, one miss
+    for got in (computed, cached):
+        assert_same_fill(got, want)
+    assert cached[1] is computed[1]
+    assert len(computed[1]) <= SCREEN_SIZE
+
+
+def test_the_round_robin_runs_once_per_catalog_and_ranking(catalog, feed_prims):
+    """Over many fills of random trees on two catalogs, the loop runs once
+    for each distinct catalog and ranking, and every other fill reads the
+    cached screen; every fill is still the walker's."""
+    rng = random.Random(31)
+    catalogs = (catalog, default_catalog(unread=5))
+    trees = [build_random_tree(feed_prims, depth, rng)
+             for depth in range(2, 7) for _ in range(60)]
+    feed_module._screen.cache_clear()
+    keys, fills = set(), 0
+    for tree in trees:
+        for each in catalogs:
+            want = walker_fill(tree, each)
+            assert_same_fill(feed_module._fill_screen(fresh_copy(tree, feed_prims), each), want)
+            if want is not None:
+                keys.add((each, ranking_of(want[0])))
+                fills += 1
+    info = feed_module._screen.cache_info()
+    assert info.currsize < info.maxsize  # nothing evicted
+    assert (info.misses, info.hits) == (len(keys), fills - len(keys))
+    assert fills > 4 * len(keys) > 0
+
+
+def test_equal_catalogs_share_their_screens_and_items(feed_prims):
+    """An equal catalog built apart reads the screens cached for the first,
+    and every screen is made of the pairs each catalog interns once."""
+    catalog, twin = default_catalog(), default_catalog()
+    assert twin == catalog and twin is not catalog
+    tree = deserialize("(add (group_is_tech) (is_engadget))", feed_prims)
+    feed_module._screen.cache_clear()
+    first = feed_module._fill_screen(tree, catalog)[1]
+    again = feed_module._fill_screen(fresh_copy(tree, feed_prims), twin)[1]
+    assert again is first
+    assert feed_module._feed_items(twin) is feed_module._feed_items(catalog)
+    items = feed_module._feed_items(catalog)
+    index = {feed.feed_id: i for i, feed in enumerate(catalog.feeds)}
+    assert all(item is items[index[item[0]]][item[1]] for item in first)
+
+
+def test_the_screen_cache_stays_bounded(catalog):
+    """More rankings than the cache holds: it keeps at most its bound, and a
+    screen evicted and computed again is the same screen."""
+    feed_module._screen.cache_clear()
+    rankings = list(itertools.permutations(range(len(catalog.feeds)), 5))
+    assert len(rankings) > feed_module.SCREEN_CACHE_SIZE
+    first = {ranking: feed_module._screen(catalog, ranking) for ranking in rankings}
+    assert feed_module._screen.cache_info().currsize == feed_module.SCREEN_CACHE_SIZE
+    evicted = rankings[0]
+    assert feed_module._screen(catalog, evicted) == first[evicted]
+    assert feed_module._screen.cache_info().currsize == feed_module.SCREEN_CACHE_SIZE
+
+
+def test_a_fill_keeps_the_roots_own_values(catalog, feed_prims):
+    """The memoised scores are the tuple the root's record holds, not a
+    copy, and a report reads them as a fresh dict of floats."""
+    tree = deserialize("(add (unread_count) (is_techland))", feed_prims)
+    report = run_feed_program(tree, catalog)
+    assert tree.memo[1][0] is tree.record[1]
+    assert report.scores == {feed.feed_id: value
+                             for feed, value in zip(catalog.feeds, tree.record[1])}
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +611,7 @@ def test_the_counts_match_the_walker_on_every_oversize_tree(catalog, feed_prims)
             continue
         fill = assert_counted_as_walked(tree, catalog)
         outcomes["killed" if fill is None else "scored"] += 1
-        if fill is not None and not all(map(math.isfinite, fill[0].values())):
+        if fill is not None and not all(map(math.isfinite, fill[0])):
             outcomes["non-finite"] += 1
         uneven += len(set(walked_steps(tree, catalog))) > 1
     assert min(outcomes.values()) >= 2 and outcomes["killed"] < outcomes["scored"], outcomes

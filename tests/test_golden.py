@@ -55,6 +55,13 @@ GOLDEN = {
         " --max-depth 9 --iterations 1 --seed 1",
         "9435849fae8ac171a10dbb9b25407ca732ca287154b0f411ebb96e2a7ba149ba",
         "627907522cf7489e51f177056f36497d12b9f581f5f21a2cd0ff220573cf5f24"),
+    # 15 iterations: each summary figure sums past numpy's eight-way
+    # unrolled pairwise block, which the cells above, of 1 to 2 iterations,
+    # never reach
+    "feed-15-iterations": (
+        "--app feed --islands 2 --capacity 10 --generations 6 --iterations 15",
+        "9d017e2312e47b5260e12d60796e077d32dccdecfa8bdcd173568689d1dee0d5",
+        "318b1ee66c9fd65c3f4a4ed7c7c6581d9fd1b194a2635715b1fa1179a67ff770"),
 }
 
 

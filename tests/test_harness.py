@@ -3,8 +3,10 @@ import csv
 import dataclasses
 import json
 import math
+import random
 import socket
 
+import numpy as np
 import pytest
 
 from gpislands import harness
@@ -241,6 +243,81 @@ def test_summary_is_recomputable_from_rows(tmp_path):
         header = next(csv.reader(fh))
     assert header[:4] == ["generation", "island", "max_fitness_mean",
                           "max_fitness_sd"]
+
+
+def per_cell_summary(config, rows):
+    """The summary written out cell by cell, one small numpy array per cell
+    in row order: the oracle the one-pass summary is held to bit for bit."""
+    cells = {}
+    for r in rows:
+        cells.setdefault((r.generation, r.island), []).append(r)
+    summary = []
+    for generation in range(config.generations):
+        for island in range(config.islands):
+            cell = cells[generation, island]
+            maxes = np.array([r.max_fitness for r in cell])
+            means = np.array([r.mean_fitness for r in cell])
+            ddof = 1 if len(cell) > 1 else 0
+            summary.append(harness.SummaryRow(
+                generation=generation, island=island,
+                max_fitness_mean=float(maxes.mean()),
+                max_fitness_sd=float(maxes.std(ddof=ddof)),
+                max_fitness_se=float(maxes.std(ddof=ddof) / np.sqrt(len(cell))),
+                mean_fitness_mean=float(means.mean()),
+                mean_fitness_sd=float(means.std(ddof=ddof)),
+                mean_fitness_se=float(means.std(ddof=ddof) / np.sqrt(len(cell))),
+            ))
+    return summary
+
+
+def stats_row(iteration, generation, island, max_fitness, mean_fitness):
+    return GenerationStats(iteration=iteration, generation=generation, island=island,
+                           max_fitness=max_fitness, mean_fitness=mean_fitness,
+                           mean_size=1.0, mean_depth=1.0, immigrants_admitted=0,
+                           emigrants_sent=0, helper_rejections=0)
+
+
+def bits(summary):
+    """Each summary row's cell and the ``float.hex`` of each of its figures."""
+    return [(row.generation, row.island, *[v.hex() for v in dataclasses.astuple(row)[2:]])
+            for row in summary]
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 127, 128, 129,
+                                        200, 300])
+def test_the_summary_keeps_the_bits_of_summarizing_each_cell_alone(iterations):
+    """Across iteration counts on both sides of numpy's eight-way pairwise
+    sums and its 128-element blocks, every figure of every cell is the
+    per-cell summary's, compared by ``float.hex``, with the rows shuffled
+    and values spread over many magnitudes."""
+    rng = random.Random(f"summary:{iterations}")
+    for _ in range(20):
+        config = ExperimentConfig(app="feed", islands=rng.randint(1, 3),
+                                  generations=rng.randint(1, 3), iterations=iterations)
+        rows = [stats_row(it, g, i, rng.random() * 10.0 ** rng.randint(-8, 8),
+                          rng.uniform(-1.0, 1.0) / 3.0)
+                for it in range(iterations) for g in range(config.generations)
+                for i in range(config.islands)]
+        rng.shuffle(rows)
+        assert bits(harness._summarize(config, rows)) == bits(per_cell_summary(config, rows))
+
+
+@pytest.mark.parametrize("change", ["missing", "extra", "stray island", "stray generation"])
+def test_the_summary_refuses_rows_that_do_not_fill_the_grid(change):
+    config = ExperimentConfig(app="feed", islands=2, generations=3, iterations=4)
+    rows = [stats_row(it, g, i, 0.5, 0.25) for it in range(4) for g in range(3)
+            for i in range(2)]
+    harness._summarize(config, rows)  # the full grid is fine
+    if change == "missing":
+        rows.pop(5)
+    elif change == "extra":
+        rows.append(stats_row(4, 0, 0, 0.5, 0.25))
+    elif change == "stray island":
+        rows[5] = dataclasses.replace(rows[5], island=2)
+    else:
+        rows[5] = dataclasses.replace(rows[5], generation=3)
+    with pytest.raises(ValueError, match="do not hold 4 iterations"):
+        harness._summarize(config, rows)
 
 
 def test_summary_path_derivation():
