@@ -45,9 +45,7 @@ The displayed items depend on the scores only through the ranking: the
 catalog indices of the feeds scoring above zero, best first, ties in
 catalog order.  Many trees rank the feeds alike, so the round-robin runs
 once per distinct catalog and ranking (:func:`_screen`), in a bounded
-cache shared by every tree, and each fill only ranks its scores.  A cached
-screen is a tuple of ``(feed_id, k)`` pairs that every screen of the
-catalog shares (:func:`_feed_items`).
+cache shared by every tree, and each fill only ranks its scores.
 
 :class:`FeedEvaluator` reads the memoised fill directly and builds no
 report.  The clicks are never memoised: every evaluation draws them afresh
@@ -432,7 +430,7 @@ def _screen(catalog: FeedCatalog, ranking: tuple[int, ...]) -> tuple[tuple[str, 
     round-robin, best feed first, until the screen is full or every ranked
     feed is exhausted.  Kept for the last :data:`SCREEN_CACHE_SIZE`
     catalogs and rankings asked for; equal catalogs share their screens."""
-    items = _feed_items(catalog)
+    feeds = catalog.feeds
     cursors = {i: 0 for i in ranking}
     displayed: list[tuple[str, int]] = []
     while len(displayed) < SCREEN_SIZE:
@@ -440,22 +438,13 @@ def _screen(catalog: FeedCatalog, ranking: tuple[int, ...]) -> tuple[tuple[str, 
         for i in ranking:
             if len(displayed) >= SCREEN_SIZE:
                 break
-            if cursors[i] < len(items[i]):
-                displayed.append(items[i][cursors[i]])
+            if cursors[i] < feeds[i].unread:
+                displayed.append((feeds[i].feed_id, cursors[i]))
                 cursors[i] += 1
                 progressed = True
         if not progressed:
             break
     return tuple(displayed)
-
-
-@functools.lru_cache(maxsize=16)
-def _feed_items(catalog: FeedCatalog) -> tuple[tuple[tuple[str, int], ...], ...]:
-    """Each feed's ``(feed_id, k)`` items a screen can show, in catalog
-    order: its first ``unread`` items, at most :data:`SCREEN_SIZE`, since a
-    screen shows no more.  Every screen of the catalog shares these pairs."""
-    return tuple(tuple((feed.feed_id, k) for k in range(min(feed.unread, SCREEN_SIZE)))
-                 for feed in catalog.feeds)
 
 
 def simulate_clicks(report: FeedReport, user: UserModel, rng: random.Random) -> FeedReport:

@@ -21,22 +21,21 @@ lacks compiles to a closure that raises :class:`ConfigurationError` when a
 run reaches it, so an unbound terminal is an error only where a run reads it.
 
 The closures carry no budget check; the kill is decided after the run.  A run
-visits each node at most once -- lazy functions such as ``if_greater`` call
-each of their thunks at most once -- so its cost is bounded by the tree's
-size whatever the budget.  A run that evaluated more than ``max_steps``
-nodes is reported killed with ``steps_used == max_steps``: a supervisor
-checking every node would have stopped it at exactly that step, after the
-same accessor calls.  Terminals past the budget are still read, so their
-accessors must not act on anything a caller reads after a kill.
+visits each node at most once -- ``if_greater`` runs ``a`` and ``b`` and then
+one branch -- so its cost is bounded by the tree's size whatever the budget.
+A run that evaluated more than ``max_steps`` nodes is reported killed with
+``steps_used == max_steps``: a supervisor checking every node would have
+stopped it at exactly that step, after the same accessor calls.  Terminals
+past the budget are still read, so their accessors must not act on anything
+a caller reads after a kill.
 
 ``steps_used`` is exact without a per-node counter.  A run that skipped
-nothing used ``size`` steps.  Each lazy node adds the total size of its
-children to a ``skipped`` tally, and each thunk takes its own child's size
-back off when called, so ``size - skipped`` counts exactly the nodes the run
-evaluated, untaken branches excluded.  ``if_greater``, the lazy kind every
-task uses, compiles to one closure with no thunks: it runs ``a`` and ``b``,
-adds the size of the branch it does not take to the tally and runs the
-other, the same calls in the same order and the same tally.
+nothing used ``size`` steps.  ``if_greater`` compiles to one closure that
+adds the size of the branch it does not take to a ``skipped`` tally, so
+``size - skipped`` counts exactly the nodes the run evaluated, untaken
+branches excluded.  It is the only lazy kind the engine runs: compiling
+any other raises :class:`ConfigurationError`, as the feed task's one pass
+does.
 """
 
 from __future__ import annotations
@@ -80,7 +79,8 @@ class Program:
 
 def compile_program(tree: ProgramTree, bindings: Bindings) -> Program:
     """Compile ``tree``, every branch included, into nested closures, each
-    terminal bound to its accessor in ``bindings``."""
+    terminal bound to its accessor in ``bindings``.  A lazy kind other than
+    ``if_greater`` raises :class:`ConfigurationError`."""
     frame = _Frame()
     return Program(tree.size, _compile(tree, bindings, frame), frame)
 
@@ -114,30 +114,12 @@ def _compile(node: ProgramTree, bindings: Bindings, frame: _Frame) -> Callable[[
 
         return branch
     if kind.lazy:
-        thunks = tuple(_thunk(child, bindings, frame) for child in node.children)
-        below = node.size - 1
-
-        def lazy() -> Any:
-            frame.skipped += below
-            return fn(*thunks)
-
-        return lazy
+        raise ConfigurationError(f"lazy function {kind.name!r} cannot be compiled")
     calls = [_compile(child, bindings, frame) for child in node.children]
     if len(calls) == 2:
         a, b = calls
         return lambda: fn(a(), b())
     return lambda: fn(*[call() for call in calls])
-
-
-def _thunk(child: ProgramTree, bindings: Bindings, frame: _Frame) -> Callable[[], Any]:
-    size = child.size
-    call = _compile(child, bindings, frame)
-
-    def thunk() -> Any:
-        frame.skipped -= size
-        return call()
-
-    return thunk
 
 
 def execute(program: Program, max_steps: int) -> RunOutcome:

@@ -139,8 +139,10 @@ class NodeKind:
     the already-evaluated child values; functions marked ``lazy`` receive one
     zero-argument thunk per child and decide themselves which children run
     (used for conditionals, so untaken branches take no actions and burn no
-    steps).  Terminals and constants have no ``fn``; their values come from
-    the run's bindings and the node payload respectively.
+    steps).  The engines run one lazy kind, ``if_greater``, and compile its
+    branching themselves rather than calling its ``fn``; they refuse any
+    other lazy kind.  Terminals and constants have no ``fn``; their values
+    come from the run's bindings and the node payload respectively.
 
     The hash is the one the dataclass would generate, worked out on first
     use and kept, since hashing each enum sort runs Python code.

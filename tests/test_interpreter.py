@@ -26,7 +26,6 @@ from gpislands.trees import (
     deserialize,
     function,
     if_greater_kind,
-    iter_nodes,
     sequence_kind,
     terminal,
 )
@@ -338,33 +337,15 @@ def test_a_kill_at_the_edge_of_the_budget_matches_the_walker(branch_prims):
     assert min(edges.values()) > 50, edges
 
 
-def test_other_lazy_kinds_run_through_thunks(branch_prims):
-    """A lazy kind other than ``if_greater`` still gets thunks: it runs only
-    the children it calls, and its value, kill, ``steps_used`` and accessor
-    calls are the walker's, with ``if_greater`` nested on either side."""
-    def first_positive(a, b):
-        x = a()
-        return x if x > 0 else b()
-
-    kind = function("first_positive", (Sort.NUMBER, Sort.NUMBER), Sort.NUMBER,
-                    first_positive, lazy=True)
-    prims = PrimitiveSet(branch_prims.kinds + [kind], Sort.NUMBER,
-                         {Sort.NUMBER: lambda rng: rng.uniform(-1.0, 1.0)})
-    rng = random.Random(12)
-    bindings = {"a": lambda: 0.5, "b": lambda: -0.5}
-    taken, lazy_trees = set(), 0
-    for _ in range(200):
-        tree = build_random_tree(prims, 5, rng)
-        lazy_trees += any(node.kind is kind for node, _ in iter_nodes(tree))
-        for budget in (tree.size, max(1, tree.size // 2)):
-            logged_bindings, log = logged(bindings)
-            outcome = compiled_run(tree, logged_bindings, budget)
-            walked_bindings, walked_log = logged(bindings)
-            assert_same_outcome(outcome, walk(tree, walked_bindings, budget))
-            if not outcome.killed:
-                assert log == walked_log
-                taken.add(outcome.steps_used < tree.size)
-    assert taken == {True, False} and lazy_trees > 20
+def test_compiling_refuses_an_unknown_lazy_kind(branch_prims):
+    """A lazy kind other than ``if_greater`` is a configuration error when
+    compiling, as in the feed task's one pass, not a wrong run."""
+    first = function("first", (Sort.NUMBER, Sort.NUMBER), Sort.NUMBER,
+                     lambda a, b: a(), lazy=True)
+    tree = ProgramTree(first, (ProgramTree(branch_prims.kind("a")),
+                               ProgramTree(branch_prims.kind("b"))))
+    with pytest.raises(ConfigurationError, match="first"):
+        compile_program(tree, {"a": lambda: 0.5, "b": lambda: -0.5})
 
 
 # ---------------------------------------------------------------------------
