@@ -14,7 +14,7 @@ import statistics
 from gpislands.evolution import (breed_next_generation, evaluate_population,
                                  initial_population, localisation_strategy,
                                  n_best)
-from gpislands.localisation import (LocalisationEvaluator, WorldConfig, World,
+from gpislands.localisation import (LocalisationEvaluator, WorldConfig,
                                     evaluate_localisation, localisation_helper,
                                     localisation_primitives)
 from gpislands.trees import deserialize, serialize
@@ -42,7 +42,7 @@ def main() -> None:
           f"{args.worlds} seeded walks:")
     for label, text in HAND_WRITTEN.items():
         tree = deserialize(text, prims)
-        scores = [evaluate_localisation(tree, World(config, seed=f"{args.seed}:{n}"))
+        scores = [evaluate_localisation(tree, config, f"{args.seed}:{n}")
                   for n in range(args.worlds)]
         print(f"  {label:<16} {statistics.mean(scores):.3f}")
     print("GPS alone draws 140 mA against a 63 mA daily budget, so its"

@@ -132,7 +132,8 @@ class Feed:
 
 @dataclass(frozen=True)
 class FeedCatalog:
-    """The feeds a screen is filled from, in order.
+    """The feeds a screen is filled from, in order: at least one, with
+    unique ids.
 
     The hash is the one the dataclass would generate, worked out on first
     use and kept, since every screen fill looks the catalog's columns up by
@@ -150,6 +151,8 @@ class FeedCatalog:
         return kept
 
     def __post_init__(self) -> None:
+        if not self.feeds:
+            raise ConfigurationError("a catalog needs at least one feed")
         if len({f.feed_id for f in self.feeds}) != len(self.feeds):
             raise ConfigurationError("feed ids must be unique")
 
@@ -219,14 +222,14 @@ def feed_primitives(catalog: FeedCatalog) -> PrimitiveSet:
 def _feed_columns(catalog: FeedCatalog) -> dict[str, tuple]:
     """Each terminal's value for every feed, as a tuple in catalog order:
     the feed's attributes as floats, ``is_<id>`` being 1.0 on that feed
-    alone.  An empty catalog binds no terminal.  Equal catalogs get the same
-    dict, so they share the per-node records keyed by it."""
+    alone.  Equal catalogs get the same dict, so they share the per-node
+    records keyed by it."""
     feeds = catalog.feeds
     columns = {"group_is_tech": tuple(1.0 if feed.is_tech else 0.0 for feed in feeds),
                "unread_count": tuple(float(feed.unread) for feed in feeds)}
     for other in feeds:
         columns[f"is_{other.feed_id}"] = tuple(1.0 if feed is other else 0.0 for feed in feeds)
-    return columns if feeds else {}
+    return columns
 
 
 #: Step counts, one per feed: one int when every feed took the same count,
@@ -260,8 +263,6 @@ def _score_feeds(tree: ProgramTree, catalog: FeedCatalog
     raises only when a feed reaches it.  Leaves keep none either: their
     values cost nothing to read.
     """
-    if not catalog.feeds:
-        return (), ()
     columns = _feed_columns(catalog)
     every = range(len(catalog.feeds))
 
@@ -281,7 +282,7 @@ def _score_feeds(tree: ProgramTree, catalog: FeedCatalog
             record = node.record
             if record is not None and record[0] is columns:
                 return record[1], record[2]
-        if not kind.lazy:
+        if kind.fn is not if_greater:
             if len(children) == 2:
                 a, b = children
                 a_values, a_steps = scored(a, rows)
@@ -294,9 +295,6 @@ def _score_feeds(tree: ProgramTree, catalog: FeedCatalog
                 steps = 1
                 for _, child_steps in tallies:
                     steps = _plus(steps, child_steps, 0)
-        elif kind.fn is not if_greater:
-            raise ConfigurationError(
-                f"lazy function {kind.name!r} cannot score every feed in one pass")
         else:
             a, b, then, other = children
             a_values, a_steps = scored(a, rows)
@@ -411,7 +409,7 @@ def _fill_screen(tree: ProgramTree, catalog: FeedCatalog) -> Optional[Fill]:
     is stable, ``reverse`` included, so ties keep their catalog order.
     """
     values, steps = _score_feeds(tree, catalog)
-    if max(steps, default=0) > MAX_STEPS:
+    if max(steps) > MAX_STEPS:
         return None
     ranking = tuple(sorted([i for i, value in enumerate(values) if value > 0.0],
                            key=values.__getitem__, reverse=True))
@@ -500,11 +498,8 @@ def catalog_from_dict(data: dict) -> FeedCatalog:
     """``feeds`` lists at least one feed; a feed's ``unread`` defaults to
     :data:`DEFAULT_UNREAD`."""
     try:
-        feeds = tuple(Feed(f["id"], f["group"], f.get("unread", DEFAULT_UNREAD))
-                      for f in data["feeds"])
-        if not feeds:
-            raise ConfigurationError("'feeds' must list at least one feed")
-        return FeedCatalog(feeds)
+        return FeedCatalog(tuple(Feed(f["id"], f["group"], f.get("unread", DEFAULT_UNREAD))
+                                 for f in data["feeds"]))
     except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad catalog config: {exc}") from exc
 

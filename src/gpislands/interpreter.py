@@ -33,9 +33,9 @@ a caller reads after a kill.
 nothing used ``size`` steps.  ``if_greater`` compiles to one closure that
 adds the size of the branch it does not take to a ``skipped`` tally, so
 ``size - skipped`` counts exactly the nodes the run evaluated, untaken
-branches excluded.  It is the only lazy kind the engine runs: compiling
-any other raises :class:`ConfigurationError`, as the feed task's one pass
-does.
+branches excluded.  The engine knows the conditional by its ``fn``
+(:func:`~gpislands.trees.if_greater`); every other function is eager and
+gets its children's values.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ class Program:
 
 def compile_program(tree: ProgramTree, bindings: Bindings) -> Program:
     """Compile ``tree``, every branch included, into nested closures, each
-    terminal bound to its accessor in ``bindings``.  A lazy kind other than
-    ``if_greater`` raises :class:`ConfigurationError`."""
+    terminal bound to its accessor in ``bindings``."""
     frame = _Frame()
     return Program(tree.size, _compile(tree, bindings, frame), frame)
 
@@ -113,8 +112,6 @@ def _compile(node: ProgramTree, bindings: Bindings, frame: _Frame) -> Callable[[
             return other()
 
         return branch
-    if kind.lazy:
-        raise ConfigurationError(f"lazy function {kind.name!r} cannot be compiled")
     calls = [_compile(child, bindings, frame) for child in node.children]
     if len(calls) == 2:
         a, b = calls

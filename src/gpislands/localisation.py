@@ -25,19 +25,18 @@ the supervisor at tick k contributes nothing from tick k on.
 
 Control pass and scoring pass
 -----------------------------
-Each world draws its own fix errors, but the program cannot observe them: its
-terminals report only the age of its latest fix (a time difference) and that
-fix's radius.  What it does at every tick -- which radios it switches, when
-it asks for a fix, which provider answers -- therefore depends only on the
-tree and the config (walk, availability, warm-up).
-:func:`evaluate_localisation` splits accordingly, and a :class:`World` holds
-what each pass needs and nothing more -- the radios and the program's latest
-fix for the control pass, one set of error draws for the scoring pass:
+Each evaluation draws its own fix errors from its seed, but the program
+cannot observe them: its terminals report only the age of its latest fix (a
+time difference) and that fix's radius.  What it does at every tick -- which
+radios it switches, when it asks for a fix, which provider answers --
+therefore depends only on the tree and the config (walk, availability,
+warm-up).  :func:`evaluate_localisation` splits accordingly:
 
-* the control pass (:func:`_control_trace`) compiles the program once, against
-  the accessors of a world of its own, runs it tick by tick under the step
-  budget, and records, per tick, where the program's fix came from (provider
-  and tick), the reference provider and the energy factor.  The walk's
+* the control pass (:func:`_control_trace`) compiles the program once,
+  against the accessors of a :class:`World` (the radios and the program's
+  latest fix, nothing more), runs it tick by tick under the step budget, and
+  records, per tick, where the program's fix came from (provider and tick),
+  the reference provider and the energy factor.  The walk's
   geometry at every integer tick, and the reference there, come from a table
   built once per config (:func:`_layout`).  The energy factor depends only
   on which radios are on, so the pass looks it up by the world's radio set
@@ -47,14 +46,15 @@ fix for the control pass, one set of error draws for the scoring pass:
   programs share a trace, so elite copies, crossover fallbacks and the small
   programs that breeding builds again and again do not run it again while
   it is cached;
-* the scoring pass adds each world's errors to those sources and sums the
-  per-tick products.  It runs on every evaluation, so fitness itself is
-  never cached: each evaluation scores against a freshly drawn world.  A
-  tick whose program fix is the reference fix itself (the same provider at
-  the same tick, so the same error draws) scores accuracy exactly 1 in every
-  world, and adds its energy factor without displacing either fix.  The
-  trace records how far into a world's error stream the other ticks read,
-  and the world draws that prefix of the stream and no more.
+* the scoring pass adds the evaluation's errors to those sources and sums
+  the per-tick products.  It runs on every evaluation, so fitness itself is
+  never cached: each evaluation scores against freshly drawn errors
+  (:func:`_error_draws`).  A tick whose program fix is the reference fix
+  itself (the same provider at the same tick, so the same error draws)
+  scores accuracy exactly 1 whatever the errors, and adds its energy factor
+  without displacing either fix.  The trace records how far into the error
+  stream the other ticks read, and the evaluation draws that prefix of the
+  stream and no more.
 """
 
 from __future__ import annotations
@@ -97,6 +97,10 @@ LOC_FUNCTION_BIAS = 0.3
 NO_FIX_SENTINEL = 9999.0
 #: Control traces kept by :func:`_control_trace`, least recently used first out.
 _TRACE_CACHE_SIZE = 64
+#: Fix errors are radius * uniform(ERROR_LOW, ERROR_HIGH) in a random
+#: direction, one per provider and tick and evaluation (see :func:`_error_draws`).
+ERROR_LOW = 0.25
+ERROR_HIGH = 0.75
 
 Position = tuple[float, float]
 _TAU = 2.0 * math.pi
@@ -163,12 +167,12 @@ class WorldConfig:
         Segment(40.0, 60.0, indoor=True, wifi=True),
     )
     ticks: int = DEFAULT_TICKS
-    #: Fix errors are radius * uniform(error_low, error_high) in a random
-    #: direction, one per provider and tick and world (see :class:`World`).
-    error_low: float = 0.25
-    error_high: float = 0.75
 
     def __post_init__(self) -> None:
+        if not self.providers:
+            raise ConfigurationError("a world needs at least one provider")
+        if not self.segments:
+            raise ConfigurationError("a world needs at least one segment")
         names = [p.name for p in self.providers]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate provider names in {names}")
@@ -182,17 +186,15 @@ class WorldConfig:
         if type(self.ticks) is not int or not 1 <= self.ticks <= MAX_TICKS:  # rejects bools too
             raise ConfigurationError(
                 f"ticks must be a whole number from 1 to {MAX_TICKS}, got {self.ticks!r}")
-        # a fix lies within the walk's reach plus a radius times an error
-        # bound; were it not finite, two equal fixes would lie at no finite
+        # a fix lies within the walk's reach plus a radius times ERROR_HIGH;
+        # were it not finite, two equal fixes would lie at no finite
         # distance from each other and a perfect fix would score 0
         reach = max(abs(v) for point in self.waypoints for v in point[1:])
-        radius = max((p.radius_m for p in self.providers), default=0.0)
-        if not (math.isfinite(self.error_high - self.error_low) and math.isfinite(
-                2.0 * (reach + radius * max(abs(self.error_low), abs(self.error_high))))):
+        radius = max(p.radius_m for p in self.providers)
+        if not math.isfinite(2.0 * (reach + radius * ERROR_HIGH)):
             raise ConfigurationError(
                 f"every fix position must be finite, but waypoint coordinates up to "
-                f"{reach!r}, radii up to {radius!r} and errors from {self.error_low!r} "
-                f"to {self.error_high!r} can overflow")
+                f"{reach!r} and radii up to {radius!r} can overflow")
 
 
 def _truth(waypoints: Sequence[tuple[float, float, float]], t: float) -> Position:
@@ -228,12 +230,21 @@ def _available(segments: Sequence[Segment], name: str, t: float) -> bool:
 _Source = tuple[Position, float, int]
 
 
-def _displace(truth: Position, radius: float, i: int, draws: Sequence[float],
-              lo: float, span: float) -> Position:
+def _error_draws(seed: int | str, count: int) -> list[float]:
+    """The first ``count`` draws of the error stream ``world:<seed>``: two
+    per provider and tick (magnitude, then angle), provider by provider.
+    No stream is made when ``count`` is 0."""
+    if not count:
+        return []
+    draw = random.Random(f"world:{seed}").random
+    return [draw() for _ in range(count)]
+
+
+def _displace(truth: Position, radius: float, i: int, draws: Sequence[float]) -> Position:
     """``truth`` moved by the error drawn at ``draws[i]`` (magnitude) and
     ``draws[i + 1]`` (angle)."""
-    # lo + span * random() is random.uniform's arithmetic, draw for draw
-    magnitude = radius * (lo + span * draws[i])
+    # random.uniform(ERROR_LOW, ERROR_HIGH)'s arithmetic, draw for draw
+    magnitude = radius * (ERROR_LOW + (ERROR_HIGH - ERROR_LOW) * draws[i])
     angle = _TAU * draws[i + 1]
     x, y = truth
     return (x + magnitude * math.cos(angle), y + magnitude * math.sin(angle))
@@ -254,7 +265,7 @@ class _Tick:
 
 @dataclass(frozen=True)
 class _Layout:
-    """What ``config`` fixes for every world built from it."""
+    """What ``config`` fixes for every control pass and evaluation."""
 
     #: Per-tick walk geometry for ticks ``0..ticks``, keyed by the tick as a
     #: float (the type of :attr:`World.t`).
@@ -288,56 +299,34 @@ def _layout(config: WorldConfig) -> _Layout:
 
 
 class World:
-    """Control-pass state plus one set of fix errors, on integer ticks.
+    """The control pass's state on integer ticks: the radios and the
+    program's latest fix, read and changed through :meth:`environment`.
 
     ``t`` is the current tick as a float; the control pass sets it before
     each run and every lookup indexes the per-config tick table with it.
     The radios (``enabled``, the tick each was switched on, and ``radios``,
     the set that is on as a bitmask, bit ``i`` for the config's ``i``-th
     provider) and the program's latest fix (``program_fix``) change only
-    through the accessors of :meth:`environment`.  The fix
-    errors come from the stream ``world:<seed>``, two draws per provider and
-    tick (magnitude, then angle), provider by provider; the stream is drawn
-    as far as the errors asked for need it, and on from there if more are
-    asked for later, and each error is worked out from its pair of draws
-    when it is needed.  A world whose errors are never read draws nothing.
+    through the accessors of :meth:`environment`.  A world holds no fix
+    errors: each evaluation draws its own (:func:`_error_draws`).
     """
 
-    def __init__(self, config: WorldConfig, seed: int | str = 0) -> None:
-        self.config = config
-        self._seed = seed
+    def __init__(self, config: WorldConfig) -> None:
         self.t = 0.0
         self.enabled: dict[str, Optional[float]] = {p.name: None for p in config.providers}
         self.radios = 0
         #: (provider name, fix tick, radius) of the program's latest fix.
         self.program_fix: Optional[tuple[str, float, float]] = None
-        self._draws: list[float] = []
-        self._stream: Optional[random.Random] = None
         layout = _layout(config)
         self._ticks = layout.ticks
         self._by_name = layout.by_name
         self._by_radius = layout.by_radius
 
-    # -- fix errors -----------------------------------------------------------
     def _source(self, name: str, t: float) -> _Source:
         """Provider ``name``'s fix at tick ``t`` before its error is added."""
         provider, offset, _ = self._by_name[name]
         return (self._ticks[t].truth, provider.radius_m, offset + 2 * int(t))
 
-    def _error_draws(self, count: int) -> list[float]:
-        """At least the first ``count`` draws of the error stream, drawing
-        only those not drawn before."""
-        draws = self._draws
-        missing = count - len(draws)
-        if missing > 0:
-            stream = self._stream
-            if stream is None:
-                stream = self._stream = random.Random(f"world:{self._seed}")
-            draw = stream.random
-            draws += [draw() for _ in range(missing)]
-        return draws
-
-    # -- radio state, read and changed by the program ------------------------
     def last_fix_age(self) -> float:
         if self.program_fix is None:
             return NO_FIX_SENTINEL
@@ -430,58 +419,51 @@ def energy_fitness(power_ma: float) -> float:
     return max(0.0, 1.0 - power_ma / BUDGET_MA)
 
 
-def evaluate_localisation(tree: ProgramTree, world: World) -> float:
-    """Score ``tree`` over ``world``'s walk: the mean of the per-tick products.
+def evaluate_localisation(tree: ProgramTree, config: WorldConfig, seed: int | str) -> float:
+    """Score ``tree`` over ``config``'s walk with the fix errors of ``seed``:
+    the mean of the per-tick products.
 
     A supervisor kill at tick k stops the program for good: ticks k..n
     contribute 0 while the earlier ticks keep their score.
 
-    A :class:`World` is the control pass's radio state plus one set of error
-    draws, on integer ticks.  The program's radio logic runs in a control
-    pass on a world of its own, whose trace is cached and shared by every
-    program equal to ``tree`` (see :func:`_control_trace`).  ``world``
-    supplies only its config and the fix errors the trace is scored
-    against.  Its radio state (``t``, ``enabled``, ``program_fix``) is
-    neither read nor changed, so a fresh world, as every evaluation builds
-    one, is all it takes.
+    The program's radio logic runs in a control pass, whose trace is cached
+    and shared by every program equal to ``tree`` (see
+    :func:`_control_trace`).  The trace is scored against the errors drawn
+    from ``seed`` (:func:`_error_draws`), as far into the stream as it reads.
     """
-    config = world.config
     trace = _control_trace(tree, config)
+    draws = _error_draws(seed, trace.prefix)
     total = 0.0
-    if trace:
-        draws = world._error_draws(trace.prefix)
-        lo = config.error_low
-        span = config.error_high - lo
-        fix = position = None
-        for program_fix, reference, energy in trace:
-            if program_fix[2] == reference[2]:  # the reference fix: accuracy 1
-                total += energy
-                continue
-            if program_fix is not fix:  # a new fix; a stale one keeps its place
-                fix = program_fix
-                position = _displace(*fix, draws, lo, span)
-            total += accuracy_fitness(position, _displace(*reference, draws, lo, span),
-                                      reference[1]) * energy
+    fix = position = None
+    for program_fix, reference, energy in trace:
+        if program_fix[2] == reference[2]:  # the reference fix: accuracy 1
+            total += energy
+            continue
+        if program_fix is not fix:  # a new fix; a stale one keeps its place
+            fix = program_fix
+            position = _displace(*fix, draws)
+        total += accuracy_fitness(position, _displace(*reference, draws),
+                                  reference[1]) * energy
     return total / config.ticks
 
 
 class _Trace(tuple):
     """A control trace: its ``(program fix, reference fix, energy)`` entries,
-    and in ``prefix`` how many draws of a world's error stream scoring it
-    reads."""
+    and in ``prefix`` how many draws of an evaluation's error stream scoring
+    it reads."""
 
     prefix: int
 
 
 @functools.lru_cache(maxsize=_TRACE_CACHE_SIZE)
 def _control_trace(tree: ProgramTree, config: WorldConfig) -> _Trace:
-    """Run ``tree`` once per tick on a world of its own, up to a kill.
+    """Run ``tree`` once per tick on a :class:`World` of its own, up to a kill.
 
     Returns ``(program fix, reference fix, energy)`` for every completed tick
     with a program fix, a reference provider and a positive energy factor.
-    Every other tick adds exactly +0.0 to the fitness in any world (its
-    accuracy or its energy is 0, and both lie in [0, 1]), so leaving it out
-    changes no fitness bit.  A stale program fix is the same object tick
+    Every other tick adds exactly +0.0 to the fitness whatever the errors
+    (its accuracy or its energy is 0, and both lie in [0, 1]), so leaving it
+    out changes no fitness bit.  A stale program fix is the same object tick
     after tick.  The trace's ``prefix`` is one past the highest error draw
     an entry that is not a reference fix reads (two draws from each fix's
     index), or 0 if no entry reads any: the scoring pass needs no more of
@@ -491,9 +473,9 @@ def _control_trace(tree: ProgramTree, config: WorldConfig) -> _Trace:
     each provider's draws start a whole ``2 * (ticks + 1)`` apart, so the
     program fix and the reference fix have the same index exactly when they
     are the same provider at the same tick: the same true position, radius
-    and draws.  Their positions are then equal in any world, their distance
-    is 0.0 and the accuracy exactly 1.0 (a zero radius included), so the
-    scoring pass adds such an entry's energy factor as it stands.
+    and draws.  Their positions are then equal whatever the errors, their
+    distance is 0.0 and the accuracy exactly 1.0 (a zero radius included), so
+    the scoring pass adds such an entry's energy factor as it stands.
 
     The energy factor is ``energy_fitness(world.power_now())``, and
     the draw sums over the radios that are on in config order, so it is a
@@ -571,8 +553,8 @@ def localisation_primitives() -> PrimitiveSet:
     kinds = [
         sequence_kind(),
         if_greater_kind(Sort.ACTION),
-        function("add", two, Sort.NUMBER, lambda a, b: a + b),
-        function("mul", two, Sort.NUMBER, lambda a, b: a * b),
+        function("add", two, Sort.NUMBER, operator.add),
+        function("mul", two, Sort.NUMBER, operator.mul),
         terminal("last_fix_age", Sort.NUMBER),
         terminal("last_accuracy", Sort.NUMBER),
         terminal("enable_gps", Sort.ACTION),
@@ -589,8 +571,8 @@ def localisation_primitives() -> PrimitiveSet:
 
 
 class LocalisationEvaluator:
-    """Fitness callback: one fresh world per evaluation, so one set of fix
-    errors; the control trace is shared by every evaluation of an equal
+    """Fitness callback: one fresh error seed per evaluation, so one set of
+    fix errors; the control trace is shared by every evaluation of an equal
     program while it stays in the cache."""
 
     def __init__(self, config: WorldConfig, rng: random.Random) -> None:
@@ -598,8 +580,7 @@ class LocalisationEvaluator:
         self.rng = rng
 
     def __call__(self, member: Individual) -> float:
-        world = World(self.config, seed=self.rng.getrandbits(48))
-        return evaluate_localisation(member.tree, world)
+        return evaluate_localisation(member.tree, self.config, self.rng.getrandbits(48))
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +591,11 @@ def world_config_from_dict(data: dict) -> WorldConfig:
 
     Anything a run could not use raises :class:`ConfigurationError`: besides
     malformed entries, a figure, coordinate or bound that is not a JSON
-    number a float can hold, an empty provider or segment list, a provider no
-    program terminal can switch (any name but those in
-    :data:`RADIO_NAMES`), and whatever :class:`Provider`, :class:`Segment`
-    and :class:`WorldConfig` reject, such as a non-boolean ``wifi`` flag or
-    a ``ticks`` that is not a whole number from 1 to :data:`MAX_TICKS`.
+    number a float can hold, a provider no program terminal can switch (any
+    name but those in :data:`RADIO_NAMES`), and whatever :class:`Provider`,
+    :class:`Segment` and :class:`WorldConfig` reject, such as an empty
+    provider or segment list, a non-boolean ``wifi`` flag or a ``ticks``
+    that is not a whole number from 1 to :data:`MAX_TICKS`.
     """
     try:
         providers = DEFAULT_PROVIDERS
@@ -622,7 +603,7 @@ def world_config_from_dict(data: dict) -> WorldConfig:
             providers = tuple(
                 Provider(p["name"], config_number(p["radius_m"]),
                          config_number(p["draw_ma"]), config_number(p["first_fix_s"]))
-                for p in _non_empty(data["providers"], "providers"))
+                for p in data["providers"])
             for provider in providers:
                 if provider.name not in RADIO_NAMES:
                     raise ConfigurationError(
@@ -635,19 +616,12 @@ def world_config_from_dict(data: dict) -> WorldConfig:
             segments = tuple(
                 Segment(config_number(s["start"]), config_number(s["end"]),
                         s["indoor"], s["wifi"])
-                for s in _non_empty(data["segments"], "segments"))
+                for s in data["segments"])
         return WorldConfig(providers=providers, waypoints=waypoints,
                            segments=segments, ticks=data.get("ticks", DEFAULT_TICKS))
     except (AttributeError, ConfigurationError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
         raise ConfigurationError(f"bad world config: {exc}") from exc
-
-
-def _non_empty(entries: Sequence, key: str) -> Sequence:
-    if not entries:
-        raise ConfigurationError(f"{key!r} must list at least one entry; "
-                                 f"leave the key out for the defaults")
-    return entries
 
 
 def load_world_config(path: str) -> WorldConfig:

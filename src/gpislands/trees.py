@@ -135,14 +135,13 @@ _set_field = object.__setattr__
 class NodeKind:
     """A named primitive: its argument sorts, result sort and semantics.
 
-    ``fn`` carries the implementation for functions.  Eager functions receive
-    the already-evaluated child values; functions marked ``lazy`` receive one
-    zero-argument thunk per child and decide themselves which children run
-    (used for conditionals, so untaken branches take no actions and burn no
-    steps).  The engines run one lazy kind, ``if_greater``, and compile its
-    branching themselves rather than calling its ``fn``; they refuse any
-    other lazy kind.  Terminals and constants have no ``fn``; their values
-    come from the run's bindings and the node payload respectively.
+    ``fn`` carries the implementation for functions, which receive the
+    already-evaluated child values.  The one exception is the conditional,
+    whose ``fn`` is :func:`if_greater`: the engines recognise it by that
+    ``fn`` and run its branching themselves, so an untaken branch takes no
+    actions and burns no steps.  Terminals and constants have no ``fn``;
+    their values come from the run's bindings and the node payload
+    respectively.
 
     The hash is the one the dataclass would generate, worked out on first
     use and kept, since hashing each enum sort runs Python code.
@@ -153,7 +152,6 @@ class NodeKind:
     result_sort: Sort
     category: Category
     fn: Optional[Callable] = None
-    lazy: bool = False
     _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -164,7 +162,7 @@ class NodeKind:
         kept = self._hash
         if kept is None:
             kept = hash((self.name, self.argument_sorts, self.result_sort, self.category,
-                         self.fn, self.lazy))
+                         self.fn))
             _set_field(self, "_hash", kept)
         return kept
 
@@ -186,30 +184,23 @@ def terminal(name: str, sort: Sort) -> NodeKind:
 
 
 def function(name: str, argument_sorts: Sequence[Sort], result_sort: Sort,
-             fn: Callable, lazy: bool = False) -> NodeKind:
-    return NodeKind(name, tuple(argument_sorts), result_sort, Category.FUNCTION, fn, lazy)
+             fn: Callable) -> NodeKind:
+    return NodeKind(name, tuple(argument_sorts), result_sort, Category.FUNCTION, fn)
 
 
-def _protected_div(a: float, b: float) -> float:
-    # Division is total: a zero denominator yields the sentinel 1.0.
-    return 1.0 if b == 0 else a / b
-
-
-def arithmetic_kinds(include_div: bool = False) -> list[NodeKind]:
-    """add/sub/mul (and optionally protected div) over Number."""
+def arithmetic_kinds() -> list[NodeKind]:
+    """add/sub/mul over Number."""
     two = (Sort.NUMBER, Sort.NUMBER)
-    kinds = [
+    return [
         function("add", two, Sort.NUMBER, operator.add),
         function("sub", two, Sort.NUMBER, operator.sub),
         function("mul", two, Sort.NUMBER, operator.mul),
     ]
-    if include_div:
-        kinds.append(function("div", two, Sort.NUMBER, _protected_div))
-    return kinds
 
 
 def if_greater(a: Callable, b: Callable, then: Callable, other: Callable):
-    """The lazy implementation of every ``if_greater`` kind."""
+    """What every ``if_greater`` kind means, given one zero-argument thunk
+    per child: only the taken branch runs."""
     return then() if a() > b() else other()
 
 
@@ -220,7 +211,6 @@ def if_greater_kind(branch_sort: Sort = Sort.NUMBER) -> NodeKind:
         (Sort.NUMBER, Sort.NUMBER, branch_sort, branch_sort),
         branch_sort,
         if_greater,
-        lazy=True,
     )
 
 

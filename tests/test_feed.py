@@ -21,6 +21,7 @@ from gpislands.feed import (
     FeedReport,
     HETEROGENEOUS_PREFERENCES,
     UserModel,
+    catalog_from_dict,
     default_catalog,
     feed_fitness,
     feed_primitives,
@@ -45,6 +46,7 @@ from gpislands.trees import (
     constant_kind_name,
     deserialize,
     function,
+    if_greater,
     iter_nodes,
     replace_subtree,
     serialize,
@@ -431,17 +433,39 @@ def test_an_unbound_terminal_raises_only_when_a_feed_reaches_it():
     for text in hidden:
         tree = deserialize(text, prims)
         assert_same_fill(feed_module._fill_screen(tree, narrow), walker_fill(tree, narrow))
-    # a catalog without feeds runs the program for no feed at all
-    assert feed_module._fill_screen(deserialize("(is_c)", prims), FeedCatalog(())) == ((), ())
 
 
-def test_one_pass_scoring_refuses_an_unknown_lazy_kind(catalog, feed_prims):
-    first = function("first", (Sort.NUMBER, Sort.NUMBER), Sort.NUMBER,
-                     lambda a, b: a(), lazy=True)
-    tree = ProgramTree(first, (const_program(feed_prims, 1.0),
-                               const_program(feed_prims, 2.0)))
-    with pytest.raises(ConfigurationError, match="first"):
-        feed_module._fill_screen(tree, catalog)
+def assert_walker_steps(tree, catalog):
+    """Each feed's one-pass step count is that of a walk of its own."""
+    steps = feed_module._score_feeds(tree, catalog)[1]
+    assert list(steps) == [walk(tree, env, tree.size).steps_used
+                           for env in feed_environments(catalog)]
+    return steps
+
+
+def test_one_pass_scoring_branches_by_the_function_not_the_name(catalog, feed_prims):
+    """Any kind whose function is ``if_greater`` splits the feeds, whatever
+    it is called: each feed runs the comparison and its own side only."""
+    pick = function("pick", (Sort.NUMBER,) * 4, Sort.NUMBER, if_greater)
+    add = feed_prims.kind("add")
+    tree = ProgramTree(pick, (
+        program(feed_prims, "group_is_tech"), const_program(feed_prims, 0.5),
+        program(feed_prims, "unread_count"),
+        ProgramTree(add, (program(feed_prims, "is_engadget"),
+                          program(feed_prims, "unread_count")))))
+    assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
+    assert set(assert_walker_steps(tree, catalog)) == {4, 6}
+
+
+@pytest.mark.parametrize("arity", [2, 4])
+def test_one_pass_scoring_runs_any_other_function_eagerly(catalog, feed_prims, arity):
+    """A function other than ``if_greater`` gets every child's value for
+    every feed, even one with the conditional's arity."""
+    first = function("first", (Sort.NUMBER,) * arity, Sort.NUMBER, lambda *values: values[0])
+    tree = ProgramTree(first, (program(feed_prims, "group_is_tech"),)
+                       + (program(feed_prims, "unread_count"),) * (arity - 1))
+    assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
+    assert set(assert_walker_steps(tree, catalog)) == {arity + 1}
 
 
 # ---------------------------------------------------------------------------
@@ -735,22 +759,25 @@ THREE_FEEDS = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 2),
 
 @pytest.mark.parametrize("catalog", [
     default_catalog(), default_catalog(unread=5), THREE_FEEDS,
-    FeedCatalog((Feed("solo", "other", 0),)), FeedCatalog(()),
-], ids=["default", "unread5", "three", "one-feed-unread0", "no-feeds"])
+    FeedCatalog((Feed("solo", "other", 0),)),
+], ids=["default", "unread5", "three", "one-feed-unread0"])
 def test_the_columns_hold_what_each_feeds_bindings_give(catalog):
     """Terminal by terminal, in the bindings' order, each column holds the
     value every feed's own bindings give, bit for bit and in catalog order."""
     per_feed = feed_environments(catalog)
-    names = list(per_feed[0]) if per_feed else []
+    names = list(per_feed[0])
     columns = feed_module._feed_columns(catalog)
     assert list(columns) == names
     for name in names:
         assert isinstance(columns[name], tuple)
         assert [repr(v) for v in columns[name]] == [repr(b[name]()) for b in per_feed]
-    if not catalog.feeds:
-        tree = deserialize("(unread_count)", feed_primitives(catalog))
-        report = run_feed_program(tree, catalog)
-        assert (report.scores, report.displayed, report.clicked) == ({}, [], [])
+
+
+def test_a_catalog_without_feeds_is_rejected():
+    with pytest.raises(ConfigurationError, match="at least one feed"):
+        FeedCatalog(())
+    with pytest.raises(ConfigurationError, match="at least one feed"):
+        catalog_from_dict({"feeds": []})
 
 
 @pytest.mark.parametrize("catalog", [default_catalog(), default_catalog(unread=5),

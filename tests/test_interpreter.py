@@ -25,6 +25,7 @@ from gpislands.trees import (
     constant_kind_name,
     deserialize,
     function,
+    if_greater,
     if_greater_kind,
     sequence_kind,
     terminal,
@@ -37,8 +38,8 @@ def num_const(prims, value):
 
 @pytest.fixture
 def branch_prims():
-    """Numbers plus a lazy comparison, for laziness and budget tests."""
-    kinds = arithmetic_kinds(include_div=True) + [
+    """Numbers plus a comparison, for branching and budget tests."""
+    kinds = arithmetic_kinds() + [
         if_greater_kind(Sort.NUMBER),
         terminal("a", Sort.NUMBER),
         terminal("b", Sort.NUMBER),
@@ -67,13 +68,6 @@ def test_unbound_terminal_is_a_configuration_error(geo_prims):
     program = compile_program(t, {})  # compiling a tree it cannot run is no error
     with pytest.raises(ConfigurationError):
         execute(program, 4)
-
-
-def test_division_by_zero_yields_sentinel(branch_prims):
-    t = ProgramTree(branch_prims.kind("div"),
-                    (num_const(branch_prims, 1.0), num_const(branch_prims, 0.0)))
-    out = execute(compile_program(t, {}), 8)
-    assert out.value == 1.0
 
 
 def test_step_budget_kills_large_tree(branch_prims):
@@ -265,7 +259,7 @@ def loc_world_runs(runner, ticks=8):
     kill, as the task runs a program: the outcomes, and per tick the
     accessors called and, after a completed tick, the program fix and the
     radios."""
-    world = World(WorldConfig(ticks=ticks), seed=3)
+    world = World(WorldConfig(ticks=ticks))
     bindings, log = logged(world.environment())
     run = runner(bindings)
     outcomes, states = [], []
@@ -337,15 +331,25 @@ def test_a_kill_at_the_edge_of_the_budget_matches_the_walker(branch_prims):
     assert min(edges.values()) > 50, edges
 
 
-def test_compiling_refuses_an_unknown_lazy_kind(branch_prims):
-    """A lazy kind other than ``if_greater`` is a configuration error when
-    compiling, as in the feed task's one pass, not a wrong run."""
-    first = function("first", (Sort.NUMBER, Sort.NUMBER), Sort.NUMBER,
-                     lambda a, b: a(), lazy=True)
-    tree = ProgramTree(first, (ProgramTree(branch_prims.kind("a")),
-                               ProgramTree(branch_prims.kind("b"))))
-    with pytest.raises(ConfigurationError, match="first"):
-        compile_program(tree, {"a": lambda: 0.5, "b": lambda: -0.5})
+def test_a_kind_branches_by_its_function_not_its_name(branch_prims):
+    """Any kind whose function is ``if_greater`` compiles to the branch that
+    runs only the taken side, whatever the kind is called."""
+    pick = function("pick", (Sort.NUMBER,) * 4, Sort.NUMBER, if_greater)
+    a, b = ProgramTree(branch_prims.kind("a")), ProgramTree(branch_prims.kind("b"))
+    tree = ProgramTree(pick, (a, b, a, ProgramTree(pick, (b, a, b, a))))
+    outcome = assert_same_runs(tree, {"a": lambda: 0.5, "b": lambda: -0.5}, 64)
+    assert outcome == (False, 0.5, 4)  # the untaken side's 5 nodes never ran
+
+
+@pytest.mark.parametrize("arity", [2, 4])
+def test_any_other_function_runs_eagerly(branch_prims, arity):
+    """A function other than ``if_greater`` is given its children's values,
+    every child evaluated first, even one with the conditional's arity."""
+    first = function("first", (Sort.NUMBER,) * arity, Sort.NUMBER, lambda *values: values[0])
+    a, b = ProgramTree(branch_prims.kind("a")), ProgramTree(branch_prims.kind("b"))
+    tree = ProgramTree(first, (a,) + (b,) * (arity - 1))
+    outcome = assert_same_runs(tree, {"a": lambda: 0.5, "b": lambda: -0.5}, 64)
+    assert outcome == (False, 0.5, arity + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +372,7 @@ def test_a_chain_at_the_depth_ceiling_runs_in_both_tasks(feed_prims, loc_prims):
     assert feed_tree.size == 797 > feed_module.MAX_STEPS
     assert loc_tree.size > localisation_module.MAX_STEPS
     runs = [(feed_tree, feed_environments(catalog)[0], feed_module.MAX_STEPS),
-            (loc_tree, World(WorldConfig(), seed=1).environment(), localisation_module.MAX_STEPS)]
+            (loc_tree, World(WorldConfig()).environment(), localisation_module.MAX_STEPS)]
     for tree, bindings, max_steps in runs:
         program = compile_program(tree, bindings)
         assert execute(program, max_steps) == (True, None, max_steps)

@@ -14,6 +14,8 @@ from gpislands.localisation import (
     BUDGET_MA,
     DEFAULT_PROVIDERS,
     DEFAULT_TICKS,
+    ERROR_HIGH,
+    ERROR_LOW,
     LocalisationEvaluator,
     MAX_STEPS,
     MAX_TICKS,
@@ -24,6 +26,7 @@ from gpislands.localisation import (
     WorldConfig,
     _available,
     _displace,
+    _error_draws,
     _layout,
     _truth,
     accuracy_fitness,
@@ -38,6 +41,7 @@ from gpislands.trees import (
     Individual,
     ProgramTree,
     Sort,
+    arithmetic_kinds,
     build_random_tree,
     constant_kind_name,
     deserialize,
@@ -100,13 +104,11 @@ def test_budget_current_matches_battery_over_day():
 # ---------------------------------------------------------------------------
 # the world
 
-def fix_position(world, name, t):
-    """Where provider ``name`` places the phone at tick ``t`` in ``world``,
-    worked out as the scoring pass does it."""
-    lo = world.config.error_low
-    source = world._source(name, t)
-    return _displace(*source, world._error_draws(source[2] + 2), lo,
-                     world.config.error_high - lo)
+def fix_position(config, seed, name, t):
+    """Where provider ``name`` places the phone at tick ``t`` with the
+    errors of ``seed``, worked out as the scoring pass does it."""
+    source = World(config)._source(name, t)
+    return _displace(*source, _error_draws(seed, source[2] + 2))
 
 
 def test_walk_interpolates_waypoints():
@@ -134,21 +136,21 @@ def test_provider_availability_follows_segments():
 
 
 def test_fix_errors_are_frozen_per_provider_and_tick():
-    world = World(WorldConfig(), seed="w")
-    assert fix_position(world, "wifi", 7.0) == fix_position(world, "wifi", 7.0)
-    again = World(WorldConfig(), seed="w")
-    assert fix_position(again, "wifi", 7.0) == fix_position(world, "wifi", 7.0)
-    other = World(WorldConfig(), seed="different")
-    assert fix_position(other, "wifi", 7.0) != fix_position(world, "wifi", 7.0)
-    assert fix_position(world, "cell", 7.0) != fix_position(world, "wifi", 7.0)
-    assert fix_position(world, "wifi", 8.0) != fix_position(world, "wifi", 7.0)
+    config = WorldConfig()
+    fixed = fix_position(config, "w", "wifi", 7.0)
+    assert fix_position(config, "w", "wifi", 7.0) == fixed
+    assert fix_position(WorldConfig(), "w", "wifi", 7.0) == fixed
+    assert fix_position(config, "different", "wifi", 7.0) != fixed
+    assert fix_position(config, "w", "cell", 7.0) != fixed
+    assert fix_position(config, "w", "wifi", 8.0) != fixed
 
 
 def test_fix_error_magnitude_within_band():
-    world = World(WorldConfig(), seed=3)
+    assert (ERROR_LOW, ERROR_HIGH) == (0.25, 0.75)
     ticks = _layout(WorldConfig()).ticks
     for tick in range(61):
-        d = math.dist(fix_position(world, "wifi", float(tick)), ticks[float(tick)].truth)
+        d = math.dist(fix_position(WorldConfig(), 3, "wifi", float(tick)),
+                      ticks[float(tick)].truth)
         assert 0.25 * WIFI.radius_m <= d <= 0.75 * WIFI.radius_m
 
 
@@ -238,8 +240,7 @@ def test_reference_on_ticks_is_the_sharpest_provider_on_since_0():
     eager table's."""
     for config in ORACLE_CONFIGS.values():
         ticks = _layout(config).ticks
-        world, eager = World(config, seed=9), EagerWorld(config, 9)
-        lo, span = config.error_low, config.error_high - config.error_low
+        eager = EagerWorld(config, 9)
         for tick in range(config.ticks + 1):
             t = float(tick)
             ready = [p for p in config.providers
@@ -252,7 +253,7 @@ def test_reference_on_ticks_is_the_sharpest_provider_on_since_0():
             first_draw = 2 * (config.ticks + 1) * config.providers.index(best)
             assert source == (_truth(config.waypoints, t), best.radius_m,
                               first_draw + 2 * tick)
-            assert _displace(*source, world._error_draws(source[2] + 2), lo, span) == (
+            assert _displace(*source, _error_draws(9, source[2] + 2)) == (
                 eager.fix_position(best.name, t))
     ticks = _layout(WorldConfig()).ticks
     assert ticks[0.0].reference_source is None  # nothing has warmed up yet
@@ -277,24 +278,23 @@ def test_single_provider_walk_closed_form(prims):
     """Quiet provider, zero error radius: every ready tick scores exactly
     accuracy 1 x energy (1 - draw/63)."""
     quiet = Provider("gps", radius_m=0.0, draw_ma=30.0, first_fix_s=10.0)
-    world = World(single_provider_world(quiet), seed=8)
     tree = parse(prims, "(seq (enable_gps) (request_update))")
-    fitness = evaluate_localisation(tree, world)
+    fitness = evaluate_localisation(tree, single_provider_world(quiet), 8)
     # enabled at tick 1, first fix at tick 11: 50 of 60 ticks score 33/63
     assert fitness == pytest.approx(50 * (1 - 30 / 63) / 60, rel=1e-12)
 
 
 def test_wifi_walk_closed_form(prims):
-    world = World(single_provider_world(WIFI), seed=8)
-    fitness = evaluate_localisation(parse(prims, ENABLE_AND_ASK), world)
+    fitness = evaluate_localisation(parse(prims, ENABLE_AND_ASK),
+                                    single_provider_world(WIFI), 8)
     # ready from tick 3 onwards; program and reference share each tick's error
     assert fitness == pytest.approx(58 * (1 - 30 / 63) / 60, rel=1e-12)
 
 
 def test_greedy_gps_exhausts_the_budget(prims):
-    world = World(single_provider_world(DEFAULT_PROVIDERS[0]), seed=8)
+    config = single_provider_world(DEFAULT_PROVIDERS[0])
     tree = parse(prims, "(seq (enable_gps) (request_update))")
-    assert evaluate_localisation(tree, world) == 0.0  # 140 mA >> 63 mA budget
+    assert evaluate_localisation(tree, config, 8) == 0.0  # 140 mA >> 63 mA budget
 
 
 def at_the_edge(prims, fresh_size, stale_size):
@@ -318,23 +318,23 @@ def killed_at_tick_3(prims):
 
 def test_kill_stops_scoring_but_keeps_earlier_ticks(prims):
     """A program that outgrows its step budget midway keeps what it earned."""
-    world = World(single_provider_world(CELL, ticks=5), seed=1)
-    fitness = evaluate_localisation(killed_at_tick_3(prims), world)
+    fitness = evaluate_localisation(killed_at_tick_3(prims),
+                                    single_provider_world(CELL, ticks=5), 1)
     # tick 1: no fix yet; tick 2: fix lands, scores (1 - 5/63); tick 3: the
     # stale branch needs 257 steps and is killed; ticks 4-5 score nothing
     assert fitness == pytest.approx((1 - 5 / 63) / 5, rel=1e-12)
 
 
 def test_immediate_kill_scores_zero(prims):
-    world = World(single_provider_world(CELL, ticks=5), seed=1)
-    fitness = evaluate_localisation(loc_requests(prims, MAX_STEPS + 1), world)
+    fitness = evaluate_localisation(loc_requests(prims, MAX_STEPS + 1),
+                                    single_provider_world(CELL, ticks=5), 1)
     assert fitness == 0.0
 
 
 def test_default_walk_is_seed_deterministic(prims):
     tree = parse(prims, ENABLE_AND_ASK)
-    a = evaluate_localisation(tree, World(WorldConfig(), seed="walk"))
-    b = evaluate_localisation(tree, World(WorldConfig(), seed="walk"))
+    a = evaluate_localisation(tree, WorldConfig(), "walk")
+    b = evaluate_localisation(tree, WorldConfig(), "walk")
     assert a == b
     assert 0.0 < a < 1.0
 
@@ -406,7 +406,7 @@ def test_depth2_brute_force_matches_closed_form(prims):
     trees += [ProgramTree(prims.kind("if_greater"), (a, b, x, y))
               for a, b in itertools.product(leaves_n, repeat=2)
               for x, y in itertools.product(leaves_a, repeat=2)]
-    best = max(evaluate_localisation(t, World(config, seed=8)) for t in trees)
+    best = max(evaluate_localisation(t, config, 8) for t in trees)
     assert best == pytest.approx(58 * (1 - 30 / 63) / 60, rel=1e-12)
 
 
@@ -472,11 +472,10 @@ class EagerWorld:
         self.fix = None  # (position, time, radius)
         self.by_name = {p.name: p for p in config.providers}
         draw = random.Random(f"world:{seed}").random
-        lo, span = config.error_low, config.error_high - config.error_low
         self.errors = {}
         for provider in config.providers:
             for tick in range(config.ticks + 1):
-                magnitude = provider.radius_m * (lo + span * draw())
+                magnitude = provider.radius_m * (ERROR_LOW + (ERROR_HIGH - ERROR_LOW) * draw())
                 angle = 2.0 * math.pi * draw()
                 self.errors[(provider.name, tick)] = (magnitude * math.cos(angle),
                                                       magnitude * math.sin(angle))
@@ -561,6 +560,14 @@ HAND_TREES = (
 )
 
 
+def test_arithmetic_is_the_shared_definition(prims):
+    """``add`` and ``mul`` run the very functions the shared arithmetic
+    kinds run, so the two tasks cannot disagree on a sum or product."""
+    shared = {kind.name: kind.fn for kind in arithmetic_kinds()}
+    for name in ("add", "mul"):
+        assert prims.kind(name).fn is shared[name]
+
+
 @pytest.fixture(scope="module")
 def oracle_trees():
     prims = localisation_primitives()
@@ -580,7 +587,7 @@ def test_scoring_matches_the_eager_oracle(oracle_trees, name):
     for i, tree in enumerate(oracle_trees):
         for seed in (i, f"again:{i}"):  # the second world reuses the trace
             want, killed = oracle_fitness(tree, config, seed)
-            assert evaluate_localisation(tree, World(config, seed)) == want
+            assert evaluate_localisation(tree, config, seed) == want
             kills += killed
             scored += want > 0.0
     assert kills and scored
@@ -622,12 +629,12 @@ LAZY_REFRESHER = ("(if_greater (last_fix_age) (const:Number 5.0)"
 
 def test_a_second_evaluation_runs_no_program(prims, execute_calls):
     tree = parse(prims, LAZY_REFRESHER)
-    first = evaluate_localisation(tree, World(WorldConfig(), seed=1))
+    first = evaluate_localisation(tree, WorldConfig(), 1)
     assert len(execute_calls) == WorldConfig().ticks
-    second = evaluate_localisation(tree, World(WorldConfig(), seed=2))
+    second = evaluate_localisation(tree, WorldConfig(), 2)
     assert len(execute_calls) == WorldConfig().ticks
     assert first != second  # each world still scores with its own errors
-    assert evaluate_localisation(tree, World(WorldConfig(), seed=1)) == first
+    assert evaluate_localisation(tree, WorldConfig(), 1) == first
 
 
 # worlds that differ from the default in the walk's length, and in a figure
@@ -639,15 +646,15 @@ def test_other_inputs_recompute_the_trace(prims, execute_calls):
     tree = parse(prims, LAZY_REFRESHER)
     config = WorldConfig()
     for other_config in OTHER_CONFIGS:
-        evaluate_localisation(tree, World(config, seed=3))
+        evaluate_localisation(tree, config, 3)
         before = len(execute_calls)
-        got = evaluate_localisation(tree, World(other_config, seed=3))
+        got = evaluate_localisation(tree, other_config, 3)
         assert len(execute_calls) > before
         assert got == oracle_fitness(tree, other_config, 3)[0]
     before = len(execute_calls)
     # equal inputs hit the cache, even as distinct objects
-    evaluate_localisation(tree, World(WorldConfig(ticks=20), seed=4))
-    evaluate_localisation(tree, World(WorldConfig(ticks=20), seed=4))
+    evaluate_localisation(tree, WorldConfig(ticks=20), 4)
+    evaluate_localisation(tree, WorldConfig(ticks=20), 4)
     assert len(execute_calls) == before + 20
 
 
@@ -698,7 +705,7 @@ def test_a_trace_of_reference_fixes_displaces_nothing(prims, displace_calls):
     assert all(fix[2] == reference[2] for fix, reference, _ in trace)
     for seed in range(5):
         want, _ = oracle_fitness(tree, config, seed)
-        assert evaluate_localisation(tree, World(config, seed)) == want
+        assert evaluate_localisation(tree, config, seed) == want
     assert displace_calls == []
 
 
@@ -721,7 +728,7 @@ def test_a_stale_fix_is_displaced_where_a_later_entry_needs_it(prims, displace_c
     for seed in range(5):
         want, _ = oracle_fitness(tree, config, seed)
         displace_calls.clear()
-        got = evaluate_localisation(tree, World(config, seed))
+        got = evaluate_localisation(tree, config, seed)
         assert got == want
         assert len(displace_calls) == per_evaluation
         perfect = sum(energy for _, _, energy in trace) / config.ticks
@@ -853,7 +860,7 @@ def test_a_twin_shares_its_partners_trace(prims, execute_calls, swap):
         # the partner runs the program; the twin runs none of it
         for seed, tree, runs in ((1, first, config.ticks), (2, second, 0)):
             before = len(execute_calls)
-            got = evaluate_localisation(tree, World(config, seed))
+            got = evaluate_localisation(tree, config, seed)
             assert got == oracle_fitness(tree, config, seed)[0]
             assert len(execute_calls) - before == runs
         info = localisation_module._control_trace.cache_info()
@@ -865,7 +872,7 @@ def test_nans_that_are_not_the_same_object_miss(prims, execute_calls):
     assert a != b
     config = WorldConfig()
     for seed, tree in enumerate((a, b)):
-        got = evaluate_localisation(tree, World(config, seed))
+        got = evaluate_localisation(tree, config, seed)
         assert got == oracle_fitness(tree, config, seed)[0]
     assert len(execute_calls) == 2 * config.ticks
     assert localisation_module._control_trace.cache_info().hits == 0
@@ -873,10 +880,10 @@ def test_nans_that_are_not_the_same_object_miss(prims, execute_calls):
 
 def test_a_twin_under_other_inputs_recomputes(prims, execute_calls):
     for first, second in twin_pairs(prims):
-        evaluate_localisation(first, World(WorldConfig(), seed=3))
+        evaluate_localisation(first, WorldConfig(), 3)
         for other_config in OTHER_CONFIGS:
             before = len(execute_calls)
-            got = evaluate_localisation(second, World(other_config, seed=3))
+            got = evaluate_localisation(second, other_config, 3)
             assert len(execute_calls) > before
             assert got == oracle_fitness(second, other_config, 3)[0]
     info = localisation_module._control_trace.cache_info()
@@ -884,60 +891,73 @@ def test_a_twin_under_other_inputs_recomputes(prims, execute_calls):
     assert info.misses == (1 + len(OTHER_CONFIGS)) * len(twin_pairs(prims))
 
 
-def test_the_callers_world_radios_are_untouched(prims):
-    tree = parse(prims, LAZY_REFRESHER)
-    fresh = evaluate_localisation(tree, World(WorldConfig(), seed=6))
-    world = World(WorldConfig(), seed=6)
-    world.t = 30.0
-    world.enabled["gps"] = 12.0
-    world.program_fix = ("gps", 25.0, GPS.radius_m)
-    assert evaluate_localisation(tree, world) == fresh
-    assert world.t == 30.0
-    assert world.enabled == {"gps": 12.0, "wifi": None, "cell": None}
-    assert world.program_fix == ("gps", 25.0, GPS.radius_m)
-
-
 def test_error_draws_match_the_eager_table():
     config = ORACLE_CONFIGS["tied"]
-    world, eager = World(config, seed="fp"), EagerWorld(config, "fp")
+    eager = EagerWorld(config, "fp")
     for provider in config.providers:
         for tick in range(config.ticks + 1):
-            assert fix_position(world, provider.name, float(tick)) == eager.fix_position(
-                provider.name, float(tick))
+            assert fix_position(config, "fp", provider.name, float(tick)) == (
+                eager.fix_position(provider.name, float(tick)))
 
 
-def test_a_world_draws_the_prefix_of_its_stream_it_is_asked_for():
+def test_error_draws_are_a_prefix_of_the_seeds_stream(monkeypatch):
     config = ORACLE_CONFIGS["tied"]
     count = 2 * len(config.providers) * (config.ticks + 1)
     draw = random.Random("world:fp").random
     whole = [draw() for _ in range(count)]
-    world = World(config, seed="fp")
-    assert world._error_draws(0) == []
-    assert world._error_draws(7) == whole[:7]
-    assert world._error_draws(3) == whole[:7]  # asking for fewer draws nothing
-    assert world._error_draws(40) == whole[:40]  # extended from the same stream
-    assert world._error_draws(count) == whole
+    for n in (1, 7, 40, count):
+        assert _error_draws("fp", n) == whole[:n]
+    streams = []
+    real = random.Random
+    monkeypatch.setattr(localisation_module.random, "Random",
+                        lambda *args: streams.append(args) or real(*args))
+    assert _error_draws("fp", 0) == []
+    assert streams == []  # no stream is made for no draws
 
 
-def test_scoring_draws_exactly_the_prefix_it_reads(oracle_trees, displace_calls):
-    """A fresh world draws as far into its stream as the highest draw the
+def test_scoring_draws_exactly_the_prefix_it_reads(oracle_trees, displace_calls,
+                                                   monkeypatch):
+    """An evaluation draws as far into its stream as the highest draw the
     scoring pass reads (each fix reads two from its index), and no further."""
+    counts = []
+    real = localisation_module._error_draws
+    monkeypatch.setattr(localisation_module, "_error_draws",
+                        lambda seed, count: counts.append(count) or real(seed, count))
     partial = none = 0
     for config in ORACLE_CONFIGS.values():
         whole = 2 * len(config.providers) * (config.ticks + 1)
         for i, tree in enumerate(oracle_trees):
-            world = World(config, seed=i)
+            counts.clear()
             displace_calls.clear()
-            evaluate_localisation(tree, world)
+            evaluate_localisation(tree, config, i)
             read = max((args[2] + 2 for args in displace_calls), default=0)
-            assert len(world._draws) == read
+            assert counts == [read]
             partial += 0 < read < whole
             none += read == 0
     assert partial and none
 
 
+def test_a_second_evaluation_of_an_equal_tree_builds_no_world(prims, monkeypatch):
+    """Only the control pass builds a world, and an equal tree's second
+    evaluation scores its cached trace without one."""
+    localisation_module._control_trace.cache_clear()
+    built = []
+    init = World.__init__
+
+    def counted(world, *args, **kwargs):
+        built.append(args)
+        init(world, *args, **kwargs)
+
+    monkeypatch.setattr(World, "__init__", counted)
+    evaluator = LocalisationEvaluator(WorldConfig(), random.Random(3))
+    evaluator(Individual.from_tree(parse(prims, LAZY_REFRESHER)))
+    assert len(built) == 1
+    evaluator(Individual.from_tree(parse(prims, LAZY_REFRESHER)))
+    assert len(built) == 1
+
+
 def test_program_fix_records_its_source():
-    world = World(WorldConfig(), seed=2)
+    world = World(WorldConfig())
     env = world.environment()
     world.enabled["wifi"] = 0.0
     world.t = 5.0
@@ -949,7 +969,8 @@ def test_program_fix_records_its_source():
     eager = EagerWorld(WorldConfig(), 2)
     world.t = 8.0
     assert world.program_fix == ("wifi", 5.0, WIFI.radius_m)  # stale
-    assert fix_position(world, *world.program_fix[:2]) == eager.fix_position("wifi", 5.0)
+    assert fix_position(WorldConfig(), 2, *world.program_fix[:2]) == (
+        eager.fix_position("wifi", 5.0))
 
 
 @pytest.mark.parametrize("build", [
@@ -959,6 +980,8 @@ def test_program_fix_records_its_source():
     lambda: Segment(0.0, 10.0, indoor="no", wifi=True),
     lambda: Segment(50.0, 10.0, indoor=False, wifi=True),
     lambda: Segment(0.0, math.nan, indoor=False, wifi=True),
+    lambda: WorldConfig(providers=()),
+    lambda: WorldConfig(segments=()),
     lambda: WorldConfig(providers=(WIFI, WIFI)),
     lambda: WorldConfig(waypoints=()),
     lambda: WorldConfig(waypoints=((0.0, 0.0),)),
@@ -969,10 +992,7 @@ def test_program_fix_records_its_source():
     # distance apart, and the reference fix itself would score 0
     lambda: WorldConfig(waypoints=((0.0, 1e308, 0.0),)),
     lambda: WorldConfig(waypoints=((0.0, -1e308, 0.0), (60.0, 1e308, 0.0))),
-    lambda: WorldConfig(providers=(Provider("cell", 1e308, 5.0, 1.0),), error_high=2.0),
-    lambda: WorldConfig(error_high=math.inf),
-    lambda: WorldConfig(error_low=math.nan),
-    lambda: WorldConfig(error_low=-1e308, error_high=1e308),
+    lambda: WorldConfig(providers=(Provider("cell", 1.5e308, 5.0, 1.0),)),
 ])
 def test_unusable_worlds_are_rejected_when_built(build):
     with pytest.raises(ConfigurationError):

@@ -87,12 +87,6 @@ def test_constant_payload_required(geo_prims):
         ProgramTree(geo_prims.kind("lat"), value=1.0)  # payload on a terminal
 
 
-def test_protected_division_total():
-    div = next(k for k in arithmetic_kinds(include_div=True) if k.name == "div")
-    assert div.fn(1.0, 0.0) == 1.0
-    assert div.fn(6.0, 3.0) == 2.0
-
-
 def test_duplicate_kind_names_rejected():
     with pytest.raises(ConfigurationError):
         PrimitiveSet([terminal("x", Sort.NUMBER), terminal("x", Sort.NUMBER)],

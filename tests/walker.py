@@ -11,7 +11,7 @@ feed: the walker runs a feed tree against one of them, and the package's
 terminal columns must hold, feed by feed, the values they give.
 """
 from gpislands.interpreter import RunOutcome
-from gpislands.trees import Category, ConfigurationError
+from gpislands.trees import Category, ConfigurationError, if_greater
 
 
 class _Killed(Exception):
@@ -36,7 +36,7 @@ def walk(tree, bindings, max_steps):
             if accessor is None:
                 raise ConfigurationError(f"terminal {kind.name!r} is not bound")
             return accessor()
-        if kind.lazy:
+        if kind.fn is if_greater:  # given thunks, it runs only the taken branch
             return kind.fn(*[(lambda c=c: ev(c)) for c in node.children])
         return kind.fn(*[ev(c) for c in node.children])
 
