@@ -14,24 +14,34 @@ with fitness 0 when nothing is displayed.  A program killed by the
 supervisor displays nothing.
 
 All seven scores come from one pass over the tree (:func:`_score_feeds`):
-each node is evaluated once over the list of feeds that reach it, a terminal
-reading a column of per-feed values, and ``if_greater`` splitting its feeds
-between its branches.  Every feed meets the same operations on the same
-operands as in a run of its own, so each score keeps its bits, NaN and
-``inf`` included.  The same pass tallies each feed's step count, the nodes
-a run of that feed alone would evaluate, and the fill is killed exactly
-when some feed's count exceeds :data:`MAX_STEPS`, as a supervisor running
-the feeds one by one would decide.  The feed task runs no interpreter.
+each node it reads is evaluated once over every feed, a terminal reading a
+column of per-feed values.  An ``if_greater`` that every feed takes the
+same way reads only that branch; one that splits its feeds scores both
+branches over every feed and gives each feed the value of the branch it
+takes.  Each
+feed's value depends only on the operations on its own path, and the
+vocabulary's arithmetic on floats neither raises nor has side effects, so
+every feed gets the value of a run of its own, bit for bit, NaN and ``inf``
+included.  The same pass tallies each feed's step count, the nodes a run of
+that feed alone would evaluate, and the fill is killed exactly when some
+feed's count exceeds :data:`MAX_STEPS`, as a supervisor running the feeds
+one by one would decide.  The feed task runs no interpreter.
 
-The pass scores only what it has not scored before.  A function node that
-every feed of a catalog reaches keeps its per-feed values on the node
-(``ProgramTree.record``), keyed by the identity of that catalog's columns,
+Where a branch scored over every feed raises (an unbound terminal, or a
+function that raises on some operands), the branch is scored again over the
+feeds that take it alone, so an error raises exactly when a feed that
+really takes the branch reaches it.
+
+The pass scores only what it has not scored before.  Every function node
+it evaluates over every feed keeps its per-feed values on the node
+(``ProgramTree.record``), keyed by the identity of the catalog's columns,
 together with its per-feed step counts, and a later pass over any tree
 holding the node reads them instead of descending.  A bred child shares
 every subtree with its parents except the ancestors breeding rebuilt, and a
 crossover donor has mostly been scored in its own tree, so scoring a child
-evaluates those ancestors, and below them only the branches that some feeds
-alone reach.  The values and counts depend on nothing but the subtree and
+evaluates those ancestors and little else.  A branch that no feed takes is
+never read and keeps no record; a branch rescored over its own feeds keeps
+none either.  The values and counts depend on nothing but the subtree and
 the columns, and a record is never mutated, only replaced.
 
 The screen fill is a pure function of the tree and the catalog, so it is
@@ -242,26 +252,32 @@ def _score_feeds(tree: ProgramTree, catalog: FeedCatalog
     """``tree``'s value for every feed of ``catalog`` and each feed's step
     count, both in catalog order, from one pass over the tree.
 
-    Each node is evaluated once over the feeds that reach it.  An
-    ``if_greater`` splits its feeds by the same ``a > b`` test a per-feed
-    run applies and runs each branch over its own feeds only, so every feed
-    sees exactly the operations, and gets exactly the value, of a per-feed
-    run.  A feed's step count is the number of nodes a run of that feed
-    alone would evaluate with no budget to stop it: a leaf costs 1, an eager
-    node 1 plus its children's counts, and an ``if_greater`` 1 plus the
-    counts of ``a`` and ``b`` and of the branch the feed takes.
+    Each node the pass reads is evaluated once over every feed.  An
+    ``if_greater`` tests ``a > b`` for each feed as a per-feed run does.
+    When every feed takes the same branch, only that branch is read.  When
+    the test splits the feeds, both branches are scored over every feed
+    and each feed's value and count are picked from the branch it takes: a
+    feed's result depends only on its own path, and the feed vocabulary
+    neither raises nor has side effects, so every feed gets exactly the
+    value of a per-feed run.  Should scoring a branch over every feed
+    raise, the branch is scored again over the feeds that take it alone, so
+    an unbound terminal or a raising function raises exactly when a feed
+    whose own run evaluates it reaches it.  A feed's step count is the
+    number of nodes a run of that feed alone would evaluate with no budget
+    to stop it: a leaf costs 1, an eager node 1 plus its children's counts,
+    and an ``if_greater`` 1 plus the counts of ``a`` and ``b`` and of the
+    branch the feed takes.
 
-    A function node evaluated over every feed keeps its values, as a tuple in
-    catalog order, and its counts (:data:`Steps`) in its ``record`` together
-    with the catalog's columns, and any later pass over any tree that holds
-    that node reads them instead of descending into it.  They are a function
-    of the subtree and the columns alone, the record is never mutated, and
-    it holds the columns dict itself, so a record matches only while its
-    columns are the ones being read (an identity no other dict can take
-    while the record lives).  A branch only some feeds reach is evaluated
-    over those feeds and keeps no record, so an unbound terminal still
-    raises only when a feed reaches it.  Leaves keep none either: their
-    values cost nothing to read.
+    Every function node evaluated over every feed keeps its values, as a
+    tuple in catalog order, and its counts (:data:`Steps`) in its
+    ``record`` together with the catalog's columns, and any later pass over
+    any tree that holds that node reads them instead of descending into it.
+    They are a function of the subtree and the columns alone, the record is
+    never mutated, and it holds the columns dict itself, so a record
+    matches only while its columns are the ones being read (an identity no
+    other dict can take while the record lives).  A branch no feed takes is
+    never read, and one rescored over its own feeds keeps no record.
+    Leaves keep none either: their values cost nothing to read.
     """
     columns = _feed_columns(catalog)
     every = range(len(catalog.feeds))
@@ -305,18 +321,35 @@ def _score_feeds(tree: ProgramTree, catalog: FeedCatalog
             elif not any(taken):
                 values, branch_steps = scored(other, rows)
             else:
-                then_values, then_steps = scored(then, [r for r, t in zip(rows, taken) if t])
-                other_values, other_steps = scored(
-                    other, [r for r, t in zip(rows, taken) if not t])
-                values = _interleave(taken, then_values, other_values)
+                then_values, then_steps = branch(then, rows, taken, True)
+                other_values, other_steps = branch(other, rows, taken, False)
+                values = tuple([t if k else o
+                                for k, t, o in zip(taken, then_values, other_values)])
                 if then_steps.__class__ is int and then_steps == other_steps:
                     branch_steps = then_steps
                 else:
-                    branch_steps = _interleave(taken, _each(then_steps), _each(other_steps))
+                    branch_steps = tuple([t if k else o for k, t, o in
+                                          zip(taken, _each(then_steps), _each(other_steps))])
             steps = _plus(_plus(a_steps, b_steps, 1), branch_steps, 0)
         if full:
             node.record = (columns, values, steps)
         return values, steps
+
+    def branch(node: ProgramTree, rows: Sequence[int], taken: Sequence[bool], side: bool
+               ) -> tuple[Sequence, Steps]:
+        """A split branch's value and step count for each feed of ``rows``:
+        scored over every feed when ``rows`` is every feed and that raises
+        nothing, else over the feeds whose ``taken`` is ``side`` alone, with
+        ``None`` in the places of the others."""
+        if rows is every:
+            try:
+                return scored(node, every)
+            except Exception:
+                pass  # some feed hit an error: does one that takes the branch?
+        mine = taken if side else [not t for t in taken]
+        values, steps = scored(node, [r for r, m in zip(rows, mine) if m])
+        nothing = itertools.repeat(None)
+        return _interleave(mine, values, nothing), _interleave(mine, _each(steps), nothing)
 
     values, steps = scored(tree, every)
     return values, (steps,) * len(every) if steps.__class__ is int else steps

@@ -24,9 +24,13 @@ keeps its hash the same way).  So do two slots in which a task may keep
 what it computed from the subtree alone, with the inputs it used.  ``memo`` holds one result
 for the node as a whole program: the feed task keeps its screen fill there.
 ``record`` holds the node's value for each of a set of inputs: the feed task
-keeps, on each function node it has evaluated over every feed of a catalog,
-that node's per-feed values, keyed by the catalog's columns, so a tree that
-shares the subtree with one already scored never descends into it again.
+keeps, on every function node it has evaluated, that node's per-feed values
+over every feed of a catalog, keyed by the catalog's columns, so a tree
+that shares the subtree with one already scored never descends into it
+again.  Both branches of a conditional that splits the feeds are evaluated
+over every feed, and keep their records; a branch no feed takes is never
+read, and a branch whose every-feed evaluation raises is evaluated again
+over its own feeds and keeps none.
 Both live exactly as long as the node, are keyed by the node's identity
 only, never by its structure, and are set by plain assignment and
 replaced, never mutated.

@@ -2,6 +2,7 @@
 import itertools
 import json
 import math
+import operator
 import random
 import statistics
 from collections import Counter
@@ -414,6 +415,24 @@ def test_a_nan_comparand_takes_the_else_branch(catalog, feed_prims):
     assert {scores[f.feed_id] for f in catalog.feeds} - {scores["engadget"]} == {3.0, 4.0}
 
 
+def nested(outer_then, inner_comparand):
+    """Feed ``a`` takes the outer ``then`` branch and ``b`` the ``else``; in
+    the branch the side says, a split on ``inner_comparand`` sends a feed
+    with a value of 1 to ``(is_c)``."""
+    inner = (f"(if_greater ({inner_comparand}) (const:Number 0.5)"
+             f" (is_c) (const:Number 1.0))")
+    branches = (inner, "(const:Number 2.0)") if outer_then else ("(const:Number 2.0)", inner)
+    return "(if_greater (is_a) (const:Number 0.5) {} {})".format(*branches)
+
+
+#: Nested splits on a catalog of feeds ``a`` and ``b`` that binds no
+#: ``is_c``.  Scoring a split's branches over every feed would send the
+#: other feed into ``(is_c)`` too; only in the first two does a feed take
+#: that path itself.
+NESTED_REACHED = [nested(True, "is_a"), nested(False, "is_b")]
+NESTED_HIDDEN = [nested(True, "is_b"), nested(False, "is_a")]
+
+
 def test_an_unbound_terminal_raises_only_when_a_feed_reaches_it():
     wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
     narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
@@ -421,7 +440,7 @@ def test_an_unbound_terminal_raises_only_when_a_feed_reaches_it():
     reached = ["(is_c)",
                "(add (is_a) (is_c))",
                "(if_greater (is_a) (const:Number 0.5) (is_c) (const:Number 1.0))",
-               "(if_greater (is_a) (const:Number 0.5) (const:Number 1.0) (is_c))"]
+               "(if_greater (is_a) (const:Number 0.5) (const:Number 1.0) (is_c))"] + NESTED_REACHED
     for text in reached:
         tree = deserialize(text, prims)
         for fill in (feed_module._fill_screen, walker_fill):
@@ -429,10 +448,48 @@ def test_an_unbound_terminal_raises_only_when_a_feed_reaches_it():
                 fill(tree, narrow)
     hidden = ["(if_greater (const:Number 0.0) (const:Number 1.0) (is_c) (is_b))",
               "(if_greater (is_a) (const:Number 2.0) (is_c) (unread_count))",
-              "(if_greater (unread_count) (const:Number 0.0) (is_a) (is_c))"]
+              "(if_greater (unread_count) (const:Number 0.0) (is_a) (is_c))"] + NESTED_HIDDEN
     for text in hidden:
         tree = deserialize(text, prims)
         assert_same_fill(feed_module._fill_screen(tree, narrow), walker_fill(tree, narrow))
+    # feed b never reaches (is_c), though both branches of the outer split
+    # are scored over every feed where nothing raises
+    assert feed_module._fill_screen(deserialize(NESTED_HIDDEN[0], prims), narrow)[0] == (1.0, 2.0)
+
+
+#: ``(divide x y)``: a function that raises on a zero divisor.
+DIVIDE = function("divide", (Sort.NUMBER, Sort.NUMBER), Sort.NUMBER, operator.truediv)
+
+
+@pytest.mark.parametrize("text, raises", [
+    ("(if_greater (is_a) (const:Number 0.5) (divide (const:Number 1.0) (is_a))"
+     " (const:Number 2.0))", False),
+    ("(if_greater (is_a) (const:Number 0.5) (const:Number 2.0)"
+     " (divide (const:Number 1.0) (is_b)))", False),
+    ("(if_greater (is_a) (const:Number 0.5) (const:Number 2.0)"
+     " (divide (const:Number 1.0) (is_a)))", True),
+    ("(if_greater (is_a) (const:Number 0.5)"
+     " (if_greater (is_a) (const:Number 0.5) (divide (const:Number 1.0) (is_b))"
+     " (const:Number 3.0)) (const:Number 2.0))", True),
+    ("(if_greater (is_a) (const:Number 0.5)"
+     " (if_greater (is_b) (const:Number 0.5) (divide (const:Number 1.0) (is_b))"
+     " (const:Number 3.0)) (const:Number 2.0))", False),
+], ids=["then-hidden", "else-hidden", "else-reached", "nested-reached", "nested-hidden"])
+def test_a_raising_function_raises_only_when_a_feed_reaches_it(text, raises):
+    """A function that raises for some feed's operands raises exactly when
+    a feed whose own run evaluates it does, as the walker does, although
+    both branches of a split are scored over every feed where they can
+    be."""
+    two = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3)))
+    base = feed_primitives(two)
+    prims = PrimitiveSet(list(base.kinds) + [DIVIDE], Sort.NUMBER, base.constant_sources)
+    tree = deserialize(text, prims)
+    if raises:
+        for fill in (feed_module._fill_screen, walker_fill):
+            with pytest.raises(ZeroDivisionError):
+                fill(tree, two)
+    else:
+        assert_same_fill(feed_module._fill_screen(tree, two), walker_fill(tree, two))
 
 
 def assert_walker_steps(tree, catalog):
@@ -670,9 +727,9 @@ def test_an_oversize_tree_reading_an_unbound_terminal_raises():
 
     reached = ["(is_c)",
                "(if_greater (is_a) (const:Number 0.5) (is_c) (const:Number 1.0))",
-               "(if_greater (is_a) (const:Number 0.5) (const:Number 1.0) (is_c))"]
+               "(if_greater (is_a) (const:Number 0.5) (const:Number 1.0) (is_c))"] + NESTED_REACHED
     hidden = ["(if_greater (const:Number 0.0) (const:Number 1.0) (is_c) (is_b))",
-              "(if_greater (is_a) (const:Number 2.0) (is_c) (unread_count))"]
+              "(if_greater (is_a) (const:Number 2.0) (is_c) (unread_count))"] + NESTED_HIDDEN
     for text in reached:
         tree = oversize(text, 101)
         for fill in (feed_module._fill_screen, walker_fill):
@@ -902,21 +959,34 @@ def test_a_child_evaluates_only_the_ancestors_breeding_rebuilt(catalog, feed_pri
     assert evaluated(parent, catalog) == everything
 
 
-def test_only_branches_every_feed_reaches_keep_a_record(catalog, feed_prims):
+def test_every_function_node_a_pass_evaluates_keeps_a_record(catalog, feed_prims):
+    """Both branches of a split ``if_greater`` are scored over every feed,
+    so they and every function node below them, a nested split included,
+    keep a record after one pass.  The branch a unanimous ``if_greater``
+    leaves untaken is never read, and leaves keep no record."""
     tree = deserialize(
         "(add (if_greater (group_is_tech) (const:Number 0.5)"
-        " (mul (unread_count) (is_techland)) (sub (unread_count) (is_engadget)))"
+        " (mul (if_greater (is_techland) (const:Number 0.5)"
+        " (add (unread_count) (is_techland)) (sub (unread_count) (group_is_tech)))"
+        " (unread_count))"
+        " (sub (unread_count) (mul (is_engadget) (const:Number 2.0))))"
         " (if_greater (unread_count) (const:Number 0.0)"
-        " (add (group_is_tech) (unread_count)) (mul (unread_count) (unread_count))))",
+        " (add (group_is_tech) (unread_count))"
+        " (mul (sub (unread_count) (is_engadget)) (unread_count))))",
         feed_prims)
-    feed_module._score_feeds(tree, catalog)
-    split, whole = tree.children
-    assert is_warm(tree, catalog) and is_warm(split, catalog) and is_warm(whole, catalog)
-    assert [branch.record for branch in split.children[2:]] == [None, None]
-    assert is_warm(whole.children[2], catalog) and whole.children[3].record is None
-    assert all(node.record is None for node, _ in iter_nodes(tree) if not node.children)
     values, _ = feed_module._score_feeds(tree, catalog)
+    split, unanimous = tree.children
+    untaken = unanimous.children[3]
+    unread = {id(node) for node, _ in iter_nodes(untaken)}
+    read = [node for node, _ in iter_nodes(tree) if node.children and id(node) not in unread]
+    assert len(read) == 10
+    assert all(is_warm(node, catalog) for node in read)
+    assert all(node.record is None for node, _ in iter_nodes(untaken))
+    assert all(node.record is None for node, _ in iter_nodes(tree) if not node.children)
     assert tree.record[1] is values and isinstance(values, tuple)
+    again, _ = feed_module._score_feeds(tree, catalog)
+    assert again is values
+    assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Property tests: the text form round-trips and the variation operators stay
-closed over the primitive set and the depth bound."""
+"""Property tests: the text form round-trips, the variation operators stay
+closed over the primitive set and the depth bound, and one-pass feed
+scoring gives every feed what its own walk gives, cold, warm and bred."""
 import random
 
 import grower
 import pytest
+from walker import feed_environments, walk
 
 pytest.importorskip("hypothesis")
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpislands.evolution import crossover, mutate
+from gpislands import feed
 from gpislands.feed import default_catalog, feed_primitives
 from gpislands.localisation import localisation_primitives
 from gpislands.trees import (
@@ -22,8 +25,9 @@ from gpislands.trees import (
     validate_tree,
 )
 
+CATALOG = default_catalog()
 PRIMS = {
-    "feed": feed_primitives(default_catalog()),
+    "feed": feed_primitives(CATALOG),
     "localisation": localisation_primitives(),
 }
 MAX_DEPTH = 6
@@ -110,3 +114,37 @@ def test_crossover_stays_closed(task, data, seed):
     rng = random.Random(seed)
     for _ in range(OPERATOR_DRAWS):
         assert_closed(crossover(a, b, max_depth, rng), prims, max_depth)
+
+
+#: Payloads that keep their bits only if every operation does: NaN, the
+#: infinities and both zeros, drawn as often as any other float.
+SPECIAL = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0])
+
+
+def assert_scored_as_walked(tree):
+    """Each feed's one-pass value (``repr``) and step count are its walk's,
+    with no budget to stop it."""
+    values, steps = feed._score_feeds(tree, CATALOG)
+    walks = [walk(tree, env, tree.size) for env in feed_environments(CATALOG)]
+    assert [repr(value) for value in values] == [repr(walked.value) for walked in walks]
+    assert steps == tuple(walked.steps_used for walked in walks)
+    return values
+
+
+@bounded
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_one_pass_feed_scoring_is_the_walkers_cold_warm_and_bred(data, seed):
+    """Scored cold, scored again from the records, and as a mutation child
+    and a crossover child of parents already scored, whose records they
+    share."""
+    prims = PRIMS["feed"]
+    max_depth = data.draw(st.integers(1, MAX_DEPTH))
+    payloads = st.one_of(SPECIAL, st.floats())
+    a = data.draw(trees(prims, max_depth, payloads))
+    b = data.draw(trees(prims, max_depth, payloads))
+    for parent in (a, b):
+        values = assert_scored_as_walked(parent)
+        assert assert_scored_as_walked(parent) is values or not parent.children
+    rng = random.Random(seed)
+    assert_scored_as_walked(mutate(a, prims, max_depth, rng))
+    assert_scored_as_walked(crossover(a, b, max_depth, rng))
