@@ -18,31 +18,30 @@ each node it reads is evaluated once over every feed, a terminal reading a
 column of per-feed values.  An ``if_greater`` that every feed takes the
 same way reads only that branch; one that splits its feeds scores both
 branches over every feed and gives each feed the value of the branch it
-takes.  Each
-feed's value depends only on the operations on its own path, and the
-vocabulary's arithmetic on floats neither raises nor has side effects, so
-every feed gets the value of a run of its own, bit for bit, NaN and ``inf``
-included.  The same pass tallies each feed's step count, the nodes a run of
-that feed alone would evaluate, and the fill is killed exactly when some
-feed's count exceeds :data:`MAX_STEPS`, as a supervisor running the feeds
-one by one would decide.  The feed task runs no interpreter.
+takes.  Each feed's value depends only on the operations on its own path,
+and the vocabulary's arithmetic on floats neither raises nor has side
+effects, so every feed gets the value of a run of its own, bit for bit, NaN
+and ``inf`` included.  The same pass tallies each feed's step count, the
+nodes a run of that feed alone would evaluate, and the fill is killed
+exactly when some feed's count exceeds :data:`MAX_STEPS`, as a supervisor
+running the feeds one by one would decide.
 
-Where a branch scored over every feed raises (an unbound terminal, or a
-function that raises on some operands), the branch is scored again over the
-feeds that take it alone, so an error raises exactly when a feed that
-really takes the branch reaches it.
+The feed task runs the interpreter only when its one pass raises (an
+unbound terminal, or a function that raises on some feed's operands,
+perhaps in a branch that feed does not take): then it runs the tree feed
+by feed, so an error raises exactly when some feed's own run reaches it,
+and it is the first such feed's error.
 
 The pass scores only what it has not scored before.  Every function node
-it evaluates over every feed keeps its per-feed values on the node
-(``ProgramTree.record``), keyed by the identity of the catalog's columns,
-together with its per-feed step counts, and a later pass over any tree
-holding the node reads them instead of descending.  A bred child shares
-every subtree with its parents except the ancestors breeding rebuilt, and a
-crossover donor has mostly been scored in its own tree, so scoring a child
-evaluates those ancestors and little else.  A branch that no feed takes is
-never read and keeps no record; a branch rescored over its own feeds keeps
-none either.  The values and counts depend on nothing but the subtree and
-the columns, and a record is never mutated, only replaced.
+it evaluates keeps its per-feed values on the node (``ProgramTree.record``),
+keyed by the identity of the catalog's columns, together with its per-feed
+step counts, and a later pass over any tree holding the node reads them
+instead of descending.  A bred child shares every subtree with its parents
+except the ancestors breeding rebuilt, and a crossover donor has mostly
+been scored in its own tree, so scoring a child evaluates those ancestors
+and little else.  A branch that no feed takes is never read and keeps no
+record.  The values and counts depend on nothing but the subtree and the
+columns, and a record is never mutated, only replaced.
 
 The screen fill is a pure function of the tree and the catalog, so it is
 memoised on the tree's root node (``ProgramTree.memo``) together with the
@@ -76,7 +75,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from .interpreter import execute  # unused: kept for perfbench, which wraps feed.execute
+from .interpreter import compile_program, execute
 from .trees import (
     Category,
     ConfigurationError,
@@ -259,70 +258,68 @@ def _score_feeds(tree: ProgramTree, catalog: FeedCatalog
     and each feed's value and count are picked from the branch it takes: a
     feed's result depends only on its own path, and the feed vocabulary
     neither raises nor has side effects, so every feed gets exactly the
-    value of a per-feed run.  Should scoring a branch over every feed
-    raise, the branch is scored again over the feeds that take it alone, so
-    an unbound terminal or a raising function raises exactly when a feed
-    whose own run evaluates it reaches it.  A feed's step count is the
-    number of nodes a run of that feed alone would evaluate with no budget
-    to stop it: a leaf costs 1, an eager node 1 plus its children's counts,
-    and an ``if_greater`` 1 plus the counts of ``a`` and ``b`` and of the
-    branch the feed takes.
+    value of a per-feed run.  A feed's step count is the number of nodes a
+    run of that feed alone would evaluate with no budget to stop it: a leaf
+    costs 1, an eager node 1 plus its children's counts, and an
+    ``if_greater`` 1 plus the counts of ``a`` and ``b`` and of the branch
+    the feed takes.
 
-    Every function node evaluated over every feed keeps its values, as a
-    tuple in catalog order, and its counts (:data:`Steps`) in its
-    ``record`` together with the catalog's columns, and any later pass over
-    any tree that holds that node reads them instead of descending into it.
-    They are a function of the subtree and the columns alone, the record is
+    Should the pass raise (an unbound terminal, or a function that raises
+    on some feed's operands, perhaps in a branch that feed does not take),
+    the tree is run again feed by feed on the interpreter
+    (:func:`_run_each_feed`), so an error raises exactly when some feed's
+    own run reaches it, and it is the first such feed's error.
+
+    Every function node the pass evaluates keeps its values, as a tuple in
+    catalog order, and its counts (:data:`Steps`) in its ``record``
+    together with the catalog's columns, and any later pass over any tree
+    that holds that node reads them instead of descending into it.  They
+    are a function of the subtree and the columns alone, the record is
     never mutated, and it holds the columns dict itself, so a record
     matches only while its columns are the ones being read (an identity no
     other dict can take while the record lives).  A branch no feed takes is
-    never read, and one rescored over its own feeds keeps no record.
-    Leaves keep none either: their values cost nothing to read.
+    never read and keeps no record.  Leaves keep none either: their values
+    cost nothing to read.
     """
     columns = _feed_columns(catalog)
-    every = range(len(catalog.feeds))
+    count = len(catalog.feeds)
 
-    def scored(node: ProgramTree, rows: Sequence[int]) -> tuple[Sequence, Steps]:
-        """``node``'s value and step count for each feed of ``rows``."""
+    def scored(node: ProgramTree) -> tuple[Sequence, Steps]:
+        """``node``'s value and step count for every feed."""
         kind = node.kind
         children = node.children
         if not children:
             if kind.category is Category.CONSTANT:
-                return (node.value,) * len(rows), 1
-            column = columns.get(kind.name)
-            if column is None:
-                raise ConfigurationError(f"terminal {kind.name!r} is not bound")
-            return (column if rows is every else [column[i] for i in rows]), 1
-        full = rows is every
-        if full:
-            record = node.record
-            if record is not None and record[0] is columns:
-                return record[1], record[2]
+                return (node.value,) * count, 1
+            return columns[kind.name], 1
+        record = node.record
+        if record is not None and record[0] is columns:
+            return record[1], record[2]
         if kind.fn is not if_greater:
             if len(children) == 2:
                 a, b = children
-                a_values, a_steps = scored(a, rows)
-                b_values, b_steps = scored(b, rows)
+                a_values, a_steps = scored(a)
+                b_values, b_steps = scored(b)
                 values = tuple(map(kind.fn, a_values, b_values))
                 steps = _plus(a_steps, b_steps, 1)
             else:
-                tallies = [scored(child, rows) for child in children]
+                tallies = [scored(child) for child in children]
                 values = tuple(map(kind.fn, *[child_values for child_values, _ in tallies]))
                 steps = 1
                 for _, child_steps in tallies:
                     steps = _plus(steps, child_steps, 0)
         else:
             a, b, then, other = children
-            a_values, a_steps = scored(a, rows)
-            b_values, b_steps = scored(b, rows)
+            a_values, a_steps = scored(a)
+            b_values, b_steps = scored(b)
             taken = list(map(operator.gt, a_values, b_values))
             if all(taken):
-                values, branch_steps = scored(then, rows)
+                values, branch_steps = scored(then)
             elif not any(taken):
-                values, branch_steps = scored(other, rows)
+                values, branch_steps = scored(other)
             else:
-                then_values, then_steps = branch(then, rows, taken, True)
-                other_values, other_steps = branch(other, rows, taken, False)
+                then_values, then_steps = scored(then)
+                other_values, other_steps = scored(other)
                 values = tuple([t if k else o
                                 for k, t, o in zip(taken, then_values, other_values)])
                 if then_steps.__class__ is int and then_steps == other_steps:
@@ -331,28 +328,32 @@ def _score_feeds(tree: ProgramTree, catalog: FeedCatalog
                     branch_steps = tuple([t if k else o for k, t, o in
                                           zip(taken, _each(then_steps), _each(other_steps))])
             steps = _plus(_plus(a_steps, b_steps, 1), branch_steps, 0)
-        if full:
-            node.record = (columns, values, steps)
+        node.record = (columns, values, steps)
         return values, steps
 
-    def branch(node: ProgramTree, rows: Sequence[int], taken: Sequence[bool], side: bool
-               ) -> tuple[Sequence, Steps]:
-        """A split branch's value and step count for each feed of ``rows``:
-        scored over every feed when ``rows`` is every feed and that raises
-        nothing, else over the feeds whose ``taken`` is ``side`` alone, with
-        ``None`` in the places of the others."""
-        if rows is every:
-            try:
-                return scored(node, every)
-            except Exception:
-                pass  # some feed hit an error: does one that takes the branch?
-        mine = taken if side else [not t for t in taken]
-        values, steps = scored(node, [r for r, m in zip(rows, mine) if m])
-        nothing = itertools.repeat(None)
-        return _interleave(mine, values, nothing), _interleave(mine, _each(steps), nothing)
+    try:
+        values, steps = scored(tree)
+    except Exception:  # some feed met an error: does its own run reach it?
+        return _run_each_feed(tree, columns, count)
+    return values, (steps,) * count if steps.__class__ is int else steps
 
-    values, steps = scored(tree, every)
-    return values, (steps,) * len(every) if steps.__class__ is int else steps
+
+def _run_each_feed(tree: ProgramTree, columns: dict[str, tuple], count: int
+                   ) -> tuple[tuple, tuple[int, ...]]:
+    """``tree``'s value and step count for each of the ``count`` feeds of
+    ``columns``, in catalog order, from a run of its own on the interpreter,
+    as a supervisor running the feeds one by one gives them: the first
+    feed whose run raises raises its error.  The budget is the tree's size,
+    which no run can exceed, so no run is killed and every count is exact;
+    the kill is decided over all of them afterwards."""
+    values, steps = [], []
+    for i in range(count):
+        bindings = {name: (lambda v=column[i]: v) for name, column in columns.items()}
+        program = compile_program(tree, bindings)
+        outcome = execute(program, program.size)
+        values.append(outcome.value)
+        steps.append(outcome.steps_used)
+    return tuple(values), tuple(steps)
 
 
 def _each(steps: Steps) -> Iterable[int]:
@@ -365,13 +366,6 @@ def _plus(a: Steps, b: Steps, extra: int) -> Steps:
     if a.__class__ is int and b.__class__ is int:
         return a + b + extra
     return tuple([s + t + extra for s, t in zip(_each(a), _each(b))])
-
-
-def _interleave(taken: Sequence[bool], thens: Iterable, others: Iterable) -> tuple:
-    """``thens`` where ``taken`` holds and ``others`` elsewhere, each read in
-    order: a branch's results over its own feeds put back in feed order."""
-    thens, others = iter(thens), iter(others)
-    return tuple([next(thens) if t else next(others) for t in taken])
 
 
 @dataclass

@@ -29,8 +29,8 @@ over every feed of a catalog, keyed by the catalog's columns, so a tree
 that shares the subtree with one already scored never descends into it
 again.  Both branches of a conditional that splits the feeds are evaluated
 over every feed, and keep their records; a branch no feed takes is never
-read, and a branch whose every-feed evaluation raises is evaluated again
-over its own feeds and keeps none.
+read.  A pass that raises runs the tree on the interpreter, feed by feed,
+and the nodes it had not finished keep none.
 Both live exactly as long as the node, are keyed by the node's identity
 only, never by its structure, and are set by plain assignment and
 replaced, never mutated.

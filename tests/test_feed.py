@@ -33,7 +33,7 @@ from gpislands.feed import (
     run_feed_program,
     simulate_clicks,
 )
-from gpislands.evolution import crossover, mutate
+from gpislands.evolution import Population, crossover, evaluate_population, mutate
 from gpislands.trees import (
     DEPTH_CEILING,
     Category,
@@ -490,6 +490,53 @@ def test_a_raising_function_raises_only_when_a_feed_reaches_it(text, raises):
                 fill(tree, two)
     else:
         assert_same_fill(feed_module._fill_screen(tree, two), walker_fill(tree, two))
+
+
+#: On a catalog of feeds ``a`` and ``b`` that binds no ``is_c``, each feed
+#: meets a different error: in the first tree feed ``a`` reaches ``(is_c)``
+#: and ``b`` divides by zero, in the second ``a`` divides by zero and ``b``
+#: reaches ``(is_c)``.
+FIRST_ERRORS = {
+    "a-unbound": ("(add (divide (const:Number 1.0) (is_a)) (is_c))", ConfigurationError),
+    "a-divides": ("(add (divide (const:Number 1.0) (is_b)) (is_c))", ZeroDivisionError),
+}
+
+
+def divide_case(name):
+    """The tree of ``FIRST_ERRORS[name]``, its error, and the catalog of
+    feeds ``a`` and ``b`` it is scored on."""
+    text, error = FIRST_ERRORS[name]
+    wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
+    base = feed_primitives(wide)
+    prims = PrimitiveSet(list(base.kinds) + [DIVIDE], Sort.NUMBER, base.constant_sources)
+    return deserialize(text, prims), error, FeedCatalog(wide.feeds[:2])
+
+
+@pytest.mark.parametrize("name", FIRST_ERRORS)
+def test_the_first_feed_to_err_raises_its_own_error(name):
+    """Where feeds meet different errors, the fill raises the error of the
+    first feed, in catalog order, whose own run meets one, as a supervisor
+    running the feeds one by one does."""
+    tree, error, two = divide_case(name)
+    for fill in (feed_module._fill_screen, walker_fill):
+        with pytest.raises(Exception) as raised:
+            fill(tree, two)
+        assert type(raised.value) is error
+
+
+def test_an_unbound_terminal_the_first_feed_reaches_stops_the_generation():
+    """A :class:`ConfigurationError` from the first erring feed propagates
+    through the evaluator and the generation, and is not scored 0; a
+    ``ZeroDivisionError`` from the first erring feed is scored 0."""
+    tree, _, two = divide_case("a-unbound")
+    pop = Population([Individual(tree)], 1)
+    with pytest.raises(ConfigurationError, match="is_c"):
+        evaluate_population(pop, FeedEvaluator(two, homogeneous_user(two), random.Random(0)))
+    assert pop.members[0].fitness is None
+    tree, _, two = divide_case("a-divides")
+    pop = Population([Individual(tree)], 1)
+    evaluate_population(pop, FeedEvaluator(two, homogeneous_user(two), random.Random(0)))
+    assert pop.members[0].fitness == 0.0
 
 
 def assert_walker_steps(tree, catalog):

@@ -220,12 +220,16 @@ def test_compiled_matches_walker_on_feed_trees(feed_prims, max_steps):
     assert min(sizes) <= max_steps < max(sizes)
 
 
-def test_the_oversize_fill_runs_each_feed_as_the_walker_does(feed_prims):
+def test_the_oversize_fill_runs_each_feed_as_the_walker_does(feed_prims, monkeypatch):
     """A tree larger than the budget is scored in the one pass, with no
     program compiled or run; each feed gets the value of a walk of the tree
     against that feed's own bindings, and its count is the steps of that
     walk, so the fill is killed exactly when some feed's walk is."""
-    assert not hasattr(feed_module, "compile_program")
+    def unexpected(*args):
+        pytest.fail("a fill that raises nothing compiled or ran a program")
+
+    monkeypatch.setattr(feed_module, "compile_program", unexpected)
+    monkeypatch.setattr(feed_module, "execute", unexpected)
     catalog = default_catalog()
     per_feed = feed_environments(catalog)
     assert len(per_feed) == 7

@@ -141,6 +141,56 @@ def test_admit_immigrants_drops_a_deeply_nested_migrant(feed_prims):
     assert pop.members == before
 
 
+def mutated(data, edits):
+    """``data`` after each edit in turn: ``("flip", i, b)`` xors byte ``i``
+    with ``b``, ``("insert", i, b)`` puts ``b`` before byte ``i`` and
+    ``("delete", i, _)`` drops byte ``i``, every ``i`` taken modulo the
+    length."""
+    data = bytearray(data)
+    for op, at, byte in edits:
+        if op == "insert":
+            data.insert(at % (len(data) + 1), byte)
+        elif data:
+            at %= len(data)
+            if op == "flip":
+                data[at] ^= byte
+            else:
+                del data[at]
+    return bytes(data)
+
+
+def test_byte_mutated_migrants_are_admitted_or_dropped(feed_prims):
+    """Byte-mutated wire bytes of feed trees never make decoding or
+    admission raise: every envelope that decodes is admitted or dropped, and
+    every one admitted is a tree of the root sort within the depth bound."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    edit = st.tuples(st.sampled_from(["flip", "insert", "delete"]),
+                     st.integers(0, 2**16), st.integers(1, 255))
+    migrant = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 6),
+                        st.lists(edit, max_size=3))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(migrants=st.lists(migrant, min_size=1, max_size=4), max_depth=st.integers(1, 6))
+    def fuzz(migrants, max_depth):
+        wire = [mutated(MigrantEnvelope(build_random_tree(
+                    feed_prims, depth, random.Random(seed))).encode(), edits)
+                for seed, depth, edits in migrants]
+        decoded = [envelope for envelope in map(MigrantEnvelope.decode, wire)
+                   if envelope is not None]
+        pop = Population([], 1)
+        report = admit_immigrants(pop, decoded, feed_prims, max_depth)
+        assert report.admitted + report.dropped == len(decoded)
+        assert len(pop.members) == report.admitted
+        for member in pop.members:
+            assert member.tree.depth <= max_depth
+            assert member.tree.sort is feed_prims.root_sort
+
+    fuzz()
+
+
 @pytest.fixture
 def parses(monkeypatch):
     """Every text ``admit_immigrants`` hands to the parser."""

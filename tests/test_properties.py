@@ -1,6 +1,8 @@
 """Property tests: the text form round-trips, the variation operators stay
 closed over the primitive set and the depth bound, and one-pass feed
-scoring gives every feed what its own walk gives, cold, warm and bred."""
+scoring gives every feed what its own walk gives, cold, warm and bred, and
+raises what the first feed whose own walk raises raises."""
+import operator
 import random
 
 import grower
@@ -14,12 +16,16 @@ from hypothesis import strategies as st
 
 from gpislands.evolution import crossover, mutate
 from gpislands import feed
-from gpislands.feed import default_catalog, feed_primitives
+from gpislands.feed import Feed, FeedCatalog, default_catalog, feed_primitives
 from gpislands.localisation import localisation_primitives
 from gpislands.trees import (
     Category,
+    ConfigurationError,
+    PrimitiveSet,
     ProgramTree,
+    Sort,
     deserialize,
+    function,
     iter_nodes,
     serialize,
     validate_tree,
@@ -121,11 +127,11 @@ def test_crossover_stays_closed(task, data, seed):
 SPECIAL = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0])
 
 
-def assert_scored_as_walked(tree):
+def assert_scored_as_walked(tree, catalog=CATALOG):
     """Each feed's one-pass value (``repr``) and step count are its walk's,
     with no budget to stop it."""
-    values, steps = feed._score_feeds(tree, CATALOG)
-    walks = [walk(tree, env, tree.size) for env in feed_environments(CATALOG)]
+    values, steps = feed._score_feeds(tree, catalog)
+    walks = [walk(tree, env, tree.size) for env in feed_environments(catalog)]
     assert [repr(value) for value in values] == [repr(walked.value) for walked in walks]
     assert steps == tuple(walked.steps_used for walked in walks)
     return values
@@ -139,7 +145,7 @@ def test_one_pass_feed_scoring_is_the_walkers_cold_warm_and_bred(data, seed):
     share."""
     prims = PRIMS["feed"]
     max_depth = data.draw(st.integers(1, MAX_DEPTH))
-    payloads = st.one_of(SPECIAL, st.floats())
+    payloads = st.one_of(SPECIAL, st.floats(1.0, 10.0))
     a = data.draw(trees(prims, max_depth, payloads))
     b = data.draw(trees(prims, max_depth, payloads))
     for parent in (a, b):
@@ -148,3 +154,56 @@ def test_one_pass_feed_scoring_is_the_walkers_cold_warm_and_bred(data, seed):
     rng = random.Random(seed)
     assert_scored_as_walked(mutate(a, prims, max_depth, rng))
     assert_scored_as_walked(crossover(a, b, max_depth, rng))
+
+
+#: Feeds ``a``, ``b`` and ``c``; trees are drawn over all three and scored on
+#: the first two, which bind no ``is_c``.
+WIDE = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
+NARROW = FeedCatalog(WIDE.feeds[:2])
+#: The feed vocabulary plus ``(divide x y)``, which raises on a zero divisor.
+RAISING = PrimitiveSet(
+    list(feed_primitives(WIDE).kinds)
+    + [function("divide", (Sort.NUMBER, Sort.NUMBER), Sort.NUMBER, operator.truediv)],
+    Sort.NUMBER, PRIMS["feed"].constant_sources)
+
+#: Two quotients added, or split between feed ``a`` and feed ``b``.
+QUOTIENT_ROOTS = ["(add {} {})", "(if_greater (is_a) (const:Number 0.5) {} {})"]
+
+
+def first_error(tree, catalog):
+    """The error of the first feed of ``catalog`` whose own walk raises, or
+    ``None`` when none does."""
+    for env in feed_environments(catalog):
+        try:
+            walk(tree, env, tree.size)
+        except Exception as error:
+            return error
+    return None
+
+
+@bounded
+@given(data=st.data())
+def test_a_pass_that_raises_falls_back_to_each_feeds_own_run(data):
+    """Over a vocabulary that can raise, scored on a catalog that leaves a
+    drawn terminal unbound: the scores raise the first erring feed's error
+    (its message too, for a configuration error), or, when no feed's own
+    walk raises, give every feed its walked value and count, however the
+    one pass fared.  The tree is two quotients either added, so that every
+    feed meets both in its own run, or under a root that splits the feeds,
+    ``a`` taking the first and ``b`` the second, so that the pass, scoring
+    both over both feeds, can divide by zero for a feed whose own run never
+    does."""
+    payloads = st.one_of(SPECIAL, st.floats(1.0, 10.0))
+    parts = [serialize(data.draw(trees(RAISING, 3, payloads))) for _ in range(4)]
+    root = data.draw(st.sampled_from(QUOTIENT_ROOTS))
+    tree = deserialize(root.format("(divide {} {})".format(*parts[:2]),
+                                   "(divide {} {})".format(*parts[2:])), RAISING)
+    error = first_error(tree, NARROW)
+    if error is None:
+        assert_scored_as_walked(tree, NARROW)
+        return
+    with pytest.raises(Exception) as raised:
+        feed._score_feeds(tree, NARROW)
+    assert type(raised.value) is type(error)
+    if isinstance(error, ConfigurationError):
+        assert str(raised.value) == str(error)
