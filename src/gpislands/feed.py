@@ -345,11 +345,14 @@ def _run_each_feed(tree: ProgramTree, columns: dict[str, tuple], count: int
     as a supervisor running the feeds one by one gives them: the first
     feed whose run raises raises its error.  The budget is the tree's size,
     which no run can exceed, so no run is killed and every count is exact;
-    the kill is decided over all of them afterwards."""
+    the kill is decided over all of them afterwards.  The tree is compiled
+    once, its terminals reading the column row of the feed being run."""
+    row = [0]
+    bindings = {name: (lambda c=column: c[row[0]]) for name, column in columns.items()}
+    program = compile_program(tree, bindings)
     values, steps = [], []
     for i in range(count):
-        bindings = {name: (lambda v=column[i]: v) for name, column in columns.items()}
-        program = compile_program(tree, bindings)
+        row[0] = i
         outcome = execute(program, program.size)
         values.append(outcome.value)
         steps.append(outcome.steps_used)
