@@ -15,8 +15,7 @@ from gpislands.evolution import (breed_next_generation, evaluate_population,
                                  initial_population, localisation_strategy,
                                  n_best)
 from gpislands.localisation import (LocalisationEvaluator, WorldConfig,
-                                    evaluate_localisation, localisation_helper,
-                                    localisation_primitives)
+                                    evaluate_localisation, localisation_primitives)
 from gpislands.trees import deserialize, serialize
 
 HAND_WRITTEN = {
@@ -54,7 +53,7 @@ def main() -> None:
 
     rng = random.Random(f"{args.seed}:evo")
     evaluator = LocalisationEvaluator(config, random.Random(f"{args.seed}:eval"))
-    pop = initial_population(prims, 12, 3, rng, guard=localisation_helper)
+    pop = initial_population(prims, 12, 3, rng)
     strategy = localisation_strategy()
     rejected = pop.helper_rejections
     print("Evolving a policy under the same budget:")
@@ -64,8 +63,7 @@ def main() -> None:
             print(f"gen {gen:>2}  best {stats.max_fitness:.3f}  "
                   f"mean {stats.mean_fitness:.3f}")
         if gen < args.generations - 1:
-            pop = breed_next_generation(pop, strategy, prims, 3, rng,
-                                        guard=localisation_helper)
+            pop = breed_next_generation(pop, strategy, prims, 3, rng)
             rejected += pop.helper_rejections
 
     elite = n_best(pop, 1)[0]

@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--app-config", dest="app_config",
                         help="JSON file overriding the task's catalog or world")
     parser.add_argument("--helper", action=argparse.BooleanOptionalAction,
-                        help="screen generated programs with the task helper")
+                        help="screen generated programs with the task helper (the feed "
+                             "task has none, so --no-helper changes nothing there)")
     parser.add_argument("--max-depth", dest="max_depth", type=int)
     parser.add_argument("--udp-base-port", dest="udp_base_port", type=int)
     # every option but --out is a field of the config, and defaults to it

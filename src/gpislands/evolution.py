@@ -5,10 +5,10 @@ ordered list of steps, each binding a named roulette-wheel selector to one of
 the four operators (COPY, MUTATION, CROSSOVER, RANDOM) with a count.  Step
 counts must sum to the population capacity, so every breed conserves size.
 
-An optional guard, a predicate over trees, screens every newly generated
-tree; rejected candidates are rebuilt (with freshly drawn parents) up to
-:data:`REBUILD_ATTEMPTS` times, after which the last is admitted anyway so
-breeding can never stall.  Rejections count into the generation statistics.
+The vocabulary's helper (``PrimitiveSet.helper``) screens every tree grown
+or bred here; rejected candidates are rebuilt (with freshly drawn parents)
+up to :data:`REBUILD_ATTEMPTS` times, after which the last is admitted
+anyway so breeding can never stall.  Rejections count into the statistics.
 
 Breeding does each piece of work once.  The population does not change while
 it breeds, so each selector's pool and the running fitness sums of its
@@ -48,7 +48,7 @@ from .trees import (
 log = logging.getLogger(__name__)
 
 CROSSOVER_RETRIES = 16
-#: Rebuilds a guard may ask for before its last candidate is admitted anyway.
+#: Rebuilds a helper may ask for before its last candidate is admitted anyway.
 REBUILD_ATTEMPTS = 64
 
 FitnessFn = Callable[[Individual], float]
@@ -76,13 +76,13 @@ class Population:
 
 @dataclass(frozen=True)
 class SelectorBinding:
-    """A named selector: a roulette wheel over the pool's fitness values.
+    """A selector: a roulette wheel over the pool's fitness values.  Its key
+    in :attr:`EvolutionStrategy.selectors` names it.
 
     ``pool_best`` restricts the wheel to the n fittest members; ``None``
     spins over the whole population.
     """
 
-    name: str
     pool_best: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -149,7 +149,7 @@ def strategy_from_dict(data: dict) -> EvolutionStrategy:
         for name, spec in data["selectors"].items():
             if spec.get("kind", "wheel") != "wheel":  # the one kind there is
                 raise ConfigurationError(f"unknown selector kind {spec['kind']!r}")
-            selectors[name] = SelectorBinding(name, spec.get("pool_best"))
+            selectors[name] = SelectorBinding(spec.get("pool_best"))
         steps = [
             StrategyStep(Operator(str(step["operator"]).upper()), step["count"],
                          step.get("selector"))
@@ -165,8 +165,8 @@ def google_reader_strategy() -> EvolutionStrategy:
     wheel, two mutations and two crossovers from a 3-best wheel."""
     return EvolutionStrategy(
         selectors={
-            "HR": SelectorBinding("HR", pool_best=3),
-            "Leader": SelectorBinding("Leader", pool_best=1),
+            "HR": SelectorBinding(pool_best=3),
+            "Leader": SelectorBinding(pool_best=1),
         },
         steps=[
             StrategyStep(Operator.COPY, 1, "Leader"),
@@ -180,8 +180,8 @@ def localisation_strategy() -> EvolutionStrategy:
     """Twelve programs: elite, four mutations, five crossovers, two random."""
     return EvolutionStrategy(
         selectors={
-            "HR": SelectorBinding("HR", pool_best=3),
-            "Leader": SelectorBinding("Leader", pool_best=1),
+            "HR": SelectorBinding(pool_best=3),
+            "Leader": SelectorBinding(pool_best=1),
         },
         steps=[
             StrategyStep(Operator.COPY, 1, "Leader"),
@@ -199,9 +199,9 @@ def island_strategy(capacity: int = 10) -> EvolutionStrategy:
         raise ConfigurationError("island strategy needs capacity of at least 5")
     return EvolutionStrategy(
         selectors={
-            "HR": SelectorBinding("HR", pool_best=3),
-            "Leader": SelectorBinding("Leader", pool_best=1),
-            "Pool": SelectorBinding("Pool", pool_best=None),
+            "HR": SelectorBinding(pool_best=3),
+            "Leader": SelectorBinding(pool_best=1),
+            "Pool": SelectorBinding(pool_best=None),
         },
         steps=[
             StrategyStep(Operator.COPY, 1, "Leader"),
@@ -328,14 +328,14 @@ def crossover(a: ProgramTree, b: ProgramTree, max_depth: int,
 # ---------------------------------------------------------------------------
 # breeding and evaluation
 
-def _build_guarded(make: Callable[[], ProgramTree],
-                   guard: Optional[Callable[[ProgramTree], bool]],
+def _build_guarded(make: Callable[[], ProgramTree], prims: PrimitiveSet,
                    counters: dict) -> ProgramTree:
-    if guard is None:
+    helper = prims.helper
+    if helper is None:
         return make()
     candidate = make()
     for _ in range(REBUILD_ATTEMPTS):
-        if guard(candidate):
+        if helper(candidate):
             return candidate
         counters["rejections"] += 1
         candidate = make()
@@ -344,13 +344,12 @@ def _build_guarded(make: Callable[[], ProgramTree],
 
 
 def initial_population(prims: PrimitiveSet, capacity: int, max_depth: int,
-                       rng: random.Random,
-                       guard: Optional[Callable[[ProgramTree], bool]] = None) -> Population:
-    """Generation 0: ``capacity`` fresh random programs, guard-screened."""
+                       rng: random.Random) -> Population:
+    """Generation 0: ``capacity`` fresh random programs, helper-screened."""
     counters = {"rejections": 0, "fallbacks": 0}
     members = [
         Individual.from_tree(
-            _build_guarded(lambda: build_random_tree(prims, max_depth, rng), guard, counters))
+            _build_guarded(lambda: build_random_tree(prims, max_depth, rng), prims, counters))
         for _ in range(capacity)
     ]
     return Population(members, capacity, generation=0,
@@ -359,8 +358,7 @@ def initial_population(prims: PrimitiveSet, capacity: int, max_depth: int,
 
 
 def breed_next_generation(pop: Population, strategy: EvolutionStrategy, prims: PrimitiveSet,
-                          max_depth: int, rng: random.Random,
-                          guard: Optional[Callable[[ProgramTree], bool]] = None) -> Population:
+                          max_depth: int, rng: random.Random) -> Population:
     """Produce the next generation by running the strategy steps in order.
 
     The source population may be over capacity (appended immigrants take part
@@ -379,7 +377,7 @@ def breed_next_generation(pop: Population, strategy: EvolutionStrategy, prims: P
         if step.operator is Operator.RANDOM:
             for _ in range(step.count):
                 tree = _build_guarded(lambda: build_random_tree(prims, max_depth, rng),
-                                      guard, counters)
+                                      prims, counters)
                 members.append(Individual.from_tree(tree, Origin.RANDOM_INJECTED))
             continue
         if not step.count:
@@ -396,13 +394,13 @@ def breed_next_generation(pop: Population, strategy: EvolutionStrategy, prims: P
             elif step.operator is Operator.MUTATION:
                 def make_mutant() -> ProgramTree:
                     return mutate(spin(rng).tree, prims, max_depth, rng)
-                members.append(Individual.from_tree(_build_guarded(make_mutant, guard, counters)))
+                members.append(Individual.from_tree(_build_guarded(make_mutant, prims, counters)))
             else:  # CROSSOVER
                 def make_child() -> ProgramTree:
                     first = spin(rng)
                     second = spin(rng)
                     return crossover(first.tree, second.tree, max_depth, rng)
-                members.append(Individual.from_tree(_build_guarded(make_child, guard, counters)))
+                members.append(Individual.from_tree(_build_guarded(make_child, prims, counters)))
     return Population(members, pop.capacity, generation=pop.generation + 1,
                       helper_rejections=counters["rejections"],
                       guard_fallbacks=counters["fallbacks"])

@@ -20,7 +20,7 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,11 +38,12 @@ from .islands import (
     IslandSpec,
     MigrationMode,
     MigrationPolicy,
+    SimulatedBroadcastBus,
     Transport,
     UdpBroadcastTransport,
     run_islands,
 )
-from .trees import DEPTH_CEILING, ConfigurationError, PrimitiveSet, ProgramTree
+from .trees import DEPTH_CEILING, ConfigurationError, PrimitiveSet
 
 DEFAULT_MAX_DEPTH = 3
 
@@ -137,7 +138,6 @@ def resolve_strategy(config: ExperimentConfig) -> EvolutionStrategy:
 @dataclass
 class _TaskSetup:
     prims: PrimitiveSet
-    guard: Optional[Callable[[ProgramTree], bool]]
     make_evaluator: "object"
 
 
@@ -155,16 +155,18 @@ def _task_setup(config: ExperimentConfig) -> _TaskSetup:
                 user = feed_app.landscape_user(catalog, config.landscape, island)
             return feed_app.FeedEvaluator(catalog, user, random.Random(f"{seed}:eval"))
 
-        return _TaskSetup(feed_app.feed_primitives(catalog), None, make_feed_evaluator)
+        prims, make_evaluator = feed_app.feed_primitives(catalog), make_feed_evaluator
+    else:
+        world_config = (loc_app.load_world_config(config.app_config)
+                        if config.app_config else loc_app.WorldConfig())
 
-    world_config = (loc_app.load_world_config(config.app_config)
-                    if config.app_config else loc_app.WorldConfig())
-    guard = loc_app.localisation_helper if config.helper else None
+        def make_loc_evaluator(island: int, seed: str):
+            return loc_app.LocalisationEvaluator(world_config, random.Random(f"{seed}:eval"))
 
-    def make_loc_evaluator(island: int, seed: str):
-        return loc_app.LocalisationEvaluator(world_config, random.Random(f"{seed}:eval"))
-
-    return _TaskSetup(loc_app.localisation_primitives(), guard, make_loc_evaluator)
+        prims, make_evaluator = loc_app.localisation_primitives(), make_loc_evaluator
+    if not config.helper:
+        prims = dataclasses.replace(prims, helper=None)
+    return _TaskSetup(prims, make_evaluator)
 
 
 @dataclass(frozen=True)
@@ -218,9 +220,13 @@ def _summarize(config: ExperimentConfig, rows: Sequence[GenerationStats]) -> lis
             for k, (generation, island) in enumerate(cells)]
 
 
-def _udp_transports(config: ExperimentConfig) -> list[Transport]:
-    """One bound transport per island; if any bind fails, the sockets already
-    bound are closed before the error propagates."""
+def _transports(config: ExperimentConfig, iteration: int) -> list[Transport]:
+    """One transport per island: a simulated bus's endpoints, seeded from the
+    base seed and the iteration, or bound UDP sockets; if any bind fails, the
+    sockets already bound are closed before the error propagates."""
+    if config.transport == "sim":
+        bus = SimulatedBroadcastBus(config.loss, f"{config.seed}:it{iteration}")
+        return [bus.register() for _ in range(config.islands)]
     ports = [config.udp_base_port + k for k in range(config.islands)]
     transports: list[Transport] = []
     try:
@@ -250,17 +256,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 strategy=strategy,
                 evaluator=setup.make_evaluator(island, seed),
                 seed=seed,
-                guard=setup.guard,
             ))
-        transports = _udp_transports(config) if config.transport == "udp" else None
+        transports = _transports(config, iteration)
         try:
-            history = run_islands(
-                specs, setup.prims, config.capacity, config.max_depth, policy,
-                config.generations, transports=transports,
-                transport_seed=f"{config.seed}:it{iteration}",
-                loss=config.loss)
+            history = run_islands(specs, setup.prims, config.max_depth, policy,
+                                  config.generations, transports)
         finally:
-            for transport in transports or []:
+            for transport in transports:
                 transport.close()
         for island_rows in history:
             rows.extend(dataclasses.replace(r, iteration=iteration) for r in island_rows)

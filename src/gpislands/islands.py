@@ -27,7 +27,7 @@ import random
 import select
 import socket
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .evolution import (
     EvolutionStrategy,
@@ -133,6 +133,9 @@ class Transport:
 
     def drain(self) -> list[MigrantEnvelope]:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the endpoint holds; an in-process one holds nothing."""
 
 
 class SimulatedBroadcastBus:
@@ -293,7 +296,8 @@ def inject_random(pop: Population, policy: MigrationPolicy, prims: PrimitiveSet,
 
     The injected trees follow the same lifecycle as immigrants (scored with
     the current generation, absorbed at the next breed); outside migration
-    generations the population is left unchanged.
+    generations the population is left unchanged.  They are not screened by
+    the vocabulary's helper, unlike every tree evolution grows or breeds.
     """
     if not is_migration_generation(pop.generation, policy):
         return 0
@@ -325,7 +329,8 @@ class GenerationStats:
 
 @dataclass
 class IslandSpec:
-    """Everything one island needs: how to breed, how to score, and a seed.
+    """What sets one island apart: how it breeds, how it scores, and a seed;
+    its capacity is its strategy's total.
 
     The seed feeds two independent streams -- one for evolution (initial
     build plus breeding) and one for migration choices -- so that disabling
@@ -336,35 +341,30 @@ class IslandSpec:
     strategy: EvolutionStrategy
     evaluator: FitnessFn
     seed: int | str
-    guard: Optional[Callable[[ProgramTree], bool]] = None
 
 
-def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, capacity: int,
-                max_depth: int, policy: MigrationPolicy, generations: int,
-                transports: Optional[Sequence[Transport]] = None,
-                transport_seed: int | str = 0,
-                loss: float = 0.0) -> list[list[GenerationStats]]:
-    """Evolve all islands for ``generations`` lock-step generations.
+def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, max_depth: int,
+                policy: MigrationPolicy, generations: int,
+                transports: Sequence[Transport]) -> list[list[GenerationStats]]:
+    """Evolve all islands for ``generations`` lock-step generations, island
+    ``k`` exchanging migrants through ``transports[k]``.
 
     Per generation and island: evaluate every member; at migration
     generations emit emigrants, deliver, admit and score arrivals (or inject
     random members); record stats over the full pool (computed once, after
-    the arrivals if there were any); breed.  Returns one
-    stats list per island.  With the default simulated transport the whole
-    run is a pure function of the island seeds and ``transport_seed``.
+    the arrivals if there were any); breed.  Returns one stats list per
+    island.  Over a simulated bus the whole run is a pure function of the
+    island seeds and the bus's seed.
     """
     if generations < 1:
         raise ConfigurationError("need at least one generation")
-    if transports is None:
-        bus = SimulatedBroadcastBus(loss=loss, seed=transport_seed)
-        transports = [bus.register() for _ in specs]
-    elif len(transports) != len(specs):
+    if len(transports) != len(specs):
         raise ConfigurationError("need one transport per island")
 
     evo_rngs = [random.Random(f"{spec.seed}:evo") for spec in specs]
     mig_rngs = [random.Random(f"{spec.seed}:mig") for spec in specs]
     pops = [
-        initial_population(prims, capacity, max_depth, evo_rngs[k], guard=spec.guard)
+        initial_population(prims, spec.strategy.total(), max_depth, evo_rngs[k])
         for k, spec in enumerate(specs)
     ]
     history: list[list[GenerationStats]] = [[] for _ in specs]
@@ -406,6 +406,5 @@ def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, capacity: int,
         if generation < generations - 1:
             for k, spec in enumerate(specs):
                 pops[k] = breed_next_generation(pops[k], spec.strategy, prims,
-                                                max_depth, evo_rngs[k],
-                                                guard=spec.guard)
+                                                max_depth, evo_rngs[k])
     return history

@@ -176,6 +176,10 @@ class WorldConfig:
         names = [p.name for p in self.providers]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate provider names in {names}")
+        for name in names:
+            if name not in RADIO_NAMES:
+                raise ConfigurationError(f"no terminal switches provider {name!r}; "
+                                         f"providers are named from {RADIO_NAMES}")
         if not self.waypoints:
             raise ConfigurationError("the walk needs at least one waypoint")
         for point in self.waypoints:
@@ -548,7 +552,8 @@ def localisation_helper(tree: ProgramTree) -> bool:
 
 
 def localisation_primitives() -> PrimitiveSet:
-    """Action vocabulary plus the numeric plumbing for duty-cycling logic."""
+    """Action vocabulary plus the numeric plumbing for duty-cycling logic,
+    screened by :func:`localisation_helper`."""
     two = (Sort.NUMBER, Sort.NUMBER)
     kinds = [
         sequence_kind(),
@@ -567,7 +572,7 @@ def localisation_primitives() -> PrimitiveSet:
     ]
     return PrimitiveSet(kinds, Sort.ACTION,
                         constant_sources={Sort.NUMBER: lambda rng: rng.uniform(0.0, 60.0)},
-                        function_bias=LOC_FUNCTION_BIAS)
+                        function_bias=LOC_FUNCTION_BIAS, helper=localisation_helper)
 
 
 class LocalisationEvaluator:
@@ -591,11 +596,12 @@ def world_config_from_dict(data: dict) -> WorldConfig:
 
     Anything a run could not use raises :class:`ConfigurationError`: besides
     malformed entries, a figure, coordinate or bound that is not a JSON
-    number a float can hold, a provider no program terminal can switch (any
-    name but those in :data:`RADIO_NAMES`), and whatever :class:`Provider`,
+    number a float can hold, and whatever :class:`Provider`,
     :class:`Segment` and :class:`WorldConfig` reject, such as an empty
-    provider or segment list, a non-boolean ``wifi`` flag or a ``ticks``
-    that is not a whole number from 1 to :data:`MAX_TICKS`.
+    provider or segment list, a provider no program terminal can switch
+    (any name but those in :data:`RADIO_NAMES`), a non-boolean ``wifi``
+    flag or a ``ticks`` that is not a whole number from 1 to
+    :data:`MAX_TICKS`.
     """
     try:
         providers = DEFAULT_PROVIDERS
@@ -604,11 +610,6 @@ def world_config_from_dict(data: dict) -> WorldConfig:
                 Provider(p["name"], config_number(p["radius_m"]),
                          config_number(p["draw_ma"]), config_number(p["first_fix_s"]))
                 for p in data["providers"])
-            for provider in providers:
-                if provider.name not in RADIO_NAMES:
-                    raise ConfigurationError(
-                        f"no terminal switches provider {provider.name!r}; "
-                        f"providers are named from {RADIO_NAMES}")
         waypoints = tuple(tuple(config_number(v) for v in point)
                           for point in data.get("waypoints", WorldConfig.waypoints))
         segments = WorldConfig.segments

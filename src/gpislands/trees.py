@@ -21,19 +21,11 @@ node is hashed, from its children's kept hashes, so hashing a tree again, or
 a new tree built around hashed subtrees, costs only the nodes not hashed
 before, and a tree nobody hashes never works it out (a :class:`NodeKind`
 keeps its hash the same way).  So do two slots in which a task may keep
-what it computed from the subtree alone, with the inputs it used.  ``memo`` holds one result
-for the node as a whole program: the feed task keeps its screen fill there.
-``record`` holds the node's value for each of a set of inputs: the feed task
-keeps, on every function node it has evaluated, that node's per-feed values
-over every feed of a catalog, keyed by the catalog's columns, so a tree
-that shares the subtree with one already scored never descends into it
-again.  Both branches of a conditional that splits the feeds are evaluated
-over every feed, and keep their records; a branch no feed takes is never
-read.  A pass that raises runs the tree on the interpreter, feed by feed,
-and the nodes it had not finished keep none.
-Both live exactly as long as the node, are keyed by the node's identity
-only, never by its structure, and are set by plain assignment and
-replaced, never mutated.
+what it computed from the subtree alone, with the inputs it used:
+``memo`` holds one result for the node as a whole program, and ``record``
+the node's value for each of a set of inputs.  Both live exactly as long
+as the node, are keyed by the node's identity only, never by its
+structure, and are set by plain assignment and replaced, never mutated.
 
 The public constructor checks each node it builds: the arity, the constant
 payload and every child's sort.  Random growth and :func:`replace_subtree`
@@ -63,7 +55,7 @@ the sort's leaves, its functions each with the tables of its argument
 sorts, and its constant source.  :func:`grow_subtree` looks one table up
 and then follows tables from node to node, so growing a node hashes no sort.
 It picks a function over a leaf at the set's ``function_bias``, which a task
-states once, with its vocabulary.
+states once, with its vocabulary, as it states its ``helper``.
 """
 
 from __future__ import annotations
@@ -376,12 +368,19 @@ class PrimitiveSet:
     a function where the depth budget allows one.  The growth table of every
     sort (:class:`_Growth`) is built with the set, and rebuilt by
     ``dataclasses.replace(prims, function_bias=b)``.
+
+    ``helper``, when set, is a predicate over trees that every tree
+    evolution grows or breeds from this vocabulary must pass, or else be
+    rebuilt (see :mod:`gpislands.evolution`); ``None`` screens nothing.
+    ``dataclasses.replace(prims, helper=None)`` is the same vocabulary
+    unscreened.
     """
 
     kinds: Sequence[NodeKind]
     root_sort: Sort
     constant_sources: Mapping[Sort, Callable[[random.Random], float]] = field(default_factory=dict)
     function_bias: float = 0.5
+    helper: Optional[Callable[[ProgramTree], bool]] = None
 
     def __post_init__(self) -> None:
         all_kinds = list(self.kinds)

@@ -1,4 +1,5 @@
 """Selection, variation operators, strategies and generational breeding."""
+import dataclasses
 import random
 
 import grower
@@ -27,6 +28,7 @@ from gpislands.evolution import (
     strategy_from_dict,
 )
 from gpislands.interpreter import compile_program, execute
+from gpislands.localisation import localisation_helper
 from gpislands.trees import (
     ConfigurationError,
     Individual,
@@ -264,10 +266,10 @@ def test_random_steps_may_name_a_declared_selector_or_none():
 
 
 def test_selector_binding_is_a_wheel_over_its_pool():
-    assert SelectorBinding("HR", 3) == SelectorBinding("HR", pool_best=3)
+    assert SelectorBinding(3) == SelectorBinding(pool_best=3)
     for bad in (0, 2.5, True):
         with pytest.raises(ConfigurationError):
-            SelectorBinding("HR", pool_best=bad)
+            SelectorBinding(pool_best=bad)
 
 
 def test_strategy_rejects_unknown_selector():
@@ -367,7 +369,7 @@ def mixed_strategy():
     """A zero-count step, a random step naming a selector, and one pool
     shared by two steps."""
     return EvolutionStrategy(
-        selectors={"All": SelectorBinding("All"), "Two": SelectorBinding("Two", 2)},
+        selectors={"All": SelectorBinding(), "Two": SelectorBinding(2)},
         steps=[StrategyStep(Operator.COPY, 0, "Two"),
                StrategyStep(Operator.CROSSOVER, 3, "All"),
                StrategyStep(Operator.RANDOM, 1, "Two"),
@@ -399,7 +401,8 @@ def test_a_breed_matches_a_wheel_built_for_every_pick(task, geo_prims, feed_prim
             for guard in guards:
                 seed = build.random()
                 ours, theirs = random.Random(seed), random.Random(seed)
-                bred = breed_next_generation(pop, strategy, prims, 4, ours, guard)
+                helped = dataclasses.replace(prims, helper=guard)
+                bred = breed_next_generation(pop, strategy, helped, 4, ours)
                 want, counters = reference_breed(pop, strategy, prims, 4, theirs, guard)
                 assert ([(m.tree, m.origin, m.fitness) for m in bred.members]
                         == [(m.tree, m.origin, m.fitness) for m in want])
@@ -411,7 +414,7 @@ def test_a_breed_matches_a_wheel_built_for_every_pick(task, geo_prims, feed_prim
 
 def test_a_selectors_wheel_spins_as_a_fresh_wheel_per_pick(geo_prims):
     pop = make_pop([0.2, 0.9, 0.0, 0.5, 0.9], geo_prims)
-    for binding in (SelectorBinding("HR", 3), SelectorBinding("Pool")):
+    for binding in (SelectorBinding(3), SelectorBinding()):
         ours, theirs = random.Random(6), random.Random(6)
         wheel = binding.wheel(pop)
         for _ in range(50):
@@ -441,11 +444,17 @@ def test_elite_fitness_never_decreases_with_deterministic_evaluator(geo_prims):
 # ---------------------------------------------------------------------------
 # the helper guard
 
+def test_each_task_states_its_helper_with_its_vocabulary(feed_prims, loc_prims):
+    assert loc_prims.helper is localisation_helper
+    assert feed_prims.helper is None
+
+
 def test_guard_rejections_are_counted(geo_prims):
     def guard(tree):
         return any(n.kind.name == "lat" for n, _ in iter_nodes(tree))
 
-    pop = initial_population(geo_prims, 20, 3, random.Random(5), guard=guard)
+    pop = initial_population(dataclasses.replace(geo_prims, helper=guard), 20, 3,
+                             random.Random(5))
     for m in pop.members:
         assert guard(m.tree)
     assert pop.helper_rejections > 0
@@ -453,7 +462,8 @@ def test_guard_rejections_are_counted(geo_prims):
 
 
 def test_guard_exhaustion_admits_last_candidate(geo_prims):
-    pop = initial_population(geo_prims, 3, 3, random.Random(6), guard=lambda tree: False)
+    pop = initial_population(dataclasses.replace(geo_prims, helper=lambda tree: False), 3, 3,
+                             random.Random(6))
     assert len(pop.members) == 3
     assert pop.guard_fallbacks == 3
     assert pop.helper_rejections == 3 * REBUILD_ATTEMPTS

@@ -197,7 +197,7 @@ def test_failed_udp_bind_closes_the_sockets_already_bound(monkeypatch):
         config = ExperimentConfig(app="feed", islands=3, transport="udp",
                                   udp_base_port=base)
         with pytest.raises(OSError):
-            harness._udp_transports(config)
+            harness._transports(config, 0)
     finally:
         holder.close()
     assert len(created) == 1

@@ -43,6 +43,12 @@ def sized_fitness(member):
     return min(1.0, member.size / 7.0)
 
 
+def bus_endpoints(count, loss=0.0, seed=0):
+    """One endpoint per island of a fresh simulated bus, in island order."""
+    bus = SimulatedBroadcastBus(loss=loss, seed=seed)
+    return [bus.register() for _ in range(count)]
+
+
 def scored_population(prims, capacity, seed=0):
     """``capacity`` trees grown over ``prims`` at bias 0.5, each scored."""
     rng = random.Random(seed)
@@ -252,23 +258,20 @@ class ThroughTheCodec(Transport):
 
 
 def test_run_is_the_same_whether_migrants_resolve_or_are_parsed(feed_prims, parses):
-    def run(transports=None):
+    def run(transports):
         catalog = default_catalog()
         specs = [IslandSpec(island_strategy(8),
                             FeedEvaluator(catalog, landscape_user(catalog, "hetero", k),
                                           random.Random(f"e{k}")),
                             f"s{k}")
                  for k in range(3)]
-        return run_islands(specs, feed_prims, 8, 7,
-                           MigrationPolicy(interval=1, rate=0.5), 8,
-                           transports=transports,
-                           transport_seed="t", loss=0.5)
+        return run_islands(specs, feed_prims, 7, MigrationPolicy(interval=1, rate=0.5), 8,
+                           transports)
 
-    resolved = run()
+    resolved = run(bus_endpoints(3, loss=0.5, seed="t"))
     assert parses == []
     assert sum(r.immigrants_admitted for rows in resolved for r in rows) > 0
-    bus = SimulatedBroadcastBus(loss=0.5, seed="t")
-    parsed = run([ThroughTheCodec(bus.register()) for _ in range(3)])
+    parsed = run([ThroughTheCodec(e) for e in bus_endpoints(3, loss=0.5, seed="t")])
     assert len(parses) == sum(r.immigrants_admitted for rows in parsed for r in rows)
     assert parsed == resolved
 
@@ -326,17 +329,17 @@ def test_bus_partial_loss_is_seeded():
 
 def run_one(prims, seed, generations=8, policy=None, capacity=6):
     spec = IslandSpec(island_strategy(capacity), sized_fitness, seed)
-    return run_islands([spec], prims, capacity, 3,
+    return run_islands([spec], prims, 3,
                        policy or MigrationPolicy(mode=MigrationMode.NONE),
-                       generations)[0]
+                       generations, bus_endpoints(1))[0]
 
 
 def test_isolated_islands_match_standalone_runs(geo_prims):
     """With migration off, a 2-island run is two independent runs."""
     specs = [IslandSpec(island_strategy(6), sized_fitness, "lhs"),
              IslandSpec(island_strategy(6), sized_fitness, "rhs")]
-    paired = run_islands(specs, geo_prims, 6, 3,
-                         MigrationPolicy(mode=MigrationMode.NONE), 8)
+    paired = run_islands(specs, geo_prims, 3,
+                         MigrationPolicy(mode=MigrationMode.NONE), 8, bus_endpoints(2))
     solo_lhs = run_one(geo_prims, "lhs")
     solo_rhs = run_one(geo_prims, "rhs")
     assert [dataclasses.replace(r, island=0) for r in paired[1]] == solo_rhs
@@ -346,7 +349,7 @@ def test_isolated_islands_match_standalone_runs(geo_prims):
 def test_migration_bookkeeping_at_event_generations(geo_prims):
     specs = [IslandSpec(island_strategy(6), sized_fitness, s) for s in ("a", "b")]
     policy = MigrationPolicy(interval=2, rate=0.5, mode=MigrationMode.MIGRATE)
-    history = run_islands(specs, geo_prims, 6, 3, policy, 7)
+    history = run_islands(specs, geo_prims, 3, policy, 7, bus_endpoints(2))
     for rows in history:
         for row in rows:
             if row.generation in (2, 4, 6):
@@ -355,6 +358,17 @@ def test_migration_bookkeeping_at_event_generations(geo_prims):
             else:
                 assert row.emigrants_sent == 0
                 assert row.immigrants_admitted == 0
+
+
+def test_each_island_is_as_large_as_its_strategy(geo_prims):
+    specs = [IslandSpec(island_strategy(6), sized_fitness, "six"),
+             IslandSpec(island_strategy(8), sized_fitness, "eight")]
+    policy = MigrationPolicy(interval=2, rate=0.5, mode=MigrationMode.MIGRATE)
+    six, eight = run_islands(specs, geo_prims, 3, policy, 5, bus_endpoints(2))
+    assert [r.emigrants_sent for r in six] == [0, 0, 3, 0, 3]
+    assert [r.emigrants_sent for r in eight] == [0, 0, 4, 0, 4]
+    assert [r.immigrants_admitted for r in six] == [0, 0, 4, 0, 4]
+    assert [r.immigrants_admitted for r in eight] == [0, 0, 3, 0, 3]
 
 
 def test_random_injection_mode_needs_no_transport(geo_prims):
@@ -370,11 +384,12 @@ def test_total_loss_leaves_trajectory_untouched(geo_prims):
     apart from the emigrants-sent accounting."""
     specs = lambda: [IslandSpec(island_strategy(6), sized_fitness, s)
                      for s in ("p", "q")]
-    lossy = run_islands(specs(), geo_prims, 6, 3,
+    lossy = run_islands(specs(), geo_prims, 3,
                         MigrationPolicy(interval=2, mode=MigrationMode.MIGRATE),
-                        8, loss=1.0)
-    quiet = run_islands(specs(), geo_prims, 6, 3,
-                        MigrationPolicy(interval=2, mode=MigrationMode.NONE), 8)
+                        8, bus_endpoints(2, loss=1.0))
+    quiet = run_islands(specs(), geo_prims, 3,
+                        MigrationPolicy(interval=2, mode=MigrationMode.NONE), 8,
+                        bus_endpoints(2))
     strip = lambda rows: [dataclasses.replace(r, emigrants_sent=0) for r in rows]
     assert [strip(rows) for rows in lossy] == [strip(rows) for rows in quiet]
     assert any(r.emigrants_sent for rows in lossy for r in rows)

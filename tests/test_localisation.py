@@ -983,6 +983,7 @@ def test_program_fix_records_its_source():
     lambda: WorldConfig(providers=()),
     lambda: WorldConfig(segments=()),
     lambda: WorldConfig(providers=(WIFI, WIFI)),
+    lambda: WorldConfig(providers=(Provider("beacon", 10.0, 2.0, 1.0),)),  # no terminal
     lambda: WorldConfig(waypoints=()),
     lambda: WorldConfig(waypoints=((0.0, 0.0),)),
     lambda: WorldConfig(waypoints=((0.0, 0.0, math.nan),)),
