@@ -2,8 +2,9 @@
 
 A population breeds through a declarative :class:`EvolutionStrategy`: an
 ordered list of steps, each binding a named roulette-wheel selector to one of
-the four operators (COPY, MUTATION, CROSSOVER, RANDOM) with a count.  Step
-counts must sum to the population capacity, so every breed conserves size.
+the four operators (COPY, MUTATION, CROSSOVER, RANDOM) with a count.  The
+step counts add up to the population's size: the strategy alone states it,
+and every breed conserves it.
 
 The vocabulary's helper (``PrimitiveSet.helper``) screens every tree grown
 or bred here; rejected candidates are rebuilt (with freshly drawn parents)
@@ -28,7 +29,7 @@ import math
 import operator
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import reduce
 from typing import Callable, Optional, Sequence
 
@@ -64,14 +65,9 @@ class Operator(enum.Enum):
 @dataclass
 class Population:
     members: list[Individual]
-    capacity: int
-    generation: int = 0
+    _: KW_ONLY
     helper_rejections: int = 0
     guard_fallbacks: int = 0
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ConfigurationError("population capacity must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -128,6 +124,9 @@ class EvolutionStrategy:
                     raise ConfigurationError(f"{step.operator.value} step needs a selector")
             elif step.selector not in self.selectors:
                 raise ConfigurationError(f"unknown selector {step.selector!r}")
+        if self.total() < 1:
+            raise ConfigurationError(
+                f"strategy must produce at least 1 member per generation, got {self.total()}")
 
     def total(self) -> int:
         return sum(step.count for step in self.steps)
@@ -343,17 +342,16 @@ def _build_guarded(make: Callable[[], ProgramTree], prims: PrimitiveSet,
     return candidate
 
 
-def initial_population(prims: PrimitiveSet, capacity: int, max_depth: int,
+def initial_population(prims: PrimitiveSet, size: int, max_depth: int,
                        rng: random.Random) -> Population:
-    """Generation 0: ``capacity`` fresh random programs, helper-screened."""
+    """Generation 0: ``size`` fresh random programs, helper-screened."""
     counters = {"rejections": 0, "fallbacks": 0}
     members = [
         Individual.from_tree(
             _build_guarded(lambda: build_random_tree(prims, max_depth, rng), prims, counters))
-        for _ in range(capacity)
+        for _ in range(size)
     ]
-    return Population(members, capacity, generation=0,
-                      helper_rejections=counters["rejections"],
+    return Population(members, helper_rejections=counters["rejections"],
                       guard_fallbacks=counters["fallbacks"])
 
 
@@ -361,14 +359,12 @@ def breed_next_generation(pop: Population, strategy: EvolutionStrategy, prims: P
                           max_depth: int, rng: random.Random) -> Population:
     """Produce the next generation by running the strategy steps in order.
 
-    The source population may be over capacity (appended immigrants take part
-    in selection); the new population has exactly ``capacity`` members.
-    Each selector's wheel is built when a step first picks from it, and
-    spun for every later pick of the breed.
+    The source population may hold more members than the strategy's total
+    (appended immigrants take part in selection); the new population has
+    exactly ``strategy.total()`` members.  Each selector's wheel is built
+    when a step first picks from it, and spun for every later pick of the
+    breed.
     """
-    if strategy.total() != pop.capacity:
-        raise ConfigurationError(
-            f"strategy produces {strategy.total()} members, capacity is {pop.capacity}")
     _need_fitness(pop.members)
     counters = {"rejections": 0, "fallbacks": 0}
     members: list[Individual] = []
@@ -401,8 +397,7 @@ def breed_next_generation(pop: Population, strategy: EvolutionStrategy, prims: P
                     second = spin(rng)
                     return crossover(first.tree, second.tree, max_depth, rng)
                 members.append(Individual.from_tree(_build_guarded(make_child, prims, counters)))
-    return Population(members, pop.capacity, generation=pop.generation + 1,
-                      helper_rejections=counters["rejections"],
+    return Population(members, helper_rejections=counters["rejections"],
                       guard_fallbacks=counters["fallbacks"])
 
 

@@ -20,7 +20,7 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -75,8 +75,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown app {self.app!r}")
         if self.islands < 1:
             raise ConfigurationError("need at least one island")
-        if self.capacity < 1 or self.generations < 1 or self.iterations < 1:
-            raise ConfigurationError("capacity, generations and iterations must be positive")
+        if self.generations < 1 or self.iterations < 1:
+            raise ConfigurationError("generations and iterations must be positive")
         if self.mode not in ("migrate", "random", "none"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         if self.landscape not in ("homo", "hetero"):
@@ -104,7 +104,8 @@ class ExperimentConfig:
 
 
 def resolve_strategy(config: ExperimentConfig) -> EvolutionStrategy:
-    """Named preset, ``auto`` (pick by task and capacity), or a JSON file."""
+    """Named preset, ``auto`` (pick by task and capacity), or a JSON file,
+    whose total must equal the capacity."""
     name = config.strategy
     if name == "auto":
         if config.app == "feed" and config.capacity == 5:
@@ -129,19 +130,13 @@ def resolve_strategy(config: ExperimentConfig) -> EvolutionStrategy:
     else:
         raise ConfigurationError(f"unknown strategy {name!r} (not a preset or a file)")
     if strategy.total() != config.capacity:
-        raise ConfigurationError(
-            f"strategy produces {strategy.total()} members per generation, "
-            f"capacity is {config.capacity}")
+        raise ConfigurationError(f"strategy produces {strategy.total()} members per "
+                                 f"generation; pass --capacity {strategy.total()}")
     return strategy
 
 
-@dataclass
-class _TaskSetup:
-    prims: PrimitiveSet
-    make_evaluator: "object"
-
-
-def _task_setup(config: ExperimentConfig) -> _TaskSetup:
+def _task_setup(config: ExperimentConfig) -> tuple[PrimitiveSet, Callable]:
+    """The task's vocabulary, and a factory of each island's evaluator."""
     if config.app == "feed":
         if config.app_config:
             catalog, base_user = feed_app.load_feed_config(config.app_config)
@@ -166,7 +161,7 @@ def _task_setup(config: ExperimentConfig) -> _TaskSetup:
         prims, make_evaluator = loc_app.localisation_primitives(), make_loc_evaluator
     if not config.helper:
         prims = dataclasses.replace(prims, helper=None)
-    return _TaskSetup(prims, make_evaluator)
+    return prims, make_evaluator
 
 
 @dataclass(frozen=True)
@@ -245,7 +240,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every iteration of the configured cell and aggregate the rows."""
     config.validate()
     strategy = resolve_strategy(config)
-    setup = _task_setup(config)
+    prims, make_evaluator = _task_setup(config)
     policy = config.policy()
     rows: list[GenerationStats] = []
     for iteration in range(config.iterations):
@@ -254,12 +249,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             seed = f"{config.seed}:it{iteration}:is{island}"
             specs.append(IslandSpec(
                 strategy=strategy,
-                evaluator=setup.make_evaluator(island, seed),
+                evaluator=make_evaluator(island, seed),
                 seed=seed,
             ))
         transports = _transports(config, iteration)
         try:
-            history = run_islands(specs, setup.prims, config.max_depth, policy,
+            history = run_islands(specs, prims, config.max_depth, policy,
                                   config.generations, transports)
         finally:
             for transport in transports:

@@ -5,7 +5,7 @@ every migration generation (positive multiples of the policy interval) an
 island broadcasts copies of randomly chosen members -- emigrants are not
 removed -- and appends whatever arrives as immigrants.  The appended
 members are scored with the current generation and take part in the next
-breed, which restores the population to capacity.
+breed, which restores the population to its strategy's total.
 
 The wire format is deliberately thin: a version tag line followed by the
 canonical tree text.  Envelopes carry no sender identity, so any island can
@@ -70,8 +70,9 @@ def _round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class MigrationPolicy:
-    """Exchange schedule: every ``interval`` generations, ``rate`` x capacity
-    members (rounded half up) leave as copies or arrive as random injections."""
+    """Exchange schedule: every ``interval`` generations, ``rate`` x the
+    island's size in members (rounded half up) leave as copies or arrive as
+    random injections."""
 
     interval: int = 5
     rate: float = 0.1
@@ -83,8 +84,8 @@ class MigrationPolicy:
         if not 0.0 <= self.rate <= 1.0:
             raise ConfigurationError("migration rate must lie in [0, 1]")
 
-    def batch_size(self, capacity: int) -> int:
-        return _round_half_up(self.rate * capacity)
+    def batch_size(self, size: int) -> int:
+        return _round_half_up(self.rate * size)
 
 
 def is_migration_generation(generation: int, policy: MigrationPolicy) -> bool:
@@ -242,14 +243,15 @@ class UdpBroadcastTransport(Transport):
 
 def select_emigrants(pop: Population, policy: MigrationPolicy,
                      rng: random.Random) -> list[MigrantEnvelope]:
-    """Envelopes carrying the trees of distinct members chosen uniformly at
-    random.
+    """Envelopes carrying the trees of ``policy.batch_size`` of the members,
+    distinct and chosen uniformly at random.
 
     Emigration never removes members; the caller is responsible for invoking
-    this only at migration generations.  Nothing is serialized here: a
-    transport that needs bytes calls :meth:`MigrantEnvelope.encode`.
+    this only at migration generations, before any island admits arrivals.
+    Nothing is serialized here: a transport that needs bytes calls
+    :meth:`MigrantEnvelope.encode`.
     """
-    count = min(policy.batch_size(pop.capacity), len(pop.members))
+    count = policy.batch_size(len(pop.members))
     chosen = rng.sample(range(len(pop.members)), count)
     return [MigrantEnvelope(pop.members[i].tree) for i in chosen]
 
@@ -264,8 +266,8 @@ def admit_immigrants(pop: Population, envelopes: Sequence[MigrantEnvelope],
                      prims: PrimitiveSet, max_depth: int) -> AdmissionReport:
     """Append every well-formed arriving program; count malformed ones.
 
-    The population may temporarily exceed capacity; the next breed restores
-    it.  Admitted members have no fitness yet.
+    The population may grow past its strategy's total; the next breed
+    restores it.  Admitted members have no fitness yet.
 
     A text payload -- the only kind that comes off a wire -- is parsed and
     validated against ``prims`` and ``max_depth``.  A tree payload comes
@@ -292,16 +294,15 @@ def admit_immigrants(pop: Population, envelopes: Sequence[MigrantEnvelope],
 
 def inject_random(pop: Population, policy: MigrationPolicy, prims: PrimitiveSet,
                   max_depth: int, rng: random.Random) -> int:
-    """At a migration generation, append freshly grown random members.
+    """Append ``policy.batch_size`` freshly grown random members; the caller
+    invokes this only at migration generations.
 
     The injected trees follow the same lifecycle as immigrants (scored with
-    the current generation, absorbed at the next breed); outside migration
-    generations the population is left unchanged.  They are not screened by
-    the vocabulary's helper, unlike every tree evolution grows or breeds.
+    the current generation, absorbed at the next breed).  They are not
+    screened by the vocabulary's helper, unlike every tree evolution grows
+    or breeds.
     """
-    if not is_migration_generation(pop.generation, policy):
-        return 0
-    count = policy.batch_size(pop.capacity)
+    count = policy.batch_size(len(pop.members))
     for _ in range(count):
         tree = build_random_tree(prims, max_depth, rng)
         pop.members.append(Individual.from_tree(tree, Origin.RANDOM_INJECTED))
@@ -330,7 +331,7 @@ class GenerationStats:
 @dataclass
 class IslandSpec:
     """What sets one island apart: how it breeds, how it scores, and a seed;
-    its capacity is its strategy's total.
+    its size is its strategy's total.
 
     The seed feeds two independent streams -- one for evolution (initial
     build plus breeding) and one for migration choices -- so that disabling

@@ -1,11 +1,12 @@
 """Configuration cells: frozen-seed runs over options the goldens miss.
 
-Each cell is one ``gpislands`` command line on 2 islands of capacity 10,
-5 generations and 1 iteration, run through ``cli.main``; ``{data}`` stands
+Each cell is one ``gpislands`` command line of 5 generations and 1
+iteration, run through ``cli.main``, on 2 islands of capacity 10 unless the
+cell's own options say otherwise (a later option wins); ``{data}`` stands
 for ``tests/data``.  The cells cover a ``--strategy`` file, an
 ``--app-config`` catalog and world, ``--no-helper``, the feed task in
-``random`` and ``none`` modes, hetero with loss and localisation at
-``--max-depth 6``.  ``tests/test_config_space.py`` holds every cell's rows
+``random`` and ``none`` modes, hetero with loss, localisation at
+``--max-depth 6``, islands of 5, 7 and 12 members, and 3 islands.  ``tests/test_config_space.py`` holds every cell's rows
 and summary CSVs to the SHA-256 digests pinned here; as in
 ``tests/test_golden.py``, update a digest only on purpose, and record why in
 CHANGES.md.  UDP is left out: real sockets are not deterministic.
@@ -94,6 +95,23 @@ CELLS = {
         "--app feed --max-depth 6 --seed corner-desk",
         "9a008e88903763f462a10c489b076adb8caa54c09fee18f744a2183dc394a0b8",
         "113dabb4533f4a5212e9554e01ee04241c4bea22607eb467d041b78fad40d631"),
+    "feed-gr-random": (
+        "--app feed --capacity 5 --strategy gr --mode random --interval 1 --rate 0.3",
+        "6747c9354d26c96d649033e539f33eb3e62f413e699396c07e751df4b3187ecf",
+        "6c98259a7833376eb3c7cc2605d24e319028c9c23d21e508d45acdc64b281d16"),
+    "loc-preset-migrate": (
+        "--app localisation --capacity 12 --interval 2 --rate 0.25",
+        "d5c2e9aa7a3953db7ae028fd77a92bc1007ef69c073248a9f7bb22dfbe8952d5",
+        "4dd9958a362d3187df564656d81977819b2fe7df10c70fb58dc120cd455bebf2"),
+    "feed-catalog-3-islands": (
+        "--app feed --islands 3 --app-config {data}/feed_config.json --interval 1"
+        " --rate 0.3",
+        "dc948cbbbd01133e25df87a48766eab6c47762253b4be71b22b7a054cd511f36",
+        "314bf21a0d8dcad694320b69ee72cabdfe3bae6841a499a09398af8f664d55b6"),
+    "feed-island-7-random": (
+        "--app feed --capacity 7 --mode random --interval 2 --rate 0.5",
+        "8ca4c3fe428f5defa30b404fe262d1386eff5e161627725f23a8ca86841eff99",
+        "2c1833f96a0e8f2f40e53f564ee9ddd559abdcc886b0f2abb1f3ae2c56ad85db"),
 }
 
 

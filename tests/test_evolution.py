@@ -45,14 +45,14 @@ from gpislands.trees import (
 )
 
 
-def make_pop(fitnesses, geo_prims, capacity=None):
+def make_pop(fitnesses, geo_prims):
     rng = random.Random(0)
     members = []
     for f in fitnesses:
         ind = Individual.from_tree(build_random_tree(geo_prims, 3, rng))
         ind.fitness = f
         members.append(ind)
-    return Population(members, capacity or len(members))
+    return Population(members)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +250,9 @@ def test_strategy_from_dict_rejects_bad_selectors(selectors):
     # a random step needs no selector, but one it names must exist
     ({"HR": {"pool_best": 3}}, [{"operator": "mutation", "count": 4, "selector": "HR"},
                                 {"operator": "random", "count": 1, "selector": "typo"}]),
+    # a strategy must produce at least one member
+    ({"HR": {"pool_best": 3}}, [{"operator": "mutation", "count": 0, "selector": "HR"},
+                                {"operator": "random", "count": 0}]),
 ])
 def test_strategy_from_dict_rejects_unusable_counts_and_names(selectors, steps):
     with pytest.raises(ConfigurationError, match="bad strategy config"):
@@ -280,11 +283,19 @@ def test_strategy_rejects_unknown_selector():
         )
 
 
-def test_breed_requires_counts_to_match_capacity(geo_prims):
-    pop = make_pop([0.1] * 6, geo_prims)  # capacity 6, strategy makes 5
-    with pytest.raises(ConfigurationError):
-        breed_next_generation(pop, google_reader_strategy(), geo_prims, 3,
-                              random.Random(0))
+def test_a_population_is_its_members_and_keyword_only_counters():
+    assert [f.name for f in dataclasses.fields(Population)] == [
+        "members", "helper_rejections", "guard_fallbacks"]
+    with pytest.raises(TypeError):
+        Population([], 1)  # a counter is never bound by position
+
+
+def test_a_strategy_must_produce_a_member():
+    with pytest.raises(ConfigurationError, match="at least 1 member"):
+        EvolutionStrategy(selectors={"all": SelectorBinding()},
+                          steps=[StrategyStep(Operator.COPY, 0, "all")])
+    with pytest.raises(ConfigurationError, match="at least 1 member"):
+        EvolutionStrategy(selectors={}, steps=[])
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +306,6 @@ def test_breed_preserves_capacity_and_elite(geo_prims):
     nxt = breed_next_generation(pop, google_reader_strategy(), geo_prims, 3,
                                 random.Random(8))
     assert len(nxt.members) == 5
-    assert nxt.generation == pop.generation + 1
     elites = [m for m in nxt.members if m.origin is Origin.ELITE_COPY]
     assert len(elites) == 1
     assert elites[0].tree == pop.members[1].tree  # wheel over 1-best pool
@@ -315,7 +325,7 @@ def test_breed_marks_random_injections(geo_prims):
 
 def test_breed_handles_over_capacity_source(geo_prims):
     # immigrants append past capacity; the next breed restores it
-    pop = make_pop([0.2] * 10, geo_prims, capacity=10)
+    pop = make_pop([0.2] * 10, geo_prims)
     extra = Individual.from_tree(build_random_tree(geo_prims, 3, random.Random(77)),
                                  Origin.IMMIGRANT)
     extra.fitness = 0.9
@@ -391,7 +401,7 @@ def test_a_breed_matches_a_wheel_built_for_every_pick(task, geo_prims, feed_prim
         for case in range(8):
             trees = [build_random_tree(prims, 4, build)
                      for _ in range(capacity + case % 3)]  # immigrants past capacity
-            pop = Population([Individual.from_tree(tree) for tree in trees], capacity)
+            pop = Population([Individual.from_tree(tree) for tree in trees])
             for i, member in enumerate(pop.members):
                 # all zero, all zero but the last, or spread
                 member.fitness = (0.0 if case % 4 == 0 else
@@ -520,7 +530,7 @@ def test_configuration_errors_are_not_scored_as_zero(geo_prims):
     """An unbound terminal is a setup bug, so it must surface."""
     tree = ProgramTree(geo_prims.kind("add"), (ProgramTree(geo_prims.kind("lat")),
                                                ProgramTree(geo_prims.kind("lon"))))
-    pop = Population([Individual.from_tree(tree)], 1)
+    pop = Population([Individual.from_tree(tree)])
     bindings = {"lon": lambda: 1.0}  # no "lat"
 
     def unbound(member):

@@ -529,12 +529,12 @@ def test_an_unbound_terminal_the_first_feed_reaches_stops_the_generation():
     through the evaluator and the generation, and is not scored 0; a
     ``ZeroDivisionError`` from the first erring feed is scored 0."""
     tree, _, two = divide_case("a-unbound")
-    pop = Population([Individual(tree)], 1)
+    pop = Population([Individual(tree)])
     with pytest.raises(ConfigurationError, match="is_c"):
         evaluate_population(pop, FeedEvaluator(two, homogeneous_user(two), random.Random(0)))
     assert pop.members[0].fitness is None
     tree, _, two = divide_case("a-divides")
-    pop = Population([Individual(tree)], 1)
+    pop = Population([Individual(tree)])
     evaluate_population(pop, FeedEvaluator(two, homogeneous_user(two), random.Random(0)))
     assert pop.members[0].fitness == 0.0
 

@@ -95,6 +95,17 @@ def test_named_preset_must_match_capacity():
         resolve_strategy(ExperimentConfig(app="feed", capacity=10, strategy="gr"))
 
 
+def test_a_mismatched_strategy_names_the_capacity_that_fits(tmp_path):
+    spec = {"selectors": {"all": {}},
+            "steps": [{"operator": "copy", "count": 1, "selector": "all"},
+                      {"operator": "crossover", "count": 5, "selector": "all"}]}
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ConfigurationError,
+                       match="produces 6 members per generation; pass --capacity 6$"):
+        resolve_strategy(ExperimentConfig(app="feed", strategy=str(path)))
+
+
 def test_strategy_loads_from_json_file(tmp_path):
     spec = {
         "selectors": {"all": {"kind": "wheel"}},
@@ -408,6 +419,17 @@ def test_cli_udp_port_out_of_range_exits_2(tmp_path, capsys, port, islands):
     args[args.index("--islands") + 1] = islands
     assert main(args) == 2
     assert "65535" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [["--capacity", "0"], ["--capacity", "-3"],
+                                   ["--capacity", "4"],
+                                   ["--capacity", "0", "--strategy", "gr"]])
+def test_cli_capacity_no_strategy_fits_exits_2(tmp_path, capsys, extra):
+    args = cli_args(tmp_path)
+    del args[args.index("--capacity"):args.index("--capacity") + 2]
+    assert main(args + extra) == 2
+    assert "capacity" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -57,7 +57,7 @@ def scored_population(prims, capacity, seed=0):
                for _ in range(capacity)]
     for m in members:
         m.fitness = sized_fitness(m)
-    return Population(members, capacity, generation=5)
+    return Population(members)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,7 @@ def test_byte_mutated_migrants_are_admitted_or_dropped(feed_prims):
                 for seed, depth, edits in migrants]
         decoded = [envelope for envelope in map(MigrantEnvelope.decode, wire)
                    if envelope is not None]
-        pop = Population([], 1)
+        pop = Population([])
         report = admit_immigrants(pop, decoded, feed_prims, max_depth)
         assert report.admitted + report.dropped == len(decoded)
         assert len(pop.members) == report.admitted
@@ -276,13 +276,9 @@ def test_run_is_the_same_whether_migrants_resolve_or_are_parsed(feed_prims, pars
     assert parsed == resolved
 
 
-def test_inject_random_only_at_migration_generations(geo_prims):
+def test_inject_random_appends_a_batch_of_random_members(geo_prims):
     policy = MigrationPolicy(interval=5, rate=0.3, mode=MigrationMode.RANDOM_INJECT)
     pop = scored_population(geo_prims, 10)
-    pop.generation = 4
-    assert inject_random(pop, policy, geo_prims, 3, random.Random(1)) == 0
-    assert len(pop.members) == 10
-    pop.generation = 5
     assert inject_random(pop, policy, geo_prims, 3, random.Random(1)) == 3
     assert len(pop.members) == 13
     assert all(m.origin is Origin.RANDOM_INJECTED for m in pop.members[10:])

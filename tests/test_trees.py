@@ -719,7 +719,7 @@ def test_an_individual_built_directly_measures_its_tree(geo_prims):
     direct, built = Individual(t, fitness=0.5), Individual.from_tree(t, fitness=0.5)
     assert (direct.size, direct.depth) == (built.size, built.depth) == (9, 4)
     assert direct == built
-    stats = population_stats(Population([direct], 1))
+    stats = population_stats(Population([direct]))
     assert (stats.mean_size, stats.mean_depth) == (9.0, 4.0)
     with pytest.raises(AttributeError):
         direct.size = 1
