@@ -10,11 +10,14 @@ run that exceeds it is killed (``RunOutcome.killed``) instead of raising.
 One engine
 ----------
 :func:`compile_program` turns the whole tree into nested closures once and
-:func:`execute` runs them, so a caller running a tree many times compiles it
-once: the localisation task once per control pass, for every tick.  The feed
-task scores its feeds, and counts their steps against the budget, in one
-pass of its own, and runs a program here, feed by feed, only when that pass
-raises.
+:meth:`Program.run` runs them, with no budget, giving the run's value and
+the steps it used; :func:`execute` is that run plus the budget's kill rule,
+reported as a :class:`RunOutcome`.  A caller running a tree many times
+compiles it once: the localisation task once per control pass, whose every
+tick is one :meth:`Program.run` killed by the rule :func:`execute` applies.
+The feed task scores its feeds, and counts their steps against the budget,
+in one pass of its own, and runs a program through :func:`execute`, feed by
+feed, only when that pass raises.
 
 Terminals are bound when compiling: a bound terminal compiles to its
 accessor itself, so a run looks up no binding.  A terminal ``bindings``
@@ -63,10 +66,11 @@ class _Frame:
 
 class Program:
     """A tree compiled to nested closures against its bindings; build one
-    with :func:`compile_program`.
+    with :func:`compile_program` and run it with :meth:`run`, or under a
+    budget with :func:`execute`.
 
     A program keeps its run state in one frame shared by its closures, so it
-    must not be executed again from inside one of its own runs (from an
+    must not be run again from inside one of its own runs (from an
     accessor), nor from two threads at once.
     """
 
@@ -76,6 +80,13 @@ class Program:
         self.size = size
         self._root = root
         self._frame = frame
+
+    def run(self) -> tuple[Any, int]:
+        """Run the program once, with no budget: ``(value, steps_used)``,
+        where ``steps_used`` counts the nodes the run evaluated."""
+        frame = self._frame
+        frame.skipped = 0
+        return self._root(), self.size - frame.skipped
 
 
 def compile_program(tree: ProgramTree, bindings: Bindings) -> Program:
@@ -132,10 +143,7 @@ def execute(program: Program, max_steps: int) -> RunOutcome:
     that cannot support it.  It raises when a run reaches it, even past the
     budget, since the run reads every terminal it reaches.
     """
-    frame = program._frame
-    frame.skipped = 0
-    value = program._root()
-    steps = program.size - frame.skipped
+    value, steps = program.run()
     if steps > max_steps:
         return RunOutcome(True, None, max_steps)
     return RunOutcome(False, value, steps)

@@ -34,9 +34,12 @@ warm-up).  :func:`evaluate_localisation` splits accordingly:
 
 * the control pass (:func:`_control_trace`) compiles the program once,
   against the accessors of a :class:`World` (the radios and the program's
-  latest fix, nothing more), runs it tick by tick under the step budget, and
-  records, per tick, where the program's fix came from (provider and tick),
-  the reference provider and the energy factor.  The walk's
+  latest fix, nothing more), runs it tick by tick (one
+  :meth:`~gpislands.interpreter.Program.run` per tick, killed when it took
+  more than :data:`MAX_STEPS` steps, the rule
+  :func:`~gpislands.interpreter.execute` applies), and records, per tick,
+  where the program's fix came from (provider and tick), the reference
+  provider and the energy factor.  The walk's
   geometry at every integer tick, and the reference there, come from a table
   built once per config (:func:`_layout`).  The energy factor depends only
   on which radios are on, so the pass looks it up by the world's radio set
@@ -54,12 +57,17 @@ warm-up).  :func:`evaluate_localisation` splits accordingly:
   scores accuracy exactly 1 whatever the errors, and adds its energy factor
   without displacing either fix.  The trace records how far into the error
   stream the other ticks read, and the evaluation draws that prefix of the
-  stream and no more.
+  stream and no more.  The pass is one loop that calls no Python function
+  per entry: it writes out the arithmetic of displacing a fix by its error
+  and of :func:`accuracy_fitness`, in their operation order, so it gives
+  their bits; the eager oracle of the tests, which calls
+  :func:`accuracy_fitness`, pins it bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -67,7 +75,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .interpreter import Bindings, compile_program, execute
+from .interpreter import Bindings, compile_program
+from .interpreter import execute  # noqa: F401  unused: the traced benchmark wraps this name
 from .trees import (
     ConfigurationError,
     Individual,
@@ -241,17 +250,7 @@ def _error_draws(seed: int | str, count: int) -> list[float]:
     if not count:
         return []
     draw = random.Random(f"world:{seed}").random
-    return [draw() for _ in range(count)]
-
-
-def _displace(truth: Position, radius: float, i: int, draws: Sequence[float]) -> Position:
-    """``truth`` moved by the error drawn at ``draws[i]`` (magnitude) and
-    ``draws[i + 1]`` (angle)."""
-    # random.uniform(ERROR_LOW, ERROR_HIGH)'s arithmetic, draw for draw
-    magnitude = radius * (ERROR_LOW + (ERROR_HIGH - ERROR_LOW) * draws[i])
-    angle = _TAU * draws[i + 1]
-    x, y = truth
-    return (x + magnitude * math.cos(angle), y + magnitude * math.sin(angle))
+    return list(itertools.starmap(draw, itertools.repeat((), count)))
 
 
 @dataclass(frozen=True)
@@ -434,20 +433,43 @@ def evaluate_localisation(tree: ProgramTree, config: WorldConfig, seed: int | st
     and shared by every program equal to ``tree`` (see
     :func:`_control_trace`).  The trace is scored against the errors drawn
     from ``seed`` (:func:`_error_draws`), as far into the stream as it reads.
+    Each entry that is not the reference fix scores :func:`accuracy_fitness`
+    of its two fixes, each moved by its error, times its energy factor; the
+    loop writes that arithmetic out in its operation order.
     """
     trace = _control_trace(tree, config)
     draws = _error_draws(seed, trace.prefix)
+    cos, sin, dist = math.cos, math.sin, math.dist
+    spread = ERROR_HIGH - ERROR_LOW
     total = 0.0
     fix = position = None
     for program_fix, reference, energy in trace:
-        if program_fix[2] == reference[2]:  # the reference fix: accuracy 1
+        (x, y), radius, i = reference
+        if program_fix[2] == i:  # the reference fix: accuracy 1
             total += energy
             continue
         if program_fix is not fix:  # a new fix; a stale one keeps its place
             fix = program_fix
-            position = _displace(*fix, draws)
-        total += accuracy_fitness(position, _displace(*reference, draws),
-                                  reference[1]) * energy
+            (fx, fy), fix_radius, j = fix
+            # random.uniform(ERROR_LOW, ERROR_HIGH)'s arithmetic, draw for draw
+            magnitude = fix_radius * (ERROR_LOW + spread * draws[j])
+            angle = _TAU * draws[j + 1]
+            position = (fx + magnitude * cos(angle), fy + magnitude * sin(angle))
+        magnitude = radius * (ERROR_LOW + spread * draws[i])
+        angle = _TAU * draws[i + 1]
+        # accuracy_fitness(position, the reference position, radius)
+        d = dist(position, (x + magnitude * cos(angle), y + magnitude * sin(angle)))
+        if radius <= 0.0:
+            accuracy = 1.0 if d == 0.0 else 0.0
+        else:
+            ratio = d / radius
+            if ratio <= 1.0:
+                accuracy = 1.0 - 0.5 * ratio
+            elif ratio <= 2.0:
+                accuracy = 0.5 - 0.5 * (ratio - 1.0)
+            else:
+                accuracy = 0.0
+        total += accuracy * energy
     return total / config.ticks
 
 
@@ -462,6 +484,11 @@ class _Trace(tuple):
 @functools.lru_cache(maxsize=_TRACE_CACHE_SIZE)
 def _control_trace(tree: ProgramTree, config: WorldConfig) -> _Trace:
     """Run ``tree`` once per tick on a :class:`World` of its own, up to a kill.
+
+    Each tick is one :meth:`~gpislands.interpreter.Program.run`; a run that
+    took more than :data:`MAX_STEPS` steps is the kill
+    :func:`~gpislands.interpreter.execute` would report, decided after the
+    same accessor calls, and ends the pass.
 
     Returns ``(program fix, reference fix, energy)`` for every completed tick
     with a program fix, a reference provider and a positive energy factor.
@@ -500,7 +527,7 @@ def _control_trace(tree: ProgramTree, config: WorldConfig) -> _Trace:
     as ``copysign`` or ``atan2``, would break this.
     """
     world = World(config)
-    program = compile_program(tree, world.environment())
+    run = compile_program(tree, world.environment()).run
     ticks = world._ticks
     energies: dict[int, float] = {}
     trace = []
@@ -508,7 +535,7 @@ def _control_trace(tree: ProgramTree, config: WorldConfig) -> _Trace:
     last = source = None
     for tick in range(1, config.ticks + 1):
         t = world.t = float(tick)
-        if execute(program, MAX_STEPS).killed:
+        if run()[1] > MAX_STEPS:  # execute's kill rule
             break
         fix = world.program_fix
         reference = ticks[t].reference_source

@@ -11,7 +11,7 @@ from walker import feed_environments, walk
 from gpislands import feed as feed_module
 from gpislands import localisation as localisation_module
 from gpislands.feed import default_catalog
-from gpislands.interpreter import compile_program, execute
+from gpislands.interpreter import RunOutcome, compile_program, execute
 from gpislands.localisation import World, WorldConfig
 from gpislands.trees import (
     DEPTH_CEILING,
@@ -333,6 +333,22 @@ def test_a_kill_at_the_edge_of_the_budget_matches_the_walker(branch_prims):
             assert outcome.killed is (budget < needed)
             edges["killed" if outcome.killed else "completed"] += 1
     assert min(edges.values()) > 50, edges
+
+
+def test_a_run_has_no_budget_and_execute_adds_its_kill(branch_prims):
+    """``Program.run`` gives the value and the steps of the whole run, as
+    the walker does with budget to spare; ``execute`` reports that run, or
+    kills it when it took more steps than the budget."""
+    rng = random.Random(9)
+    bushy = grower.at_bias(branch_prims, 1.0)
+    bindings = {"a": lambda: 1.0, "b": lambda: 2.0}
+    for _ in range(50):
+        tree = build_random_tree(bushy, 5, rng)
+        program = compile_program(tree, bindings)
+        value, steps = program.run()
+        assert_same_outcome(RunOutcome(False, value, steps), walk(tree, bindings, tree.size))
+        assert_same_outcome(execute(program, steps), RunOutcome(False, value, steps))
+        assert execute(program, steps - 1) == (True, None, steps - 1)
 
 
 def test_a_kind_branches_by_its_function_not_its_name(branch_prims):

@@ -9,6 +9,7 @@ import pytest
 from sized import always, constant, loc_requests
 from walker import walk
 
+from gpislands import interpreter
 from gpislands import localisation as localisation_module
 from gpislands.localisation import (
     BUDGET_MA,
@@ -25,7 +26,6 @@ from gpislands.localisation import (
     World,
     WorldConfig,
     _available,
-    _displace,
     _error_draws,
     _layout,
     _truth,
@@ -104,11 +104,21 @@ def test_budget_current_matches_battery_over_day():
 # ---------------------------------------------------------------------------
 # the world
 
+def displace(truth, radius, i, draws):
+    """``truth`` moved by the error drawn at ``draws[i]`` (magnitude, as
+    ``random.uniform(ERROR_LOW, ERROR_HIGH)`` scales it) and ``draws[i + 1]``
+    (angle): a fix's position as the scoring pass works it out."""
+    magnitude = radius * (ERROR_LOW + (ERROR_HIGH - ERROR_LOW) * draws[i])
+    angle = 2.0 * math.pi * draws[i + 1]
+    x, y = truth
+    return (x + magnitude * math.cos(angle), y + magnitude * math.sin(angle))
+
+
 def fix_position(config, seed, name, t):
     """Where provider ``name`` places the phone at tick ``t`` with the
     errors of ``seed``, worked out as the scoring pass does it."""
     source = World(config)._source(name, t)
-    return _displace(*source, _error_draws(seed, source[2] + 2))
+    return displace(*source, _error_draws(seed, source[2] + 2))
 
 
 def test_walk_interpolates_waypoints():
@@ -253,7 +263,7 @@ def test_reference_on_ticks_is_the_sharpest_provider_on_since_0():
             first_draw = 2 * (config.ticks + 1) * config.providers.index(best)
             assert source == (_truth(config.waypoints, t), best.radius_m,
                               first_draw + 2 * tick)
-            assert _displace(*source, _error_draws(9, source[2] + 2)) == (
+            assert displace(*source, _error_draws(9, source[2] + 2)) == (
                 eager.fix_position(best.name, t))
     ticks = _layout(WorldConfig()).ticks
     assert ticks[0.0].reference_source is None  # nothing has warmed up yet
@@ -550,6 +560,13 @@ ORACLE_CONFIGS = {
     # equal radii: the first in config order wins a tie
     "tied": WorldConfig(providers=(Provider("wifi", 40.0, 30.0, 2.0),
                                    Provider("cell", 40.0, 5.0, 1.0), GPS)),
+    # a 0 m gps, outdoors from tick 20: cell fixes and stale gps fixes are
+    # scored against a 0 m reference, on the move and, from tick 40, standing
+    # still, where a stale gps fix lies at distance 0
+    "zero-radius": WorldConfig(
+        providers=(Provider("gps", 0.0, 40.0, 10.0), CELL),
+        segments=(Segment(0.0, 20.0, indoor=True, wifi=False),
+                  Segment(20.0, 60.0, indoor=False, wifi=False))),
 }
 
 
@@ -557,6 +574,10 @@ HAND_TREES = (
     # two ready providers of equal radius: the tie-break decides the fix
     "(seq (seq (enable_cell) (enable_wifi)) (seq (enable_gps) (request_update)))",
     "(seq (enable_cell) (seq (enable_wifi) (request_update)))",
+    # a gps fix kept for two ticks: stale fixes of the provider that is the
+    # reference
+    "(if_greater (last_fix_age) (const:Number 2.0)"
+    " (seq (enable_gps) (request_update)) (enable_gps))",
 )
 
 
@@ -608,31 +629,32 @@ def test_evaluator_matches_the_eager_oracle(oracle_trees, name):
 
 
 @pytest.fixture
-def execute_calls(monkeypatch):
+def program_runs(monkeypatch):
+    """Every program run, as the ``(value, steps_used)`` it gave."""
     # the trace cache is shared by the whole process; start each count cold
     localisation_module._control_trace.cache_clear()
-    calls = []
-    real = localisation_module.execute
+    results = []
+    real = interpreter.Program.run
 
-    def counted(program, max_steps):
-        outcome = real(program, max_steps)
-        calls.append(outcome)
-        return outcome
+    def counted(program):
+        result = real(program)
+        results.append(result)
+        return result
 
-    monkeypatch.setattr(localisation_module, "execute", counted)
-    return calls
+    monkeypatch.setattr(interpreter.Program, "run", counted)
+    return results
 
 
 LAZY_REFRESHER = ("(if_greater (last_fix_age) (const:Number 5.0)"
                   " (seq (enable_wifi) (request_update)) (enable_wifi))")
 
 
-def test_a_second_evaluation_runs_no_program(prims, execute_calls):
+def test_a_second_evaluation_runs_no_program(prims, program_runs):
     tree = parse(prims, LAZY_REFRESHER)
     first = evaluate_localisation(tree, WorldConfig(), 1)
-    assert len(execute_calls) == WorldConfig().ticks
+    assert len(program_runs) == WorldConfig().ticks
     second = evaluate_localisation(tree, WorldConfig(), 2)
-    assert len(execute_calls) == WorldConfig().ticks
+    assert len(program_runs) == WorldConfig().ticks
     assert first != second  # each world still scores with its own errors
     assert evaluate_localisation(tree, WorldConfig(), 1) == first
 
@@ -642,37 +664,36 @@ def test_a_second_evaluation_runs_no_program(prims, execute_calls):
 OTHER_CONFIGS = (WorldConfig(ticks=30), WorldConfig(providers=(FRUGAL_GPS, WIFI, CELL)))
 
 
-def test_other_inputs_recompute_the_trace(prims, execute_calls):
+def test_other_inputs_recompute_the_trace(prims, program_runs):
     tree = parse(prims, LAZY_REFRESHER)
     config = WorldConfig()
     for other_config in OTHER_CONFIGS:
         evaluate_localisation(tree, config, 3)
-        before = len(execute_calls)
+        before = len(program_runs)
         got = evaluate_localisation(tree, other_config, 3)
-        assert len(execute_calls) > before
+        assert len(program_runs) > before
         assert got == oracle_fitness(tree, other_config, 3)[0]
-    before = len(execute_calls)
+    before = len(program_runs)
     # equal inputs hit the cache, even as distinct objects
     evaluate_localisation(tree, WorldConfig(ticks=20), 4)
     evaluate_localisation(tree, WorldConfig(ticks=20), 4)
-    assert len(execute_calls) == before + 20
+    assert len(program_runs) == before + 20
 
 
-def test_a_killed_tick_adds_no_trace_entry_and_no_later_tick_runs(prims, execute_calls):
+def test_a_killed_tick_adds_no_trace_entry_and_no_later_tick_runs(prims, program_runs):
     """The killed tick's run goes on past the budget, where it asks for a
     fix, on the control pass's own world; that fix reaches no trace."""
     config = single_provider_world(CELL, ticks=5)
     # the same program with small branches: it is never killed
     full = localisation_module._control_trace(at_the_edge(prims, 7, 7), config)
-    assert len(execute_calls) == 5
+    assert len(program_runs) == 5
     # tick 1: no fix yet; from tick 2 every tick fixes anew (error index 2 * tick)
     assert [source[2] for source, _, _ in full] == [4, 6, 8, 10]
-    execute_calls.clear()
+    program_runs.clear()
     killed = localisation_module._control_trace(killed_at_tick_3(prims), config)
     # exactly the budget at ticks 1 and 2; at tick 3 the stale branch needs
     # one step more, its request_update the 257th
-    assert execute_calls == [(False, "request_fix", MAX_STEPS)] * 2 + [
-        (True, None, MAX_STEPS)]
+    assert program_runs == [("request_fix", MAX_STEPS)] * 2 + [("request_fix", MAX_STEPS + 1)]
     assert killed == full[:1]
 
 
@@ -685,19 +706,37 @@ REFRESH_WHEN_OLD = ("(if_greater (last_fix_age) (const:Number 2.0)"
                     " (seq (enable_cell) (request_update)) (enable_cell))")
 
 
+class LoggedDraws(list):
+    """An evaluation's error draws, logging the index of every draw read."""
+
+    def __init__(self, draws, read):
+        super().__init__(draws)
+        self.read = read
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
 @pytest.fixture
-def displace_calls(monkeypatch):
-    calls = []
+def draws_read(monkeypatch):
+    """The index of every error draw the scoring pass reads, in order: a
+    fix is displaced by reading its magnitude's index and then its angle's,
+    the next one."""
+    read = []
+    real = localisation_module._error_draws
+    monkeypatch.setattr(localisation_module, "_error_draws",
+                        lambda seed, count: LoggedDraws(real(seed, count), read))
+    return read
 
-    def counted(*args):
-        calls.append(args)
-        return _displace(*args)
 
-    monkeypatch.setattr(localisation_module, "_displace", counted)
-    return calls
+def displaced(read):
+    """The magnitude indices of the fixes displaced by reading ``read``."""
+    assert read[1::2] == [i + 1 for i in read[::2]]
+    return read[::2]
 
 
-def test_a_trace_of_reference_fixes_displaces_nothing(prims, displace_calls):
+def test_a_trace_of_reference_fixes_displaces_nothing(prims, draws_read):
     config = single_provider_world(CELL)
     tree = parse(prims, FRESH_EVERY_TICK)
     trace = localisation_module._control_trace(tree, config)
@@ -706,11 +745,11 @@ def test_a_trace_of_reference_fixes_displaces_nothing(prims, displace_calls):
     for seed in range(5):
         want, _ = oracle_fitness(tree, config, seed)
         assert evaluate_localisation(tree, config, seed) == want
-    assert displace_calls == []
+    assert draws_read == []
 
 
 @pytest.mark.parametrize("stationary", [True, False])
-def test_a_stale_fix_is_displaced_where_a_later_entry_needs_it(prims, displace_calls,
+def test_a_stale_fix_is_displaced_where_a_later_entry_needs_it(prims, draws_read,
                                                                stationary):
     """An entry whose fix is the reference fix displaces nothing; the next
     entry that holds the same fix, now stale, displaces it and its own
@@ -727,10 +766,10 @@ def test_a_stale_fix_is_displaced_where_a_later_entry_needs_it(prims, displace_c
     per_evaluation = len(stale) + len({id(fix) for fix in stale})
     for seed in range(5):
         want, _ = oracle_fitness(tree, config, seed)
-        displace_calls.clear()
+        draws_read.clear()
         got = evaluate_localisation(tree, config, seed)
         assert got == want
-        assert len(displace_calls) == per_evaluation
+        assert len(displaced(draws_read)) == per_evaluation
         perfect = sum(energy for _, _, energy in trace) / config.ticks
         assert got < perfect
 
@@ -852,39 +891,39 @@ def test_twins_are_distinct_equal_trees(prims):
 
 
 @pytest.mark.parametrize("swap", [False, True])
-def test_a_twin_shares_its_partners_trace(prims, execute_calls, swap):
+def test_a_twin_shares_its_partners_trace(prims, program_runs, swap):
     config = WorldConfig()
     for pair in twin_pairs(prims):
         first, second = reversed(pair) if swap else pair
         localisation_module._control_trace.cache_clear()
         # the partner runs the program; the twin runs none of it
         for seed, tree, runs in ((1, first, config.ticks), (2, second, 0)):
-            before = len(execute_calls)
+            before = len(program_runs)
             got = evaluate_localisation(tree, config, seed)
             assert got == oracle_fitness(tree, config, seed)[0]
-            assert len(execute_calls) - before == runs
+            assert len(program_runs) - before == runs
         info = localisation_module._control_trace.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
-def test_nans_that_are_not_the_same_object_miss(prims, execute_calls):
+def test_nans_that_are_not_the_same_object_miss(prims, program_runs):
     a, b = nan_twin(prims, float("nan")), nan_twin(prims, float("nan"))
     assert a != b
     config = WorldConfig()
     for seed, tree in enumerate((a, b)):
         got = evaluate_localisation(tree, config, seed)
         assert got == oracle_fitness(tree, config, seed)[0]
-    assert len(execute_calls) == 2 * config.ticks
+    assert len(program_runs) == 2 * config.ticks
     assert localisation_module._control_trace.cache_info().hits == 0
 
 
-def test_a_twin_under_other_inputs_recomputes(prims, execute_calls):
+def test_a_twin_under_other_inputs_recomputes(prims, program_runs):
     for first, second in twin_pairs(prims):
         evaluate_localisation(first, WorldConfig(), 3)
         for other_config in OTHER_CONFIGS:
-            before = len(execute_calls)
+            before = len(program_runs)
             got = evaluate_localisation(second, other_config, 3)
-            assert len(execute_calls) > before
+            assert len(program_runs) > before
             assert got == oracle_fitness(second, other_config, 3)[0]
     info = localisation_module._control_trace.cache_info()
     assert info.hits == 0
@@ -915,7 +954,7 @@ def test_error_draws_are_a_prefix_of_the_seeds_stream(monkeypatch):
     assert streams == []  # no stream is made for no draws
 
 
-def test_scoring_draws_exactly_the_prefix_it_reads(oracle_trees, displace_calls,
+def test_scoring_draws_exactly_the_prefix_it_reads(oracle_trees, draws_read,
                                                    monkeypatch):
     """An evaluation draws as far into its stream as the highest draw the
     scoring pass reads (each fix reads two from its index), and no further."""
@@ -928,9 +967,9 @@ def test_scoring_draws_exactly_the_prefix_it_reads(oracle_trees, displace_calls,
         whole = 2 * len(config.providers) * (config.ticks + 1)
         for i, tree in enumerate(oracle_trees):
             counts.clear()
-            displace_calls.clear()
+            draws_read.clear()
             evaluate_localisation(tree, config, i)
-            read = max((args[2] + 2 for args in displace_calls), default=0)
+            read = max((j + 2 for j in displaced(draws_read)), default=0)
             assert counts == [read]
             partial += 0 < read < whole
             none += read == 0
