@@ -21,10 +21,15 @@ branches over every feed and gives each feed the value of the branch it
 takes.  Each feed's value depends only on the operations on its own path,
 and the vocabulary's arithmetic on floats neither raises nor has side
 effects, so every feed gets the value of a run of its own, bit for bit, NaN
-and ``inf`` included.  The same pass tallies each feed's step count, the
-nodes a run of that feed alone would evaluate, and the fill is killed
-exactly when some feed's count exceeds :data:`MAX_STEPS`, as a supervisor
-running the feeds one by one would decide.
+and ``inf`` included.
+
+The fill is killed exactly when some feed's step count, the nodes a run of
+that feed alone would evaluate, exceeds :data:`MAX_STEPS`, as a supervisor
+running the feeds one by one would decide.  No run evaluates more nodes
+than its tree has, so a tree of at most :data:`MAX_STEPS` nodes is never
+killed and its steps are never counted.  A larger tree's counts come from
+a second walk (:func:`_count_steps`) that evaluates nothing: it follows
+each feed down the branches the recorded values send it.
 
 The feed task runs the interpreter only when its one pass raises (an
 unbound terminal, or a function that raises on some feed's operands,
@@ -34,14 +39,15 @@ and it is the first such feed's error.
 
 The pass scores only what it has not scored before.  Every function node
 it evaluates keeps its per-feed values on the node (``ProgramTree.record``),
-keyed by the identity of the catalog's columns, together with its per-feed
-step counts, and a later pass over any tree holding the node reads them
-instead of descending.  A bred child shares every subtree with its parents
-except the ancestors breeding rebuilt, and a crossover donor has mostly
-been scored in its own tree, so scoring a child evaluates those ancestors
-and little else.  A branch that no feed takes is never read and keeps no
-record.  The values and counts depend on nothing but the subtree and the
-columns, and a record is never mutated, only replaced.
+keyed by the identity of the catalog's columns, the counting walk adds the
+node's per-feed step counts once it has counted them, and a later pass or
+walk over any tree holding the node reads them instead of descending.  A
+bred child shares every subtree with its parents except the ancestors
+breeding rebuilt, and a crossover donor has mostly been scored in its own
+tree, so scoring or counting a child evaluates those ancestors and little
+else.  A branch that no feed takes is never read and keeps no record.
+The values and counts depend on nothing but the subtree and the columns,
+and a record is never mutated, only replaced.
 
 The screen fill is a pure function of the tree and the catalog, so it is
 memoised on the tree's root node (``ProgramTree.memo``) together with the
@@ -73,7 +79,7 @@ import operator
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .interpreter import compile_program, execute
 from .trees import (
@@ -241,101 +247,143 @@ def _feed_columns(catalog: FeedCatalog) -> dict[str, tuple]:
     return columns
 
 
-#: Step counts, one per feed: one int when every feed took the same count,
-#: else a tuple in the order of the feeds counted.
-Steps = Union[int, tuple[int, ...]]
-
-
-def _score_feeds(tree: ProgramTree, catalog: FeedCatalog
-                 ) -> tuple[Sequence, tuple[int, ...]]:
-    """``tree``'s value for every feed of ``catalog`` and each feed's step
-    count, both in catalog order, from one pass over the tree.
-
-    Each node the pass reads is evaluated once over every feed.  An
-    ``if_greater`` tests ``a > b`` for each feed as a per-feed run does.
-    When every feed takes the same branch, only that branch is read.  When
-    the test splits the feeds, both branches are scored over every feed
-    and each feed's value and count are picked from the branch it takes: a
-    feed's result depends only on its own path, and the feed vocabulary
-    neither raises nor has side effects, so every feed gets exactly the
-    value of a per-feed run.  A feed's step count is the number of nodes a
-    run of that feed alone would evaluate with no budget to stop it: a leaf
-    costs 1, an eager node 1 plus its children's counts, and an
-    ``if_greater`` 1 plus the counts of ``a`` and ``b`` and of the branch
-    the feed takes.
+def _score_feeds(tree: ProgramTree, catalog: FeedCatalog) -> Sequence:
+    """``tree``'s value for every feed of ``catalog``, in catalog order,
+    from one pass over the tree (:func:`_scorer`).
 
     Should the pass raise (an unbound terminal, or a function that raises
     on some feed's operands, perhaps in a branch that feed does not take),
     the tree is run again feed by feed on the interpreter
     (:func:`_run_each_feed`), so an error raises exactly when some feed's
     own run reaches it, and it is the first such feed's error.
-
-    Every function node the pass evaluates keeps its values, as a tuple in
-    catalog order, and its counts (:data:`Steps`) in its ``record``
-    together with the catalog's columns, and any later pass over any tree
-    that holds that node reads them instead of descending into it.  They
-    are a function of the subtree and the columns alone, the record is
-    never mutated, and it holds the columns dict itself, so a record
-    matches only while its columns are the ones being read (an identity no
-    other dict can take while the record lives).  A branch no feed takes is
-    never read and keeps no record.  Leaves keep none either: their values
-    cost nothing to read.
     """
     columns = _feed_columns(catalog)
     count = len(catalog.feeds)
+    try:
+        return _scorer(columns, count)(tree)
+    except Exception:  # some feed met an error: does its own run reach it?
+        return _run_each_feed(tree, columns, count)[0]
 
-    def scored(node: ProgramTree) -> tuple[Sequence, Steps]:
-        """``node``'s value and step count for every feed."""
+
+def _scorer(columns: dict[str, tuple], count: int) -> Callable[[ProgramTree], Sequence]:
+    """The one pass over the ``count`` feeds of ``columns``: a function
+    giving a node's value for every feed, as a tuple in catalog order.
+
+    Each node the pass reads is evaluated once over every feed.  An
+    ``if_greater`` tests ``a > b`` for each feed as a per-feed run does.
+    When every feed takes the same branch, only that branch is read.  When
+    the test splits the feeds, both branches are scored over every feed
+    and each feed's value is picked from the branch it takes: a feed's
+    value depends only on its own path, and the feed vocabulary neither
+    raises nor has side effects, so every feed gets exactly the value of a
+    per-feed run.  The pass raises whatever an evaluation raises.
+
+    Every function node the pass evaluates keeps its values in its
+    ``record`` as ``(columns, values, None)``, and any later pass over any
+    tree that holds that node reads them instead of descending into it;
+    :func:`_count_steps` may later replace the ``None`` with the node's
+    counts.  The values are a function of the subtree and the columns
+    alone, the record is never mutated, and it holds the columns dict
+    itself, so a record matches only while its columns are the ones being
+    read (an identity no other dict can take while the record lives).  A
+    branch no feed takes is never read and keeps no record.  Leaves keep
+    none either: their values cost nothing to read.
+    """
+    def scored(node: ProgramTree) -> Sequence:
         kind = node.kind
         children = node.children
         if not children:
             if kind.category is Category.CONSTANT:
-                return (node.value,) * count, 1
-            return columns[kind.name], 1
+                return (node.value,) * count
+            return columns[kind.name]
         record = node.record
         if record is not None and record[0] is columns:
-            return record[1], record[2]
+            return record[1]
         if kind.fn is not if_greater:
             if len(children) == 2:
                 a, b = children
-                a_values, a_steps = scored(a)
-                b_values, b_steps = scored(b)
-                values = tuple(map(kind.fn, a_values, b_values))
-                steps = _plus(a_steps, b_steps, 1)
+                values = tuple(map(kind.fn, scored(a), scored(b)))
             else:
-                tallies = [scored(child) for child in children]
-                values = tuple(map(kind.fn, *[child_values for child_values, _ in tallies]))
-                steps = 1
-                for _, child_steps in tallies:
-                    steps = _plus(steps, child_steps, 0)
+                values = tuple(map(kind.fn, *[scored(child) for child in children]))
         else:
             a, b, then, other = children
-            a_values, a_steps = scored(a)
-            b_values, b_steps = scored(b)
-            taken = list(map(operator.gt, a_values, b_values))
+            taken = list(map(operator.gt, scored(a), scored(b)))
             if all(taken):
-                values, branch_steps = scored(then)
+                values = scored(then)
             elif not any(taken):
-                values, branch_steps = scored(other)
+                values = scored(other)
             else:
-                then_values, then_steps = scored(then)
-                other_values, other_steps = scored(other)
                 values = tuple([t if k else o
-                                for k, t, o in zip(taken, then_values, other_values)])
+                                for k, t, o in zip(taken, scored(then), scored(other))])
+        node.record = (columns, values, None)
+        return values
+
+    return scored
+
+
+#: Step counts, one per feed: one int when every feed took the same count,
+#: else a tuple in the order of the feeds counted.
+Steps = Union[int, tuple[int, ...]]
+
+
+def _count_steps(tree: ProgramTree, catalog: FeedCatalog) -> tuple[int, ...]:
+    """Each feed's step count for ``tree``, in catalog order: the number of
+    nodes a run of that feed alone would evaluate with no budget to stop
+    it.  A leaf costs 1, an eager node 1 plus its children's counts, and an
+    ``if_greater`` 1 plus the counts of ``a`` and ``b`` and of the branch
+    the feed takes.
+
+    The walk evaluates nothing.  It finds the branch each feed takes from
+    the values :func:`_scorer` recorded for ``a`` and ``b``, so it descends
+    only where some feed's run goes, and it scores first any function node
+    whose record holds other columns (or none).  Each function node it
+    counts keeps its counts (:data:`Steps`) in its record beside its
+    values, and a later walk over any tree that holds the node reads them,
+    so a bred child counts only the ancestors breeding rebuilt.
+
+    Should scoring raise, each feed is run on the interpreter
+    (:func:`_run_each_feed`) and its run's count is returned, or the first
+    erring feed's error raised.
+    """
+    columns = _feed_columns(catalog)
+    count = len(catalog.feeds)
+    scored = _scorer(columns, count)
+
+    def counted(node: ProgramTree) -> Steps:
+        children = node.children
+        if not children:
+            return 1
+        values = scored(node)  # the record's, the node scored first if need be
+        steps = node.record[2]
+        if steps is not None:
+            return steps
+        if node.kind.fn is not if_greater:
+            steps = 1
+            for child in children:
+                steps = _plus(steps, counted(child), 0)
+        else:
+            a, b, then, other = children
+            taken = list(map(operator.gt, scored(a), scored(b)))
+            if all(taken):
+                branch_steps = counted(then)
+            elif not any(taken):
+                branch_steps = counted(other)
+            else:
+                then_steps, other_steps = counted(then), counted(other)
                 if then_steps.__class__ is int and then_steps == other_steps:
                     branch_steps = then_steps
                 else:
                     branch_steps = tuple([t if k else o for k, t, o in
                                           zip(taken, _each(then_steps), _each(other_steps))])
-            steps = _plus(_plus(a_steps, b_steps, 1), branch_steps, 0)
+            steps = _plus(_plus(counted(a), counted(b), 1), branch_steps, 0)
         node.record = (columns, values, steps)
-        return values, steps
+        return steps
 
     try:
-        values, steps = scored(tree)
+        steps = counted(tree)
     except Exception:  # some feed met an error: does its own run reach it?
-        return _run_each_feed(tree, columns, count)
-    return values, (steps,) * count if steps.__class__ is int else steps
+        return _run_each_feed(tree, columns, count)[1]
+    return (steps,) * count if steps.__class__ is int else steps
 
 
 def _run_each_feed(tree: ProgramTree, columns: dict[str, tuple], count: int
@@ -425,12 +473,15 @@ def _memoised_fill(tree: ProgramTree, catalog: FeedCatalog) -> Optional[Fill]:
 def _fill_screen(tree: ProgramTree, catalog: FeedCatalog) -> Optional[Fill]:
     """The scores and the displayed items, or ``None`` if a run was killed.
 
-    Every tree is scored and counted in one pass (:func:`_score_feeds`):
-    the fill is killed exactly when some feed's run would evaluate more
-    than :data:`MAX_STEPS` nodes.  The pass scores every feed before the
-    kill is decided, so a terminal the catalog does not bind raises
-    :class:`ConfigurationError` whenever some feed reaches it, even in a
-    tree the budget kills.
+    Every tree is scored in one pass (:func:`_score_feeds`).  The fill is
+    killed exactly when some feed's run would evaluate more than
+    :data:`MAX_STEPS` nodes, which only a tree of more nodes than that can
+    do, so only such a tree's steps are counted (:func:`_count_steps`).
+    The pass scores every feed before the kill is decided, so a terminal
+    the catalog does not bind raises :class:`ConfigurationError` whenever
+    some feed reaches it, even in a tree the budget kills.  A pass that
+    raises falls back to running each feed on the interpreter, and so does
+    the count of a larger tree, whose runs' exact counts decide the kill.
 
     The scores are the pass's own tuple of values, not copied.  The screen
     is :func:`_screen` of the ranking: the indices of the feeds scoring
@@ -438,8 +489,8 @@ def _fill_screen(tree: ProgramTree, catalog: FeedCatalog) -> Optional[Fill]:
     false) before the sort, where it would misrank the others, and the sort
     is stable, ``reverse`` included, so ties keep their catalog order.
     """
-    values, steps = _score_feeds(tree, catalog)
-    if max(steps) > MAX_STEPS:
+    values = _score_feeds(tree, catalog)
+    if tree.size > MAX_STEPS and max(_count_steps(tree, catalog)) > MAX_STEPS:
         return None
     ranking = tuple(sorted([i for i, value in enumerate(values) if value > 0.0],
                            key=values.__getitem__, reverse=True))

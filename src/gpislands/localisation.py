@@ -72,7 +72,7 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .interpreter import Bindings, compile_program
@@ -163,6 +163,13 @@ class Segment:
 
 @dataclass(frozen=True)
 class WorldConfig:
+    """The walk, its radio coverage and the providers a program can switch.
+
+    The hash is the one the dataclass would generate, worked out on first
+    use and kept, since every evaluation looks its world's layout and its
+    tree's control trace up by it and hashing each field runs Python code.
+    """
+
     providers: tuple[Provider, ...] = DEFAULT_PROVIDERS
     waypoints: tuple[tuple[float, float, float], ...] = (
         (0.0, 0.0, 0.0),      # at home, indoors
@@ -176,6 +183,14 @@ class WorldConfig:
         Segment(40.0, 60.0, indoor=True, wifi=True),
     )
     ticks: int = DEFAULT_TICKS
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        kept = self._hash
+        if kept is None:
+            kept = hash((self.providers, self.waypoints, self.segments, self.ticks))
+            object.__setattr__(self, "_hash", kept)
+        return kept
 
     def __post_init__(self) -> None:
         if not self.providers:

@@ -6,7 +6,9 @@ cell's own options say otherwise (a later option wins); ``{data}`` stands
 for ``tests/data``.  The cells cover a ``--strategy`` file, an
 ``--app-config`` catalog and world, ``--no-helper``, the feed task in
 ``random`` and ``none`` modes, hetero with loss, localisation at
-``--max-depth 6``, islands of 5, 7 and 12 members, and 3 islands.  ``tests/test_config_space.py`` holds every cell's rows
+``--max-depth 6``, islands of 5, 7 and 12 members, 3 islands, and the feed
+task at ``--max-depth 9`` on the 5-feed catalog, where the step budget
+kills fills.  ``tests/test_config_space.py`` holds every cell's rows
 and summary CSVs to the SHA-256 digests pinned here; as in
 ``tests/test_golden.py``, update a digest only on purpose, and record why in
 CHANGES.md.  UDP is left out: real sockets are not deterministic.
@@ -112,6 +114,11 @@ CELLS = {
         "--app feed --capacity 7 --mode random --interval 2 --rate 0.5",
         "8ca4c3fe428f5defa30b404fe262d1386eff5e161627725f23a8ca86841eff99",
         "2c1833f96a0e8f2f40e53f564ee9ddd559abdcc886b0f2abb1f3ae2c56ad85db"),
+    "feed-app-config-deep-kills": (
+        "--app feed --app-config {data}/feed_config.json --max-depth 9 --interval 1"
+        " --rate 0.5 --seed 2",
+        "e8631543c37b5d8ff52e95cb8aa3382519e3c19cac29d807352fede988ac7c3a",
+        "ed5bf77400b7b9f71205fef00c50d90f30c93b287e4f47972f338c1462492f76"),
 }
 
 

@@ -75,5 +75,13 @@ def always(prims, then, other):
                                                   then, other))
 
 
+def split(prims, then, other):
+    """``(if_greater group_is_tech 0.5 then other)``: each tech feed runs
+    ``then`` and every other feed ``other``, in 3 steps more than that side
+    takes."""
+    return ProgramTree(prims.kind("if_greater"), (ProgramTree(prims.kind("group_is_tech")),
+                                                  constant(prims, 0.5), then, other))
+
+
 def constant(prims, value):
     return ProgramTree(prims.kind(constant_kind_name(Sort.NUMBER)), value=value)

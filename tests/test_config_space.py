@@ -7,6 +7,7 @@ import pytest
 from config_cells import CELLS, argv, run_cell
 from test_golden import GOLDEN
 
+from gpislands import feed
 from gpislands.cli import build_parser
 
 # where to write, and the UDP transport's, whose sockets are not deterministic
@@ -17,6 +18,24 @@ UNPINNED = {"out", "transport", "udp_base_port"}
 def test_config_cell_digests(name, tmp_path):
     _, rows_sha, summary_sha = CELLS[name]
     assert run_cell(name, tmp_path) == (rows_sha, summary_sha)
+
+
+def test_the_deep_kills_cell_kills_fills_of_its_own_catalog(tmp_path, monkeypatch):
+    """The one cell whose digests pin the step budget's kill on a catalog
+    other than the default: some of its fills are killed."""
+    fills = []
+    real = feed._fill_screen
+
+    def recorded(tree, catalog):
+        fill = real(tree, catalog)
+        fills.append((len(catalog.feeds), fill is None))
+        return fill
+
+    monkeypatch.setattr(feed, "_fill_screen", recorded)
+    name = "feed-app-config-deep-kills"
+    assert run_cell(name, tmp_path) == CELLS[name][1:]
+    assert {feeds for feeds, _ in fills} == {5}
+    assert any(killed for _, killed in fills)
 
 
 def test_every_pinnable_option_takes_two_values():

@@ -9,7 +9,7 @@ from collections import Counter
 
 import grower
 import pytest
-from sized import always, feed_chain, feed_edges, feed_sum
+from sized import always, feed_chain, feed_edges, feed_sum, split
 from walker import feed_environments, walk
 
 from gpislands import feed as feed_module
@@ -256,7 +256,7 @@ def test_the_step_budget_decides_at_its_edge(catalog, feed_prims):
     assert walked["skipping"] == [(False, 255.0 * 3.0, MAX_STEPS)] * len(catalog.feeds)
     assert walked["killed"] == [(True, None, MAX_STEPS)] * len(catalog.feeds)
     for tree, want in zip(trees.values(), (MAX_STEPS - 1, MAX_STEPS, MAX_STEPS + 1)):
-        steps = feed_module._score_feeds(tree, catalog)[1]
+        steps = feed_module._count_steps(tree, catalog)
         assert steps == walked_steps(tree, catalog) == (want,) * len(catalog.feeds)
 
 
@@ -540,8 +540,8 @@ def test_an_unbound_terminal_the_first_feed_reaches_stops_the_generation():
 
 
 def assert_walker_steps(tree, catalog):
-    """Each feed's one-pass step count is that of a walk of its own."""
-    steps = feed_module._score_feeds(tree, catalog)[1]
+    """Each feed's counted steps are those of a walk of its own."""
+    steps = feed_module._count_steps(tree, catalog)
     assert list(steps) == [walk(tree, env, tree.size).steps_used
                            for env in feed_environments(catalog)]
     return steps
@@ -706,7 +706,7 @@ def assert_counted_as_walked(tree, catalog):
     fill = feed_module._fill_screen(tree, catalog)
     assert_same_fill(fill, walker_fill(tree, catalog))
     steps = walked_steps(tree, catalog)
-    assert feed_module._score_feeds(tree, catalog)[1] == steps
+    assert feed_module._count_steps(tree, catalog) == steps
     assert (fill is None) is (max(steps) > MAX_STEPS)
     return fill
 
@@ -747,7 +747,8 @@ def test_a_chain_at_the_depth_ceiling_counts_as_walked(catalog, feed_prims, kind
     counts each feed's walk: the ``add`` chain's 399 steps are within the
     budget, the ``if_greater`` chain's 598 (of 797 nodes) over it."""
     tree = deserialize(feed_chain(kind, DEPTH_CEILING), feed_prims)
-    values, steps = feed_module._score_feeds(tree, catalog)
+    values = feed_module._score_feeds(tree, catalog)
+    steps = feed_module._count_steps(tree, catalog)
     assert steps == walked_steps(tree, catalog)
     assert steps[0] == {"add": 2 * DEPTH_CEILING - 1,
                         "if_greater": 3 * (DEPTH_CEILING - 1) + 1}[kind]
@@ -810,31 +811,122 @@ def test_records_cross_between_oversize_and_small_trees(catalog, feed_prims, fir
         tree = trees[name]
         assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
         assert is_warm(shared, catalog)
-        values, steps = feed_module._score_feeds(shared, catalog)
+        values = feed_module._score_feeds(shared, catalog)
+        steps = feed_module._count_steps(shared, catalog)
         assert values is shared.record[1]
         assert [repr(v) for v in values] == [
             repr(walk(shared, env, shared.size).value) for env in feed_environments(catalog)]
         assert steps == walked_steps(shared, catalog)
-        assert feed_module._score_feeds(tree, catalog)[1] == walked_steps(tree, catalog)
+        assert feed_module._count_steps(tree, catalog) == walked_steps(tree, catalog)
 
 
 def test_an_oversize_child_reads_the_counts_its_parent_recorded(catalog, feed_prims):
     """Once a tree's counts are recorded, a child breeding made from the
-    tree evaluates only the ancestors breeding rebuilt."""
+    tree evaluates only the ancestors breeding rebuilt, and counts only
+    them: every node it shares with the tree keeps the record, counts
+    included, that the tree's count left on it."""
     calls = []
     parent = labelled(feed_sum(feed_prims, MAX_STEPS + 1), calls)
     killed = (MAX_STEPS + 1,) * len(catalog.feeds)
-    assert feed_module._score_feeds(parent, catalog)[1] == killed
+    assert feed_module._count_steps(parent, catalog) == killed
     assert len(calls) == len(catalog.feeds) * (parent.size // 2)
+    records = {id(node): node.record for node, _ in iter_nodes(parent) if node.children}
+    assert all(record[2] is not None for record in records.values())
     for index, (node, above) in enumerate(with_ancestors(parent)):
         if node.children:
             continue
         child = replace_subtree(parent, index, const_program(feed_prims, 0.5))
         calls.clear()
-        assert feed_module._score_feeds(child, catalog)[1] == killed
+        assert feed_module._count_steps(child, catalog) == killed
         assert Counter(calls) == {a.kind.name: len(catalog.feeds) for a in above}
+        shared = [node for node, _ in iter_nodes(child) if id(node) in records]
+        assert len(shared) == len(records) - len(above)
+        assert all(node.record is records[id(node)] for node in shared)
         if index > 40:
             break
+
+
+def test_a_fill_within_the_budget_never_counts(catalog, feed_prims, monkeypatch):
+    """No run evaluates more nodes than its tree has, so a fill counts the
+    steps of every tree larger than the budget and of no other."""
+    counted = []
+    real = feed_module._count_steps
+
+    def counting(tree, catalog):
+        if tree.size <= MAX_STEPS:
+            pytest.fail(f"a tree of {tree.size} nodes was counted")
+        counted.append(tree)
+        return real(tree, catalog)
+
+    monkeypatch.setattr(feed_module, "_count_steps", counting)
+    rng = random.Random(31)
+    trees = [build_random_tree(feed_prims, depth, rng)
+             for depth in range(2, 10) for _ in range(30)]
+    trees += feed_edges(feed_prims).values()
+    for tree in trees:
+        assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
+    oversize = [tree for tree in trees if tree.size > MAX_STEPS]
+    assert 2 < len(oversize) < len(trees) // 10
+    assert list(map(id, counted)) == list(map(id, oversize))
+
+
+def budget_edge_trees(prims):
+    """Trees of 511, 512, 513 and 515 nodes, some of whose runs take just
+    under, at or just over the step budget: sums every feed runs whole,
+    and sums behind an ``if_greater`` that sends the tech feeds one way and
+    the rest the other.  A 512-node tree needs a function of odd arity:
+    there it is a one-argument negation."""
+    negate = function("negate", (Sort.NUMBER,), Sort.NUMBER, operator.neg)
+
+    def negated(tree):
+        return ProgramTree(negate, (tree,))
+
+    def sums(then, other):
+        return split(prims, feed_sum(prims, then), feed_sum(prims, other))
+
+    return [feed_sum(prims, 511), sums(507, 1),
+            negated(feed_sum(prims, 511)), negated(sums(505, 3)),
+            feed_sum(prims, 513), feed_edges(prims)["skipping"], sums(509, 1), sums(1, 509),
+            feed_sum(prims, 515), sums(511, 1), sums(1, 511), sums(509, 3)]
+
+
+@pytest.mark.parametrize("size", [511, 512, 513, 515])
+def test_a_fill_at_the_budgets_edge_is_killed_when_some_walk_is(catalog, feed_prims, size):
+    """Each fill is killed exactly when some feed's walk is, and is the
+    walker's fill otherwise; at 513 and 515 nodes, both happen."""
+    trees = [tree for tree in budget_edge_trees(feed_prims) if tree.size == size]
+    killed = []
+    for tree in trees:
+        walks = [walk(tree, env, MAX_STEPS) for env in feed_environments(catalog)]
+        fill = feed_module._fill_screen(tree, catalog)
+        assert (fill is None) is any(walked.killed for walked in walks)
+        assert_same_fill(fill, walker_fill(tree, catalog))
+        killed.append(fill is None)
+    assert len(trees) >= 2
+    assert set(killed) == ({False} if size <= MAX_STEPS else {False, True})
+
+
+def test_records_of_two_catalogs_used_in_turn_give_exact_counts(feed_prims):
+    """Subtrees scored or counted against one catalog leave records holding
+    its columns; counting the whole tree against the other scores each
+    such node again before counting it, so every count, and every kill, is
+    the walker's, turn after turn."""
+    catalogs = (default_catalog(), default_catalog(unread=5))
+    rng = random.Random(23)
+    trees = [tree for tree in (build_random_tree(feed_prims, 9, rng) for _ in range(160))
+             if tree.size > MAX_STEPS]
+    differ = [tree for tree in trees
+              if walked_steps(tree, catalogs[0]) != walked_steps(tree, catalogs[1])]
+    assert len(differ) >= 2  # a count read from the wrong catalog would show
+    for _ in range(3):
+        for tree in trees:
+            functions = [node for node, _ in iter_nodes(tree) if node.children]
+            for node in rng.sample(functions, 6):
+                step = rng.choice((feed_module._score_feeds, feed_module._count_steps))
+                step(node, rng.choice(catalogs))
+            catalog = rng.choice(catalogs)
+            assert feed_module._count_steps(tree, catalog) == walked_steps(tree, catalog)
+            assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
 
 
 # ---------------------------------------------------------------------------
@@ -901,8 +993,11 @@ def test_bred_lineages_score_as_fresh_copies_and_the_walker(catalog):
         """The one pass, whatever the tree's size, against a record-free
         copy and a walk that no budget stops: each value bit for bit, and
         each feed's count."""
-        values, steps = feed_module._score_feeds(tree, catalog)
-        fresh_values, fresh_steps = feed_module._score_feeds(fresh_copy(tree, prims), catalog)
+        values = feed_module._score_feeds(tree, catalog)
+        steps = feed_module._count_steps(tree, catalog)
+        fresh = fresh_copy(tree, prims)
+        fresh_values = feed_module._score_feeds(fresh, catalog)
+        fresh_steps = feed_module._count_steps(fresh, catalog)
         got = [repr(value) for value in values]
         assert got == [repr(value) for value in fresh_values] and steps == fresh_steps
         walks = [walk(tree, env, tree.size) for env in feed_environments(catalog)]
@@ -985,7 +1080,7 @@ def test_a_child_evaluates_only_the_ancestors_breeding_rebuilt(catalog, feed_pri
 
     def evaluated(tree, catalog):
         calls.clear()
-        values, _ = feed_module._score_feeds(tree, catalog)
+        values = feed_module._score_feeds(tree, catalog)
         counts = Counter(calls)
         for got, env in zip(values, feed_environments(catalog)):
             assert repr(got) == repr(walk(tree, env, tree.size).value)
@@ -1021,7 +1116,7 @@ def test_every_function_node_a_pass_evaluates_keeps_a_record(catalog, feed_prims
         " (add (group_is_tech) (unread_count))"
         " (mul (sub (unread_count) (is_engadget)) (unread_count))))",
         feed_prims)
-    values, _ = feed_module._score_feeds(tree, catalog)
+    values = feed_module._score_feeds(tree, catalog)
     split, unanimous = tree.children
     untaken = unanimous.children[3]
     unread = {id(node) for node, _ in iter_nodes(untaken)}
@@ -1031,7 +1126,7 @@ def test_every_function_node_a_pass_evaluates_keeps_a_record(catalog, feed_prims
     assert all(node.record is None for node, _ in iter_nodes(untaken))
     assert all(node.record is None for node, _ in iter_nodes(tree) if not node.children)
     assert tree.record[1] is values and isinstance(values, tuple)
-    again, _ = feed_module._score_feeds(tree, catalog)
+    again = feed_module._score_feeds(tree, catalog)
     assert again is values
     assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
 

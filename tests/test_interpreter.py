@@ -221,10 +221,11 @@ def test_compiled_matches_walker_on_feed_trees(feed_prims, max_steps):
 
 
 def test_the_oversize_fill_runs_each_feed_as_the_walker_does(feed_prims, monkeypatch):
-    """A tree larger than the budget is scored in the one pass, with no
-    program compiled or run; each feed gets the value of a walk of the tree
-    against that feed's own bindings, and its count is the steps of that
-    walk, so the fill is killed exactly when some feed's walk is."""
+    """A tree larger than the budget is scored in the one pass and counted
+    by the counting walk, with no program compiled or run; each feed gets
+    the value of a walk of the tree against that feed's own bindings, and
+    its count is the steps of that walk, so the fill is killed exactly when
+    some feed's walk is."""
     def unexpected(*args):
         pytest.fail("a fill that raises nothing compiled or ran a program")
 
@@ -242,7 +243,7 @@ def test_the_oversize_fill_runs_each_feed_as_the_walker_does(feed_prims, monkeyp
         oversize += 1
         fill = feed_module._fill_screen(tree, catalog)
         walked = [walk(tree, bindings, max_steps) for bindings in per_feed]
-        steps = feed_module._score_feeds(tree, catalog)[1]
+        steps = feed_module._count_steps(tree, catalog)
         assert list(steps) == [walk(tree, bindings, tree.size).steps_used
                                for bindings in per_feed]
         for count, want in zip(steps, walked):
@@ -400,11 +401,11 @@ def test_a_chain_at_the_depth_ceiling_runs_in_both_tasks(feed_prims, loc_prims):
         assert not completed.killed
         assert_same_outcome(completed, walk(tree, bindings, 10**6))
     # at the tasks' own budgets, a run down the chain is killed at once: the
-    # feed task's one pass descends the whole chain to count each feed's
-    # steps, and the fill's kill is the walker's
+    # feed task's counting walk descends the whole chain to count each
+    # feed's steps, and the fill's kill is the walker's
     assert [walk(feed_tree, env, feed_module.MAX_STEPS).killed
             for env in feed_environments(catalog)] == [True] * len(catalog.feeds)
     assert feed_module._fill_screen(feed_tree, catalog) is None
-    assert feed_module._score_feeds(feed_tree, catalog)[1] == tuple(
+    assert feed_module._count_steps(feed_tree, catalog) == tuple(
         walk(feed_tree, env, 10**6).steps_used for env in feed_environments(catalog))
     assert localisation_module._control_trace(loc_tree, WorldConfig()) == ()

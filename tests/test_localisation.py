@@ -1,4 +1,5 @@
 """The provider-switching benchmark: world model, scoring, helper, oracles."""
+import dataclasses
 import itertools
 import json
 import math
@@ -657,6 +658,20 @@ def test_a_second_evaluation_runs_no_program(prims, program_runs):
     assert len(program_runs) == WorldConfig().ticks
     assert first != second  # each world still scores with its own errors
     assert evaluate_localisation(tree, WorldConfig(), 1) == first
+
+
+def test_a_world_keeps_the_hash_the_dataclass_would_generate():
+    config, twin = WorldConfig(), WorldConfig()
+    assert config._hash is None  # worked out on first use, never before
+    assert hash(config) == hash((config.providers, config.waypoints, config.segments,
+                                 config.ticks))
+    assert config._hash == hash(config)
+    assert twin == config and twin is not config and hash(twin) == hash(config)
+    assert "_hash" not in repr(config)
+    shorter = dataclasses.replace(config, ticks=30)
+    assert shorter == WorldConfig(ticks=30) != config
+    assert hash(shorter) == hash((config.providers, config.waypoints, config.segments, 30))
+    assert dataclasses.replace(config) == config
 
 
 # worlds that differ from the default in the walk's length, and in a figure

@@ -130,7 +130,8 @@ SPECIAL = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0]
 def assert_scored_as_walked(tree, catalog=CATALOG):
     """Each feed's one-pass value (``repr``) and step count are its walk's,
     with no budget to stop it."""
-    values, steps = feed._score_feeds(tree, catalog)
+    values = feed._score_feeds(tree, catalog)
+    steps = feed._count_steps(tree, catalog)
     walks = [walk(tree, env, tree.size) for env in feed_environments(catalog)]
     assert [repr(value) for value in values] == [repr(walked.value) for walked in walks]
     assert steps == tuple(walked.steps_used for walked in walks)

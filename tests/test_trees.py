@@ -640,14 +640,15 @@ def test_deserialize_without_bound_stops_at_the_ceiling(feed_prims, kind):
     tree = deserialize(text, feed_prims)
     assert tree.depth == DEPTH_CEILING
     assert serialize(tree) == text
-    values, steps = feed_module._score_feeds(tree, catalog)
+    values = feed_module._score_feeds(tree, catalog)
+    steps = feed_module._count_steps(tree, catalog)
     assert len(values) == len(catalog.feeds)
     env = feed_environments(catalog)[0]
     walked = walk(tree, env, 10 * tree.size)
     compiled = execute(compile_program(tree, env), 10 * tree.size)
     assert not walked.killed
     assert (walked.value, walked.steps_used) == (compiled.value, compiled.steps_used)
-    # the one pass counts the walk's steps: every feed's walk takes the same
+    # the counting walk counts the walk's steps: every feed's walk takes the same
     assert steps == (walked.steps_used,) * len(catalog.feeds)
     with pytest.raises(TreeValidationError):
         deserialize(feed_chain(kind, DEPTH_CEILING + 1), feed_prims)
