@@ -29,14 +29,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--app", required=True, choices=["feed", "localisation"],
                         help="benchmark task to evolve against")
     parser.add_argument("--islands", type=int)
-    parser.add_argument("--capacity", type=int, help="programs per island")
+    parser.add_argument("--capacity", type=int,
+                        help="programs per island; gr, localisation and strategy "
+                             "files state their own")
     parser.add_argument("--generations", type=int)
     parser.add_argument("--iterations", type=int,
                         help="independent repetitions of the whole run")
     parser.add_argument("--interval", type=int,
                         help="generations between migration events")
     parser.add_argument("--rate", type=float,
-                        help="fraction of capacity exchanged per event")
+                        help="fraction of an island's members exchanged per event")
     parser.add_argument("--mode", choices=["migrate", "random", "none"],
                         help="exchange programs, inject random ones, or do neither")
     parser.add_argument("--landscape", choices=["homo", "hetero"],

@@ -13,7 +13,7 @@ ratio times the click-through ratio:
 with fitness 0 when nothing is displayed.  A program killed by the
 supervisor displays nothing.
 
-All seven scores come from one pass over the tree (:func:`_score_feeds`):
+All seven scores come from one pass over the tree (:func:`_scorer`):
 each node it reads is evaluated once over every feed, a terminal reading a
 column of per-feed values.  An ``if_greater`` that every feed takes the
 same way reads only that branch; one that splits its feeds scores both
@@ -31,11 +31,12 @@ killed and its steps are never counted.  A larger tree's counts come from
 a second walk (:func:`_count_steps`) that evaluates nothing: it follows
 each feed down the branches the recorded values send it.
 
-The feed task runs the interpreter only when its one pass raises (an
-unbound terminal, or a function that raises on some feed's operands,
-perhaps in a branch that feed does not take): then it runs the tree feed
-by feed, so an error raises exactly when some feed's own run reaches it,
-and it is the first such feed's error.
+A fill has one fallback, and the feed task runs the interpreter only
+there: when scoring raises (an unbound terminal, or a function that raises
+on some feed's operands, perhaps in a branch that feed does not take), the
+fill runs the tree once feed by feed (:func:`_run_each_feed`) and takes
+every value and count from those runs, so an error raises exactly when
+some feed's own run reaches it, and it is the first such feed's error.
 
 The pass scores only what it has not scored before.  Every function node
 it evaluates keeps its per-feed values on the node (``ProgramTree.record``),
@@ -74,7 +75,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
 import random
 import re
@@ -89,6 +89,7 @@ from .trees import (
     PrimitiveSet,
     ProgramTree,
     Sort,
+    _read_config_file,
     arithmetic_kinds,
     config_number,
     if_greater,
@@ -247,24 +248,6 @@ def _feed_columns(catalog: FeedCatalog) -> dict[str, tuple]:
     return columns
 
 
-def _score_feeds(tree: ProgramTree, catalog: FeedCatalog) -> Sequence:
-    """``tree``'s value for every feed of ``catalog``, in catalog order,
-    from one pass over the tree (:func:`_scorer`).
-
-    Should the pass raise (an unbound terminal, or a function that raises
-    on some feed's operands, perhaps in a branch that feed does not take),
-    the tree is run again feed by feed on the interpreter
-    (:func:`_run_each_feed`), so an error raises exactly when some feed's
-    own run reaches it, and it is the first such feed's error.
-    """
-    columns = _feed_columns(catalog)
-    count = len(catalog.feeds)
-    try:
-        return _scorer(columns, count)(tree)
-    except Exception:  # some feed met an error: does its own run reach it?
-        return _run_each_feed(tree, columns, count)[0]
-
-
 def _scorer(columns: dict[str, tuple], count: int) -> Callable[[ProgramTree], Sequence]:
     """The one pass over the ``count`` feeds of ``columns``: a function
     giving a node's value for every feed, as a tuple in catalog order.
@@ -326,7 +309,8 @@ def _scorer(columns: dict[str, tuple], count: int) -> Callable[[ProgramTree], Se
 Steps = Union[int, tuple[int, ...]]
 
 
-def _count_steps(tree: ProgramTree, catalog: FeedCatalog) -> tuple[int, ...]:
+def _count_steps(tree: ProgramTree, columns: dict[str, tuple],
+                 scored: Callable[[ProgramTree], Sequence]) -> tuple[int, ...]:
     """Each feed's step count for ``tree``, in catalog order: the number of
     nodes a run of that feed alone would evaluate with no budget to stop
     it.  A leaf costs 1, an eager node 1 plus its children's counts, and an
@@ -334,21 +318,14 @@ def _count_steps(tree: ProgramTree, catalog: FeedCatalog) -> tuple[int, ...]:
     the feed takes.
 
     The walk evaluates nothing.  It finds the branch each feed takes from
-    the values :func:`_scorer` recorded for ``a`` and ``b``, so it descends
-    only where some feed's run goes, and it scores first any function node
-    whose record holds other columns (or none).  Each function node it
-    counts keeps its counts (:data:`Steps`) in its record beside its
-    values, and a later walk over any tree that holds the node reads them,
-    so a bred child counts only the ancestors breeding rebuilt.
-
-    Should scoring raise, each feed is run on the interpreter
-    (:func:`_run_each_feed`) and its run's count is returned, or the first
-    erring feed's error raised.
+    the values ``scored``, the pass over ``columns``, recorded for ``a``
+    and ``b``, so it descends only where some feed's run goes, and it
+    scores first any function node whose record holds other columns (or
+    none).  Each function node it counts keeps its counts (:data:`Steps`)
+    in its record beside its values, and a later walk over any tree that
+    holds the node reads them, so a bred child counts only the ancestors
+    breeding rebuilt.  The walk raises whatever scoring raises.
     """
-    columns = _feed_columns(catalog)
-    count = len(catalog.feeds)
-    scored = _scorer(columns, count)
-
     def counted(node: ProgramTree) -> Steps:
         children = node.children
         if not children:
@@ -379,11 +356,9 @@ def _count_steps(tree: ProgramTree, catalog: FeedCatalog) -> tuple[int, ...]:
         node.record = (columns, values, steps)
         return steps
 
-    try:
-        steps = counted(tree)
-    except Exception:  # some feed met an error: does its own run reach it?
-        return _run_each_feed(tree, columns, count)[1]
-    return (steps,) * count if steps.__class__ is int else steps
+    steps = counted(tree)
+    # one count per feed, as the root has one value per feed
+    return steps if steps.__class__ is tuple else (steps,) * len(scored(tree))
 
 
 def _run_each_feed(tree: ProgramTree, columns: dict[str, tuple], count: int
@@ -473,15 +448,18 @@ def _memoised_fill(tree: ProgramTree, catalog: FeedCatalog) -> Optional[Fill]:
 def _fill_screen(tree: ProgramTree, catalog: FeedCatalog) -> Optional[Fill]:
     """The scores and the displayed items, or ``None`` if a run was killed.
 
-    Every tree is scored in one pass (:func:`_score_feeds`).  The fill is
+    Every tree is scored in one pass (:func:`_scorer`).  The fill is
     killed exactly when some feed's run would evaluate more than
     :data:`MAX_STEPS` nodes, which only a tree of more nodes than that can
     do, so only such a tree's steps are counted (:func:`_count_steps`).
     The pass scores every feed before the kill is decided, so a terminal
     the catalog does not bind raises :class:`ConfigurationError` whenever
-    some feed reaches it, even in a tree the budget kills.  A pass that
-    raises falls back to running each feed on the interpreter, and so does
-    the count of a larger tree, whose runs' exact counts decide the kill.
+    some feed reaches it, even in a tree the budget kills.
+
+    The fill has one fallback: should the pass or the count raise, each
+    feed is run once on the interpreter (:func:`_run_each_feed`), and
+    those runs give every value and, exactly, every count that decides the
+    kill, or the first erring feed's error is raised.
 
     The scores are the pass's own tuple of values, not copied.  The screen
     is :func:`_screen` of the ranking: the indices of the feeds scoring
@@ -489,8 +467,16 @@ def _fill_screen(tree: ProgramTree, catalog: FeedCatalog) -> Optional[Fill]:
     false) before the sort, where it would misrank the others, and the sort
     is stable, ``reverse`` included, so ties keep their catalog order.
     """
-    values = _score_feeds(tree, catalog)
-    if tree.size > MAX_STEPS and max(_count_steps(tree, catalog)) > MAX_STEPS:
+    columns = _feed_columns(catalog)
+    count = len(catalog.feeds)
+    scored = _scorer(columns, count)
+    try:
+        values = scored(tree)
+        killed = tree.size > MAX_STEPS and max(_count_steps(tree, columns, scored)) > MAX_STEPS
+    except Exception:  # some feed met an error: does its own run reach it?
+        values, steps = _run_each_feed(tree, columns, count)
+        killed = max(steps) > MAX_STEPS
+    if killed:
         return None
     ranking = tuple(sorted([i for i, value in enumerate(values) if value > 0.0],
                            key=values.__getitem__, reverse=True))
@@ -607,10 +593,6 @@ def user_from_dict(data: dict, catalog: FeedCatalog) -> UserModel:
 
 def load_feed_config(path: str) -> tuple[FeedCatalog, UserModel]:
     """Read ``{"feeds": [...], "click_prob": {...}}`` from a JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except ValueError as exc:  # malformed JSON or not UTF-8
-            raise ConfigurationError(f"bad feed config file {path!r}: {exc}") from exc
+    data = _read_config_file(path, "feed config")
     catalog = catalog_from_dict(data)
     return catalog, user_from_dict(data, catalog)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import os
 import random
 from dataclasses import dataclass
@@ -43,7 +42,7 @@ from .islands import (
     UdpBroadcastTransport,
     run_islands,
 )
-from .trees import DEPTH_CEILING, ConfigurationError, PrimitiveSet
+from .trees import DEPTH_CEILING, ConfigurationError, PrimitiveSet, _read_config_file
 
 DEFAULT_MAX_DEPTH = 3
 
@@ -54,7 +53,7 @@ CSV_COLUMNS = [f.name for f in dataclasses.fields(GenerationStats)]
 class ExperimentConfig:
     app: str
     islands: int = 2
-    capacity: int = 10
+    capacity: Optional[int] = None
     generations: int = 20
     iterations: int = 15
     interval: int = 5
@@ -104,13 +103,18 @@ class ExperimentConfig:
 
 
 def resolve_strategy(config: ExperimentConfig) -> EvolutionStrategy:
-    """Named preset, ``auto`` (pick by task and capacity), or a JSON file,
-    whose total must equal the capacity."""
-    name = config.strategy
+    """Named preset, ``auto`` (pick by task and capacity), or a JSON file.
+
+    An island's size is its strategy's total.  ``gr``, ``localisation`` and
+    a file state their own; ``island``, and ``auto`` when it picks it, use
+    the capacity, 10 when none is given.  A given capacity must equal the
+    total.
+    """
+    name, capacity = config.strategy, config.capacity
     if name == "auto":
-        if config.app == "feed" and config.capacity == 5:
+        if config.app == "feed" and capacity == 5:
             name = "gr"
-        elif config.app == "localisation" and config.capacity == 12:
+        elif config.app == "localisation" and capacity == 12:
             name = "localisation"
         else:
             name = "island"
@@ -119,17 +123,12 @@ def resolve_strategy(config: ExperimentConfig) -> EvolutionStrategy:
     elif name == "localisation":
         strategy = localisation_strategy()
     elif name == "island":
-        strategy = island_strategy(config.capacity)
+        strategy = island_strategy() if capacity is None else island_strategy(capacity)
     elif os.path.exists(name):
-        with open(name, "r", encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except ValueError as exc:  # malformed JSON or not UTF-8
-                raise ConfigurationError(f"bad strategy file {name!r}: {exc}") from exc
-        strategy = strategy_from_dict(data)
+        strategy = strategy_from_dict(_read_config_file(name, "strategy"))
     else:
         raise ConfigurationError(f"unknown strategy {name!r} (not a preset or a file)")
-    if strategy.total() != config.capacity:
+    if capacity is not None and strategy.total() != capacity:
         raise ConfigurationError(f"strategy produces {strategy.total()} members per "
                                  f"generation; pass --capacity {strategy.total()}")
     return strategy
@@ -268,12 +267,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # CSV output
 
-def write_rows_csv(result: ExperimentResult, path: str) -> None:
+def _write_csv(path: str, columns: Sequence[str], rows: Sequence) -> None:
+    """A header of ``columns``, then each row's attributes of those names."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for row in result.rows:
-            writer.writerow([getattr(row, column) for column in CSV_COLUMNS])
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([getattr(row, column) for column in columns])
+
+
+def write_rows_csv(result: ExperimentResult, path: str) -> None:
+    _write_csv(path, CSV_COLUMNS, result.rows)
 
 
 def summary_path_for(path: str) -> str:
@@ -282,12 +286,7 @@ def summary_path_for(path: str) -> str:
 
 
 def write_summary_csv(result: ExperimentResult, path: str) -> None:
-    columns = [f.name for f in dataclasses.fields(SummaryRow)]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in result.summary:
-            writer.writerow([getattr(row, column) for column in columns])
+    _write_csv(path, [f.name for f in dataclasses.fields(SummaryRow)], result.summary)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +333,8 @@ def compare_runs(baseline: ExperimentResult, treatment: ExperimentResult,
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
-    if (baseline.config.app, baseline.config.capacity) != \
-            (treatment.config.app, treatment.config.capacity):
+    if (baseline.config.app, resolve_strategy(baseline.config).total()) != \
+            (treatment.config.app, resolve_strategy(treatment.config).total()):
         raise ValueError("compared runs must share the task and capacity")
     base_gen = generations_to_threshold(baseline, threshold)
     treat_gen = generations_to_threshold(treatment, threshold)

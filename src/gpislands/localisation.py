@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import operator
 import random
@@ -83,6 +82,7 @@ from .trees import (
     PrimitiveSet,
     ProgramTree,
     Sort,
+    _read_config_file,
     config_number,
     function,
     if_greater_kind,
@@ -668,9 +668,4 @@ def world_config_from_dict(data: dict) -> WorldConfig:
 
 
 def load_world_config(path: str) -> WorldConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except ValueError as exc:  # malformed JSON or not UTF-8
-            raise ConfigurationError(f"bad world config file {path!r}: {exc}") from exc
-    return world_config_from_dict(data)
+    return world_config_from_dict(_read_config_file(path, "world config"))

@@ -61,6 +61,7 @@ states once, with its vocabulary, as it states its ``helper``.
 from __future__ import annotations
 
 import enum
+import json
 import operator
 import random
 import re
@@ -77,6 +78,17 @@ DEPTH_CEILING = 200
 
 class ConfigurationError(Exception):
     """A primitive set, strategy or run was configured inconsistently."""
+
+
+def _read_config_file(path: str, what: str) -> object:
+    """The JSON value in the file at ``path``: malformed JSON, or a file not
+    in UTF-8, raises :class:`ConfigurationError` naming the bad ``what``
+    file; an :class:`OSError` propagates."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise ConfigurationError(f"bad {what} file {path!r}: {exc}") from exc
 
 
 def config_number(value: object) -> float:

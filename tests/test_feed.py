@@ -9,6 +9,7 @@ from collections import Counter
 
 import grower
 import pytest
+from feed_pass import pass_steps, pass_values
 from sized import always, feed_chain, feed_edges, feed_sum, split
 from walker import feed_environments, walk
 
@@ -256,7 +257,7 @@ def test_the_step_budget_decides_at_its_edge(catalog, feed_prims):
     assert walked["skipping"] == [(False, 255.0 * 3.0, MAX_STEPS)] * len(catalog.feeds)
     assert walked["killed"] == [(True, None, MAX_STEPS)] * len(catalog.feeds)
     for tree, want in zip(trees.values(), (MAX_STEPS - 1, MAX_STEPS, MAX_STEPS + 1)):
-        steps = feed_module._count_steps(tree, catalog)
+        steps = pass_steps(tree, catalog)
         assert steps == walked_steps(tree, catalog) == (want,) * len(catalog.feeds)
 
 
@@ -541,7 +542,7 @@ def test_an_unbound_terminal_the_first_feed_reaches_stops_the_generation():
 
 def assert_walker_steps(tree, catalog):
     """Each feed's counted steps are those of a walk of its own."""
-    steps = feed_module._count_steps(tree, catalog)
+    steps = pass_steps(tree, catalog)
     assert list(steps) == [walk(tree, env, tree.size).steps_used
                            for env in feed_environments(catalog)]
     return steps
@@ -706,7 +707,7 @@ def assert_counted_as_walked(tree, catalog):
     fill = feed_module._fill_screen(tree, catalog)
     assert_same_fill(fill, walker_fill(tree, catalog))
     steps = walked_steps(tree, catalog)
-    assert feed_module._count_steps(tree, catalog) == steps
+    assert pass_steps(tree, catalog) == steps
     assert (fill is None) is (max(steps) > MAX_STEPS)
     return fill
 
@@ -747,8 +748,8 @@ def test_a_chain_at_the_depth_ceiling_counts_as_walked(catalog, feed_prims, kind
     counts each feed's walk: the ``add`` chain's 399 steps are within the
     budget, the ``if_greater`` chain's 598 (of 797 nodes) over it."""
     tree = deserialize(feed_chain(kind, DEPTH_CEILING), feed_prims)
-    values = feed_module._score_feeds(tree, catalog)
-    steps = feed_module._count_steps(tree, catalog)
+    values = pass_values(tree, catalog)
+    steps = pass_steps(tree, catalog)
     assert steps == walked_steps(tree, catalog)
     assert steps[0] == {"add": 2 * DEPTH_CEILING - 1,
                         "if_greater": 3 * (DEPTH_CEILING - 1) + 1}[kind]
@@ -793,6 +794,34 @@ def test_an_oversize_tree_reading_an_unbound_terminal_raises():
             assert_same_fill(feed_module._fill_screen(tree, narrow), walker_fill(tree, narrow))
 
 
+@pytest.mark.parametrize("before", [101, MAX_STEPS + 1], ids=["scored", "killed"])
+def test_an_oversize_tree_whose_pass_raises_runs_each_feed_once(monkeypatch, before):
+    """A tree larger than the budget whose one pass raises, though no
+    feed's own run does, is run feed by feed once per fill, and those runs
+    give both the walker's values and its kill."""
+    wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
+    narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
+    prims = feed_primitives(wide)
+    then = ProgramTree(prims.kind("add"),
+                       (feed_sum(prims, before), deserialize(NESTED_HIDDEN[0], prims)))
+    tree = always(prims, then, feed_sum(prims, MAX_STEPS + 1))
+    assert tree.size > MAX_STEPS
+    runs = []
+    real = feed_module._run_each_feed
+
+    def counting(tree, columns, count):
+        runs.append(tree)
+        return real(tree, columns, count)
+
+    monkeypatch.setattr(feed_module, "_run_each_feed", counting)
+    fill = feed_module._fill_screen(tree, narrow)
+    assert runs == [tree]
+    assert_same_fill(fill, walker_fill(tree, narrow))
+    assert (fill is None) is (before > MAX_STEPS)
+    with pytest.raises(KeyError, match="is_c"):  # the pass itself raises
+        pass_values(tree, narrow)
+
+
 @pytest.mark.parametrize("first", ["oversize", "small"])
 def test_records_cross_between_oversize_and_small_trees(catalog, feed_prims, first):
     """A subtree whose feeds take different counts, scored first inside a
@@ -811,13 +840,13 @@ def test_records_cross_between_oversize_and_small_trees(catalog, feed_prims, fir
         tree = trees[name]
         assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
         assert is_warm(shared, catalog)
-        values = feed_module._score_feeds(shared, catalog)
-        steps = feed_module._count_steps(shared, catalog)
+        values = pass_values(shared, catalog)
+        steps = pass_steps(shared, catalog)
         assert values is shared.record[1]
         assert [repr(v) for v in values] == [
             repr(walk(shared, env, shared.size).value) for env in feed_environments(catalog)]
         assert steps == walked_steps(shared, catalog)
-        assert feed_module._count_steps(tree, catalog) == walked_steps(tree, catalog)
+        assert pass_steps(tree, catalog) == walked_steps(tree, catalog)
 
 
 def test_an_oversize_child_reads_the_counts_its_parent_recorded(catalog, feed_prims):
@@ -828,7 +857,7 @@ def test_an_oversize_child_reads_the_counts_its_parent_recorded(catalog, feed_pr
     calls = []
     parent = labelled(feed_sum(feed_prims, MAX_STEPS + 1), calls)
     killed = (MAX_STEPS + 1,) * len(catalog.feeds)
-    assert feed_module._count_steps(parent, catalog) == killed
+    assert pass_steps(parent, catalog) == killed
     assert len(calls) == len(catalog.feeds) * (parent.size // 2)
     records = {id(node): node.record for node, _ in iter_nodes(parent) if node.children}
     assert all(record[2] is not None for record in records.values())
@@ -837,7 +866,7 @@ def test_an_oversize_child_reads_the_counts_its_parent_recorded(catalog, feed_pr
             continue
         child = replace_subtree(parent, index, const_program(feed_prims, 0.5))
         calls.clear()
-        assert feed_module._count_steps(child, catalog) == killed
+        assert pass_steps(child, catalog) == killed
         assert Counter(calls) == {a.kind.name: len(catalog.feeds) for a in above}
         shared = [node for node, _ in iter_nodes(child) if id(node) in records]
         assert len(shared) == len(records) - len(above)
@@ -852,11 +881,11 @@ def test_a_fill_within_the_budget_never_counts(catalog, feed_prims, monkeypatch)
     counted = []
     real = feed_module._count_steps
 
-    def counting(tree, catalog):
+    def counting(tree, columns, scored):
         if tree.size <= MAX_STEPS:
             pytest.fail(f"a tree of {tree.size} nodes was counted")
         counted.append(tree)
-        return real(tree, catalog)
+        return real(tree, columns, scored)
 
     monkeypatch.setattr(feed_module, "_count_steps", counting)
     rng = random.Random(31)
@@ -922,10 +951,10 @@ def test_records_of_two_catalogs_used_in_turn_give_exact_counts(feed_prims):
         for tree in trees:
             functions = [node for node, _ in iter_nodes(tree) if node.children]
             for node in rng.sample(functions, 6):
-                step = rng.choice((feed_module._score_feeds, feed_module._count_steps))
+                step = rng.choice((pass_values, pass_steps))
                 step(node, rng.choice(catalogs))
             catalog = rng.choice(catalogs)
-            assert feed_module._count_steps(tree, catalog) == walked_steps(tree, catalog)
+            assert pass_steps(tree, catalog) == walked_steps(tree, catalog)
             assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
 
 
@@ -993,11 +1022,11 @@ def test_bred_lineages_score_as_fresh_copies_and_the_walker(catalog):
         """The one pass, whatever the tree's size, against a record-free
         copy and a walk that no budget stops: each value bit for bit, and
         each feed's count."""
-        values = feed_module._score_feeds(tree, catalog)
-        steps = feed_module._count_steps(tree, catalog)
+        values = pass_values(tree, catalog)
+        steps = pass_steps(tree, catalog)
         fresh = fresh_copy(tree, prims)
-        fresh_values = feed_module._score_feeds(fresh, catalog)
-        fresh_steps = feed_module._count_steps(fresh, catalog)
+        fresh_values = pass_values(fresh, catalog)
+        fresh_steps = pass_steps(fresh, catalog)
         got = [repr(value) for value in values]
         assert got == [repr(value) for value in fresh_values] and steps == fresh_steps
         walks = [walk(tree, env, tree.size) for env in feed_environments(catalog)]
@@ -1080,7 +1109,7 @@ def test_a_child_evaluates_only_the_ancestors_breeding_rebuilt(catalog, feed_pri
 
     def evaluated(tree, catalog):
         calls.clear()
-        values = feed_module._score_feeds(tree, catalog)
+        values = pass_values(tree, catalog)
         counts = Counter(calls)
         for got, env in zip(values, feed_environments(catalog)):
             assert repr(got) == repr(walk(tree, env, tree.size).value)
@@ -1116,7 +1145,7 @@ def test_every_function_node_a_pass_evaluates_keeps_a_record(catalog, feed_prims
         " (add (group_is_tech) (unread_count))"
         " (mul (sub (unread_count) (is_engadget)) (unread_count))))",
         feed_prims)
-    values = feed_module._score_feeds(tree, catalog)
+    values = pass_values(tree, catalog)
     split, unanimous = tree.children
     untaken = unanimous.children[3]
     unread = {id(node) for node, _ in iter_nodes(untaken)}
@@ -1126,7 +1155,7 @@ def test_every_function_node_a_pass_evaluates_keeps_a_record(catalog, feed_prims
     assert all(node.record is None for node, _ in iter_nodes(untaken))
     assert all(node.record is None for node, _ in iter_nodes(tree) if not node.children)
     assert tree.record[1] is values and isinstance(values, tuple)
-    again = feed_module._score_feeds(tree, catalog)
+    again = pass_values(tree, catalog)
     assert again is values
     assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
 

@@ -25,6 +25,7 @@ from gpislands.harness import (
     write_rows_csv,
     write_summary_csv,
 )
+from gpislands.evolution import island_strategy
 from gpislands.islands import GenerationStats
 from gpislands.trees import DEPTH_CEILING, ConfigurationError
 
@@ -103,7 +104,14 @@ def test_a_mismatched_strategy_names_the_capacity_that_fits(tmp_path):
     path.write_text(json.dumps(spec))
     with pytest.raises(ConfigurationError,
                        match="produces 6 members per generation; pass --capacity 6$"):
-        resolve_strategy(ExperimentConfig(app="feed", strategy=str(path)))
+        resolve_strategy(ExperimentConfig(app="feed", capacity=10, strategy=str(path)))
+
+
+def test_island_and_auto_use_10_without_a_capacity():
+    for strategy in ("island", "auto"):
+        for app in ("feed", "localisation"):
+            config = ExperimentConfig(app=app, capacity=None, strategy=strategy)
+            assert resolve_strategy(config) == island_strategy(10)
 
 
 def test_strategy_loads_from_json_file(tmp_path):
@@ -358,6 +366,16 @@ def test_compare_identical_runs_improves_by_zero():
     assert report.improvement == 0.0
 
 
+def test_compare_reads_the_island_size_each_run_used():
+    """``gr`` states a size of 5, whether or not the capacity is given."""
+    stated = synthetic_result(12, capacity=None)
+    stated.config.strategy = "gr"
+    report = compare_runs(stated, synthetic_result(4, capacity=5), 0.9)
+    assert report.improvement == 1.0 - 4 / 12
+    with pytest.raises(ValueError):  # auto picks island, of 10
+        compare_runs(stated, synthetic_result(4, capacity=None), 0.9)
+
+
 def test_compare_handles_missing_crossings():
     assert compare_runs(synthetic_result(None), synthetic_result(4),
                         0.9).improvement is None
@@ -431,6 +449,30 @@ def test_cli_capacity_no_strategy_fits_exits_2(tmp_path, capsys, extra):
     assert main(args + extra) == 2
     assert "capacity" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+SIX_MEMBERS = {"selectors": {"all": {}},
+               "steps": [{"operator": "copy", "count": 1, "selector": "all"},
+                         {"operator": "crossover", "count": 5, "selector": "all"}]}
+
+
+@pytest.mark.parametrize("strategy, size", [("gr", 5), ("six.json", 6)])
+def test_cli_a_strategy_that_states_its_size_needs_no_capacity(tmp_path, strategy, size):
+    """``gr`` and a strategy file state an island's size: a run without
+    ``--capacity`` writes the bytes of the run with the capacity that
+    fits."""
+    if strategy.endswith(".json"):
+        (tmp_path / strategy).write_text(json.dumps(SIX_MEMBERS))
+        strategy = str(tmp_path / strategy)
+    written = []
+    for capacity in ([], ["--capacity", str(size)]):
+        out = tmp_path / f"given{len(capacity)}"
+        out.mkdir()
+        args = cli_args(out, "--strategy", strategy)
+        del args[args.index("--capacity"):args.index("--capacity") + 2]
+        assert main(args + capacity) == 0
+        written.append([(out / name).read_bytes() for name in ("out.csv", "out_summary.csv")])
+    assert written[0] == written[1]
 
 
 def test_cli_malformed_strategy_exits_2(tmp_path, capsys):

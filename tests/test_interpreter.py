@@ -5,6 +5,7 @@ import random
 
 import grower
 import pytest
+from feed_pass import pass_steps
 from sized import feed_chain, feed_edges
 from walker import feed_environments, walk
 
@@ -243,7 +244,7 @@ def test_the_oversize_fill_runs_each_feed_as_the_walker_does(feed_prims, monkeyp
         oversize += 1
         fill = feed_module._fill_screen(tree, catalog)
         walked = [walk(tree, bindings, max_steps) for bindings in per_feed]
-        steps = feed_module._count_steps(tree, catalog)
+        steps = pass_steps(tree, catalog)
         assert list(steps) == [walk(tree, bindings, tree.size).steps_used
                                for bindings in per_feed]
         for count, want in zip(steps, walked):
@@ -406,6 +407,6 @@ def test_a_chain_at_the_depth_ceiling_runs_in_both_tasks(feed_prims, loc_prims):
     assert [walk(feed_tree, env, feed_module.MAX_STEPS).killed
             for env in feed_environments(catalog)] == [True] * len(catalog.feeds)
     assert feed_module._fill_screen(feed_tree, catalog) is None
-    assert feed_module._count_steps(feed_tree, catalog) == tuple(
+    assert pass_steps(feed_tree, catalog) == tuple(
         walk(feed_tree, env, 10**6).steps_used for env in feed_environments(catalog))
     assert localisation_module._control_trace(loc_tree, WorldConfig()) == ()

@@ -7,6 +7,7 @@ import random
 
 import grower
 import pytest
+from feed_pass import pass_steps, pass_values
 from walker import feed_environments, walk
 
 pytest.importorskip("hypothesis")
@@ -130,8 +131,8 @@ SPECIAL = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0]
 def assert_scored_as_walked(tree, catalog=CATALOG):
     """Each feed's one-pass value (``repr``) and step count are its walk's,
     with no budget to stop it."""
-    values = feed._score_feeds(tree, catalog)
-    steps = feed._count_steps(tree, catalog)
+    values = pass_values(tree, catalog)
+    steps = pass_steps(tree, catalog)
     walks = [walk(tree, env, tree.size) for env in feed_environments(catalog)]
     assert [repr(value) for value in values] == [repr(walked.value) for walked in walks]
     assert steps == tuple(walked.steps_used for walked in walks)
@@ -182,18 +183,32 @@ def first_error(tree, catalog):
     return None
 
 
+def assert_filled_as_walked(tree, catalog):
+    """The fill, whether or not its one pass raised, gives each feed its
+    walked value (``repr``) and is killed exactly when some feed's walk
+    takes more than the budget; each feed's own run on the interpreter
+    takes its walk's steps."""
+    walks = [walk(tree, env, tree.size) for env in feed_environments(catalog)]
+    fill = feed._fill_screen(tree, catalog)
+    assert (fill is None) is any(walked.steps_used > feed.MAX_STEPS for walked in walks)
+    if fill is not None:
+        assert [repr(value) for value in fill[0]] == [repr(walked.value) for walked in walks]
+    runs = feed._run_each_feed(tree, feed._feed_columns(catalog), len(catalog.feeds))
+    assert runs[1] == tuple(walked.steps_used for walked in walks)
+
+
 @bounded
 @given(data=st.data())
 def test_a_pass_that_raises_falls_back_to_each_feeds_own_run(data):
     """Over a vocabulary that can raise, scored on a catalog that leaves a
-    drawn terminal unbound: the scores raise the first erring feed's error
+    drawn terminal unbound: the fill raises the first erring feed's error
     (its message too, for a configuration error), or, when no feed's own
-    walk raises, give every feed its walked value and count, however the
-    one pass fared.  The tree is two quotients either added, so that every
-    feed meets both in its own run, or under a root that splits the feeds,
-    ``a`` taking the first and ``b`` the second, so that the pass, scoring
-    both over both feeds, can divide by zero for a feed whose own run never
-    does."""
+    walk raises, gives every feed its walked value, however the one pass
+    fared, and each feed's own run counts its walked steps.  The tree is
+    two quotients either added, so that every feed meets both in its own
+    run, or under a root that splits the feeds, ``a`` taking the first and
+    ``b`` the second, so that the pass, scoring both over both feeds, can
+    divide by zero for a feed whose own run never does."""
     payloads = st.one_of(SPECIAL, st.floats(1.0, 10.0))
     parts = [serialize(data.draw(trees(RAISING, 3, payloads))) for _ in range(4)]
     root = data.draw(st.sampled_from(QUOTIENT_ROOTS))
@@ -201,10 +216,10 @@ def test_a_pass_that_raises_falls_back_to_each_feeds_own_run(data):
                                    "(divide {} {})".format(*parts[2:])), RAISING)
     error = first_error(tree, NARROW)
     if error is None:
-        assert_scored_as_walked(tree, NARROW)
+        assert_filled_as_walked(tree, NARROW)
         return
     with pytest.raises(Exception) as raised:
-        feed._score_feeds(tree, NARROW)
+        feed._fill_screen(tree, NARROW)
     assert type(raised.value) is type(error)
     if isinstance(error, ConfigurationError):
         assert str(raised.value) == str(error)

@@ -5,11 +5,11 @@ import re
 
 import grower
 import pytest
+from feed_pass import pass_steps, pass_values
 from reference_tree import mirror
 from sized import feed_chain
 from walker import feed_environments, walk
 
-from gpislands import feed as feed_module
 from gpislands.evolution import Population, crossover, mutate, population_stats
 from gpislands.feed import FEED_FUNCTION_BIAS, default_catalog, feed_primitives
 from gpislands.interpreter import compile_program, execute
@@ -640,8 +640,8 @@ def test_deserialize_without_bound_stops_at_the_ceiling(feed_prims, kind):
     tree = deserialize(text, feed_prims)
     assert tree.depth == DEPTH_CEILING
     assert serialize(tree) == text
-    values = feed_module._score_feeds(tree, catalog)
-    steps = feed_module._count_steps(tree, catalog)
+    values = pass_values(tree, catalog)
+    steps = pass_steps(tree, catalog)
     assert len(values) == len(catalog.feeds)
     env = feed_environments(catalog)[0]
     walked = walk(tree, env, 10 * tree.size)
