@@ -328,7 +328,10 @@ def crossover(a: ProgramTree, b: ProgramTree, max_depth: int,
 # breeding and evaluation
 
 def _build_guarded(make: Callable[[], ProgramTree], prims: PrimitiveSet,
-                   counters: dict) -> ProgramTree:
+                   new: Population) -> ProgramTree:
+    """A tree from ``make`` that the vocabulary's helper accepts, drafting
+    again up to :data:`REBUILD_ATTEMPTS` times; each rejected draft and each
+    last draft kept unaccepted counts on ``new``, the population it joins."""
     helper = prims.helper
     if helper is None:
         return make()
@@ -336,23 +339,24 @@ def _build_guarded(make: Callable[[], ProgramTree], prims: PrimitiveSet,
     for _ in range(REBUILD_ATTEMPTS):
         if helper(candidate):
             return candidate
-        counters["rejections"] += 1
+        new.helper_rejections += 1
         candidate = make()
-    counters["fallbacks"] += 1
+    new.guard_fallbacks += 1
     return candidate
+
+
+def _guarded_random_tree(prims: PrimitiveSet, max_depth: int, rng: random.Random,
+                         new: Population) -> ProgramTree:
+    return _build_guarded(lambda: build_random_tree(prims, max_depth, rng), prims, new)
 
 
 def initial_population(prims: PrimitiveSet, size: int, max_depth: int,
                        rng: random.Random) -> Population:
     """Generation 0: ``size`` fresh random programs, helper-screened."""
-    counters = {"rejections": 0, "fallbacks": 0}
-    members = [
-        Individual.from_tree(
-            _build_guarded(lambda: build_random_tree(prims, max_depth, rng), prims, counters))
-        for _ in range(size)
-    ]
-    return Population(members, helper_rejections=counters["rejections"],
-                      guard_fallbacks=counters["fallbacks"])
+    new = Population([])
+    for _ in range(size):
+        new.members.append(Individual.from_tree(_guarded_random_tree(prims, max_depth, rng, new)))
+    return new
 
 
 def breed_next_generation(pop: Population, strategy: EvolutionStrategy, prims: PrimitiveSet,
@@ -366,14 +370,13 @@ def breed_next_generation(pop: Population, strategy: EvolutionStrategy, prims: P
     breed.
     """
     _need_fitness(pop.members)
-    counters = {"rejections": 0, "fallbacks": 0}
-    members: list[Individual] = []
+    new = Population([])
+    members = new.members
     wheels: dict[str, Wheel] = {}
     for step in strategy.steps:
         if step.operator is Operator.RANDOM:
             for _ in range(step.count):
-                tree = _build_guarded(lambda: build_random_tree(prims, max_depth, rng),
-                                      prims, counters)
+                tree = _guarded_random_tree(prims, max_depth, rng, new)
                 members.append(Individual.from_tree(tree, Origin.RANDOM_INJECTED))
             continue
         if not step.count:
@@ -390,15 +393,14 @@ def breed_next_generation(pop: Population, strategy: EvolutionStrategy, prims: P
             elif step.operator is Operator.MUTATION:
                 def make_mutant() -> ProgramTree:
                     return mutate(spin(rng).tree, prims, max_depth, rng)
-                members.append(Individual.from_tree(_build_guarded(make_mutant, prims, counters)))
+                members.append(Individual.from_tree(_build_guarded(make_mutant, prims, new)))
             else:  # CROSSOVER
                 def make_child() -> ProgramTree:
                     first = spin(rng)
                     second = spin(rng)
                     return crossover(first.tree, second.tree, max_depth, rng)
-                members.append(Individual.from_tree(_build_guarded(make_child, prims, counters)))
-    return Population(members, helper_rejections=counters["rejections"],
-                      guard_fallbacks=counters["fallbacks"])
+                members.append(Individual.from_tree(_build_guarded(make_child, prims, new)))
+    return new
 
 
 @dataclass(frozen=True)

@@ -189,9 +189,10 @@ class _BusEndpoint(Transport):
 class UdpBroadcastTransport(Transport):
     """Real datagrams over UDP, one socket per island.
 
-    By default sends to the limited broadcast address on ``port``; for
-    single-host runs pass explicit ``peers`` so islands bound to distinct
-    ports can fan out to each other.  Reception is whatever has arrived by
+    With ``peers`` left ``None``, sends to the limited broadcast address on
+    ``port``; for single-host runs pass explicit ``peers`` so islands bound
+    to distinct ports can fan out to each other.  An empty ``peers`` (a
+    lone island's) sends nothing.  Reception is whatever has arrived by
     drain time -- late datagrams are picked up at the next migration
     generation, and on a shared broadcast segment an island may hear its own
     anonymous migrants back, which is harmless.
@@ -209,7 +210,7 @@ class UdpBroadcastTransport(Transport):
             self._sock.close()
             raise
         self._sock.setblocking(False)
-        self._targets = list(peers) if peers else [(broadcast_address, bind_port)]
+        self._targets = [(broadcast_address, bind_port)] if peers is None else list(peers)
 
     def send(self, envelope: MigrantEnvelope) -> None:
         data = envelope.encode()

@@ -38,12 +38,13 @@ warm-up).  :func:`evaluate_localisation` splits accordingly:
   :meth:`~gpislands.interpreter.Program.run` per tick, killed when it took
   more than :data:`MAX_STEPS` steps, the rule
   :func:`~gpislands.interpreter.execute` applies), and records, per tick,
-  where the program's fix came from (provider and tick), the reference
-  provider and the energy factor.  The walk's
-  geometry at every integer tick, and the reference there, come from a table
-  built once per config (:func:`_layout`).  The energy factor depends only
-  on which radios are on, so the pass looks it up by the world's radio set
-  (:attr:`World.radios`) and works it out once per set it meets.
+  the program's fix, the reference fix and the energy factor.  Everything
+  the config fixes comes from one table built once per config
+  (:func:`_layout`): per tick, each provider that can see the phone with its
+  fix source (true position, radius and error-draw index), sharpest first,
+  and which of those sources is the reference fix; and the energy factor of
+  every set of radios, which the pass looks up by the world's radio set
+  (:attr:`World.radios`).  A program's fix is the table's own source.
   Its result is kept in one bounded cache for the whole process, keyed by
   the tree's structure together with the config.  Structurally equal
   programs share a trace, so elite copies, crossover fallbacks and the small
@@ -53,11 +54,11 @@ warm-up).  :func:`evaluate_localisation` splits accordingly:
   the per-tick products.  It runs on every evaluation, so fitness itself is
   never cached: each evaluation scores against freshly drawn errors
   (:func:`_error_draws`).  A tick whose program fix is the reference fix
-  itself (the same provider at the same tick, so the same error draws)
-  scores accuracy exactly 1 whatever the errors, and adds its energy factor
-  without displacing either fix.  The trace records how far into the error
-  stream the other ticks read, and the evaluation draws that prefix of the
-  stream and no more.  The pass is one loop that calls no Python function
+  itself (the same provider at the same tick, so the same source object and
+  the same error draws) scores accuracy exactly 1 whatever the errors, and
+  adds its energy factor without displacing either fix.  The trace records
+  how far into the error stream the other ticks read, and the evaluation
+  draws that prefix of the stream and no more.  The pass is one loop that calls no Python function
   per entry: it writes out the arithmetic of displacing a fix by its error
   and of :func:`accuracy_fitness`, in their operation order, so it gives
   their bits; the eager oracle of the tests, which calls
@@ -92,7 +93,8 @@ from .trees import (
 
 DEFAULT_TICKS = 60
 #: The most ticks a world may last: a day of one-second ticks, the span the
-#: energy budget covers.  Every tick takes about 540 bytes of the walk's table.
+#: energy budget covers.  Every tick takes about 560 bytes of the walk's table
+#: (``tracemalloc`` of the default world's :func:`_layout` at ``MAX_TICKS``).
 MAX_TICKS = 86_400
 #: The supervisor's step budget: a tick's run that evaluates more nodes is killed.
 MAX_STEPS = 256
@@ -272,12 +274,14 @@ def _error_draws(seed: int | str, count: int) -> list[float]:
 class _Tick:
     """What the walk offers at one integer tick, whatever the program does."""
 
-    truth: Position
-    #: Names of the providers that can see the phone at this tick.
-    available: frozenset[str]
-    #: Where the reference fix comes from at this tick: the sharpest
-    #: provider that would be ready with every radio on since tick 0 (its
-    #: power is never charged to the program), or ``None`` if none would be.
+    #: Each provider that can see the phone at this tick, with its fix
+    #: source, sharpest first; the sort is stable, so equal radii keep their
+    #: config order, as ``min`` would pick them.
+    ready: tuple[tuple[Provider, _Source], ...]
+    #: The reference fix at this tick, the very source ``ready`` holds for
+    #: the sharpest provider that would be ready with every radio on since
+    #: tick 0 (its power is never charged to the program), or ``None`` if
+    #: none would be.
     reference_source: Optional[_Source]
 
 
@@ -285,35 +289,34 @@ class _Tick:
 class _Layout:
     """What ``config`` fixes for every control pass and evaluation."""
 
-    #: Per-tick walk geometry for ticks ``0..ticks``, keyed by the tick as a
+    #: What the walk offers at ticks ``0..ticks``, keyed by the tick as a
     #: float (the type of :attr:`World.t`).
     ticks: dict[float, _Tick]
-    #: Each provider by name, with the index of its first error draw and its
-    #: bit in :attr:`World.radios`.
-    by_name: dict[str, tuple[Provider, int, int]]
-    #: The providers sorted by radius; the sort is stable, so equal radii
-    #: keep their config order, as ``min`` would pick them.
-    by_radius: tuple[Provider, ...]
+    #: The energy factor of each radio set, indexed by :attr:`World.radios`:
+    #: :func:`energy_fitness` of the draws of the radios on, added left to
+    #: right in config order (``sum`` over floats rounds differently from
+    #: 3.12 on).
+    energy: tuple[float, ...]
 
 
 @functools.lru_cache(maxsize=16)
 def _layout(config: WorldConfig) -> _Layout:
     per_provider = 2 * (config.ticks + 1)
-    by_name = {p.name: (p, i * per_provider, 1 << i) for i, p in enumerate(config.providers)}
+    by_radius = sorted(enumerate(config.providers), key=lambda item: item[1].radius_m)
     ticks = {}
     for tick in range(config.ticks + 1):
         t = float(tick)
         truth = _truth(config.waypoints, t)
-        available = frozenset(p.name for p in config.providers
-                              if _available(config.segments, p.name, t))
-        ready = [p for p in config.providers
-                 if t >= p.first_fix_s and p.name in available]
-        source = None
-        if ready:
-            reference = min(ready, key=lambda p: p.radius_m)
-            source = (truth, reference.radius_m, by_name[reference.name][1] + 2 * tick)
-        ticks[t] = _Tick(truth, available, source)
-    return _Layout(ticks, by_name, tuple(sorted(config.providers, key=lambda p: p.radius_m)))
+        ready = tuple((p, (truth, p.radius_m, i * per_provider + 2 * tick))
+                      for i, p in by_radius if _available(config.segments, p.name, t))
+        reference = next((source for p, source in ready if t >= p.first_fix_s), None)
+        ticks[t] = _Tick(ready, reference)
+    draws = [p.draw_ma for p in config.providers]
+    energy = tuple(
+        energy_fitness(functools.reduce(
+            operator.add, [draw for i, draw in enumerate(draws) if radios >> i & 1], 0))
+        for radios in range(1 << len(draws)))
+    return _Layout(ticks, energy)
 
 
 class World:
@@ -333,33 +336,20 @@ class World:
         self.t = 0.0
         self.enabled: dict[str, Optional[float]] = {p.name: None for p in config.providers}
         self.radios = 0
-        #: (provider name, fix tick, radius) of the program's latest fix.
-        self.program_fix: Optional[tuple[str, float, float]] = None
-        layout = _layout(config)
-        self._ticks = layout.ticks
-        self._by_name = layout.by_name
-        self._by_radius = layout.by_radius
-
-    def _source(self, name: str, t: float) -> _Source:
-        """Provider ``name``'s fix at tick ``t`` before its error is added."""
-        provider, offset, _ = self._by_name[name]
-        return (self._ticks[t].truth, provider.radius_m, offset + 2 * int(t))
+        #: (fix tick, the fix's source in the tick table) of the program's
+        #: latest fix.
+        self.program_fix: Optional[tuple[float, _Source]] = None
+        self._ticks = _layout(config).ticks
 
     def last_fix_age(self) -> float:
         if self.program_fix is None:
             return NO_FIX_SENTINEL
-        return self.t - self.program_fix[1]
+        return self.t - self.program_fix[0]
 
     def last_fix_accuracy(self) -> float:
         if self.program_fix is None:
             return NO_FIX_SENTINEL
-        return self.program_fix[2]
-
-    def power_now(self) -> float:
-        # left to right: ``sum`` over floats rounds differently from 3.12 on
-        return functools.reduce(operator.add, [self._by_name[name][0].draw_ma
-                                               for name, since in self.enabled.items()
-                                               if since is not None], 0)
+        return self.program_fix[1][1]
 
     def environment(self) -> Bindings:
         """The program's terminals mapped to accessors on this world: the
@@ -379,21 +369,19 @@ class World:
 
     def _request_update(self) -> str:
         t = self.t
-        available = self._ticks[t].available
-        for provider in self._by_radius:  # the sharpest ready provider wins
+        for provider, source in self._ticks[t].ready:  # the sharpest ready provider wins
             since = self.enabled[provider.name]
-            if (since is not None and t >= since + provider.first_fix_s
-                    and provider.name in available):
-                self.program_fix = (provider.name, t, provider.radius_m)
+            if since is not None and t >= since + provider.first_fix_s:
+                self.program_fix = (t, source)
                 break
         # with nothing to offer, the previous fix, if any, stands
         return "request_fix"
 
     def _switch(self, verb: str, name: str) -> Callable[[], str]:
         action = f"{verb}:{name}"
-        if name not in self._by_name:
+        if name not in self.enabled:
             return lambda: action
-        bit = self._by_name[name][2]
+        bit = 1 << list(self.enabled).index(name)
         if verb == "enable":
             def enable() -> str:
                 if self.enabled[name] is None:  # re-enabling never resets the warm-up
@@ -459,10 +447,10 @@ def evaluate_localisation(tree: ProgramTree, config: WorldConfig, seed: int | st
     total = 0.0
     fix = position = None
     for program_fix, reference, energy in trace:
-        (x, y), radius, i = reference
-        if program_fix[2] == i:  # the reference fix: accuracy 1
+        if program_fix is reference:  # accuracy 1
             total += energy
             continue
+        (x, y), radius, i = reference
         if program_fix is not fix:  # a new fix; a stale one keeps its place
             fix = program_fix
             (fx, fy), fix_radius, j = fix
@@ -509,24 +497,22 @@ def _control_trace(tree: ProgramTree, config: WorldConfig) -> _Trace:
     with a program fix, a reference provider and a positive energy factor.
     Every other tick adds exactly +0.0 to the fitness whatever the errors
     (its accuracy or its energy is 0, and both lie in [0, 1]), so leaving it
-    out changes no fitness bit.  A stale program fix is the same object tick
-    after tick.  The trace's ``prefix`` is one past the highest error draw
-    an entry that is not a reference fix reads (two draws from each fix's
-    index), or 0 if no entry reads any: the scoring pass needs no more of
-    the stream than that.
+    out changes no fitness bit.  Both fixes are sources of the config's tick
+    table (:func:`_layout`), one object per provider and tick, so a stale
+    program fix is the same object tick after tick.  The trace's ``prefix``
+    is one past the highest error draw an entry that is not a reference fix
+    reads (two draws from each fix's index), or 0 if no entry reads any: the
+    scoring pass needs no more of the stream than that.
 
-    A fix's third item indexes its provider's error draws for its tick, and
-    each provider's draws start a whole ``2 * (ticks + 1)`` apart, so the
-    program fix and the reference fix have the same index exactly when they
-    are the same provider at the same tick: the same true position, radius
+    The program fix is the reference fix exactly when it is the same object:
+    the same provider at the same tick, so the same true position, radius
     and draws.  Their positions are then equal whatever the errors, their
     distance is 0.0 and the accuracy exactly 1.0 (a zero radius included), so
     the scoring pass adds such an entry's energy factor as it stands.
 
-    The energy factor is ``energy_fitness(world.power_now())``, and
-    the draw sums over the radios that are on in config order, so it is a
-    function of ``world.radios`` alone; it is worked out the first time each
-    radio set occurs in the pass and looked up after that.
+    The energy factor depends on which radios are on alone, so the pass
+    reads it from the table by ``world.radios``; each radio set's factor is
+    built with the table, never in the pass.
 
     The trace is a pure function of the arguments, so it is cached on them,
     and the tree takes part by its structural ``==`` and ``hash``: a program
@@ -543,11 +529,10 @@ def _control_trace(tree: ProgramTree, config: WorldConfig) -> _Trace:
     """
     world = World(config)
     run = compile_program(tree, world.environment()).run
-    ticks = world._ticks
-    energies: dict[int, float] = {}
+    layout = _layout(config)
+    ticks, energies = layout.ticks, layout.energy
     trace = []
     prefix = 0
-    last = source = None
     for tick in range(1, config.ticks + 1):
         t = world.t = float(tick)
         if run()[1] > MAX_STEPS:  # execute's kill rule
@@ -556,16 +541,12 @@ def _control_trace(tree: ProgramTree, config: WorldConfig) -> _Trace:
         reference = ticks[t].reference_source
         if fix is None or reference is None:
             continue
-        energy = energies.get(world.radios)
-        if energy is None:
-            energy = energies[world.radios] = energy_fitness(world.power_now())
+        energy = energies[world.radios]
         if energy == 0.0:
             continue
-        if fix is not last:
-            last = fix
-            source = world._source(fix[0], fix[1])
+        source = fix[1]
         trace.append((source, reference, energy))
-        if source[2] != reference[2]:
+        if source is not reference:
             prefix = max(prefix, source[2] + 2, reference[2] + 2)
     result = _Trace(trace)
     result.prefix = prefix

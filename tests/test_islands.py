@@ -412,3 +412,38 @@ def test_udp_loopback_exchange(geo_prims):
     finally:
         lhs.close()
         rhs.close()
+
+
+class RecordingSocket:
+    """A socket that binds nothing and records every datagram sent."""
+
+    def __init__(self, *args):
+        self.sent = []
+
+    def setsockopt(self, *args):
+        pass
+
+    def bind(self, address):
+        pass
+
+    def setblocking(self, flag):
+        pass
+
+    def sendto(self, data, target):
+        self.sent.append(target)
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("peers,targets", [
+    (None, [("255.255.255.255", 48733)]),
+    ([("127.0.0.1", 48734)], [("127.0.0.1", 48734)]),
+    ([], []),  # a lone island has no one to send to
+])
+def test_udp_sends_to_its_peers_or_else_broadcasts(geo_prims, monkeypatch, peers, targets):
+    monkeypatch.setattr(islands_module.socket, "socket", RecordingSocket)
+    transport = UdpBroadcastTransport(48733, peers=peers)
+    transport.send(MigrantEnvelope(build_random_tree(geo_prims, 3, random.Random(7))))
+    assert transport._targets == targets
+    assert transport._sock.sent == targets

@@ -1,8 +1,10 @@
 """The provider-switching benchmark: world model, scoring, helper, oracles."""
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import operator
 import random
 
 import grower
@@ -115,11 +117,26 @@ def displace(truth, radius, i, draws):
     return (x + magnitude * math.cos(angle), y + magnitude * math.sin(angle))
 
 
+def fix_source(config, name, t):
+    """Provider ``name``'s fix at tick ``t`` before its error is added,
+    worked out from scratch: the true position, the provider's radius and
+    the index of its magnitude draw, each provider's draws starting a whole
+    ``2 * (ticks + 1)`` after the previous one's."""
+    index = [p.name for p in config.providers].index(name)
+    return (_truth(config.waypoints, t), config.providers[index].radius_m,
+            2 * (config.ticks + 1) * index + 2 * int(t))
+
+
 def fix_position(config, seed, name, t):
     """Where provider ``name`` places the phone at tick ``t`` with the
     errors of ``seed``, worked out as the scoring pass does it."""
-    source = World(config)._source(name, t)
+    source = fix_source(config, name, t)
     return displace(*source, _error_draws(seed, source[2] + 2))
+
+
+def table_source(config, name, t):
+    """The tick table's source for provider ``name`` at tick ``t``."""
+    return {p.name: source for p, source in _layout(config).ticks[t].ready}[name]
 
 
 def test_walk_interpolates_waypoints():
@@ -130,7 +147,9 @@ def test_walk_interpolates_waypoints():
     assert _truth(config.waypoints, 99.0) == (100.0, 0.0)  # clamps at the final waypoint
     ticks = _layout(config).ticks
     assert list(ticks) == [float(tick) for tick in range(config.ticks + 1)]
-    assert all(ticks[t].truth == _truth(config.waypoints, t) for t in ticks)
+    assert all(ticks[t].ready for t in ticks)  # cell sees the phone everywhere
+    assert all(source[0] == _truth(config.waypoints, t)
+               for t in ticks for _, source in ticks[t].ready)
 
 
 def test_provider_availability_follows_segments():
@@ -141,9 +160,10 @@ def test_provider_availability_follows_segments():
     assert _available(segments, "wifi", 45.0)      # office network
     assert all(_available(segments, "cell", t) for t in (0.0, 25.0, 55.0))
     ticks = _layout(WorldConfig()).ticks
-    assert ticks[5.0].available == {"wifi", "cell"}
-    assert ticks[25.0].available == {"gps", "cell"}
-    assert ticks[45.0].available == {"wifi", "cell"}
+    visible = lambda t: [provider.name for provider, _ in ticks[t].ready]  # sharpest first
+    assert visible(5.0) == ["wifi", "cell"]
+    assert visible(25.0) == ["gps", "cell"]
+    assert visible(45.0) == ["wifi", "cell"]
 
 
 def test_fix_errors_are_frozen_per_provider_and_tick():
@@ -158,15 +178,16 @@ def test_fix_errors_are_frozen_per_provider_and_tick():
 
 def test_fix_error_magnitude_within_band():
     assert (ERROR_LOW, ERROR_HIGH) == (0.25, 0.75)
-    ticks = _layout(WorldConfig()).ticks
+    waypoints = WorldConfig().waypoints
     for tick in range(61):
         d = math.dist(fix_position(WorldConfig(), 3, "wifi", float(tick)),
-                      ticks[float(tick)].truth)
+                      _truth(waypoints, float(tick)))
         assert 0.25 * WIFI.radius_m <= d <= 0.75 * WIFI.radius_m
 
 
 def test_enable_is_sticky_and_disable_clears():
     world = World(WorldConfig())
+    energy = _layout(WorldConfig()).energy
     env = world.environment()
     world.t = 5.0
     assert env["enable_gps"]() == "enable:gps"
@@ -174,23 +195,28 @@ def test_enable_is_sticky_and_disable_clears():
     env["enable_gps"]()  # re-enabling never restarts the warm-up
     assert world.enabled["gps"] == 5.0
     env["enable_cell"]()
-    assert world.power_now() == 145.0
+    assert world.radios == 0b101  # gps and cell, bits in config order
+    assert energy[world.radios] == energy_fitness(145.0)
     assert env["disable_gps"]() == "disable:gps"
     assert world.enabled["gps"] is None
-    assert world.power_now() == 5.0
+    assert world.radios == 0b100
+    assert energy[world.radios] == energy_fitness(5.0)
 
 
 def test_power_adds_the_radios_left_to_right():
-    """0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right; the compensated
-    ``sum`` of Python 3.12+ gives 0.6, which would move the energy fitness
-    between interpreters."""
+    """15.0 + 21.2 + 25.9 is 62.1 left to right; the compensated ``sum`` of
+    Python 3.12+ gives 62.099999999999994, whose energy fitness has other
+    bits, so it would move the fitness between interpreters."""
+    draws = (15.0, 21.2, 25.9)
     providers = tuple(Provider(name, radius_m=5.0, draw_ma=draw, first_fix_s=1.0)
-                      for name, draw in (("gps", 0.1), ("wifi", 0.2), ("cell", 0.3)))
-    world = World(WorldConfig(providers=providers))
+                      for name, draw in zip(("gps", "wifi", "cell"), draws))
+    config = WorldConfig(providers=providers)
+    world = World(config)
     env = world.environment()
     for name in ("gps", "wifi", "cell"):
         env[f"enable_{name}"]()
-    assert world.power_now() == 0.6000000000000001
+    assert energy_fitness(62.1) != energy_fitness(math.fsum(draws))
+    assert _layout(config).energy[world.radios] == energy_fitness(62.1)
 
 
 def test_switching_a_radio_the_config_lacks_does_nothing():
@@ -201,7 +227,7 @@ def test_switching_a_radio_the_config_lacks_does_nothing():
         assert env[f"enable_{name}"]() == f"enable:{name}"
         assert env[f"disable_{name}"]() == f"disable:{name}"
     assert world.enabled == {"wifi": None}
-    assert world.power_now() == 0.0
+    assert world.radios == 0
     assert env["request_update"]() == "request_fix"
     assert world.program_fix is None
 
@@ -231,7 +257,8 @@ def test_fix_requires_warm_up_and_availability():
     assert world.program_fix is None
     world.t = 45.0
     env["request_update"]()
-    assert world.program_fix == ("wifi", 45.0, WIFI.radius_m)
+    assert world.program_fix == (45.0, fix_source(WorldConfig(), "wifi", 45.0))
+    assert world.program_fix[1] is table_source(WorldConfig(), "wifi", 45.0)
 
 
 def test_stale_fix_ages():
@@ -261,9 +288,7 @@ def test_reference_on_ticks_is_the_sharpest_provider_on_since_0():
                 assert source is None
                 continue
             best = min(ready, key=lambda p: p.radius_m)
-            first_draw = 2 * (config.ticks + 1) * config.providers.index(best)
-            assert source == (_truth(config.waypoints, t), best.radius_m,
-                              first_draw + 2 * tick)
+            assert source == fix_source(config, best.name, t)
             assert displace(*source, _error_draws(9, source[2] + 2)) == (
                 eager.fix_position(best.name, t))
     ticks = _layout(WorldConfig()).ticks
@@ -529,8 +554,10 @@ class EagerWorld:
         return bindings
 
     def power(self):
-        return sum(self.by_name[name].draw_ma
-                   for name, since in self.enabled.items() if since is not None)
+        # left to right: ``sum`` over floats rounds differently from 3.12 on
+        return functools.reduce(operator.add, [self.by_name[name].draw_ma
+                                               for name, since in self.enabled.items()
+                                               if since is not None], 0)
 
 
 def oracle_fitness(tree, config, seed):
@@ -756,7 +783,7 @@ def test_a_trace_of_reference_fixes_displaces_nothing(prims, draws_read):
     tree = parse(prims, FRESH_EVERY_TICK)
     trace = localisation_module._control_trace(tree, config)
     assert len(trace) == config.ticks - 1  # the cell warms up over tick 1
-    assert all(fix[2] == reference[2] for fix, reference, _ in trace)
+    assert all(fix is reference for fix, reference, _ in trace)
     for seed in range(5):
         want, _ = oracle_fitness(tree, config, seed)
         assert evaluate_localisation(tree, config, seed) == want
@@ -774,7 +801,7 @@ def test_a_stale_fix_is_displaced_where_a_later_entry_needs_it(prims, draws_read
     config = single_provider_world(CELL, stationary=stationary)
     tree = parse(prims, REFRESH_WHEN_OLD)
     trace = localisation_module._control_trace(tree, config)
-    stale = [fix for fix, reference, _ in trace if fix[2] != reference[2]]
+    stale = [fix for fix, reference, _ in trace if fix is not reference]
     assert 0 < len(stale) < len(trace)
     # one provider: a stale entry differs from its reference in the tick alone
     assert all(fix[1] == reference[1] for fix, reference, _ in trace)
@@ -811,7 +838,8 @@ def test_the_radio_set_holds_exactly_the_enabled_radios():
 
 def direct_trace(tree, config):
     """The control pass worked out with the walker, and each tick's energy
-    from the world's power draw; also returns the radio sets it drew for."""
+    from the draws of the radios on, added left to right in config order;
+    also returns the radio sets it drew for."""
     world = World(config)
     bindings = world.environment()
     ticks = _layout(config).ticks
@@ -824,16 +852,18 @@ def direct_trace(tree, config):
         if fix is None or reference is None:
             continue
         radio_sets.add(world.radios)
-        energy = energy_fitness(world.power_now())
+        energy = energy_fitness(functools.reduce(
+            operator.add, [p.draw_ma for p in config.providers
+                           if world.enabled[p.name] is not None], 0))
         if energy > 0.0:
-            trace.append((world._source(*fix[:2]), reference, energy))
+            trace.append((fix[1], reference, energy))
     return tuple(trace), radio_sets
 
 
-def switching_trees(prims, count=150):
+def switching_trees(prims, count=150, seed=7):
     """Random programs the helper accepts, grown deep and bushy enough that
     many switch radios from tick to tick."""
-    rng = random.Random(7)
+    rng = random.Random(seed)
     prims = grower.at_bias(prims, 0.7)
     trees = []
     while len(trees) < count:
@@ -844,6 +874,8 @@ def switching_trees(prims, count=150):
 
 
 def test_the_energy_table_gives_each_radio_set_its_energy(prims, monkeypatch):
+    """A layout works out each radio set's energy factor once, and a
+    control pass looks it up without working any out."""
     calls = []
     real = localisation_module.energy_fitness
     monkeypatch.setattr(localisation_module, "energy_fitness",
@@ -852,14 +884,18 @@ def test_the_energy_table_gives_each_radio_set_its_energy(prims, monkeypatch):
     lookups = draws = switching = 0
     for name in ("default", "tied", "wifi", "gps-walking"):
         config = ORACLE_CONFIGS[name]
+        _layout.cache_clear()
+        localisation_module._control_trace.cache_clear()
+        calls.clear()
+        assert len(_layout(config).energy) == 2 ** len(config.providers)
+        assert len(calls) == 2 ** len(config.providers)  # one per radio set
+        draws += len(calls)
         for tree in trees:
             want, radio_sets = direct_trace(tree, config)
             calls.clear()
-            localisation_module._control_trace.cache_clear()
             assert localisation_module._control_trace(tree, config) == want
-            assert len(calls) == len(radio_sets)  # one draw per radio set met
+            assert calls == []
             lookups += len(want)
-            draws += len(calls)
             switching += len(radio_sets) > 1
     assert switching > 10 and lookups > 10 * draws
 
@@ -946,12 +982,20 @@ def test_a_twin_under_other_inputs_recomputes(prims, program_runs):
 
 
 def test_error_draws_match_the_eager_table():
+    """Every provider's fix at every tick, and every source of the tick
+    table, displaced as the scoring pass does it, lies where the eager
+    table puts it."""
     config = ORACLE_CONFIGS["tied"]
     eager = EagerWorld(config, "fp")
+    draws = _error_draws("fp", 2 * len(config.providers) * (config.ticks + 1))
     for provider in config.providers:
         for tick in range(config.ticks + 1):
             assert fix_position(config, "fp", provider.name, float(tick)) == (
                 eager.fix_position(provider.name, float(tick)))
+    for t, tick in _layout(config).ticks.items():
+        for provider, source in tick.ready:
+            assert source == fix_source(config, provider.name, t)
+            assert displace(*source, draws) == eager.fix_position(provider.name, t)
 
 
 def test_error_draws_are_a_prefix_of_the_seeds_stream(monkeypatch):
@@ -1016,15 +1060,37 @@ def test_program_fix_records_its_source():
     world.enabled["wifi"] = 0.0
     world.t = 5.0
     env["request_update"]()
-    assert world.program_fix == ("wifi", 5.0, WIFI.radius_m)
     first_draw = 2 * (WorldConfig().ticks + 1) * 1  # wifi is the second provider
-    assert world._source(*world.program_fix[:2]) == (
-        _truth(WorldConfig().waypoints, 5.0), WIFI.radius_m, first_draw + 10)
+    assert world.program_fix == (
+        5.0, (_truth(WorldConfig().waypoints, 5.0), WIFI.radius_m, first_draw + 10))
+    assert world.program_fix[1] is table_source(WorldConfig(), "wifi", 5.0)
     eager = EagerWorld(WorldConfig(), 2)
+    fixed = world.program_fix
     world.t = 8.0
-    assert world.program_fix == ("wifi", 5.0, WIFI.radius_m)  # stale
-    assert fix_position(WorldConfig(), 2, *world.program_fix[:2]) == (
+    assert world.program_fix is fixed  # stale
+    source = fixed[1]
+    assert displace(*source, _error_draws(2, source[2] + 2)) == (
         eager.fix_position("wifi", 5.0))
+
+
+@pytest.mark.parametrize("providers", [DEFAULT_PROVIDERS, DEFAULT_PROVIDERS[::-1]])
+def test_a_program_fix_of_the_reference_provider_is_the_reference_fix(providers):
+    """The program's fix and the reference fix of one provider and tick are
+    one object; a fix of another provider, or of another tick, is not."""
+    config = WorldConfig(providers=providers)
+    ticks = _layout(config).ticks
+    world = World(config)
+    env = world.environment()
+    world.enabled["wifi"] = world.enabled["cell"] = 0.0
+    world.t = 50.0  # indoors at the office: wifi is the reference
+    env["request_update"]()
+    assert world.program_fix[1] is ticks[50.0].reference_source
+    world.t = 51.0
+    assert world.program_fix[1] is not ticks[51.0].reference_source  # stale
+    env["disable_wifi"]()
+    env["request_update"]()
+    assert world.program_fix[1] is table_source(config, "cell", 51.0)
+    assert world.program_fix[1] is not ticks[51.0].reference_source
 
 
 @pytest.mark.parametrize("build", [

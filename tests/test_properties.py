@@ -1,13 +1,15 @@
 """Property tests: the text form round-trips, the variation operators stay
-closed over the primitive set and the depth bound, and one-pass feed
-scoring gives every feed what its own walk gives, cold, warm and bred, and
-raises what the first feed whose own walk raises raises."""
+closed over the primitive set and the depth bound, one-pass feed scoring
+gives every feed what its own walk gives, cold, warm and bred, and raises
+what the first feed whose own walk raises raises, and a localisation world
+of any shape scores as the eager oracle does."""
 import operator
 import random
 
 import grower
 import pytest
 from feed_pass import pass_steps, pass_values
+from test_localisation import HAND_TREES, oracle_fitness, switching_trees
 from walker import feed_environments, walk
 
 pytest.importorskip("hypothesis")
@@ -18,7 +20,14 @@ from hypothesis import strategies as st
 from gpislands.evolution import crossover, mutate
 from gpislands import feed
 from gpislands.feed import Feed, FeedCatalog, default_catalog, feed_primitives
-from gpislands.localisation import localisation_primitives
+from gpislands.localisation import (
+    RADIO_NAMES,
+    Provider,
+    Segment,
+    WorldConfig,
+    evaluate_localisation,
+    localisation_primitives,
+)
 from gpislands.trees import (
     Category,
     ConfigurationError,
@@ -223,3 +232,44 @@ def test_a_pass_that_raises_falls_back_to_each_feeds_own_run(data):
     assert type(raised.value) is type(error)
     if isinstance(error, ConfigurationError):
         assert str(raised.value) == str(error)
+
+
+#: Radii with ties and a zero, draws whose left-to-right sums differ from
+#: their compensated ones, and warm-ups on and between ticks.
+RADII = st.sampled_from([0.0, 5.0, 40.0, 400.0])
+DRAWS = st.sampled_from([0.0, 0.1, 9.1, 17.3, 21.2, 25.9, 30.0, 140.0])
+WARM_UPS = st.sampled_from([0.0, 1.0, 2.5, 10.0])
+WHOLE = st.integers(0, 32).map(float)
+
+
+@st.composite
+def world_configs(draw):
+    """A world of 1 to 3 uniquely named providers in any order, 1 to 3
+    segments that may overlap or leave gaps, 1 to 3 waypoints and 1 to 30
+    ticks."""
+    names = draw(st.permutations(RADIO_NAMES))[:draw(st.integers(1, 3))]
+    providers = tuple(Provider(name, draw(RADII), draw(DRAWS), draw(WARM_UPS))
+                      for name in names)
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(WHOLE)
+        segments.append(Segment(start, start + draw(st.integers(0, 12)),
+                                indoor=draw(st.booleans()), wifi=draw(st.booleans())))
+    times = sorted(draw(WHOLE) for _ in range(draw(st.integers(1, 3))))
+    coordinates = st.integers(-100, 100).map(float)
+    waypoints = tuple((t, draw(coordinates), draw(coordinates)) for t in times)
+    return WorldConfig(providers=providers, waypoints=waypoints,
+                       segments=tuple(segments), ticks=draw(st.integers(1, 30)))
+
+
+@bounded
+@given(config=world_configs(), seed=st.integers(0, 2**32 - 1))
+def test_any_world_scores_as_the_eager_oracle(config, seed):
+    """The tick table, its reference fixes and energy factors give every
+    program the oracle's fitness, bit for bit, in worlds beyond the fixed
+    ones of the localisation tests."""
+    prims = PRIMS["localisation"]
+    programs = [deserialize(text, prims) for text in HAND_TREES]
+    programs += switching_trees(prims, count=3, seed=seed)
+    for tree in programs:
+        assert evaluate_localisation(tree, config, seed) == oracle_fitness(tree, config, seed)[0]
