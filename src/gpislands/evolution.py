@@ -14,9 +14,9 @@ anyway so breeding can never stall.  Rejections count into the statistics.
 Breeding does each piece of work once.  The population does not change while
 it breeds, so each selector's pool and the running fitness sums of its
 :class:`Wheel` are built once per breed, and every pick is one spin: one
-draw and one bisection.  Mutation and crossover find their points through
-the subtree sizes each node records (:func:`~gpislands.trees.node_at`), and
-crossover draws its donor from ``b`` by preorder index when every node of
+draw and one bisection.  Mutation and crossover walk to a point once
+(:func:`~gpislands.trees.node_at`) and graft along that walk's path.
+Crossover draws its donor from ``b`` by preorder index when every node of
 ``b`` has ``b``'s sort.  Every operator draws the same numbers in the same
 order as the textbook operators, which list every node.
 """
@@ -42,6 +42,7 @@ from .trees import (
     Sort,
     build_random_tree,
     grow_subtree,
+    iter_nodes,
     node_at,
     replace_subtree,
 )
@@ -264,28 +265,9 @@ def mutate(tree: ProgramTree, prims: PrimitiveSet, max_depth: int,
            rng: random.Random) -> ProgramTree:
     """Replace one uniformly chosen node with a freshly grown subtree of the
     same sort, sized so the result stays within ``max_depth``."""
-    index = rng.randrange(tree.size)
-    node, depth = node_at(tree, index)
-    budget = max(1, max_depth - depth + 1)
-    replacement = grow_subtree(prims, node.kind.result_sort, budget, rng)
-    return replace_subtree(tree, index, replacement)
-
-
-def _nodes_of_sort(tree: ProgramTree, sort: Sort) -> list[ProgramTree]:
-    """Every node of ``tree`` that produces ``sort``, in preorder."""
-    found = []
-    keep = found.append
-    stack = [tree]
-    pop = stack.pop
-    extend = stack.extend
-    while stack:
-        node = pop()
-        if node.kind.result_sort is sort:
-            keep(node)
-        children = node.children
-        if children:
-            extend(children[::-1])
-    return found
+    node, path = node_at(tree, rng.randrange(tree.size))
+    replacement = grow_subtree(prims, node.kind.result_sort, max(1, max_depth - len(path)), rng)
+    return replace_subtree(path, replacement)
 
 
 def crossover(a: ProgramTree, b: ProgramTree, max_depth: int,
@@ -294,19 +276,18 @@ def crossover(a: ProgramTree, b: ProgramTree, max_depth: int,
 
     Retries a bounded number of times when the picked pair is incompatible or
     would blow the depth limit; falls back to ``a`` itself (trees are
-    immutable, so sharing it is a free copy).  Crossover points are found
-    through the recorded subtree sizes.  When every node of ``b`` has its
-    root's sort (``b.uniform``), the donor is the node at a drawn preorder
-    index of ``b``, and a point of any other sort has no donor; otherwise
-    ``b`` is walked once per sort that a drawn point asks for, and the donor
-    drawn from its nodes of that sort.  Either way the draws and the donor
-    are the same.
+    immutable, so sharing it is a free copy).  Each point drawn on ``a`` is
+    walked to once, and a donor that fits is grafted along that walk's path.
+    When every node of ``b`` has its root's sort (``b.uniform``), the donor
+    is the node at a drawn preorder index of ``b``, and a point of any other
+    sort has no donor; otherwise the donor is drawn from ``b``'s nodes of
+    the point's sort, listed from its preorder walk once per sort.  Either
+    way the draws and the donor are the same.
     """
     uniform = b.uniform
     donors_by_sort: dict[Sort, list[ProgramTree]] = {}
     for _ in range(CROSSOVER_RETRIES):
-        index = rng.randrange(a.size)
-        target, depth = node_at(a, index)
+        target, path = node_at(a, rng.randrange(a.size))
         sort = target.kind.result_sort
         if uniform:
             if sort is not b.kind.result_sort:
@@ -315,12 +296,13 @@ def crossover(a: ProgramTree, b: ProgramTree, max_depth: int,
         else:
             donors = donors_by_sort.get(sort)
             if donors is None:
-                donors = donors_by_sort[sort] = _nodes_of_sort(b, sort)
+                donors = donors_by_sort[sort] = [
+                    node for node, _ in iter_nodes(b) if node.kind.result_sort is sort]
             if not donors:
                 continue
             donor = donors[rng.randrange(len(donors))]
-        if depth - 1 + donor.depth <= max_depth:
-            return replace_subtree(a, index, donor)
+        if len(path) + donor.depth <= max_depth:
+            return replace_subtree(path, donor)
     return a
 
 

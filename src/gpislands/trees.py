@@ -30,10 +30,11 @@ structure, and are set by plain assignment and replaced, never mutated.
 The public constructor checks each node it builds: the arity, the constant
 payload and every child's sort.  Random growth and :func:`replace_subtree`
 build nodes that are valid by construction, from the growth tables and
-from the ancestors of a same-sort swap, so they build through the private
-:func:`_node`, which skips those checks, and spend on a node only what
-setting its slots costs.  :func:`deserialize` takes untrusted text and keeps
-the checked constructor, which rejects a wrong arity or child sort there.
+from the ancestors on a path whose last parent takes the replacement's
+sort, so they build through the private :func:`_node`, which skips those
+checks, and spend on a node only what setting its slots costs.
+:func:`deserialize` takes untrusted text and keeps the checked constructor,
+which rejects a wrong arity or child sort there.
 
 The text form of a tree is a parenthesized prefix expression, one pair of
 parentheses per node, e.g. ``(add (lat) (const:Number 2.5))``.  The text is a
@@ -47,9 +48,10 @@ building a tree the recursive parts of the package cannot take: without an
 explicit bound, :data:`DEPTH_CEILING` applies, and :func:`grow_subtree` and
 the interpreter handle trees that deep.
 
-Breeding needs single nodes, not whole walks: :func:`node_at` finds the node
-at a preorder index by walking down through the recorded sizes, in time
-proportional to the tree's depth and the arity of the nodes on the way.
+Breeding walks to each point once: :func:`node_at` finds the node at a
+preorder index through the recorded sizes, in time proportional to the
+tree's depth and the arity of the nodes on the way, and returns the path
+along which :func:`replace_subtree` rebuilds the ancestors.
 Random growth reads a table per sort that the primitive set builds once:
 the sort's leaves, its functions each with the tables of its argument
 sorts, and its constant source.  :func:`grow_subtree` looks one table up
@@ -462,11 +464,10 @@ def iter_nodes(tree: ProgramTree) -> Iterator[tuple[ProgramTree, int]]:
                 push((child, depth))
 
 
-def _descend(tree: ProgramTree,
-             index: int) -> tuple[ProgramTree, list[tuple[ProgramTree, int]]]:
+def node_at(tree: ProgramTree, index: int) -> tuple[ProgramTree, list[tuple[ProgramTree, int]]]:
     """The node at preorder position ``index``, found through the children's
     sizes, and the path to it: ``(ancestor, position of the child leading
-    on)`` pairs, root first."""
+    on)`` pairs, root first.  The node's depth is ``len(path) + 1``."""
     if index < 0 or index >= tree.size:
         raise ValueError(f"node index {index} out of range")
     path = []
@@ -482,27 +483,25 @@ def _descend(tree: ProgramTree,
     return node, path
 
 
-def node_at(tree: ProgramTree, index: int) -> tuple[ProgramTree, int]:
-    """The node at preorder position ``index`` and its depth (the root is
-    depth 1)."""
-    node, path = _descend(tree, index)
-    return node, len(path) + 1
+def replace_subtree(path: Sequence[tuple[ProgramTree, int]],
+                    replacement: ProgramTree) -> ProgramTree:
+    """The tree ``path`` (from :func:`node_at`) leads down, with the node at
+    the path's end swapped for ``replacement``; the root's empty path gives
+    ``replacement`` itself.
 
-
-def replace_subtree(tree: ProgramTree, index: int, replacement: ProgramTree) -> ProgramTree:
-    """Rebuild ``tree`` with the node at preorder position ``index`` swapped out.
-
-    Only the ancestors of that node are rebuilt; every other subtree is shared
-    with ``tree``.  Below the root the replacement must have the replaced
-    node's sort, which is the one check the rebuild needs: each ancestor keeps
-    its kind and payload and gains one child of the sort it had, so the
-    ancestors are built unchecked.
+    Only the ancestors on the path are rebuilt, and the tree is not walked
+    again.  Below the root the replacement must have the sort its parent
+    takes there, the one check the rebuild needs: each ancestor keeps its
+    kind and payload and gains one child of the sort it had, so the
+    ancestors are built unchecked and every other subtree is shared.
     """
-    node, path = _descend(tree, index)
-    if path and replacement.kind.result_sort is not node.kind.result_sort:
-        raise TreeValidationError(
-            f"{path[-1][0].kind.name!r} expects {node.kind.result_sort.value}, got "
-            f"{replacement.kind.result_sort.value} from {replacement.kind.name!r}")
+    if path:
+        parent, position = path[-1]
+        wanted = parent.kind.argument_sorts[position]
+        if replacement.kind.result_sort is not wanted:
+            raise TreeValidationError(
+                f"{parent.kind.name!r} expects {wanted.value}, got "
+                f"{replacement.kind.result_sort.value} from {replacement.kind.name!r}")
     new = replacement
     for parent, position in reversed(path):
         children = parent.children

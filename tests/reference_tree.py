@@ -12,10 +12,14 @@ tuple, so a shared NaN payload is equal to itself.  Python 3.13.0 generates
 a field-by-field ``self.value == other.value`` instead, under which it is
 not; where the interpreter does that, the reference states the tuple
 compare itself, since that is what ``ProgramTree`` promises everywhere.
+
+:func:`reference_replace` is the reference for subtree replacement: it
+rebuilds a real tree in full, in preorder, through the checked constructor.
 """
 from dataclasses import dataclass
 from typing import Optional
 
+from gpislands import trees
 from gpislands.trees import NodeKind
 
 
@@ -48,3 +52,24 @@ def mirror(tree, mirrored=None):
         children = tuple(mirror(child, mirrored) for child in tree.children)
         done = mirrored[id(tree)] = ProgramTree(tree.kind, children, tree.value)
     return done
+
+
+def reference_replace(tree, index, replacement):
+    """``tree`` with the node at preorder position ``index`` swapped for
+    ``replacement``, by a full preorder rebuild through the checked
+    constructor: the reference for :func:`gpislands.trees.replace_subtree`."""
+    counter = [0]
+
+    def count(node):
+        return 1 + sum(count(child) for child in node.children)
+
+    def rebuild(node):
+        here = counter[0]
+        if here == index:
+            counter[0] += count(node)
+            return replacement
+        counter[0] += 1
+        return trees.ProgramTree(node.kind, tuple(rebuild(c) for c in node.children),
+                                 node.value)
+
+    return rebuild(tree)

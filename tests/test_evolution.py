@@ -4,6 +4,7 @@ import random
 
 import grower
 import pytest
+from reference_tree import reference_replace
 
 from gpislands.evolution import (
     CROSSOVER_RETRIES,
@@ -39,7 +40,6 @@ from gpislands.trees import (
     constant_kind_name,
     grow_subtree,
     iter_nodes,
-    replace_subtree,
     serialize,
     validate_tree,
 )
@@ -136,7 +136,7 @@ def reference_mutate(tree, prims, max_depth, rng):
     node, depth = nodes[index]
     budget = max(1, max_depth - depth + 1)
     replacement = grower.grow(prims, node.kind.result_sort, budget, rng)
-    return replace_subtree(tree, index, replacement)
+    return reference_replace(tree, index, replacement)
 
 
 def reference_crossover(a, b, max_depth, rng, seen):
@@ -158,7 +158,7 @@ def reference_crossover(a, b, max_depth, rng, seen):
         donor = donors[rng.randrange(len(donors))]
         if depth - 1 + donor.depth <= max_depth:
             seen["grafted"] += 1
-            return replace_subtree(a, index, donor)
+            return reference_replace(a, index, donor)
     seen["fallback"] += 1
     return a
 

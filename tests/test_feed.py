@@ -50,6 +50,7 @@ from gpislands.trees import (
     function,
     if_greater,
     iter_nodes,
+    node_at,
     replace_subtree,
     serialize,
 )
@@ -721,7 +722,7 @@ def test_the_counts_match_the_walker_on_every_oversize_tree(catalog, feed_prims)
              if tree.size > MAX_STEPS]
     grafts = [deserialize(text, feed_prims) for text in (
         BIG, NAN, f"(mul (is_engadget) {BIG})", "(mul (const:Number -0.0) (unread_count))")]
-    grafted = [replace_subtree(tree, rng.randrange(1, tree.size), rng.choice(grafts))
+    grafted = [replace_subtree(node_at(tree, rng.randrange(1, tree.size))[1], rng.choice(grafts))
                for tree in grown]
     edges = feed_edges(feed_prims)
     chains = [deserialize(feed_chain("if_greater", DEPTH_CEILING), feed_prims),
@@ -864,7 +865,7 @@ def test_an_oversize_child_reads_the_counts_its_parent_recorded(catalog, feed_pr
     for index, (node, above) in enumerate(with_ancestors(parent)):
         if node.children:
             continue
-        child = replace_subtree(parent, index, const_program(feed_prims, 0.5))
+        child = replace_subtree(node_at(parent, index)[1], const_program(feed_prims, 0.5))
         calls.clear()
         assert pass_steps(child, catalog) == killed
         assert Counter(calls) == {a.kind.name: len(catalog.feeds) for a in above}
@@ -1047,7 +1048,7 @@ def test_bred_lineages_score_as_fresh_copies_and_the_walker(catalog):
             elif pick < 0.5:
                 child = crossover(parent, rng.choice(parents), 9, rng)
             else:
-                child = replace_subtree(parent, rng.randrange(parent.size),
+                child = replace_subtree(node_at(parent, rng.randrange(parent.size))[1],
                                         rng.choice(grafts))
             for node, _ in iter_nodes(child):
                 if node.children:
@@ -1119,7 +1120,7 @@ def test_a_child_evaluates_only_the_ancestors_breeding_rebuilt(catalog, feed_pri
     assert evaluated(parent, catalog) == {}  # the root's own record
     leaf = const_program(prims, 1.5)
     for index, (_, above) in enumerate(with_ancestors(parent)):
-        child = replace_subtree(parent, index, leaf)
+        child = replace_subtree(node_at(parent, index)[1], leaf)
         assert evaluated(child, catalog) == {a.kind.name: feeds for a in above}
     # an equal catalog reads the same columns, and so the same records
     assert evaluated(parent, default_catalog()) == {}

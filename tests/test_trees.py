@@ -6,7 +6,7 @@ import re
 import grower
 import pytest
 from feed_pass import pass_steps, pass_values
-from reference_tree import mirror
+from reference_tree import mirror, reference_replace
 from sized import feed_chain
 from walker import feed_environments, walk
 
@@ -152,16 +152,22 @@ def test_iter_nodes_is_preorder_with_depths(geo_prims):
     assert walked == [("add", 1), ("lat", 2), ("lon", 2)]
 
 
+def swap_at(tree, index, replacement):
+    """``tree`` with the node at preorder position ``index`` swapped for
+    ``replacement``."""
+    return replace_subtree(node_at(tree, index)[1], replacement)
+
+
 def test_replace_subtree_rebuilds_without_mutating(geo_prims):
     t = ProgramTree(geo_prims.kind("add"), (leaf(geo_prims, "lat"),
                                             leaf(geo_prims, "lon")))
-    swapped = replace_subtree(t, 2, const(geo_prims, 7.0))
+    swapped = swap_at(t, 2, const(geo_prims, 7.0))
     assert serialize(t) == "(add (lat) (lon))"
     assert serialize(swapped) == "(add (lat) (const:Number 7.0))"
-    whole = replace_subtree(t, 0, leaf(geo_prims, "lat"))
+    whole = swap_at(t, 0, leaf(geo_prims, "lat"))
     assert serialize(whole) == "(lat)"
     with pytest.raises(ValueError):
-        replace_subtree(t, 3, leaf(geo_prims, "lat"))
+        swap_at(t, 3, leaf(geo_prims, "lat"))
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +186,6 @@ def reference_preorder(tree, depth=1):
     for child in tree.children:
         nodes.extend(reference_preorder(child, depth + 1))
     return nodes
-
-
-def reference_replace(tree, index, replacement):
-    """Subtree replacement by a full preorder rebuild."""
-    counter = [0]
-
-    def rebuild(node):
-        here = counter[0]
-        if here == index:
-            counter[0] += recount(node)[0]
-            return replacement
-        counter[0] += 1
-        return ProgramTree(node.kind, tuple(rebuild(c) for c in node.children), node.value)
-
-    return rebuild(tree)
 
 
 def assert_measures_hold(tree):
@@ -230,7 +221,7 @@ def operator_trees(prims, seed):
             yield crossover(a, b, depth, rng)
             index = rng.randrange(a.size)
             sort = reference_preorder(a)[index][0].sort
-            yield replace_subtree(a, index, grow_subtree(halfway, sort, 3, rng))
+            yield swap_at(a, index, grow_subtree(halfway, sort, 3, rng))
             yield deserialize(serialize(b), prims, max_depth=depth)
 
 
@@ -248,11 +239,37 @@ def test_node_at_matches_the_preorder_walk(make_prims):
     prims = make_prims()
     for tree in operator_trees(prims, 22):
         for index, (node, depth) in enumerate(iter_nodes(tree)):
-            found, found_depth = node_at(tree, index)
-            assert found is node and found_depth == depth
+            found, path = node_at(tree, index)
+            assert found is node and len(path) + 1 == depth
         for index in (-1, tree.size):
             with pytest.raises(ValueError):
                 node_at(tree, index)
+
+
+@TASK_SETS
+def test_node_at_returns_the_path_replace_subtree_rebuilds_along(make_prims):
+    """Every ancestor on a point's path is the tree's own node and leads on,
+    by the position it records, to the next one or to the point; the path
+    is one shorter than the point's depth; and putting the point back along
+    it rebuilds nothing.  The trees grow at bias 0.8, so they reach their
+    depths."""
+    prims = grower.at_bias(make_prims(), 0.8)
+    rng = random.Random(26)
+    deepest = 0
+    for depth in range(1, 10):
+        for _ in range(4):
+            tree = build_random_tree(prims, depth, rng)
+            deepest = max(deepest, tree.depth)
+            for index, (node, node_depth) in enumerate(iter_nodes(tree)):
+                found, path = node_at(tree, index)
+                assert found is node
+                chain = [ancestor for ancestor, _ in path] + [node]
+                assert chain[0] is tree
+                for k, (ancestor, position) in enumerate(path):
+                    assert ancestor.children[position] is chain[k + 1]
+                assert len(path) + 1 == node_depth
+                assert replace_subtree(path, node) is tree
+    assert deepest == 9
 
 
 def test_replace_subtree_matches_a_full_rebuild(feed_prims):
@@ -262,7 +279,7 @@ def test_replace_subtree_matches_a_full_rebuild(feed_prims):
         tree = build_random_tree(feed_prims, depth, rng)
         for index, (node, _) in enumerate(reference_preorder(tree)):
             replacement = grow_subtree(halfway, node.sort, 2, rng)
-            swapped = replace_subtree(tree, index, replacement)
+            swapped = swap_at(tree, index, replacement)
             assert swapped == reference_replace(tree, index, replacement)
             assert_measures_hold(swapped)
 
@@ -364,9 +381,8 @@ def test_unchecked_nodes_from_growth_and_replacement_are_valid(make_prims):
             assert copy == grown
             assert [(n.size, n.depth, n.uniform) for n, _ in iter_nodes(copy)] == \
                 [(n.size, n.depth, n.uniform) for n, _ in iter_nodes(grown)]
-            index = rng.randrange(grown.size)
-            node, _ = node_at(grown, index)
-            swapped = replace_subtree(grown, index, _grow(prims._growth[node.sort], 3, rng, bias))
+            node, path = node_at(grown, rng.randrange(grown.size))
+            swapped = replace_subtree(path, _grow(prims._growth[node.sort], 3, rng, bias))
             assert_measures_hold(swapped)
             assert checked_copy(swapped) == swapped
             assert all(n.memo is None and n.record is None for n, _ in iter_nodes(swapped))
@@ -375,11 +391,13 @@ def test_unchecked_nodes_from_growth_and_replacement_are_valid(make_prims):
 def test_replace_subtree_rejects_a_replacement_of_another_sort(loc_prims):
     tree = deserialize("(seq (request_update) (enable_gps))", loc_prims)
     number = const(loc_prims, 1.0)
-    with pytest.raises(TreeValidationError):
-        replace_subtree(tree, 1, number)
-    assert replace_subtree(tree, 0, number) is number  # the root has no parent
+    with pytest.raises(TreeValidationError,
+                       match=r"^'seq' expects Action, got Number from 'const:Number'$"):
+        swap_at(tree, 1, number)
+    assert swap_at(tree, 0, number) is number  # the root has no parent
+    assert replace_subtree([], number) is number
     leaf_node = _node(loc_prims.kind("enable_wifi"))
-    assert serialize(replace_subtree(tree, 2, leaf_node)) == \
+    assert serialize(swap_at(tree, 2, leaf_node)) == \
         "(seq (request_update) (enable_wifi))"
 
 
