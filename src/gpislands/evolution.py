@@ -49,6 +49,7 @@ from .trees import (
 
 log = logging.getLogger(__name__)
 
+#: Point pairs a crossover draws before it falls back to the first parent.
 CROSSOVER_RETRIES = 16
 #: Rebuilds a helper may ask for before its last candidate is admitted anyway.
 REBUILD_ATTEMPTS = 64

@@ -74,12 +74,11 @@ and the tests to read.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .interpreter import compile_program, execute
 from .trees import (
@@ -265,12 +264,13 @@ def _scorer(columns: dict[str, tuple], count: int) -> Callable[[ProgramTree], Se
     ``record`` as ``(columns, values, None)``, and any later pass over any
     tree that holds that node reads them instead of descending into it;
     :func:`_count_steps` may later replace the ``None`` with the node's
-    counts.  The values are a function of the subtree and the columns
-    alone, the record is never mutated, and it holds the columns dict
-    itself, so a record matches only while its columns are the ones being
-    read (an identity no other dict can take while the record lives).  A
-    branch no feed takes is never read and keeps no record.  Leaves keep
-    none either: their values cost nothing to read.
+    counts, a tuple of one count per feed.  The values are a function of
+    the subtree and the columns alone, the record is never mutated, and it
+    holds the columns dict itself, so a record matches only while its
+    columns are the ones being read (an identity no other dict can take
+    while the record lives).  A branch no feed takes is never read and
+    keeps no record.  Leaves keep none either: their values cost nothing to
+    read.
     """
     def scored(node: ProgramTree) -> Sequence:
         kind = node.kind
@@ -304,11 +304,6 @@ def _scorer(columns: dict[str, tuple], count: int) -> Callable[[ProgramTree], Se
     return scored
 
 
-#: Step counts, one per feed: one int when every feed took the same count,
-#: else a tuple in the order of the feeds counted.
-Steps = Union[int, tuple[int, ...]]
-
-
 def _count_steps(tree: ProgramTree, columns: dict[str, tuple],
                  scored: Callable[[ProgramTree], Sequence]) -> tuple[int, ...]:
     """Each feed's step count for ``tree``, in catalog order: the number of
@@ -321,44 +316,44 @@ def _count_steps(tree: ProgramTree, columns: dict[str, tuple],
     the values ``scored``, the pass over ``columns``, recorded for ``a``
     and ``b``, so it descends only where some feed's run goes, and it
     scores first any function node whose record holds other columns (or
-    none).  Each function node it counts keeps its counts (:data:`Steps`)
-    in its record beside its values, and a later walk over any tree that
-    holds the node reads them, so a bred child counts only the ancestors
-    breeding rebuilt.  The walk raises whatever scoring raises.
+    none).  Each function node it counts keeps its counts, a tuple of one
+    int per feed, in its record beside its values, and a later walk over
+    any tree that holds the node reads them, so a bred child counts only
+    the ancestors breeding rebuilt.  The walk raises whatever scoring
+    raises.
     """
-    def counted(node: ProgramTree) -> Steps:
+    ones = (1,) * len(scored(tree))
+
+    def counted(node: ProgramTree) -> tuple[int, ...]:
         children = node.children
         if not children:
-            return 1
+            return ones
         values = scored(node)  # the record's, the node scored first if need be
         steps = node.record[2]
         if steps is not None:
             return steps
         if node.kind.fn is not if_greater:
-            steps = 1
-            for child in children:
-                steps = _plus(steps, counted(child), 0)
+            if len(children) == 2:
+                a, b = children
+                steps = tuple([1 + s + t for s, t in zip(counted(a), counted(b))])
+            else:
+                steps = ones
+                for child in children:
+                    steps = tuple(map(operator.add, steps, counted(child)))
         else:
             a, b, then, other = children
             taken = list(map(operator.gt, scored(a), scored(b)))
             if all(taken):
-                branch_steps = counted(then)
+                branch = counted(then)
             elif not any(taken):
-                branch_steps = counted(other)
+                branch = counted(other)
             else:
-                then_steps, other_steps = counted(then), counted(other)
-                if then_steps.__class__ is int and then_steps == other_steps:
-                    branch_steps = then_steps
-                else:
-                    branch_steps = tuple([t if k else o for k, t, o in
-                                          zip(taken, _each(then_steps), _each(other_steps))])
-            steps = _plus(_plus(counted(a), counted(b), 1), branch_steps, 0)
+                branch = [t if k else o for k, t, o in zip(taken, counted(then), counted(other))]
+            steps = tuple([1 + s + t + u for s, t, u in zip(counted(a), counted(b), branch)])
         node.record = (columns, values, steps)
         return steps
 
-    steps = counted(tree)
-    # one count per feed, as the root has one value per feed
-    return steps if steps.__class__ is tuple else (steps,) * len(scored(tree))
+    return counted(tree)
 
 
 def _run_each_feed(tree: ProgramTree, columns: dict[str, tuple], count: int
@@ -380,18 +375,6 @@ def _run_each_feed(tree: ProgramTree, columns: dict[str, tuple], count: int
         values.append(outcome.value)
         steps.append(outcome.steps_used)
     return tuple(values), tuple(steps)
-
-
-def _each(steps: Steps) -> Iterable[int]:
-    """The counts of :data:`Steps` feed by feed (endless when one int)."""
-    return itertools.repeat(steps) if steps.__class__ is int else steps
-
-
-def _plus(a: Steps, b: Steps, extra: int) -> Steps:
-    """Feed by feed, ``a + b + extra``."""
-    if a.__class__ is int and b.__class__ is int:
-        return a + b + extra
-    return tuple([s + t + extra for s, t in zip(_each(a), _each(b))])
 
 
 @dataclass
@@ -495,21 +478,10 @@ def _screen(catalog: FeedCatalog, ranking: tuple[int, ...]) -> tuple[tuple[str, 
     round-robin, best feed first, until the screen is full or every ranked
     feed is exhausted.  Kept for the last :data:`SCREEN_CACHE_SIZE`
     catalogs and rankings asked for; equal catalogs share their screens."""
-    feeds = catalog.feeds
-    cursors = {i: 0 for i in ranking}
-    displayed: list[tuple[str, int]] = []
-    while len(displayed) < SCREEN_SIZE:
-        progressed = False
-        for i in ranking:
-            if len(displayed) >= SCREEN_SIZE:
-                break
-            if cursors[i] < feeds[i].unread:
-                displayed.append((feeds[i].feed_id, cursors[i]))
-                cursors[i] += 1
-                progressed = True
-        if not progressed:
-            break
-    return tuple(displayed)
+    ranked = [catalog.feeds[i] for i in ranking]
+    # each round shows an item until every ranked feed is exhausted: SCREEN_SIZE rounds suffice
+    return tuple([(feed.feed_id, k) for k in range(SCREEN_SIZE) for feed in ranked
+                  if k < feed.unread][:SCREEN_SIZE])
 
 
 def simulate_clicks(report: FeedReport, user: UserModel, rng: random.Random) -> FeedReport:

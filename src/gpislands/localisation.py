@@ -58,11 +58,11 @@ warm-up).  :func:`evaluate_localisation` splits accordingly:
   the same error draws) scores accuracy exactly 1 whatever the errors, and
   adds its energy factor without displacing either fix.  The trace records
   how far into the error stream the other ticks read, and the evaluation
-  draws that prefix of the stream and no more.  The pass is one loop that calls no Python function
-  per entry: it writes out the arithmetic of displacing a fix by its error
-  and of :func:`accuracy_fitness`, in their operation order, so it gives
-  their bits; the eager oracle of the tests, which calls
-  :func:`accuracy_fitness`, pins it bit for bit.
+  draws that prefix of the stream and no more.  The pass is one loop that
+  calls no Python function per entry: it writes out the arithmetic of
+  displacing a fix by its error and of :func:`accuracy_fitness`, in their
+  operation order, so it gives their bits; the eager oracle of the tests,
+  which calls :func:`accuracy_fitness`, pins it bit for bit.
 """
 
 from __future__ import annotations

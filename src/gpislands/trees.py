@@ -41,12 +41,13 @@ parentheses per node, e.g. ``(add (lat) (const:Number 2.5))``.  The text is a
 function of the structure and of each constant payload's bits, and parsing
 it back gives the same structure and payloads at full float precision (a NaN
 as a NaN), whose text is the same again.  Trees that compare equal need not
-share their text: constants ``0.0`` and ``-0.0`` are ``==`` but written apart.  Serializing and parsing are each one
-iterative loop, so neither recurses.  The parser validates as it goes, so
-arbitrarily deep untrusted text is rejected at the depth bound instead of
-building a tree the recursive parts of the package cannot take: without an
-explicit bound, :data:`DEPTH_CEILING` applies, and :func:`grow_subtree` and
-the interpreter handle trees that deep.
+share their text: constants ``0.0`` and ``-0.0`` are ``==`` but written
+apart.  Serializing and parsing are each one iterative loop, so neither
+recurses.  The parser validates as it goes, so arbitrarily deep untrusted
+text is rejected at the depth bound instead of building a tree the
+recursive parts of the package cannot take: without an explicit bound,
+:data:`DEPTH_CEILING` applies, and :func:`grow_subtree` and the interpreter
+handle trees that deep.
 
 Breeding walks to each point once: :func:`node_at` finds the node at a
 preorder index through the recorded sizes, in time proportional to the

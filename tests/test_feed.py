@@ -682,6 +682,51 @@ def test_the_screen_cache_stays_bounded(catalog):
     assert feed_module._screen.cache_info().currsize == feed_module.SCREEN_CACHE_SIZE
 
 
+def cursor_screen(catalog, ranking):
+    """The round-robin as a loop with a cursor per ranked feed, round by
+    round until the screen is full or a round shows nothing: the reference
+    for ``feed._screen``'s comprehension."""
+    feeds = catalog.feeds
+    cursors = {i: 0 for i in ranking}
+    displayed = []
+    while len(displayed) < SCREEN_SIZE:
+        progressed = False
+        for i in ranking:
+            if len(displayed) >= SCREEN_SIZE:
+                break
+            if cursors[i] < feeds[i].unread:
+                displayed.append((feeds[i].feed_id, cursors[i]))
+                cursors[i] += 1
+                progressed = True
+        if not progressed:
+            break
+    return tuple(displayed)
+
+
+def test_the_screen_is_the_cursor_loops():
+    """On catalogs of 1 to 9 feeds and any ranking of some of them, the
+    screen is the cursor loop's.  A feed with 10**18 unread items can be
+    ranked, so the screen must stop after :data:`SCREEN_SIZE` rounds, not
+    run a round per unread item as ``walker_fill`` does."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    unread = st.sampled_from([0, 1, 2, 3, SCREEN_SIZE + 2, 10**18])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(unreads=st.lists(unread, min_size=1, max_size=9), data=st.data())
+    def check(unreads, data):
+        catalog = FeedCatalog(tuple(Feed(f"f{i}", "tech", count)
+                                    for i, count in enumerate(unreads)))
+        order = data.draw(st.permutations(range(len(unreads))))
+        ranking = tuple(order[:data.draw(st.integers(0, len(unreads)))])
+        assert feed_module._screen(catalog, ranking) == cursor_screen(catalog, ranking)
+
+    feed_module._screen.cache_clear()
+    check()
+
+
 def test_a_fill_keeps_the_roots_own_values(catalog, feed_prims):
     """The memoised scores are the tuple the root's record holds, not a
     copy, and a report reads them as a fresh dict of floats."""
@@ -741,6 +786,31 @@ def test_the_counts_match_the_walker_on_every_oversize_tree(catalog, feed_prims)
         uneven += len(set(walked_steps(tree, catalog))) > 1
     assert min(outcomes.values()) >= 2 and outcomes["killed"] < outcomes["scored"], outcomes
     assert uneven >= 2  # feeds split by if_greater took different counts
+
+
+def test_every_count_the_walk_records_is_one_int_per_feed(catalog, feed_prims):
+    """Each function node the counting walk counts records a tuple of one
+    int per feed, the root's being the tuple the walk returns: on grown
+    trees whose feeds take different counts, and on trees where every feed
+    takes the same count, through a sum with no branch, a split whose two
+    sides cost the same, or a one-argument function."""
+    rng = random.Random(99)
+    grown = [tree for tree in (build_random_tree(feed_prims, 9, rng) for _ in range(60))
+             if tree.size > MAX_STEPS]
+    even_split = split(feed_prims, feed_sum(feed_prims, 255), feed_sum(feed_prims, 255))
+    assert even_split.size > MAX_STEPS
+    shapes = Counter()
+    for tree in grown + budget_edge_trees(feed_prims) + [even_split]:
+        steps = pass_steps(tree, catalog)
+        assert steps == walked_steps(tree, catalog)
+        assert tree.record[2] is steps
+        counts = [node.record[2] for node, _ in iter_nodes(tree)
+                  if node.record is not None and node.record[2] is not None]
+        for count in counts:
+            assert type(count) is tuple and len(count) == len(catalog.feeds)
+            assert all(type(step) is int for step in count)
+        shapes["even" if len(set(steps)) == 1 else "uneven"] += 1
+    assert min(shapes.values()) >= 2, shapes
 
 
 @pytest.mark.parametrize("kind", ["add", "if_greater"])
