@@ -269,8 +269,10 @@ def _scorer(columns: dict[str, tuple], count: int) -> Callable[[ProgramTree], Se
     holds the columns dict itself, so a record matches only while its
     columns are the ones being read (an identity no other dict can take
     while the record lives).  A branch no feed takes is never read and
-    keeps no record.  Leaves keep none either: their values cost nothing to
-    read.
+    keeps no record.  Leaves must keep none: growth shares one node per
+    terminal kind among every tree of a primitive set, so a leaf's record
+    would stand for every copy of it, and a leaf's values cost nothing to
+    read anyway.
     """
     def scored(node: ProgramTree) -> Sequence:
         kind = node.kind

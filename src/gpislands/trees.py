@@ -59,6 +59,15 @@ sorts, and its constant source.  :func:`grow_subtree` looks one table up
 and then follows tables from node to node, so growing a node hashes no sort.
 It picks a function over a leaf at the set's ``function_bias``, which a task
 states once, with its vocabulary, as it states its ``helper``.
+
+Terminal leaves are shared per set.  A terminal leaf is ``(kind, (), None)``
+and holds nothing that depends on where it sits, so the table keeps one node
+per terminal kind, built with the set, and growth returns that node: a grown
+tree builds only its function nodes and its constants, each constant with
+its own drawn payload.  A leaf's identity therefore says nothing about the
+tree or the breeding it came from, a one-leaf program's ``memo`` is shared
+by every one-leaf program of that kind, and no task may keep a ``record`` on
+a leaf.  :func:`deserialize` builds its own nodes, leaves included.
 """
 
 from __future__ import annotations
@@ -248,7 +257,11 @@ class ProgramTree:
     that depends on nothing but the subtree and the inputs recorded with
     it, and never mutate it after.
     ``memo`` is for a result of the whole program rooted here, ``record``
-    for this subtree's value per input; a node may carry both.
+    for this subtree's value per input; a node may carry both.  Growth
+    shares one node per terminal kind among every tree it grows from a set,
+    so a terminal leaf's identity says nothing about its origin, its
+    ``memo`` serves every one-leaf program of its kind, and a leaf must keep
+    no ``record``.
 
     ``==`` compares ``(kind, children, value)`` tuples, and only with
     another :class:`ProgramTree`, so a shared NaN payload is equal to
@@ -355,19 +368,21 @@ def constant_kind_name(sort: Sort) -> str:
 class _Growth:
     """What growing a node of one sort can choose from.
 
-    ``leaves`` are the sort's terminals and constant kind, ``functions``
-    pairs each function kind with the tables of its argument sorts, and
-    ``constant`` is the sort's constant source (or ``None``), all in the
-    order the primitive set declares them.  A :class:`PrimitiveSet` builds
-    one per sort, so growth follows tables from node to node and looks up
-    no sort on the way.
+    ``leaves`` pairs each of the sort's terminals with the one node that
+    stands for it in every tree grown from the set, and its constant kind
+    with ``None``, since each constant is built with its own payload.
+    ``functions`` pairs each function kind with the tables of its argument
+    sorts, and ``constant`` is the sort's constant source (or ``None``), all
+    in the order the primitive set declares them.  A :class:`PrimitiveSet`
+    builds one per sort, so growth follows tables from node to node, looks
+    up no sort on the way, and builds no terminal leaf.
     """
 
     __slots__ = ("sort", "leaves", "functions", "constant")
 
     def __init__(self, sort: Sort) -> None:
         self.sort = sort
-        self.leaves: tuple[NodeKind, ...] = ()
+        self.leaves: tuple[tuple[NodeKind, Optional[ProgramTree]], ...] = ()
         self.functions: tuple[tuple[NodeKind, tuple[_Growth, ...]], ...] = ()
         self.constant: Optional[Callable[[random.Random], float]] = None
 
@@ -381,8 +396,10 @@ class PrimitiveSet:
     participates in generation like any other terminal but freezes the drawn
     value into the node.  ``function_bias`` is the chance that growth picks
     a function where the depth budget allows one.  The growth table of every
-    sort (:class:`_Growth`) is built with the set, and rebuilt by
-    ``dataclasses.replace(prims, function_bias=b)``.
+    sort (:class:`_Growth`), with the set's one node per terminal kind, is
+    built with the set, and rebuilt by
+    ``dataclasses.replace(prims, function_bias=b)``, whose trees share
+    leaves of their own.
 
     ``helper``, when set, is a predicate over trees that every tree
     evolution grows or breeds from this vocabulary must pass, or else be
@@ -412,8 +429,10 @@ class PrimitiveSet:
             table = growth[kind.result_sort]
             if kind.category is Category.FUNCTION:
                 table.functions += ((kind, tuple(growth[arg] for arg in kind.argument_sorts)),)
+            elif kind.category is Category.CONSTANT:
+                table.leaves += ((kind, None),)
             else:
-                table.leaves += (kind,)
+                table.leaves += ((kind, _node(kind)),)
         for sort, source in self.constant_sources.items():
             growth[sort].constant = source
         self._growth = growth
@@ -541,9 +560,9 @@ def _grow(table: _Growth, budget: int, rng: random.Random,
         if not leaves:
             raise ConfigurationError(
                 f"no terminal or constant produces sort {table.sort.value!r}")
-        kind = leaves[rng.randrange(len(leaves))]
+        kind, leaf = leaves[rng.randrange(len(leaves))]
     elif leaves and rng.random() >= function_bias:
-        kind = leaves[rng.randrange(len(leaves))]
+        kind, leaf = leaves[rng.randrange(len(leaves))]
     else:
         kind, argument_tables = functions[rng.randrange(len(functions))]
         budget -= 1
@@ -551,9 +570,9 @@ def _grow(table: _Growth, budget: int, rng: random.Random,
         for argument in argument_tables:
             children.append(_grow(argument, budget, rng, function_bias))
         return _node(kind, tuple(children))
-    if kind.category is Category.CONSTANT:
+    if leaf is None:
         return _node(kind, (), float(table.constant(rng)))
-    return _node(kind)
+    return leaf
 
 
 def build_random_tree(prims: PrimitiveSet, max_depth: int,

@@ -13,10 +13,15 @@ and summary CSVs to the SHA-256 digests pinned here; as in
 ``tests/test_golden.py``, update a digest only on purpose, and record why in
 CHANGES.md.  UDP is left out: real sockets are not deterministic.
 
-Run as a script to print every cell's fresh digests; it never writes them,
-and exits 1 if any differs from its pin::
+Under :func:`reference_growth` every tree grows by ``tests/grower.py``'s
+textbook recursion, which builds fresh, checked nodes and shares no leaf;
+every cell must still write its pinned bytes.
 
-    PYTHONPATH=src python tests/config_cells.py
+Run as a script to print every cell's fresh digests; it never writes them,
+and exits 1 if any differs from its pin.  ``--reference`` runs the cells
+under :func:`reference_growth`::
+
+    PYTHONPATH=src python tests/config_cells.py [--reference]
 """
 import contextlib
 import hashlib
@@ -25,6 +30,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+from grower import grow
+
+from gpislands import evolution, trees
 from gpislands.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -127,6 +135,18 @@ def argv(name):
     return [word.format(data=DATA) for word in f"{BASE} {CELLS[name][0]}".split()]
 
 
+@contextlib.contextmanager
+def reference_growth():
+    """Grow with :func:`grower.grow` in place of the package's
+    ``grow_subtree``, which ``build_random_tree`` and ``mutate`` call."""
+    package = trees.grow_subtree, evolution.grow_subtree
+    trees.grow_subtree = evolution.grow_subtree = grow
+    try:
+        yield
+    finally:
+        trees.grow_subtree, evolution.grow_subtree = package
+
+
 def run_cell(name, directory):
     """Run the cell into ``directory``; the SHA-256 of its rows and summary."""
     out = Path(directory) / "rows.csv"
@@ -139,10 +159,14 @@ def run_cell(name, directory):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--reference"]):
+        sys.exit(f"usage: {sys.argv[0]} [--reference]")
     changed = 0
-    for name, (_, *pinned) in CELLS.items():
-        with tempfile.TemporaryDirectory() as directory:
-            digests = run_cell(name, directory)
-        changed += digests != tuple(pinned)
-        print(f"{name}: {' '.join(digests)}{'' if digests == tuple(pinned) else '  CHANGED'}")
+    with reference_growth() if sys.argv[1:] else contextlib.nullcontext():
+        for name, (_, *pinned) in CELLS.items():
+            with tempfile.TemporaryDirectory() as directory:
+                digests = run_cell(name, directory)
+            changed += digests != tuple(pinned)
+            print(f"{name}: {' '.join(digests)}"
+                  f"{'' if digests == tuple(pinned) else '  CHANGED'}")
     sys.exit(1 if changed else 0)

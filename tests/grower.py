@@ -6,9 +6,11 @@ the primitive set's declared kinds, in their order, and draws from the rng
 in the same order the package must: the leaf when only leaves are eligible,
 else the leaf-or-function choice at the set's ``function_bias`` (only when
 the sort has leaves) and the kind, then a constant's payload, children left
-to right.  :func:`split` is the collection it grows from, for tests that
-need a sort's leaves or functions, and :func:`at_bias` gives a set that
-grows at another bias.
+to right.  It builds every node, leaves included, fresh through the checked
+constructor, so trees it grows share no node (``tests/config_cells.py``'s
+reference growth runs whole cells so).  :func:`split` is the collection it
+grows from, for tests that need a sort's leaves or functions, and
+:func:`at_bias` gives a set that grows at another bias.
 """
 import dataclasses
 

@@ -1,10 +1,11 @@
 """The configuration cells write their pinned bytes.
 
 ``config_cells.py`` holds the cells and their digests.  Together with the
-goldens they give every option a cell can pin at least two values.
+goldens they give every option a cell can pin at least two values.  Every
+cell also runs under the reference growth, which shares no node.
 """
 import pytest
-from config_cells import CELLS, argv, run_cell
+from config_cells import CELLS, argv, reference_growth, run_cell
 from test_golden import GOLDEN
 
 from gpislands import feed
@@ -18,6 +19,14 @@ UNPINNED = {"out", "transport", "udp_base_port"}
 def test_config_cell_digests(name, tmp_path):
     _, rows_sha, summary_sha = CELLS[name]
     assert run_cell(name, tmp_path) == (rows_sha, summary_sha)
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_config_cell_digests_under_reference_growth(name, tmp_path):
+    """Growth that builds a fresh node for every leaf writes the same bytes
+    as growth that shares one node per terminal kind."""
+    with reference_growth():
+        assert run_cell(name, tmp_path) == CELLS[name][1:]
 
 
 def test_the_deep_kills_cell_kills_fills_of_its_own_catalog(tmp_path, monkeypatch):

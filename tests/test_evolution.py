@@ -128,7 +128,9 @@ def test_crossover_falls_back_without_compatible_donor(loc_prims):
 # of the donor's nodes of the wanted sort even when all its nodes have it.
 # ``seen`` counts the cases the differential test below must reach; a
 # localisation tree of both sorts always has donors, so "no donors" is a
-# donor of one sort, skipped without a draw.
+# donor of one sort, skipped without a draw.  ``reference_crossover`` also
+# returns the node at the point it grafted at and the donor node it grafted,
+# or two ``None`` when it falls back to ``a``.
 
 def reference_mutate(tree, prims, max_depth, rng):
     nodes = list(iter_nodes(tree))
@@ -158,9 +160,9 @@ def reference_crossover(a, b, max_depth, rng, seen):
         donor = donors[rng.randrange(len(donors))]
         if depth - 1 + donor.depth <= max_depth:
             seen["grafted"] += 1
-            return reference_replace(a, index, donor)
+            return reference_replace(a, index, donor), target, donor
     seen["fallback"] += 1
-    return a
+    return a, None, None
 
 
 @pytest.mark.parametrize("task", ["feed", "localisation"])
@@ -168,7 +170,7 @@ def test_operators_match_list_based_references(task, feed_prims, loc_prims):
     prims = feed_prims if task == "feed" else loc_prims
     build = random.Random(f"operators-{task}")
     seen = dict.fromkeys(["no donors", "mixed donor", "one-sort donor", "grafted",
-                          "fallback"], 0)
+                          "fallback", "self graft"], 0)
     for depth in range(3, 10):
         for case in range(12):
             a = build_random_tree(prims, depth, build)
@@ -184,12 +186,18 @@ def test_operators_match_list_based_references(task, feed_prims, loc_prims):
                 assert ours.getstate() == theirs.getstate()
 
                 for donor in (b, number_donor):
-                    expected = reference_crossover(a, donor, max_depth, theirs, seen)
+                    expected, point, graft = reference_crossover(a, donor, max_depth, theirs,
+                                                                 seen)
                     child = crossover(a, donor, max_depth, ours)
                     assert child == expected
-                    assert (child is a) == (expected is a)
+                    if graft is None:
+                        assert child is a
+                    else:  # ``a`` itself only when the graft is the node already there
+                        assert (child is a) == (graft is point)
+                        seen["self graft"] += graft is point
                     assert ours.getstate() == theirs.getstate()
     assert seen["grafted"] and seen["fallback"] and seen["one-sort donor"]
+    assert seen["self graft"]  # a shared terminal leaf grafted onto itself
     if task == "localisation":  # a feed tree has one sort, so always donors
         assert seen["no donors"] and seen["mixed donor"]
 

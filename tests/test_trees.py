@@ -10,10 +10,23 @@ from reference_tree import mirror, reference_replace
 from sized import feed_chain
 from walker import feed_environments, walk
 
+from gpislands import feed as feed_module
 from gpislands.evolution import Population, crossover, mutate, population_stats
-from gpislands.feed import FEED_FUNCTION_BIAS, default_catalog, feed_primitives
+from gpislands.feed import (
+    FEED_FUNCTION_BIAS,
+    MAX_STEPS,
+    FeedEvaluator,
+    default_catalog,
+    feed_primitives,
+    homogeneous_user,
+)
 from gpislands.interpreter import compile_program, execute
-from gpislands.localisation import LOC_FUNCTION_BIAS, localisation_primitives
+from gpislands.localisation import (
+    LOC_FUNCTION_BIAS,
+    LocalisationEvaluator,
+    WorldConfig,
+    localisation_primitives,
+)
 from gpislands.trees import (
     DEPTH_CEILING,
     Category,
@@ -517,7 +530,7 @@ def test_the_growth_tables_list_each_sorts_kinds_in_order(loc_prims):
     for sort in Sort:
         leaves, functions = grower.split(loc_prims, sort)
         table = loc_prims._growth[sort]
-        assert list(table.leaves) == leaves
+        assert [kind for kind, _ in table.leaves] == leaves
         assert [kind for kind, _ in table.functions] == functions
 
 
@@ -526,6 +539,111 @@ def test_generation_is_reproducible_golden_file():
     tree = build_random_tree(prims, 3, random.Random(42))
     with open(GOLDEN) as fh:
         assert serialize(tree) == fh.read().strip()
+
+
+# ---------------------------------------------------------------------------
+# shared terminal leaves
+
+def shared_leaves(prims):
+    """The set's one node per terminal kind, by kind."""
+    return {kind: leaf for sort in Sort for kind, leaf in prims._growth[sort].leaves
+            if leaf is not None}
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH_SETS))
+def test_every_grown_terminal_is_the_sets_one_leaf_of_its_kind(name):
+    """Growth, mutation and crossover put only the set's own node of a
+    terminal kind in a tree, and a fresh node for every constant, while
+    growth still draws as the reference and builds equal trees."""
+    prims = grower.at_bias(GROWTH_SETS[name](), 0.5)
+    shared = shared_leaves(prims)
+    assert set(shared) == {kind for kind in prims.all_kinds
+                           if kind.category is Category.TERMINAL}
+    for kind, leaf in shared.items():
+        assert (leaf.kind, leaf.children, leaf.value) == (kind, (), None)
+        assert (leaf.size, leaf.depth, leaf.uniform) == (1, 1, True)
+    seeds = random.Random(f"shared:{name}")
+    grown = []
+    for sort in grower.sorts_with_leaves(prims):
+        for budget in range(1, 8):
+            for _ in range(6):
+                seed = seeds.random()
+                ours, theirs = random.Random(seed), random.Random(seed)
+                tree = grow_subtree(prims, sort, budget, ours)
+                want = grower.grow(prims, sort, budget, theirs)
+                assert (tree, hash(tree), repr(tree)) == (want, hash(want), repr(want))
+                assert ours.getstate() == theirs.getstate()
+                grown.append(tree)
+    roots = [tree for tree in grown if tree.sort is prims.root_sort]
+    rng = random.Random(name)
+    bred = [mutate(tree, prims, 8, rng) for tree in roots]
+    bred += [crossover(a, b, 8, rng) for a, b in zip(roots, bred)]
+    terminals = 0
+    for tree in grown + bred:
+        for node, _ in iter_nodes(tree):
+            if node.kind.category is Category.TERMINAL:
+                assert node is shared[node.kind]
+                terminals += 1
+    constants = [node for tree in grown for node, _ in iter_nodes(tree)
+                 if node.kind.category is Category.CONSTANT]
+    assert terminals and constants
+    assert len({id(node) for node in constants}) == len(constants)  # none shared
+
+
+def test_a_rebuilt_set_has_leaves_of_its_own(feed_prims):
+    rebuilt = dataclasses.replace(feed_prims, function_bias=0.5)
+    ours, theirs = shared_leaves(feed_prims), shared_leaves(rebuilt)
+    assert list(ours) == list(theirs)
+    for kind, leaf in ours.items():
+        assert theirs[kind] == leaf and theirs[kind] is not leaf
+    rng = random.Random(6)
+    grown = [build_random_tree(rebuilt, 1, rng) for _ in range(40)]
+    assert {id(tree) for tree in grown if tree.kind.category is Category.TERMINAL} == \
+        {id(leaf) for leaf in theirs.values()}
+
+
+def test_scoring_keeps_no_record_on_a_shared_leaf():
+    """One node stands for every copy of a terminal kind, so no task may
+    keep a per-input value on a leaf: after feed scoring, counting walks
+    included, and localisation evaluation, no shared leaf holds a record."""
+    catalog = default_catalog()
+    feed_sets = [feed_primitives(catalog)]
+    feed_sets.append(grower.at_bias(feed_sets[0], 1.0))
+    evaluator = FeedEvaluator(catalog, homogeneous_user(catalog), random.Random(1))
+    rng = random.Random("records")
+    counted = 0
+    for prims, depths in zip(feed_sets, (range(1, 10), range(1, 9))):
+        for depth in depths:
+            for _ in range(4):
+                tree = build_random_tree(prims, depth, rng)
+                for program in (tree, mutate(tree, prims, depth, rng)):
+                    evaluator(Individual.from_tree(program))
+                    counted += program.size > MAX_STEPS
+    assert counted  # some fills ran the counting walk
+    loc_prims = localisation_primitives()
+    evaluate = LocalisationEvaluator(WorldConfig(), random.Random("s"))
+    for depth in range(1, 7):
+        for _ in range(4):
+            evaluate(Individual.from_tree(build_random_tree(loc_prims, depth, rng)))
+    for prims in feed_sets + [loc_prims]:
+        assert all(leaf.record is None for leaf in shared_leaves(prims).values())
+
+
+def test_a_one_leaf_program_fills_each_catalog_its_own_screen():
+    """Every one-leaf program of a kind is one node, so it holds one memo
+    for them all; the memo is keyed by catalog, so the program gets each
+    catalog's own fill and fitness, as a fresh node does."""
+    catalogs = (default_catalog(), default_catalog(unread=5))
+    prims = feed_primitives(catalogs[0])
+    program = shared_leaves(prims)[prims.kind("unread_count")]
+    fills = [feed_module._fill_screen(ProgramTree(program.kind), c) for c in catalogs]
+    assert fills[0] != fills[1]
+    for side in (0, 1, 1, 0):
+        catalog = catalogs[side]
+        got, want = (FeedEvaluator(catalog, homogeneous_user(catalog), random.Random(side))(
+            Individual.from_tree(tree)) for tree in (program, ProgramTree(program.kind)))
+        assert got == want
+        assert program.memo == (catalog, fills[side])
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +796,10 @@ def test_a_node_keeps_the_hash_the_dataclass_would_generate(feed_prims, loc_prim
     for prims in (grower.at_bias(feed_prims, 0.5), grower.at_bias(loc_prims, 0.5)):
         for _ in range(100):
             tree = build_random_tree(prims, 6, rng)
-            assert tree._hash is None  # worked out on first use, never before
+            # worked out on first use, never before; a shared terminal leaf
+            # may keep the hash an earlier tree worked out
+            assert all(node._hash is None for node, _ in iter_nodes(tree)
+                       if node.kind.category is not Category.TERMINAL)
             assert hash(tree) == hash((tree.kind, tree.children, tree.value))
             assert all(node._hash is not None for node, _ in iter_nodes(tree))
             kind = tree.kind
