@@ -12,9 +12,11 @@ up to :data:`REBUILD_ATTEMPTS` times, after which the last is admitted
 anyway so breeding can never stall.  Rejections count into the statistics.
 
 Breeding does each piece of work once.  The population does not change while
-it breeds, so each selector's pool and the running fitness sums of its
-:class:`Wheel` are built once per breed, and every pick is one spin: one
-draw and one bisection.  Mutation and crossover walk to a point once
+it breeds, so a breed ranks its members at most once, and only if some
+selector keeps a ``pool_best``: each such pool is a prefix of that one
+ranking.  The running fitness sums of each selector's :class:`Wheel` are
+built once per breed, and every pick is one spin: one draw and one
+bisection.  Mutation and crossover walk to a point once
 (:func:`~gpislands.trees.node_at`) and graft along that walk's path.
 Crossover draws its donor from ``b`` by preorder index when every node of
 ``b`` has ``b``'s sort.  Every operator draws the same numbers in the same
@@ -26,11 +28,9 @@ from __future__ import annotations
 import enum
 import logging
 import math
-import operator
 import random
 from bisect import bisect_right
 from dataclasses import KW_ONLY, dataclass
-from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from .trees import (
@@ -77,8 +77,9 @@ class SelectorBinding:
     """A selector: a roulette wheel over the pool's fitness values.  Its key
     in :attr:`EvolutionStrategy.selectors` names it.
 
-    ``pool_best`` restricts the wheel to the n fittest members; ``None``
-    spins over the whole population.
+    ``pool_best`` restricts the wheel to the n fittest members (all of
+    them, when the population holds fewer); ``None`` spins over the whole
+    population.
     """
 
     pool_best: Optional[int] = None
@@ -88,16 +89,6 @@ class SelectorBinding:
         if best is not None and (type(best) is not int or best < 1):  # rejects bools too
             raise ConfigurationError(
                 f"pool_best must be a whole number of at least 1, got {best!r}")
-
-    def pool(self, pop: Population) -> list[Individual]:
-        if self.pool_best is None:
-            return list(pop.members)
-        return n_best(pop, min(self.pool_best, len(pop.members)))
-
-    def wheel(self, pop: Population) -> "Wheel":
-        """The wheel over this selector's pool of ``pop``, to spin as often
-        as the members of ``pop`` keep their fitness."""
-        return Wheel(self.pool(pop))
 
 
 @dataclass(frozen=True)
@@ -250,13 +241,21 @@ class Wheel:
         return pool[bisect_right(self.cumulative, rng.random() * self.total)]
 
 
+def _ranking(members: Sequence[Individual]) -> list[Individual]:
+    """The scored ``members``, fittest first, in the order of ``(-fitness,
+    index)``: the sort is stable, so equal fitness keeps the earlier index
+    first."""
+    return sorted(members, key=lambda m: -m.fitness)
+
+
 def n_best(pop: Population, n: int) -> list[Individual]:
-    """The ``n`` fittest members; equal fitness keeps the earlier index first."""
+    """The ``n`` fittest members, for ``0 <= n <= len(pop.members)``; equal
+    fitness keeps the earlier index first.  Any other ``n`` raises
+    :class:`ValueError`."""
     if n < 0 or n > len(pop.members):
         raise ValueError(f"n_best({n}) over {len(pop.members)} members")
     _need_fitness(pop.members)
-    order = sorted(range(len(pop.members)), key=lambda i: (-pop.members[i].fitness, i))
-    return [pop.members[i] for i in order[:n]]
+    return _ranking(pop.members)[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +349,14 @@ def breed_next_generation(pop: Population, strategy: EvolutionStrategy, prims: P
     (appended immigrants take part in selection); the new population has
     exactly ``strategy.total()`` members.  Each selector's wheel is built
     when a step first picks from it, and spun for every later pick of the
-    breed.
+    breed.  The members are ranked when the first ``pool_best`` wheel is
+    built, and never again.
     """
     _need_fitness(pop.members)
     new = Population([])
     members = new.members
     wheels: dict[str, Wheel] = {}
+    ranking: Optional[list[Individual]] = None
     for step in strategy.steps:
         if step.operator is Operator.RANDOM:
             for _ in range(step.count):
@@ -367,7 +368,14 @@ def breed_next_generation(pop: Population, strategy: EvolutionStrategy, prims: P
         # the pool cannot change while the population breeds
         wheel = wheels.get(step.selector)
         if wheel is None:
-            wheel = wheels[step.selector] = strategy.selectors[step.selector].wheel(pop)
+            best = strategy.selectors[step.selector].pool_best
+            if best is None:
+                pool = pop.members
+            else:
+                if ranking is None:
+                    ranking = _ranking(pop.members)
+                pool = ranking[:best]
+            wheel = wheels[step.selector] = Wheel(pool)
         spin = wheel.spin
         for _ in range(step.count):
             if step.operator is Operator.COPY:
@@ -408,17 +416,28 @@ def _safe_fitness(evaluator: FitnessFn, member: Individual) -> float:
 
 
 def population_stats(pop: Population) -> EvalStats:
-    """The generation's fitness, size and depth figures.  Fitnesses are
-    added left to right: ``sum`` over floats rounds differently from 3.12
-    on, and the mean reaches the rows."""
-    _need_fitness(pop.members)
-    count = len(pop.members)
-    return EvalStats(
-        max_fitness=max(m.fitness for m in pop.members),
-        mean_fitness=reduce(operator.add, [m.fitness for m in pop.members], 0) / count,
-        mean_size=sum(m.size for m in pop.members) / count,
-        mean_depth=sum(m.depth for m in pop.members) / count,
-    )
+    """The generation's fitness, size and depth figures, in one pass over
+    the members.  The maximum is the first of the highest fitnesses, as
+    ``max`` keeps it.  Fitnesses are added left to right from ``0``: ``sum``
+    over floats rounds differently from 3.12 on, and the mean reaches the
+    rows.  Sizes and depths are whole numbers, so their totals are exact."""
+    members = pop.members
+    if not members:
+        raise ValueError("statistics of an empty population")
+    best = None
+    total = size = depth = 0
+    for m in members:
+        fitness = m.fitness
+        if fitness is None:
+            raise ValueError("selection over unevaluated members")
+        if best is None or fitness > best:
+            best = fitness
+        total += fitness
+        tree = m.tree
+        size += tree.size
+        depth += tree.depth
+    count = len(members)
+    return EvalStats(best, total / count, size / count, depth / count)
 
 
 def evaluate_population(pop: Population, evaluator: FitnessFn) -> EvalStats:

@@ -1,4 +1,4 @@
-"""Experiment runner: repeated island runs, CSV output, and run comparison.
+"""Experiment runner: repeated island runs and CSV output.
 
 An :class:`ExperimentConfig` pins one experimental cell -- task, island
 count, capacity, breeding strategy, migration policy, landscape and base
@@ -6,10 +6,6 @@ seed.  :func:`run_experiment` repeats it for the configured number of
 iterations (seeding every island and the transport from the base seed, so
 reruns are byte-identical) and yields per-generation statistics rows plus
 across-iteration aggregates.
-
-:func:`compare_runs` reduces two result sets to the first generation at
-which the across-iteration mean of the best fitness clears a threshold, and
-reports the improvement ratio ``1 - treatment / baseline``.
 """
 
 from __future__ import annotations
@@ -254,12 +250,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         transports = _transports(config, iteration)
         try:
             history = run_islands(specs, prims, config.max_depth, policy,
-                                  config.generations, transports)
+                                  config.generations, transports, iteration=iteration)
         finally:
             for transport in transports:
                 transport.close()
         for island_rows in history:
-            rows.extend(dataclasses.replace(r, iteration=iteration) for r in island_rows)
+            rows.extend(island_rows)
     rows.sort(key=lambda r: (r.iteration, r.generation, r.island))
     return ExperimentResult(config, rows, _summarize(config, rows))
 
@@ -288,62 +284,3 @@ def summary_path_for(path: str) -> str:
 def write_summary_csv(result: ExperimentResult, path: str) -> None:
     _write_csv(path, [f.name for f in dataclasses.fields(SummaryRow)], result.summary)
 
-
-# ---------------------------------------------------------------------------
-# comparisons
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    threshold: float
-    baseline_generation: Optional[int]
-    treatment_generation: Optional[int]
-    improvement: Optional[float]
-
-
-def best_fitness_curve(result: ExperimentResult) -> list[float]:
-    """Across-iteration mean of the per-generation best fitness anywhere."""
-    best: dict[tuple[int, int], float] = {}
-    for r in result.rows:
-        key = (r.generation, r.iteration)
-        if key not in best or r.max_fitness > best[key]:
-            best[key] = r.max_fitness
-    curve = []
-    for generation in range(result.config.generations):
-        per_iteration = [best[generation, iteration]
-                         for iteration in range(result.config.iterations)]
-        curve.append(float(np.mean(per_iteration)))
-    return curve
-
-
-def generations_to_threshold(result: ExperimentResult, threshold: float) -> Optional[int]:
-    for generation, value in enumerate(best_fitness_curve(result)):
-        if value >= threshold:
-            return generation
-    return None
-
-
-def compare_runs(baseline: ExperimentResult, treatment: ExperimentResult,
-                 threshold: float) -> ComparisonReport:
-    """First threshold crossing of each run plus the improvement ratio.
-
-    Identical runs improve by 0; a treatment crossing at generation 4 against
-    a baseline crossing at 12 improves by 1 - 4/12.  The ratio is ``None``
-    when either run never crosses (or the baseline crosses immediately, which
-    leaves nothing to improve on).
-    """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must lie in (0, 1]")
-    if (baseline.config.app, resolve_strategy(baseline.config).total()) != \
-            (treatment.config.app, resolve_strategy(treatment.config).total()):
-        raise ValueError("compared runs must share the task and capacity")
-    base_gen = generations_to_threshold(baseline, threshold)
-    treat_gen = generations_to_threshold(treatment, threshold)
-    if base_gen is None or treat_gen is None:
-        improvement = None
-    elif base_gen == treat_gen:
-        improvement = 0.0
-    elif base_gen == 0:
-        improvement = None
-    else:
-        improvement = 1.0 - treat_gen / base_gen
-    return ComparisonReport(threshold, base_gen, treat_gen, improvement)

@@ -347,9 +347,11 @@ class IslandSpec:
 
 def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, max_depth: int,
                 policy: MigrationPolicy, generations: int,
-                transports: Sequence[Transport]) -> list[list[GenerationStats]]:
+                transports: Sequence[Transport], *,
+                iteration: int) -> list[list[GenerationStats]]:
     """Evolve all islands for ``generations`` lock-step generations, island
-    ``k`` exchanging migrants through ``transports[k]``.
+    ``k`` exchanging migrants through ``transports[k]``; every row records
+    ``iteration``, the repetition of the experiment this run is.
 
     Per generation and island: evaluate every member; at migration
     generations emit emigrants, deliver, admit and score arrivals (or inject
@@ -399,7 +401,7 @@ def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, max_depth: int
             # arrivals joined the pool after it was summarized
             pool = population_stats(pops[k]) if arrived[k] else stats[k]
             history[k].append(GenerationStats(
-                iteration=0, generation=generation, island=k,
+                iteration=iteration, generation=generation, island=k,
                 max_fitness=pool.max_fitness, mean_fitness=pool.mean_fitness,
                 mean_size=pool.mean_size, mean_depth=pool.mean_depth,
                 immigrants_admitted=arrived[k], emigrants_sent=sent[k],

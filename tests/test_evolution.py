@@ -1,11 +1,14 @@
 """Selection, variation operators, strategies and generational breeding."""
 import dataclasses
+import operator
 import random
+from functools import reduce
 
 import grower
 import pytest
 from reference_tree import reference_replace
 
+from gpislands import evolution
 from gpislands.evolution import (
     CROSSOVER_RETRIES,
     REBUILD_ATTEMPTS,
@@ -85,13 +88,48 @@ def test_wheel_rejects_bad_pools(geo_prims):
         Wheel(pop.members)
 
 
+def oracle_best(pop, n):
+    """The ``n`` fittest members by ``(-fitness, index)``."""
+    order = sorted(range(len(pop.members)), key=lambda i: (-pop.members[i].fitness, i))
+    return [pop.members[i] for i in order[:n]]
+
+
+def oracle_pool(binding, pop):
+    """A selector's pool, built on its own: the ``pool_best`` fittest
+    members (all, when there are fewer), or every member."""
+    if binding.pool_best is None:
+        return list(pop.members)
+    return oracle_best(pop, min(binding.pool_best, len(pop.members)))
+
+
+def fitness_lists():
+    """Random, tied and mixed fitness lists, from one to twelve members."""
+    rng = random.Random("fitness lists")
+    for size in range(1, 13):
+        yield [rng.random() for _ in range(size)]
+        yield [0.5] * size
+        yield [0.0] * size
+        yield [rng.choice((0.0, 0.25, 1.0, rng.random())) for _ in range(size)]
+        yield [rng.random() * 10.0 ** rng.randint(-8, 0) for _ in range(size)]
+
+
 def test_n_best_breaks_ties_by_position(geo_prims):
     pop = make_pop([0.5, 0.5], geo_prims)
     assert n_best(pop, 1) == [pop.members[0]]
     pop = make_pop([0.2, 0.9, 0.5], geo_prims)
     assert n_best(pop, 3) == [pop.members[1], pop.members[2], pop.members[0]]
-    with pytest.raises(ValueError):
-        n_best(pop, 4)
+
+
+def test_n_best_takes_n_from_0_to_the_population_size(geo_prims):
+    for fitnesses in fitness_lists():
+        pop = make_pop(fitnesses, geo_prims)
+        for n in range(len(fitnesses) + 1):
+            got = n_best(pop, n)
+            assert len(got) == n
+            assert all(a is b for a, b in zip(got, oracle_best(pop, n)))
+        for n in (-1, len(fitnesses) + 1):
+            with pytest.raises(ValueError, match=f"n_best\\({n}\\) over {len(fitnesses)}"):
+                n_best(pop, n)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +403,7 @@ def reference_breed(pop, strategy, prims, max_depth, rng, guard):
         binding = strategy.selectors.get(step.selector)
 
         def pick():
-            return Wheel(binding.pool(pop)).spin(rng)
+            return Wheel(oracle_pool(binding, pop)).spin(rng)
 
         for _ in range(step.count):
             if step.operator is Operator.COPY:
@@ -430,15 +468,46 @@ def test_a_breed_matches_a_wheel_built_for_every_pick(task, geo_prims, feed_prim
     assert zero_totals
 
 
-def test_a_selectors_wheel_spins_as_a_fresh_wheel_per_pick(geo_prims):
-    pop = make_pop([0.2, 0.9, 0.0, 0.5, 0.9], geo_prims)
-    for binding in (SelectorBinding(3), SelectorBinding()):
-        ours, theirs = random.Random(6), random.Random(6)
-        wheel = binding.wheel(pop)
-        for _ in range(50):
-            assert wheel.spin(ours) is Wheel(binding.pool(pop)).spin(theirs)
-            assert wheel.spin(theirs) is Wheel(binding.pool(pop)).spin(ours)
-        assert ours.getstate() == theirs.getstate()
+def copies_of(pop, pool_best, count, rng):
+    """The members a breed of ``count`` elite copies from one selector picks."""
+    strategy = EvolutionStrategy({"S": SelectorBinding(pool_best)},
+                                 [StrategyStep(Operator.COPY, count, "S")])
+    return breed_next_generation(pop, strategy, None, 3, rng).members
+
+
+def test_a_ranked_wheel_spins_as_a_wheel_over_n_best(geo_prims):
+    for case, fitnesses in enumerate(fitness_lists()):
+        pop = make_pop(fitnesses, geo_prims)
+        for pool_best in (1, 2, 3, len(fitnesses), len(fitnesses) + 2, None):
+            ours, theirs = random.Random(case), random.Random(case)
+            bred = copies_of(pop, pool_best, 20, ours)
+            wheel = Wheel(pop.members if pool_best is None  # in member order
+                          else n_best(pop, min(pool_best, len(fitnesses))))
+            picks = [wheel.spin(theirs) for _ in range(20)]
+            assert [(m.tree, m.fitness) for m in bred] == [(m.tree, m.fitness) for m in picks]
+            assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("strategy,sorts", [
+    (island_strategy(10), 1),  # Leader and HR share the one ranking
+    (mixed_strategy(), 1),
+    (EvolutionStrategy({"All": SelectorBinding()},
+                       [StrategyStep(Operator.CROSSOVER, 6, "All")]), 0),
+    (EvolutionStrategy({"Two": SelectorBinding(2)},  # no step picks from "Two"
+                       [StrategyStep(Operator.COPY, 0, "Two"),
+                        StrategyStep(Operator.RANDOM, 6, "Two")]), 0),
+], ids=["island", "mixed", "whole pool", "unused pool_best"])
+def test_a_breed_ranks_its_members_at_most_once(geo_prims, monkeypatch, strategy, sorts):
+    pop = make_pop([0.2, 0.9, 0.0, 0.5, 0.9, 0.5, 0.1], geo_prims)
+    calls = []
+
+    def counting_sorted(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "sorted", counting_sorted, raising=False)
+    breed_next_generation(pop, strategy, geo_prims, 3, random.Random(3))
+    assert len(calls) == sorts
 
 
 def test_elite_fitness_never_decreases_with_deterministic_evaluator(geo_prims):
@@ -489,6 +558,33 @@ def test_guard_exhaustion_admits_last_candidate(geo_prims):
 
 # ---------------------------------------------------------------------------
 # evaluation bookkeeping
+
+def oracle_stats(pop):
+    """The figures as ``max``, ``reduce`` from ``0`` and ``sum`` give them."""
+    count = len(pop.members)
+    return (max(m.fitness for m in pop.members),
+            reduce(operator.add, [m.fitness for m in pop.members], 0) / count,
+            sum(m.size for m in pop.members) / count,
+            sum(m.depth for m in pop.members) / count)
+
+
+def test_population_stats_match_max_reduce_and_sum_bit_for_bit(geo_prims):
+    for fitnesses in [*fitness_lists(), [-0.0, 0.0], [0.0, -0.0], [-0.0], [0.1] * 10,
+                      [1e16, 1.0, -1e16, 1.0]]:
+        pop = make_pop(fitnesses, geo_prims)
+        stats = population_stats(pop)
+        got = (stats.max_fitness, stats.mean_fitness, stats.mean_size, stats.mean_depth)
+        assert [x.hex() for x in got] == [x.hex() for x in oracle_stats(pop)]
+
+
+def test_population_stats_need_every_member_scored(geo_prims):
+    pop = make_pop([0.5, 0.25, 0.75], geo_prims)
+    pop.members[2].fitness = None
+    with pytest.raises(ValueError, match="unevaluated"):
+        population_stats(pop)
+    with pytest.raises(ValueError, match="empty"):
+        population_stats(Population([]))
+
 
 def test_population_stats_shape(geo_prims):
     pop = make_pop([1.0, 0.0, 0.0, 0.0, 0.0], geo_prims)

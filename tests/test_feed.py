@@ -1348,6 +1348,16 @@ def test_config_round_trip(tmp_path):
     assert prims.kind("is_alpha") is not None
 
 
+@pytest.mark.parametrize("low,high", [(0.0, 1.0), (0, 1)])
+def test_a_click_prob_at_either_end_of_its_range_is_accepted(tmp_path, low, high):
+    path = tmp_path / "feeds.json"
+    path.write_text(json.dumps({"feeds": [{"id": "a", "group": "tech"},
+                                          {"id": "b", "group": "news"}],
+                                "click_prob": {"a": low, "b": high}}))
+    _, user = load_feed_config(str(path))
+    assert (repr(user.probability("a")), repr(user.probability("b"))) == ("0.0", "1.0")
+
+
 def test_config_without_clicks_defaults_to_group_reader(tmp_path):
     path = tmp_path / "feeds.json"
     path.write_text(json.dumps({"feeds": [{"id": "a", "group": "tech"}]}))

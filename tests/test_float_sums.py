@@ -18,8 +18,6 @@ PACKAGE = pathlib.Path(gpislands.__file__).resolve().parent
 #: is passed as, if any.
 INTEGER_SUMS = {
     ("evolution.py", "EvolutionStrategy.total", None),  # step counts
-    ("evolution.py", "population_stats", "mean_size"),  # node counts
-    ("evolution.py", "population_stats", "mean_depth"),  # depths in nodes
 }
 
 

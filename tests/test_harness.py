@@ -1,4 +1,4 @@
-"""Experiment configs, CSV output, comparisons and the command line."""
+"""Experiment configs, CSV output and the command line."""
 import csv
 import dataclasses
 import json
@@ -13,12 +13,7 @@ from gpislands import harness
 from gpislands.cli import build_parser, config_from_args, main
 from gpislands.harness import (
     CSV_COLUMNS,
-    ComparisonReport,
     ExperimentConfig,
-    ExperimentResult,
-    best_fitness_curve,
-    compare_runs,
-    generations_to_threshold,
     resolve_strategy,
     run_experiment,
     summary_path_for,
@@ -35,21 +30,6 @@ SMALL = dict(islands=2, capacity=6, generations=4, iterations=3,
 
 def small_run(**overrides):
     return run_experiment(ExperimentConfig(app="feed", **{**SMALL, **overrides}))
-
-
-def synthetic_result(crossing, app="feed", capacity=10, generations=20):
-    """A result whose best-fitness curve steps from 0 to 1 at ``crossing``."""
-    config = ExperimentConfig(app=app, capacity=capacity, islands=1,
-                              generations=generations, iterations=2)
-    rows = [
-        GenerationStats(iteration=it, generation=g, island=0,
-                        max_fitness=1.0 if crossing is not None and g >= crossing else 0.0,
-                        mean_fitness=0.0, mean_size=1.0, mean_depth=1.0,
-                        immigrants_admitted=0, emigrants_sent=0,
-                        helper_rejections=0)
-        for it in range(2) for g in range(generations)
-    ]
-    return ExperimentResult(config, rows, [])
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +52,22 @@ def test_config_validation_rejects(overrides):
     config = ExperimentConfig(**{"app": "feed", **overrides})
     with pytest.raises(ConfigurationError):
         config.validate()
+
+
+@pytest.mark.parametrize("base,islands", [(1, 1), (1, 65535), (65535, 1), (65534, 2)])
+def test_udp_ports_from_1_to_65535_are_accepted(base, islands):
+    """Validation only: no socket is bound."""
+    ExperimentConfig(app="feed", transport="udp", udp_base_port=base,
+                     islands=islands).validate()
+
+
+@pytest.mark.parametrize("base,islands", [(0, 1), (1, 65536), (65536, 1), (65535, 2)])
+def test_udp_ports_one_past_either_end_exit_2(tmp_path, capsys, base, islands):
+    """Rejected when the config is validated, before any socket is bound."""
+    assert main(["--app", "feed", "--transport", "udp", "--udp-base-port", str(base),
+                 "--islands", str(islands), "--out", str(tmp_path / "out.csv")]) == 2
+    assert "must lie in 1..65535" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_heterogeneous_landscape_is_feed_only():
@@ -157,6 +153,23 @@ def test_migration_bookkeeping_in_rows():
             assert row.emigrants_sent == 1  # round(0.2 x 6) = 1
         else:
             assert row.emigrants_sent == 0
+
+
+def test_rows_are_complete_when_run_islands_makes_them(monkeypatch):
+    """Each iteration's rows come from ``run_islands`` as they are kept: the
+    harness passes the iteration in and copies no row to set it."""
+    made = []
+    run_islands = harness.run_islands
+
+    def recording(*args, **kwargs):
+        history = run_islands(*args, **kwargs)
+        made.extend(row for rows in history for row in rows)
+        return history
+
+    monkeypatch.setattr(harness, "run_islands", recording)
+    result = small_run()
+    assert {r.iteration for r in result.rows} == {0, 1, 2}
+    assert sorted(map(id, result.rows)) == sorted(map(id, made))
 
 
 def test_rerun_is_identical():
@@ -342,59 +355,6 @@ def test_the_summary_refuses_rows_that_do_not_fill_the_grid(change):
 def test_summary_path_derivation():
     assert summary_path_for("out/results.csv") == "out/results_summary.csv"
     assert summary_path_for("plain") == "plain_summary.csv"
-
-
-# ---------------------------------------------------------------------------
-# comparisons
-
-def test_best_fitness_curve_maxes_islands_then_averages():
-    result = synthetic_result(crossing=2, generations=4)
-    # flip one island/iteration early to show the max-then-mean order
-    result.rows[1] = dataclasses.replace(result.rows[1], max_fitness=1.0)
-    assert best_fitness_curve(result) == [0.0, 0.5, 1.0, 1.0]
-    assert generations_to_threshold(result, 0.9) == 2
-    assert generations_to_threshold(result, 0.4) == 1
-
-
-def test_compare_runs_improvement_ratio():
-    report = compare_runs(synthetic_result(12), synthetic_result(4), 0.9)
-    assert report == ComparisonReport(0.9, 12, 4, 1.0 - 4 / 12)
-
-
-def test_compare_identical_runs_improves_by_zero():
-    report = compare_runs(synthetic_result(7), synthetic_result(7), 0.9)
-    assert report.improvement == 0.0
-
-
-def test_compare_reads_the_island_size_each_run_used():
-    """``gr`` states a size of 5, whether or not the capacity is given."""
-    stated = synthetic_result(12, capacity=None)
-    stated.config.strategy = "gr"
-    report = compare_runs(stated, synthetic_result(4, capacity=5), 0.9)
-    assert report.improvement == 1.0 - 4 / 12
-    with pytest.raises(ValueError):  # auto picks island, of 10
-        compare_runs(stated, synthetic_result(4, capacity=None), 0.9)
-
-
-def test_compare_handles_missing_crossings():
-    assert compare_runs(synthetic_result(None), synthetic_result(4),
-                        0.9).improvement is None
-    assert compare_runs(synthetic_result(12), synthetic_result(None),
-                        0.9).improvement is None
-    assert compare_runs(synthetic_result(0), synthetic_result(4),
-                        0.9).improvement is None  # nothing to improve on
-
-
-def test_compare_validates_inputs():
-    with pytest.raises(ValueError):
-        compare_runs(synthetic_result(3), synthetic_result(2), 0.0)
-    with pytest.raises(ValueError):
-        compare_runs(synthetic_result(3), synthetic_result(2), 1.5)
-    with pytest.raises(ValueError):
-        compare_runs(synthetic_result(3),
-                     synthetic_result(2, app="localisation"), 0.9)
-    with pytest.raises(ValueError):
-        compare_runs(synthetic_result(3), synthetic_result(2, capacity=12), 0.9)
 
 
 # ---------------------------------------------------------------------------

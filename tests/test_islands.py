@@ -76,6 +76,17 @@ def test_policy_validation():
         MigrationPolicy(rate=1.5)
 
 
+@pytest.mark.parametrize("rate,batch", [(0.0, 0), (0, 0), (1.0, 10), (1, 10)])
+def test_a_rate_at_either_end_of_its_range_is_accepted(rate, batch):
+    assert MigrationPolicy(rate=rate).batch_size(10) == batch
+
+
+@pytest.mark.parametrize("rate", [-1e-12, 1.0 + 1e-12, float("nan")])
+def test_a_rate_just_past_its_range_is_rejected(rate):
+    with pytest.raises(ConfigurationError, match="rate"):
+        MigrationPolicy(rate=rate)
+
+
 def test_migration_generations():
     policy = MigrationPolicy(interval=5)
     assert [g for g in range(21) if is_migration_generation(g, policy)] == [5, 10, 15, 20]
@@ -266,7 +277,7 @@ def test_run_is_the_same_whether_migrants_resolve_or_are_parsed(feed_prims, pars
                             f"s{k}")
                  for k in range(3)]
         return run_islands(specs, feed_prims, 7, MigrationPolicy(interval=1, rate=0.5), 8,
-                           transports)
+                           transports, iteration=0)
 
     resolved = run(bus_endpoints(3, loss=0.5, seed="t"))
     assert parses == []
@@ -327,7 +338,7 @@ def run_one(prims, seed, generations=8, policy=None, capacity=6):
     spec = IslandSpec(island_strategy(capacity), sized_fitness, seed)
     return run_islands([spec], prims, 3,
                        policy or MigrationPolicy(mode=MigrationMode.NONE),
-                       generations, bus_endpoints(1))[0]
+                       generations, bus_endpoints(1), iteration=0)[0]
 
 
 def test_isolated_islands_match_standalone_runs(geo_prims):
@@ -335,7 +346,8 @@ def test_isolated_islands_match_standalone_runs(geo_prims):
     specs = [IslandSpec(island_strategy(6), sized_fitness, "lhs"),
              IslandSpec(island_strategy(6), sized_fitness, "rhs")]
     paired = run_islands(specs, geo_prims, 3,
-                         MigrationPolicy(mode=MigrationMode.NONE), 8, bus_endpoints(2))
+                         MigrationPolicy(mode=MigrationMode.NONE), 8, bus_endpoints(2),
+                         iteration=0)
     solo_lhs = run_one(geo_prims, "lhs")
     solo_rhs = run_one(geo_prims, "rhs")
     assert [dataclasses.replace(r, island=0) for r in paired[1]] == solo_rhs
@@ -345,7 +357,7 @@ def test_isolated_islands_match_standalone_runs(geo_prims):
 def test_migration_bookkeeping_at_event_generations(geo_prims):
     specs = [IslandSpec(island_strategy(6), sized_fitness, s) for s in ("a", "b")]
     policy = MigrationPolicy(interval=2, rate=0.5, mode=MigrationMode.MIGRATE)
-    history = run_islands(specs, geo_prims, 3, policy, 7, bus_endpoints(2))
+    history = run_islands(specs, geo_prims, 3, policy, 7, bus_endpoints(2), iteration=0)
     for rows in history:
         for row in rows:
             if row.generation in (2, 4, 6):
@@ -360,7 +372,7 @@ def test_each_island_is_as_large_as_its_strategy(geo_prims):
     specs = [IslandSpec(island_strategy(6), sized_fitness, "six"),
              IslandSpec(island_strategy(8), sized_fitness, "eight")]
     policy = MigrationPolicy(interval=2, rate=0.5, mode=MigrationMode.MIGRATE)
-    six, eight = run_islands(specs, geo_prims, 3, policy, 5, bus_endpoints(2))
+    six, eight = run_islands(specs, geo_prims, 3, policy, 5, bus_endpoints(2), iteration=0)
     assert [r.emigrants_sent for r in six] == [0, 0, 3, 0, 3]
     assert [r.emigrants_sent for r in eight] == [0, 0, 4, 0, 4]
     assert [r.immigrants_admitted for r in six] == [0, 0, 4, 0, 4]
@@ -382,10 +394,10 @@ def test_total_loss_leaves_trajectory_untouched(geo_prims):
                      for s in ("p", "q")]
     lossy = run_islands(specs(), geo_prims, 3,
                         MigrationPolicy(interval=2, mode=MigrationMode.MIGRATE),
-                        8, bus_endpoints(2, loss=1.0))
+                        8, bus_endpoints(2, loss=1.0), iteration=0)
     quiet = run_islands(specs(), geo_prims, 3,
                         MigrationPolicy(interval=2, mode=MigrationMode.NONE), 8,
-                        bus_endpoints(2))
+                        bus_endpoints(2), iteration=0)
     strip = lambda rows: [dataclasses.replace(r, emigrants_sent=0) for r in rows]
     assert [strip(rows) for rows in lossy] == [strip(rows) for rows in quiet]
     assert any(r.emigrants_sent for rows in lossy for r in rows)
@@ -395,6 +407,28 @@ def test_stats_rows_cover_every_generation(geo_prims):
     rows = run_one(geo_prims, "cover", generations=5)
     assert [r.generation for r in rows] == [0, 1, 2, 3, 4]
     assert all(isinstance(r, GenerationStats) for r in rows)
+
+
+@pytest.mark.parametrize("mode", list(MigrationMode))
+def test_every_row_carries_the_iteration_it_is_given(geo_prims, mode):
+    """A row is complete when it is made: the iteration, like every other
+    field, is the run's own, and nothing else about the run depends on it."""
+    def run(iteration):
+        specs = [IslandSpec(island_strategy(6), sized_fitness, s) for s in ("x", "y")]
+        return run_islands(specs, geo_prims, 3, MigrationPolicy(interval=2, rate=0.5,
+                                                                mode=mode),
+                           5, bus_endpoints(2), iteration=iteration)
+
+    zero, seven = run(0), run(7)
+    assert {r.iteration for rows in zero for r in rows} == {0}
+    assert {r.iteration for rows in seven for r in rows} == {7}
+    assert [[dataclasses.replace(r, iteration=0) for r in rows] for rows in seven] == zero
+
+
+def test_a_run_needs_its_iteration(geo_prims):
+    spec = IslandSpec(island_strategy(6), sized_fitness, "x")
+    with pytest.raises(TypeError, match="iteration"):
+        run_islands([spec], geo_prims, 3, MigrationPolicy(), 2, bus_endpoints(1))
 
 
 # ---------------------------------------------------------------------------
