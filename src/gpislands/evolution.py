@@ -223,11 +223,13 @@ class Wheel:
     def __init__(self, pool: Sequence[Individual]) -> None:
         if not pool:
             raise ValueError("cannot select from an empty pool")
-        _need_fitness(pool)
         total = 0.0
         cumulative = []
         for m in pool:
-            total += m.fitness
+            fitness = m.fitness
+            if fitness is None:
+                raise ValueError("selection over unevaluated members")
+            total += fitness
             cumulative.append(total)
         self.pool = pool
         self.cumulative = cumulative

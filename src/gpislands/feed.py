@@ -31,13 +31,6 @@ killed and its steps are never counted.  A larger tree's counts come from
 a second walk (:func:`_count_steps`) that evaluates nothing: it follows
 each feed down the branches the recorded values send it.
 
-A fill has one fallback, and the feed task runs the interpreter only
-there: when scoring raises (an unbound terminal, or a function that raises
-on some feed's operands, perhaps in a branch that feed does not take), the
-fill runs the tree once feed by feed (:func:`_run_each_feed`) and takes
-every value and count from those runs, so an error raises exactly when
-some feed's own run reaches it, and it is the first such feed's error.
-
 The pass scores only what it has not scored before.  Every function node
 it evaluates keeps its per-feed values on the node (``ProgramTree.record``),
 keyed by the identity of the catalog's columns, the counting walk adds the
@@ -80,7 +73,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .interpreter import compile_program, execute
+from .interpreter import execute  # noqa: F401  unused: the traced benchmark wraps this name
 from .trees import (
     Category,
     ConfigurationError,
@@ -258,7 +251,7 @@ def _scorer(columns: dict[str, tuple], count: int) -> Callable[[ProgramTree], Se
     and each feed's value is picked from the branch it takes: a feed's
     value depends only on its own path, and the feed vocabulary neither
     raises nor has side effects, so every feed gets exactly the value of a
-    per-feed run.  The pass raises whatever an evaluation raises.
+    per-feed run.  A terminal with no column raises a ``KeyError`` naming it.
 
     Every function node the pass evaluates keeps its values in its
     ``record`` as ``(columns, values, None)``, and any later pass over any
@@ -321,8 +314,8 @@ def _count_steps(tree: ProgramTree, columns: dict[str, tuple],
     none).  Each function node it counts keeps its counts, a tuple of one
     int per feed, in its record beside its values, and a later walk over
     any tree that holds the node reads them, so a bred child counts only
-    the ancestors breeding rebuilt.  The walk raises whatever scoring
-    raises.
+    the ancestors breeding rebuilt.  The walk raises only the pass's
+    ``KeyError``, for a terminal with no column in a node it scores.
     """
     ones = (1,) * len(scored(tree))
 
@@ -358,27 +351,6 @@ def _count_steps(tree: ProgramTree, columns: dict[str, tuple],
     return counted(tree)
 
 
-def _run_each_feed(tree: ProgramTree, columns: dict[str, tuple], count: int
-                   ) -> tuple[tuple, tuple[int, ...]]:
-    """``tree``'s value and step count for each of the ``count`` feeds of
-    ``columns``, in catalog order, from a run of its own on the interpreter,
-    as a supervisor running the feeds one by one gives them: the first
-    feed whose run raises raises its error.  The budget is the tree's size,
-    which no run can exceed, so no run is killed and every count is exact;
-    the kill is decided over all of them afterwards.  The tree is compiled
-    once, its terminals reading the column row of the feed being run."""
-    row = [0]
-    bindings = {name: (lambda c=column: c[row[0]]) for name, column in columns.items()}
-    program = compile_program(tree, bindings)
-    values, steps = [], []
-    for i in range(count):
-        row[0] = i
-        outcome = execute(program, program.size)
-        values.append(outcome.value)
-        steps.append(outcome.steps_used)
-    return tuple(values), tuple(steps)
-
-
 @dataclass
 class FeedReport:
     """What one evaluation put on the screen and what got clicked."""
@@ -396,7 +368,8 @@ class FeedReport:
 
 
 def run_feed_program(tree: ProgramTree, catalog: FeedCatalog) -> FeedReport:
-    """Score every feed with ``tree`` and fill the screen round-robin.
+    """Score every feed with ``tree``, a tree of :func:`feed_primitives`
+    over ``catalog``, and fill the screen round-robin.
 
     Feeds scoring <= 0 contribute nothing.  Ties rank by catalog position.
     If some feed's run would be killed, the whole report is empty.  The fill
@@ -437,14 +410,10 @@ def _fill_screen(tree: ProgramTree, catalog: FeedCatalog) -> Optional[Fill]:
     killed exactly when some feed's run would evaluate more than
     :data:`MAX_STEPS` nodes, which only a tree of more nodes than that can
     do, so only such a tree's steps are counted (:func:`_count_steps`).
-    The pass scores every feed before the kill is decided, so a terminal
-    the catalog does not bind raises :class:`ConfigurationError` whenever
-    some feed reaches it, even in a tree the budget kills.
 
-    The fill has one fallback: should the pass or the count raise, each
-    feed is run once on the interpreter (:func:`_run_each_feed`), and
-    those runs give every value and, exactly, every count that decides the
-    kill, or the first erring feed's error is raised.
+    ``tree`` is a tree of :func:`feed_primitives` over ``catalog``: a terminal
+    the catalog does not bind raises :class:`ConfigurationError` naming it
+    wherever the pass reads it, in any feed's branch, even in a killed tree.
 
     The scores are the pass's own tuple of values, not copied.  The screen
     is :func:`_screen` of the ranking: the indices of the feeds scoring
@@ -453,16 +422,13 @@ def _fill_screen(tree: ProgramTree, catalog: FeedCatalog) -> Optional[Fill]:
     is stable, ``reverse`` included, so ties keep their catalog order.
     """
     columns = _feed_columns(catalog)
-    count = len(catalog.feeds)
-    scored = _scorer(columns, count)
+    scored = _scorer(columns, len(catalog.feeds))
     try:
         values = scored(tree)
-        killed = tree.size > MAX_STEPS and max(_count_steps(tree, columns, scored)) > MAX_STEPS
-    except Exception:  # some feed met an error: does its own run reach it?
-        values, steps = _run_each_feed(tree, columns, count)
-        killed = max(steps) > MAX_STEPS
-    if killed:
-        return None
+        if tree.size > MAX_STEPS and max(_count_steps(tree, columns, scored)) > MAX_STEPS:
+            return None  # killed
+    except KeyError as missing:  # the pass read a terminal with no column
+        raise ConfigurationError(f"terminal {missing.args[0]!r} is not bound") from None
     ranking = tuple(sorted([i for i, value in enumerate(values) if value > 0.0],
                            key=values.__getitem__, reverse=True))
     return values, _screen(catalog, ranking)
@@ -512,6 +478,9 @@ class FeedEvaluator:
     a killed fill or an empty screen scores 0.0 and draws nothing, so every
     evaluation's fitness and rng state are those of :func:`run_feed_program`,
     :func:`simulate_clicks` and :func:`feed_fitness` in turn.
+
+    It scores trees of :func:`feed_primitives` over its catalog, which the
+    harness builds from the same catalog and ``deserialize`` enforces.
     """
 
     def __init__(self, catalog: FeedCatalog, user: UserModel, rng: random.Random) -> None:

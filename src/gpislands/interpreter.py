@@ -14,11 +14,10 @@ One engine
 the steps it used; :func:`execute` is that run plus the budget's kill rule,
 reported as a :class:`RunOutcome`.  A caller running a tree many times
 compiles it once: the localisation task once per control pass, whose every
-tick is one :meth:`Program.run` killed by the rule :func:`execute` applies.
-The feed task scores its feeds in one pass of its own, counts their steps
-against the budget in a walk of its own only for a tree larger than the
-budget, and runs a program through :func:`execute`, feed by feed, only
-when scoring raises.
+tick is one :meth:`Program.run` killed by the rule :func:`execute` applies,
+written out inline; the tests' oracle uses :func:`execute` and
+:class:`RunOutcome` as that rule.  The feed task never runs a program: it
+scores its feeds in one pass and counts their steps in a walk of its own.
 
 Terminals are bound when compiling: a bound terminal compiles to its
 accessor itself, so a run looks up no binding.  A terminal ``bindings``

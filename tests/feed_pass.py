@@ -1,7 +1,7 @@
-"""The feed task's one pass and counting walk on their own, with no
-fallback: over a catalog's columns, counting on the scorer that scored, as
-a screen fill runs them.  A test reads the fill (``feed._fill_screen``)
-where the fallback to each feed's own run is meant."""
+"""The feed task's one pass and counting walk on their own: over a
+catalog's columns, counting on the scorer that scored, as a screen fill
+runs them, but raising the pass's own ``KeyError`` for a terminal with no
+column, where the fill raises ``ConfigurationError``."""
 from gpislands import feed
 
 

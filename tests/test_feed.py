@@ -435,7 +435,13 @@ NESTED_REACHED = [nested(True, "is_a"), nested(False, "is_b")]
 NESTED_HIDDEN = [nested(True, "is_b"), nested(False, "is_a")]
 
 
-def test_an_unbound_terminal_raises_only_when_a_feed_reaches_it():
+def test_an_unbound_terminal_raises_wherever_the_pass_reads_it():
+    """A terminal the catalog does not bind raises :class:`ConfigurationError`
+    wherever the one pass reads it: where some feed's own walk reaches it,
+    as the walker raises too, and in a split nested in a branch only some
+    feeds take, whose sides the pass scores over every feed though no
+    feed's walk reaches the terminal.  A branch no feed takes stays
+    unread."""
     wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
     narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
     prims = feed_primitives(wide)
@@ -448,97 +454,70 @@ def test_an_unbound_terminal_raises_only_when_a_feed_reaches_it():
         for fill in (feed_module._fill_screen, walker_fill):
             with pytest.raises(ConfigurationError, match="is_c"):
                 fill(tree, narrow)
-    hidden = ["(if_greater (const:Number 0.0) (const:Number 1.0) (is_c) (is_b))",
-              "(if_greater (is_a) (const:Number 2.0) (is_c) (unread_count))",
-              "(if_greater (unread_count) (const:Number 0.0) (is_a) (is_c))"] + NESTED_HIDDEN
-    for text in hidden:
+    for text in NESTED_HIDDEN:
+        tree = deserialize(text, prims)
+        assert walker_fill(tree, narrow) is not None
+        with pytest.raises(ConfigurationError, match="is_c"):
+            feed_module._fill_screen(tree, narrow)
+    untaken = ["(if_greater (const:Number 0.0) (const:Number 1.0) (is_c) (is_b))",
+               "(if_greater (is_a) (const:Number 2.0) (is_c) (unread_count))",
+               "(if_greater (unread_count) (const:Number 0.0) (is_a) (is_c))"]
+    for text in untaken:
         tree = deserialize(text, prims)
         assert_same_fill(feed_module._fill_screen(tree, narrow), walker_fill(tree, narrow))
-    # feed b never reaches (is_c), though both branches of the outer split
-    # are scored over every feed where nothing raises
-    assert feed_module._fill_screen(deserialize(NESTED_HIDDEN[0], prims), narrow)[0] == (1.0, 2.0)
 
 
-#: ``(divide x y)``: a function that raises on a zero divisor.
-DIVIDE = function("divide", (Sort.NUMBER, Sort.NUMBER), Sort.NUMBER, operator.truediv)
+#: Every class of float a node can return, with either sign: zero, the
+#: least subnormal, one, the largest magnitudes, infinity, and NaN.
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
 
 
-@pytest.mark.parametrize("text, raises", [
-    ("(if_greater (is_a) (const:Number 0.5) (divide (const:Number 1.0) (is_a))"
-     " (const:Number 2.0))", False),
-    ("(if_greater (is_a) (const:Number 0.5) (const:Number 2.0)"
-     " (divide (const:Number 1.0) (is_b)))", False),
-    ("(if_greater (is_a) (const:Number 0.5) (const:Number 2.0)"
-     " (divide (const:Number 1.0) (is_a)))", True),
-    ("(if_greater (is_a) (const:Number 0.5)"
-     " (if_greater (is_a) (const:Number 0.5) (divide (const:Number 1.0) (is_b))"
-     " (const:Number 3.0)) (const:Number 2.0))", True),
-    ("(if_greater (is_a) (const:Number 0.5)"
-     " (if_greater (is_b) (const:Number 0.5) (divide (const:Number 1.0) (is_b))"
-     " (const:Number 3.0)) (const:Number 2.0))", False),
-], ids=["then-hidden", "else-hidden", "else-reached", "nested-reached", "nested-hidden"])
-def test_a_raising_function_raises_only_when_a_feed_reaches_it(text, raises):
-    """A function that raises for some feed's operands raises exactly when
-    a feed whose own run evaluates it does, as the walker does, although
-    both branches of a split are scored over every feed where they can
-    be."""
-    two = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3)))
-    base = feed_primitives(two)
-    prims = PrimitiveSet(list(base.kinds) + [DIVIDE], Sort.NUMBER, base.constant_sources)
-    tree = deserialize(text, prims)
-    if raises:
-        for fill in (feed_module._fill_screen, walker_fill):
-            with pytest.raises(ZeroDivisionError):
-                fill(tree, two)
-    else:
-        assert_same_fill(feed_module._fill_screen(tree, two), walker_fill(tree, two))
+def test_the_feed_vocabulary_raises_on_no_float():
+    """Every function of the feed set, and ``if_greater``'s comparison, is
+    total on floats (Koza's closure), so the one pass over a tree of the
+    set raises nothing: overflow gives ``inf`` and ``inf - inf`` NaN."""
+    kinds = [kind for kind in feed_primitives(default_catalog()).kinds
+             if kind.category is Category.FUNCTION]
+    assert sorted(kind.name for kind in kinds) == ["add", "if_greater", "mul", "sub"]
+    for kind in kinds:
+        if kind.fn is if_greater:
+            continue
+        for operands in itertools.product(EXTREMES, repeat=len(kind.argument_sorts)):
+            assert type(kind.fn(*operands)) is float
+    for a, b in itertools.product(EXTREMES, repeat=2):
+        assert type(operator.gt(a, b)) is bool
 
 
-#: On a catalog of feeds ``a`` and ``b`` that binds no ``is_c``, each feed
-#: meets a different error: in the first tree feed ``a`` reaches ``(is_c)``
-#: and ``b`` divides by zero, in the second ``a`` divides by zero and ``b``
-#: reaches ``(is_c)``.
-FIRST_ERRORS = {
-    "a-unbound": ("(add (divide (const:Number 1.0) (is_a)) (is_c))", ConfigurationError),
-    "a-divides": ("(add (divide (const:Number 1.0) (is_b)) (is_c))", ZeroDivisionError),
-}
-
-
-def divide_case(name):
-    """The tree of ``FIRST_ERRORS[name]``, its error, and the catalog of
-    feeds ``a`` and ``b`` it is scored on."""
-    text, error = FIRST_ERRORS[name]
+@pytest.mark.parametrize("before", [1, 101, MAX_STEPS + 1], ids=["small", "oversize", "killed"])
+def test_an_unbound_terminal_is_a_configuration_error_naming_it(before):
+    """A tree reading a terminal the catalog does not bind raises
+    :class:`ConfigurationError` naming the terminal, from the fill and from
+    the evaluator, whether the tree is within :data:`MAX_STEPS` nodes, over
+    it, or over it and killed."""
     wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
-    base = feed_primitives(wide)
-    prims = PrimitiveSet(list(base.kinds) + [DIVIDE], Sort.NUMBER, base.constant_sources)
-    return deserialize(text, prims), error, FeedCatalog(wide.feeds[:2])
-
-
-@pytest.mark.parametrize("name", FIRST_ERRORS)
-def test_the_first_feed_to_err_raises_its_own_error(name):
-    """Where feeds meet different errors, the fill raises the error of the
-    first feed, in catalog order, whose own run meets one, as a supervisor
-    running the feeds one by one does."""
-    tree, error, two = divide_case(name)
-    for fill in (feed_module._fill_screen, walker_fill):
-        with pytest.raises(Exception) as raised:
-            fill(tree, two)
-        assert type(raised.value) is error
+    narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
+    prims = feed_primitives(wide)
+    then = ProgramTree(prims.kind("add"), (feed_sum(prims, before), deserialize("(is_c)", prims)))
+    tree = then if before == 1 else always(prims, then, feed_sum(prims, MAX_STEPS + 1))
+    assert (tree.size > MAX_STEPS) is (before > 1)
+    evaluator = FeedEvaluator(narrow, homogeneous_user(narrow), random.Random(0))
+    for score in (lambda: feed_module._fill_screen(tree, narrow),
+                  lambda: evaluator(Individual(tree))):
+        with pytest.raises(ConfigurationError, match="'is_c'"):
+            score()
 
 
 def test_an_unbound_terminal_the_first_feed_reaches_stops_the_generation():
-    """A :class:`ConfigurationError` from the first erring feed propagates
-    through the evaluator and the generation, and is not scored 0; a
-    ``ZeroDivisionError`` from the first erring feed is scored 0."""
-    tree, _, two = divide_case("a-unbound")
+    """A :class:`ConfigurationError` from the fill propagates through the
+    evaluator and the generation, and is not scored 0."""
+    wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
+    narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
+    tree = deserialize("(if_greater (is_a) (const:Number 0.5) (is_c) (is_b))",
+                       feed_primitives(wide))
     pop = Population([Individual(tree)])
     with pytest.raises(ConfigurationError, match="is_c"):
-        evaluate_population(pop, FeedEvaluator(two, homogeneous_user(two), random.Random(0)))
+        evaluate_population(pop, FeedEvaluator(narrow, homogeneous_user(narrow), random.Random(0)))
     assert pop.members[0].fitness is None
-    tree, _, two = divide_case("a-divides")
-    pop = Population([Individual(tree)])
-    evaluate_population(pop, FeedEvaluator(two, homogeneous_user(two), random.Random(0)))
-    assert pop.members[0].fitness == 0.0
 
 
 def assert_walker_steps(tree, catalog):
@@ -831,10 +810,11 @@ def test_a_chain_at_the_depth_ceiling_counts_as_walked(catalog, feed_prims, kind
 
 
 def test_an_oversize_tree_reading_an_unbound_terminal_raises():
-    """In a tree larger than the budget an unbound terminal raises when some
-    feed reaches it, as in a smaller tree, and a branch no feed takes stays
-    unread.  The pass scores every feed before the fill decides the kill, so
-    a killed tree raises too, where the walker stops at the budget first."""
+    """In a tree larger than the budget an unbound terminal raises wherever
+    the pass reads it, as in a smaller tree, and a branch no feed takes
+    stays unread.  The pass scores every feed before the fill decides the
+    kill, so a killed tree raises too, where the walker stops at the budget
+    first."""
     wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
     narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
     prims = feed_primitives(wide)
@@ -848,49 +828,23 @@ def test_an_oversize_tree_reading_an_unbound_terminal_raises():
     reached = ["(is_c)",
                "(if_greater (is_a) (const:Number 0.5) (is_c) (const:Number 1.0))",
                "(if_greater (is_a) (const:Number 0.5) (const:Number 1.0) (is_c))"] + NESTED_REACHED
-    hidden = ["(if_greater (const:Number 0.0) (const:Number 1.0) (is_c) (is_b))",
-              "(if_greater (is_a) (const:Number 2.0) (is_c) (unread_count))"] + NESTED_HIDDEN
-    for text in reached:
-        tree = oversize(text, 101)
-        for fill in (feed_module._fill_screen, walker_fill):
+    untaken = ["(if_greater (const:Number 0.0) (const:Number 1.0) (is_c) (is_b))",
+               "(if_greater (is_a) (const:Number 2.0) (is_c) (unread_count))"]
+    for text in reached + NESTED_HIDDEN:
+        tree, killed = oversize(text, 101), oversize(text, MAX_STEPS + 1)
+        for scored in (tree, killed):
             with pytest.raises(ConfigurationError, match="is_c"):
-                fill(tree, narrow)
-        killed = oversize(text, MAX_STEPS + 1)
+                feed_module._fill_screen(scored, narrow)
         assert walker_fill(killed, narrow) is None
-        with pytest.raises(ConfigurationError, match="is_c"):
-            feed_module._fill_screen(killed, narrow)
-    for text in hidden:
+        if text in NESTED_HIDDEN:
+            assert walker_fill(tree, narrow) is not None
+        else:
+            with pytest.raises(ConfigurationError, match="is_c"):
+                walker_fill(tree, narrow)
+    for text in untaken:
         for before in (101, MAX_STEPS + 1):
             tree = oversize(text, before)
             assert_same_fill(feed_module._fill_screen(tree, narrow), walker_fill(tree, narrow))
-
-
-@pytest.mark.parametrize("before", [101, MAX_STEPS + 1], ids=["scored", "killed"])
-def test_an_oversize_tree_whose_pass_raises_runs_each_feed_once(monkeypatch, before):
-    """A tree larger than the budget whose one pass raises, though no
-    feed's own run does, is run feed by feed once per fill, and those runs
-    give both the walker's values and its kill."""
-    wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
-    narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
-    prims = feed_primitives(wide)
-    then = ProgramTree(prims.kind("add"),
-                       (feed_sum(prims, before), deserialize(NESTED_HIDDEN[0], prims)))
-    tree = always(prims, then, feed_sum(prims, MAX_STEPS + 1))
-    assert tree.size > MAX_STEPS
-    runs = []
-    real = feed_module._run_each_feed
-
-    def counting(tree, columns, count):
-        runs.append(tree)
-        return real(tree, columns, count)
-
-    monkeypatch.setattr(feed_module, "_run_each_feed", counting)
-    fill = feed_module._fill_screen(tree, narrow)
-    assert runs == [tree]
-    assert_same_fill(fill, walker_fill(tree, narrow))
-    assert (fill is None) is (before > MAX_STEPS)
-    with pytest.raises(KeyError, match="is_c"):  # the pass itself raises
-        pass_values(tree, narrow)
 
 
 @pytest.mark.parametrize("first", ["oversize", "small"])

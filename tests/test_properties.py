@@ -1,9 +1,8 @@
 """Property tests: the text form round-trips, the variation operators stay
 closed over the primitive set and the depth bound, one-pass feed scoring
 gives every feed what its own walk gives, cold, warm and bred, and raises
-what the first feed whose own walk raises raises, and a localisation world
-of any shape scores as the eager oracle does."""
-import operator
+a configuration error for a terminal the catalog leaves unbound, and a
+localisation world of any shape scores as the eager oracle does."""
 import random
 
 import grower
@@ -31,11 +30,8 @@ from gpislands.localisation import (
 from gpislands.trees import (
     Category,
     ConfigurationError,
-    PrimitiveSet,
     ProgramTree,
-    Sort,
     deserialize,
-    function,
     iter_nodes,
     serialize,
     validate_tree,
@@ -171,14 +167,13 @@ def test_one_pass_feed_scoring_is_the_walkers_cold_warm_and_bred(data, seed):
 #: the first two, which bind no ``is_c``.
 WIDE = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
 NARROW = FeedCatalog(WIDE.feeds[:2])
-#: The feed vocabulary plus ``(divide x y)``, which raises on a zero divisor.
-RAISING = PrimitiveSet(
-    list(feed_primitives(WIDE).kinds)
-    + [function("divide", (Sort.NUMBER, Sort.NUMBER), Sort.NUMBER, operator.truediv)],
-    Sort.NUMBER, PRIMS["feed"].constant_sources)
 
-#: Two quotients added, or split between feed ``a`` and feed ``b``.
-QUOTIENT_ROOTS = ["(add {} {})", "(if_greater (is_a) (const:Number 0.5) {} {})"]
+#: Two splits added, so that every feed meets both in its own run, or each
+#: taken by one feed, ``a`` taking the first and ``b`` the second.
+ROOTS = ["(add {} {})", "(if_greater (is_a) (const:Number 0.5) {} {})"]
+#: A split on a terminal: all but ``unread_count`` send ``a`` and ``b`` apart.
+SPLIT = "(if_greater ({}) (const:Number 0.5) {} {})"
+COMPARANDS = ["is_a", "is_b", "group_is_tech", "unread_count"]
 
 
 def first_error(tree, catalog):
@@ -193,45 +188,41 @@ def first_error(tree, catalog):
 
 
 def assert_filled_as_walked(tree, catalog):
-    """The fill, whether or not its one pass raised, gives each feed its
-    walked value (``repr``) and is killed exactly when some feed's walk
-    takes more than the budget; each feed's own run on the interpreter
-    takes its walk's steps."""
+    """The fill gives each feed its walked value (``repr``) and is killed
+    exactly when some feed's walk takes more than the budget."""
     walks = [walk(tree, env, tree.size) for env in feed_environments(catalog)]
     fill = feed._fill_screen(tree, catalog)
     assert (fill is None) is any(walked.steps_used > feed.MAX_STEPS for walked in walks)
     if fill is not None:
         assert [repr(value) for value in fill[0]] == [repr(walked.value) for walked in walks]
-    runs = feed._run_each_feed(tree, feed._feed_columns(catalog), len(catalog.feeds))
-    assert runs[1] == tuple(walked.steps_used for walked in walks)
 
 
 @bounded
 @given(data=st.data())
-def test_a_pass_that_raises_falls_back_to_each_feeds_own_run(data):
-    """Over a vocabulary that can raise, scored on a catalog that leaves a
-    drawn terminal unbound: the fill raises the first erring feed's error
-    (its message too, for a configuration error), or, when no feed's own
-    walk raises, gives every feed its walked value, however the one pass
-    fared, and each feed's own run counts its walked steps.  The tree is
-    two quotients either added, so that every feed meets both in its own
-    run, or under a root that splits the feeds, ``a`` taking the first and
-    ``b`` the second, so that the pass, scoring both over both feeds, can
-    divide by zero for a feed whose own run never does."""
+def test_a_fill_reading_an_unbound_terminal_is_a_configuration_error(data):
+    """Over the feed vocabulary of a catalog that binds ``is_c``, scored on
+    one that does not: when some feed's own walk reaches ``is_c``, the fill
+    raises that walk's :class:`ConfigurationError`, message and all.  When
+    none does, the fill gives every feed its walked value, unless the pass
+    read ``is_c`` where no feed's walk goes (in a split nested in a branch
+    only some feeds take), and then it raises the same error.  The tree is
+    two splits under a root that adds them or splits the feeds."""
     payloads = st.one_of(SPECIAL, st.floats(1.0, 10.0))
-    parts = [serialize(data.draw(trees(RAISING, 3, payloads))) for _ in range(4)]
-    root = data.draw(st.sampled_from(QUOTIENT_ROOTS))
-    tree = deserialize(root.format("(divide {} {})".format(*parts[:2]),
-                                   "(divide {} {})".format(*parts[2:])), RAISING)
+    parts = [serialize(data.draw(trees(feed_primitives(WIDE), 2, payloads))) for _ in range(4)]
+    comparands = [data.draw(st.sampled_from(COMPARANDS)) for _ in range(2)]
+    splits = [SPLIT.format(comparands[0], *parts[:2]), SPLIT.format(comparands[1], *parts[2:])]
+    tree = deserialize(data.draw(st.sampled_from(ROOTS)).format(*splits), feed_primitives(WIDE))
     error = first_error(tree, NARROW)
-    if error is None:
-        assert_filled_as_walked(tree, NARROW)
+    try:
+        pass_values(tree, NARROW)
+    except KeyError:
+        with pytest.raises(ConfigurationError) as raised:
+            feed._fill_screen(tree, NARROW)
+        assert str(raised.value) == "terminal 'is_c' is not bound"
+        assert error is None or str(error) == str(raised.value)
         return
-    with pytest.raises(Exception) as raised:
-        feed._fill_screen(tree, NARROW)
-    assert type(raised.value) is type(error)
-    if isinstance(error, ConfigurationError):
-        assert str(raised.value) == str(error)
+    assert error is None
+    assert_filled_as_walked(tree, NARROW)
 
 
 #: Radii with ties and a zero, draws whose left-to-right sums differ from
