@@ -88,6 +88,16 @@ def test_wheel_rejects_bad_pools(geo_prims):
         Wheel(pop.members)
 
 
+@pytest.mark.parametrize("unscored", [0, 2, 4], ids=["first", "middle", "last"])
+def test_wheel_rejects_an_unevaluated_member_anywhere(geo_prims, unscored):
+    """A wheel checks every member as it adds up the running sums, so an
+    unscored member is refused wherever it stands, with one message."""
+    pop = make_pop([0.5, 0.25, 0.75, 0.0, 1.0], geo_prims)
+    pop.members[unscored].fitness = None
+    with pytest.raises(ValueError, match="^selection over unevaluated members$"):
+        Wheel(pop.members)
+
+
 def oracle_best(pop, n):
     """The ``n`` fittest members by ``(-fitness, index)``."""
     order = sorted(range(len(pop.members)), key=lambda i: (-pop.members[i].fitness, i))

@@ -488,23 +488,34 @@ def test_the_feed_vocabulary_raises_on_no_float():
         assert type(operator.gt(a, b)) is bool
 
 
+#: Each way a tree is scored on a catalog: the fill itself, the evaluator
+#: and the report, the last two through the memoised fill.
+SCORERS = {
+    "fill": feed_module._fill_screen,
+    "evaluator": lambda tree, catalog: FeedEvaluator(
+        catalog, homogeneous_user(catalog), random.Random(0))(Individual(tree)),
+    "report": run_feed_program,
+}
+
+
+@pytest.mark.parametrize("scorer", SCORERS)
 @pytest.mark.parametrize("before", [1, 101, MAX_STEPS + 1], ids=["small", "oversize", "killed"])
-def test_an_unbound_terminal_is_a_configuration_error_naming_it(before):
+def test_an_unbound_terminal_is_a_configuration_error_naming_it(before, scorer):
     """A tree reading a terminal the catalog does not bind raises
-    :class:`ConfigurationError` naming the terminal, from the fill and from
-    the evaluator, whether the tree is within :data:`MAX_STEPS` nodes, over
-    it, or over it and killed."""
+    :class:`ConfigurationError` naming the terminal, from the fill, the
+    evaluator and the report, whether the tree is within :data:`MAX_STEPS`
+    nodes, over it, or over it and killed; the error is not memoised as a
+    fill, so scoring the tree again raises it again."""
     wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
     narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
     prims = feed_primitives(wide)
     then = ProgramTree(prims.kind("add"), (feed_sum(prims, before), deserialize("(is_c)", prims)))
     tree = then if before == 1 else always(prims, then, feed_sum(prims, MAX_STEPS + 1))
     assert (tree.size > MAX_STEPS) is (before > 1)
-    evaluator = FeedEvaluator(narrow, homogeneous_user(narrow), random.Random(0))
-    for score in (lambda: feed_module._fill_screen(tree, narrow),
-                  lambda: evaluator(Individual(tree))):
+    for _ in range(2):
         with pytest.raises(ConfigurationError, match="'is_c'"):
-            score()
+            SCORERS[scorer](tree, narrow)
+    assert tree.memo is None
 
 
 def test_an_unbound_terminal_the_first_feed_reaches_stops_the_generation():
@@ -845,6 +856,41 @@ def test_an_oversize_tree_reading_an_unbound_terminal_raises():
         for before in (101, MAX_STEPS + 1):
             tree = oversize(text, before)
             assert_same_fill(feed_module._fill_screen(tree, narrow), walker_fill(tree, narrow))
+
+
+@pytest.mark.parametrize("before", [101, MAX_STEPS + 1], ids=["scored", "killed"])
+def test_an_oversize_tree_whose_pass_raises_runs_each_feed_once(monkeypatch, before):
+    """A tree larger than the budget whose one pass raises, though no
+    feed's own walk does, runs each feed once per fill, in that pass: the
+    fill builds one scorer, runs no program on the interpreter and counts
+    no steps, and raises the pass's error as a configuration error, where
+    the walker gives each feed a value, or kills the tree."""
+    wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
+    narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
+    prims = feed_primitives(wide)
+    then = ProgramTree(prims.kind("add"),
+                       (feed_sum(prims, before), deserialize(NESTED_HIDDEN[0], prims)))
+    tree = always(prims, then, feed_sum(prims, MAX_STEPS + 1))
+    assert tree.size > MAX_STEPS
+    assert (walker_fill(tree, narrow) is None) is (before > MAX_STEPS)
+    with pytest.raises(KeyError, match="is_c"):  # the pass itself raises
+        pass_values(tree, narrow)
+    passes = []
+    real = feed_module._scorer
+
+    def counting(columns, count):
+        passes.append(count)
+        return real(columns, count)
+
+    def unexpected(*args):
+        pytest.fail("a fill ran a program or counted steps")
+
+    monkeypatch.setattr(feed_module, "_scorer", counting)
+    monkeypatch.setattr(feed_module, "execute", unexpected)
+    monkeypatch.setattr(feed_module, "_count_steps", unexpected)
+    with pytest.raises(ConfigurationError, match="'is_c'"):
+        feed_module._fill_screen(tree, narrow)
+    assert passes == [len(narrow.feeds)]
 
 
 @pytest.mark.parametrize("first", ["oversize", "small"])
