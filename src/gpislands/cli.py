@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -71,13 +72,27 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**options)
 
 
+def _check_output_paths(*paths: str) -> None:
+    """Raise :class:`ConfigurationError` unless each path names a file in a
+    directory that exists.  Creates and truncates nothing: it runs before the
+    experiment, so a missing directory or a directory in the way is reported
+    before the run and not after it."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise ConfigurationError(f"output path {path!r} is a directory")
+        directory = os.path.dirname(path)
+        if directory and not os.path.isdir(directory):
+            raise ConfigurationError(f"output directory {directory!r} does not exist")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     config = config_from_args(args)
+    summary_path = summary_path_for(args.out)
     try:
+        _check_output_paths(args.out, summary_path)
         result = run_experiment(config)
         write_rows_csv(result, args.out)
-        summary_path = summary_path_for(args.out)
         write_summary_csv(result, summary_path)
     except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

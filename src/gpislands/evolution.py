@@ -26,7 +26,6 @@ order as the textbook operators, which list every node.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 import random
 from bisect import bisect_right
@@ -46,8 +45,6 @@ from .trees import (
     node_at,
     replace_subtree,
 )
-
-log = logging.getLogger(__name__)
 
 #: Point pairs a crossover draws before it falls back to the first parent.
 CROSSOVER_RETRIES = 16
@@ -410,7 +407,8 @@ def _safe_fitness(evaluator: FitnessFn, member: Individual) -> float:
     except ConfigurationError:
         raise
     except Exception:
-        log.exception("evaluator failed; assigning fitness 0")
+        import logging  # loaded only when an evaluator fails
+        logging.getLogger(__name__).exception("evaluator failed; assigning fitness 0")
         return 0.0
     if math.isnan(value):
         return 0.0

@@ -397,7 +397,7 @@ def _memoised_fill(tree: ProgramTree, catalog: FeedCatalog) -> Optional[Fill]:
     record and its screen with every tree of the same ranking: callers must
     not mutate it."""
     memo = tree.memo
-    if memo is None or memo[0] != catalog:
+    if memo is None or memo[0] is not catalog and memo[0] != catalog:
         memo = (catalog, _fill_screen(tree, catalog))
         tree.memo = memo
     return memo[1]

@@ -6,6 +6,10 @@ seed.  :func:`run_experiment` repeats it for the configured number of
 iterations (seeding every island and the transport from the base seed, so
 reruns are byte-identical) and yields per-generation statistics rows plus
 across-iteration aggregates.
+
+Importing the harness loads ``evolution``, ``islands``, ``trees`` and numpy.
+A run loads what its config names, when it needs it: the one task module of
+``config.app``, and :mod:`gpislands.udp` only for ``transport="udp"``.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import feed as feed_app
-from . import localisation as loc_app
 from .evolution import (
     EvolutionStrategy,
     google_reader_strategy,
@@ -35,7 +37,6 @@ from .islands import (
     MigrationPolicy,
     SimulatedBroadcastBus,
     Transport,
-    UdpBroadcastTransport,
     run_islands,
 )
 from .trees import DEPTH_CEILING, ConfigurationError, PrimitiveSet, _read_config_file
@@ -131,8 +132,12 @@ def resolve_strategy(config: ExperimentConfig) -> EvolutionStrategy:
 
 
 def _task_setup(config: ExperimentConfig) -> tuple[PrimitiveSet, Callable]:
-    """The task's vocabulary, and a factory of each island's evaluator."""
+    """The task's vocabulary, and a factory of each island's evaluator.
+
+    Only the task ``config.app`` names is imported."""
     if config.app == "feed":
+        from . import feed as feed_app
+
         if config.app_config:
             catalog, base_user = feed_app.load_feed_config(config.app_config)
         else:
@@ -147,6 +152,8 @@ def _task_setup(config: ExperimentConfig) -> tuple[PrimitiveSet, Callable]:
 
         prims, make_evaluator = feed_app.feed_primitives(catalog), make_feed_evaluator
     else:
+        from . import localisation as loc_app
+
         world_config = (loc_app.load_world_config(config.app_config)
                         if config.app_config else loc_app.WorldConfig())
 
@@ -217,6 +224,8 @@ def _transports(config: ExperimentConfig, iteration: int) -> list[Transport]:
     if config.transport == "sim":
         bus = SimulatedBroadcastBus(config.loss, f"{config.seed}:it{iteration}")
         return [bus.register() for _ in range(config.islands)]
+    from .udp import UdpBroadcastTransport
+
     ports = [config.udp_base_port + k for k in range(config.islands)]
     transports: list[Transport] = []
     try:

@@ -11,21 +11,21 @@ The wire format is deliberately thin: a version tag line followed by the
 canonical tree text.  Envelopes carry no sender identity, so any island can
 adopt any migrant, and transports are best effort -- lost datagrams are
 simply never seen.  The in-process broadcast bus simulates that with a
-per-delivery loss probability; the UDP transport sends real datagrams.
+per-delivery loss probability.  The UDP transport, which sends real
+datagrams, lives in :mod:`gpislands.udp`, so a simulated run loads no
+sockets.
 
 In process a migrant travels as its tree (trees are immutable, so islands
 may share one).  Text that came off a wire is parsed and validated by
-``deserialize``, and dropped if it fails.
+``deserialize``, and dropped if it fails; only then is ``logging`` loaded,
+to record the drop on the ``gpislands.islands`` logger.
 """
 
 from __future__ import annotations
 
 import enum
-import logging
 import math
 import random
-import select
-import socket
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,11 +51,7 @@ from .trees import (
     serialize,
 )
 
-log = logging.getLogger(__name__)
-
 WIRE_VERSION = "AGPX1"
-#: Seconds a UDP drain waits for each further datagram before it returns.
-UDP_DRAIN_WAIT = 0.05
 
 
 class MigrationMode(enum.Enum):
@@ -186,59 +182,6 @@ class _BusEndpoint(Transport):
         return received
 
 
-class UdpBroadcastTransport(Transport):
-    """Real datagrams over UDP, one socket per island.
-
-    With ``peers`` left ``None``, sends to the limited broadcast address on
-    ``port``; for single-host runs pass explicit ``peers`` so islands bound
-    to distinct ports can fan out to each other.  An empty ``peers`` (a
-    lone island's) sends nothing.  Reception is whatever has arrived by
-    drain time -- late datagrams are picked up at the next migration
-    generation, and on a shared broadcast segment an island may hear its own
-    anonymous migrants back, which is harmless.
-    """
-
-    def __init__(self, bind_port: int,
-                 peers: Optional[Sequence[tuple[str, int]]] = None,
-                 broadcast_address: str = "255.255.255.255") -> None:
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        try:
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
-            self._sock.bind(("", bind_port))
-        except (OSError, OverflowError):  # OverflowError: a port outside 0..65535
-            self._sock.close()
-            raise
-        self._sock.setblocking(False)
-        self._targets = [(broadcast_address, bind_port)] if peers is None else list(peers)
-
-    def send(self, envelope: MigrantEnvelope) -> None:
-        data = envelope.encode()
-        for target in self._targets:
-            try:
-                self._sock.sendto(data, target)
-            except OSError as exc:  # best effort: unreachable peers are lost migrants
-                log.debug("udp send to %s failed: %s", target, exc)
-
-    def drain(self) -> list[MigrantEnvelope]:
-        received = []
-        while True:
-            ready, _, _ = select.select([self._sock], [], [], UDP_DRAIN_WAIT)
-            if not ready:
-                break
-            try:
-                data, _ = self._sock.recvfrom(65536)
-            except OSError:
-                break
-            envelope = MigrantEnvelope.decode(data)
-            if envelope is not None:
-                received.append(envelope)
-        return received
-
-    def close(self) -> None:
-        self._sock.close()
-
-
 # ---------------------------------------------------------------------------
 # migration primitives
 
@@ -285,7 +228,8 @@ def admit_immigrants(pop: Population, envelopes: Sequence[MigrantEnvelope],
             elif tree.depth > max_depth or tree.sort is not prims.root_sort:
                 raise TreeError(f"tree of depth {tree.depth} and sort {tree.sort.value}")
         except TreeError as exc:
-            log.debug("dropping malformed migrant: %s", exc)
+            import logging  # loaded only when a run drops a migrant
+            logging.getLogger(__name__).debug("dropping malformed migrant: %s", exc)
             dropped += 1
             continue
         pop.members.append(Individual.from_tree(tree, Origin.IMMIGRANT))

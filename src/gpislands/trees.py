@@ -73,7 +73,6 @@ a leaf.  :func:`deserialize` builds its own nodes, leaves included.
 from __future__ import annotations
 
 import enum
-import json
 import operator
 import random
 import re
@@ -96,6 +95,7 @@ def _read_config_file(path: str, what: str) -> object:
     """The JSON value in the file at ``path``: malformed JSON, or a file not
     in UTF-8, raises :class:`ConfigurationError` naming the bad ``what``
     file; an :class:`OSError` propagates."""
+    import json  # loaded only by a run that reads a file
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)

@@ -1,5 +1,6 @@
 """Selection, variation operators, strategies and generational breeding."""
 import dataclasses
+import logging
 import operator
 import random
 from functools import reduce
@@ -638,6 +639,20 @@ def test_misbehaving_evaluators_are_contained(geo_prims):
 
     evaluate_population(pop, wild)
     assert [m.fitness for m in pop.members] == [0.0, 1.0, 0.0]
+
+
+def test_a_failing_evaluator_logs_one_error_with_its_traceback(geo_prims, caplog):
+    caplog.set_level(logging.DEBUG, logger="gpislands")
+    pop = make_pop([0.5], geo_prims)
+
+    def failing(member):
+        raise ValueError("no score")
+
+    evaluate_population(pop, failing)
+    assert pop.members[0].fitness == 0.0
+    assert [(r.name, r.levelno) for r in caplog.records] == \
+        [("gpislands.evolution", logging.ERROR)]
+    assert caplog.records[0].exc_info[0] is ValueError
 
 
 def test_configuration_errors_are_not_scored_as_zero(geo_prims):

@@ -234,6 +234,17 @@ def test_other_inputs_recompute_the_fill(catalog, feed_prims, fill_calls):
     assert len(fill_calls) == before
 
 
+def test_a_hit_on_the_same_catalog_compares_nothing(catalog, feed_prims, monkeypatch):
+    tree = build_random_tree(feed_prims, 5, random.Random(4))
+    run_feed_program(tree, catalog)
+    compared = []
+    equal = FeedCatalog.__eq__
+    monkeypatch.setattr(FeedCatalog, "__eq__",
+                        lambda a, b: compared.append(b) or equal(a, b))
+    run_feed_program(tree, catalog)
+    assert compared == []
+
+
 def test_a_killed_fill_is_memoised_as_the_empty_report(catalog, feed_prims, fill_calls):
     tree = feed_sum(feed_prims, MAX_STEPS + 1)
     assert walker_fill(tree, catalog) is None

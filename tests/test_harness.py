@@ -9,7 +9,7 @@ import socket
 import numpy as np
 import pytest
 
-from gpislands import harness
+from gpislands import cli, harness, udp
 from gpislands.cli import build_parser, config_from_args, main
 from gpislands.harness import (
     CSV_COLUMNS,
@@ -218,12 +218,12 @@ def held_port_pair():
 def test_failed_udp_bind_closes_the_sockets_already_bound(monkeypatch):
     created = []
 
-    class Recording(harness.UdpBroadcastTransport):
+    class Recording(udp.UdpBroadcastTransport):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             created.append(self)
 
-    monkeypatch.setattr(harness, "UdpBroadcastTransport", Recording)
+    monkeypatch.setattr(udp, "UdpBroadcastTransport", Recording)  # _transports reads it here
     base, holder = held_port_pair()
     try:
         config = ExperimentConfig(app="feed", islands=3, transport="udp",
@@ -581,11 +581,37 @@ def test_max_depth_at_the_ceiling_is_accepted():
     ExperimentConfig(app="feed", max_depth=DEPTH_CEILING).validate()
 
 
-def test_cli_unwritable_output(tmp_path, capsys):
+def never_run(config):
+    raise AssertionError("the experiment ran before its output paths were checked")
+
+
+@pytest.mark.parametrize("out, directory", [
+    ("missing/out.csv", None),
+    ("out.csv", "out.csv"),
+    ("out.csv", "out_summary.csv"),
+], ids=["no-such-directory", "rows-path-is-a-directory", "summary-path-is-a-directory"])
+def test_cli_unusable_output_exits_2_before_the_run(tmp_path, capsys, monkeypatch,
+                                                     out, directory):
+    monkeypatch.setattr(cli, "run_experiment", never_run)
+    if directory is not None:
+        (tmp_path / directory).mkdir()
     args = cli_args(tmp_path)
-    args[args.index("--out") + 1] = str(tmp_path / "missing" / "out.csv")
+    args[args.index("--out") + 1] = str(tmp_path / out)
     assert main(args) == 2
-    assert capsys.readouterr().err
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([directory] if directory else [])
+
+
+def test_cli_output_check_neither_creates_nor_truncates(tmp_path, capsys, monkeypatch):
+    def refused(config):
+        raise ConfigurationError("refused after the paths were checked")
+
+    monkeypatch.setattr(cli, "run_experiment", refused)
+    (tmp_path / "out.csv").write_text("kept")
+    assert main(cli_args(tmp_path)) == 2
+    assert "refused" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    assert (tmp_path / "out.csv").read_text() == "kept"
 
 
 def test_cli_localisation_flags(tmp_path, capsys):

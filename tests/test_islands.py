@@ -1,11 +1,13 @@
 """Migration policy, wire format, transports and the lock-step island loop."""
 import dataclasses
+import logging
 import random
 
 import grower
 import pytest
 
 from gpislands import islands as islands_module
+from gpislands import udp as udp_module
 from gpislands.evolution import Population, island_strategy
 from gpislands.feed import FeedEvaluator, default_catalog, landscape_user
 from gpislands.islands import (
@@ -17,7 +19,6 @@ from gpislands.islands import (
     MigrationPolicy,
     SimulatedBroadcastBus,
     Transport,
-    UdpBroadcastTransport,
     WIRE_VERSION,
     admit_immigrants,
     inject_random,
@@ -36,6 +37,7 @@ from gpislands.trees import (
     serialize,
     terminal,
 )
+from gpislands.udp import UdpBroadcastTransport
 
 
 def sized_fitness(member):
@@ -147,6 +149,16 @@ def test_admit_immigrants_appends_and_counts_drops(geo_prims):
     newcomer = pop.members[-1]
     assert newcomer.origin is Origin.IMMIGRANT
     assert newcomer.fitness is None
+
+
+def test_a_dropped_migrant_leaves_a_debug_record(geo_prims, caplog):
+    caplog.set_level(logging.DEBUG, logger="gpislands")
+    pop = scored_population(geo_prims, 5)
+    report = admit_immigrants(pop, [MigrantEnvelope("(bogus)")], geo_prims, max_depth=3)
+    assert report == AdmissionReport(admitted=0, dropped=1)
+    assert [(r.name, r.levelno) for r in caplog.records] == \
+        [("gpislands.islands", logging.DEBUG)]
+    assert "dropping malformed migrant" in caplog.records[0].getMessage()
 
 
 def test_admit_immigrants_drops_a_deeply_nested_migrant(feed_prims):
@@ -476,8 +488,25 @@ class RecordingSocket:
     ([], []),  # a lone island has no one to send to
 ])
 def test_udp_sends_to_its_peers_or_else_broadcasts(geo_prims, monkeypatch, peers, targets):
-    monkeypatch.setattr(islands_module.socket, "socket", RecordingSocket)
+    monkeypatch.setattr(udp_module.socket, "socket", RecordingSocket)
     transport = UdpBroadcastTransport(48733, peers=peers)
     transport.send(MigrantEnvelope(build_random_tree(geo_prims, 3, random.Random(7))))
     assert transport._targets == targets
     assert transport._sock.sent == targets
+
+
+class RefusingSocket(RecordingSocket):
+    """A socket whose every send fails, as one to an unreachable peer may."""
+
+    def sendto(self, data, target):
+        raise OSError("network is unreachable")
+
+
+def test_a_failed_udp_send_leaves_a_debug_record(geo_prims, monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="gpislands")
+    monkeypatch.setattr(udp_module.socket, "socket", RefusingSocket)
+    transport = UdpBroadcastTransport(48733, peers=[("127.0.0.1", 48734)])
+    transport.send(MigrantEnvelope(build_random_tree(geo_prims, 3, random.Random(7))))
+    assert [(r.name, r.levelno) for r in caplog.records] == \
+        [("gpislands.udp", logging.DEBUG)]
+    assert "unreachable" in caplog.records[0].getMessage()
