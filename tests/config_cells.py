@@ -13,9 +13,9 @@ and summary CSVs to the SHA-256 digests pinned here; as in
 ``tests/test_golden.py``, update a digest only on purpose, and record why in
 CHANGES.md.  UDP is left out: real sockets are not deterministic.
 
-Under :func:`reference_growth` every tree grows by ``tests/grower.py``'s
-textbook recursion, which builds fresh, checked nodes and shares no leaf;
-every cell must still write its pinned bytes.
+Under :func:`reference_growth` every tree grows by ``tests/reference.py``'s
+textbook recursion, :func:`reference.grow`, which builds fresh, checked
+nodes and shares no leaf; every cell must still write its pinned bytes.
 
 Run as a script to print every cell's fresh digests; it never writes them,
 and exits 1 if any differs from its pin.  ``--reference`` runs the cells
@@ -30,7 +30,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from grower import grow
+from reference import grow
 
 from gpislands import evolution, trees
 from gpislands.cli import main
@@ -137,7 +137,7 @@ def argv(name):
 
 @contextlib.contextmanager
 def reference_growth():
-    """Grow with :func:`grower.grow` in place of the package's
+    """Grow with :func:`reference.grow` in place of the package's
     ``grow_subtree``, which ``build_random_tree`` and ``mutate`` call."""
     package = trees.grow_subtree, evolution.grow_subtree
     trees.grow_subtree = evolution.grow_subtree = grow

@@ -1,4 +1,6 @@
-"""Trees of an exact size, for tests at the tasks' real step budgets.
+"""Trees of an exact size, for tests at the tasks' real step budgets, and
+the one-node trees every test module makes with :func:`leaf` and
+:func:`constant`.
 
 Every function of the feed and localisation vocabularies takes two or four
 arguments, so every tree of either task has an odd number of nodes: the
@@ -30,7 +32,7 @@ def _balanced(kind, leaves):
 def feed_sum(prims, size):
     """A feed program of ``size`` nodes adding up ``unread_count``: it has
     no branch, so every run evaluates all of it."""
-    return sized(prims.kind("add"), size, ProgramTree(prims.kind("unread_count")))
+    return sized(prims.kind("add"), size, leaf(prims, "unread_count"))
 
 
 def feed_edges(prims):
@@ -63,7 +65,7 @@ def loc_requests(prims, size):
     """A localisation program of ``size`` nodes that switches every radio
     on (cell over and over) and then asks for a fix: it has no branch, so
     every run evaluates all of it, the request last."""
-    leaves = [ProgramTree(prims.kind(name))
+    leaves = [leaf(prims, name)
               for name in ("enable_cell", "enable_wifi", "enable_gps", "request_update")]
     return sized(prims.kind("seq"), size, *leaves)
 
@@ -79,9 +81,15 @@ def split(prims, then, other):
     """``(if_greater group_is_tech 0.5 then other)``: each tech feed runs
     ``then`` and every other feed ``other``, in 3 steps more than that side
     takes."""
-    return ProgramTree(prims.kind("if_greater"), (ProgramTree(prims.kind("group_is_tech")),
+    return ProgramTree(prims.kind("if_greater"), (leaf(prims, "group_is_tech"),
                                                   constant(prims, 0.5), then, other))
 
 
+def leaf(prims, name):
+    """The terminal ``name`` of ``prims`` as a one-node tree."""
+    return ProgramTree(prims.kind(name))
+
+
 def constant(prims, value):
+    """A Number constant of ``prims`` holding ``value``."""
     return ProgramTree(prims.kind(constant_kind_name(Sort.NUMBER)), value=value)

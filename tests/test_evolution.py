@@ -1,17 +1,21 @@
 """Selection, variation operators, strategies and generational breeding."""
 import dataclasses
 import logging
-import operator
 import random
-from functools import reduce
 
-import grower
 import pytest
-from reference_tree import reference_replace
+from reference import (
+    at_bias,
+    oracle_best,
+    oracle_stats,
+    reference_breed,
+    reference_crossover,
+    reference_mutate,
+)
+from sized import constant, leaf
 
 from gpislands import evolution
 from gpislands.evolution import (
-    CROSSOVER_RETRIES,
     REBUILD_ATTEMPTS,
     EvolutionStrategy,
     Operator,
@@ -41,7 +45,6 @@ from gpislands.trees import (
     ProgramTree,
     Sort,
     build_random_tree,
-    constant_kind_name,
     grow_subtree,
     iter_nodes,
     serialize,
@@ -99,20 +102,6 @@ def test_wheel_rejects_an_unevaluated_member_anywhere(geo_prims, unscored):
         Wheel(pop.members)
 
 
-def oracle_best(pop, n):
-    """The ``n`` fittest members by ``(-fitness, index)``."""
-    order = sorted(range(len(pop.members)), key=lambda i: (-pop.members[i].fitness, i))
-    return [pop.members[i] for i in order[:n]]
-
-
-def oracle_pool(binding, pop):
-    """A selector's pool, built on its own: the ``pool_best`` fittest
-    members (all, when there are fewer), or every member."""
-    if binding.pool_best is None:
-        return list(pop.members)
-    return oracle_best(pop, min(binding.pool_best, len(pop.members)))
-
-
 def fitness_lists():
     """Random, tied and mixed fitness lists, from one to twelve members."""
     rng = random.Random("fitness lists")
@@ -148,7 +137,7 @@ def test_n_best_takes_n_from_0_to_the_population_size(geo_prims):
 
 def test_mutation_closure(geo_prims, feed_prims, loc_prims):
     rng = random.Random(17)
-    for prims in (geo_prims, grower.at_bias(feed_prims, 0.5), grower.at_bias(loc_prims, 0.5)):
+    for prims in (geo_prims, at_bias(feed_prims, 0.5), at_bias(loc_prims, 0.5)):
         for _ in range(600):
             parent = build_random_tree(prims, 3, rng)
             child = mutate(parent, prims, 3, rng)
@@ -158,7 +147,7 @@ def test_mutation_closure(geo_prims, feed_prims, loc_prims):
 
 def test_crossover_closure(geo_prims, feed_prims, loc_prims):
     rng = random.Random(23)
-    for prims in (geo_prims, grower.at_bias(feed_prims, 0.5), grower.at_bias(loc_prims, 0.5)):
+    for prims in (geo_prims, at_bias(feed_prims, 0.5), at_bias(loc_prims, 0.5)):
         for _ in range(600):
             a = build_random_tree(prims, 3, rng)
             b = build_random_tree(prims, 3, rng)
@@ -167,51 +156,9 @@ def test_crossover_closure(geo_prims, feed_prims, loc_prims):
 
 
 def test_crossover_falls_back_without_compatible_donor(loc_prims):
-    a = ProgramTree(loc_prims.kind("request_update"))
-    b = ProgramTree(loc_prims.kind(constant_kind_name(Sort.NUMBER)), value=5.0)
+    a = leaf(loc_prims, "request_update")
+    b = constant(loc_prims, 5.0)
     assert crossover(a, b, 3, random.Random(2)) is a
-
-
-# List-based references: the operators as they were before they found their
-# points through the recorded subtree sizes, and drew donors from a listing
-# of the donor's nodes of the wanted sort even when all its nodes have it.
-# ``seen`` counts the cases the differential test below must reach; a
-# localisation tree of both sorts always has donors, so "no donors" is a
-# donor of one sort, skipped without a draw.  ``reference_crossover`` also
-# returns the node at the point it grafted at and the donor node it grafted,
-# or two ``None`` when it falls back to ``a``.
-
-def reference_mutate(tree, prims, max_depth, rng):
-    nodes = list(iter_nodes(tree))
-    index = rng.randrange(len(nodes))
-    node, depth = nodes[index]
-    budget = max(1, max_depth - depth + 1)
-    replacement = grower.grow(prims, node.kind.result_sort, budget, rng)
-    return reference_replace(tree, index, replacement)
-
-
-def reference_crossover(a, b, max_depth, rng, seen):
-    a_nodes = list(iter_nodes(a))
-    b_nodes = list(iter_nodes(b))
-    one_sort = all(n.kind.result_sort is b.kind.result_sort for n, _ in b_nodes)
-    donors_by_sort = {}
-    for _ in range(CROSSOVER_RETRIES):
-        index = rng.randrange(len(a_nodes))
-        target, depth = a_nodes[index]
-        sort = target.kind.result_sort
-        donors = donors_by_sort.get(sort)
-        if donors is None:
-            donors = donors_by_sort[sort] = [n for n, _ in b_nodes if n.kind.result_sort is sort]
-        if not donors:
-            seen["no donors"] += 1
-            continue
-        seen["one-sort donor" if one_sort else "mixed donor"] += 1
-        donor = donors[rng.randrange(len(donors))]
-        if depth - 1 + donor.depth <= max_depth:
-            seen["grafted"] += 1
-            return reference_replace(a, index, donor), target, donor
-    seen["fallback"] += 1
-    return a, None, None
 
 
 @pytest.mark.parametrize("task", ["feed", "localisation"])
@@ -253,7 +200,7 @@ def test_operators_match_list_based_references(task, feed_prims, loc_prims):
 
 def test_mutation_changes_trees_sometimes(geo_prims):
     rng = random.Random(4)
-    parent = build_random_tree(grower.at_bias(geo_prims, 1.0), 3, rng)
+    parent = build_random_tree(at_bias(geo_prims, 1.0), 3, rng)
     changed = sum(serialize(mutate(parent, geo_prims, 3, rng)) != serialize(parent)
                   for _ in range(50))
     assert changed > 25
@@ -390,46 +337,6 @@ def test_breed_handles_over_capacity_source(geo_prims):
     nxt = breed_next_generation(pop, island_strategy(10), geo_prims, 3,
                                 random.Random(10))
     assert len(nxt.members) == 10
-
-
-def reference_breed(pop, strategy, prims, max_depth, rng, guard):
-    """Breeding as it was before each selector kept one wheel per breed:
-    every pick builds its selector's pool, and the wheel over it, again."""
-    counters = {"rejections": 0, "fallbacks": 0}
-
-    def guarded(make):
-        candidate = make()
-        if guard is None:
-            return candidate
-        for _ in range(REBUILD_ATTEMPTS):
-            if guard(candidate):
-                return candidate
-            counters["rejections"] += 1
-            candidate = make()
-        counters["fallbacks"] += 1
-        return candidate
-
-    members = []
-    for step in strategy.steps:
-        binding = strategy.selectors.get(step.selector)
-
-        def pick():
-            return Wheel(oracle_pool(binding, pop)).spin(rng)
-
-        for _ in range(step.count):
-            if step.operator is Operator.COPY:
-                src = pick()
-                members.append(Individual.from_tree(src.tree, Origin.ELITE_COPY, src.fitness))
-            elif step.operator is Operator.RANDOM:
-                tree = guarded(lambda: build_random_tree(prims, max_depth, rng))
-                members.append(Individual.from_tree(tree, Origin.RANDOM_INJECTED))
-            elif step.operator is Operator.MUTATION:
-                tree = guarded(lambda: mutate(pick().tree, prims, max_depth, rng))
-                members.append(Individual.from_tree(tree))
-            else:
-                tree = guarded(lambda: crossover(pick().tree, pick().tree, max_depth, rng))
-                members.append(Individual.from_tree(tree))
-    return members, counters
 
 
 def mixed_strategy():
@@ -570,15 +477,6 @@ def test_guard_exhaustion_admits_last_candidate(geo_prims):
 # ---------------------------------------------------------------------------
 # evaluation bookkeeping
 
-def oracle_stats(pop):
-    """The figures as ``max``, ``reduce`` from ``0`` and ``sum`` give them."""
-    count = len(pop.members)
-    return (max(m.fitness for m in pop.members),
-            reduce(operator.add, [m.fitness for m in pop.members], 0) / count,
-            sum(m.size for m in pop.members) / count,
-            sum(m.depth for m in pop.members) / count)
-
-
 def test_population_stats_match_max_reduce_and_sum_bit_for_bit(geo_prims):
     for fitnesses in [*fitness_lists(), [-0.0, 0.0], [0.0, -0.0], [-0.0], [0.1] * 10,
                       [1e16, 1.0, -1e16, 1.0]]:
@@ -657,8 +555,7 @@ def test_a_failing_evaluator_logs_one_error_with_its_traceback(geo_prims, caplog
 
 def test_configuration_errors_are_not_scored_as_zero(geo_prims):
     """An unbound terminal is a setup bug, so it must surface."""
-    tree = ProgramTree(geo_prims.kind("add"), (ProgramTree(geo_prims.kind("lat")),
-                                               ProgramTree(geo_prims.kind("lon"))))
+    tree = ProgramTree(geo_prims.kind("add"), (leaf(geo_prims, "lat"), leaf(geo_prims, "lon")))
     pop = Population([Individual.from_tree(tree)])
     bindings = {"lon": lambda: 1.0}  # no "lat"
 

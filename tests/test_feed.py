@@ -7,11 +7,20 @@ import random
 import statistics
 from collections import Counter
 
-import grower
 import pytest
-from feed_pass import pass_steps, pass_values
-from sized import always, feed_chain, feed_edges, feed_sum, split
-from walker import feed_environments, walk
+from reference import (
+    at_bias,
+    cursor_screen,
+    feed_environments,
+    leaves_and_functions,
+    pass_steps,
+    pass_values,
+    ranking_of,
+    walk_feeds,
+    walked_fill,
+    walked_steps,
+)
+from sized import always, constant, feed_chain, feed_edges, feed_sum, leaf, split
 
 from gpislands import feed as feed_module
 from gpislands.feed import (
@@ -61,14 +70,6 @@ def catalog():
     return default_catalog()
 
 
-def program(prims, name):
-    return ProgramTree(prims.kind(name))
-
-
-def const_program(prims, value):
-    return ProgramTree(prims.kind(constant_kind_name(Sort.NUMBER)), value=value)
-
-
 def expected_fitness(report, user):
     """Deterministic expectation: count ratio times mean click probability."""
     if not report.displayed:
@@ -89,7 +90,6 @@ def test_default_catalog_composition(catalog):
 
 
 def test_duplicate_feed_ids_rejected():
-    from gpislands.feed import Feed
     with pytest.raises(ConfigurationError):
         FeedCatalog((Feed("a", "tech", 1), Feed("a", "other", 1)))
 
@@ -121,7 +121,7 @@ def test_heterogeneous_islands_get_disjoint_tastes(catalog):
 # screen filling
 
 def test_uniform_scores_fill_round_robin(catalog, feed_prims):
-    report = run_feed_program(const_program(feed_prims, 1.0), catalog)
+    report = run_feed_program(constant(feed_prims, 1.0), catalog)
     assert len(report.displayed) == 10
     first_round = [fid for fid, _ in report.displayed[:7]]
     assert first_round == [f.feed_id for f in catalog.feeds]  # ties by position
@@ -129,20 +129,20 @@ def test_uniform_scores_fill_round_robin(catalog, feed_prims):
 
 
 def test_zero_scores_display_nothing(catalog, feed_prims):
-    report = run_feed_program(const_program(feed_prims, 0.0), catalog)
+    report = run_feed_program(constant(feed_prims, 0.0), catalog)
     assert report.displayed == []
     assert feed_fitness(report) == 0.0
 
 
 def test_negative_scores_are_excluded(catalog, feed_prims):
-    report = run_feed_program(program(feed_prims, "group_is_tech"), catalog)
+    report = run_feed_program(leaf(feed_prims, "group_is_tech"), catalog)
     assert len(report.displayed) == 10
     assert report.displayed_by_group(catalog) == {"tech": 10, "other": 0}
 
 
 def test_higher_scores_rank_first(catalog, feed_prims):
     # unread_count is constant here, so use a per-feed identity: one feed wins
-    report = run_feed_program(program(feed_prims, "is_breakvideos"), catalog)
+    report = run_feed_program(leaf(feed_prims, "is_breakvideos"), catalog)
     assert {fid for fid, _ in report.displayed} == {"breakvideos"}
     assert len(report.displayed) == 3  # supply exhausted below the screen size
 
@@ -172,7 +172,7 @@ def test_killed_run_empties_the_screen(catalog, feed_prims):
 
 
 def test_item_indices_are_distinct_per_feed(catalog, feed_prims):
-    report = run_feed_program(const_program(feed_prims, 2.0), catalog)
+    report = run_feed_program(constant(feed_prims, 2.0), catalog)
     assert len(set(report.displayed)) == len(report.displayed)
 
 
@@ -247,7 +247,7 @@ def test_a_hit_on_the_same_catalog_compares_nothing(catalog, feed_prims, monkeyp
 
 def test_a_killed_fill_is_memoised_as_the_empty_report(catalog, feed_prims, fill_calls):
     tree = feed_sum(feed_prims, MAX_STEPS + 1)
-    assert walker_fill(tree, catalog) is None
+    assert walked_fill(tree, catalog) is None
     assert run_feed_program(tree, catalog) == FeedReport()
     assert fill_calls == [None]
     assert run_feed_program(tree, catalog) == FeedReport()
@@ -263,8 +263,7 @@ def test_the_step_budget_decides_at_its_edge(catalog, feed_prims):
     assert run_feed_program(trees["skipping"], catalog).scores == {
         feed_id: 255.0 * 3.0 for feed_id in want_scores}
     assert run_feed_program(trees["killed"], catalog) == FeedReport()
-    walked = {name: [walk(tree, env, MAX_STEPS) for env in feed_environments(catalog)]
-              for name, tree in trees.items()}
+    walked = {name: list(walk_feeds(tree, catalog, MAX_STEPS)) for name, tree in trees.items()}
     assert walked["within"] == [(False, 256.0 * 3.0, MAX_STEPS - 1)] * len(catalog.feeds)
     assert walked["skipping"] == [(False, 255.0 * 3.0, MAX_STEPS)] * len(catalog.feeds)
     assert walked["killed"] == [(True, None, MAX_STEPS)] * len(catalog.feeds)
@@ -294,7 +293,7 @@ def test_evaluator_fitness_matches_a_memo_free_reference(catalog, feed_prims, fi
     assert memoised.rng.getstate() == reference.getstate()
     assert len(fill_calls) - fills == len(members)  # the reference ran every fill
     for tree in {id(m.tree): m.tree for m in members}.values():
-        assert_same_fill(tree.memo[1], walker_fill(tree, catalog))
+        assert_same_fill(tree.memo[1], walked_fill(tree, catalog))
 
 
 #: Readers of the differential test below; ``sparse`` leaves four feeds out
@@ -351,33 +350,24 @@ def test_the_evaluator_scores_and_draws_as_the_report_path(catalog, feed_prims, 
 # ---------------------------------------------------------------------------
 # one-pass scoring against the per-feed walker
 
-def walker_fill(tree, catalog):
-    """The screen fill computed feed by feed on the reference walker, with
-    the round-robin written out round by round: each feed's score in catalog
-    order, and the displayed items."""
-    values = []
-    for env in feed_environments(catalog):
-        outcome = walk(tree, env, MAX_STEPS)
-        if outcome.killed:
-            return None
-        values.append(float(outcome.value))
-    ranked = [catalog.feeds[i] for i in sorted(
-        (i for i, value in enumerate(values) if value > 0.0), key=lambda i: -values[i])]
-    displayed = []
-    for item in range(max((f.unread for f in ranked), default=0)):
-        displayed += [(f.feed_id, item) for f in ranked if item < f.unread]
-    return tuple(values), displayed[:SCREEN_SIZE]
-
-
 def assert_same_fill(got, want):
-    """Scores equal bit for bit (NaN and inf included), as floats, one per
-    feed in catalog order, and the same items displayed."""
-    if want is None:
-        assert got is None
-        return
-    values, displayed = got
-    assert [repr(v) for v in values] == [repr(v) for v in want[0]]
-    assert list(displayed) == want[1]
+    """Both killed, or scores equal bit for bit (NaN and inf included), as
+    floats, one per feed in catalog order, and the same items displayed."""
+    assert (got is None) is (want is None)
+    if want is not None:
+        values, displayed = got
+        assert [repr(v) for v in values] == [repr(v) for v in want[0]]
+        assert list(displayed) == want[1]
+
+
+def assert_scored_as_walked(tree, catalog):
+    """Each feed's one-pass value (``repr``) and step count are those of its
+    own walk, with no budget to stop it; returns the values and counts."""
+    values, steps = pass_values(tree, catalog), pass_steps(tree, catalog)
+    walks = tuple(walk_feeds(tree, catalog))
+    assert [repr(value) for value in values] == [repr(walked.value) for walked in walks]
+    assert steps == tuple(walked.steps_used for walked in walks)
+    return values, steps
 
 
 def test_one_pass_scoring_matches_the_per_feed_walker(catalog, feed_prims):
@@ -386,7 +376,7 @@ def test_one_pass_scoring_matches_the_per_feed_walker(catalog, feed_prims):
              for depth in range(3, 10) for _ in range(40)]
     paths = {"within": 0, "oversize": 0, "killed": 0}
     for tree in trees + list(feed_edges(feed_prims).values()):
-        want = walker_fill(tree, catalog)
+        want = walked_fill(tree, catalog)
         assert_same_fill(feed_module._fill_screen(tree, catalog), want)
         if tree.size <= MAX_STEPS:
             paths["within"] += 1
@@ -410,7 +400,7 @@ NAN = f"(sub {BIG} {BIG})"  # inf - inf
 def test_non_finite_scores_keep_their_bits(catalog, feed_prims, text):
     tree = deserialize(text, feed_prims)
     got = feed_module._fill_screen(tree, catalog)
-    assert_same_fill(got, walker_fill(tree, catalog))
+    assert_same_fill(got, walked_fill(tree, catalog))
     assert not all(map(math.isfinite, got[0]))
 
 
@@ -421,11 +411,17 @@ def test_a_nan_comparand_takes_the_else_branch(catalog, feed_prims):
         f"(if_greater (mul (sub (const:Number 1.0) (is_engadget)) {BIG})"
         f" (const:Number 0.0) (add (unread_count) (is_techcrunch)) {NAN})", feed_prims)
     got = feed_module._fill_screen(tree, catalog)
-    assert_same_fill(got, walker_fill(tree, catalog))
+    assert_same_fill(got, walked_fill(tree, catalog))
     scores = dict(zip((f.feed_id for f in catalog.feeds), got[0]))
     assert math.isnan(scores["engadget"])
     assert scores["techcrunch"] == 4.0
     assert {scores[f.feed_id] for f in catalog.feeds} - {scores["engadget"]} == {3.0, 4.0}
+
+
+#: Feeds ``a``, ``b`` and ``c``; trees are built over all three and scored
+#: on the first two, which bind no ``is_c``.
+WIDE = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
+NARROW = FeedCatalog(WIDE.feeds[:2])
 
 
 def nested(outer_then, inner_comparand):
@@ -453,29 +449,27 @@ def test_an_unbound_terminal_raises_wherever_the_pass_reads_it():
     feeds take, whose sides the pass scores over every feed though no
     feed's walk reaches the terminal.  A branch no feed takes stays
     unread."""
-    wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
-    narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
-    prims = feed_primitives(wide)
+    prims = feed_primitives(WIDE)
     reached = ["(is_c)",
                "(add (is_a) (is_c))",
                "(if_greater (is_a) (const:Number 0.5) (is_c) (const:Number 1.0))",
                "(if_greater (is_a) (const:Number 0.5) (const:Number 1.0) (is_c))"] + NESTED_REACHED
     for text in reached:
         tree = deserialize(text, prims)
-        for fill in (feed_module._fill_screen, walker_fill):
+        for fill in (feed_module._fill_screen, walked_fill):
             with pytest.raises(ConfigurationError, match="is_c"):
-                fill(tree, narrow)
+                fill(tree, NARROW)
     for text in NESTED_HIDDEN:
         tree = deserialize(text, prims)
-        assert walker_fill(tree, narrow) is not None
+        assert walked_fill(tree, NARROW) is not None
         with pytest.raises(ConfigurationError, match="is_c"):
-            feed_module._fill_screen(tree, narrow)
+            feed_module._fill_screen(tree, NARROW)
     untaken = ["(if_greater (const:Number 0.0) (const:Number 1.0) (is_c) (is_b))",
                "(if_greater (is_a) (const:Number 2.0) (is_c) (unread_count))",
                "(if_greater (unread_count) (const:Number 0.0) (is_a) (is_c))"]
     for text in untaken:
         tree = deserialize(text, prims)
-        assert_same_fill(feed_module._fill_screen(tree, narrow), walker_fill(tree, narrow))
+        assert_same_fill(feed_module._fill_screen(tree, NARROW), walked_fill(tree, NARROW))
 
 
 #: Every class of float a node can return, with either sign: zero, the
@@ -517,37 +511,25 @@ def test_an_unbound_terminal_is_a_configuration_error_naming_it(before, scorer):
     evaluator and the report, whether the tree is within :data:`MAX_STEPS`
     nodes, over it, or over it and killed; the error is not memoised as a
     fill, so scoring the tree again raises it again."""
-    wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
-    narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
-    prims = feed_primitives(wide)
+    prims = feed_primitives(WIDE)
     then = ProgramTree(prims.kind("add"), (feed_sum(prims, before), deserialize("(is_c)", prims)))
     tree = then if before == 1 else always(prims, then, feed_sum(prims, MAX_STEPS + 1))
     assert (tree.size > MAX_STEPS) is (before > 1)
     for _ in range(2):
         with pytest.raises(ConfigurationError, match="'is_c'"):
-            SCORERS[scorer](tree, narrow)
+            SCORERS[scorer](tree, NARROW)
     assert tree.memo is None
 
 
 def test_an_unbound_terminal_the_first_feed_reaches_stops_the_generation():
     """A :class:`ConfigurationError` from the fill propagates through the
     evaluator and the generation, and is not scored 0."""
-    wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
-    narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
     tree = deserialize("(if_greater (is_a) (const:Number 0.5) (is_c) (is_b))",
-                       feed_primitives(wide))
+                       feed_primitives(WIDE))
     pop = Population([Individual(tree)])
     with pytest.raises(ConfigurationError, match="is_c"):
-        evaluate_population(pop, FeedEvaluator(narrow, homogeneous_user(narrow), random.Random(0)))
+        evaluate_population(pop, FeedEvaluator(NARROW, homogeneous_user(NARROW), random.Random(0)))
     assert pop.members[0].fitness is None
-
-
-def assert_walker_steps(tree, catalog):
-    """Each feed's counted steps are those of a walk of its own."""
-    steps = pass_steps(tree, catalog)
-    assert list(steps) == [walk(tree, env, tree.size).steps_used
-                           for env in feed_environments(catalog)]
-    return steps
 
 
 def test_one_pass_scoring_branches_by_the_function_not_the_name(catalog, feed_prims):
@@ -556,12 +538,12 @@ def test_one_pass_scoring_branches_by_the_function_not_the_name(catalog, feed_pr
     pick = function("pick", (Sort.NUMBER,) * 4, Sort.NUMBER, if_greater)
     add = feed_prims.kind("add")
     tree = ProgramTree(pick, (
-        program(feed_prims, "group_is_tech"), const_program(feed_prims, 0.5),
-        program(feed_prims, "unread_count"),
-        ProgramTree(add, (program(feed_prims, "is_engadget"),
-                          program(feed_prims, "unread_count")))))
-    assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
-    assert set(assert_walker_steps(tree, catalog)) == {4, 6}
+        leaf(feed_prims, "group_is_tech"), constant(feed_prims, 0.5),
+        leaf(feed_prims, "unread_count"),
+        ProgramTree(add, (leaf(feed_prims, "is_engadget"),
+                          leaf(feed_prims, "unread_count")))))
+    assert_same_fill(feed_module._fill_screen(tree, catalog), walked_fill(tree, catalog))
+    assert set(assert_scored_as_walked(tree, catalog)[1]) == {4, 6}
 
 
 @pytest.mark.parametrize("arity", [2, 4])
@@ -569,10 +551,10 @@ def test_one_pass_scoring_runs_any_other_function_eagerly(catalog, feed_prims, a
     """A function other than ``if_greater`` gets every child's value for
     every feed, even one with the conditional's arity."""
     first = function("first", (Sort.NUMBER,) * arity, Sort.NUMBER, lambda *values: values[0])
-    tree = ProgramTree(first, (program(feed_prims, "group_is_tech"),)
-                       + (program(feed_prims, "unread_count"),) * (arity - 1))
-    assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
-    assert set(assert_walker_steps(tree, catalog)) == {arity + 1}
+    tree = ProgramTree(first, (leaf(feed_prims, "group_is_tech"),)
+                       + (leaf(feed_prims, "unread_count"),) * (arity - 1))
+    assert_same_fill(feed_module._fill_screen(tree, catalog), walked_fill(tree, catalog))
+    assert set(assert_scored_as_walked(tree, catalog)[1]) == {arity + 1}
 
 
 # ---------------------------------------------------------------------------
@@ -583,18 +565,12 @@ def scoring(prims, catalog, values):
     chain of ``if_greater (is_<id>) 0.5`` tests, one per feed but the last,
     each yielding its feed's constant."""
     feeds = catalog.feeds
-    tree = const_program(prims, values[-1])
+    tree = constant(prims, values[-1])
     for feed, value in zip(feeds[-2::-1], values[-2::-1]):
         tree = ProgramTree(prims.kind("if_greater"), (
-            program(prims, f"is_{feed.feed_id}"), const_program(prims, 0.5),
-            const_program(prims, value), tree))
+            leaf(prims, f"is_{feed.feed_id}"), constant(prims, 0.5),
+            constant(prims, value), tree))
     return tree
-
-
-def ranking_of(values):
-    """The positive feeds' indices, best first, ties in catalog order."""
-    return tuple(sorted((i for i, value in enumerate(values) if value > 0.0),
-                        key=lambda i: -values[i]))
 
 
 TWELVE_FEEDS = FeedCatalog(tuple(Feed(f"f{i}", "tech" if i % 2 else "other", i % 4)
@@ -624,7 +600,7 @@ def test_a_cached_screen_is_the_walkers(name):
     catalog, values = SCREEN_CASES[name]
     prims = feed_primitives(catalog)
     tree = scoring(prims, catalog, values)
-    want = walker_fill(tree, catalog)
+    want = walked_fill(tree, catalog)
     assert [repr(v) for v in want[0]] == [repr(float(v)) for v in values]
     feed_module._screen.cache_clear()
     computed = feed_module._fill_screen(tree, catalog)
@@ -648,7 +624,7 @@ def test_the_round_robin_runs_once_per_catalog_and_ranking(catalog, feed_prims):
     keys, fills = set(), 0
     for tree in trees:
         for each in catalogs:
-            want = walker_fill(tree, each)
+            want = walked_fill(tree, each)
             assert_same_fill(feed_module._fill_screen(fresh_copy(tree, feed_prims), each), want)
             if want is not None:
                 keys.add((each, ranking_of(want[0])))
@@ -683,32 +659,11 @@ def test_the_screen_cache_stays_bounded(catalog):
     assert feed_module._screen.cache_info().currsize == feed_module.SCREEN_CACHE_SIZE
 
 
-def cursor_screen(catalog, ranking):
-    """The round-robin as a loop with a cursor per ranked feed, round by
-    round until the screen is full or a round shows nothing: the reference
-    for ``feed._screen``'s comprehension."""
-    feeds = catalog.feeds
-    cursors = {i: 0 for i in ranking}
-    displayed = []
-    while len(displayed) < SCREEN_SIZE:
-        progressed = False
-        for i in ranking:
-            if len(displayed) >= SCREEN_SIZE:
-                break
-            if cursors[i] < feeds[i].unread:
-                displayed.append((feeds[i].feed_id, cursors[i]))
-                cursors[i] += 1
-                progressed = True
-        if not progressed:
-            break
-    return tuple(displayed)
-
-
 def test_the_screen_is_the_cursor_loops():
     """On catalogs of 1 to 9 feeds and any ranking of some of them, the
     screen is the cursor loop's.  A feed with 10**18 unread items can be
     ranked, so the screen must stop after :data:`SCREEN_SIZE` rounds, not
-    run a round per unread item as ``walker_fill`` does."""
+    run a round per unread item."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -741,28 +696,22 @@ def test_a_fill_keeps_the_roots_own_values(catalog, feed_prims):
 # ---------------------------------------------------------------------------
 # step counts: trees larger than the step budget against the walker
 
-def walked_steps(tree, catalog):
-    """The nodes each feed's walk of ``tree`` evaluates when no budget stops
-    it (a walk never evaluates more than the whole tree)."""
-    return tuple(walk(tree, env, tree.size).steps_used for env in feed_environments(catalog))
-
-
-def assert_counted_as_walked(tree, catalog):
-    """``tree``'s fill is the walker's, kill and every bit of every score,
-    and its counts are each feed's unbudgeted walk; returns the fill."""
-    assert tree.size > MAX_STEPS
-    fill = feed_module._fill_screen(tree, catalog)
-    assert_same_fill(fill, walker_fill(tree, catalog))
-    steps = walked_steps(tree, catalog)
-    assert pass_steps(tree, catalog) == steps
-    assert (fill is None) is (max(steps) > MAX_STEPS)
-    return fill
-
-
 def test_the_counts_match_the_walker_on_every_oversize_tree(catalog, feed_prims):
     """Depth-9 growth, the same trees with an infinite or NaN subtree grafted
-    in, the edge trees and chains at the depth ceiling: each oversize fill
-    and each feed's count are the walker's."""
+    in, growth at depths 3 to 9, the edge trees and chains at the depth
+    ceiling: each oversize fill, kill and every bit of every score, is the
+    walker's, and each feed's count is its own unbudgeted walk's, so the
+    fill is killed exactly when some walk is."""
+
+    def counted_as_walked(tree):
+        assert tree.size > MAX_STEPS
+        fill = feed_module._fill_screen(tree, catalog)
+        assert_same_fill(fill, walked_fill(tree, catalog))
+        steps = walked_steps(tree, catalog)
+        assert pass_steps(tree, catalog) == steps
+        assert (fill is None) is (max(steps) > MAX_STEPS)
+        return fill, steps
+
     rng = random.Random(99)
     grown = [tree for tree in (build_random_tree(feed_prims, 9, rng) for _ in range(160))
              if tree.size > MAX_STEPS]
@@ -780,13 +729,20 @@ def test_the_counts_match_the_walker_on_every_oversize_tree(catalog, feed_prims)
     for tree in grown + grafted + [edges["skipping"], edges["killed"]] + chains:
         if tree.size <= MAX_STEPS:
             continue
-        fill = assert_counted_as_walked(tree, catalog)
+        fill, steps = counted_as_walked(tree)
         outcomes["killed" if fill is None else "scored"] += 1
         if fill is not None and not all(map(math.isfinite, fill[0])):
             outcomes["non-finite"] += 1
-        uneven += len(set(walked_steps(tree, catalog))) > 1
+        uneven += len(set(steps)) > 1
     assert min(outcomes.values()) >= 2 and outcomes["killed"] < outcomes["scored"], outcomes
     assert uneven >= 2  # feeds split by if_greater took different counts
+    drawn = random.Random(14)
+    mixed = [build_random_tree(feed_prims, depth, drawn)
+             for depth in range(3, 10) for _ in range(20)]
+    oversize = [tree for tree in mixed + [edges["skipping"], edges["killed"]]
+                if tree.size > MAX_STEPS]
+    kills = sum(counted_as_walked(tree)[0] is None for tree in oversize)
+    assert len(oversize) > kills > 0
 
 
 def test_every_count_the_walk_records_is_one_int_per_feed(catalog, feed_prims):
@@ -820,15 +776,11 @@ def test_a_chain_at_the_depth_ceiling_counts_as_walked(catalog, feed_prims, kind
     counts each feed's walk: the ``add`` chain's 399 steps are within the
     budget, the ``if_greater`` chain's 598 (of 797 nodes) over it."""
     tree = deserialize(feed_chain(kind, DEPTH_CEILING), feed_prims)
-    values = pass_values(tree, catalog)
-    steps = pass_steps(tree, catalog)
-    assert steps == walked_steps(tree, catalog)
+    _, steps = assert_scored_as_walked(tree, catalog)
     assert steps[0] == {"add": 2 * DEPTH_CEILING - 1,
                         "if_greater": 3 * (DEPTH_CEILING - 1) + 1}[kind]
-    assert [repr(v) for v in values] == [repr(walk(tree, env, tree.size).value)
-                                         for env in feed_environments(catalog)]
     assert_same_fill(feed_module._fill_screen(fresh_copy(tree, feed_prims), catalog),
-                     walker_fill(tree, catalog))
+                     walked_fill(tree, catalog))
 
 
 def test_an_oversize_tree_reading_an_unbound_terminal_raises():
@@ -837,9 +789,7 @@ def test_an_oversize_tree_reading_an_unbound_terminal_raises():
     stays unread.  The pass scores every feed before the fill decides the
     kill, so a killed tree raises too, where the walker stops at the budget
     first."""
-    wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
-    narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
-    prims = feed_primitives(wide)
+    prims = feed_primitives(WIDE)
 
     def oversize(text, before):
         """``text`` added to a sum of ``before`` nodes, behind an untaken
@@ -856,17 +806,17 @@ def test_an_oversize_tree_reading_an_unbound_terminal_raises():
         tree, killed = oversize(text, 101), oversize(text, MAX_STEPS + 1)
         for scored in (tree, killed):
             with pytest.raises(ConfigurationError, match="is_c"):
-                feed_module._fill_screen(scored, narrow)
-        assert walker_fill(killed, narrow) is None
+                feed_module._fill_screen(scored, NARROW)
+        assert walked_fill(killed, NARROW) is None
         if text in NESTED_HIDDEN:
-            assert walker_fill(tree, narrow) is not None
+            assert walked_fill(tree, NARROW) is not None
         else:
             with pytest.raises(ConfigurationError, match="is_c"):
-                walker_fill(tree, narrow)
+                walked_fill(tree, NARROW)
     for text in untaken:
         for before in (101, MAX_STEPS + 1):
             tree = oversize(text, before)
-            assert_same_fill(feed_module._fill_screen(tree, narrow), walker_fill(tree, narrow))
+            assert_same_fill(feed_module._fill_screen(tree, NARROW), walked_fill(tree, NARROW))
 
 
 @pytest.mark.parametrize("before", [101, MAX_STEPS + 1], ids=["scored", "killed"])
@@ -876,16 +826,14 @@ def test_an_oversize_tree_whose_pass_raises_runs_each_feed_once(monkeypatch, bef
     fill builds one scorer, runs no program on the interpreter and counts
     no steps, and raises the pass's error as a configuration error, where
     the walker gives each feed a value, or kills the tree."""
-    wide = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
-    narrow = FeedCatalog(wide.feeds[:2])  # binds no is_c
-    prims = feed_primitives(wide)
+    prims = feed_primitives(WIDE)
     then = ProgramTree(prims.kind("add"),
                        (feed_sum(prims, before), deserialize(NESTED_HIDDEN[0], prims)))
     tree = always(prims, then, feed_sum(prims, MAX_STEPS + 1))
     assert tree.size > MAX_STEPS
-    assert (walker_fill(tree, narrow) is None) is (before > MAX_STEPS)
+    assert (walked_fill(tree, NARROW) is None) is (before > MAX_STEPS)
     with pytest.raises(KeyError, match="is_c"):  # the pass itself raises
-        pass_values(tree, narrow)
+        pass_values(tree, NARROW)
     passes = []
     real = feed_module._scorer
 
@@ -900,8 +848,8 @@ def test_an_oversize_tree_whose_pass_raises_runs_each_feed_once(monkeypatch, bef
     monkeypatch.setattr(feed_module, "execute", unexpected)
     monkeypatch.setattr(feed_module, "_count_steps", unexpected)
     with pytest.raises(ConfigurationError, match="'is_c'"):
-        feed_module._fill_screen(tree, narrow)
-    assert passes == [len(narrow.feeds)]
+        feed_module._fill_screen(tree, NARROW)
+    assert passes == [len(NARROW.feeds)]
 
 
 @pytest.mark.parametrize("first", ["oversize", "small"])
@@ -915,19 +863,15 @@ def test_records_cross_between_oversize_and_small_trees(catalog, feed_prims, fir
                   and len(set(walked_steps(tree, catalog))) > 1)
     add = feed_prims.kind("add")
     oversize = ProgramTree(add, (shared, feed_sum(feed_prims, MAX_STEPS - 1)))
-    small = ProgramTree(feed_prims.kind("sub"), (shared, const_program(feed_prims, 1.0)))
+    small = ProgramTree(feed_prims.kind("sub"), (shared, constant(feed_prims, 1.0)))
     trees = {"oversize": oversize, "small": small}
     order = [first, "small" if first == "oversize" else "oversize"]
     for name in order:
         tree = trees[name]
-        assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
+        assert_same_fill(feed_module._fill_screen(tree, catalog), walked_fill(tree, catalog))
         assert is_warm(shared, catalog)
-        values = pass_values(shared, catalog)
-        steps = pass_steps(shared, catalog)
+        values, _ = assert_scored_as_walked(shared, catalog)
         assert values is shared.record[1]
-        assert [repr(v) for v in values] == [
-            repr(walk(shared, env, shared.size).value) for env in feed_environments(catalog)]
-        assert steps == walked_steps(shared, catalog)
         assert pass_steps(tree, catalog) == walked_steps(tree, catalog)
 
 
@@ -946,7 +890,7 @@ def test_an_oversize_child_reads_the_counts_its_parent_recorded(catalog, feed_pr
     for index, (node, above) in enumerate(with_ancestors(parent)):
         if node.children:
             continue
-        child = replace_subtree(node_at(parent, index)[1], const_program(feed_prims, 0.5))
+        child = replace_subtree(node_at(parent, index)[1], constant(feed_prims, 0.5))
         calls.clear()
         assert pass_steps(child, catalog) == killed
         assert Counter(calls) == {a.kind.name: len(catalog.feeds) for a in above}
@@ -975,7 +919,7 @@ def test_a_fill_within_the_budget_never_counts(catalog, feed_prims, monkeypatch)
              for depth in range(2, 10) for _ in range(30)]
     trees += feed_edges(feed_prims).values()
     for tree in trees:
-        assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
+        assert_same_fill(feed_module._fill_screen(tree, catalog), walked_fill(tree, catalog))
     oversize = [tree for tree in trees if tree.size > MAX_STEPS]
     assert 2 < len(oversize) < len(trees) // 10
     assert list(map(id, counted)) == list(map(id, oversize))
@@ -1008,10 +952,10 @@ def test_a_fill_at_the_budgets_edge_is_killed_when_some_walk_is(catalog, feed_pr
     trees = [tree for tree in budget_edge_trees(feed_prims) if tree.size == size]
     killed = []
     for tree in trees:
-        walks = [walk(tree, env, MAX_STEPS) for env in feed_environments(catalog)]
         fill = feed_module._fill_screen(tree, catalog)
-        assert (fill is None) is any(walked.killed for walked in walks)
-        assert_same_fill(fill, walker_fill(tree, catalog))
+        assert (fill is None) is any(walked.killed for walked in walk_feeds(tree, catalog,
+                                                                             MAX_STEPS))
+        assert_same_fill(fill, walked_fill(tree, catalog))
         killed.append(fill is None)
     assert len(trees) >= 2
     assert set(killed) == ({False} if size <= MAX_STEPS else {False, True})
@@ -1037,7 +981,7 @@ def test_records_of_two_catalogs_used_in_turn_give_exact_counts(feed_prims):
                 step(node, rng.choice(catalogs))
             catalog = rng.choice(catalogs)
             assert pass_steps(tree, catalog) == walked_steps(tree, catalog)
-            assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
+            assert_same_fill(feed_module._fill_screen(tree, catalog), walked_fill(tree, catalog))
 
 
 # ---------------------------------------------------------------------------
@@ -1104,16 +1048,11 @@ def test_bred_lineages_score_as_fresh_copies_and_the_walker(catalog):
         """The one pass, whatever the tree's size, against a record-free
         copy and a walk that no budget stops: each value bit for bit, and
         each feed's count."""
-        values = pass_values(tree, catalog)
-        steps = pass_steps(tree, catalog)
+        values, steps = assert_scored_as_walked(tree, catalog)
         fresh = fresh_copy(tree, prims)
         fresh_values = pass_values(fresh, catalog)
-        fresh_steps = pass_steps(fresh, catalog)
-        got = [repr(value) for value in values]
-        assert got == [repr(value) for value in fresh_values] and steps == fresh_steps
-        walks = [walk(tree, env, tree.size) for env in feed_environments(catalog)]
-        assert got == [repr(walked.value) for walked in walks]
-        assert steps == tuple(walked.steps_used for walked in walks)
+        assert [repr(value) for value in values] == [repr(value) for value in fresh_values]
+        assert steps == pass_steps(fresh, catalog)
 
     parents = [build_random_tree(prims, 9, rng) for _ in range(6)]
     for tree in parents:
@@ -1178,7 +1117,7 @@ def with_ancestors(tree):
 def test_a_child_evaluates_only_the_ancestors_breeding_rebuilt(catalog, feed_prims):
     """Without ``if_greater`` every node is reached by every feed, so every
     function node keeps a record."""
-    terminals = [kind for kind in grower.split(feed_prims, Sort.NUMBER)[0]
+    terminals = [kind for kind in leaves_and_functions(feed_prims, Sort.NUMBER)[0]
                  if kind.category is Category.TERMINAL]
     prims = PrimitiveSet(arithmetic_kinds() + terminals, Sort.NUMBER,
                          {Sort.NUMBER: lambda rng: rng.uniform(-10.0, 10.0)},
@@ -1193,15 +1132,15 @@ def test_a_child_evaluates_only_the_ancestors_breeding_rebuilt(catalog, feed_pri
         calls.clear()
         values = pass_values(tree, catalog)
         counts = Counter(calls)
-        for got, env in zip(values, feed_environments(catalog)):
-            assert repr(got) == repr(walk(tree, env, tree.size).value)
+        for got, walked in zip(values, walk_feeds(tree, catalog)):
+            assert repr(got) == repr(walked.value)
         return counts
 
     assert evaluated(parent, catalog) == everything
     assert evaluated(parent, catalog) == {}  # the root's own record
-    leaf = const_program(prims, 1.5)
+    replacement = constant(prims, 1.5)
     for index, (_, above) in enumerate(with_ancestors(parent)):
-        child = replace_subtree(node_at(parent, index)[1], leaf)
+        child = replace_subtree(node_at(parent, index)[1], replacement)
         assert evaluated(child, catalog) == {a.kind.name: feeds for a in above}
     # an equal catalog reads the same columns, and so the same records
     assert evaluated(parent, default_catalog()) == {}
@@ -1239,18 +1178,18 @@ def test_every_function_node_a_pass_evaluates_keeps_a_record(catalog, feed_prims
     assert tree.record[1] is values and isinstance(values, tuple)
     again = pass_values(tree, catalog)
     assert again is values
-    assert_same_fill(feed_module._fill_screen(tree, catalog), walker_fill(tree, catalog))
+    assert_same_fill(feed_module._fill_screen(tree, catalog), walked_fill(tree, catalog))
 
 
 # ---------------------------------------------------------------------------
 # clicks and fitness
 
 def test_click_extremes(catalog, feed_prims):
-    report = run_feed_program(const_program(feed_prims, 1.0), catalog)
+    report = run_feed_program(constant(feed_prims, 1.0), catalog)
     always = UserModel({f.feed_id: 1.0 for f in catalog.feeds})
     eager = simulate_clicks(report, always, random.Random(0))
     assert eager.clicked == eager.displayed
-    report = run_feed_program(const_program(feed_prims, 1.0), catalog)
+    report = run_feed_program(constant(feed_prims, 1.0), catalog)
     never = UserModel({f.feed_id: 0.0 for f in catalog.feeds})
     bored = simulate_clicks(report, never, random.Random(0))
     assert bored.clicked == []
@@ -1259,7 +1198,7 @@ def test_click_extremes(catalog, feed_prims):
 def test_click_rate_monte_carlo(catalog, feed_prims):
     user = UserModel({f.feed_id: 0.5 for f in catalog.feeds})
     rng = random.Random(2718)
-    tree = const_program(feed_prims, 1.0)
+    tree = constant(feed_prims, 1.0)
     clicks = []
     for _ in range(10000):
         report = simulate_clicks(run_feed_program(tree, catalog), user, rng)
@@ -1301,7 +1240,7 @@ def test_fitness_bounded_and_count_monotone():
 
 
 def test_evaluator_is_seed_deterministic(catalog, feed_prims):
-    tree = build_random_tree(grower.at_bias(feed_prims, 0.5), 3, random.Random(5))
+    tree = build_random_tree(at_bias(feed_prims, 0.5), 3, random.Random(5))
     member = Individual.from_tree(tree)
     a = FeedEvaluator(catalog, homogeneous_user(catalog), random.Random("e"))(member)
     b = FeedEvaluator(catalog, homogeneous_user(catalog), random.Random("e"))(member)
@@ -1313,9 +1252,9 @@ def test_evaluator_is_seed_deterministic(catalog, feed_prims):
 # the depth-2 exhaustive oracle
 
 def enumerate_depth2(prims, const_values=(-1.0, 0.5, 2.0)):
-    leaf_kinds, functions = grower.split(prims, Sort.NUMBER)
+    leaf_kinds, functions = leaves_and_functions(prims, Sort.NUMBER)
     leaves = [ProgramTree(k) for k in leaf_kinds if k.name != constant_kind_name(Sort.NUMBER)]
-    leaves += [const_program(prims, v) for v in const_values]
+    leaves += [constant(prims, v) for v in const_values]
     yield from leaves
     for kind in functions:
         for combo in itertools.product(leaves, repeat=kind.arity):

@@ -1,8 +1,9 @@
-"""No ``sum`` over floats in the package.
+"""No ``sum`` over floats in the package, nor in the tests' oracles.
 
 From Python 3.12 on, ``sum`` adds floats with compensated summation, so a
 float ``sum`` that reaches a row or a fitness gives other bits on 3.12+ than
-on 3.10 and 3.11, and the goldens would hold on some interpreters only.
+on 3.10 and 3.11, and the goldens would hold on some interpreters only; an
+oracle that summed so would hold the package to other bits than its own.
 Floats are added left to right instead (``functools.reduce(operator.add,
 ...)``).  ``sum`` stays only where every term is an integer.
 """
@@ -12,12 +13,18 @@ import pathlib
 import gpislands
 
 PACKAGE = pathlib.Path(gpislands.__file__).resolve().parent
+ORACLES = pathlib.Path(__file__).resolve().parent / "reference.py"
 
 #: The ``sum`` calls allowed, each over integers only: the module, the
 #: function (``Class.method`` for a method) and the keyword argument the sum
 #: is passed as, if any.
 INTEGER_SUMS = {
     ("evolution.py", "EvolutionStrategy.total", None),  # step counts
+}
+#: The same for ``tests/reference.py``.
+ORACLE_INTEGER_SUMS = {
+    ("reference.py", "recount", None),  # subtree sizes
+    ("reference.py", "oracle_stats", None),  # member sizes and depths
 }
 
 
@@ -46,8 +53,16 @@ def test_the_scan_finds_a_sum_where_it_sits():
     assert sum_calls(ast.parse(source)) == [("f", None), ("C.g", "n")]
 
 
-def test_the_package_sums_only_integers():
-    calls = [(path.name, *call) for path in sorted(PACKAGE.glob("*.py"))
+def assert_only_integers_summed(paths, allowed):
+    calls = [(path.name, *call) for path in paths
              for call in sum_calls(ast.parse(path.read_text(encoding="utf-8")))]
     assert calls  # the scan sees the integer sums it allows
-    assert [call for call in calls if call not in INTEGER_SUMS] == []
+    assert [call for call in calls if call not in allowed] == []
+
+
+def test_the_package_sums_only_integers():
+    assert_only_integers_summed(sorted(PACKAGE.glob("*.py")), INTEGER_SUMS)
+
+
+def test_the_oracles_sum_only_integers():
+    assert_only_integers_summed([ORACLES], ORACLE_INTEGER_SUMS)

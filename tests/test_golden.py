@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from walker import feed_environments, walk
+from reference import walked_fill
 
 import gpislands
 from gpislands import feed
@@ -98,8 +98,7 @@ def test_deep_cell_exercises_supervisor_kills(tmp_path, monkeypatch):
     _run("feed-deep-kills", tmp_path)
     assert killed
     for tree, catalog in killed:
-        assert any(walk(tree, env, feed.MAX_STEPS).killed
-                   for env in feed_environments(catalog))
+        assert walked_fill(tree, catalog) is None
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1"])

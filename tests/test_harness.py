@@ -6,8 +6,8 @@ import math
 import random
 import socket
 
-import numpy as np
 import pytest
+from reference import per_cell_summary
 
 from gpislands import cli, harness, udp
 from gpislands.cli import build_parser, config_from_args, main
@@ -275,31 +275,6 @@ def test_summary_is_recomputable_from_rows(tmp_path):
         header = next(csv.reader(fh))
     assert header[:4] == ["generation", "island", "max_fitness_mean",
                           "max_fitness_sd"]
-
-
-def per_cell_summary(config, rows):
-    """The summary written out cell by cell, one small numpy array per cell
-    in row order: the oracle the one-pass summary is held to bit for bit."""
-    cells = {}
-    for r in rows:
-        cells.setdefault((r.generation, r.island), []).append(r)
-    summary = []
-    for generation in range(config.generations):
-        for island in range(config.islands):
-            cell = cells[generation, island]
-            maxes = np.array([r.max_fitness for r in cell])
-            means = np.array([r.mean_fitness for r in cell])
-            ddof = 1 if len(cell) > 1 else 0
-            summary.append(harness.SummaryRow(
-                generation=generation, island=island,
-                max_fitness_mean=float(maxes.mean()),
-                max_fitness_sd=float(maxes.std(ddof=ddof)),
-                max_fitness_se=float(maxes.std(ddof=ddof) / np.sqrt(len(cell))),
-                mean_fitness_mean=float(means.mean()),
-                mean_fitness_sd=float(means.std(ddof=ddof)),
-                mean_fitness_se=float(means.std(ddof=ddof) / np.sqrt(len(cell))),
-            ))
-    return summary
 
 
 def stats_row(iteration, generation, island, max_fitness, mean_fitness):

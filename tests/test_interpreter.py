@@ -3,11 +3,16 @@ compiled engine against the reference walker."""
 import functools
 import random
 
-import grower
 import pytest
-from feed_pass import pass_steps
-from sized import feed_chain, feed_edges
-from walker import feed_environments, walk
+from reference import (
+    at_bias,
+    feed_environments,
+    pass_steps,
+    walk,
+    walk_feeds,
+    walked_steps,
+)
+from sized import constant, feed_chain, leaf
 
 from gpislands import feed as feed_module
 from gpislands import localisation as localisation_module
@@ -23,7 +28,6 @@ from gpislands.trees import (
     Sort,
     arithmetic_kinds,
     build_random_tree,
-    constant_kind_name,
     deserialize,
     function,
     if_greater,
@@ -31,10 +35,6 @@ from gpislands.trees import (
     sequence_kind,
     terminal,
 )
-
-
-def num_const(prims, value):
-    return ProgramTree(prims.kind(constant_kind_name(Sort.NUMBER)), value=value)
 
 
 @pytest.fixture
@@ -50,22 +50,22 @@ def branch_prims():
 
 
 def test_constant_tree_completes_in_one_step(geo_prims):
-    out = execute(compile_program(num_const(geo_prims, 2.5), {}), 8)
+    out = execute(compile_program(constant(geo_prims, 2.5), {}), 8)
     assert out.value == 2.5
     assert out.steps_used == 1
     assert not out.killed
 
 
 def test_terminal_bindings_are_read_at_execution(geo_prims):
-    t = ProgramTree(geo_prims.kind("add"), (ProgramTree(geo_prims.kind("lat")),
-                                            num_const(geo_prims, 2.5)))
+    t = ProgramTree(geo_prims.kind("add"), (leaf(geo_prims, "lat"),
+                                            constant(geo_prims, 2.5)))
     out = execute(compile_program(t, {"lat": lambda: 1.5}), 16)
     assert out.value == 4.0
     assert out.steps_used == 3
 
 
 def test_unbound_terminal_is_a_configuration_error(geo_prims):
-    t = ProgramTree(geo_prims.kind("lat"))
+    t = leaf(geo_prims, "lat")
     program = compile_program(t, {})  # compiling a tree it cannot run is no error
     with pytest.raises(ConfigurationError):
         execute(program, 4)
@@ -73,7 +73,7 @@ def test_unbound_terminal_is_a_configuration_error(geo_prims):
 
 def test_step_budget_kills_large_tree(branch_prims):
     rng = random.Random(5)
-    t = build_random_tree(grower.at_bias(branch_prims, 1.0), 6, rng)
+    t = build_random_tree(at_bias(branch_prims, 1.0), 6, rng)
     assert t.size > 10
     out = execute(compile_program(t, {"a": lambda: 1.0, "b": lambda: 2.0}),
                   10)
@@ -103,10 +103,10 @@ def test_if_greater_evaluates_only_taken_branch(branch_prims):
         return read
 
     t = ProgramTree(branch_prims.kind("if_greater"), (
-        num_const(branch_prims, 2.0),
-        num_const(branch_prims, 1.0),
-        ProgramTree(branch_prims.kind("a")),
-        ProgramTree(branch_prims.kind("b")),
+        constant(branch_prims, 2.0),
+        constant(branch_prims, 1.0),
+        leaf(branch_prims, "a"),
+        leaf(branch_prims, "b"),
     ))
     out = execute(compile_program(t, {"a": reader("a", 10.0), "b": reader("b", 20.0)}),
                   16)
@@ -151,8 +151,8 @@ def test_action_terminals_act_through_their_accessors():
 def test_an_unbound_terminal_past_the_budget_raises(geo_prims):
     """The run reads every terminal it reaches, so an unbound one raises even
     where the walker would already have killed the run."""
-    t = ProgramTree(geo_prims.kind("add"), (num_const(geo_prims, 1.0),
-                                            ProgramTree(geo_prims.kind("lat"))))
+    t = ProgramTree(geo_prims.kind("add"), (constant(geo_prims, 1.0),
+                                            leaf(geo_prims, "lat")))
     assert walk(t, {}, 2) == (True, None, 2)
     with pytest.raises(ConfigurationError, match="lat"):
         compiled_run(t, {}, 2)
@@ -221,44 +221,6 @@ def test_compiled_matches_walker_on_feed_trees(feed_prims, max_steps):
     assert min(sizes) <= max_steps < max(sizes)
 
 
-def test_the_oversize_fill_runs_each_feed_as_the_walker_does(feed_prims, monkeypatch):
-    """A tree larger than the budget is scored in the one pass and counted
-    by the counting walk, with no program compiled or run; each feed gets
-    the value of a walk of the tree against that feed's own bindings, and
-    its count is the steps of that walk, so the fill is killed exactly when
-    some feed's walk is."""
-    def unexpected(*args):
-        pytest.fail("a fill ran a program")
-
-    monkeypatch.setattr(feed_module, "execute", unexpected)
-    catalog = default_catalog()
-    per_feed = feed_environments(catalog)
-    assert len(per_feed) == 7
-    max_steps = feed_module.MAX_STEPS
-    edges = feed_edges(feed_prims)
-    oversize = kills = 0
-    for tree in random_trees(feed_prims, 14) + [edges["skipping"], edges["killed"]]:
-        if tree.size <= max_steps:
-            continue
-        oversize += 1
-        fill = feed_module._fill_screen(tree, catalog)
-        walked = [walk(tree, bindings, max_steps) for bindings in per_feed]
-        steps = pass_steps(tree, catalog)
-        assert list(steps) == [walk(tree, bindings, tree.size).steps_used
-                               for bindings in per_feed]
-        for count, want in zip(steps, walked):
-            assert want.killed is (count > max_steps)
-            assert want.steps_used == min(count, max_steps)
-        if not any(want.killed for want in walked):
-            assert len(fill[0]) == len(walked)
-            for value, want in zip(fill[0], walked):
-                assert same_value(value, float(want.value))
-        else:
-            assert fill is None
-            kills += 1
-    assert oversize > kills > 0
-
-
 def loc_world_runs(runner, ticks=8):
     """``runner(bindings)`` against a fresh world, called once per tick up to a
     kill, as the task runs a program: the outcomes, and per tick the
@@ -283,7 +245,7 @@ def loc_world_runs(runner, ticks=8):
 @pytest.mark.parametrize("max_steps", [256, 12])
 def test_compiled_matches_walker_on_localisation_trees(loc_prims, max_steps):
     killed = 0
-    for tree in random_trees(grower.at_bias(loc_prims, 0.5), 12):
+    for tree in random_trees(at_bias(loc_prims, 0.5), 12):
         compiled, state_c = loc_world_runs(
             lambda b: functools.partial(execute, compile_program(tree, b), max_steps))
         walked, state_w = loc_world_runs(lambda b: functools.partial(walk, tree, b, max_steps))
@@ -321,7 +283,7 @@ def test_a_kill_at_the_edge_of_the_budget_matches_the_walker(branch_prims):
     """At budgets of the tree's size, of the steps a full run takes, and one
     below each, the kill, the value and ``steps_used`` are the walker's."""
     rng = random.Random(8)
-    bushy = grower.at_bias(branch_prims, 1.0)
+    bushy = at_bias(branch_prims, 1.0)
     bindings = {"a": lambda: 1.0, "b": lambda: 2.0}
     edges = {"killed": 0, "completed": 0}
     for _ in range(100):
@@ -341,7 +303,7 @@ def test_a_run_has_no_budget_and_execute_adds_its_kill(branch_prims):
     the walker does with budget to spare; ``execute`` reports that run, or
     kills it when it took more steps than the budget."""
     rng = random.Random(9)
-    bushy = grower.at_bias(branch_prims, 1.0)
+    bushy = at_bias(branch_prims, 1.0)
     bindings = {"a": lambda: 1.0, "b": lambda: 2.0}
     for _ in range(50):
         tree = build_random_tree(bushy, 5, rng)
@@ -356,7 +318,7 @@ def test_a_kind_branches_by_its_function_not_its_name(branch_prims):
     """Any kind whose function is ``if_greater`` compiles to the branch that
     runs only the taken side, whatever the kind is called."""
     pick = function("pick", (Sort.NUMBER,) * 4, Sort.NUMBER, if_greater)
-    a, b = ProgramTree(branch_prims.kind("a")), ProgramTree(branch_prims.kind("b"))
+    a, b = leaf(branch_prims, "a"), leaf(branch_prims, "b")
     tree = ProgramTree(pick, (a, b, a, ProgramTree(pick, (b, a, b, a))))
     outcome = assert_same_runs(tree, {"a": lambda: 0.5, "b": lambda: -0.5}, 64)
     assert outcome == (False, 0.5, 4)  # the untaken side's 5 nodes never ran
@@ -367,7 +329,7 @@ def test_any_other_function_runs_eagerly(branch_prims, arity):
     """A function other than ``if_greater`` is given its children's values,
     every child evaluated first, even one with the conditional's arity."""
     first = function("first", (Sort.NUMBER,) * arity, Sort.NUMBER, lambda *values: values[0])
-    a, b = ProgramTree(branch_prims.kind("a")), ProgramTree(branch_prims.kind("b"))
+    a, b = leaf(branch_prims, "a"), leaf(branch_prims, "b")
     tree = ProgramTree(first, (a,) + (b,) * (arity - 1))
     outcome = assert_same_runs(tree, {"a": lambda: 0.5, "b": lambda: -0.5}, 64)
     assert outcome == (False, 0.5, arity + 1)
@@ -403,9 +365,8 @@ def test_a_chain_at_the_depth_ceiling_runs_in_both_tasks(feed_prims, loc_prims):
     # at the tasks' own budgets, a run down the chain is killed at once: the
     # feed task's counting walk descends the whole chain to count each
     # feed's steps, and the fill's kill is the walker's
-    assert [walk(feed_tree, env, feed_module.MAX_STEPS).killed
-            for env in feed_environments(catalog)] == [True] * len(catalog.feeds)
+    walks = walk_feeds(feed_tree, catalog, feed_module.MAX_STEPS)
+    assert [walked.killed for walked in walks] == [True] * len(catalog.feeds)
     assert feed_module._fill_screen(feed_tree, catalog) is None
-    assert pass_steps(feed_tree, catalog) == tuple(
-        walk(feed_tree, env, 10**6).steps_used for env in feed_environments(catalog))
+    assert pass_steps(feed_tree, catalog) == walked_steps(feed_tree, catalog)
     assert localisation_module._control_trace(loc_tree, WorldConfig()) == ()

@@ -3,8 +3,8 @@ import dataclasses
 import logging
 import random
 
-import grower
 import pytest
+from reference import at_bias
 
 from gpislands import islands as islands_module
 from gpislands import udp as udp_module
@@ -54,7 +54,7 @@ def bus_endpoints(count, loss=0.0, seed=0):
 def scored_population(prims, capacity, seed=0):
     """``capacity`` trees grown over ``prims`` at bias 0.5, each scored."""
     rng = random.Random(seed)
-    prims = grower.at_bias(prims, 0.5)
+    prims = at_bias(prims, 0.5)
     members = [Individual.from_tree(build_random_tree(prims, 3, rng))
                for _ in range(capacity)]
     for m in members:

@@ -1,16 +1,23 @@
-"""The provider-switching benchmark: world model, scoring, helper, oracles."""
+"""The provider-switching benchmark: world model, scoring, helper, and the
+package against the eager oracle of ``reference.py``."""
 import dataclasses
-import functools
 import itertools
 import json
 import math
-import operator
 import random
 
-import grower
 import pytest
-from sized import always, constant, loc_requests
-from walker import walk
+from reference import (
+    EagerWorld,
+    at_bias,
+    direct_trace,
+    displace,
+    fix_source,
+    leaves_and_functions,
+    oracle_fitness,
+    reference_helper,
+)
+from sized import always, constant, leaf, loc_requests
 
 from gpislands import interpreter
 from gpislands import localisation as localisation_module
@@ -48,7 +55,6 @@ from gpislands.trees import (
     build_random_tree,
     constant_kind_name,
     deserialize,
-    iter_nodes,
 )
 
 WIFI = DEFAULT_PROVIDERS[1]
@@ -63,15 +69,6 @@ def single_provider_world(provider, ticks=DEFAULT_TICKS, stationary=True):
     return WorldConfig(providers=(provider,), waypoints=waypoints,
                        segments=(Segment(0.0, end, indoor=False, wifi=True),),
                        ticks=ticks)
-
-
-@pytest.fixture
-def prims():
-    return localisation_primitives()
-
-
-def parse(prims, text):
-    return deserialize(text, prims)
 
 
 ENABLE_AND_ASK = "(seq (enable_wifi) (request_update))"
@@ -106,26 +103,6 @@ def test_budget_current_matches_battery_over_day():
 
 # ---------------------------------------------------------------------------
 # the world
-
-def displace(truth, radius, i, draws):
-    """``truth`` moved by the error drawn at ``draws[i]`` (magnitude, as
-    ``random.uniform(ERROR_LOW, ERROR_HIGH)`` scales it) and ``draws[i + 1]``
-    (angle): a fix's position as the scoring pass works it out."""
-    magnitude = radius * (ERROR_LOW + (ERROR_HIGH - ERROR_LOW) * draws[i])
-    angle = 2.0 * math.pi * draws[i + 1]
-    x, y = truth
-    return (x + magnitude * math.cos(angle), y + magnitude * math.sin(angle))
-
-
-def fix_source(config, name, t):
-    """Provider ``name``'s fix at tick ``t`` before its error is added,
-    worked out from scratch: the true position, the provider's radius and
-    the index of its magnitude draw, each provider's draws starting a whole
-    ``2 * (ticks + 1)`` after the previous one's."""
-    index = [p.name for p in config.providers].index(name)
-    return (_truth(config.waypoints, t), config.providers[index].radius_m,
-            2 * (config.ticks + 1) * index + 2 * int(t))
-
 
 def fix_position(config, seed, name, t):
     """Where provider ``name`` places the phone at tick ``t`` with the
@@ -273,21 +250,19 @@ def test_stale_fix_ages():
 
 
 def test_reference_on_ticks_is_the_sharpest_provider_on_since_0():
-    """The tick table's reference agrees with the walk computed from
-    scratch, tie-break and draw index included, and its position with the
-    eager table's."""
+    """The tick table's reference is the eager oracle's pick with every
+    provider on since 0, tie-break and draw index included, and its
+    position the eager table's."""
     for config in ORACLE_CONFIGS.values():
         ticks = _layout(config).ticks
         eager = EagerWorld(config, 9)
         for tick in range(config.ticks + 1):
-            t = float(tick)
-            ready = [p for p in config.providers
-                     if t >= p.first_fix_s and _available(config.segments, p.name, t)]
+            eager.t = t = float(tick)
+            best = eager.best(lambda p: 0.0)  # every provider on since 0
             source = ticks[t].reference_source
-            if not ready:
+            if best is None:
                 assert source is None
                 continue
-            best = min(ready, key=lambda p: p.radius_m)
             assert source == fix_source(config, best.name, t)
             assert displace(*source, _error_draws(9, source[2] + 2)) == (
                 eager.fix_position(best.name, t))
@@ -296,11 +271,11 @@ def test_reference_on_ticks_is_the_sharpest_provider_on_since_0():
     assert ticks[30.0].reference_source[1] == GPS.radius_m  # outdoors: gps
 
 
-def test_reference_power_is_never_charged(prims):
+def test_reference_power_is_never_charged(loc_prims):
     """The reference rides gps on the walk, yet a cell-only program pays
     for cell alone."""
     config = WorldConfig()
-    tree = parse(prims, "(seq (enable_cell) (request_update))")
+    tree = deserialize("(seq (enable_cell) (request_update))", loc_prims)
     trace = localisation_module._control_trace(tree, config)
     assert len(trace) == config.ticks - 1  # cell is ready from tick 2
     assert {energy for _, _, energy in trace} == {energy_fitness(CELL.draw_ma)}
@@ -310,26 +285,26 @@ def test_reference_power_is_never_charged(prims):
 # ---------------------------------------------------------------------------
 # whole-walk evaluation oracles
 
-def test_single_provider_walk_closed_form(prims):
+def test_single_provider_walk_closed_form(loc_prims):
     """Quiet provider, zero error radius: every ready tick scores exactly
     accuracy 1 x energy (1 - draw/63)."""
     quiet = Provider("gps", radius_m=0.0, draw_ma=30.0, first_fix_s=10.0)
-    tree = parse(prims, "(seq (enable_gps) (request_update))")
+    tree = deserialize("(seq (enable_gps) (request_update))", loc_prims)
     fitness = evaluate_localisation(tree, single_provider_world(quiet), 8)
     # enabled at tick 1, first fix at tick 11: 50 of 60 ticks score 33/63
     assert fitness == pytest.approx(50 * (1 - 30 / 63) / 60, rel=1e-12)
 
 
-def test_wifi_walk_closed_form(prims):
-    fitness = evaluate_localisation(parse(prims, ENABLE_AND_ASK),
+def test_wifi_walk_closed_form(loc_prims):
+    fitness = evaluate_localisation(deserialize(ENABLE_AND_ASK, loc_prims),
                                     single_provider_world(WIFI), 8)
     # ready from tick 3 onwards; program and reference share each tick's error
     assert fitness == pytest.approx(58 * (1 - 30 / 63) / 60, rel=1e-12)
 
 
-def test_greedy_gps_exhausts_the_budget(prims):
+def test_greedy_gps_exhausts_the_budget(loc_prims):
     config = single_provider_world(DEFAULT_PROVIDERS[0])
-    tree = parse(prims, "(seq (enable_gps) (request_update))")
+    tree = deserialize("(seq (enable_gps) (request_update))", loc_prims)
     assert evaluate_localisation(tree, config, 8) == 0.0  # 140 mA >> 63 mA budget
 
 
@@ -339,11 +314,10 @@ def at_the_edge(prims, fresh_size, stale_size):
     :func:`loc_requests` of ``fresh_size`` nodes, 3 steps more in all, and
     otherwise, behind an ``if_greater`` that always holds, one of
     ``stale_size`` nodes, 6 steps more."""
-    stale = always(prims, loc_requests(prims, stale_size),
-                   ProgramTree(prims.kind("disable_cell")))
+    stale = always(prims, loc_requests(prims, stale_size), leaf(prims, "disable_cell"))
     return ProgramTree(prims.kind("if_greater"), (
-        ProgramTree(prims.kind("last_fix_age")),
-        constant(prims, 2.0), loc_requests(prims, fresh_size), stale))
+        leaf(prims, "last_fix_age"), constant(prims, 2.0), loc_requests(prims, fresh_size),
+        stale))
 
 
 def killed_at_tick_3(prims):
@@ -352,35 +326,33 @@ def killed_at_tick_3(prims):
     return at_the_edge(prims, MAX_STEPS - 3, MAX_STEPS - 5)
 
 
-def test_kill_stops_scoring_but_keeps_earlier_ticks(prims):
+def test_kill_stops_scoring_but_keeps_earlier_ticks(loc_prims):
     """A program that outgrows its step budget midway keeps what it earned."""
-    fitness = evaluate_localisation(killed_at_tick_3(prims),
+    fitness = evaluate_localisation(killed_at_tick_3(loc_prims),
                                     single_provider_world(CELL, ticks=5), 1)
     # tick 1: no fix yet; tick 2: fix lands, scores (1 - 5/63); tick 3: the
     # stale branch needs 257 steps and is killed; ticks 4-5 score nothing
     assert fitness == pytest.approx((1 - 5 / 63) / 5, rel=1e-12)
 
 
-def test_immediate_kill_scores_zero(prims):
-    fitness = evaluate_localisation(loc_requests(prims, MAX_STEPS + 1),
+def test_immediate_kill_scores_zero(loc_prims):
+    fitness = evaluate_localisation(loc_requests(loc_prims, MAX_STEPS + 1),
                                     single_provider_world(CELL, ticks=5), 1)
     assert fitness == 0.0
 
 
-def test_default_walk_is_seed_deterministic(prims):
-    tree = parse(prims, ENABLE_AND_ASK)
+def test_default_walk_is_seed_deterministic(loc_prims):
+    tree = deserialize(ENABLE_AND_ASK, loc_prims)
     a = evaluate_localisation(tree, WorldConfig(), "walk")
     b = evaluate_localisation(tree, WorldConfig(), "walk")
     assert a == b
     assert 0.0 < a < 1.0
 
 
-def test_evaluator_draws_a_fresh_world_per_call(prims):
+def test_evaluator_draws_a_fresh_world_per_call(loc_prims):
     # a lazy refresher: its stale fixes drift by world noise, so each fresh
     # world scores differently (an every-tick refresher would not)
-    member = Individual.from_tree(parse(
-        prims, "(if_greater (last_fix_age) (const:Number 5.0)"
-               " (seq (enable_wifi) (request_update)) (enable_wifi))"))
+    member = Individual.from_tree(deserialize(LAZY_REFRESHER, loc_prims))
     evaluator = LocalisationEvaluator(WorldConfig(), random.Random("s"))
     first, second = evaluator(member), evaluator(member)
     assert first != second  # different world noise
@@ -400,21 +372,14 @@ def test_evaluator_draws_a_fresh_world_per_call(prims):
     ("(seq (enable_gps) (enable_wifi))", False),
     ("(seq (disable_gps) (request_update))", False),
 ])
-def test_helper_requires_enable_and_request(prims, text, ok):
-    assert localisation_helper(parse(prims, text)) is ok
+def test_helper_requires_enable_and_request(loc_prims, text, ok):
+    assert localisation_helper(deserialize(text, loc_prims)) is ok
 
 
-def reference_helper(tree):
-    """The helper as a full preorder walk with no early exit."""
-    names = [node.kind.name for node, _ in iter_nodes(tree)]
-    return (any(name.startswith("enable_") for name in names)
-            and "request_update" in names)
-
-
-def test_helper_agrees_with_a_full_walk(prims):
+def test_helper_agrees_with_a_full_walk(loc_prims):
     rng = random.Random(31)
     verdicts = []
-    biased = [grower.at_bias(prims, bias) for bias in (0.3, 0.6, 0.9)]
+    biased = [at_bias(loc_prims, bias) for bias in (0.3, 0.6, 0.9)]
     for depth in range(1, 10):
         for grown in biased:
             for _ in range(40):
@@ -428,18 +393,17 @@ def test_helper_agrees_with_a_full_walk(prims):
 # ---------------------------------------------------------------------------
 # the shallow exhaustive oracle
 
-def test_depth2_brute_force_matches_closed_form(prims):
+def test_depth2_brute_force_matches_closed_form(loc_prims):
     """Nothing a two-level program can do beats enable-then-ask on wifi."""
     config = single_provider_world(WIFI)
-    leaves_a = [ProgramTree(k) for k in grower.split(prims, Sort.ACTION)[0]]
-    leaves_n = [ProgramTree(k) for k in grower.split(prims, Sort.NUMBER)[0]
+    leaves_a = [ProgramTree(k) for k in leaves_and_functions(loc_prims, Sort.ACTION)[0]]
+    leaves_n = [ProgramTree(k) for k in leaves_and_functions(loc_prims, Sort.NUMBER)[0]
                 if k.name != constant_kind_name(Sort.NUMBER)]
-    leaves_n += [ProgramTree(prims.kind(constant_kind_name(Sort.NUMBER)), value=v)
-                 for v in (0.5, 10.0, 50.0)]
+    leaves_n += [constant(loc_prims, v) for v in (0.5, 10.0, 50.0)]
     trees = list(leaves_a)
-    trees += [ProgramTree(prims.kind("seq"), pair)
+    trees += [ProgramTree(loc_prims.kind("seq"), pair)
               for pair in itertools.product(leaves_a, repeat=2)]
-    trees += [ProgramTree(prims.kind("if_greater"), (a, b, x, y))
+    trees += [ProgramTree(loc_prims.kind("if_greater"), (a, b, x, y))
               for a, b in itertools.product(leaves_n, repeat=2)
               for x, y in itertools.product(leaves_a, repeat=2)]
     best = max(evaluate_localisation(t, config, 8) for t in trees)
@@ -492,93 +456,11 @@ def test_a_world_lasts_at_most_a_day_of_one_second_ticks():
 
 
 # ---------------------------------------------------------------------------
-# the differential oracle: evaluation with every fix error drawn up front,
-# fixes stored as positions, and each tick scored as the program runs
+# against the eager oracle, ``reference.oracle_fitness``
 
 GPS = DEFAULT_PROVIDERS[0]
 #: A gps that draws less than the budget current, so its fixes score energy.
 FRUGAL_GPS = Provider("gps", radius_m=5.0, draw_ma=40.0, first_fix_s=10.0)
-
-
-class EagerWorld:
-    def __init__(self, config, seed):
-        self.config = config
-        self.t = 0.0
-        self.enabled = {p.name: None for p in config.providers}
-        self.fix = None  # (position, time, radius)
-        self.by_name = {p.name: p for p in config.providers}
-        draw = random.Random(f"world:{seed}").random
-        self.errors = {}
-        for provider in config.providers:
-            for tick in range(config.ticks + 1):
-                magnitude = provider.radius_m * (ERROR_LOW + (ERROR_HIGH - ERROR_LOW) * draw())
-                angle = 2.0 * math.pi * draw()
-                self.errors[(provider.name, tick)] = (magnitude * math.cos(angle),
-                                                      magnitude * math.sin(angle))
-
-    def fix_position(self, name, t):
-        x, y = _truth(self.config.waypoints, t)
-        dx, dy = self.errors[(name, int(t))]
-        return (x + dx, y + dy)
-
-    def ready(self, provider, since):
-        return (since is not None and self.t >= since + provider.first_fix_s
-                and _available(self.config.segments, provider.name, self.t))
-
-    def best(self, since_of):
-        ready = [p for p in self.config.providers if self.ready(p, since_of(p))]
-        return min(ready, key=lambda p: p.radius_m) if ready else None
-
-    def act(self, action):
-        if action == "request_fix":
-            best = self.best(lambda p: self.enabled[p.name])
-            if best is not None:
-                self.fix = (self.fix_position(best.name, self.t), self.t, best.radius_m)
-            return
-        verb, _, name = action.partition(":")
-        if name in self.by_name:
-            if verb == "disable":
-                self.enabled[name] = None
-            elif self.enabled[name] is None:
-                self.enabled[name] = self.t
-
-    def environment(self):
-        bindings = {
-            "last_fix_age": lambda: NO_FIX_SENTINEL if self.fix is None else self.t - self.fix[1],
-            "last_accuracy": lambda: NO_FIX_SENTINEL if self.fix is None else self.fix[2],
-            "request_update": lambda: self.act("request_fix"),
-        }
-        for name in ("gps", "wifi", "cell"):
-            bindings[f"enable_{name}"] = lambda name=name: self.act(f"enable:{name}")
-            bindings[f"disable_{name}"] = lambda name=name: self.act(f"disable:{name}")
-        return bindings
-
-    def power(self):
-        # left to right: ``sum`` over floats rounds differently from 3.12 on
-        return functools.reduce(operator.add, [self.by_name[name].draw_ma
-                                               for name, since in self.enabled.items()
-                                               if since is not None], 0)
-
-
-def oracle_fitness(tree, config, seed):
-    """Returns the fitness and whether the program was killed; the tree is
-    walked node by node, never compiled."""
-    world = EagerWorld(config, seed)
-    bindings = world.environment()
-    total = 0.0
-    for tick in range(1, config.ticks + 1):
-        world.t = float(tick)
-        if walk(tree, bindings, MAX_STEPS).killed:
-            return total / config.ticks, True
-        best = world.best(lambda p: 0.0)
-        if best is None:
-            acc = 0.0
-        else:
-            acc = accuracy_fitness(None if world.fix is None else world.fix[0],
-                                   world.fix_position(best.name, world.t), best.radius_m)
-        total += acc * energy_fitness(world.power())
-    return total / config.ticks, False
-
 
 ORACLE_CONFIGS = {
     "default": WorldConfig(),
@@ -609,12 +491,12 @@ HAND_TREES = (
 )
 
 
-def test_arithmetic_is_the_shared_definition(prims):
+def test_arithmetic_is_the_shared_definition(loc_prims):
     """``add`` and ``mul`` run the very functions the shared arithmetic
     kinds run, so the two tasks cannot disagree on a sum or product."""
     shared = {kind.name: kind.fn for kind in arithmetic_kinds()}
     for name in ("add", "mul"):
-        assert prims.kind(name).fn is shared[name]
+        assert loc_prims.kind(name).fn is shared[name]
 
 
 @pytest.fixture(scope="module")
@@ -626,7 +508,7 @@ def oracle_trees():
     assert 0 < helped < len(trees)  # helper-rejected trees are scored too
     # killed_at_tick_3 is killed at the tick after its first fix, and would
     # fix again later if a kill did not end the walk
-    return trees + [parse(prims, text) for text in HAND_TREES] + [killed_at_tick_3(prims)]
+    return trees + [deserialize(text, prims) for text in HAND_TREES] + [killed_at_tick_3(prims)]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
@@ -677,8 +559,8 @@ LAZY_REFRESHER = ("(if_greater (last_fix_age) (const:Number 5.0)"
                   " (seq (enable_wifi) (request_update)) (enable_wifi))")
 
 
-def test_a_second_evaluation_runs_no_program(prims, program_runs):
-    tree = parse(prims, LAZY_REFRESHER)
+def test_a_second_evaluation_runs_no_program(loc_prims, program_runs):
+    tree = deserialize(LAZY_REFRESHER, loc_prims)
     first = evaluate_localisation(tree, WorldConfig(), 1)
     assert len(program_runs) == WorldConfig().ticks
     second = evaluate_localisation(tree, WorldConfig(), 2)
@@ -706,8 +588,8 @@ def test_a_world_keeps_the_hash_the_dataclass_would_generate():
 OTHER_CONFIGS = (WorldConfig(ticks=30), WorldConfig(providers=(FRUGAL_GPS, WIFI, CELL)))
 
 
-def test_other_inputs_recompute_the_trace(prims, program_runs):
-    tree = parse(prims, LAZY_REFRESHER)
+def test_other_inputs_recompute_the_trace(loc_prims, program_runs):
+    tree = deserialize(LAZY_REFRESHER, loc_prims)
     config = WorldConfig()
     for other_config in OTHER_CONFIGS:
         evaluate_localisation(tree, config, 3)
@@ -722,17 +604,17 @@ def test_other_inputs_recompute_the_trace(prims, program_runs):
     assert len(program_runs) == before + 20
 
 
-def test_a_killed_tick_adds_no_trace_entry_and_no_later_tick_runs(prims, program_runs):
+def test_a_killed_tick_adds_no_trace_entry_and_no_later_tick_runs(loc_prims, program_runs):
     """The killed tick's run goes on past the budget, where it asks for a
     fix, on the control pass's own world; that fix reaches no trace."""
     config = single_provider_world(CELL, ticks=5)
     # the same program with small branches: it is never killed
-    full = localisation_module._control_trace(at_the_edge(prims, 7, 7), config)
+    full = localisation_module._control_trace(at_the_edge(loc_prims, 7, 7), config)
     assert len(program_runs) == 5
     # tick 1: no fix yet; from tick 2 every tick fixes anew (error index 2 * tick)
     assert [source[2] for source, _, _ in full] == [4, 6, 8, 10]
     program_runs.clear()
-    killed = localisation_module._control_trace(killed_at_tick_3(prims), config)
+    killed = localisation_module._control_trace(killed_at_tick_3(loc_prims), config)
     # exactly the budget at ticks 1 and 2; at tick 3 the stale branch needs
     # one step more, its request_update the 257th
     assert program_runs == [("request_fix", MAX_STEPS)] * 2 + [("request_fix", MAX_STEPS + 1)]
@@ -778,9 +660,9 @@ def displaced(read):
     return read[::2]
 
 
-def test_a_trace_of_reference_fixes_displaces_nothing(prims, draws_read):
+def test_a_trace_of_reference_fixes_displaces_nothing(loc_prims, draws_read):
     config = single_provider_world(CELL)
-    tree = parse(prims, FRESH_EVERY_TICK)
+    tree = deserialize(FRESH_EVERY_TICK, loc_prims)
     trace = localisation_module._control_trace(tree, config)
     assert len(trace) == config.ticks - 1  # the cell warms up over tick 1
     assert all(fix is reference for fix, reference, _ in trace)
@@ -791,7 +673,7 @@ def test_a_trace_of_reference_fixes_displaces_nothing(prims, draws_read):
 
 
 @pytest.mark.parametrize("stationary", [True, False])
-def test_a_stale_fix_is_displaced_where_a_later_entry_needs_it(prims, draws_read,
+def test_a_stale_fix_is_displaced_where_a_later_entry_needs_it(loc_prims, draws_read,
                                                                stationary):
     """An entry whose fix is the reference fix displaces nothing; the next
     entry that holds the same fix, now stale, displaces it and its own
@@ -799,7 +681,7 @@ def test_a_stale_fix_is_displaced_where_a_later_entry_needs_it(prims, draws_read
     reference.  Scoring a stale fix as the reference fix, as a test of the
     provider alone would, misses the oracle."""
     config = single_provider_world(CELL, stationary=stationary)
-    tree = parse(prims, REFRESH_WHEN_OLD)
+    tree = deserialize(REFRESH_WHEN_OLD, loc_prims)
     trace = localisation_module._control_trace(tree, config)
     stale = [fix for fix, reference, _ in trace if fix is not reference]
     assert 0 < len(stale) < len(trace)
@@ -836,35 +718,11 @@ def test_the_radio_set_holds_exactly_the_enabled_radios():
     assert seen == {0, 1, 2, 3}
 
 
-def direct_trace(tree, config):
-    """The control pass worked out with the walker, and each tick's energy
-    from the draws of the radios on, added left to right in config order;
-    also returns the radio sets it drew for."""
-    world = World(config)
-    bindings = world.environment()
-    ticks = _layout(config).ticks
-    trace, radio_sets = [], set()
-    for tick in range(1, config.ticks + 1):
-        world.t = float(tick)
-        if walk(tree, bindings, MAX_STEPS).killed:
-            break
-        fix, reference = world.program_fix, ticks[world.t].reference_source
-        if fix is None or reference is None:
-            continue
-        radio_sets.add(world.radios)
-        energy = energy_fitness(functools.reduce(
-            operator.add, [p.draw_ma for p in config.providers
-                           if world.enabled[p.name] is not None], 0))
-        if energy > 0.0:
-            trace.append((fix[1], reference, energy))
-    return tuple(trace), radio_sets
-
-
 def switching_trees(prims, count=150, seed=7):
     """Random programs the helper accepts, grown deep and bushy enough that
     many switch radios from tick to tick."""
     rng = random.Random(seed)
-    prims = grower.at_bias(prims, 0.7)
+    prims = at_bias(prims, 0.7)
     trees = []
     while len(trees) < count:
         tree = build_random_tree(prims, 6, rng)
@@ -873,14 +731,14 @@ def switching_trees(prims, count=150, seed=7):
     return trees
 
 
-def test_the_energy_table_gives_each_radio_set_its_energy(prims, monkeypatch):
+def test_the_energy_table_gives_each_radio_set_its_energy(loc_prims, monkeypatch):
     """A layout works out each radio set's energy factor once, and a
     control pass looks it up without working any out."""
     calls = []
     real = localisation_module.energy_fitness
     monkeypatch.setattr(localisation_module, "energy_fitness",
                         lambda *args: calls.append(args) or real(*args))
-    trees = switching_trees(prims)
+    trees = switching_trees(loc_prims)
     lookups = draws = switching = 0
     for name in ("default", "tied", "wifi", "gps-walking"):
         config = ORACLE_CONFIGS[name]
@@ -918,33 +776,31 @@ TWIN_TEXTS = (
 def nan_twin(prims, nan):
     """``(if_greater nan (last_fix_age) (disable_cell) (seq ...))`` with the
     given NaN object as its constant."""
-    leaf = lambda name: ProgramTree(prims.kind(name))
     return ProgramTree(prims.kind("if_greater"), (
-        ProgramTree(prims.kind(constant_kind_name(Sort.NUMBER)), value=nan),
-        leaf("last_fix_age"),
-        leaf("disable_cell"),
-        ProgramTree(prims.kind("seq"), (leaf("enable_cell"), leaf("request_update")))))
+        constant(prims, nan), leaf(prims, "last_fix_age"), leaf(prims, "disable_cell"),
+        ProgramTree(prims.kind("seq"), (leaf(prims, "enable_cell"),
+                                        leaf(prims, "request_update")))))
 
 
 def twin_pairs(prims):
-    pairs = [(parse(prims, a), parse(prims, b)) for a, b in TWIN_TEXTS]
+    pairs = [(deserialize(a, prims), deserialize(b, prims)) for a, b in TWIN_TEXTS]
     nan = float("nan")
     pairs.append((nan_twin(prims, nan), nan_twin(prims, nan)))
     return pairs
 
 
-def test_twins_are_distinct_equal_trees(prims):
-    for a, b in twin_pairs(prims):
+def test_twins_are_distinct_equal_trees(loc_prims):
+    for a, b in twin_pairs(loc_prims):
         assert a is not b and a == b and hash(a) == hash(b)
-    signed = [parse(prims, text) for text in TWIN_TEXTS[1]]
+    signed = [deserialize(text, loc_prims) for text in TWIN_TEXTS[1]]
     assert math.copysign(1.0, signed[0].children[0].children[1].value) == 1.0
     assert math.copysign(1.0, signed[1].children[0].children[1].value) == -1.0
 
 
 @pytest.mark.parametrize("swap", [False, True])
-def test_a_twin_shares_its_partners_trace(prims, program_runs, swap):
+def test_a_twin_shares_its_partners_trace(loc_prims, program_runs, swap):
     config = WorldConfig()
-    for pair in twin_pairs(prims):
+    for pair in twin_pairs(loc_prims):
         first, second = reversed(pair) if swap else pair
         localisation_module._control_trace.cache_clear()
         # the partner runs the program; the twin runs none of it
@@ -957,8 +813,8 @@ def test_a_twin_shares_its_partners_trace(prims, program_runs, swap):
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
-def test_nans_that_are_not_the_same_object_miss(prims, program_runs):
-    a, b = nan_twin(prims, float("nan")), nan_twin(prims, float("nan"))
+def test_nans_that_are_not_the_same_object_miss(loc_prims, program_runs):
+    a, b = nan_twin(loc_prims, float("nan")), nan_twin(loc_prims, float("nan"))
     assert a != b
     config = WorldConfig()
     for seed, tree in enumerate((a, b)):
@@ -968,8 +824,8 @@ def test_nans_that_are_not_the_same_object_miss(prims, program_runs):
     assert localisation_module._control_trace.cache_info().hits == 0
 
 
-def test_a_twin_under_other_inputs_recomputes(prims, program_runs):
-    for first, second in twin_pairs(prims):
+def test_a_twin_under_other_inputs_recomputes(loc_prims, program_runs):
+    for first, second in twin_pairs(loc_prims):
         evaluate_localisation(first, WorldConfig(), 3)
         for other_config in OTHER_CONFIGS:
             before = len(program_runs)
@@ -978,7 +834,7 @@ def test_a_twin_under_other_inputs_recomputes(prims, program_runs):
             assert got == oracle_fitness(second, other_config, 3)[0]
     info = localisation_module._control_trace.cache_info()
     assert info.hits == 0
-    assert info.misses == (1 + len(OTHER_CONFIGS)) * len(twin_pairs(prims))
+    assert info.misses == (1 + len(OTHER_CONFIGS)) * len(twin_pairs(loc_prims))
 
 
 def test_error_draws_match_the_eager_table():
@@ -1035,7 +891,7 @@ def test_scoring_draws_exactly_the_prefix_it_reads(oracle_trees, draws_read,
     assert partial and none
 
 
-def test_a_second_evaluation_of_an_equal_tree_builds_no_world(prims, monkeypatch):
+def test_a_second_evaluation_of_an_equal_tree_builds_no_world(loc_prims, monkeypatch):
     """Only the control pass builds a world, and an equal tree's second
     evaluation scores its cached trace without one."""
     localisation_module._control_trace.cache_clear()
@@ -1048,9 +904,9 @@ def test_a_second_evaluation_of_an_equal_tree_builds_no_world(prims, monkeypatch
 
     monkeypatch.setattr(World, "__init__", counted)
     evaluator = LocalisationEvaluator(WorldConfig(), random.Random(3))
-    evaluator(Individual.from_tree(parse(prims, LAZY_REFRESHER)))
+    evaluator(Individual.from_tree(deserialize(LAZY_REFRESHER, loc_prims)))
     assert len(built) == 1
-    evaluator(Individual.from_tree(parse(prims, LAZY_REFRESHER)))
+    evaluator(Individual.from_tree(deserialize(LAZY_REFRESHER, loc_prims)))
     assert len(built) == 1
 
 

@@ -5,11 +5,17 @@ a configuration error for a terminal the catalog leaves unbound, and a
 localisation world of any shape scores as the eager oracle does."""
 import random
 
-import grower
 import pytest
-from feed_pass import pass_steps, pass_values
-from test_localisation import HAND_TREES, oracle_fitness, switching_trees
-from walker import feed_environments, walk
+from reference import (
+    at_bias,
+    leaves_and_functions,
+    oracle_fitness,
+    pass_values,
+    walked_fill,
+    walked_steps,
+)
+from test_feed import NARROW, WIDE, assert_same_fill, assert_scored_as_walked
+from test_localisation import HAND_TREES, switching_trees
 
 pytest.importorskip("hypothesis")
 
@@ -18,7 +24,7 @@ from hypothesis import strategies as st
 
 from gpislands.evolution import crossover, mutate
 from gpislands import feed
-from gpislands.feed import Feed, FeedCatalog, default_catalog, feed_primitives
+from gpislands.feed import default_catalog, feed_primitives
 from gpislands.localisation import (
     RADIO_NAMES,
     Provider,
@@ -61,7 +67,7 @@ def trees(draw, prims, max_depth=MAX_DEPTH, payloads=st.floats(allow_nan=False))
     def grow(sort, budget):
         nonlocal made
         made += 1
-        leaves, functions = grower.split(prims, sort)
+        leaves, functions = leaves_and_functions(prims, sort)
         choices = leaves + functions if budget > 1 and made < MAX_NODES else leaves
         kind = draw(st.sampled_from(choices))
         if kind.category is Category.CONSTANT:
@@ -107,7 +113,7 @@ def test_text_is_canonical_for_any_payload(task, data):
 @bounded
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1), bias=st.floats(0.0, 1.0))
 def test_mutate_stays_closed(task, data, seed, bias):
-    prims = grower.at_bias(PRIMS[task], bias)
+    prims = at_bias(PRIMS[task], bias)
     max_depth = data.draw(st.integers(1, MAX_DEPTH))
     tree = data.draw(trees(prims, max_depth))
     rng = random.Random(seed)
@@ -133,17 +139,6 @@ def test_crossover_stays_closed(task, data, seed):
 SPECIAL = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0])
 
 
-def assert_scored_as_walked(tree, catalog=CATALOG):
-    """Each feed's one-pass value (``repr``) and step count are its walk's,
-    with no budget to stop it."""
-    values = pass_values(tree, catalog)
-    steps = pass_steps(tree, catalog)
-    walks = [walk(tree, env, tree.size) for env in feed_environments(catalog)]
-    assert [repr(value) for value in values] == [repr(walked.value) for walked in walks]
-    assert steps == tuple(walked.steps_used for walked in walks)
-    return values
-
-
 @bounded
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_one_pass_feed_scoring_is_the_walkers_cold_warm_and_bred(data, seed):
@@ -156,17 +151,12 @@ def test_one_pass_feed_scoring_is_the_walkers_cold_warm_and_bred(data, seed):
     a = data.draw(trees(prims, max_depth, payloads))
     b = data.draw(trees(prims, max_depth, payloads))
     for parent in (a, b):
-        values = assert_scored_as_walked(parent)
-        assert assert_scored_as_walked(parent) is values or not parent.children
+        values, _ = assert_scored_as_walked(parent, CATALOG)
+        assert assert_scored_as_walked(parent, CATALOG)[0] is values or not parent.children
     rng = random.Random(seed)
-    assert_scored_as_walked(mutate(a, prims, max_depth, rng))
-    assert_scored_as_walked(crossover(a, b, max_depth, rng))
+    assert_scored_as_walked(mutate(a, prims, max_depth, rng), CATALOG)
+    assert_scored_as_walked(crossover(a, b, max_depth, rng), CATALOG)
 
-
-#: Feeds ``a``, ``b`` and ``c``; trees are drawn over all three and scored on
-#: the first two, which bind no ``is_c``.
-WIDE = FeedCatalog((Feed("a", "tech", 3), Feed("b", "other", 3), Feed("c", "tech", 3)))
-NARROW = FeedCatalog(WIDE.feeds[:2])
 
 #: Two splits added, so that every feed meets both in its own run, or each
 #: taken by one feed, ``a`` taking the first and ``b`` the second.
@@ -174,27 +164,6 @@ ROOTS = ["(add {} {})", "(if_greater (is_a) (const:Number 0.5) {} {})"]
 #: A split on a terminal: all but ``unread_count`` send ``a`` and ``b`` apart.
 SPLIT = "(if_greater ({}) (const:Number 0.5) {} {})"
 COMPARANDS = ["is_a", "is_b", "group_is_tech", "unread_count"]
-
-
-def first_error(tree, catalog):
-    """The error of the first feed of ``catalog`` whose own walk raises, or
-    ``None`` when none does."""
-    for env in feed_environments(catalog):
-        try:
-            walk(tree, env, tree.size)
-        except Exception as error:
-            return error
-    return None
-
-
-def assert_filled_as_walked(tree, catalog):
-    """The fill gives each feed its walked value (``repr``) and is killed
-    exactly when some feed's walk takes more than the budget."""
-    walks = [walk(tree, env, tree.size) for env in feed_environments(catalog)]
-    fill = feed._fill_screen(tree, catalog)
-    assert (fill is None) is any(walked.steps_used > feed.MAX_STEPS for walked in walks)
-    if fill is not None:
-        assert [repr(value) for value in fill[0]] == [repr(walked.value) for walked in walks]
 
 
 @bounded
@@ -212,17 +181,19 @@ def test_a_fill_reading_an_unbound_terminal_is_a_configuration_error(data):
     comparands = [data.draw(st.sampled_from(COMPARANDS)) for _ in range(2)]
     splits = [SPLIT.format(comparands[0], *parts[:2]), SPLIT.format(comparands[1], *parts[2:])]
     tree = deserialize(data.draw(st.sampled_from(ROOTS)).format(*splits), feed_primitives(WIDE))
-    error = first_error(tree, NARROW)
     try:
         pass_values(tree, NARROW)
     except KeyError:
         with pytest.raises(ConfigurationError) as raised:
             feed._fill_screen(tree, NARROW)
         assert str(raised.value) == "terminal 'is_c' is not bound"
-        assert error is None or str(error) == str(raised.value)
+        try:  # the walks stop at the first feed whose own walk raises
+            walked_steps(tree, NARROW)
+        except ConfigurationError as error:
+            assert str(error) == str(raised.value)
         return
-    assert error is None
-    assert_filled_as_walked(tree, NARROW)
+    walked_steps(tree, NARROW)  # raises if some feed's own walk does
+    assert_same_fill(feed._fill_screen(tree, NARROW), walked_fill(tree, NARROW))
 
 
 #: Radii with ties and a zero, draws whose left-to-right sums differ from

@@ -3,12 +3,24 @@ import dataclasses
 import random
 import re
 
-import grower
 import pytest
-from feed_pass import pass_steps, pass_values
-from reference_tree import mirror, reference_replace
-from sized import feed_chain
-from walker import feed_environments, walk
+from reference import (
+    at_bias,
+    checked_copy,
+    feed_environments,
+    grow,
+    leaves_and_functions,
+    mirror,
+    pass_steps,
+    pass_values,
+    recount,
+    reference_preorder,
+    reference_replace,
+    reference_serialize,
+    sorts_with_leaves,
+    walk,
+)
+from sized import constant, feed_chain, leaf
 
 from gpislands import feed as feed_module
 from gpislands.evolution import Population, crossover, mutate, population_stats
@@ -56,14 +68,6 @@ from gpislands.trees import (
 from gpislands.trees import _grow, _node
 
 GOLDEN = "tests/data/feed_tree_seed42.txt"
-
-
-def leaf(prims, name):
-    return ProgramTree(prims.kind(name))
-
-
-def const(prims, value, sort=Sort.NUMBER):
-    return ProgramTree(prims.kind(constant_kind_name(sort)), value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +156,7 @@ def test_size_and_depth_nested(geo_prims):
     t = ProgramTree(geo_prims.kind("add"), (
         ProgramTree(geo_prims.kind("mul"), (leaf(geo_prims, "lat"),
                                             leaf(geo_prims, "lon"))),
-        const(geo_prims, 2.5),
+        constant(geo_prims, 2.5),
     ))
     assert t.size == 5
     assert t.depth == 3
@@ -174,7 +178,7 @@ def swap_at(tree, index, replacement):
 def test_replace_subtree_rebuilds_without_mutating(geo_prims):
     t = ProgramTree(geo_prims.kind("add"), (leaf(geo_prims, "lat"),
                                             leaf(geo_prims, "lon")))
-    swapped = swap_at(t, 2, const(geo_prims, 7.0))
+    swapped = swap_at(t, 2, constant(geo_prims, 7.0))
     assert serialize(t) == "(add (lat) (lon))"
     assert serialize(swapped) == "(add (lat) (const:Number 7.0))"
     whole = swap_at(t, 0, leaf(geo_prims, "lat"))
@@ -185,21 +189,6 @@ def test_replace_subtree_rebuilds_without_mutating(geo_prims):
 
 # ---------------------------------------------------------------------------
 # cached measurements and the preorder walk, against recursive references
-
-def recount(tree):
-    """``(size, depth)`` recomputed by recursion over the children."""
-    if not tree.children:
-        return 1, 1
-    counts = [recount(c) for c in tree.children]
-    return 1 + sum(s for s, _ in counts), 1 + max(d for _, d in counts)
-
-
-def reference_preorder(tree, depth=1):
-    nodes = [(tree, depth)]
-    for child in tree.children:
-        nodes.extend(reference_preorder(child, depth + 1))
-    return nodes
-
 
 def assert_measures_hold(tree):
     walked = list(iter_nodes(tree))
@@ -216,7 +205,7 @@ def assert_measures_hold(tree):
 #: own 0.3, so that its trees reach the depths these tests walk.
 TASK_SETS = pytest.mark.parametrize("make_prims", [
     lambda: feed_primitives(default_catalog()),
-    lambda: grower.at_bias(localisation_primitives(), 0.5),
+    lambda: at_bias(localisation_primitives(), 0.5),
 ], ids=["feed", "localisation"])
 
 
@@ -224,7 +213,7 @@ def operator_trees(prims, seed):
     """Trees from every constructor that builds nodes, at depths 3 to 9; the
     swapped-in subtrees grow at bias 0.5."""
     rng = random.Random(seed)
-    halfway = grower.at_bias(prims, 0.5)
+    halfway = at_bias(prims, 0.5)
     for depth in range(3, 10):
         for _ in range(5):
             a = build_random_tree(prims, depth, rng)
@@ -266,7 +255,7 @@ def test_node_at_returns_the_path_replace_subtree_rebuilds_along(make_prims):
     is one shorter than the point's depth; and putting the point back along
     it rebuilds nothing.  The trees grow at bias 0.8, so they reach their
     depths."""
-    prims = grower.at_bias(make_prims(), 0.8)
+    prims = at_bias(make_prims(), 0.8)
     rng = random.Random(26)
     deepest = 0
     for depth in range(1, 10):
@@ -287,7 +276,7 @@ def test_node_at_returns_the_path_replace_subtree_rebuilds_along(make_prims):
 
 def test_replace_subtree_matches_a_full_rebuild(feed_prims):
     rng = random.Random(5)
-    halfway = grower.at_bias(feed_prims, 0.5)
+    halfway = at_bias(feed_prims, 0.5)
     for depth in (3, 6, 9):
         tree = build_random_tree(feed_prims, depth, rng)
         for index, (node, _) in enumerate(reference_preorder(tree)):
@@ -302,7 +291,7 @@ UNCOMPARED = ("size", "depth", "uniform", "memo", "record", "_hash")
 
 def test_cached_measures_stay_out_of_equality_hash_and_repr(geo_prims):
     t = ProgramTree(geo_prims.kind("add"), (leaf(geo_prims, "lat"),
-                                            const(geo_prims, 2.5)))
+                                            constant(geo_prims, 2.5)))
     again = deserialize(serialize(t), geo_prims)
     assert again == t and hash(again) == hash(t)
     assert "size" not in repr(t) and "depth" not in repr(t) and "uniform" not in repr(t)
@@ -316,7 +305,7 @@ def test_cached_measures_stay_out_of_equality_hash_and_repr(geo_prims):
     assert repr(t) == f"ProgramTree(kind={t.kind!r}, children={t.children!r}, value=None)"
     for other in (ProgramTree(geo_prims.kind("sub"), t.children),
                   ProgramTree(t.kind, t.children[::-1]),
-                  ProgramTree(t.kind, (t.children[0], const(geo_prims, 2.25)))):
+                  ProgramTree(t.kind, (t.children[0], constant(geo_prims, 2.25)))):
         assert other != t and not other == t
     assert t.memo is None and t.record is None
     t.memo = ("some key", 0.5)
@@ -373,19 +362,12 @@ def test_equality_hash_and_repr_agree_with_a_frozen_dataclass(make_prims):
     assert outcomes == {True, False}
 
 
-def checked_copy(tree):
-    """``tree`` rebuilt node by node through the checked constructor, which
-    raises if any node is not valid."""
-    return ProgramTree(tree.kind, tuple(checked_copy(child) for child in tree.children),
-                       tree.value)
-
-
 @TASK_SETS
 def test_unchecked_nodes_from_growth_and_replacement_are_valid(make_prims):
     prims = make_prims()
     bias = prims.function_bias
     rng = random.Random(24)
-    for sort in grower.sorts_with_leaves(prims):
+    for sort in sorts_with_leaves(prims):
         for depth in range(1, 8):
             grown = _grow(prims._growth[sort], depth, rng, bias)
             assert grown.sort is sort and grown.depth <= depth
@@ -403,7 +385,7 @@ def test_unchecked_nodes_from_growth_and_replacement_are_valid(make_prims):
 
 def test_replace_subtree_rejects_a_replacement_of_another_sort(loc_prims):
     tree = deserialize("(seq (request_update) (enable_gps))", loc_prims)
-    number = const(loc_prims, 1.0)
+    number = constant(loc_prims, 1.0)
     with pytest.raises(TreeValidationError,
                        match=r"^'seq' expects Action, got Number from 'const:Number'$"):
         swap_at(tree, 1, number)
@@ -433,7 +415,7 @@ def test_each_set_carries_its_grow_bias(geo_prims):
 
 def test_function_bias_extremes(geo_prims):
     rng = random.Random(11)
-    leafy, bushy = grower.at_bias(geo_prims, 0.0), grower.at_bias(geo_prims, 1.0)
+    leafy, bushy = at_bias(geo_prims, 0.0), at_bias(geo_prims, 1.0)
     for _ in range(50):
         assert build_random_tree(leafy, 3, rng).depth == 1
         assert build_random_tree(bushy, 3, rng).depth == 3
@@ -443,7 +425,7 @@ def test_constants_are_frozen_at_generation(geo_prims):
     rng = random.Random(3)
     values = set()
     for _ in range(20):
-        t = build_random_tree(grower.at_bias(geo_prims, 1.0), 2, rng)
+        t = build_random_tree(at_bias(geo_prims, 1.0), 2, rng)
         for node, _ in iter_nodes(t):
             if node.kind.category is Category.CONSTANT:
                 assert node.value is not None
@@ -465,16 +447,16 @@ def test_growth_matches_the_recursive_reference(name, bias):
     """The same trees from the same draws, and the rng left in the same
     state, as the textbook recursion; at bias 1 every tree is full, so the
     budgets stop at 5 there."""
-    prims = grower.at_bias(GROWTH_SETS[name](), bias)
+    prims = at_bias(GROWTH_SETS[name](), bias)
     budgets = range(1, 6) if bias == 1.0 else range(1, 10)
     seeds = random.Random(f"{name}:{bias}")
-    for sort in grower.sorts_with_leaves(prims):
+    for sort in sorts_with_leaves(prims):
         for budget in budgets:
             for _ in range(6):
                 seed = seeds.random()
                 ours, theirs = random.Random(seed), random.Random(seed)
                 tree = grow_subtree(prims, sort, budget, ours)
-                assert tree == grower.grow(prims, sort, budget, theirs)
+                assert tree == grow(prims, sort, budget, theirs)
                 assert ours.getstate() == theirs.getstate()
                 assert tree.sort is sort and tree.depth <= budget
 
@@ -497,7 +479,7 @@ def test_a_leafless_sort_raises_without_drawing(sort):
     with pytest.raises(ConfigurationError) as ours:
         grow_subtree(prims, sort, 1, rng)
     with pytest.raises(ConfigurationError) as theirs:
-        grower.grow(prims, sort, 1, random.Random(3))
+        grow(prims, sort, 1, random.Random(3))
     assert str(ours.value) == str(theirs.value)
     assert rng.getstate() == state
 
@@ -514,7 +496,7 @@ def test_growth_through_a_leafless_sort_draws_as_the_reference():
             seed = seeds.random()
             ours, theirs = random.Random(seed), random.Random(seed)
             try:
-                want = grower.grow(prims, Sort.NUMBER, budget, theirs)
+                want = grow(prims, Sort.NUMBER, budget, theirs)
             except ConfigurationError as exc:
                 with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
                     grow_subtree(prims, Sort.NUMBER, budget, ours)
@@ -528,7 +510,7 @@ def test_growth_through_a_leafless_sort_draws_as_the_reference():
 
 def test_the_growth_tables_list_each_sorts_kinds_in_order(loc_prims):
     for sort in Sort:
-        leaves, functions = grower.split(loc_prims, sort)
+        leaves, functions = leaves_and_functions(loc_prims, sort)
         table = loc_prims._growth[sort]
         assert [kind for kind, _ in table.leaves] == leaves
         assert [kind for kind, _ in table.functions] == functions
@@ -555,7 +537,7 @@ def test_every_grown_terminal_is_the_sets_one_leaf_of_its_kind(name):
     """Growth, mutation and crossover put only the set's own node of a
     terminal kind in a tree, and a fresh node for every constant, while
     growth still draws as the reference and builds equal trees."""
-    prims = grower.at_bias(GROWTH_SETS[name](), 0.5)
+    prims = at_bias(GROWTH_SETS[name](), 0.5)
     shared = shared_leaves(prims)
     assert set(shared) == {kind for kind in prims.all_kinds
                            if kind.category is Category.TERMINAL}
@@ -564,13 +546,13 @@ def test_every_grown_terminal_is_the_sets_one_leaf_of_its_kind(name):
         assert (leaf.size, leaf.depth, leaf.uniform) == (1, 1, True)
     seeds = random.Random(f"shared:{name}")
     grown = []
-    for sort in grower.sorts_with_leaves(prims):
+    for sort in sorts_with_leaves(prims):
         for budget in range(1, 8):
             for _ in range(6):
                 seed = seeds.random()
                 ours, theirs = random.Random(seed), random.Random(seed)
                 tree = grow_subtree(prims, sort, budget, ours)
-                want = grower.grow(prims, sort, budget, theirs)
+                want = grow(prims, sort, budget, theirs)
                 assert (tree, hash(tree), repr(tree)) == (want, hash(want), repr(want))
                 assert ours.getstate() == theirs.getstate()
                 grown.append(tree)
@@ -608,7 +590,7 @@ def test_scoring_keeps_no_record_on_a_shared_leaf():
     included, and localisation evaluation, no shared leaf holds a record."""
     catalog = default_catalog()
     feed_sets = [feed_primitives(catalog)]
-    feed_sets.append(grower.at_bias(feed_sets[0], 1.0))
+    feed_sets.append(at_bias(feed_sets[0], 1.0))
     evaluator = FeedEvaluator(catalog, homogeneous_user(catalog), random.Random(1))
     rng = random.Random("records")
     counted = 0
@@ -651,18 +633,8 @@ def test_a_one_leaf_program_fills_each_catalog_its_own_screen():
 
 def test_serialize_canonical_example(geo_prims):
     t = ProgramTree(geo_prims.kind("add"), (leaf(geo_prims, "lat"),
-                                            const(geo_prims, 2.5)))
+                                            constant(geo_prims, 2.5)))
     assert serialize(t) == "(add (lat) (const:Number 2.5))"
-
-
-def reference_serialize(tree):
-    """Serialization by recursion over the children."""
-    if tree.kind.category is Category.CONSTANT:
-        return f"({tree.kind.name} {float(tree.value)!r})"
-    if not tree.children:
-        return f"({tree.kind.name})"
-    inner = " ".join(reference_serialize(c) for c in tree.children)
-    return f"({tree.kind.name} {inner})"
 
 
 @TASK_SETS
@@ -674,23 +646,23 @@ def test_serialize_matches_a_recursive_reference(make_prims):
 
 def test_serialize_nonfinite_and_signed_zero_payloads(feed_prims):
     payloads = (float("nan"), 0.0, -0.0, float("inf"), float("-inf"))
-    tree = const(feed_prims, payloads[0])
+    tree = constant(feed_prims, payloads[0])
     for value in payloads[1:]:
-        tree = ProgramTree(feed_prims.kind("add"), (tree, const(feed_prims, value)))
+        tree = ProgramTree(feed_prims.kind("add"), (tree, constant(feed_prims, value)))
     text = serialize(tree)
     assert text == reference_serialize(tree) == (
         "(add (add (add (add (const:Number nan) (const:Number 0.0))"
         " (const:Number -0.0)) (const:Number inf)) (const:Number -inf))")
     assert serialize(deserialize(text, feed_prims)) == text
     for value in payloads:
-        assert serialize(const(feed_prims, value)) == f"(const:Number {value!r})"
+        assert serialize(constant(feed_prims, value)) == f"(const:Number {value!r})"
 
 
 def test_equal_trees_with_signed_zeros_serialize_apart(feed_prims):
     """The text follows the payload bits, not ``==``."""
     def tree(zero):
         return ProgramTree(feed_prims.kind("add"), (leaf(feed_prims, "unread_count"),
-                                                    const(feed_prims, zero)))
+                                                    constant(feed_prims, zero)))
     plus, minus = tree(0.0), tree(-0.0)
     assert plus == minus and hash(plus) == hash(minus)
     assert serialize(plus) == "(add (unread_count) (const:Number 0.0))"
@@ -702,7 +674,7 @@ def test_equal_trees_with_signed_zeros_serialize_apart(feed_prims):
 def test_serialize_a_chain_deeper_than_the_recursion_limit(feed_prims):
     # texts are compared, not trees: == on a tree this deep recurses
     add = feed_prims.kind("add")
-    unread = ProgramTree(feed_prims.kind("unread_count"))
+    unread = leaf(feed_prims, "unread_count")
     tree = unread
     for _ in range(4999):
         tree = ProgramTree(add, (tree, unread))
@@ -714,7 +686,7 @@ def test_serialize_a_chain_deeper_than_the_recursion_limit(feed_prims):
 
 def test_round_trip_many_random_trees(geo_prims, feed_prims, loc_prims):
     rng = random.Random(1234)
-    for prims in (geo_prims, grower.at_bias(feed_prims, 0.5), grower.at_bias(loc_prims, 0.5)):
+    for prims in (geo_prims, at_bias(feed_prims, 0.5), at_bias(loc_prims, 0.5)):
         for _ in range(400):
             t = build_random_tree(prims, 4, rng)
             again = deserialize(serialize(t), prims)
@@ -724,7 +696,7 @@ def test_round_trip_many_random_trees(geo_prims, feed_prims, loc_prims):
 
 def test_round_trip_awkward_float_payloads(geo_prims):
     for value in (0.1 + 0.2, 1e-17, -1.561563606294591, 3.0, -0.0):
-        t = const(geo_prims, value)
+        t = constant(geo_prims, value)
         assert deserialize(serialize(t), geo_prims).value == value
 
 
@@ -793,7 +765,7 @@ def test_deserialize_without_bound_stops_at_the_ceiling(feed_prims, kind):
 def test_a_node_keeps_the_hash_the_dataclass_would_generate(feed_prims, loc_prims):
     rng = random.Random(4)
     compared = [f.name for f in dataclasses.fields(NodeKind) if f.compare]
-    for prims in (grower.at_bias(feed_prims, 0.5), grower.at_bias(loc_prims, 0.5)):
+    for prims in (at_bias(feed_prims, 0.5), at_bias(loc_prims, 0.5)):
         for _ in range(100):
             tree = build_random_tree(prims, 6, rng)
             # worked out on first use, never before; a shared terminal leaf
