@@ -258,14 +258,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             ))
         transports = _transports(config, iteration)
         try:
-            history = run_islands(specs, prims, config.max_depth, policy,
-                                  config.generations, transports, iteration=iteration)
+            rows += run_islands(specs, prims, config.max_depth, policy,
+                                config.generations, transports, iteration=iteration)
         finally:
             for transport in transports:
                 transport.close()
-        for island_rows in history:
-            rows.extend(island_rows)
-    rows.sort(key=lambda r: (r.iteration, r.generation, r.island))
     return ExperimentResult(config, rows, _summarize(config, rows))
 
 

@@ -3,9 +3,10 @@
 Each island evolves its own population in lock step with the others.  At
 every migration generation (positive multiples of the policy interval) an
 island broadcasts copies of randomly chosen members -- emigrants are not
-removed -- and appends whatever arrives as immigrants.  The appended
-members are scored with the current generation and take part in the next
-breed, which restores the population to its strategy's total.
+removed -- and appends whatever arrives as immigrants, before any member
+is scored.  The appended members are scored with the rest of the
+generation and take part in the next breed, which restores the population
+to its strategy's total.
 
 The wire format is deliberately thin: a version tag line followed by the
 canonical tree text.  Envelopes carry no sender identity, so any island can
@@ -34,11 +35,10 @@ from .evolution import (
     FitnessFn,
     Population,
     breed_next_generation,
-    evaluate_new_members,
     evaluate_population,
     initial_population,
-    population_stats,
 )
+from .evolution import evaluate_new_members  # noqa: F401  unused: the traced benchmark wraps this name
 from .trees import (
     ConfigurationError,
     Individual,
@@ -243,7 +243,7 @@ def inject_random(pop: Population, policy: MigrationPolicy, prims: PrimitiveSet,
     invokes this only at migration generations.
 
     The injected trees follow the same lifecycle as immigrants (scored with
-    the current generation, absorbed at the next breed).  They are not
+    the rest of the generation, absorbed at the next breed).  They are not
     screened by the vocabulary's helper, unlike every tree evolution grows
     or breeds.
     """
@@ -292,17 +292,19 @@ class IslandSpec:
 def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, max_depth: int,
                 policy: MigrationPolicy, generations: int,
                 transports: Sequence[Transport], *,
-                iteration: int) -> list[list[GenerationStats]]:
+                iteration: int) -> list[GenerationStats]:
     """Evolve all islands for ``generations`` lock-step generations, island
     ``k`` exchanging migrants through ``transports[k]``; every row records
     ``iteration``, the repetition of the experiment this run is.
 
-    Per generation and island: evaluate every member; at migration
-    generations emit emigrants, deliver, admit and score arrivals (or inject
-    random members); record stats over the full pool (computed once, after
-    the arrivals if there were any); breed.  Returns one stats list per
-    island.  Over a simulated bus the whole run is a pure function of the
-    island seeds and the bus's seed.
+    Each generation runs in four steps.  Migrate: at migration generations
+    every island emits emigrants, then every island admits its arrivals (or
+    each injects random members).  Score: each island evaluates its whole
+    pool once, its members first and its arrivals last.  Record: that
+    island's row holds the stats of the pool.  Breed.  Migration reads no
+    fitness, so it may come first.  Returns the rows in the order they are
+    made: generation by generation, island by island.  Over a simulated bus
+    the whole run is a pure function of the island seeds and the bus's seed.
     """
     if generations < 1:
         raise ConfigurationError("need at least one generation")
@@ -315,12 +317,9 @@ def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, max_depth: int
         initial_population(prims, spec.strategy.total(), max_depth, evo_rngs[k])
         for k, spec in enumerate(specs)
     ]
-    history: list[list[GenerationStats]] = [[] for _ in specs]
+    rows: list[GenerationStats] = []
 
     for generation in range(generations):
-        stats = [evaluate_population(pops[k], spec.evaluator)
-                 for k, spec in enumerate(specs)]
-
         arrived = [0] * len(specs)
         sent = [0] * len(specs)
         if is_migration_generation(generation, policy):
@@ -330,21 +329,17 @@ def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, max_depth: int
                     for envelope in envelopes:
                         transports[k].send(envelope)
                     sent[k] = len(envelopes)
-                for k, spec in enumerate(specs):
-                    report = admit_immigrants(pops[k], transports[k].drain(),
-                                              prims, max_depth)
-                    arrived[k] = report.admitted
-                    evaluate_new_members(pops[k], spec.evaluator)
+                for k in range(len(specs)):
+                    arrived[k] = admit_immigrants(pops[k], transports[k].drain(),
+                                                  prims, max_depth).admitted
             elif policy.mode is MigrationMode.RANDOM_INJECT:
-                for k, spec in enumerate(specs):
+                for k in range(len(specs)):
                     arrived[k] = inject_random(pops[k], policy, prims, max_depth,
                                                mig_rngs[k])
-                    evaluate_new_members(pops[k], spec.evaluator)
 
-        for k in range(len(specs)):
-            # arrivals joined the pool after it was summarized
-            pool = population_stats(pops[k]) if arrived[k] else stats[k]
-            history[k].append(GenerationStats(
+        for k, spec in enumerate(specs):
+            pool = evaluate_population(pops[k], spec.evaluator)
+            rows.append(GenerationStats(
                 iteration=iteration, generation=generation, island=k,
                 max_fitness=pool.max_fitness, mean_fitness=pool.mean_fitness,
                 mean_size=pool.mean_size, mean_depth=pool.mean_depth,
@@ -355,4 +350,4 @@ def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, max_depth: int
             for k, spec in enumerate(specs):
                 pops[k] = breed_next_generation(pops[k], spec.strategy, prims,
                                                 max_depth, evo_rngs[k])
-    return history
+    return rows

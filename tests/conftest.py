@@ -1,4 +1,7 @@
-"""Shared fixtures: small primitive sets used across the test modules."""
+"""Shared fixtures: small primitive sets used across the test modules, and
+the command that starts a fresh interpreter."""
+import sys
+
 import pytest
 
 from gpislands.feed import default_catalog, feed_primitives
@@ -27,3 +30,12 @@ def feed_prims():
 @pytest.fixture
 def loc_prims():
     return localisation_primitives()
+
+
+@pytest.fixture
+def python():
+    """The command that starts a fresh interpreter under this one's flags:
+    ``-X dev`` in development mode and each ``-W`` option, so a program the
+    tests run in a subprocess meets their own warning gate."""
+    dev = ["-X", "dev"] if sys.flags.dev_mode else []
+    return [sys.executable, *dev, *(f"-W{option}" for option in sys.warnoptions)]

@@ -22,10 +22,6 @@ import math
 import tempfile
 from pathlib import Path
 
-import pytest
-
-pytest.importorskip("hypothesis")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

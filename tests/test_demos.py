@@ -1,15 +1,15 @@
 """The demos print what they printed when their output was pinned.
 
-Each demo runs with its default arguments in a fresh interpreter, with the
-package's ``src`` directory on its path, and the SHA-256 digest of its
-standard output is pinned here.  The demos seed every rng they use, so a
-digest mismatch means the demo's draws or arithmetic moved.  Update a digest
-only on purpose, and record why in CHANGES.md.
+Each demo runs with its default arguments in a fresh interpreter, under
+the tests' own ``-X`` and ``-W`` flags and with the package's ``src``
+directory on its path, and the SHA-256 digest of its standard output is
+pinned here.  The demos seed every rng they use, so a digest mismatch means
+the demo's draws or arithmetic moved.  Update a digest only on purpose, and
+record why in CHANGES.md.
 """
 import hashlib
 import os
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -33,10 +33,10 @@ def test_every_demo_is_pinned():
 
 
 @pytest.mark.parametrize("demo", sorted(DIGESTS))
-def test_demo_prints_its_pinned_output(demo):
+def test_demo_prints_its_pinned_output(demo, python):
     src = str(Path(gpislands.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(DEMOS / demo)],
+    done = subprocess.run([*python, str(DEMOS / demo)],
                           env=dict(os.environ, PYTHONPATH=path),
                           check=True, capture_output=True, timeout=120)
     assert hashlib.sha256(done.stdout).hexdigest() == DIGESTS[demo]

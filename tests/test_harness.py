@@ -157,19 +157,20 @@ def test_migration_bookkeeping_in_rows():
 
 def test_rows_are_complete_when_run_islands_makes_them(monkeypatch):
     """Each iteration's rows come from ``run_islands`` as they are kept: the
-    harness passes the iteration in and copies no row to set it."""
+    harness passes the iteration in, copies no row to set it, and keeps the
+    rows in the order they are made."""
     made = []
     run_islands = harness.run_islands
 
     def recording(*args, **kwargs):
-        history = run_islands(*args, **kwargs)
-        made.extend(row for rows in history for row in rows)
-        return history
+        rows = run_islands(*args, **kwargs)
+        made.extend(rows)
+        return rows
 
     monkeypatch.setattr(harness, "run_islands", recording)
     result = small_run()
     assert {r.iteration for r in result.rows} == {0, 1, 2}
-    assert sorted(map(id, result.rows)) == sorted(map(id, made))
+    assert list(map(id, result.rows)) == list(map(id, made))
 
 
 def test_rerun_is_identical():

@@ -4,6 +4,8 @@ import logging
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import at_bias
 
 from gpislands import islands as islands_module
@@ -43,6 +45,15 @@ from gpislands.udp import UdpBroadcastTransport
 def sized_fitness(member):
     """Deterministic evaluator: rewards bigger trees, capped at 1."""
     return min(1.0, member.size / 7.0)
+
+
+def by_island(rows):
+    """The rows of each island, in island order; ``run_islands`` makes them
+    generation by generation, island by island."""
+    islands = {}
+    for row in rows:
+        islands.setdefault(row.island, []).append(row)
+    return [islands[k] for k in sorted(islands)]
 
 
 def bus_endpoints(count, loss=0.0, seed=0):
@@ -192,10 +203,6 @@ def test_byte_mutated_migrants_are_admitted_or_dropped(feed_prims):
     """Byte-mutated wire bytes of feed trees never make decoding or
     admission raise: every envelope that decodes is admitted or dropped, and
     every one admitted is a tree of the root sort within the depth bound."""
-    pytest.importorskip("hypothesis")
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
     edit = st.tuples(st.sampled_from(["flip", "insert", "delete"]),
                      st.integers(0, 2**16), st.integers(1, 255))
     migrant = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 6),
@@ -293,9 +300,9 @@ def test_run_is_the_same_whether_migrants_resolve_or_are_parsed(feed_prims, pars
 
     resolved = run(bus_endpoints(3, loss=0.5, seed="t"))
     assert parses == []
-    assert sum(r.immigrants_admitted for rows in resolved for r in rows) > 0
+    assert sum(r.immigrants_admitted for r in resolved) > 0
     parsed = run([ThroughTheCodec(e) for e in bus_endpoints(3, loss=0.5, seed="t")])
-    assert len(parses) == sum(r.immigrants_admitted for rows in parsed for r in rows)
+    assert len(parses) == sum(r.immigrants_admitted for r in parsed)
     assert parsed == resolved
 
 
@@ -305,6 +312,26 @@ def test_inject_random_appends_a_batch_of_random_members(geo_prims):
     assert inject_random(pop, policy, geo_prims, 3, random.Random(1)) == 3
     assert len(pop.members) == 13
     assert all(m.origin is Origin.RANDOM_INJECTED for m in pop.members[10:])
+
+
+def test_migration_reads_no_fitness(geo_prims):
+    """Emigrant choice and injection pick the same trees, and leave the rng
+    where they leave it, whether or not the members are scored: so a
+    generation may migrate before it scores."""
+    scored = scored_population(geo_prims, 10)
+    policy = MigrationPolicy(rate=0.3)
+
+    def migrate(pop):
+        rng = random.Random(3)
+        emigrants = [e.payload for e in select_emigrants(pop, policy, rng)]
+        inject_random(pop, policy, geo_prims, 3, rng)
+        return emigrants, [serialize(m.tree) for m in pop.members[10:]], rng.getstate()
+
+    unscored = Population([dataclasses.replace(m, fitness=None) for m in scored.members])
+    assert all(m.fitness is not None for m in scored.members)
+    picked = migrate(scored)
+    assert len(picked[0]) == len(picked[1]) == 3
+    assert migrate(unscored) == picked
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +377,61 @@ def run_one(prims, seed, generations=8, policy=None, capacity=6):
     spec = IslandSpec(island_strategy(capacity), sized_fitness, seed)
     return run_islands([spec], prims, 3,
                        policy or MigrationPolicy(mode=MigrationMode.NONE),
-                       generations, bus_endpoints(1), iteration=0)[0]
+                       generations, bus_endpoints(1), iteration=0)
+
+
+@pytest.mark.parametrize("mode", list(MigrationMode))
+def test_each_member_is_scored_once_per_generation(geo_prims, monkeypatch, mode):
+    """Each generation, an island's evaluator is called once per member of
+    its pool, in list order with the arrivals last: its strategy's total
+    plus the row's arrivals, and nothing else."""
+    pools = []  # every generation's population, island by island
+    for name in ("initial_population", "breed_next_generation"):
+        real = getattr(islands_module, name)
+
+        def kept(*args, real=real, **kwargs):
+            pop = real(*args, **kwargs)
+            pools.append(pop)
+            return pop
+
+        monkeypatch.setattr(islands_module, name, kept)
+    calls = [[], []]
+
+    def counting(k):
+        return lambda member: calls[k].append(member) or sized_fitness(member)
+
+    sizes = (6, 9)
+    specs = [IslandSpec(island_strategy(size), counting(k), f"c{k}")
+             for k, size in enumerate(sizes)]
+    policy = MigrationPolicy(interval=2, rate=0.5, mode=mode)
+    rows = run_islands(specs, geo_prims, 3, policy, 6, bus_endpoints(2), iteration=0)
+    for k, size in enumerate(sizes):
+        generations = pools[k::2]
+        assert [len(pop.members) for pop in generations] == \
+            [size + r.immigrants_admitted for r in by_island(rows)[k]]
+        scored = [m for pop in generations for m in pop.members]
+        assert len(calls[k]) == len(scored)
+        assert all(call is member for call, member in zip(calls[k], scored))
+        assert all(m.origin is not Origin.LOCAL
+                   for pop in generations for m in pop.members[size:])
+    assert any(r.immigrants_admitted for r in rows) is (mode is not MigrationMode.NONE)
+
+
+def test_rows_come_generation_by_generation_island_by_island(geo_prims):
+    specs = [IslandSpec(island_strategy(6), sized_fitness, s) for s in ("a", "b", "c")]
+    rows = run_islands(specs, geo_prims, 3, MigrationPolicy(interval=2, rate=0.5), 5,
+                       bus_endpoints(3), iteration=0)
+    assert [(r.generation, r.island) for r in rows] == \
+        [(generation, island) for generation in range(5) for island in range(3)]
 
 
 def test_isolated_islands_match_standalone_runs(geo_prims):
     """With migration off, a 2-island run is two independent runs."""
     specs = [IslandSpec(island_strategy(6), sized_fitness, "lhs"),
              IslandSpec(island_strategy(6), sized_fitness, "rhs")]
-    paired = run_islands(specs, geo_prims, 3,
-                         MigrationPolicy(mode=MigrationMode.NONE), 8, bus_endpoints(2),
-                         iteration=0)
+    paired = by_island(run_islands(specs, geo_prims, 3,
+                                   MigrationPolicy(mode=MigrationMode.NONE), 8,
+                                   bus_endpoints(2), iteration=0))
     solo_lhs = run_one(geo_prims, "lhs")
     solo_rhs = run_one(geo_prims, "rhs")
     assert [dataclasses.replace(r, island=0) for r in paired[1]] == solo_rhs
@@ -369,22 +441,22 @@ def test_isolated_islands_match_standalone_runs(geo_prims):
 def test_migration_bookkeeping_at_event_generations(geo_prims):
     specs = [IslandSpec(island_strategy(6), sized_fitness, s) for s in ("a", "b")]
     policy = MigrationPolicy(interval=2, rate=0.5, mode=MigrationMode.MIGRATE)
-    history = run_islands(specs, geo_prims, 3, policy, 7, bus_endpoints(2), iteration=0)
-    for rows in history:
-        for row in rows:
-            if row.generation in (2, 4, 6):
-                assert row.emigrants_sent == 3
-                assert row.immigrants_admitted == 3  # everything the peer sent
-            else:
-                assert row.emigrants_sent == 0
-                assert row.immigrants_admitted == 0
+    rows = run_islands(specs, geo_prims, 3, policy, 7, bus_endpoints(2), iteration=0)
+    for row in rows:
+        if row.generation in (2, 4, 6):
+            assert row.emigrants_sent == 3
+            assert row.immigrants_admitted == 3  # everything the peer sent
+        else:
+            assert row.emigrants_sent == 0
+            assert row.immigrants_admitted == 0
 
 
 def test_each_island_is_as_large_as_its_strategy(geo_prims):
     specs = [IslandSpec(island_strategy(6), sized_fitness, "six"),
              IslandSpec(island_strategy(8), sized_fitness, "eight")]
     policy = MigrationPolicy(interval=2, rate=0.5, mode=MigrationMode.MIGRATE)
-    six, eight = run_islands(specs, geo_prims, 3, policy, 5, bus_endpoints(2), iteration=0)
+    six, eight = by_island(run_islands(specs, geo_prims, 3, policy, 5, bus_endpoints(2),
+                                       iteration=0))
     assert [r.emigrants_sent for r in six] == [0, 0, 3, 0, 3]
     assert [r.emigrants_sent for r in eight] == [0, 0, 4, 0, 4]
     assert [r.immigrants_admitted for r in six] == [0, 0, 4, 0, 4]
@@ -411,8 +483,8 @@ def test_total_loss_leaves_trajectory_untouched(geo_prims):
                         MigrationPolicy(interval=2, mode=MigrationMode.NONE), 8,
                         bus_endpoints(2), iteration=0)
     strip = lambda rows: [dataclasses.replace(r, emigrants_sent=0) for r in rows]
-    assert [strip(rows) for rows in lossy] == [strip(rows) for rows in quiet]
-    assert any(r.emigrants_sent for rows in lossy for r in rows)
+    assert strip(lossy) == strip(quiet)
+    assert any(r.emigrants_sent for r in lossy)
 
 
 def test_stats_rows_cover_every_generation(geo_prims):
@@ -432,9 +504,9 @@ def test_every_row_carries_the_iteration_it_is_given(geo_prims, mode):
                            5, bus_endpoints(2), iteration=iteration)
 
     zero, seven = run(0), run(7)
-    assert {r.iteration for rows in zero for r in rows} == {0}
-    assert {r.iteration for rows in seven for r in rows} == {7}
-    assert [[dataclasses.replace(r, iteration=0) for r in rows] for rows in seven] == zero
+    assert {r.iteration for r in zero} == {0}
+    assert {r.iteration for r in seven} == {7}
+    assert [dataclasses.replace(r, iteration=0) for r in seven] == zero
 
 
 def test_a_run_needs_its_iteration(geo_prims):

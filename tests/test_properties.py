@@ -6,6 +6,8 @@ localisation world of any shape scores as the eager oracle does."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import (
     at_bias,
     leaves_and_functions,
@@ -16,11 +18,6 @@ from reference import (
 )
 from test_feed import NARROW, WIDE, assert_same_fill, assert_scored_as_walked
 from test_localisation import HAND_TREES, switching_trees
-
-pytest.importorskip("hypothesis")
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gpislands.evolution import crossover, mutate
 from gpislands import feed

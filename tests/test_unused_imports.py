@@ -22,6 +22,7 @@ TESTS = pathlib.Path(__file__).resolve().parent
 UNREAD = {
     ("gpislands", "feed.py", "execute"),
     ("gpislands", "localisation.py", "execute"),
+    ("gpislands", "islands.py", "evaluate_new_members"),
 }
 
 
