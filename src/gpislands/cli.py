@@ -8,7 +8,6 @@ success and 2 for unusable arguments or configuration.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import Optional, Sequence
@@ -60,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-depth", dest="max_depth", type=int)
     parser.add_argument("--udp-base-port", dest="udp_base_port", type=int)
     # every option but --out is a field of the config, and defaults to it
-    parser.set_defaults(**{f.name: f.default for f in dataclasses.fields(ExperimentConfig)
-                           if f.default is not dataclasses.MISSING})
+    parser.set_defaults(**ExperimentConfig._field_defaults)
     return parser
 
 

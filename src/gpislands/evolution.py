@@ -29,16 +29,18 @@ import enum
 import math
 import random
 from bisect import bisect_right
-from dataclasses import KW_ONLY, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .trees import (
     ConfigurationError,
+    FrozenRecord,
     Individual,
     Origin,
     PrimitiveSet,
     ProgramTree,
+    Record,
     Sort,
+    _set_field,
     build_random_tree,
     grow_subtree,
     iter_nodes,
@@ -61,16 +63,22 @@ class Operator(enum.Enum):
     RANDOM = "RANDOM"
 
 
-@dataclass
-class Population:
-    members: list[Individual]
-    _: KW_ONLY
-    helper_rejections: int = 0
-    guard_fallbacks: int = 0
+class Population(Record):
+    """An island's members, in order, and what screening them cost: the
+    drafts the helper rejected, and the last drafts kept though the helper
+    never accepted them (see :func:`_build_guarded`)."""
+
+    __slots__ = ("members", "helper_rejections", "guard_fallbacks")
+    _fields = __slots__
+
+    def __init__(self, members: list[Individual], *, helper_rejections: int = 0,
+                 guard_fallbacks: int = 0) -> None:
+        self.members = members
+        self.helper_rejections = helper_rejections
+        self.guard_fallbacks = guard_fallbacks
 
 
-@dataclass(frozen=True)
-class SelectorBinding:
+class SelectorBinding(FrozenRecord):
     """A selector: a roulette wheel over the pool's fitness values.  Its key
     in :attr:`EvolutionStrategy.selectors` names it.
 
@@ -79,40 +87,49 @@ class SelectorBinding:
     population.
     """
 
-    pool_best: Optional[int] = None
+    __slots__ = ("pool_best",)
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        best = self.pool_best
-        if best is not None and (type(best) is not int or best < 1):  # rejects bools too
+    def __init__(self, pool_best: Optional[int] = None) -> None:
+        # rejects bools too
+        if pool_best is not None and (type(pool_best) is not int or pool_best < 1):
             raise ConfigurationError(
-                f"pool_best must be a whole number of at least 1, got {best!r}")
+                f"pool_best must be a whole number of at least 1, got {pool_best!r}")
+        _set_field(self, "pool_best", pool_best)
 
 
-@dataclass(frozen=True)
-class StrategyStep:
-    operator: Operator
-    count: int
-    selector: Optional[str] = None
+class StrategyStep(FrozenRecord):
+    """One breeding step: ``count`` members made by ``operator`` from the
+    parents the selector named ``selector`` picks (``None`` only for
+    ``RANDOM``, which has no parents)."""
 
-    def __post_init__(self) -> None:
-        if type(self.count) is not int or self.count < 0:  # rejects bools too
+    __slots__ = ("operator", "count", "selector")
+    _fields = __slots__
+
+    def __init__(self, operator: Operator, count: int, selector: Optional[str] = None) -> None:
+        if type(count) is not int or count < 0:  # rejects bools too
             raise ConfigurationError(
-                f"step count must be a whole number of at least 0, got {self.count!r}")
+                f"step count must be a whole number of at least 0, got {count!r}")
+        _set_field(self, "operator", operator)
+        _set_field(self, "count", count)
+        _set_field(self, "selector", selector)
 
 
-@dataclass
-class EvolutionStrategy:
+class EvolutionStrategy(Record):
     """Ordered breeding steps plus the selector bindings they reference."""
 
-    selectors: dict[str, SelectorBinding]
-    steps: list[StrategyStep]
+    __slots__ = ("selectors", "steps")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        for step in self.steps:
+    def __init__(self, selectors: dict[str, SelectorBinding],
+                 steps: list[StrategyStep]) -> None:
+        self.selectors = selectors
+        self.steps = steps
+        for step in steps:
             if step.selector is None:
                 if step.operator is not Operator.RANDOM:  # the one operator without parents
                     raise ConfigurationError(f"{step.operator.value} step needs a selector")
-            elif step.selector not in self.selectors:
+            elif step.selector not in selectors:
                 raise ConfigurationError(f"unknown selector {step.selector!r}")
         if self.total() < 1:
             raise ConfigurationError(
@@ -393,8 +410,10 @@ def breed_next_generation(pop: Population, strategy: EvolutionStrategy, prims: P
     return new
 
 
-@dataclass(frozen=True)
-class EvalStats:
+class EvalStats(NamedTuple):
+    """A scored pool's figures: its highest and mean fitness, and its
+    members' mean size and depth."""
+
     max_fitness: float
     mean_fitness: float
     mean_size: float

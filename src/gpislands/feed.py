@@ -70,18 +70,20 @@ import functools
 import operator
 import random
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .interpreter import execute  # noqa: F401  unused: the traced benchmark wraps this name
 from .trees import (
     Category,
     ConfigurationError,
+    FrozenRecord,
     Individual,
     PrimitiveSet,
     ProgramTree,
+    Record,
     Sort,
     _read_config_file,
+    _set_field,
     arithmetic_kinds,
     config_number,
     if_greater,
@@ -108,61 +110,66 @@ DEFAULT_FEED_IDS_OTHER = ("visualloop", "breakvideos", "businessgreen")
 _UNPARSEABLE = re.compile(r"[\s()]")
 
 
-@dataclass(frozen=True)
-class Feed:
-    feed_id: str
-    group: str
-    unread: int
+class Feed(FrozenRecord):
+    """One feed of a catalog: its id (which names its ``is_<id>`` terminal),
+    its group and how many unread items it holds."""
 
-    def __post_init__(self) -> None:
-        for label, text in (("id", self.feed_id), ("group", self.group)):
+    __slots__ = ("feed_id", "group", "unread")
+    _fields = __slots__
+
+    def __init__(self, feed_id: str, group: str, unread: int) -> None:
+        for label, text in (("id", feed_id), ("group", group)):
             if not isinstance(text, str) or not text:
                 raise ConfigurationError(
                     f"feed {label} must be a non-empty string, got {text!r}")
-        if _UNPARSEABLE.search(self.feed_id):
+        if _UNPARSEABLE.search(feed_id):
             # the id names the terminal is_<id>, which tree text must spell
             raise ConfigurationError(
-                f"feed id {self.feed_id!r} must not contain whitespace or parentheses")
-        if type(self.unread) is not int or self.unread < 0:  # rejects bools too
+                f"feed id {feed_id!r} must not contain whitespace or parentheses")
+        if type(unread) is not int or unread < 0:  # rejects bools too
             raise ConfigurationError(
-                f"feed {self.feed_id!r}: unread must be a whole number of at least 0, "
-                f"got {self.unread!r}")
+                f"feed {feed_id!r}: unread must be a whole number of at least 0, "
+                f"got {unread!r}")
         try:
-            float(self.unread)  # the unread_count terminal reads it as a float
+            float(unread)  # the unread_count terminal reads it as a float
         except OverflowError:
             raise ConfigurationError(
-                f"feed {self.feed_id!r}: unread is too large for a float") from None
+                f"feed {feed_id!r}: unread is too large for a float") from None
+        _set_field(self, "feed_id", feed_id)
+        _set_field(self, "group", group)
+        _set_field(self, "unread", unread)
 
     @property
     def is_tech(self) -> bool:
         return self.group == TECH_GROUP
 
 
-@dataclass(frozen=True)
-class FeedCatalog:
+class FeedCatalog(FrozenRecord):
     """The feeds a screen is filled from, in order: at least one, with
     unique ids.
 
-    The hash is the one the dataclass would generate, worked out on first
-    use and kept, since every screen fill looks the catalog's columns up by
-    it and hashing each feed runs Python code.
+    The hash is the hash of the field tuple, worked out on first use and
+    kept in ``_hash``, since every screen fill looks the catalog's columns
+    up by it and hashing each feed runs Python code.
     """
 
-    feeds: tuple[Feed, ...]
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("feeds", "_hash")
+    _fields = ("feeds",)
+
+    def __init__(self, feeds: tuple[Feed, ...]) -> None:
+        if not feeds:
+            raise ConfigurationError("a catalog needs at least one feed")
+        if len({f.feed_id for f in feeds}) != len(feeds):
+            raise ConfigurationError("feed ids must be unique")
+        _set_field(self, "feeds", feeds)
+        _set_field(self, "_hash", None)
 
     def __hash__(self) -> int:
         kept = self._hash
         if kept is None:
             kept = hash((self.feeds,))
-            object.__setattr__(self, "_hash", kept)
+            _set_field(self, "_hash", kept)
         return kept
-
-    def __post_init__(self) -> None:
-        if not self.feeds:
-            raise ConfigurationError("a catalog needs at least one feed")
-        if len({f.feed_id for f in self.feeds}) != len(self.feeds):
-            raise ConfigurationError("feed ids must be unique")
 
 
 def default_catalog(unread: int = DEFAULT_UNREAD) -> FeedCatalog:
@@ -171,11 +178,14 @@ def default_catalog(unread: int = DEFAULT_UNREAD) -> FeedCatalog:
     return FeedCatalog(tuple(feeds))
 
 
-@dataclass(frozen=True)
-class UserModel:
+class UserModel(FrozenRecord):
     """Click probability per feed id."""
 
-    click_prob: dict[str, float]
+    __slots__ = ("click_prob",)
+    _fields = __slots__
+
+    def __init__(self, click_prob: dict[str, float]) -> None:
+        _set_field(self, "click_prob", click_prob)
 
     def probability(self, feed_id: str) -> float:
         return self.click_prob.get(feed_id, 0.0)
@@ -351,13 +361,19 @@ def _count_steps(tree: ProgramTree, columns: dict[str, tuple],
     return counted(tree)
 
 
-@dataclass
-class FeedReport:
-    """What one evaluation put on the screen and what got clicked."""
+class FeedReport(Record):
+    """What one evaluation put on the screen and what got clicked; each
+    field left out starts empty."""
 
-    scores: dict[str, float] = field(default_factory=dict)
-    displayed: list[tuple[str, int]] = field(default_factory=list)
-    clicked: list[tuple[str, int]] = field(default_factory=list)
+    __slots__ = ("scores", "displayed", "clicked")
+    _fields = __slots__
+
+    def __init__(self, scores: Optional[dict[str, float]] = None,
+                 displayed: Optional[list[tuple[str, int]]] = None,
+                 clicked: Optional[list[tuple[str, int]]] = None) -> None:
+        self.scores = {} if scores is None else scores
+        self.displayed = [] if displayed is None else displayed
+        self.clicked = [] if clicked is None else clicked
 
     def displayed_by_group(self, catalog: FeedCatalog) -> dict[str, int]:
         groups = {f.feed_id: f.group for f in catalog.feeds}

@@ -15,11 +15,9 @@ A run loads what its config names, when it needs it: the one task module of
 from __future__ import annotations
 
 import csv
-import dataclasses
 import os
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,11 +41,15 @@ from .trees import DEPTH_CEILING, ConfigurationError, PrimitiveSet, _read_config
 
 DEFAULT_MAX_DEPTH = 3
 
-CSV_COLUMNS = [f.name for f in dataclasses.fields(GenerationStats)]
+CSV_COLUMNS = list(GenerationStats._fields)
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
+    """One experimental cell, as the command line states it: every field
+    but ``app`` has a default, which the CLI's options take.  Building one
+    checks nothing; :meth:`validate` does, and :func:`run_experiment` calls
+    it first."""
+
     app: str
     islands: int = 2
     capacity: Optional[int] = None
@@ -65,6 +67,8 @@ class ExperimentConfig:
     max_depth: int = DEFAULT_MAX_DEPTH
     app_config: Optional[str] = None
     udp_base_port: int = 47500
+
+    __hash__ = None  # never used as a key; unhashable like the mutable records
 
     def validate(self) -> None:
         if self.app not in ("feed", "localisation"):
@@ -162,12 +166,12 @@ def _task_setup(config: ExperimentConfig) -> tuple[PrimitiveSet, Callable]:
 
         prims, make_evaluator = loc_app.localisation_primitives(), make_loc_evaluator
     if not config.helper:
-        prims = dataclasses.replace(prims, helper=None)
+        prims = PrimitiveSet(prims.kinds, prims.root_sort, prims.constant_sources,
+                             prims.function_bias)
     return prims, make_evaluator
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     """Across-iteration aggregates for one (generation, island) cell."""
 
     generation: int
@@ -180,11 +184,15 @@ class SummaryRow:
     mean_fitness_se: float
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
+    """A finished cell: its config, every row in the order the runs made
+    them, and one summary row per (generation, island)."""
+
     config: ExperimentConfig
     rows: list[GenerationStats]
     summary: list[SummaryRow]
+
+    __hash__ = None  # never used as a key; unhashable like the mutable records
 
 
 def _summarize(config: ExperimentConfig, rows: Sequence[GenerationStats]) -> list[SummaryRow]:
@@ -269,13 +277,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # CSV output
 
-def _write_csv(path: str, columns: Sequence[str], rows: Sequence) -> None:
-    """A header of ``columns``, then each row's attributes of those names."""
+def _write_csv(path: str, columns: Sequence[str], rows: Sequence[tuple]) -> None:
+    """A header of ``columns``, then each row as it stands: a row is a
+    ``NamedTuple`` whose fields are the columns."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([getattr(row, column) for column in columns])
+        writer.writerows(rows)
 
 
 def write_rows_csv(result: ExperimentResult, path: str) -> None:
@@ -288,5 +296,5 @@ def summary_path_for(path: str) -> str:
 
 
 def write_summary_csv(result: ExperimentResult, path: str) -> None:
-    _write_csv(path, [f.name for f in dataclasses.fields(SummaryRow)], result.summary)
+    _write_csv(path, SummaryRow._fields, result.summary)
 

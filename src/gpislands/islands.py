@@ -27,8 +27,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .evolution import (
     EvolutionStrategy,
@@ -41,11 +40,13 @@ from .evolution import (
 from .evolution import evaluate_new_members  # noqa: F401  unused: the traced benchmark wraps this name
 from .trees import (
     ConfigurationError,
+    FrozenRecord,
     Individual,
     Origin,
     PrimitiveSet,
     ProgramTree,
     TreeError,
+    _set_field,
     build_random_tree,
     deserialize,
     serialize,
@@ -64,21 +65,23 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass(frozen=True)
-class MigrationPolicy:
+class MigrationPolicy(FrozenRecord):
     """Exchange schedule: every ``interval`` generations, ``rate`` x the
     island's size in members (rounded half up) leave as copies or arrive as
     random injections."""
 
-    interval: int = 5
-    rate: float = 0.1
-    mode: MigrationMode = MigrationMode.MIGRATE
+    __slots__ = ("interval", "rate", "mode")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        if self.interval < 1:
+    def __init__(self, interval: int = 5, rate: float = 0.1,
+                 mode: MigrationMode = MigrationMode.MIGRATE) -> None:
+        if interval < 1:
             raise ConfigurationError("migration interval must be at least 1")
-        if not 0.0 <= self.rate <= 1.0:
+        if not 0.0 <= rate <= 1.0:
             raise ConfigurationError("migration rate must lie in [0, 1]")
+        _set_field(self, "interval", interval)
+        _set_field(self, "rate", rate)
+        _set_field(self, "mode", mode)
 
     def batch_size(self, size: int) -> int:
         return _round_half_up(self.rate * size)
@@ -91,8 +94,7 @@ def is_migration_generation(generation: int, policy: MigrationPolicy) -> bool:
     return generation > 0 and generation % policy.interval == 0
 
 
-@dataclass(frozen=True)
-class MigrantEnvelope:
+class MigrantEnvelope(NamedTuple):
     """A migrating program: the member's tree in process, or its canonical
     text once it has come off a wire.
 
@@ -200,8 +202,10 @@ def select_emigrants(pop: Population, policy: MigrationPolicy,
     return [MigrantEnvelope(pop.members[i].tree) for i in chosen]
 
 
-@dataclass(frozen=True)
-class AdmissionReport:
+class AdmissionReport(NamedTuple):
+    """What :func:`admit_immigrants` did with one batch of arrivals: how
+    many it appended, and how many it dropped as malformed."""
+
     admitted: int
     dropped: int
 
@@ -257,8 +261,7 @@ def inject_random(pop: Population, policy: MigrationPolicy, prims: PrimitiveSet,
 # ---------------------------------------------------------------------------
 # the lock-step multi-island loop
 
-@dataclass(frozen=True)
-class GenerationStats:
+class GenerationStats(NamedTuple):
     """One per-island, per-generation record (also the CSV row shape)."""
 
     iteration: int
@@ -273,8 +276,7 @@ class GenerationStats:
     helper_rejections: int
 
 
-@dataclass
-class IslandSpec:
+class IslandSpec(NamedTuple):
     """What sets one island apart: how it breeds, how it scores, and a seed;
     its size is its strategy's total.
 
@@ -287,6 +289,8 @@ class IslandSpec:
     strategy: EvolutionStrategy
     evaluator: FitnessFn
     seed: int | str
+
+    __hash__ = None  # never used as a key; unhashable like the mutable records
 
 
 def run_islands(specs: Sequence[IslandSpec], prims: PrimitiveSet, max_depth: int,

@@ -72,18 +72,19 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .interpreter import Bindings, compile_program
 from .interpreter import execute  # noqa: F401  unused: the traced benchmark wraps this name
 from .trees import (
     ConfigurationError,
+    FrozenRecord,
     Individual,
     PrimitiveSet,
     ProgramTree,
     Sort,
     _read_config_file,
+    _set_field,
     config_number,
     function,
     if_greater_kind,
@@ -117,21 +118,23 @@ Position = tuple[float, float]
 _TAU = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class Provider:
+class Provider(FrozenRecord):
     """A location source: accuracy radius, current draw, and first-fix delay."""
 
-    name: str
-    radius_m: float
-    draw_ma: float
-    first_fix_s: float
+    __slots__ = ("name", "radius_m", "draw_ma", "first_fix_s")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        for figure in ("radius_m", "draw_ma", "first_fix_s"):
-            value = getattr(self, figure)
+    def __init__(self, name: str, radius_m: float, draw_ma: float,
+                 first_fix_s: float) -> None:
+        for figure, value in (("radius_m", radius_m), ("draw_ma", draw_ma),
+                              ("first_fix_s", first_fix_s)):
             if not 0.0 <= value < math.inf:  # a zero radius is fine; nan is not
-                raise ConfigurationError(f"provider {self.name!r} {figure} must be "
+                raise ConfigurationError(f"provider {name!r} {figure} must be "
                                          f"finite and not negative, got {value!r}")
+        _set_field(self, "name", name)
+        _set_field(self, "radius_m", radius_m)
+        _set_field(self, "draw_ma", draw_ma)
+        _set_field(self, "first_fix_s", first_fix_s)
 
 
 #: The providers a program can switch: each has its enable_/disable_ terminals.
@@ -144,96 +147,109 @@ DEFAULT_PROVIDERS = (
 )
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(FrozenRecord):
     """A stretch of the walk: indoors or out, with or without WiFi coverage."""
 
-    start: float
-    end: float
-    indoor: bool
-    wifi: bool
+    __slots__ = ("start", "end", "indoor", "wifi")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        if not self.start <= self.end:  # also rejects nan
+    def __init__(self, start: float, end: float, indoor: bool, wifi: bool) -> None:
+        if not start <= end:  # also rejects nan
             raise ConfigurationError(
-                f"a segment must not end before it starts, got {self.start!r} to {self.end!r}")
-        if not (isinstance(self.indoor, bool) and isinstance(self.wifi, bool)):
+                f"a segment must not end before it starts, got {start!r} to {end!r}")
+        if not (isinstance(indoor, bool) and isinstance(wifi, bool)):
             raise ConfigurationError(
                 f"segment indoor and wifi must be true or false, got "
-                f"{self.indoor!r} and {self.wifi!r}")
+                f"{indoor!r} and {wifi!r}")
+        _set_field(self, "start", start)
+        _set_field(self, "end", end)
+        _set_field(self, "indoor", indoor)
+        _set_field(self, "wifi", wifi)
 
 
-@dataclass(frozen=True)
-class WorldConfig:
+#: The default walk: ``(t, x, y)`` waypoints, times not decreasing.
+DEFAULT_WAYPOINTS = (
+    (0.0, 0.0, 0.0),      # at home, indoors
+    (20.0, 0.0, 0.0),
+    (40.0, 100.0, 0.0),   # walk five metres a second to the office
+    (60.0, 100.0, 0.0),
+)
+#: The default walk's coverage: indoors with WiFi, out without, in again.
+DEFAULT_SEGMENTS = (
+    Segment(0.0, 20.0, indoor=True, wifi=True),
+    Segment(20.0, 40.0, indoor=False, wifi=False),
+    Segment(40.0, 60.0, indoor=True, wifi=True),
+)
+
+
+class WorldConfig(FrozenRecord):
     """The walk, its radio coverage and the providers a program can switch.
 
-    The hash is the one the dataclass would generate, worked out on first
-    use and kept, since every evaluation looks its world's layout and its
-    tree's control trace up by it and hashing each field runs Python code.
+    The hash is the hash of the field tuple, worked out on first use and
+    kept in ``_hash``, since every evaluation looks its world's layout and
+    its tree's control trace up by it and hashing each field runs Python
+    code.
     """
 
-    providers: tuple[Provider, ...] = DEFAULT_PROVIDERS
-    waypoints: tuple[tuple[float, float, float], ...] = (
-        (0.0, 0.0, 0.0),      # at home, indoors
-        (20.0, 0.0, 0.0),
-        (40.0, 100.0, 0.0),   # walk five metres a second to the office
-        (60.0, 100.0, 0.0),
-    )
-    segments: tuple[Segment, ...] = (
-        Segment(0.0, 20.0, indoor=True, wifi=True),
-        Segment(20.0, 40.0, indoor=False, wifi=False),
-        Segment(40.0, 60.0, indoor=True, wifi=True),
-    )
-    ticks: int = DEFAULT_TICKS
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("providers", "waypoints", "segments", "ticks", "_hash")
+    _fields = ("providers", "waypoints", "segments", "ticks")
 
-    def __hash__(self) -> int:
-        kept = self._hash
-        if kept is None:
-            kept = hash((self.providers, self.waypoints, self.segments, self.ticks))
-            object.__setattr__(self, "_hash", kept)
-        return kept
-
-    def __post_init__(self) -> None:
-        if not self.providers:
+    def __init__(self, providers: tuple[Provider, ...] = DEFAULT_PROVIDERS,
+                 waypoints: tuple[tuple[float, float, float], ...] = DEFAULT_WAYPOINTS,
+                 segments: tuple[Segment, ...] = DEFAULT_SEGMENTS,
+                 ticks: int = DEFAULT_TICKS) -> None:
+        _set_field(self, "providers", providers)
+        _set_field(self, "waypoints", waypoints)
+        _set_field(self, "segments", segments)
+        _set_field(self, "ticks", ticks)
+        _set_field(self, "_hash", None)
+        if not providers:
             raise ConfigurationError("a world needs at least one provider")
-        if not self.segments:
+        if not segments:
             raise ConfigurationError("a world needs at least one segment")
-        names = [p.name for p in self.providers]
+        names = [p.name for p in providers]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate provider names in {names}")
         for name in names:
             if name not in RADIO_NAMES:
                 raise ConfigurationError(f"no terminal switches provider {name!r}; "
                                          f"providers are named from {RADIO_NAMES}")
-        if not self.waypoints:
+        if not waypoints:
             raise ConfigurationError("the walk needs at least one waypoint")
-        for point in self.waypoints:
+        for point in waypoints:
             if len(point) != 3 or not all(map(math.isfinite, point)):
                 raise ConfigurationError(f"a waypoint is a finite (t, x, y), got {point!r}")
-        if any(b[0] < a[0] for a, b in zip(self.waypoints, self.waypoints[1:])):
+        if any(b[0] < a[0] for a, b in zip(waypoints, waypoints[1:])):
             raise ConfigurationError("waypoint times must not decrease")
-        if type(self.ticks) is not int or not 1 <= self.ticks <= MAX_TICKS:  # rejects bools too
+        if type(ticks) is not int or not 1 <= ticks <= MAX_TICKS:  # rejects bools too
             raise ConfigurationError(
-                f"ticks must be a whole number from 1 to {MAX_TICKS}, got {self.ticks!r}")
+                f"ticks must be a whole number from 1 to {MAX_TICKS}, got {ticks!r}")
         # a fix lies within the walk's reach plus a radius times ERROR_HIGH;
         # were it not finite, two equal fixes would lie at no finite
         # distance from each other and a perfect fix would score 0
-        reach = max(abs(v) for point in self.waypoints for v in point[1:])
-        radius = max(p.radius_m for p in self.providers)
+        reach = max(abs(v) for point in waypoints for v in point[1:])
+        radius = max(p.radius_m for p in providers)
         if not math.isfinite(2.0 * (reach + radius * ERROR_HIGH)):
             raise ConfigurationError(
                 f"every fix position must be finite, but waypoint coordinates up to "
                 f"{reach!r} and radii up to {radius!r} can overflow")
 
+    def __hash__(self) -> int:
+        kept = self._hash
+        if kept is None:
+            kept = hash((self.providers, self.waypoints, self.segments, self.ticks))
+            _set_field(self, "_hash", kept)
+        return kept
+
 
 def _truth(waypoints: Sequence[tuple[float, float, float]], t: float) -> Position:
+    """Where the walk is at ``t``, between the waypoints around it.  A time
+    two waypoints share is caught by the first guard or by the end of the
+    stretch before, so a zero-length stretch is never divided by."""
     if t <= waypoints[0][0]:
         return (waypoints[0][1], waypoints[0][2])
     for (t0, x0, y0), (t1, x1, y1) in zip(waypoints, waypoints[1:]):
         if t0 <= t <= t1:
-            if t1 == t0:
-                return (x1, y1)
             frac = (t - t0) / (t1 - t0)
             return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
     return (waypoints[-1][1], waypoints[-1][2])
@@ -270,23 +286,28 @@ def _error_draws(seed: int | str, count: int) -> list[float]:
     return list(itertools.starmap(draw, itertools.repeat((), count)))
 
 
-@dataclass(frozen=True)
-class _Tick:
-    """What the walk offers at one integer tick, whatever the program does."""
+class _Tick(FrozenRecord):
+    """What the walk offers at one integer tick, whatever the program does.
 
-    #: Each provider that can see the phone at this tick, with its fix
-    #: source, sharpest first; the sort is stable, so equal radii keep their
-    #: config order, as ``min`` would pick them.
-    ready: tuple[tuple[Provider, _Source], ...]
-    #: The reference fix at this tick, the very source ``ready`` holds for
-    #: the sharpest provider that would be ready with every radio on since
-    #: tick 0 (its power is never charged to the program), or ``None`` if
-    #: none would be.
-    reference_source: Optional[_Source]
+    ``ready`` holds each provider that can see the phone at this tick, with
+    its fix source, sharpest first; the sort is stable, so equal radii keep
+    their config order, as ``min`` would pick them.  ``reference_source``
+    is the reference fix at this tick, the very source ``ready`` holds for
+    the sharpest provider that would be ready with every radio on since
+    tick 0 (its power is never charged to the program), or ``None`` if none
+    would be.
+    """
+
+    __slots__ = ("ready", "reference_source")
+    _fields = __slots__
+
+    def __init__(self, ready: tuple[tuple[Provider, _Source], ...],
+                 reference_source: Optional[_Source]) -> None:
+        _set_field(self, "ready", ready)
+        _set_field(self, "reference_source", reference_source)
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(NamedTuple):
     """What ``config`` fixes for every control pass and evaluation."""
 
     #: What the walk offers at ticks ``0..ticks``, keyed by the tick as a
@@ -634,8 +655,8 @@ def world_config_from_dict(data: dict) -> WorldConfig:
                          config_number(p["draw_ma"]), config_number(p["first_fix_s"]))
                 for p in data["providers"])
         waypoints = tuple(tuple(config_number(v) for v in point)
-                          for point in data.get("waypoints", WorldConfig.waypoints))
-        segments = WorldConfig.segments
+                          for point in data.get("waypoints", DEFAULT_WAYPOINTS))
+        segments = DEFAULT_SEGMENTS
         if "segments" in data:
             segments = tuple(
                 Segment(config_number(s["start"]), config_number(s["end"]),

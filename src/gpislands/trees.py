@@ -76,7 +76,6 @@ import enum
 import operator
 import random
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 
@@ -147,12 +146,58 @@ class Origin(enum.Enum):
     ELITE_COPY = "elite-copy"
 
 
-#: Sets a field of a frozen kind past its own ``__setattr__``.
+#: Sets a field of a frozen record past its own ``__setattr__``.
 _set_field = object.__setattr__
 
 
-@dataclass(frozen=True)
-class NodeKind:
+class Record:
+    """A hand-written record: a slotted class whose fields, in order, are
+    named in ``_fields``, as a ``NamedTuple``'s are.  No code is generated
+    for it, so defining one costs what defining a plain class costs.
+
+    ``==`` compares the field tuples of two records of the same class, so a
+    shared NaN is equal to itself, and gives ``NotImplemented`` for any
+    other class.  ``repr`` reads ``Name(field=value, ...)``.  A plain record
+    may change, so it has no hash (see :class:`FrozenRecord`).  Each
+    subclass declares its own ``__slots__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    __hash__ = None  # a record may change, so it has no hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record no code may change once it is built: assigning or deleting
+    an attribute raises :class:`AttributeError`, so ``__init__`` sets each
+    slot with ``_set_field``.  Its hash is the hash of its field tuple."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class NodeKind(FrozenRecord):
     """A named primitive: its argument sorts, result sort and semantics.
 
     ``fn`` carries the implementation for functions, which receive the
@@ -163,16 +208,28 @@ class NodeKind:
     their values come from the run's bindings and the node payload
     respectively.
 
-    The hash is the one the dataclass would generate, worked out on first
-    use and kept, since hashing each enum sort runs Python code.
+    The hash is the hash of the field tuple, worked out on first use and
+    kept in ``_hash``, since hashing each enum sort runs Python code.
     """
 
-    name: str
-    argument_sorts: tuple[Sort, ...]
-    result_sort: Sort
-    category: Category
-    fn: Optional[Callable] = None
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("name", "argument_sorts", "result_sort", "category", "fn", "_hash")
+    _fields = ("name", "argument_sorts", "result_sort", "category", "fn")
+
+    def __init__(self, name: str, argument_sorts: tuple[Sort, ...], result_sort: Sort,
+                 category: Category, fn: Optional[Callable] = None) -> None:
+        _set_field(self, "name", name)
+        _set_field(self, "argument_sorts", argument_sorts)
+        _set_field(self, "result_sort", result_sort)
+        _set_field(self, "category", category)
+        _set_field(self, "fn", fn)
+        _set_field(self, "_hash", None)
+        if category is Category.FUNCTION:
+            if not argument_sorts:
+                raise ConfigurationError(f"function kind {name!r} needs arguments")
+            if fn is None:
+                raise ConfigurationError(f"function kind {name!r} needs an implementation")
+        elif argument_sorts:
+            raise ConfigurationError(f"{category.value} kind {name!r} must have arity 0")
 
     @property
     def arity(self) -> int:
@@ -185,15 +242,6 @@ class NodeKind:
                          self.fn))
             _set_field(self, "_hash", kept)
         return kept
-
-    def __post_init__(self) -> None:
-        if self.category is Category.FUNCTION:
-            if self.arity == 0:
-                raise ConfigurationError(f"function kind {self.name!r} needs arguments")
-            if self.fn is None:
-                raise ConfigurationError(f"function kind {self.name!r} needs an implementation")
-        elif self.argument_sorts:
-            raise ConfigurationError(f"{self.category.value} kind {self.name!r} must have arity 0")
 
     def __repr__(self) -> str:  # keep population dumps readable
         return f"NodeKind({self.name!r}, {self.result_sort.value})"
@@ -387,8 +435,7 @@ class _Growth:
         self.constant: Optional[Callable[[random.Random], float]] = None
 
 
-@dataclass
-class PrimitiveSet:
+class PrimitiveSet(Record):
     """The vocabulary a task exposes to evolution.
 
     ``constant_sources`` maps a sort to a callable drawing a fresh ephemeral
@@ -397,29 +444,35 @@ class PrimitiveSet:
     value into the node.  ``function_bias`` is the chance that growth picks
     a function where the depth budget allows one.  The growth table of every
     sort (:class:`_Growth`), with the set's one node per terminal kind, is
-    built with the set, and rebuilt by
-    ``dataclasses.replace(prims, function_bias=b)``, whose trees share
-    leaves of their own.
+    built with the set, and built again by ``PrimitiveSet(prims.kinds,
+    prims.root_sort, prims.constant_sources, b, prims.helper)``, whose trees
+    share leaves of their own.
 
     ``helper``, when set, is a predicate over trees that every tree
     evolution grows or breeds from this vocabulary must pass, or else be
     rebuilt (see :mod:`gpislands.evolution`); ``None`` screens nothing.
-    ``dataclasses.replace(prims, helper=None)`` is the same vocabulary
-    unscreened.
+    ``PrimitiveSet(prims.kinds, prims.root_sort, prims.constant_sources,
+    prims.function_bias)`` is the same vocabulary unscreened.
     """
 
-    kinds: Sequence[NodeKind]
-    root_sort: Sort
-    constant_sources: Mapping[Sort, Callable[[random.Random], float]] = field(default_factory=dict)
-    function_bias: float = 0.5
-    helper: Optional[Callable[[ProgramTree], bool]] = None
+    __slots__ = ("kinds", "root_sort", "constant_sources", "function_bias", "helper",
+                 "_all", "_by_name", "_growth", "_leafless")
+    _fields = ("kinds", "root_sort", "constant_sources", "function_bias", "helper")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kinds: Sequence[NodeKind], root_sort: Sort,
+                 constant_sources: Optional[Mapping[Sort, Callable]] = None,
+                 function_bias: float = 0.5,
+                 helper: Optional[Callable[[ProgramTree], bool]] = None) -> None:
+        self.kinds = kinds
+        self.root_sort = root_sort
+        self.constant_sources = {} if constant_sources is None else constant_sources
+        self.function_bias = function_bias
+        self.helper = helper
         all_kinds = list(self.kinds)
         for sort in self.constant_sources:
             all_kinds.append(NodeKind(constant_kind_name(sort), (), sort, Category.CONSTANT))
-        self._all: tuple[NodeKind, ...] = tuple(all_kinds)
-        self._by_name: dict[str, NodeKind] = {}
+        self._all = tuple(all_kinds)
+        self._by_name = {}
         for kind in self._all:
             if kind.name in self._by_name:
                 raise ConfigurationError(f"duplicate kind name {kind.name!r}")
@@ -649,14 +702,10 @@ def serialize(tree: ProgramTree) -> str:
     return "".join(parts)[1:]
 
 
+#: A tree text's tokens: each parenthesis, and each run of other characters
+#: that are not whitespace.  Every character but whitespace lands in a token,
+#: since ``\s`` and :meth:`str.isspace` agree on every code point.
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = _TOKEN.findall(text)
-    if "".join(tokens) != "".join(text.split()):
-        raise TreeParseError("unexpected characters in tree text")
-    return tokens
 
 
 def deserialize(text: str, prims: PrimitiveSet,
@@ -673,7 +722,7 @@ def deserialize(text: str, prims: PrimitiveSet,
     is a registered kind; arity and child sorts are checked as each node
     closes; and a node opening deeper than ``max_depth`` is rejected at once.
     """
-    tokens = _tokenize(text)
+    tokens = _TOKEN.findall(text)
     end = len(tokens)
     limit = DEPTH_CEILING if max_depth is None else max_depth
     kind_of = prims.kind
@@ -744,13 +793,17 @@ def deserialize(text: str, prims: PrimitiveSet,
 # ---------------------------------------------------------------------------
 # individuals
 
-@dataclass
-class Individual:
+class Individual(Record):
     """A program plus its bookkeeping inside a population."""
 
-    tree: ProgramTree
-    origin: Origin = Origin.LOCAL
-    fitness: Optional[float] = None
+    __slots__ = ("tree", "origin", "fitness")
+    _fields = __slots__
+
+    def __init__(self, tree: ProgramTree, origin: Origin = Origin.LOCAL,
+                 fitness: Optional[float] = None) -> None:
+        self.tree = tree
+        self.origin = origin
+        self.fitness = fitness
 
     @property
     def size(self) -> int:

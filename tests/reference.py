@@ -12,15 +12,12 @@ growth, trees, localisation, breeding and the harness's summary.
 pass and counting walk on their own, for the tests to compare to the
 walker.
 """
-import dataclasses
 import math
 import operator
 import random
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
-
-import numpy as np
 
 from gpislands import feed, harness, localisation, trees
 from gpislands.evolution import (
@@ -209,10 +206,17 @@ def sorts_with_leaves(prims):
                   key=lambda s: s.value)
 
 
+def rebuilt(prims, **changes):
+    """``prims`` built again with ``changes`` to its fields: the same
+    vocabulary otherwise, its growth tables built anew."""
+    return trees.PrimitiveSet(**{**{name: getattr(prims, name) for name in prims._fields},
+                                 **changes})
+
+
 def at_bias(prims, bias):
     """``prims`` growing at ``bias``: the same vocabulary, its growth tables
     built again."""
-    return dataclasses.replace(prims, function_bias=bias)
+    return rebuilt(prims, function_bias=bias)
 
 
 def grow(prims, sort, budget, rng):
@@ -590,7 +594,10 @@ def oracle_stats(pop):
 
 def per_cell_summary(config, rows):
     """The summary written out cell by cell, one small numpy array per cell
-    in row order: the oracle the one-pass summary is held to bit for bit."""
+    in row order: the oracle the one-pass summary is held to bit for bit.
+    The one oracle that needs numpy, so it alone imports it."""
+    import numpy as np
+
     cells = {}
     for r in rows:
         cells.setdefault((r.generation, r.island), []).append(r)

@@ -1,5 +1,4 @@
 """Selection, variation operators, strategies and generational breeding."""
-import dataclasses
 import logging
 import random
 
@@ -8,6 +7,7 @@ from reference import (
     at_bias,
     oracle_best,
     oracle_stats,
+    rebuilt,
     reference_breed,
     reference_crossover,
     reference_mutate,
@@ -16,6 +16,7 @@ from sized import constant, leaf
 
 from gpislands import evolution
 from gpislands.evolution import (
+    CROSSOVER_RETRIES,
     REBUILD_ATTEMPTS,
     EvolutionStrategy,
     Operator,
@@ -45,9 +46,11 @@ from gpislands.trees import (
     ProgramTree,
     Sort,
     build_random_tree,
+    function,
     grow_subtree,
     iter_nodes,
     serialize,
+    terminal,
     validate_tree,
 )
 
@@ -159,6 +162,24 @@ def test_crossover_falls_back_without_compatible_donor(loc_prims):
     a = leaf(loc_prims, "request_update")
     b = constant(loc_prims, 5.0)
     assert crossover(a, b, 3, random.Random(2)) is a
+
+
+def test_crossover_falls_back_when_a_mixed_donor_lacks_the_point_sort():
+    """Over three sorts, a donor of a Number and a Boolean holds no node of
+    an Action point's sort: every retry draws its point, finds no donor and
+    draws nothing more, and the crossover gives the first parent back."""
+    seq = function("seq", (Sort.ACTION, Sort.ACTION), Sort.ACTION, lambda a, b: b)
+    count = function("count", (Sort.BOOLEAN,), Sort.NUMBER, float)
+    go = ProgramTree(terminal("go", Sort.ACTION))
+    a = ProgramTree(seq, (go, ProgramTree(seq, (go, go))))
+    b = ProgramTree(count, (ProgramTree(terminal("flag", Sort.BOOLEAN)),))
+    assert not b.uniform
+    ours, theirs = random.Random(5), random.Random(5)
+    seen = dict.fromkeys(["no donors", "fallback"], 0)
+    assert reference_crossover(a, b, 9, theirs, seen) == (a, None, None)
+    assert crossover(a, b, 9, ours) is a
+    assert ours.getstate() == theirs.getstate()
+    assert seen == {"no donors": CROSSOVER_RETRIES, "fallback": 1}
 
 
 @pytest.mark.parametrize("task", ["feed", "localisation"])
@@ -288,8 +309,7 @@ def test_strategy_rejects_unknown_selector():
 
 
 def test_a_population_is_its_members_and_keyword_only_counters():
-    assert [f.name for f in dataclasses.fields(Population)] == [
-        "members", "helper_rejections", "guard_fallbacks"]
+    assert Population._fields == ("members", "helper_rejections", "guard_fallbacks")
     with pytest.raises(TypeError):
         Population([], 1)  # a counter is never bound by position
 
@@ -317,6 +337,19 @@ def test_breed_preserves_capacity_and_elite(geo_prims):
     for m in nxt.members:
         if m.origin is not Origin.ELITE_COPY:
             assert m.fitness is None
+
+
+@pytest.mark.parametrize("unscored", [0, 2, 4], ids=["first", "middle", "last"])
+def test_a_breed_refuses_an_unscored_member(geo_prims, unscored):
+    """A member without a fitness is refused wherever it stands, before the
+    breed draws anything."""
+    pop = make_pop([0.5, 0.25, 0.75, 0.0, 1.0], geo_prims)
+    pop.members[unscored].fitness = None
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="^selection over unevaluated members$"):
+        breed_next_generation(pop, localisation_strategy(), geo_prims, 3, rng)
+    assert rng.getstate() == state
 
 
 def test_breed_marks_random_injections(geo_prims):
@@ -375,7 +408,7 @@ def test_a_breed_matches_a_wheel_built_for_every_pick(task, geo_prims, feed_prim
             for guard in guards:
                 seed = build.random()
                 ours, theirs = random.Random(seed), random.Random(seed)
-                helped = dataclasses.replace(prims, helper=guard)
+                helped = rebuilt(prims, helper=guard)
                 bred = breed_next_generation(pop, strategy, helped, 4, ours)
                 want, counters = reference_breed(pop, strategy, prims, 4, theirs, guard)
                 assert ([(m.tree, m.origin, m.fitness) for m in bred.members]
@@ -458,7 +491,7 @@ def test_guard_rejections_are_counted(geo_prims):
     def guard(tree):
         return any(n.kind.name == "lat" for n, _ in iter_nodes(tree))
 
-    pop = initial_population(dataclasses.replace(geo_prims, helper=guard), 20, 3,
+    pop = initial_population(rebuilt(geo_prims, helper=guard), 20, 3,
                              random.Random(5))
     for m in pop.members:
         assert guard(m.tree)
@@ -467,7 +500,7 @@ def test_guard_rejections_are_counted(geo_prims):
 
 
 def test_guard_exhaustion_admits_last_candidate(geo_prims):
-    pop = initial_population(dataclasses.replace(geo_prims, helper=lambda tree: False), 3, 3,
+    pop = initial_population(rebuilt(geo_prims, helper=lambda tree: False), 3, 3,
                              random.Random(6))
     assert len(pop.members) == 3
     assert pop.guard_fallbacks == 3

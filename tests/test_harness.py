@@ -1,6 +1,5 @@
 """Experiment configs, CSV output and the command line."""
 import csv
-import dataclasses
 import json
 import math
 import random
@@ -287,7 +286,7 @@ def stats_row(iteration, generation, island, max_fitness, mean_fitness):
 
 def bits(summary):
     """Each summary row's cell and the ``float.hex`` of each of its figures."""
-    return [(row.generation, row.island, *[v.hex() for v in dataclasses.astuple(row)[2:]])
+    return [(row.generation, row.island, *[v.hex() for v in row[2:]])
             for row in summary]
 
 
@@ -321,9 +320,9 @@ def test_the_summary_refuses_rows_that_do_not_fill_the_grid(change):
     elif change == "extra":
         rows.append(stats_row(4, 0, 0, 0.5, 0.25))
     elif change == "stray island":
-        rows[5] = dataclasses.replace(rows[5], island=2)
+        rows[5] = rows[5]._replace(island=2)
     else:
-        rows[5] = dataclasses.replace(rows[5], generation=3)
+        rows[5] = rows[5]._replace(generation=3)
     with pytest.raises(ValueError, match="do not hold 4 iterations"):
         harness._summarize(config, rows)
 
@@ -346,9 +345,8 @@ def cli_args(tmp_path, *extra):
 def test_cli_defaults_are_the_configs(app):
     got = config_from_args(build_parser().parse_args(["--app", app]))
     want = ExperimentConfig(app=app)
-    for field in dataclasses.fields(ExperimentConfig):  # repr tells "0" from 0
-        assert (field.name, repr(getattr(got, field.name))) == \
-            (field.name, repr(getattr(want, field.name)))
+    for name in ExperimentConfig._fields:  # repr tells "0" from 0
+        assert (name, repr(getattr(got, name))) == (name, repr(getattr(want, name)))
 
 
 def test_cli_writes_rows_and_summary(tmp_path, capsys):

@@ -5,8 +5,9 @@ a run loads only what it runs.
 a fresh interpreter and the package modules and numpy it leaves in
 ``sys.modules`` are its dependency graph.  Only the harness, and the CLI on
 top of it, need numpy.  A run loads its task, the UDP transport, ``json``
-and ``logging`` on the paths that use them: each run below goes through
-``cli.main`` in a fresh interpreter and is checked for what it loaded.
+and ``logging`` on the paths that use them, and ``dataclasses`` on none:
+each run below goes through ``cli.main`` in a fresh interpreter and is
+checked for what it loaded.
 
 Run as a script, this file prints what a default feed run and a default
 localisation run load, with the ``-X importtime`` cumulative microseconds of
@@ -43,8 +44,10 @@ LOADS = {
 }
 NUMPY_USERS = {"harness", "cli"}
 
-#: The modules a default run of either task must not load.
-UNUSED = {"gpislands.udp", "socket", "select", "json", "logging"}
+#: The modules a default run of either task must not load.  The package's
+#: records are hand-written classes and ``NamedTuple``s, so no run needs
+#: ``dataclasses`` (nor does numpy load it).
+UNUSED = {"gpislands.udp", "socket", "select", "json", "logging", "dataclasses"}
 
 #: Separates what the program printed from the module lists that follow it.
 MARK = "--- modules ---"

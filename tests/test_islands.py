@@ -1,5 +1,4 @@
 """Migration policy, wire format, transports and the lock-step island loop."""
-import dataclasses
 import logging
 import random
 
@@ -12,6 +11,7 @@ from gpislands import islands as islands_module
 from gpislands import udp as udp_module
 from gpislands.evolution import Population, island_strategy
 from gpislands.feed import FeedEvaluator, default_catalog, landscape_user
+from gpislands.localisation import localisation_primitives
 from gpislands.islands import (
     AdmissionReport,
     GenerationStats,
@@ -34,6 +34,8 @@ from gpislands.trees import (
     Origin,
     ProgramTree,
     Sort,
+    TreeParseError,
+    TreeValidationError,
     build_random_tree,
     deserialize,
     serialize,
@@ -129,7 +131,7 @@ def test_unrecognized_wire_bytes_are_dropped(data):
 
 def test_envelopes_are_anonymous(geo_prims):
     """The bytes are a function of the tree alone: no sender identity."""
-    assert {f.name for f in dataclasses.fields(MigrantEnvelope)} == {"payload"}
+    assert MigrantEnvelope._fields == ("payload",)
     tree = build_random_tree(geo_prims, 3, random.Random(12))
     assert MigrantEnvelope(tree).encode() == MigrantEnvelope(serialize(tree)).encode()
 
@@ -170,6 +172,26 @@ def test_a_dropped_migrant_leaves_a_debug_record(geo_prims, caplog):
     assert [(r.name, r.levelno) for r in caplog.records] == \
         [("gpislands.islands", logging.DEBUG)]
     assert "dropping malformed migrant" in caplog.records[0].getMessage()
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("( )", TreeParseError, "expected a kind name after '\\('"),  # a close for a name
+    ("(()", TreeParseError, "expected a kind name after '\\('"),  # an open for a name
+    ("(const:Number", TreeParseError, "unexpected end"),  # ends before the payload
+    ("(const:Number 1.0", TreeParseError, "unexpected end"),  # ends before its close
+    ("(last_fix_age)", TreeValidationError, "root produces Number, expected Action"),
+])
+def test_each_parser_rejection_drops_the_migrant(text, error, message):
+    """Each of these texts fails a check of the parser no other wire text
+    reaches: admitted over the localisation vocabulary, it is dropped and
+    counted, and nothing raises."""
+    prims = localisation_primitives()
+    with pytest.raises(error, match=message):
+        deserialize(text, prims)
+    pop = Population([])
+    report = admit_immigrants(pop, [MigrantEnvelope(text)], prims, max_depth=6)
+    assert report == AdmissionReport(admitted=0, dropped=1)
+    assert pop.members == []
 
 
 def test_admit_immigrants_drops_a_deeply_nested_migrant(feed_prims):
@@ -327,7 +349,7 @@ def test_migration_reads_no_fitness(geo_prims):
         inject_random(pop, policy, geo_prims, 3, rng)
         return emigrants, [serialize(m.tree) for m in pop.members[10:]], rng.getstate()
 
-    unscored = Population([dataclasses.replace(m, fitness=None) for m in scored.members])
+    unscored = Population([Individual(m.tree, m.origin, None) for m in scored.members])
     assert all(m.fitness is not None for m in scored.members)
     picked = migrate(scored)
     assert len(picked[0]) == len(picked[1]) == 3
@@ -355,6 +377,17 @@ def test_bus_total_loss_drops_everything():
         a.send(MigrantEnvelope("(lat)"))
     assert b.drain() == []
     assert bus.dropped == 20
+
+
+@pytest.mark.parametrize("loss", [0.0, 1.0])
+def test_a_loss_at_either_end_of_its_range_is_accepted(loss):
+    assert SimulatedBroadcastBus(loss=loss).loss == loss
+
+
+@pytest.mark.parametrize("loss", [-1e-9, 1.0 + 1e-9])
+def test_a_loss_just_past_its_range_is_rejected(loss):
+    with pytest.raises(ConfigurationError, match="loss probability must lie in"):
+        SimulatedBroadcastBus(loss=loss)
 
 
 def test_bus_partial_loss_is_seeded():
@@ -434,7 +467,7 @@ def test_isolated_islands_match_standalone_runs(geo_prims):
                                    bus_endpoints(2), iteration=0))
     solo_lhs = run_one(geo_prims, "lhs")
     solo_rhs = run_one(geo_prims, "rhs")
-    assert [dataclasses.replace(r, island=0) for r in paired[1]] == solo_rhs
+    assert [r._replace(island=0) for r in paired[1]] == solo_rhs
     assert paired[0] == solo_lhs
 
 
@@ -482,7 +515,7 @@ def test_total_loss_leaves_trajectory_untouched(geo_prims):
     quiet = run_islands(specs(), geo_prims, 3,
                         MigrationPolicy(interval=2, mode=MigrationMode.NONE), 8,
                         bus_endpoints(2), iteration=0)
-    strip = lambda rows: [dataclasses.replace(r, emigrants_sent=0) for r in rows]
+    strip = lambda rows: [r._replace(emigrants_sent=0) for r in rows]
     assert strip(lossy) == strip(quiet)
     assert any(r.emigrants_sent for r in lossy)
 
@@ -506,7 +539,17 @@ def test_every_row_carries_the_iteration_it_is_given(geo_prims, mode):
     zero, seven = run(0), run(7)
     assert {r.iteration for r in zero} == {0}
     assert {r.iteration for r in seven} == {7}
-    assert [dataclasses.replace(r, iteration=0) for r in seven] == zero
+    assert [r._replace(iteration=0) for r in seven] == zero
+
+
+def test_a_run_needs_a_generation_and_a_transport_per_island(geo_prims):
+    specs = [IslandSpec(island_strategy(6), sized_fitness, s) for s in ("x", "y")]
+    with pytest.raises(ConfigurationError, match="need at least one generation"):
+        run_islands(specs, geo_prims, 3, MigrationPolicy(), 0, bus_endpoints(2), iteration=0)
+    with pytest.raises(ConfigurationError, match="need one transport per island"):
+        run_islands(specs, geo_prims, 3, MigrationPolicy(), 2, bus_endpoints(1), iteration=0)
+    assert len(run_islands(specs, geo_prims, 3, MigrationPolicy(), 1, bus_endpoints(2),
+                           iteration=0)) == 2
 
 
 def test_a_run_needs_its_iteration(geo_prims):

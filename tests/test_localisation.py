@@ -1,6 +1,5 @@
 """The provider-switching benchmark: world model, scoring, helper, and the
 package against the eager oracle of ``reference.py``."""
-import dataclasses
 import itertools
 import json
 import math
@@ -127,6 +126,25 @@ def test_walk_interpolates_waypoints():
     assert all(ticks[t].ready for t in ticks)  # cell sees the phone everywhere
     assert all(source[0] == _truth(config.waypoints, t)
                for t in ticks for _, source in ticks[t].ready)
+
+
+@pytest.mark.parametrize("waypoints, pins", [
+    # a zero-length stretch first: its time is the first waypoint's
+    (((0.0, 0.0, 0.0), (0.0, 5.0, 5.0), (10.0, 15.0, 5.0)),
+     {-1.0: (0.0, 0.0), 0.0: (0.0, 0.0), 5.0: (10.0, 5.0), 10.0: (15.0, 5.0),
+      11.0: (15.0, 5.0)}),
+    # one in the middle: its time ends the stretch before it
+    (((0.0, 0.0, 0.0), (4.0, 8.0, 0.0), (4.0, 8.0, 20.0), (8.0, 0.0, 20.0)),
+     {2.0: (4.0, 0.0), 4.0: (8.0, 0.0), 6.0: (4.0, 20.0), 8.0: (0.0, 20.0)}),
+    # one last: its time ends the stretch before it, and later times clamp
+    # at the final waypoint
+    (((0.0, 0.0, 0.0), (10.0, 10.0, 0.0), (10.0, 30.0, 30.0)),
+     {5.0: (5.0, 0.0), 10.0: (10.0, 0.0), 10.5: (30.0, 30.0)}),
+], ids=["first", "middle", "last"])
+def test_the_walk_at_repeated_waypoint_times(waypoints, pins):
+    """At a time two waypoints share, the phone is where the walk reached
+    that time first; a zero-length stretch never places it."""
+    assert {t: _truth(waypoints, t) for t in pins} == pins
 
 
 def test_provider_availability_follows_segments():
@@ -577,10 +595,11 @@ def test_a_world_keeps_the_hash_the_dataclass_would_generate():
     assert config._hash == hash(config)
     assert twin == config and twin is not config and hash(twin) == hash(config)
     assert "_hash" not in repr(config)
-    shorter = dataclasses.replace(config, ticks=30)
+    shorter = WorldConfig(config.providers, config.waypoints, config.segments, 30)
     assert shorter == WorldConfig(ticks=30) != config
     assert hash(shorter) == hash((config.providers, config.waypoints, config.segments, 30))
-    assert dataclasses.replace(config) == config
+    assert WorldConfig(config.providers, config.waypoints, config.segments,
+                       config.ticks) == config
 
 
 # worlds that differ from the default in the walk's length, and in a figure

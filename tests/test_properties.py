@@ -1,9 +1,10 @@
-"""Property tests: the text form round-trips, the variation operators stay
-closed over the primitive set and the depth bound, one-pass feed scoring
+"""Property tests: the text form round-trips, its tokens keep every
+character but whitespace, the variation operators stay closed over the primitive set and the depth bound, one-pass feed scoring
 gives every feed what its own walk gives, cold, warm and bred, and raises
 a configuration error for a terminal the catalog leaves unbound, and a
 localisation world of any shape scores as the eager oracle does."""
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,7 @@ from gpislands.trees import (
     serialize,
     validate_tree,
 )
+from gpislands.trees import _TOKEN
 
 CATALOG = default_catalog()
 PRIMS = {
@@ -104,6 +106,31 @@ def test_text_is_canonical_for_any_payload(task, data):
     tree = data.draw(trees(prims, payloads=st.floats()))
     text = serialize(tree)
     assert serialize(deserialize(text, prims)) == text
+
+
+#: Characters tree text may mix: parentheses, ASCII spaces, Unicode spaces
+#: (no-break, em, and U+001C to U+001F, which ``str.split`` splits at too),
+#: characters that are no space though they show none (zero-width space,
+#: byte-order mark), and any other.
+TEXT_CHARACTERS = st.one_of(
+    st.sampled_from(list("()  \t\n\r\x0b\x0c\u00a0\u2003\x1c\x1d\x1e\x1f\u200b\ufeff")),
+    st.characters())
+
+
+@bounded
+@given(text=st.text(TEXT_CHARACTERS, max_size=40))
+def test_the_tokens_of_any_text_hold_all_of_it_but_whitespace(text):
+    """The parser's tokens join to the text with its whitespace removed, so
+    it skips nothing that is not whitespace and needs no check that it did."""
+    assert "".join(_TOKEN.findall(text)) == "".join(text.split())
+
+
+def test_the_tokens_skip_exactly_what_str_split_does_on_every_code_point():
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(_TOKEN.findall(everything)) == "".join(everything.split())
+    text = "(seq\u00a0(enable_gps)\x1f\u2003(request_update)\x1c)"
+    assert serialize(deserialize(text, PRIMS["localisation"])) == \
+        "(seq (enable_gps) (request_update))"
 
 
 @pytest.mark.parametrize("task", sorted(PRIMS))
